@@ -3,7 +3,7 @@
 # sweep engine's worker pool is the default execution path for every
 # experiment. Run both before merging.
 
-.PHONY: tier1 verify lint bench bench-json bench-smoke fuzz serve serve-smoke cluster-smoke clean-store paper paper-quick paper-smoke
+.PHONY: tier1 verify lint srlbench-test bench bench-json bench-smoke fuzz serve serve-smoke cluster-smoke clean-store paper paper-quick paper-smoke
 
 tier1:
 	go build ./... && go test ./...
@@ -20,6 +20,11 @@ lint:
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
 	fi
 	go vet ./...
+
+# cmd/srlbench is a module of its own, so the root `go test ./...` never
+# builds it; it compiles against the internal/bench and internal/paper APIs.
+srlbench-test:
+	cd cmd/srlbench && go vet ./... && go test ./...
 
 # The sweep-engine comparison: serial vs pooled vs pooled+memoized on the
 # Figure 6 matrix at QuickOptions scale.

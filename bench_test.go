@@ -18,8 +18,18 @@ import (
 	"srlproc/internal/trace"
 )
 
+// runFigure runs one speedup figure through bench.RunExperiment.
+func runFigure(b *testing.B, id bench.ExperimentID, o bench.Options) *bench.FigureResult {
+	b.Helper()
+	r, err := bench.RunExperiment(context.Background(), id, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r.(*bench.FigureResult)
+}
+
 func benchOptions() bench.Options {
-	return bench.Options{WarmupUops: 5_000, RunUops: 30_000, Seed: 1, Parallel: true}
+	return bench.Options{WarmupUops: 5_000, RunUops: 30_000, Seed: 1}
 }
 
 // BenchmarkTable1Config renders the machine configuration (Table 1).
@@ -44,10 +54,7 @@ func BenchmarkTable2Suites(b *testing.B) {
 // sweep) and reports the SFP2K speedup of the 1K-entry configuration.
 func BenchmarkFigure2StoreQueueSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.RunFigure2(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := runFigure(b, bench.Fig2, benchOptions())
 		last := fig.Series[len(fig.Series)-1]
 		b.ReportMetric(last.BySuite[trace.SFP2K], "SFP2K-1K-speedup-%")
 	}
@@ -57,10 +64,7 @@ func BenchmarkFigure2StoreQueueSweep(b *testing.B) {
 // vs ideal) and reports the mean SRL speedup across suites.
 func BenchmarkFigure6SRLComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.RunFigure6(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := runFigure(b, bench.Fig6, benchOptions())
 		sum := 0.0
 		for _, v := range fig.Series[0].BySuite {
 			sum += v
@@ -73,11 +77,11 @@ func BenchmarkFigure6SRLComparison(b *testing.B) {
 // store percentage.
 func BenchmarkTable3SRLStats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tbl, err := bench.RunTable3(benchOptions())
+		r, err := bench.RunExperiment(context.Background(), bench.Table3, benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(tbl.Rows[0].RedoneStoresPct, "SFP2K-redone-%")
+		b.ReportMetric(r.(*bench.Table3Result).Rows[0].RedoneStoresPct, "SFP2K-redone-%")
 	}
 }
 
@@ -85,11 +89,11 @@ func BenchmarkTable3SRLStats(b *testing.B) {
 // reports the fraction of SFP2K's occupied time above 256 entries.
 func BenchmarkFigure7Occupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.RunFigure7(benchOptions())
+		r, err := bench.RunExperiment(context.Background(), bench.Fig7, benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(fig.BySuite[trace.SFP2K][4], "SFP2K->256-%")
+		b.ReportMetric(r.(*bench.Figure7Result).BySuite[trace.SFP2K][4], "SFP2K->256-%")
 	}
 }
 
@@ -97,10 +101,7 @@ func BenchmarkFigure7Occupancy(b *testing.B) {
 // removing the LCF costs SFP2K relative to the full SRL.
 func BenchmarkFigure8LCFAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.RunFigure8(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := runFigure(b, bench.Fig8, benchOptions())
 		full := fig.Series[0].BySuite[trace.SFP2K]
 		none := fig.Series[2].BySuite[trace.SFP2K]
 		b.ReportMetric(full-none, "SFP2K-LCF-benefit-pp")
@@ -110,10 +111,7 @@ func BenchmarkFigure8LCFAblation(b *testing.B) {
 // BenchmarkFigure9LCFSweep regenerates Figure 9 (LCF size and hash).
 func BenchmarkFigure9LCFSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.RunFigure9(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := runFigure(b, bench.Fig9, benchOptions())
 		small := fig.Series[3].BySuite[trace.SFP2K] // LCF256 + 3-PAX
 		big := fig.Series[4].BySuite[trace.SFP2K]   // LCF2K + 3-PAX
 		b.ReportMetric(big-small, "SFP2K-2Kvs256-pp")
@@ -124,10 +122,7 @@ func BenchmarkFigure9LCFSweep(b *testing.B) {
 // cache for temporary updates).
 func BenchmarkFigure10ForwardingDesign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.RunFigure10(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := runFigure(b, bench.Fig10, benchOptions())
 		fc := fig.Series[0].BySuite[trace.SFP2K]
 		dc := fig.Series[1].BySuite[trace.SFP2K]
 		b.ReportMetric(fc-dc, "SFP2K-FC-benefit-pp")
@@ -151,7 +146,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg.RunUops = 50_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, SINT2K)
+		res, err := RunContext(context.Background(), cfg, SINT2K)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,17 +176,11 @@ func BenchmarkSweepMatrix(b *testing.B) {
 			m.mod(&o)
 			if !o.NoCache {
 				// Prime the cache so the memoized mode measures warm hits.
-				if _, err := bench.RunFigure6Context(context.Background(), o); err != nil {
-					b.Fatal(err)
-				}
+				runFigure(b, bench.Fig6, o)
 				b.ResetTimer()
 			}
 			for i := 0; i < b.N; i++ {
-				fig, err := bench.RunFigure6Context(context.Background(), o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(fig.Series) != 3 {
+				if fig := runFigure(b, bench.Fig6, o); len(fig.Series) != 3 {
 					b.Fatal("unexpected figure shape")
 				}
 			}
@@ -211,11 +200,11 @@ func BenchmarkLoadBufferOverflowPolicy(b *testing.B) {
 		viol := vict
 		viol.LoadBufVictim = 0
 		viol.LoadBufPolicy = 1 // lsq.OverflowViolate
-		rv, err := Run(vict, SFP2K)
+		rv, err := RunContext(context.Background(), vict, SFP2K)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ro, err := Run(viol, SFP2K)
+		ro, err := RunContext(context.Background(), viol, SFP2K)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,11 +220,11 @@ func BenchmarkWARDelay(b *testing.B) {
 		on.WarmupUops, on.RunUops = 5_000, 30_000
 		off := on
 		off.UseWARTracker = false
-		rOn, err := Run(on, SFP2K)
+		rOn, err := RunContext(context.Background(), on, SFP2K)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rOff, err := Run(off, SFP2K)
+		rOff, err := RunContext(context.Background(), off, SFP2K)
 		if err != nil {
 			b.Fatal(err)
 		}

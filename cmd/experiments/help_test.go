@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,15 +60,14 @@ func TestOnlyHelpIsComplete(t *testing.T) {
 	if len(advertised) != len(bench.AllExperiments())+len(cliOnlySections) {
 		t.Errorf("help advertises %d names, want %d", len(advertised), len(bench.AllExperiments())+len(cliOnlySections))
 	}
-	// The run loop's presentation order covers the same experiment set.
-	if len(presentationOrder) != len(bench.AllExperiments()) {
-		t.Errorf("presentationOrder has %d experiments, AllExperiments %d", len(presentationOrder), len(bench.AllExperiments()))
-	}
-	seen := map[bench.ExperimentID]bool{}
-	for _, id := range presentationOrder {
-		if seen[id] {
-			t.Errorf("presentationOrder lists %s twice", id)
+	// The help lists the experiments in the run loop's presentation order.
+	var order []string
+	for _, name := range strings.Split(list, ",") {
+		if advertised[name] == 1 && !slices.Contains(cliOnlySections, name) {
+			order = append(order, name)
 		}
-		seen[id] = true
+	}
+	if got, want := strings.Join(order, " "), bench.ExperimentNames(); got != want {
+		t.Errorf("help lists experiments as %q, want presentation order %q", got, want)
 	}
 }

@@ -45,23 +45,16 @@ import (
 	"srlproc/internal/trace"
 )
 
-// presentationOrder is the report's experiment order (Table 3 sits
-// between Figures 6 and 7, unlike the ExperimentID declaration order).
-// The run loop and the -only help text both derive from it, so the help
-// can never drift from what the command actually accepts.
-var presentationOrder = []bench.ExperimentID{
-	bench.Fig2, bench.Fig6, bench.Table3, bench.Fig7, bench.Fig8,
-	bench.Fig9, bench.Fig10, bench.Energy, bench.Latency, bench.Ordering,
-}
-
 // cliOnlySections are the -only selections that are rendered report
 // sections rather than sweepable experiments.
 var cliOnlySections = []string{"table1", "table2", "power"}
 
-// onlyHelp builds the -only flag's help text from the real selection sets.
+// onlyHelp builds the -only flag's help text from the real selection sets:
+// the run loop and the help both follow bench.AllExperiments, so the help
+// can never drift from what the command actually accepts.
 func onlyHelp() string {
 	names := []string{cliOnlySections[0], cliOnlySections[1]}
-	for _, id := range presentationOrder {
+	for _, id := range bench.AllExperiments() {
 		names = append(names, id.String())
 	}
 	names = append(names, cliOnlySections[2])
@@ -236,11 +229,14 @@ func run() int {
 			return code
 		}
 	}
-	runExp := func(name string, f func(context.Context, bench.Options) (fmt.Stringer, error)) int {
+	// Every experiment dispatches through bench.RunExperiment, in
+	// presentation order.
+	for _, id := range bench.AllExperiments() {
+		name := id.String()
 		if !want(name) {
-			return cli.OK
+			continue
 		}
-		r, err := f(ctx, o)
+		r, err := bench.RunExperiment(ctx, id, o)
 		if *progress {
 			fmt.Fprintln(os.Stderr)
 		}
@@ -265,34 +261,14 @@ func run() int {
 			}
 			jsonDocs = append(jsonDocs, namedDoc{name, doc})
 		case *csvOut:
-			cw, ok := r.(interface{ WriteCSV(io.Writer) error })
-			if !ok {
-				return usage("%s has no CSV form", name)
-			}
 			if *only == "" {
 				fmt.Printf("# %s\n", name)
 			}
-			if err := cw.WriteCSV(os.Stdout); err != nil {
+			if err := r.WriteCSV(os.Stdout); err != nil {
 				return fail("%s: %v", name, err)
 			}
 		default:
 			fmt.Fprintln(reportOut, r.String())
-		}
-		return cli.OK
-	}
-	// Every experiment dispatches through bench.RunExperiment, in
-	// presentation order.
-	for _, id := range presentationOrder {
-		id := id
-		f := func(ctx context.Context, o bench.Options) (fmt.Stringer, error) {
-			r, err := bench.RunExperiment(ctx, id, o)
-			if err != nil {
-				return nil, err
-			}
-			return r.Value().(fmt.Stringer), nil
-		}
-		if code := runExp(id.String(), f); code != cli.OK {
-			return code
 		}
 	}
 	if want("power") {
@@ -343,8 +319,8 @@ type labeledResult struct {
 
 // rawResults extracts the per-point results an experiment retains, in
 // deterministic (label, suite) order. Experiments without raw results
-// (energy, latency) contribute nothing.
-func rawResults(r fmt.Stringer) []labeledResult {
+// (energy, latency, ordering) contribute nothing.
+func rawResults(r bench.Result) []labeledResult {
 	var out []labeledResult
 	bySuite := func(label string, m map[trace.Suite]*core.Results) {
 		for _, su := range trace.AllSuites() {

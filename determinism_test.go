@@ -2,6 +2,7 @@ package srlproc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -16,7 +17,7 @@ func detConfig(d StoreDesign) Config {
 
 func resultsJSON(t *testing.T, cfg Config, suite Suite) []byte {
 	t.Helper()
-	res, err := Run(cfg, suite)
+	res, err := RunContext(context.Background(), cfg, suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +68,12 @@ func TestCheckedRunMatchesUnchecked(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := detConfig(d)
-			plain, err := Run(cfg, SINT2K)
+			plain, err := RunContext(context.Background(), cfg, SINT2K)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Check = true
-			checked, err := Run(cfg, SINT2K)
+			checked, err := RunContext(context.Background(), cfg, SINT2K)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,17 +1,16 @@
 // Package bench defines and runs the paper's experiments: every table and
-// figure of the evaluation section maps to one Run* function returning the
-// same rows/series the paper reports, plus formatting helpers.
+// figure of the evaluation section is one entry of an ordered registry
+// (experiment.go) holding its name, description, point plan, result type
+// and chart declaration, and RunExperiment returns the same rows/series
+// the paper reports, plus formatting helpers.
 //
-// Every experiment has a context-accepting form (RunFigure2Context, ...)
-// that supports cancellation and deadlines; the plain forms run with
-// context.Background(). All simulation points execute on the
-// internal/sweep engine: a bounded worker pool with panic isolation,
-// progress reporting and process-wide result memoization, tuned through
-// Options.
+// RunExperiment honours its context's cancellation and deadline. All
+// simulation points execute on the internal/sweep engine: a bounded worker
+// pool with panic isolation, progress reporting and process-wide result
+// memoization, tuned through Options.
 package bench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -38,18 +37,9 @@ type Options struct {
 	RunUops    uint64
 	Seed       uint64
 
-	// Parallel is the pre-worker-pool concurrency switch.
-	//
-	// Deprecated: set Workers instead. Parallel is only consulted when
-	// Workers is 0: Parallel=true maps to a GOMAXPROCS-sized pool,
-	// Parallel=false to a serial run.
-	Parallel bool
-
 	// Workers bounds the simulation worker pool: n > 1 runs at most n
-	// points concurrently, 1 runs serially, and 0 defers to the
-	// deprecated Parallel switch (DefaultOptions and QuickOptions set
-	// Parallel, so 0 means a GOMAXPROCS-sized pool for them). Negative
-	// values mean GOMAXPROCS.
+	// points concurrently, 1 runs serially, and 0 or negative values mean
+	// one worker per CPU (GOMAXPROCS).
 	Workers int
 
 	// Progress, when non-nil, is called after every completed point.
@@ -87,12 +77,12 @@ type Options struct {
 
 // DefaultOptions is sized for minutes-scale full reproduction runs.
 func DefaultOptions() Options {
-	return Options{WarmupUops: 30_000, RunUops: 150_000, Seed: 1, Parallel: true}
+	return Options{WarmupUops: 30_000, RunUops: 150_000, Seed: 1}
 }
 
 // QuickOptions is sized for fast sanity runs and unit tests.
 func QuickOptions() Options {
-	return Options{WarmupUops: 8_000, RunUops: 40_000, Seed: 1, Parallel: true}
+	return Options{WarmupUops: 8_000, RunUops: 40_000, Seed: 1}
 }
 
 func (o Options) apply(cfg core.Config) core.Config {
@@ -106,20 +96,9 @@ func (o Options) apply(cfg core.Config) core.Config {
 	return cfg
 }
 
-// Validate normalises the options in place and reports inconsistencies.
-// It is the one place the deprecated Parallel switch is interpreted:
-// Workers == 0 folds Parallel into Workers (true → a GOMAXPROCS-sized
-// pool, false → serial), after which Parallel is never consulted again.
-// Every experiment entry point validates its options, so callers only
-// need to call this to normalise early or to surface errors themselves.
-func (o *Options) Validate() error {
-	if o.Workers == 0 {
-		if o.Parallel {
-			o.Workers = -1 // sweep: GOMAXPROCS
-		} else {
-			o.Workers = 1
-		}
-	}
+// Validate reports inconsistent options, so a caller can surface them
+// before running anything.
+func (o Options) Validate() error {
 	if o.RunUops == 0 {
 		return fmt.Errorf("bench: RunUops must be positive")
 	}
@@ -127,7 +106,6 @@ func (o *Options) Validate() error {
 }
 
 func (o Options) sweepOptions() sweep.Options {
-	o.Validate() // normalise the Parallel switch on our local copy
 	return sweep.Options{Workers: o.Workers, Progress: o.Progress, NoCache: o.NoCache, Cache: o.Cache}
 }
 
@@ -220,7 +198,7 @@ func (f *FigureResult) String() string {
 
 // speedupPlan decomposes a percent-speedup figure (each labelled config
 // over the baseline config, per suite) into its point list and assembly.
-func speedupPlan(id ExperimentID, o Options, title string, baseline core.Config, labeled []labeledConfig) *plan {
+func speedupPlan(o Options, title string, baseline core.Config, labeled []labeledConfig) *plan {
 	cfgs := map[string]core.Config{"__base__": o.apply(baseline)}
 	for _, lc := range labeled {
 		cfgs[lc.Label] = o.apply(lc.Cfg)
@@ -232,8 +210,9 @@ func speedupPlan(id ExperimentID, o Options, title string, baseline core.Config,
 	return &plan{
 		points:    matrixPoints(cfgs),
 		csvHeader: header,
+		csvKeys:   []string{"suite"},
 		csvRows:   len(trace.AllSuites()),
-		assemble: func(rep *sweep.Report) (*ExperimentResult, error) {
+		assemble: func(rep *sweep.Report) (Result, error) {
 			raw, err := matrixRaw(rep)
 			if err != nil {
 				return nil, err
@@ -246,7 +225,7 @@ func speedupPlan(id ExperimentID, o Options, title string, baseline core.Config,
 				}
 				fig.Series = append(fig.Series, s)
 			}
-			return &ExperimentResult{ID: id, Figure: fig}, nil
+			return fig, nil
 		},
 	}
 }
@@ -256,31 +235,9 @@ func speedupPlan(id ExperimentID, o Options, title string, baseline core.Config,
 // Figure2Sizes are the paper's swept store queue sizes.
 var Figure2Sizes = []int{128, 256, 512, 1024}
 
-// RunFigure2 reproduces Figure 2 with context.Background(); see
-// RunFigure2Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig2, o) — the unified entry
-// point every surface dispatches through — or RunFigure2Context to keep
-// the typed result; this form cannot be cancelled.
-func RunFigure2(o Options) (*FigureResult, error) {
-	return RunFigure2Context(context.Background(), o)
-}
-
-// RunFigure2Context reproduces Figure 2: percent speedup of single-level
-// store queues of 128..1K entries over the 48-entry baseline, per suite.
-// It is a typed shim over RunExperiment(ctx, Fig2, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig2, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure2Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig2, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
-
-func planFigure2(o Options) *plan {
+// planFigure2 reproduces Figure 2: percent speedup of single-level store
+// queues of 128..1K entries over the 48-entry baseline, per suite.
+func planFigure2(o Options, title string) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
 	var labeled []labeledConfig
 	for _, size := range Figure2Sizes {
@@ -292,41 +249,21 @@ func planFigure2(o Options) *plan {
 		}
 		labeled = append(labeled, labeledConfig{label, cfg})
 	}
-	return speedupPlan(Fig2, o, "Figure 2: impact of store queue size (percent speedup over 48-entry STQ)", base, labeled)
+	return speedupPlan(o, title, base, labeled)
 }
 
 // --- Figure 6: SRL vs hierarchical vs ideal ---
 
-// RunFigure6 reproduces Figure 6 with context.Background(); see
-// RunFigure6Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig6, o) or
-// RunFigure6Context; this form cannot be cancelled.
-func RunFigure6(o Options) (*FigureResult, error) {
-	return RunFigure6Context(context.Background(), o)
-}
-
-// RunFigure6Context reproduces Figure 6: SRL vs the hierarchical store
-// queue vs an ideal (1K-entry, fast) store queue, as percent speedup over
-// the baseline. It is a typed shim over RunExperiment(ctx, Fig6, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig6, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure6Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig6, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
-
-func planFigure6(o Options) *plan {
+// planFigure6 reproduces Figure 6: SRL vs the hierarchical store queue vs
+// an ideal (1K-entry, fast) store queue, as percent speedup over the
+// baseline.
+func planFigure6(o Options, title string) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
 	srl := core.DefaultConfig(core.DesignSRL)
 	hier := core.DefaultConfig(core.DesignHierarchical)
 	ideal := core.DefaultConfig(core.DesignLargeSTQ)
 	ideal.STQSize = 1024
-	return speedupPlan(Fig6, o, "Figure 6: SRL performance comparison (percent speedup over baseline)", base,
+	return speedupPlan(o, title, base,
 		[]labeledConfig{
 			{"SRL", srl},
 			{"Hierarchical STQ", hier},
@@ -363,36 +300,16 @@ func (t *Table3Result) String() string {
 	return tb.String()
 }
 
-// RunTable3 reproduces Table 3 with context.Background(); see
-// RunTable3Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Table3, o) or
-// RunTable3Context; this form cannot be cancelled.
-func RunTable3(o Options) (*Table3Result, error) {
-	return RunTable3Context(context.Background(), o)
-}
-
-// RunTable3Context reproduces Table 3 on the SRL configuration. It is a
-// typed shim over RunExperiment(ctx, Table3, o).
-//
-// Deprecated: call RunExperiment(ctx, Table3, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunTable3Context(ctx context.Context, o Options) (*Table3Result, error) {
-	r, err := RunExperiment(ctx, Table3, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Table3, nil
-}
-
-func planTable3(o Options) *plan {
+// planTable3 reproduces Table 3 on the SRL configuration.
+func planTable3(o Options, _ string) *plan {
 	cfgs := map[string]core.Config{"srl": o.apply(core.DefaultConfig(core.DesignSRL))}
 	return &plan{
 		points: matrixPoints(cfgs),
 		csvHeader: []string{"suite", "redone_stores_pct", "miss_dep_stores_pct",
 			"miss_dep_uops_pct", "srl_load_stalls_per_10k", "pct_time_srl_occupied"},
+		csvKeys: []string{"suite"},
 		csvRows: len(trace.AllSuites()),
-		assemble: func(rep *sweep.Report) (*ExperimentResult, error) {
+		assemble: func(rep *sweep.Report) (Result, error) {
 			raw, err := matrixRaw(rep)
 			if err != nil {
 				return nil, err
@@ -409,7 +326,7 @@ func planTable3(o Options) *plan {
 					PctTimeSRLOccupied:  r.PctTimeSRLOccupied(),
 				})
 			}
-			return &ExperimentResult{ID: Table3, Table3: out}, nil
+			return out, nil
 		},
 	}
 }
@@ -443,29 +360,9 @@ func (f *Figure7Result) String() string {
 	return t.String()
 }
 
-// RunFigure7 reproduces Figure 7 with context.Background(); see
-// RunFigure7Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig7, o) or
-// RunFigure7Context; this form cannot be cancelled.
-func RunFigure7(o Options) (*Figure7Result, error) {
-	return RunFigure7Context(context.Background(), o)
-}
-
-// RunFigure7Context reproduces Figure 7 from the SRL configuration's
-// occupancy tracker. It is a typed shim over RunExperiment(ctx, Fig7, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig7, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure7Context(ctx context.Context, o Options) (*Figure7Result, error) {
-	r, err := RunExperiment(ctx, Fig7, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure7, nil
-}
-
-func planFigure7(o Options) *plan {
+// planFigure7 reproduces Figure 7 from the SRL configuration's occupancy
+// tracker.
+func planFigure7(o Options, _ string) *plan {
 	cfgs := map[string]core.Config{"srl": o.apply(core.DefaultConfig(core.DesignSRL))}
 	header := []string{"suite"}
 	for _, th := range stats.Figure7Thresholds {
@@ -474,8 +371,9 @@ func planFigure7(o Options) *plan {
 	return &plan{
 		points:    matrixPoints(cfgs),
 		csvHeader: header,
+		csvKeys:   []string{"suite"},
 		csvRows:   len(trace.AllSuites()),
-		assemble: func(rep *sweep.Report) (*ExperimentResult, error) {
+		assemble: func(rep *sweep.Report) (Result, error) {
 			raw, err := matrixRaw(rep)
 			if err != nil {
 				return nil, err
@@ -489,37 +387,16 @@ func planFigure7(o Options) *plan {
 				}
 				out.BySuite[su] = vals
 			}
-			return &ExperimentResult{ID: Fig7, Figure7: out}, nil
+			return out, nil
 		},
 	}
 }
 
 // --- Figure 8: LCF and indexed forwarding ablation ---
 
-// RunFigure8 reproduces Figure 8 with context.Background(); see
-// RunFigure8Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig8, o) or
-// RunFigure8Context; this form cannot be cancelled.
-func RunFigure8(o Options) (*FigureResult, error) {
-	return RunFigure8Context(context.Background(), o)
-}
-
-// RunFigure8Context reproduces Figure 8: SRL, SRL without indexed
-// forwarding, and SRL without the LCF and indexed forwarding, over the
-// baseline. It is a typed shim over RunExperiment(ctx, Fig8, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig8, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure8Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig8, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
-
-func planFigure8(o Options) *plan {
+// planFigure8 reproduces Figure 8: SRL, SRL without indexed forwarding,
+// and SRL without the LCF and indexed forwarding, over the baseline.
+func planFigure8(o Options, title string) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
 	full := core.DefaultConfig(core.DesignSRL)
 	noIF := core.DefaultConfig(core.DesignSRL)
@@ -527,7 +404,7 @@ func planFigure8(o Options) *plan {
 	noLCF := core.DefaultConfig(core.DesignSRL)
 	noLCF.UseIndexedFwd = false
 	noLCF.UseLCF = false
-	return speedupPlan(Fig8, o, "Figure 8: impact of LCF and indexed forwarding (percent speedup over baseline)", base,
+	return speedupPlan(o, title, base,
 		[]labeledConfig{
 			{"SRL", full},
 			{"SRL w/o indexed fwd", noIF},
@@ -537,30 +414,9 @@ func planFigure8(o Options) *plan {
 
 // --- Figure 9: LCF size and hash sweep ---
 
-// RunFigure9 reproduces Figure 9 with context.Background(); see
-// RunFigure9Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig9, o) or
-// RunFigure9Context; this form cannot be cancelled.
-func RunFigure9(o Options) (*FigureResult, error) {
-	return RunFigure9Context(context.Background(), o)
-}
-
-// RunFigure9Context reproduces Figure 9: LCF sizes 256/2K crossed with LAB
-// and 3-PAX hashing, plus a no-LCF reference, over the baseline. It is a
-// typed shim over RunExperiment(ctx, Fig9, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig9, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure9Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig9, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
-
-func planFigure9(o Options) *plan {
+// planFigure9 reproduces Figure 9: LCF sizes 256/2K crossed with LAB and
+// 3-PAX hashing, plus a no-LCF reference, over the baseline.
+func planFigure9(o Options, title string) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
 	mk := func(size int, hash lsq.HashKind) core.Config {
 		cfg := core.DefaultConfig(core.DesignSRL)
@@ -571,7 +427,7 @@ func planFigure9(o Options) *plan {
 	noLCF := core.DefaultConfig(core.DesignSRL)
 	noLCF.UseLCF = false
 	noLCF.UseIndexedFwd = false
-	return speedupPlan(Fig9, o, "Figure 9: LCF size and hashing function impact (percent speedup over baseline)", base,
+	return speedupPlan(o, title, base,
 		[]labeledConfig{
 			{"No LCF", noLCF},
 			{"LCF256 + LAB", mk(256, lsq.HashLAB)},
@@ -583,35 +439,14 @@ func planFigure9(o Options) *plan {
 
 // --- Figure 10: forwarding cache vs data cache ---
 
-// RunFigure10 reproduces Figure 10 with context.Background(); see
-// RunFigure10Context.
-//
-// Deprecated: migrate to RunExperiment(ctx, Fig10, o) or
-// RunFigure10Context; this form cannot be cancelled.
-func RunFigure10(o Options) (*FigureResult, error) {
-	return RunFigure10Context(context.Background(), o)
-}
-
-// RunFigure10Context reproduces Figure 10: SRL with the separate
-// forwarding cache vs using the data cache for temporary updates, over the
-// baseline. It is a typed shim over RunExperiment(ctx, Fig10, o).
-//
-// Deprecated: call RunExperiment(ctx, Fig10, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunFigure10Context(ctx context.Context, o Options) (*FigureResult, error) {
-	r, err := RunExperiment(ctx, Fig10, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Figure, nil
-}
-
-func planFigure10(o Options) *plan {
+// planFigure10 reproduces Figure 10: SRL with the separate forwarding
+// cache vs using the data cache for temporary updates, over the baseline.
+func planFigure10(o Options, title string) *plan {
 	base := core.DefaultConfig(core.DesignBaseline)
 	fc := core.DefaultConfig(core.DesignSRL)
 	dc := core.DefaultConfig(core.DesignSRL)
 	dc.UseFC = false
-	return speedupPlan(Fig10, o, "Figure 10: forwarding design option impact (percent speedup over baseline)", base,
+	return speedupPlan(o, title, base,
 		[]labeledConfig{
 			{"Separate forwarding cache", fc},
 			{"Data cache for forwarding", dc},
@@ -721,33 +556,12 @@ func (e *EnergyResult) String() string {
 	return t.String()
 }
 
-// RunEnergy runs the energy attribution with context.Background(); see
-// RunEnergyContext.
-//
-// Deprecated: migrate to RunExperiment(ctx, Energy, o) or
-// RunEnergyContext; this form cannot be cancelled.
-func RunEnergy(o Options) (*EnergyResult, error) {
-	return RunEnergyContext(context.Background(), o)
-}
-
-// RunEnergyContext runs the hierarchical and SRL designs across all suites
-// and attributes dynamic energy to their structure activity. It is a typed
-// shim over RunExperiment(ctx, Energy, o).
-//
-// Deprecated: call RunExperiment(ctx, Energy, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunEnergyContext(ctx context.Context, o Options) (*EnergyResult, error) {
-	r, err := RunExperiment(ctx, Energy, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Energy, nil
-}
-
-// planEnergy quantifies the paper's argument from the simulation itself:
-// the hierarchical design's energy is dominated by CAM comparator
-// activations that the SRL design simply never performs.
-func planEnergy(o Options) *plan {
+// planEnergy runs the hierarchical, filtered and SRL designs across all
+// suites and attributes dynamic energy to their structure activity. It
+// quantifies the paper's argument from the simulation itself: the
+// hierarchical design's energy is dominated by CAM comparator activations
+// that the SRL design simply never performs.
+func planEnergy(o Options, _ string) *plan {
 	filtered := core.DefaultConfig(core.DesignFilteredSTQ)
 	filtered.STQSize = 1024
 	cfgs := map[string]core.Config{
@@ -758,8 +572,9 @@ func planEnergy(o Options) *plan {
 	return &plan{
 		points:    matrixPoints(cfgs),
 		csvHeader: []string{"design", "suite", "nj_per_1k_uops", "cam_share_pct"},
+		csvKeys:   []string{"design", "suite"},
 		csvRows:   len(cfgs) * len(trace.AllSuites()),
-		assemble: func(rep *sweep.Report) (*ExperimentResult, error) {
+		assemble: func(rep *sweep.Report) (Result, error) {
 			raw, err := matrixRaw(rep)
 			if err != nil {
 				return nil, err
@@ -785,7 +600,7 @@ func planEnergy(o Options) *plan {
 					})
 				}
 			}
-			return &ExperimentResult{ID: Energy, Energy: out}, nil
+			return out, nil
 		},
 	}
 }
@@ -844,37 +659,13 @@ func (l *LatencyResult) String() string {
 // LatencySweepLatencies are the swept memory latencies in cycles.
 var LatencySweepLatencies = []uint64{200, 400, 800, 1600}
 
-// RunLatencySweep runs the latency tolerance sweep with
-// context.Background(); see RunLatencySweepContext.
-//
-// Deprecated: migrate to RunExperiment(ctx, Latency, o) with
-// Options.LatencySuite set, or RunLatencySweepContext; this form cannot
-// be cancelled.
-func RunLatencySweep(o Options, suite trace.Suite) (*LatencyResult, error) {
-	return RunLatencySweepContext(context.Background(), o, suite)
-}
-
-// RunLatencySweepContext runs the latency tolerance sweep on one suite.
-// It is a typed shim over RunExperiment(ctx, Latency, o) with
-// Options.LatencySuite set to suite.
-//
-// Deprecated: call RunExperiment(ctx, Latency, o) directly and read the
-// typed payload off the ExperimentResult.
-func RunLatencySweepContext(ctx context.Context, o Options, suite trace.Suite) (*LatencyResult, error) {
-	o.LatencySuite = suite
-	r, err := RunExperiment(ctx, Latency, o)
-	if err != nil {
-		return nil, err
-	}
-	return r.Latency, nil
-}
-
-// planLatencySweep measures how each design's throughput degrades as
-// memory latency grows — the latency tolerance the paper's title claims.
-// The baseline's small store queue caps its in-flight window, so its IPC
-// decays faster with latency than the SRL's (whose secondary buffering
-// scales the window with the miss).
-func planLatencySweep(o Options, suite trace.Suite) *plan {
+// planLatency measures, on Options.LatencySuite, how each design's
+// throughput degrades as memory latency grows — the latency tolerance the
+// paper's title claims. The baseline's small store queue caps its
+// in-flight window, so its IPC decays faster with latency than the SRL's
+// (whose secondary buffering scales the window with the miss).
+func planLatency(o Options, _ string) *plan {
+	suite := o.LatencySuite
 	type pointID struct {
 		d   core.StoreDesign
 		lat uint64
@@ -896,8 +687,9 @@ func planLatencySweep(o Options, suite trace.Suite) *plan {
 	return &plan{
 		points:    points,
 		csvHeader: []string{"suite", "design", "mem_latency", "ipc"},
+		csvKeys:   []string{"suite", "design", "mem_latency"},
 		csvRows:   len(points),
-		assemble: func(rep *sweep.Report) (*ExperimentResult, error) {
+		assemble: func(rep *sweep.Report) (Result, error) {
 			out := &LatencyResult{Suite: suite}
 			for i, id := range ids {
 				pr := &rep.Points[i]
@@ -910,7 +702,7 @@ func planLatencySweep(o Options, suite trace.Suite) *plan {
 					IPC:        pr.Results.IPC(),
 				})
 			}
-			return &ExperimentResult{ID: Latency, Latency: out}, nil
+			return out, nil
 		},
 	}
 }
@@ -1013,7 +805,8 @@ func orderingScenarios() []struct {
 // sync traffic — and widen under far-memory latency, which deepens the
 // miss shadows the paper's mechanism hides. Options.LatencySuite selects
 // the suite (default SFP2K), mirroring the Latency experiment.
-func planOrdering(o Options, suite trace.Suite) *plan {
+func planOrdering(o Options, _ string) *plan {
+	suite := o.LatencySuite
 	type pointID struct {
 		d    core.StoreDesign
 		scen string
@@ -1035,8 +828,9 @@ func planOrdering(o Options, suite trace.Suite) *plan {
 	return &plan{
 		points:    points,
 		csvHeader: []string{"suite", "design", "scenario", "ipc"},
+		csvKeys:   []string{"suite", "design", "scenario"},
 		csvRows:   len(points),
-		assemble: func(rep *sweep.Report) (*ExperimentResult, error) {
+		assemble: func(rep *sweep.Report) (Result, error) {
 			out := &OrderingResult{Suite: suite}
 			for i, id := range ids {
 				pr := &rep.Points[i]
@@ -1049,7 +843,7 @@ func planOrdering(o Options, suite trace.Suite) *plan {
 					IPC:      pr.Results.IPC(),
 				})
 			}
-			return &ExperimentResult{ID: Ordering, Ordering: out}, nil
+			return out, nil
 		},
 	}
 }

@@ -13,7 +13,7 @@ import (
 // tinyOptions keep unit tests fast; experiment correctness (not statistics)
 // is under test here.
 func tinyOptions() Options {
-	return Options{WarmupUops: 2_000, RunUops: 10_000, Seed: 1, Parallel: true}
+	return Options{WarmupUops: 2_000, RunUops: 10_000, Seed: 1}
 }
 
 func TestRenderTables(t *testing.T) {
@@ -32,10 +32,11 @@ func TestRenderTables(t *testing.T) {
 }
 
 func TestRunFigure2Structure(t *testing.T) {
-	fig, err := RunFigure2(tinyOptions())
+	r, err := RunExperiment(context.Background(), Fig2, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := r.(*FigureResult)
 	if len(fig.Series) != len(Figure2Sizes) {
 		t.Fatalf("%d series", len(fig.Series))
 	}
@@ -50,10 +51,11 @@ func TestRunFigure2Structure(t *testing.T) {
 }
 
 func TestRunFigure6Structure(t *testing.T) {
-	fig, err := RunFigure6(tinyOptions())
+	r, err := RunExperiment(context.Background(), Fig6, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := r.(*FigureResult)
 	labels := map[string]bool{}
 	for _, s := range fig.Series {
 		labels[s.Label] = true
@@ -70,10 +72,11 @@ func TestRunFigure6Structure(t *testing.T) {
 }
 
 func TestRunTable3Structure(t *testing.T) {
-	tbl, err := RunTable3(tinyOptions())
+	r, err := RunExperiment(context.Background(), Table3, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := r.(*Table3Result)
 	if len(tbl.Rows) != len(trace.AllSuites()) {
 		t.Fatalf("%d rows", len(tbl.Rows))
 	}
@@ -88,10 +91,11 @@ func TestRunTable3Structure(t *testing.T) {
 }
 
 func TestRunFigure7Structure(t *testing.T) {
-	fig, err := RunFigure7(tinyOptions())
+	r, err := RunExperiment(context.Background(), Fig7, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := r.(*Figure7Result)
 	for _, su := range trace.AllSuites() {
 		vals := fig.BySuite[su]
 		if len(vals) != len(fig.Thresholds) {
@@ -120,18 +124,19 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	o := tinyOptions()
 	o.RunUops = 5_000
 	o.NoCache = true // compare two real runs, not a run and its memo
-	par, err := RunTable3(o)
+	par, err := RunExperiment(context.Background(), Table3, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Parallel = false
-	seq, err := RunTable3(o)
+	o.Workers = 1
+	seq, err := RunExperiment(context.Background(), Table3, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range par.Rows {
-		if par.Rows[i] != seq.Rows[i] {
-			t.Fatalf("parallel/sequential divergence: %+v vs %+v", par.Rows[i], seq.Rows[i])
+	parRows, seqRows := par.(*Table3Result).Rows, seq.(*Table3Result).Rows
+	for i := range parRows {
+		if parRows[i] != seqRows[i] {
+			t.Fatalf("parallel/sequential divergence: %+v vs %+v", parRows[i], seqRows[i])
 		}
 	}
 }
@@ -145,7 +150,7 @@ func TestWorkersCountsMatch(t *testing.T) {
 	var rendered []string
 	for _, w := range []int{1, 4} {
 		o.Workers = w
-		fig, err := RunFigure10Context(context.Background(), o)
+		fig, err := RunExperiment(context.Background(), Fig10, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,16 +169,16 @@ func TestMemoizationAcrossFigures(t *testing.T) {
 	o := tinyOptions()
 	o.Seed = 4242 // unique to this test so the global cache starts cold for it
 	hits0, misses0 := sweep.Global().Hits(), sweep.Global().Misses()
-	fig2, err := RunFigure2Context(context.Background(), o)
+	fig2, err := RunExperiment(context.Background(), Fig2, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig6, err := RunFigure6Context(context.Background(), o)
+	fig6, err := RunExperiment(context.Background(), Fig6, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	suites := len(trace.AllSuites())
-	totalPoints := (len(fig2.Series)+1)*suites + (len(fig6.Series)+1)*suites
+	totalPoints := (len(fig2.(*FigureResult).Series)+1)*suites + (len(fig6.(*FigureResult).Series)+1)*suites
 	simulated := int(sweep.Global().Misses() - misses0)
 	hits := int(sweep.Global().Hits() - hits0)
 	if simulated+hits != totalPoints {
@@ -194,10 +199,10 @@ func TestMemoizationAcrossFigures(t *testing.T) {
 func TestCancelledContextSurfaces(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunFigure6Context(ctx, tinyOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := RunExperiment(ctx, Fig6, tinyOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled figure error = %v", err)
 	}
-	if _, err := RunLatencySweepContext(ctx, tinyOptions(), trace.SFP2K); !errors.Is(err, context.Canceled) {
+	if _, err := RunExperiment(ctx, Latency, tinyOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled latency sweep error = %v", err)
 	}
 }
@@ -214,7 +219,7 @@ func TestProgressReported(t *testing.T) {
 		calls++
 		last = p
 	}
-	if _, err := RunTable3Context(context.Background(), o); err != nil {
+	if _, err := RunExperiment(context.Background(), Table3, o); err != nil {
 		t.Fatal(err)
 	}
 	if want := len(trace.AllSuites()); calls != want || last.Done != want || last.Total != want {
@@ -223,10 +228,11 @@ func TestProgressReported(t *testing.T) {
 }
 
 func TestRunEnergyStructure(t *testing.T) {
-	res, err := RunEnergy(tinyOptions())
+	r, err := RunExperiment(context.Background(), Energy, tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := r.(*EnergyResult)
 	if len(res.Rows) != 3*len(trace.AllSuites()) {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
@@ -251,10 +257,12 @@ func TestRunEnergyStructure(t *testing.T) {
 func TestRunLatencySweepShape(t *testing.T) {
 	o := tinyOptions()
 	o.RunUops = 30_000
-	res, err := RunLatencySweep(o, trace.SFP2K)
+	o.LatencySuite = trace.SFP2K
+	r, err := RunExperiment(context.Background(), Latency, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := r.(*LatencyResult)
 	if len(res.Points) != 3*len(LatencySweepLatencies) {
 		t.Fatalf("%d points", len(res.Points))
 	}

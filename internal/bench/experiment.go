@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"srlproc/internal/sweep"
@@ -18,12 +19,15 @@ import (
 // matter which door they come in through.
 type ExperimentID int
 
-// The experiments, in the evaluation's presentation order.
+// The experiments, in the evaluation's presentation order — the order of
+// the registry below, the CLI report and scripts/paper/experiments.json.
 const (
 	// Fig2 sweeps single-level store queue sizes (128..1K entries).
 	Fig2 ExperimentID = iota
 	// Fig6 compares SRL vs hierarchical vs ideal store queues.
 	Fig6
+	// Table3 reports SRL statistics per suite.
+	Table3
 	// Fig7 measures the SRL occupancy distribution.
 	Fig7
 	// Fig8 ablates the LCF and indexed forwarding.
@@ -32,8 +36,6 @@ const (
 	Fig9
 	// Fig10 compares the forwarding cache against data-cache forwarding.
 	Fig10
-	// Table3 reports SRL statistics per suite.
-	Table3
 	// Energy attributes dynamic energy to structure activity.
 	Energy
 	// Latency sweeps memory latency per design (Options.LatencySuite
@@ -47,42 +49,167 @@ const (
 	numExperiments
 )
 
-// experimentNames are the canonical wire names — exactly the names
-// /v1/sweep and `experiments -only` have always accepted.
-var experimentNames = [numExperiments]string{
-	Fig2:    "fig2",
-	Fig6:    "fig6",
-	Fig7:    "fig7",
-	Fig8:    "fig8",
-	Fig9:    "fig9",
-	Fig10:   "fig10",
-	Table3:   "table3",
-	Energy:   "energy",
-	Latency:  "latency",
-	Ordering: "ordering",
+// Result is one experiment's result: its text table (String), its JSON
+// document (MarshalJSON) and its flat CSV series (WriteCSV). Every surface
+// renders results through these three forms; callers that want the typed
+// payload assert the concrete type the experiment's registry entry
+// declares (*FigureResult for the speedup figures, *Table3Result, ...).
+type Result interface {
+	fmt.Stringer
+	json.Marshaler
+	WriteCSV(io.Writer) error
 }
 
-// experimentDescriptions are one-line summaries surfaced by the
-// discoverability endpoints (GET /v1/experiments, CLI usage errors).
-var experimentDescriptions = [numExperiments]string{
-	Fig2:    "store queue size sweep: 128..1K-entry STQs over the 48-entry baseline",
-	Fig6:    "SRL vs hierarchical vs ideal store queue (percent speedup over baseline)",
-	Fig7:    "SRL occupancy distribution over the paper's thresholds",
-	Fig8:    "LCF and indexed-forwarding ablation",
-	Fig9:    "LCF size crossed with LAB and 3-PAX hashing",
-	Fig10:   "separate forwarding cache vs data-cache forwarding",
-	Table3:   "SRL statistics per suite",
-	Energy:   "dynamic energy attributed to secondary-structure activity",
-	Latency:  "IPC vs memory latency per design (suite: Options.LatencySuite, default SFP2K)",
-	Ordering: "memory-ordering + far-memory scenario pack: {plain,sync} x {local,far,far-degraded}",
+// ChartForm is how the paper pipeline (internal/paper) draws an
+// experiment's CSV.
+type ChartForm int
+
+const (
+	// TableOnly renders the CSV as Markdown and LaTeX tables, with no chart.
+	TableOnly ChartForm = iota
+	// SpeedupBars draws suite rows × series columns as grouped bars.
+	SpeedupBars
+	// ThresholdLines draws suite rows × gt_N columns as one line per suite
+	// over the thresholds.
+	ThresholdLines
+	// PivotBars pivots long-form rows on the Chart's Series, X and Value
+	// columns into grouped bars.
+	PivotBars
+	// PivotLines pivots like PivotBars but draws one line per series.
+	PivotLines
+)
+
+// Chart declares how the paper pipeline presents an experiment: the title
+// and y-axis caption of its figure (or the caption of its table) and the
+// form that draws its CSV.
+type Chart struct {
+	Title  string
+	YLabel string
+	Form   ChartForm
+	// Series, X and Value name the CSV columns a pivot form reads.
+	Series, X, Value string
+}
+
+// experiment is one registry entry: everything a surface needs to know
+// about an experiment, declared once.
+type experiment struct {
+	name        string // canonical wire name
+	description string // one-line summary for the discovery endpoints
+	// plan enumerates the experiment's points under o and describes their
+	// assembly and CSV form. title is the entry's chart title, which the
+	// speedup figures also carry in their result document.
+	plan func(o Options, title string) *plan
+	// result returns an empty result for decoding a document into.
+	result func() Result
+	chart  Chart
+}
+
+const speedupYLabel = "% speedup over baseline"
+
+func newFigure() Result { return new(FigureResult) }
+
+// experiments is the registry, indexed by ExperimentID and declared in
+// presentation order. Adding an experiment is one ExperimentID constant
+// plus one entry here (DESIGN.md §5 lists the data files that go with it).
+var experiments = [numExperiments]experiment{
+	Fig2: {
+		name:        "fig2",
+		description: "store queue size sweep: 128..1K-entry STQs over the 48-entry baseline",
+		plan:        planFigure2,
+		result:      newFigure,
+		chart: Chart{Form: SpeedupBars, YLabel: speedupYLabel,
+			Title: "Figure 2: impact of store queue size (percent speedup over 48-entry STQ)"},
+	},
+	Fig6: {
+		name:        "fig6",
+		description: "SRL vs hierarchical vs ideal store queue (percent speedup over baseline)",
+		plan:        planFigure6,
+		result:      newFigure,
+		chart: Chart{Form: SpeedupBars, YLabel: speedupYLabel,
+			Title: "Figure 6: SRL performance comparison (percent speedup over baseline)"},
+	},
+	Table3: {
+		name:        "table3",
+		description: "SRL statistics per suite",
+		plan:        planTable3,
+		result:      func() Result { return new(Table3Result) },
+		chart:       Chart{Form: TableOnly, Title: "Table 3: SRL statistics"},
+	},
+	Fig7: {
+		name:        "fig7",
+		description: "SRL occupancy distribution over the paper's thresholds",
+		plan:        planFigure7,
+		result:      func() Result { return new(Figure7Result) },
+		chart: Chart{Form: ThresholdLines, YLabel: "% of SRL-occupied time above threshold",
+			Title: "Figure 7: SRL occupancy distribution (percent of occupied time)"},
+	},
+	Fig8: {
+		name:        "fig8",
+		description: "LCF and indexed-forwarding ablation",
+		plan:        planFigure8,
+		result:      newFigure,
+		chart: Chart{Form: SpeedupBars, YLabel: speedupYLabel,
+			Title: "Figure 8: impact of LCF and indexed forwarding (percent speedup over baseline)"},
+	},
+	Fig9: {
+		name:        "fig9",
+		description: "LCF size crossed with LAB and 3-PAX hashing",
+		plan:        planFigure9,
+		result:      newFigure,
+		chart: Chart{Form: SpeedupBars, YLabel: speedupYLabel,
+			Title: "Figure 9: LCF size and hashing function impact (percent speedup over baseline)"},
+	},
+	Fig10: {
+		name:        "fig10",
+		description: "separate forwarding cache vs data-cache forwarding",
+		plan:        planFigure10,
+		result:      newFigure,
+		chart: Chart{Form: SpeedupBars, YLabel: speedupYLabel,
+			Title: "Figure 10: forwarding design option impact (percent speedup over baseline)"},
+	},
+	Energy: {
+		name:        "energy",
+		description: "dynamic energy attributed to secondary-structure activity",
+		plan:        planEnergy,
+		result:      func() Result { return new(EnergyResult) },
+		chart: Chart{Form: PivotBars, YLabel: "nJ / 1k uops",
+			Title:  "Energy attribution: secondary load/store structures (nJ / 1k uops)",
+			Series: "design", X: "suite", Value: "nj_per_1k_uops"},
+	},
+	Latency: {
+		name:        "latency",
+		description: "IPC vs memory latency per design (suite: Options.LatencySuite, default SFP2K)",
+		plan:        planLatency,
+		result:      func() Result { return new(LatencyResult) },
+		chart: Chart{Form: PivotLines, YLabel: "IPC",
+			Title:  "Latency tolerance (IPC vs memory latency)",
+			Series: "design", X: "mem_latency", Value: "ipc"},
+	},
+	Ordering: {
+		name:        "ordering",
+		description: "memory-ordering + far-memory scenario pack: {plain,sync} x {local,far,far-degraded}",
+		plan:        planOrdering,
+		result:      func() Result { return new(OrderingResult) },
+		chart: Chart{Form: PivotBars, YLabel: "IPC",
+			Title:  "Ordering + far-memory scenario pack (IPC)",
+			Series: "design", X: "scenario", Value: "ipc"},
+	},
 }
 
 // Description returns the experiment's one-line summary.
 func (id ExperimentID) Description() string {
 	if id.Valid() {
-		return experimentDescriptions[id]
+		return experiments[id].description
 	}
 	return ""
+}
+
+// Chart returns the experiment's chart declaration.
+func (id ExperimentID) Chart() Chart {
+	if id.Valid() {
+		return experiments[id].chart
+	}
+	return Chart{}
 }
 
 // Aliases returns the alternate names ParseExperimentID accepts for this
@@ -92,7 +219,7 @@ func (id ExperimentID) Aliases() []string {
 	if !id.Valid() {
 		return nil
 	}
-	canon := experimentNames[id]
+	canon := experiments[id].name
 	if strings.HasPrefix(canon, "fig") {
 		return []string{"figure" + strings.TrimPrefix(canon, "fig")}
 	}
@@ -110,8 +237,8 @@ func AllExperiments() []ExperimentID {
 
 // String returns the canonical experiment name.
 func (id ExperimentID) String() string {
-	if id >= 0 && id < numExperiments {
-		return experimentNames[id]
+	if id.Valid() {
+		return experiments[id].name
 	}
 	return fmt.Sprintf("experiment(%d)", int(id))
 }
@@ -138,14 +265,13 @@ func (id *ExperimentID) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// ParseExperimentID resolves an experiment name: the canonical short names
-// ("fig2" ... "table3", "energy", "latency"), their long aliases
-// ("figure2", "figure10"), case-insensitively.
+// ParseExperimentID resolves the canonical name of one of AllExperiments,
+// or one of its Aliases, case-insensitively.
 func ParseExperimentID(name string) (ExperimentID, error) {
 	n := strings.ToLower(strings.TrimSpace(name))
 	n = strings.Replace(n, "figure", "fig", 1)
-	for id, canon := range experimentNames {
-		if n == canon {
+	for id := range experiments {
+		if n == experiments[id].name {
 			return ExperimentID(id), nil
 		}
 	}
@@ -155,59 +281,11 @@ func ParseExperimentID(name string) (ExperimentID, error) {
 // ExperimentNames returns the canonical names, space-separated in
 // presentation order — ready for error messages and usage strings.
 func ExperimentNames() string {
-	return strings.Join(experimentNames[:], " ")
-}
-
-// ExperimentResult is the tagged result of one RunExperiment call: ID
-// reports which experiment ran and exactly one result field is non-nil.
-// Value returns that field untyped; the typed fields serve callers that
-// already know what they asked for.
-//
-// The JSON form is the inner result document itself (the ID rides in
-// headers or envelopes chosen by each surface), so a document produced
-// through RunExperiment is byte-identical to one from the per-experiment
-// entry points.
-type ExperimentResult struct {
-	ID ExperimentID
-
-	Figure   *FigureResult   // Fig2, Fig6, Fig8, Fig9, Fig10
-	Figure7  *Figure7Result  // Fig7
-	Table3   *Table3Result   // Table3
-	Energy   *EnergyResult   // Energy
-	Latency  *LatencyResult  // Latency
-	Ordering *OrderingResult // Ordering
-}
-
-// Value returns the one non-nil result, untyped.
-func (r *ExperimentResult) Value() any {
-	switch {
-	case r.Figure != nil:
-		return r.Figure
-	case r.Figure7 != nil:
-		return r.Figure7
-	case r.Table3 != nil:
-		return r.Table3
-	case r.Energy != nil:
-		return r.Energy
-	case r.Latency != nil:
-		return r.Latency
-	case r.Ordering != nil:
-		return r.Ordering
+	names := make([]string, numExperiments)
+	for i := range experiments {
+		names[i] = experiments[i].name
 	}
-	return nil
-}
-
-// String renders the result's human-readable table.
-func (r *ExperimentResult) String() string {
-	if v, ok := r.Value().(fmt.Stringer); ok {
-		return v.String()
-	}
-	return fmt.Sprintf("%s: no result", r.ID)
-}
-
-// MarshalJSON emits the inner result document, unwrapped.
-func (r *ExperimentResult) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.Value())
+	return strings.Join(names, " ")
 }
 
 // plan is one experiment's decomposition: the canonical simulation point
@@ -218,13 +296,15 @@ func (r *ExperimentResult) MarshalJSON() ([]byte, error) {
 // and assembles the identical document.
 type plan struct {
 	points   []sweep.Point
-	assemble func(*sweep.Report) (*ExperimentResult, error)
+	assemble func(*sweep.Report) (Result, error)
 
-	// csvHeader and csvRows describe the experiment's WriteCSV form: the
-	// exact header fields and the number of data rows below them. They are
-	// filled by every plan constructor from the same labeled-config lists
-	// the assembly uses, so Shape never drifts from the real export.
+	// csvHeader, csvKeys and csvRows describe the experiment's WriteCSV
+	// form: the exact header fields, the identity columns among them, and
+	// the number of data rows below them. Every plan constructor fills them
+	// from the same labeled-config lists the assembly uses, so Shape never
+	// drifts from the real export.
 	csvHeader []string
+	csvKeys   []string
 	csvRows   int
 }
 
@@ -233,29 +313,11 @@ type plan struct {
 // same point list (and therefore the same point fingerprints) from the
 // same (id, Options) pair.
 func experimentPlan(id ExperimentID, o Options) (*plan, error) {
-	switch id {
-	case Fig2:
-		return planFigure2(o), nil
-	case Fig6:
-		return planFigure6(o), nil
-	case Fig7:
-		return planFigure7(o), nil
-	case Fig8:
-		return planFigure8(o), nil
-	case Fig9:
-		return planFigure9(o), nil
-	case Fig10:
-		return planFigure10(o), nil
-	case Table3:
-		return planTable3(o), nil
-	case Energy:
-		return planEnergy(o), nil
-	case Latency:
-		return planLatencySweep(o, o.LatencySuite), nil
-	case Ordering:
-		return planOrdering(o, o.LatencySuite), nil
+	if !id.Valid() {
+		return nil, fmt.Errorf("bench: invalid experiment id %d", int(id))
 	}
-	return nil, fmt.Errorf("bench: invalid experiment id %d", int(id))
+	e := &experiments[id]
+	return e.plan(o, e.chart.Title), nil
 }
 
 // ExperimentPoints returns the experiment's canonical simulation point
@@ -278,7 +340,7 @@ func ExperimentPoints(id ExperimentID, o Options) ([]sweep.Point, error) {
 // sweep.MergeReports over per-shard partial reports: the simulator is
 // deterministic in its config, so both assemble to byte-identical JSON.
 // Every point must carry results; failed or missing points are an error.
-func AssembleExperiment(id ExperimentID, o Options, rep *sweep.Report) (*ExperimentResult, error) {
+func AssembleExperiment(id ExperimentID, o Options, rep *sweep.Report) (Result, error) {
 	p, err := experimentPlan(id, o)
 	if err != nil {
 		return nil, err
@@ -289,18 +351,35 @@ func AssembleExperiment(id ExperimentID, o Options, rep *sweep.Report) (*Experim
 	return p.assemble(rep)
 }
 
+// DecodeResult rehydrates an experiment's JSON document — as RunExperiment
+// marshals it — into the experiment's typed result.
+func DecodeResult(id ExperimentID, doc []byte) (Result, error) {
+	if !id.Valid() {
+		return nil, fmt.Errorf("bench: invalid experiment id %d", int(id))
+	}
+	r := experiments[id].result()
+	if err := json.Unmarshal(doc, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // ExperimentShape describes the deterministic output structure of one
 // experiment under given options: how many simulation points it
-// enumerates, and the exact header fields plus data-row count of its
-// WriteCSV form. The paper-artifact pipeline (internal/paper) validates
-// every emitted CSV against this shape, so a truncated run or a schema
-// drift hard-fails instead of producing a silently short figure.
+// enumerates, and the exact header fields, identity columns and data-row
+// count of its WriteCSV form. The paper-artifact pipeline (internal/paper)
+// validates every emitted CSV against this shape, so a truncated run or a
+// schema drift hard-fails instead of producing a silently short figure.
 type ExperimentShape struct {
 	// Points is the canonical simulation point count — len(ExperimentPoints).
 	Points int
 	// CSVHeader is the experiment's WriteCSV header, one entry per column
 	// (unquoted; WriteCSV applies CSV quoting where labels need it).
 	CSVHeader []string
+	// KeyColumns are the identity columns of CSVHeader, in header order:
+	// together they key a row, and they are the only columns that need not
+	// hold a number.
+	KeyColumns []string
 	// CSVRows is the number of data rows WriteCSV emits below the header.
 	CSVRows int
 }
@@ -315,20 +394,19 @@ func Shape(id ExperimentID, o Options) (ExperimentShape, error) {
 		return ExperimentShape{}, err
 	}
 	return ExperimentShape{
-		Points:    len(p.points),
-		CSVHeader: p.csvHeader,
-		CSVRows:   p.csvRows,
+		Points:     len(p.points),
+		CSVHeader:  p.csvHeader,
+		KeyColumns: p.csvKeys,
+		CSVRows:    p.csvRows,
 	}, nil
 }
 
-// RunExperiment runs one experiment of the paper's evaluation. It is the
-// unified entry point behind every per-experiment Run* function: resolve
-// an ExperimentID (ParseExperimentID for wire names), pick Options, and
-// the returned ExperimentResult carries the same document the dedicated
-// entry point would have produced. It is exactly ExperimentPoints →
-// sweep.Run → AssembleExperiment, which is also the decomposition the
-// cluster coordinator distributes across workers.
-func RunExperiment(ctx context.Context, id ExperimentID, o Options) (*ExperimentResult, error) {
+// RunExperiment runs one experiment of the paper's evaluation: resolve an
+// ExperimentID (ParseExperimentID for wire names), pick Options, and read
+// the returned Result. It is exactly ExperimentPoints → sweep.Run →
+// AssembleExperiment, which is also the decomposition the cluster
+// coordinator distributes across workers.
+func RunExperiment(ctx context.Context, id ExperimentID, o Options) (Result, error) {
 	p, err := experimentPlan(id, o)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"srlproc/internal/trace"
@@ -38,6 +39,7 @@ func TestParseExperimentIDAliases(t *testing.T) {
 		"TABLE3":   Table3,
 		"Energy":   Energy,
 		"latency":  Latency,
+		"Ordering": Ordering,
 	}
 	for in, want := range cases {
 		got, err := ParseExperimentID(in)
@@ -60,10 +62,10 @@ func TestRunExperimentInvalidID(t *testing.T) {
 }
 
 // TestRunExperimentAllIDs is the unified entry point's coverage test:
-// every experiment of the evaluation runs through RunExperiment, returns a
-// correctly tagged result with exactly one typed field set, and marshals
-// to the same document as its payload — the compatibility guarantee the
-// HTTP and CLI surfaces rely on.
+// every experiment of the evaluation runs through RunExperiment, returns
+// the result type its registry entry declares, and its JSON document
+// decodes back (DecodeResult) to a byte-identical document — the
+// round-trip the paper pipeline and the cluster rely on.
 func TestRunExperimentAllIDs(t *testing.T) {
 	o := tinyOptions()
 	for _, id := range AllExperiments() {
@@ -71,66 +73,51 @@ func TestRunExperimentAllIDs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", id, err)
 		}
-		if res.ID != id {
-			t.Fatalf("%v: tagged as %v", id, res.ID)
-		}
-		fields := 0
-		for _, set := range []bool{
-			res.Figure != nil, res.Figure7 != nil, res.Table3 != nil,
-			res.Energy != nil, res.Latency != nil, res.Ordering != nil,
-		} {
-			if set {
-				fields++
-			}
-		}
-		if fields != 1 {
-			t.Fatalf("%v: %d typed fields set, want exactly 1", id, fields)
-		}
-		if res.Value() == nil {
-			t.Fatalf("%v: Value is nil", id)
+		if got, want := reflect.TypeOf(res), reflect.TypeOf(experiments[id].result()); got != want {
+			t.Fatalf("%v: result is %v, registry declares %v", id, got, want)
 		}
 		if res.String() == "" {
 			t.Fatalf("%v: empty String", id)
 		}
-		wrapped, err := json.Marshal(res)
+		doc, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("%v: %v", id, err)
 		}
-		inner, err := json.Marshal(res.Value())
+		back, err := DecodeResult(id, doc)
+		if err != nil {
+			t.Fatalf("%v: decode: %v", id, err)
+		}
+		again, err := json.Marshal(back)
 		if err != nil {
 			t.Fatalf("%v: %v", id, err)
 		}
-		if string(wrapped) != string(inner) {
-			t.Fatalf("%v: ExperimentResult JSON differs from its payload", id)
+		if string(again) != string(doc) {
+			t.Fatalf("%v: decoded document differs from the original", id)
 		}
+	}
+	if _, err := DecodeResult(numExperiments, []byte("{}")); err == nil {
+		t.Fatal("invalid id decoded")
 	}
 }
 
 // TestLatencySuiteOption pins the Latency experiment's suite selection:
 // the zero value sweeps SFP2K (the historical default) and a set value is
-// honoured both by RunExperiment and the typed shim.
+// honoured.
 func TestLatencySuiteOption(t *testing.T) {
 	o := tinyOptions()
 	res, err := RunExperiment(context.Background(), Latency, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Latency.Suite != trace.SFP2K {
-		t.Fatalf("default latency suite = %v, want SFP2K", res.Latency.Suite)
+	if got := res.(*LatencyResult).Suite; got != trace.SFP2K {
+		t.Fatalf("default latency suite = %v, want SFP2K", got)
 	}
 	o.LatencySuite = trace.WEB
 	res, err = RunExperiment(context.Background(), Latency, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Latency.Suite != trace.WEB {
-		t.Fatalf("latency suite = %v, want WEB", res.Latency.Suite)
-	}
-	viaShim, err := RunLatencySweepContext(context.Background(), tinyOptions(), trace.WEB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaShim.Suite != trace.WEB {
-		t.Fatalf("shim latency suite = %v, want WEB", viaShim.Suite)
+	if got := res.(*LatencyResult).Suite; got != trace.WEB {
+		t.Fatalf("latency suite = %v, want WEB", got)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
-	"io"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -28,20 +28,21 @@ func TestShapeMatchesWriteCSV(t *testing.T) {
 		if shape.Points != len(points) {
 			t.Errorf("%v: shape.Points = %d, want %d", id, shape.Points, len(points))
 		}
-		if len(shape.CSVHeader) == 0 || shape.CSVRows == 0 {
+		if len(shape.CSVHeader) == 0 || len(shape.KeyColumns) == 0 || shape.CSVRows == 0 {
 			t.Fatalf("%v: degenerate shape %+v", id, shape)
+		}
+		for _, k := range shape.KeyColumns {
+			if !slices.Contains(shape.CSVHeader, k) {
+				t.Errorf("%v: key column %q is not in header %q", id, k, shape.CSVHeader)
+			}
 		}
 
 		r, err := RunExperiment(context.Background(), id, o)
 		if err != nil {
 			t.Fatalf("%v: run: %v", id, err)
 		}
-		cw, ok := r.Value().(interface{ WriteCSV(io.Writer) error })
-		if !ok {
-			t.Fatalf("%v: result has no WriteCSV form", id)
-		}
 		var buf bytes.Buffer
-		if err := cw.WriteCSV(&buf); err != nil {
+		if err := r.WriteCSV(&buf); err != nil {
 			t.Fatalf("%v: WriteCSV: %v", id, err)
 		}
 		records, err := csv.NewReader(&buf).ReadAll()

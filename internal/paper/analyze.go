@@ -1,11 +1,11 @@
 package paper
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -31,6 +31,7 @@ type AnalyzeConfig struct {
 type experimentRun struct {
 	ID      bench.ExperimentID
 	Shape   bench.ExperimentShape
+	Chart   bench.Chart
 	Repeats []Unit
 }
 
@@ -45,7 +46,7 @@ func groupPlan(units []Unit) ([]*experimentRun, error) {
 			if err != nil {
 				return nil, err
 			}
-			er = &experimentRun{ID: u.ID, Shape: shape}
+			er = &experimentRun{ID: u.ID, Shape: shape, Chart: u.ID.Chart()}
 			byID[u.ID] = er
 			runs = append(runs, er)
 		}
@@ -139,12 +140,12 @@ func writeGroupedSummary(dir string, runs []*experimentRun) error {
 			if header == nil {
 				header = h
 				for _, row := range rows {
-					rowKeys = append(rowKeys, rowKey(h, row))
+					rowKeys = append(rowKeys, rowKey(er.Shape.KeyColumns, h, row))
 				}
 			}
 			for ri, row := range rows {
 				for ci, cell := range row {
-					if keyColumns[header[ci]] {
+					if slices.Contains(er.Shape.KeyColumns, header[ci]) {
 						continue
 					}
 					v, err := strconv.ParseFloat(cell, 64)
@@ -171,17 +172,13 @@ func writeGroupedSummary(dir string, runs []*experimentRun) error {
 	return writeFileAtomic(filepath.Join(dir, analysisDir, "summary_grouped.csv"), []byte(b.String()))
 }
 
-// rowKey joins a row's identity columns ("srl|SFP2K"); rows without key
-// columns key by their first cell.
-func rowKey(header []string, row []string) string {
+// rowKey joins a row's identity columns in header order ("srl|SFP2K").
+func rowKey(keys, header, row []string) string {
 	var parts []string
 	for i, col := range header {
-		if keyColumns[col] {
+		if slices.Contains(keys, col) {
 			parts = append(parts, row[i])
 		}
-	}
-	if len(parts) == 0 {
-		return row[0]
 	}
 	return strings.Join(parts, "|")
 }
@@ -204,8 +201,8 @@ func summarize(vals []float64) (mean, std, lo, hi float64) {
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // writeTables renders Tables 1–3 as Markdown and LaTeX. Tables 1 and 2
-// are configuration echoes from bench; Table 3 comes from the run's own
-// measured CSV when the grid includes it.
+// are configuration echoes from bench; every table-only experiment in the
+// grid (Table 3) renders from the run's own measured CSV.
 func writeTables(dir string, runs []*experimentRun) error {
 	emit := func(name, title string, headers []string, rows [][]string) error {
 		md := MarkdownTable(title, headers, rows)
@@ -221,61 +218,35 @@ func writeTables(dir string, runs []*experimentRun) error {
 		}
 	}
 	for _, er := range runs {
-		if er.ID != bench.Table3 {
+		if !isTable(er.Chart) {
 			continue
 		}
 		header, rows, err := readCSV(filepath.Join(dir, csvDir, er.Repeats[0].Key()+".csv"))
 		if err != nil {
 			return err
 		}
-		if err := emit("table3", "Table 3: SRL statistics", header, rows); err != nil {
+		if err := emit(er.ID.String(), er.Chart.Title, header, rows); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// plotTitle names each experiment's figure.
-func plotTitle(id bench.ExperimentID, doc []byte) string {
-	switch id {
-	case bench.Fig7:
-		return "Figure 7: SRL occupancy distribution (percent of occupied time)"
-	case bench.Energy:
-		return "Energy attribution: secondary load/store structures (nJ / 1k uops)"
-	case bench.Latency:
-		return "Latency tolerance (IPC vs memory latency)"
-	case bench.Ordering:
-		return "Ordering + far-memory scenario pack (IPC)"
-	}
-	// Figure documents carry their own title.
-	var t struct {
-		Title string `json:"title"`
-	}
-	if json.Unmarshal(doc, &t) == nil && t.Title != "" {
-		return t.Title
-	}
-	return id.Description()
-}
-
 // writePlots renders the figure SVGs from the first repeat's CSV (repeats
 // are byte-identical; `-check` enforces it).
 func writePlots(dir string, runs []*experimentRun) error {
 	for _, er := range runs {
-		key := er.Repeats[0].Key()
-		header, rows, err := readCSV(filepath.Join(dir, csvDir, key+".csv"))
+		draw, ok := chartForms[er.Chart.Form]
+		if !ok {
+			continue // table-only: writeTables renders it
+		}
+		header, rows, err := readCSV(filepath.Join(dir, csvDir, er.Repeats[0].Key()+".csv"))
 		if err != nil {
 			return err
 		}
-		doc, err := os.ReadFile(filepath.Join(dir, csvDir, key+".json"))
+		svg, err := draw(er.Chart, header, rows)
 		if err != nil {
 			return err
-		}
-		svg, err := plotExperiment(er.ID, plotTitle(er.ID, doc), header, rows)
-		if err != nil {
-			return err
-		}
-		if svg == nil {
-			continue // no plot form (table3)
 		}
 		if err := writeFileAtomic(filepath.Join(dir, analysisDir, "plots", er.ID.String()+".svg"), svg); err != nil {
 			return err
@@ -284,75 +255,78 @@ func writePlots(dir string, runs []*experimentRun) error {
 	return nil
 }
 
-// plotExperiment picks the chart form for one experiment's CSV.
-func plotExperiment(id bench.ExperimentID, title string, header []string, rows [][]string) ([]byte, error) {
-	parse := func(cell string) (float64, error) { return strconv.ParseFloat(cell, 64) }
-	switch id {
-	case bench.Fig2, bench.Fig6, bench.Fig8, bench.Fig9, bench.Fig10:
-		// suite rows × series columns → grouped bars.
-		var cats []string
-		series := make([]Series, len(header)-1)
-		for i, h := range header[1:] {
-			series[i].Label = h
-		}
-		for _, row := range rows {
-			cats = append(cats, row[0])
-			for i, cell := range row[1:] {
-				v, err := parse(cell)
-				if err != nil {
-					return nil, err
-				}
-				series[i].Values = append(series[i].Values, v)
-			}
-		}
-		return GroupedBarSVG(title, "% speedup over baseline", cats, series)
-	case bench.Fig7:
-		// suite rows × ">N" threshold columns → one line per suite.
-		xs := make([]string, len(header)-1)
-		for i, h := range header[1:] {
-			xs[i] = ">" + strings.TrimPrefix(h, "gt_")
-		}
-		var series []Series
-		for _, row := range rows {
-			s := Series{Label: row[0]}
-			for _, cell := range row[1:] {
-				v, err := parse(cell)
-				if err != nil {
-					return nil, err
-				}
-				s.Values = append(s.Values, v)
-			}
-			series = append(series, s)
-		}
-		return LineSVG(title, "% of SRL-occupied time above threshold", xs, series)
-	case bench.Energy:
-		// (design, suite) rows → suites as categories, designs as bars.
-		return pivotChart(title, "nJ / 1k uops", header, rows, "design", "suite", "nj_per_1k_uops", GroupedBarSVG)
-	case bench.Latency:
-		// (suite, design, latency) rows → latency on x, one line per design.
-		return pivotChart(title, "IPC", header, rows, "design", "mem_latency", "ipc", LineSVG)
-	case bench.Ordering:
-		// (suite, design, scenario) rows → scenarios as categories, one bar
-		// group per design.
-		return pivotChart(title, "IPC", header, rows, "design", "scenario", "ipc", GroupedBarSVG)
-	case bench.Table3:
-		return nil, nil // Table 3 renders as a table, not a chart
-	}
-	return nil, fmt.Errorf("paper: no plot form for %s", id)
+// chartForms draws each chart form from an experiment's CSV. TableOnly has
+// no entry: those experiments render as tables (writeTables).
+var chartForms = map[bench.ChartForm]func(c bench.Chart, header []string, rows [][]string) ([]byte, error){
+	bench.SpeedupBars:    speedupBars,
+	bench.ThresholdLines: thresholdLines,
+	bench.PivotBars: func(c bench.Chart, header []string, rows [][]string) ([]byte, error) {
+		return pivotChart(c, header, rows, GroupedBarSVG)
+	},
+	bench.PivotLines: func(c bench.Chart, header []string, rows [][]string) ([]byte, error) {
+		return pivotChart(c, header, rows, LineSVG)
+	},
 }
 
-// pivotChart pivots long-form rows (seriesCol, xCol, valueCol) into chart
-// series, preserving first-seen order for both axes.
-func pivotChart(title, yLabel string, header []string, rows [][]string,
-	seriesCol, xCol, valueCol string,
+// isTable reports whether an experiment renders as a table, not a chart.
+func isTable(c bench.Chart) bool {
+	_, drawn := chartForms[c.Form]
+	return !drawn
+}
+
+// speedupBars draws suite rows × series columns as grouped bars.
+func speedupBars(c bench.Chart, header []string, rows [][]string) ([]byte, error) {
+	var cats []string
+	series := make([]Series, len(header)-1)
+	for i, h := range header[1:] {
+		series[i].Label = h
+	}
+	for _, row := range rows {
+		cats = append(cats, row[0])
+		for i, cell := range row[1:] {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				return nil, err
+			}
+			series[i].Values = append(series[i].Values, v)
+		}
+	}
+	return GroupedBarSVG(c.Title, c.YLabel, cats, series)
+}
+
+// thresholdLines draws suite rows × "gt_N" threshold columns as one line
+// per suite over ">N" x labels.
+func thresholdLines(c bench.Chart, header []string, rows [][]string) ([]byte, error) {
+	xs := make([]string, len(header)-1)
+	for i, h := range header[1:] {
+		xs[i] = ">" + strings.TrimPrefix(h, "gt_")
+	}
+	var series []Series
+	for _, row := range rows {
+		s := Series{Label: row[0]}
+		for _, cell := range row[1:] {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				return nil, err
+			}
+			s.Values = append(s.Values, v)
+		}
+		series = append(series, s)
+	}
+	return LineSVG(c.Title, c.YLabel, xs, series)
+}
+
+// pivotChart pivots long-form rows on the chart's Series, X and Value
+// columns into chart series, preserving first-seen order for both axes.
+func pivotChart(c bench.Chart, header []string, rows [][]string,
 	render func(string, string, []string, []Series) ([]byte, error)) ([]byte, error) {
 	col := map[string]int{}
 	for i, h := range header {
 		col[h] = i
 	}
-	for _, c := range []string{seriesCol, xCol, valueCol} {
-		if _, ok := col[c]; !ok {
-			return nil, fmt.Errorf("paper: pivot: no column %q in %v", c, header)
+	for _, name := range []string{c.Series, c.X, c.Value} {
+		if _, ok := col[name]; !ok {
+			return nil, fmt.Errorf("paper: pivot: no column %q in %v", name, header)
 		}
 	}
 	var xs []string
@@ -360,12 +334,12 @@ func pivotChart(title, yLabel string, header []string, rows [][]string,
 	var series []Series
 	sIdx := map[string]int{}
 	for _, row := range rows {
-		x := row[col[xCol]]
+		x := row[col[c.X]]
 		if _, ok := xIdx[x]; !ok {
 			xIdx[x] = len(xs)
 			xs = append(xs, x)
 		}
-		name := row[col[seriesCol]]
+		name := row[col[c.Series]]
 		if _, ok := sIdx[name]; !ok {
 			sIdx[name] = len(series)
 			series = append(series, Series{Label: name})
@@ -375,13 +349,13 @@ func pivotChart(title, yLabel string, header []string, rows [][]string,
 		series[i].Values = make([]float64, len(xs))
 	}
 	for _, row := range rows {
-		v, err := strconv.ParseFloat(row[col[valueCol]], 64)
+		v, err := strconv.ParseFloat(row[col[c.Value]], 64)
 		if err != nil {
 			return nil, err
 		}
-		series[sIdx[row[col[seriesCol]]]].Values[xIdx[row[col[xCol]]]] = v
+		series[sIdx[row[col[c.Series]]]].Values[xIdx[row[col[c.X]]]] = v
 	}
-	return render(title, yLabel, xs, series)
+	return render(c.Title, c.YLabel, xs, series)
 }
 
 // writeReport writes the analysis/report.md index. It is deterministic in
@@ -410,9 +384,9 @@ func writeReport(cfg AnalyzeConfig, runs []*experimentRun) error {
 			fmt.Fprintf(&b, "[`%s.csv`](../csv/%s.csv)", u.Key(), u.Key())
 		}
 		b.WriteString("\n")
-		if er.ID == bench.Table3 {
-			b.WriteString("- tables: [table3.md](tables/table3.md) ([LaTeX](tables/table3.tex))\n\n")
-			md, err := os.ReadFile(filepath.Join(cfg.Dir, analysisDir, "tables", "table3.md"))
+		if isTable(er.Chart) {
+			fmt.Fprintf(&b, "- tables: [%s.md](tables/%s.md) ([LaTeX](tables/%s.tex))\n\n", er.ID, er.ID, er.ID)
+			md, err := os.ReadFile(filepath.Join(cfg.Dir, analysisDir, "tables", er.ID.String()+".md"))
 			if err != nil {
 				return err
 			}

@@ -190,7 +190,7 @@ func checkBand(dir string, runs []*experimentRun, band MetricBand) (CheckResult,
 		if v < band.Min || v > band.Max {
 			return CheckResult{Name: name, OK: false,
 				Info: fmt.Sprintf("row %s: %s = %s outside [%s, %s]%s",
-					rowKey(header, row), band.Column, fnum(v), fnum(band.Min), fnum(band.Max), noteSuffix(band))}, nil
+					rowKey(er.Shape.KeyColumns, header, row), band.Column, fnum(v), fnum(band.Min), fnum(band.Max), noteSuffix(band))}, nil
 		}
 	}
 	if matched == 0 {

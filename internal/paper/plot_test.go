@@ -2,7 +2,12 @@ package paper
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,41 +92,121 @@ func TestChartErrors(t *testing.T) {
 	}
 }
 
-// TestPlotExperimentForms drives the per-experiment chart dispatch with
-// synthetic CSV rows shaped like the real artifacts.
+// TestPlotExperimentForms is the registry's completeness test: every
+// experiment, run at tiny scale, must survive the whole pipeline —
+// RunExperiment → JSON → decode → WriteCSV → ValidateCSV(Shape) → its
+// declared chart (or, for table-only entries, its Markdown table). It
+// fails whenever an entry's chart declaration or identity columns disagree
+// with the CSV the experiment actually writes.
 func TestPlotExperimentForms(t *testing.T) {
-	fig := [][]string{{"SFP2K", "1", "2"}, {"WEB", "3", "4"}}
-	svg, err := plotExperiment(bench.Fig6, "Figure 6", []string{"suite", "srl", "hier"}, fig)
-	if err != nil || !strings.Contains(string(svg), "<path ") {
-		t.Errorf("fig6 bar form: err=%v", err)
-	}
+	o := bench.QuickOptions()
+	o.WarmupUops, o.RunUops = 500, 3_000
+	for _, id := range bench.AllExperiments() {
+		t.Run(id.String(), func(t *testing.T) {
+			res, err := bench.RunExperiment(context.Background(), id, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			csvBytes, err := resultCSV(id, doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), id.String()+".csv")
+			if err := os.WriteFile(path, csvBytes, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			shape, err := bench.Shape(id, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ValidateCSV(path, shape); err != nil {
+				t.Fatal(err)
+			}
+			header, rows, err := readCSV(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, row := range rows {
+				key := rowKey(shape.KeyColumns, header, row)
+				if seen[key] {
+					t.Fatalf("identity columns %q do not key the rows: %q repeats", shape.KeyColumns, key)
+				}
+				seen[key] = true
+			}
 
-	occ := [][]string{{"SFP2K", "90", "10"}}
-	svg, err = plotExperiment(bench.Fig7, "Figure 7", []string{"suite", "gt_0", "gt_64"}, occ)
-	if err != nil || !strings.Contains(string(svg), "&gt;64") {
-		t.Errorf("fig7 line form: err=%v svg=%.120s", err, svg)
-	}
-
-	energy := [][]string{
-		{"srl", "SFP2K", "4.5", "60"}, {"srl", "WEB", "5.5", "61"},
-		{"hier", "SFP2K", "9.5", "80"}, {"hier", "WEB", "10.5", "81"},
-	}
-	svg, err = plotExperiment(bench.Energy, "Energy", []string{"design", "suite", "nj_per_1k_uops", "cam_share_pct"}, energy)
-	if err != nil || strings.Count(string(svg), "<path ") != 4 {
-		t.Errorf("energy pivot: err=%v", err)
-	}
-
-	lat := [][]string{
-		{"WEB", "srl", "200", "1.5"}, {"WEB", "srl", "400", "1.4"},
-		{"WEB", "hier", "200", "1.2"}, {"WEB", "hier", "400", "1.0"},
-	}
-	svg, err = plotExperiment(bench.Latency, "Latency", []string{"suite", "design", "mem_latency", "ipc"}, lat)
-	if err != nil || strings.Count(string(svg), "<polyline ") != 2 {
-		t.Errorf("latency pivot: err=%v", err)
-	}
-
-	svg, err = plotExperiment(bench.Table3, "t", nil, nil)
-	if err != nil || svg != nil {
-		t.Errorf("table3 must have no chart form: svg=%v err=%v", svg != nil, err)
+			chart := id.Chart()
+			if chart.Title == "" {
+				t.Fatal("chart declares no title")
+			}
+			draw, drawn := chartForms[chart.Form]
+			switch chart.Form {
+			case bench.TableOnly:
+				if drawn || !isTable(chart) {
+					t.Fatal("table-only experiment has a chart drawing")
+				}
+				if md := MarkdownTable(chart.Title, header, rows); !strings.Contains(md, chart.Title) {
+					t.Fatalf("table misses its title:\n%s", md)
+				}
+				return
+			case bench.PivotBars, bench.PivotLines:
+				if !slices.Contains(shape.KeyColumns, chart.Series) || !slices.Contains(shape.KeyColumns, chart.X) ||
+					slices.Contains(shape.KeyColumns, chart.Value) {
+					t.Fatalf("pivot %s/%s/%s must read two identity columns and a value column of %q",
+						chart.Series, chart.X, chart.Value, shape.KeyColumns)
+				}
+				si, xi := slices.Index(header, chart.Series), slices.Index(header, chart.X)
+				cells := map[[2]string]bool{}
+				for _, row := range rows {
+					cells[[2]string{row[si], row[xi]}] = true
+				}
+				if len(cells) != len(rows) {
+					t.Fatalf("pivot on %s × %s folds %d rows into %d cells", chart.Series, chart.X, len(rows), len(cells))
+				}
+			}
+			if !drawn {
+				t.Fatalf("chart form %d has no drawing", chart.Form)
+			}
+			svg, err := draw(chart, header, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := string(svg)
+			if !strings.HasPrefix(s, "<svg ") || !strings.Contains(s, esc(chart.Title)) {
+				t.Fatalf("chart lacks its svg root or title: %.200s", s)
+			}
+			// One bar per (category, series), one line per series.
+			distinct := func(col string) int {
+				i, seen := slices.Index(header, col), map[string]bool{}
+				for _, row := range rows {
+					seen[row[i]] = true
+				}
+				return len(seen)
+			}
+			var bars, lines int
+			switch chart.Form {
+			case bench.SpeedupBars:
+				bars = len(rows) * (len(header) - 1)
+			case bench.ThresholdLines:
+				lines = len(rows)
+				if !strings.Contains(s, ">&gt;") {
+					t.Error("threshold axis lacks its >N labels")
+				}
+			case bench.PivotBars:
+				bars = distinct(chart.X) * distinct(chart.Series)
+			case bench.PivotLines:
+				lines = distinct(chart.Series)
+			}
+			if got := strings.Count(s, "<path "); got != bars {
+				t.Errorf("%d bars, want %d", got, bars)
+			}
+			if got := strings.Count(s, "<polyline "); got != lines {
+				t.Errorf("%d lines, want %d", got, lines)
+			}
+		})
 	}
 }

@@ -5,21 +5,18 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"srlproc/internal/bench"
 )
 
-// keyColumns are the non-numeric identity columns a result CSV may carry;
-// every other cell must parse as a finite number.
-var keyColumns = map[string]bool{"suite": true, "design": true, "scenario": true}
-
 // ValidateCSV hard-fails a result CSV that does not match its
 // experiment's declared shape: exact header, exact data-row count, no
-// empty cells, and every value cell a finite number (NaN and ±Inf are
-// rejections, not data). A validated CSV is guaranteed plottable and
-// summarizable without surprises downstream.
+// empty cells, and every cell outside the shape's identity columns a
+// finite number (NaN and ±Inf are rejections, not data). A validated CSV
+// is guaranteed plottable and summarizable without surprises downstream.
 func ValidateCSV(path string, shape bench.ExperimentShape) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -52,7 +49,7 @@ func ValidateCSV(path string, shape bench.ExperimentShape) error {
 			if strings.TrimSpace(cell) == "" {
 				return fmt.Errorf("paper: validate %s: row %d column %q is empty", path, ri+1, col)
 			}
-			if keyColumns[col] {
+			if slices.Contains(shape.KeyColumns, col) {
 				continue
 			}
 			v, err := strconv.ParseFloat(cell, 64)

@@ -12,9 +12,10 @@ import (
 // testShape mimics a two-row speedup figure: a suite key column plus two
 // numeric series columns.
 var testShape = bench.ExperimentShape{
-	Points:    4,
-	CSVHeader: []string{"suite", "srl", "hier"},
-	CSVRows:   2,
+	Points:     4,
+	CSVHeader:  []string{"suite", "srl", "hier"},
+	KeyColumns: []string{"suite"},
+	CSVRows:    2,
 }
 
 func writeCSV(t *testing.T, content string) string {

@@ -196,9 +196,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // SweepRequest is the POST /v1/sweep body: one named experiment of the
 // paper's evaluation (a Figure 2/6-style batch, Table 3, ...).
 type SweepRequest struct {
-	// Experiment names the batch: fig2, fig6, fig7, fig8, fig9, fig10,
-	// table3, energy, latency — or a "figure2"-style alias; names resolve
-	// through bench.ParseExperimentID.
+	// Experiment names the batch by a canonical name or alias that GET
+	// /v1/experiments lists; names resolve through bench.ParseExperimentID.
 	Experiment string `json:"experiment"`
 
 	// Quick runs at reduced scale (bench.QuickOptions).
@@ -220,8 +219,8 @@ type SweepRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-// experimentRunner adapts one bench runner to a uniform signature.
-type experimentRunner func(ctx context.Context, o bench.Options) (any, error)
+// experimentRunner runs one experiment, locally or across the cluster.
+type experimentRunner func(ctx context.Context, o bench.Options) (bench.Result, error)
 
 // Experiments lists the batch names /v1/sweep accepts, in the
 // evaluation's presentation order.
@@ -326,7 +325,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Srlproc-Experiment", id.String())
-	runner := func(ctx context.Context, o bench.Options) (any, error) {
+	runner := func(ctx context.Context, o bench.Options) (bench.Result, error) {
 		if s.cluster != nil {
 			return s.runClusterSweep(ctx, id, &req, o)
 		}
@@ -409,7 +408,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, runner 
 	}
 
 	type outcome struct {
-		result any
+		result bench.Result
 		err    error
 	}
 	resc := make(chan outcome, 1)

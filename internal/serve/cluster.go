@@ -78,10 +78,10 @@ func (s *Server) clusterMetricsSnapshot() *clusterMetrics {
 // runClusterSweep is the coordinator's /v1/sweep execution path: the
 // experiment's canonical point list fans out as /v1/jobs RPCs over the
 // live workers, and the merged report assembles into the exact
-// ExperimentResult a local bench.RunExperiment would produce — the
+// bench.Result a local bench.RunExperiment would produce — the
 // simulator's determinism plus store.Encode's round-trip proof make the
 // two byte-identical.
-func (s *Server) runClusterSweep(ctx context.Context, id bench.ExperimentID, req *SweepRequest, o bench.Options) (*bench.ExperimentResult, error) {
+func (s *Server) runClusterSweep(ctx context.Context, id bench.ExperimentID, req *SweepRequest, o bench.Options) (bench.Result, error) {
 	points, err := bench.ExperimentPoints(id, o)
 	if err != nil {
 		return nil, err

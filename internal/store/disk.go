@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -319,3 +321,20 @@ func (s *DiskStore) Stats() Stats {
 // Close implements ResultStore; the disk tier holds no open handles between
 // calls, so it is a no-op.
 func (s *DiskStore) Close() error { return nil }
+
+// IsNotPersistable reports whether err is the round-trip rejection
+// (ErrNotPersistable, possibly wrapped).
+func IsNotPersistable(err error) bool { return errors.Is(err, ErrNotPersistable) }
+
+func sortEntries(es []Entry) {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].Stamp != es[j].Stamp {
+			return es[i].Stamp < es[j].Stamp
+		}
+		return es[i].Fingerprint < es[j].Fingerprint
+	})
+}
+
+func sortBlobs(bs []BlobRef) {
+	sort.Slice(bs, func(i, j int) bool { return bs[i].Name < bs[j].Name })
+}

@@ -5,10 +5,8 @@
 // cluster) replays an identical sweep entirely from durable state instead
 // of recomputing it.
 //
-// Two implementations exist. MemStore keeps documents in memory — it gives
-// tests and short-lived tools the exact semantics of the durable tier
-// without touching the filesystem. DiskStore writes content-addressed
-// files (sha256/<hh>/<hash>.json) plus a small per-key index, with atomic
+// DiskStore, the implementation, writes content-addressed files
+// (sha256/<hh>/<hash>.json) plus a small per-key index, with atomic
 // rename-on-write, hash re-verification on every read, quarantine of
 // corrupted files, and large observability artifacts (timelines, Perfetto
 // traces, divergence dumps) spilled to a sibling blob directory.

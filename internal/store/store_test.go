@@ -38,15 +38,14 @@ func keyFor(cfg core.Config, suite trace.Suite) Key {
 	return Key{Fingerprint: core.PointFingerprint(cfg, suite), Stamp: CodeStamp()}
 }
 
-// openBoth returns both ResultStore implementations so shared-semantics
-// tests run against each.
-func openBoth(t *testing.T) map[string]ResultStore {
+// openDisk returns a disk store on a fresh temporary directory.
+func openDisk(t *testing.T) *DiskStore {
 	t.Helper()
-	disk, err := OpenDisk(t.TempDir())
+	s, err := OpenDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]ResultStore{"mem": NewMem(), "disk": disk}
+	return s
 }
 
 // TestRoundTripAllDesigns proves every design's plain result document
@@ -72,33 +71,32 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			key := keyFor(cfg, trace.MM)
-			e, err := s.Put(key, res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !e.Hydratable || e.Hash == "" {
-				t.Fatalf("SRL result should be hydratable: %+v", e)
-			}
-			back, ok, err := s.Get(key)
-			if err != nil || !ok {
-				t.Fatalf("Get: ok=%v err=%v", ok, err)
-			}
-			got, err := json.Marshal(back)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
-				t.Fatal("rehydrated result is not byte-identical to the original")
-			}
-			st := s.Stats()
-			if st.Hits != 1 || st.Puts != 1 {
-				t.Fatalf("stats: %+v", st)
-			}
-		})
-	}
+	s := openDisk(t)
+	t.Run("disk", func(t *testing.T) {
+		key := keyFor(cfg, trace.MM)
+		e, err := s.Put(key, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.Hydratable || e.Hash == "" {
+			t.Fatalf("SRL result should be hydratable: %+v", e)
+		}
+		back, ok, err := s.Get(key)
+		if err != nil || !ok {
+			t.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+		got, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatal("rehydrated result is not byte-identical to the original")
+		}
+		st := s.Stats()
+		if st.Hits != 1 || st.Puts != 1 {
+			t.Fatalf("stats: %+v", st)
+		}
+	})
 }
 
 // TestStampFlipMisses pins the code-version guarantee: the same
@@ -107,22 +105,21 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestStampFlipMisses(t *testing.T) {
 	cfg := tinyCfg(core.DesignBaseline, 31)
 	res := simulate(t, cfg, trace.WS)
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			key := keyFor(cfg, trace.WS)
-			if _, err := s.Put(key, res); err != nil {
-				t.Fatal(err)
-			}
-			flipped := key
-			flipped.Stamp = key.Stamp + "-other-build"
-			if _, ok, err := s.Get(flipped); err != nil || ok {
-				t.Fatalf("flipped stamp must miss: ok=%v err=%v", ok, err)
-			}
-			if _, ok, err := s.Get(key); err != nil || !ok {
-				t.Fatalf("original stamp must still hit: ok=%v err=%v", ok, err)
-			}
-		})
-	}
+	s := openDisk(t)
+	t.Run("disk", func(t *testing.T) {
+		key := keyFor(cfg, trace.WS)
+		if _, err := s.Put(key, res); err != nil {
+			t.Fatal(err)
+		}
+		flipped := key
+		flipped.Stamp = key.Stamp + "-other-build"
+		if _, ok, err := s.Get(flipped); err != nil || ok {
+			t.Fatalf("flipped stamp must miss: ok=%v err=%v", ok, err)
+		}
+		if _, ok, err := s.Get(key); err != nil || !ok {
+			t.Fatalf("original stamp must still hit: ok=%v err=%v", ok, err)
+		}
+	})
 }
 
 // TestObservedResultArtifactsOnly: a result carrying live observability
@@ -139,31 +136,30 @@ func TestObservedResultArtifactsOnly(t *testing.T) {
 	if _, err := Encode(res); !IsNotPersistable(err) {
 		t.Fatalf("observed result must fail the round-trip gate, got %v", err)
 	}
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			key := keyFor(cfg, trace.PROD)
-			e, err := s.Put(key, res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e.Hydratable || e.Hash != "" {
-				t.Fatalf("observed entry must be artifacts-only: %+v", e)
-			}
-			names := make([]string, 0, len(e.Blobs))
-			for _, b := range e.Blobs {
-				names = append(names, b.Name)
-			}
-			if got := strings.Join(names, ","); got != "timeline.csv,trace.chrome.json" {
-				t.Fatalf("blobs = %q", got)
-			}
-			if _, ok, err := s.Get(key); err != nil || ok {
-				t.Fatalf("artifacts-only entry must not hydrate: ok=%v err=%v", ok, err)
-			}
-			if st := s.Stats(); st.BlobBytes == 0 || st.Hydratable != 0 {
-				t.Fatalf("stats: %+v", st)
-			}
-		})
-	}
+	s := openDisk(t)
+	t.Run("disk", func(t *testing.T) {
+		key := keyFor(cfg, trace.PROD)
+		e, err := s.Put(key, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Hydratable || e.Hash != "" {
+			t.Fatalf("observed entry must be artifacts-only: %+v", e)
+		}
+		names := make([]string, 0, len(e.Blobs))
+		for _, b := range e.Blobs {
+			names = append(names, b.Name)
+		}
+		if got := strings.Join(names, ","); got != "timeline.csv,trace.chrome.json" {
+			t.Fatalf("blobs = %q", got)
+		}
+		if _, ok, err := s.Get(key); err != nil || ok {
+			t.Fatalf("artifacts-only entry must not hydrate: ok=%v err=%v", ok, err)
+		}
+		if st := s.Stats(); st.BlobBytes == 0 || st.Hydratable != 0 {
+			t.Fatalf("stats: %+v", st)
+		}
+	})
 }
 
 // TestDiskCorruptionQuarantined: flipping bytes in a content file must be
@@ -321,45 +317,44 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 }
 
 func TestDeleteAndList(t *testing.T) {
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			var keys []Key
-			for i := 0; i < 3; i++ {
-				cfg := tinyCfg(core.DesignBaseline, uint64(90+i))
-				res := simulate(t, cfg, trace.WEB)
-				key := keyFor(cfg, trace.WEB)
-				keys = append(keys, key)
-				if _, err := s.Put(key, res); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if es, _ := s.List(); len(es) != 3 {
-				t.Fatalf("list: %d entries, want 3", len(es))
-			}
-			if err := s.Delete(keys[1]); err != nil {
+	s := openDisk(t)
+	t.Run("disk", func(t *testing.T) {
+		var keys []Key
+		for i := 0; i < 3; i++ {
+			cfg := tinyCfg(core.DesignBaseline, uint64(90+i))
+			res := simulate(t, cfg, trace.WEB)
+			key := keyFor(cfg, trace.WEB)
+			keys = append(keys, key)
+			if _, err := s.Put(key, res); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Delete(keys[1]); err != nil {
-				t.Fatalf("double delete must be a no-op: %v", err)
+		}
+		if es, _ := s.List(); len(es) != 3 {
+			t.Fatalf("list: %d entries, want 3", len(es))
+		}
+		if err := s.Delete(keys[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(keys[1]); err != nil {
+			t.Fatalf("double delete must be a no-op: %v", err)
+		}
+		es, err := s.List()
+		if err != nil || len(es) != 2 {
+			t.Fatalf("list after delete: %d entries err=%v", len(es), err)
+		}
+		for i := 1; i < len(es); i++ {
+			if es[i-1].Stamp > es[i].Stamp ||
+				(es[i-1].Stamp == es[i].Stamp && es[i-1].Fingerprint >= es[i].Fingerprint) {
+				t.Fatalf("list not sorted: %v", es)
 			}
-			es, err := s.List()
-			if err != nil || len(es) != 2 {
-				t.Fatalf("list after delete: %d entries err=%v", len(es), err)
-			}
-			for i := 1; i < len(es); i++ {
-				if es[i-1].Stamp > es[i].Stamp ||
-					(es[i-1].Stamp == es[i].Stamp && es[i-1].Fingerprint >= es[i].Fingerprint) {
-					t.Fatalf("list not sorted: %v", es)
-				}
-			}
-			if _, ok, _ := s.Get(keys[1]); ok {
-				t.Fatal("deleted key still hits")
-			}
-		})
-	}
+		}
+		if _, ok, _ := s.Get(keys[1]); ok {
+			t.Fatal("deleted key still hits")
+		}
+	})
 }
 
-// TestConcurrentGetPut exercises both implementations under the race
+// TestConcurrentGetPut exercises the store under the race
 // detector: concurrent writers and readers over a small keyspace.
 func TestConcurrentGetPut(t *testing.T) {
 	const points = 4
@@ -371,38 +366,37 @@ func TestConcurrentGetPut(t *testing.T) {
 		results[i] = simulate(t, cfgs[i], trace.MM)
 		keys[i] = keyFor(cfgs[i], trace.MM)
 	}
-	for name, s := range openBoth(t) {
-		t.Run(name, func(t *testing.T) {
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 20; i++ {
-						k := (g + i) % points
-						if g%2 == 0 {
-							if _, err := s.Put(keys[k], results[k]); err != nil {
-								t.Error(err)
-								return
-							}
-						} else {
-							if _, _, err := s.Get(keys[k]); err != nil {
-								t.Error(err)
-								return
-							}
+	s := openDisk(t)
+	t.Run("disk", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					k := (g + i) % points
+					if g%2 == 0 {
+						if _, err := s.Put(keys[k], results[k]); err != nil {
+							t.Error(err)
+							return
 						}
-						if g == 0 && i == 10 {
-							s.Stats()
-							if _, err := s.List(); err != nil {
-								t.Error(err)
-							}
+					} else {
+						if _, _, err := s.Get(keys[k]); err != nil {
+							t.Error(err)
+							return
 						}
 					}
-				}(g)
-			}
-			wg.Wait()
-		})
-	}
+					if g == 0 && i == 10 {
+						s.Stats()
+						if _, err := s.List(); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
 }
 
 // TestCodeStampStable: the stamp is per-process stable (two calls agree)

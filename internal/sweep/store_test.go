@@ -90,23 +90,27 @@ func TestWarmRestartFromDiskStore(t *testing.T) {
 // layer: a cache whose stamp differs (a rebuilt binary) misses the store
 // and recomputes rather than hydrating another build's results.
 func TestCacheStoreStampFlip(t *testing.T) {
-	mem := store.NewMem()
+	disk, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	pts := storePoints(1)
 
 	c1 := NewCache()
-	c1.AttachStore(mem)
+	c1.AttachStore(disk)
 	if _, err := Run(context.Background(), pts, Options{Workers: 1, Cache: c1}); err != nil {
 		t.Fatal(err)
 	}
 	c1.FlushStore()
 
 	c2 := NewCache()
-	c2.AttachStore(mem)
+	c2.AttachStore(disk)
 	c2.stamp += "-other-build" // what a rebuilt binary's CodeStamp looks like
 	rep, err := Run(context.Background(), pts, Options{Workers: 1, Cache: c2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.FlushStore() // its recomputed result writes through before the store dir goes
 	if rep.Simulated != 1 {
 		t.Fatalf("flipped stamp served stale store results: %+v", rep)
 	}
@@ -115,7 +119,7 @@ func TestCacheStoreStampFlip(t *testing.T) {
 	}
 
 	c3 := NewCache()
-	c3.AttachStore(mem)
+	c3.AttachStore(disk)
 	rep3, err := Run(context.Background(), pts, Options{Workers: 1, Cache: c3})
 	if err != nil {
 		t.Fatal(err)
@@ -149,19 +153,22 @@ func TestStoreErrorsNeverFailSweep(t *testing.T) {
 // TestFailedComputationsNotWrittenThrough: only successful simulations may
 // reach the persistent tier.
 func TestFailedComputationsNotWrittenThrough(t *testing.T) {
-	mem := store.NewMem()
+	disk, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewCache()
-	c.AttachStore(mem)
+	c.AttachStore(disk)
 	cfg := churnCfg(8000)
 	boom := errors.New("boom")
-	_, _, err := c.do(context.Background(), cfg, trace.WEB, func() (*core.Results, error) {
+	_, _, err = c.do(context.Background(), cfg, trace.WEB, func() (*core.Results, error) {
 		return nil, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	c.FlushStore()
-	if st := mem.Stats(); st.Puts != 0 || st.Entries != 0 {
+	if st := disk.Stats(); st.Puts != 0 || st.Entries != 0 {
 		t.Fatalf("failed computation reached the store: %+v", st)
 	}
 }

@@ -38,7 +38,7 @@ for f in manifest.json experiments.json analysis/report.md analysis/check.md \
          analysis/tables/table1.md analysis/tables/table2.tex analysis/tables/table3.md \
          analysis/plots/fig2.svg analysis/plots/fig6.svg analysis/plots/fig7.svg \
          analysis/plots/fig8.svg analysis/plots/fig9.svg analysis/plots/fig10.svg \
-         analysis/plots/energy.svg analysis/plots/latency.svg; do
+         analysis/plots/energy.svg analysis/plots/latency.svg analysis/plots/ordering.svg; do
     [ -f "$OUT/runs/smoke1/$f" ] || { echo "paper-smoke: missing $f" >&2; exit 1; }
 done
 

@@ -25,19 +25,19 @@
 //	if err != nil { ... }
 //	fmt.Printf("IPC %.2f\n", res.IPC())
 //
-// To regenerate the paper's figures use the unified experiment runner:
+// To regenerate the paper's figures use the experiment runner:
 //
 //	res, err := srlproc.RunExperiment(ctx, srlproc.Fig6, srlproc.QuickOptions())
 //	if err != nil { ... }
-//	fmt.Println(res)
+//	fmt.Println(res)                         // the text table
+//	fig := res.(*srlproc.FigureResult)       // the typed payload
 //
 // RunExperiment(ctx, id, opts) is the single entry point behind every
-// experiment of the evaluation; the per-experiment typed wrappers
-// (RunFigure2Context, RunTable3Context, ...) remain as thin shims over it.
-// Experiments execute on the internal sweep engine: a bounded worker pool
-// with cancellation, panic isolation, progress reporting and
-// cross-experiment result memoization, controlled through Options
-// (Workers, Progress, NoCache).
+// experiment of the evaluation (AllExperiments lists them). Experiments
+// execute on the internal sweep engine: a bounded worker pool with
+// cancellation, panic isolation, progress reporting and cross-experiment
+// result memoization, controlled through Options (Workers, Progress,
+// NoCache).
 //
 // Results can persist across processes: AttachResultStore points the
 // process-global memo cache at an on-disk, content-addressed result store,
@@ -123,13 +123,6 @@ func RunContext(ctx context.Context, cfg Config, suite Suite) (*Results, error) 
 	return c.RunContext(ctx)
 }
 
-// Run simulates cfg on the given workload suite with context.Background().
-//
-// Deprecated: use RunContext, which supports cancellation and deadlines.
-func Run(cfg Config, suite Suite) (*Results, error) {
-	return RunContext(context.Background(), cfg, suite)
-}
-
 // TraceSource supplies micro-ops to the simulator; synthetic generators and
 // recorded trace files both implement it.
 type TraceSource = trace.Source
@@ -163,15 +156,6 @@ func RunFromSourceContext(ctx context.Context, cfg Config, src TraceSource, suit
 	return c.RunContext(ctx)
 }
 
-// RunFromSource simulates cfg over an arbitrary micro-op source with
-// context.Background().
-//
-// Deprecated: use RunFromSourceContext, which supports cancellation and
-// deadlines.
-func RunFromSource(cfg Config, src TraceSource, suite Suite) (*Results, error) {
-	return RunFromSourceContext(context.Background(), cfg, src, suite)
-}
-
 // MulticoreConfig parameterises a lockstep multiprocessor simulation with
 // real coherence traffic between cores (see internal/multicore).
 type MulticoreConfig = multicore.Config
@@ -192,12 +176,10 @@ func NewMulticore(cfg MulticoreConfig) (*multicore.System, error) {
 
 // Options scales the experiment runners and tunes the sweep engine that
 // executes their simulation points: Workers bounds the worker pool (0
-// defers to the deprecated Parallel switch, 1 is serial, n > 1 caps
-// concurrency), Progress observes per-point completion, NoCache disables
+// means one worker per CPU, 1 is serial, n > 1 caps concurrency),
+// Progress observes per-point completion, NoCache disables
 // cross-experiment result memoization, and Obs enables per-run
-// observability on every point. Options.Validate normalises the
-// deprecated Parallel switch into Workers — it is the only place that
-// mapping lives.
+// observability on every point.
 type Options = bench.Options
 
 // ObsConfig enables run observability: Config.Obs (or Options.Obs) with a
@@ -332,7 +314,7 @@ func QuickOptions() Options { return bench.QuickOptions() }
 
 // FigureResult is a generic speedup figure: one series per configuration,
 // percent speedup over the baseline per suite, plus the raw per-point
-// results. Returned by the Figure 2/6/8/9/10 runners.
+// results. RunExperiment returns it for Fig2, Fig6, Fig8, Fig9 and Fig10.
 type FigureResult = bench.FigureResult
 
 // Table3Result holds every suite's SRL statistics (Table 3).
@@ -349,146 +331,51 @@ type EnergyResult = bench.EnergyResult
 // curves (the Latency experiment).
 type LatencyResult = bench.LatencyResult
 
+// OrderingResult holds the per-design IPC of the memory-ordering and
+// far-memory scenario pack (the Ordering experiment).
+type OrderingResult = bench.OrderingResult
+
 // ExperimentID names one experiment of the paper's evaluation; it is the
 // vocabulary RunExperiment, cmd/experiments and the HTTP service share.
 type ExperimentID = bench.ExperimentID
 
 // The experiments, in the evaluation's presentation order.
 const (
-	Fig2    = bench.Fig2
-	Fig6    = bench.Fig6
-	Fig7    = bench.Fig7
-	Fig8    = bench.Fig8
-	Fig9    = bench.Fig9
-	Fig10   = bench.Fig10
-	Table3  = bench.Table3
-	Energy  = bench.Energy
-	Latency = bench.Latency
+	Fig2     = bench.Fig2
+	Fig6     = bench.Fig6
+	Table3   = bench.Table3
+	Fig7     = bench.Fig7
+	Fig8     = bench.Fig8
+	Fig9     = bench.Fig9
+	Fig10    = bench.Fig10
+	Energy   = bench.Energy
+	Latency  = bench.Latency
+	Ordering = bench.Ordering
 )
 
-// ExperimentResult is RunExperiment's tagged result: ID says which
-// experiment ran, exactly one typed field is non-nil, Value returns it
-// untyped, and the JSON form is the inner result document itself.
-type ExperimentResult = bench.ExperimentResult
+// ExperimentResult is RunExperiment's result: String renders its text
+// table, MarshalJSON its JSON document and WriteCSV its CSV series. Assert
+// the concrete type for the typed payload (*FigureResult for the speedup
+// figures, *Table3Result, *Figure7Result, *EnergyResult, *LatencyResult,
+// *OrderingResult).
+type ExperimentResult = bench.Result
 
 // AllExperiments lists every experiment in presentation order.
 func AllExperiments() []ExperimentID { return bench.AllExperiments() }
 
-// ParseExperimentID resolves an experiment name ("fig2" ... "table3",
-// "energy", "latency", or "figure2"-style long aliases) case-insensitively.
+// ParseExperimentID resolves an experiment's canonical name (as
+// ExperimentID.String returns it for each of AllExperiments) or its
+// "figure2"-style alias, case-insensitively.
 func ParseExperimentID(name string) (ExperimentID, error) {
 	return bench.ParseExperimentID(name)
 }
 
-// RunExperiment runs one experiment of the paper's evaluation — the
-// unified entry point behind every per-experiment wrapper. The Latency
-// experiment picks its suite from Options.LatencySuite (zero value SFP2K).
-func RunExperiment(ctx context.Context, id ExperimentID, o Options) (*ExperimentResult, error) {
+// RunExperiment runs one experiment of the paper's evaluation. The Latency
+// and Ordering experiments pick their suite from Options.LatencySuite
+// (zero value SFP2K).
+func RunExperiment(ctx context.Context, id ExperimentID, o Options) (ExperimentResult, error) {
 	return bench.RunExperiment(ctx, id, o)
 }
-
-// RunFigure2Context reproduces Figure 2: percent speedup of single-level
-// store queues of 128..1K entries over the 48-entry baseline, per suite.
-//
-// Deprecated: use RunExperiment(ctx, Fig2, o) and read the result's
-// Figure field — the unified entry point every wrapper now delegates to.
-func RunFigure2Context(ctx context.Context, o Options) (*FigureResult, error) {
-	return bench.RunFigure2Context(ctx, o)
-}
-
-// RunFigure6Context reproduces Figure 6: SRL vs the hierarchical store
-// queue vs an ideal (1K-entry, fast) store queue, over the baseline.
-//
-// Deprecated: use RunExperiment(ctx, Fig6, o) and read the result's
-// Figure field — the unified entry point every wrapper now delegates to.
-func RunFigure6Context(ctx context.Context, o Options) (*FigureResult, error) {
-	return bench.RunFigure6Context(ctx, o)
-}
-
-// RunTable3Context reproduces Table 3: SRL statistics per suite.
-//
-// Deprecated: use RunExperiment(ctx, Table3, o) and read the result's
-// Table3 field — the unified entry point every wrapper now delegates to.
-func RunTable3Context(ctx context.Context, o Options) (*Table3Result, error) {
-	return bench.RunTable3Context(ctx, o)
-}
-
-// RunFigure7Context reproduces Figure 7: the SRL occupancy distribution.
-//
-// Deprecated: use RunExperiment(ctx, Fig7, o) and read the result's
-// Figure7 field — the unified entry point every wrapper now delegates to.
-func RunFigure7Context(ctx context.Context, o Options) (*Figure7Result, error) {
-	return bench.RunFigure7Context(ctx, o)
-}
-
-// RunFigure8Context reproduces Figure 8: the LCF and indexed-forwarding
-// ablation.
-//
-// Deprecated: use RunExperiment(ctx, Fig8, o) and read the result's
-// Figure field — the unified entry point every wrapper now delegates to.
-func RunFigure8Context(ctx context.Context, o Options) (*FigureResult, error) {
-	return bench.RunFigure8Context(ctx, o)
-}
-
-// RunFigure9Context reproduces Figure 9: the LCF size and hash-function
-// sweep.
-//
-// Deprecated: use RunExperiment(ctx, Fig9, o) and read the result's
-// Figure field — the unified entry point every wrapper now delegates to.
-func RunFigure9Context(ctx context.Context, o Options) (*FigureResult, error) {
-	return bench.RunFigure9Context(ctx, o)
-}
-
-// RunFigure10Context reproduces Figure 10: the separate forwarding cache
-// vs data-cache temporary updates.
-//
-// Deprecated: use RunExperiment(ctx, Fig10, o) and read the result's
-// Figure field — the unified entry point every wrapper now delegates to.
-func RunFigure10Context(ctx context.Context, o Options) (*FigureResult, error) {
-	return bench.RunFigure10Context(ctx, o)
-}
-
-// RunFigure2 reproduces Figure 2 with context.Background().
-//
-// Deprecated: use RunExperiment(ctx, Fig2, o), which supports
-// cancellation and deadlines.
-func RunFigure2(o Options) (*FigureResult, error) { return bench.RunFigure2(o) }
-
-// RunFigure6 reproduces Figure 6 with context.Background().
-//
-// Deprecated: use RunExperiment(ctx, Fig6, o), which supports
-// cancellation and deadlines.
-func RunFigure6(o Options) (*FigureResult, error) { return bench.RunFigure6(o) }
-
-// RunTable3 reproduces Table 3 with context.Background().
-//
-// Deprecated: use RunExperiment(ctx, Table3, o), which supports
-// cancellation and deadlines.
-func RunTable3(o Options) (*Table3Result, error) { return bench.RunTable3(o) }
-
-// RunFigure7 reproduces Figure 7 with context.Background().
-//
-// Deprecated: use RunExperiment(ctx, Fig7, o), which supports
-// cancellation and deadlines.
-func RunFigure7(o Options) (*Figure7Result, error) { return bench.RunFigure7(o) }
-
-// RunFigure8 reproduces Figure 8 with context.Background().
-//
-// Deprecated: use RunExperiment(ctx, Fig8, o), which supports
-// cancellation and deadlines.
-func RunFigure8(o Options) (*FigureResult, error) { return bench.RunFigure8(o) }
-
-// RunFigure9 reproduces Figure 9 with context.Background().
-//
-// Deprecated: use RunExperiment(ctx, Fig9, o), which supports
-// cancellation and deadlines.
-func RunFigure9(o Options) (*FigureResult, error) { return bench.RunFigure9(o) }
-
-// RunFigure10 reproduces Figure 10 with context.Background().
-//
-// Deprecated: use RunExperiment(ctx, Fig10, o), which supports
-// cancellation and deadlines.
-func RunFigure10(o Options) (*FigureResult, error) { return bench.RunFigure10(o) }
 
 // RenderTable1 prints the baseline machine configuration (Table 1). It
 // runs no simulation and needs no context.

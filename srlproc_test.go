@@ -18,7 +18,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(DesignSRL)
 	cfg.WarmupUops = 2_000
 	cfg.RunUops = 15_000
-	res, err := Run(cfg, SINT2K)
+	res, err := RunContext(context.Background(), cfg, SINT2K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestAllDesignsRunnable(t *testing.T) {
 		cfg := DefaultConfig(d)
 		cfg.WarmupUops = 1_000
 		cfg.RunUops = 8_000
-		if _, err := Run(cfg, PROD); err != nil {
+		if _, err := RunContext(context.Background(), cfg, PROD); err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
 	}
@@ -50,7 +50,7 @@ func TestAllDesignsRunnable(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := DefaultConfig(DesignSRL)
 	cfg.RunUops = 0
-	if _, err := Run(cfg, WS); err == nil {
+	if _, err := RunContext(context.Background(), cfg, WS); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -72,11 +72,11 @@ func TestTablesRender(t *testing.T) {
 func TestExperimentRunnersWired(t *testing.T) {
 	o := QuickOptions()
 	o.WarmupUops, o.RunUops = 1_000, 6_000
-	fig, err := RunFigure10(o)
+	res, err := RunExperiment(context.Background(), Fig10, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Series) != 2 {
+	if fig := res.(*FigureResult); len(fig.Series) != 2 {
 		t.Fatalf("figure 10 has %d series", len(fig.Series))
 	}
 }
@@ -131,11 +131,11 @@ func TestContextExperimentRunnersWired(t *testing.T) {
 	o.Workers = 2
 	var points atomic.Int64
 	o.Progress = func(p Progress) { points.Store(int64(p.Done)) }
-	fig, err := RunFigure10Context(context.Background(), o)
+	res, err := RunExperiment(context.Background(), Fig10, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Series) != 2 {
+	if fig := res.(*FigureResult); len(fig.Series) != 2 {
 		t.Fatalf("figure 10 has %d series", len(fig.Series))
 	}
 	if points.Load() == 0 {
@@ -144,18 +144,18 @@ func TestContextExperimentRunnersWired(t *testing.T) {
 	// A cancelled context aborts and surfaces ctx.Err().
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunTable3Context(ctx, o); !errors.Is(err, context.Canceled) {
+	if _, err := RunExperiment(ctx, Table3, o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled experiment error = %v", err)
 	}
 }
 
-// ExampleRun demonstrates the minimal simulation flow (also serves as the
-// godoc example for the package entry point).
-func ExampleRun() {
+// ExampleRunContext demonstrates the minimal simulation flow (also serves
+// as the godoc example for the package entry point).
+func ExampleRunContext() {
 	cfg := DefaultConfig(DesignSRL)
 	cfg.WarmupUops = 1_000
 	cfg.RunUops = 5_000
-	res, err := Run(cfg, PROD)
+	res, err := RunContext(context.Background(), cfg, PROD)
 	if err != nil {
 		panic(err)
 	}
@@ -179,7 +179,7 @@ func TestSweepCacheFacade(t *testing.T) {
 	}
 	o := QuickOptions()
 	o.RunUops, o.WarmupUops = 2_000, 500
-	if _, err := RunTable3Context(context.Background(), o); err != nil {
+	if _, err := RunExperiment(context.Background(), Table3, o); err != nil {
 		t.Fatal(err)
 	}
 	st = SweepCacheStats()
@@ -197,7 +197,8 @@ func TestSweepCacheFacade(t *testing.T) {
 }
 
 // TestUnifiedExperimentRunner drives RunExperiment through the facade:
-// name parsing, the tagged result, and agreement with the typed shim.
+// name parsing, the typed result, and a facade constant for every
+// experiment.
 func TestUnifiedExperimentRunner(t *testing.T) {
 	id, err := ParseExperimentID("figure10")
 	if err != nil || id != Fig10 {
@@ -209,11 +210,22 @@ func TestUnifiedExperimentRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != Fig10 || res.Figure == nil || len(res.Figure.Series) != 2 {
-		t.Fatalf("tagged result wrong: %+v", res)
+	if fig, ok := res.(*FigureResult); !ok || len(fig.Series) != 2 {
+		t.Fatalf("typed result wrong: %+v", res)
 	}
-	if len(AllExperiments()) != 10 {
-		t.Fatalf("AllExperiments lists %d experiments", len(AllExperiments()))
+	// Every experiment has a facade constant: a new experiment that misses
+	// one fails here.
+	facade := map[string]ExperimentID{
+		"fig2": Fig2, "fig6": Fig6, "table3": Table3, "fig7": Fig7, "fig8": Fig8,
+		"fig9": Fig9, "fig10": Fig10, "energy": Energy, "latency": Latency, "ordering": Ordering,
+	}
+	if len(facade) != len(AllExperiments()) {
+		t.Fatalf("facade names %d experiments, AllExperiments lists %d", len(facade), len(AllExperiments()))
+	}
+	for name, id := range facade {
+		if got, err := ParseExperimentID(name); err != nil || got != id {
+			t.Errorf("%s: facade constant %v, ParseExperimentID gives %v, %v", name, id, got, err)
+		}
 	}
 }
 
