@@ -77,7 +77,6 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this long (e.g. 10m); 0 = no limit")
 	progress := flag.Bool("progress", false, "print live sweep progress to stderr")
 	nocache := flag.Bool("nocache", false, "disable cross-experiment result memoization")
-	noSkip := flag.Bool("noskip", false, "disable event-driven cycle skipping (bit-identical results, slower wall clock)")
 	storeDir := flag.String("store-dir", "", "persistent result-store directory: reuse results from earlier runs of this binary and persist new ones")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
 	csvOut := flag.Bool("csv", false, "emit results as CSV instead of tables")
@@ -154,7 +153,6 @@ func run() int {
 	o.Seed = *seed
 	o.Workers = *workers
 	o.NoCache = *nocache
-	o.NoEventSkip = *noSkip
 	if *progress {
 		o.Progress = progressPrinter()
 	}

@@ -65,14 +65,6 @@ type Options struct {
 	// sweeps; other experiments ignore it. The zero value is trace.SFP2K,
 	// the suite the CLI and HTTP surfaces have always used.
 	LatencySuite trace.Suite
-
-	// NoEventSkip disables the core's event-driven cycle-skip fast path
-	// on every simulated point (cmd/experiments -noskip). Results are
-	// bit-identical either way — core.Config.EventSkip is excluded from
-	// the memo fingerprint for exactly that reason — so this exists only
-	// to measure the fast path itself or to rule it out while chasing a
-	// suspected simulator bug.
-	NoEventSkip bool
 }
 
 // DefaultOptions is sized for minutes-scale full reproduction runs.
@@ -90,9 +82,6 @@ func (o Options) apply(cfg core.Config) core.Config {
 	cfg.RunUops = o.RunUops
 	cfg.Seed = o.Seed
 	cfg.Obs = o.Obs
-	if o.NoEventSkip {
-		cfg.EventSkip = false
-	}
 	return cfg
 }
 

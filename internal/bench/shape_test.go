@@ -62,13 +62,12 @@ func TestShapeMatchesWriteCSV(t *testing.T) {
 }
 
 // TestShapeScaleInvariant pins the quick/full contract the paper pipeline's
-// profiles rely on: simulation scale (uops, warmup, seed, skip mode) never
-// changes an experiment's structure — same points, same CSV schema.
+// profiles rely on: simulation scale (uops, warmup, seed) never changes an
+// experiment's structure — same points, same CSV schema.
 func TestShapeScaleInvariant(t *testing.T) {
 	quick := QuickOptions()
 	full := DefaultOptions()
 	full.Seed = 7
-	full.NoEventSkip = true
 	for _, id := range AllExperiments() {
 		qs, err := Shape(id, quick)
 		if err != nil {

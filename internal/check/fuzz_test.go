@@ -2,8 +2,12 @@ package check
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"srlproc/internal/core"
 	"srlproc/internal/trace"
 	"srlproc/internal/xrand"
 )
@@ -32,6 +36,10 @@ func FuzzOracle(f *testing.F) {
 	f.Add(uint64(7), uint8(4), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, designSel, profSel uint8) {
 		pt := PointFromArgs(seed, designSel, profSel)
+		// Both runs sample a timeline, so a skip-identity failure names
+		// the first window where they part, not just the final document.
+		// Observation never perturbs results or divergences.
+		pt.Cfg.Obs.SampleEvery = 256
 		uops := CaptureFor(pt.Cfg, pt.Suite)
 		res, err := RunChecked(pt.Cfg, pt.Suite, uops)
 		if err != nil {
@@ -51,14 +59,18 @@ func FuzzOracle(f *testing.F) {
 				pt.Cfg.Mem.MSHRs, pt.Cfg.Mem.PrefetchOn)
 		}
 		// Skip-identity round: the same point with the cycle-skip
-		// fast-forward inverted must produce a byte-identical Results
-		// document — the fuzzer explores the config space the curated
-		// golden suite cannot.
+		// fast-forward inverted must produce identical timeline samples
+		// and a byte-identical Results document — the fuzzer explores the
+		// config space the curated golden suite cannot.
 		flipped := pt.Cfg
 		flipped.EventSkip = !pt.Cfg.EventSkip
 		res2, err := RunChecked(flipped, pt.Suite, uops)
 		if err != nil {
 			t.Fatalf("EventSkip=%v rerun failed: %v", flipped.EventSkip, err)
+		}
+		if d := sampleDiff(res, res2); d != "" {
+			t.Fatalf("EventSkip changed the timeline on %s/%s seed=%#x (skip=%v vs %v): %s",
+				pt.Cfg.Design, pt.Suite, pt.Cfg.Seed, pt.Cfg.EventSkip, flipped.EventSkip, d)
 		}
 		a, err := json.Marshal(res)
 		if err != nil {
@@ -73,6 +85,29 @@ func FuzzOracle(f *testing.F) {
 				pt.Cfg.Design, pt.Suite, pt.Cfg.Seed, pt.Cfg.EventSkip, a, flipped.EventSkip, b)
 		}
 	})
+}
+
+// sampleDiff describes the first timeline sample where a and b differ —
+// its cycle and each differing field — or returns "" if they agree.
+func sampleDiff(a, b *core.Results) string {
+	as, bs := a.Timeline.Samples(), b.Timeline.Samples()
+	for i := 0; i < len(as) && i < len(bs); i++ {
+		if as[i] == bs[i] {
+			continue
+		}
+		va, vb := reflect.ValueOf(as[i]), reflect.ValueOf(bs[i])
+		var fields []string
+		for f := 0; f < va.NumField(); f++ {
+			if x, y := va.Field(f).Interface(), vb.Field(f).Interface(); x != y {
+				fields = append(fields, fmt.Sprintf("%s %+v vs %+v", va.Type().Field(f).Name, x, y))
+			}
+		}
+		return fmt.Sprintf("first differing sample at cycle %d: %s", as[i].Cycle, strings.Join(fields, "; "))
+	}
+	if len(as) != len(bs) {
+		return fmt.Sprintf("%d vs %d timeline samples", len(as), len(bs))
+	}
+	return ""
 }
 
 // TestSamplePointValidates proves every sampled configuration is legal:

@@ -178,8 +178,10 @@ type Config struct {
 	// every cycle-denominated statistic. The jump is bit-for-bit
 	// identical to stepping by construction (see internal/core/skip.go
 	// and DESIGN.md §11), so EventSkip is excluded from Fingerprint:
-	// skipped and stepped runs share memoized results. Default on;
-	// `-noskip` in cmd/srlsim and cmd/experiments turns it off.
+	// skipped and stepped runs share memoized results. Default on; it is
+	// the only switch: `srlsim -noskip` turns it off for one point, and
+	// the skip-identity tests and srlbench's step-mode leg clear it to
+	// get the stepped reference.
 	EventSkip bool
 
 	// Check runs the differential oracle (internal/oracle) in lockstep

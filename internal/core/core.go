@@ -23,24 +23,22 @@ type Core struct {
 
 	cycle uint64
 
-	// In-flight window and replay position.
-	win       *window
-	replayPos int // index into win of the next uop to (re)allocate; == win.len() means fetch new
+	// scalars is every other scalar of the machine state, one comparable
+	// value: the skip engine compares it whole, so a scalar added there is
+	// verified with no edit to skip.go. TestSkipCoverage fails on a scalar
+	// declared anywhere else in Core.
+	scalars
+
+	// In-flight window; scalars.replayPos is the replay position.
+	win *window
 
 	// Checkpoints, oldest first.
-	ckpts      []*ckptState
-	nextCkptID int
+	ckpts []*ckptState
 
 	// Rename state: last writer of each architectural register
 	// (epoch-stamped; a stale reference means the writer committed and the
 	// value is architectural).
 	lastWriter [isa.NumArchRegs]uopRef
-
-	// Resource occupancy.
-	schedInt, schedFP, schedMem int
-	regsInt, regsFP             int
-	loadsInWindow               int
-	storesInWindow              int
 
 	// Scheduling.
 	ready readyHeap
@@ -51,18 +49,12 @@ type Core struct {
 	// producer, which a plain arrival-order FIFO would allow after
 	// re-slicing against a second miss.
 	sdb       readyHeap
-	sdbCount  int       // live entries (inSDB) in the sdb heap
 	pendDrain []*dynUop // poisoned uops waiting for SDB space
 
-	// Memory-ordering enforcement (ordering.go, DESIGN.md §12): the
-	// monotonic ordering version bumped at every sync allocation, the ring
-	// of per-version outstanding-load counters (Louvre-style), and the
+	// Memory-ordering enforcement (ordering.go, DESIGN.md §12): the ring
+	// of per-version outstanding-load counters (Louvre-style) and the
 	// program-ordered list of unperformed fences/load-acquires.
-	ordVer       uint64
-	verBase      uint64
-	verHead      int
 	verCounts    []uint32
-	verTotal     int
 	pendingSyncs []uopRef
 
 	// SRL-stalled loads, plus the retry loop's reusable snapshot buffer
@@ -74,16 +66,6 @@ type Core struct {
 	// In-flight stores with unknown (poisoned) addresses, for the memory
 	// dependence predictor to screen loads against.
 	unknownStores []*dynUop
-
-	// unknownAddrStores counts resident store-queue entries whose address
-	// has not been computed yet (gates the filtered design's search skip).
-	unknownAddrStores int
-
-	// Store identifier assignment (the paper's store IDs = SRL indices).
-	storeCounter uint64
-
-	// Front-end redirect: no allocation before this cycle.
-	fetchResume uint64
 
 	// Uops deferred to the next cycle (MSHR-full retries).
 	deferred []*dynUop
@@ -102,9 +84,6 @@ type Core struct {
 	// resource stall never drops an instruction from the stream.
 	pendingFetch *dynUop
 
-	// Youngest architecturally committed sequence number.
-	lastCommittedSeq uint64
-
 	// Structures.
 	l1stq *lsq.StoreQueue
 	l2stq *lsq.StoreQueue // hierarchical only
@@ -122,6 +101,83 @@ type Core struct {
 	// Branch confidence estimator (for checkpoint placement).
 	conf []uint8
 
+	// Snoop injection: the arrival coin and the ring of recent load
+	// addresses a snoop targets (scalars.rlPos is its cursor).
+	snoopRNG    *xrand.RNG
+	recentLoads []uint64
+
+	// skip is the event-driven cycle-skipping engine (see skip.go): it
+	// probes one real cycle, verifies the machine was quiescent, and
+	// fast-forwards to the next interesting cycle with every
+	// cycle-denominated statistic extrapolated across the gap.
+	skip skipState
+
+	// snoopSink, when set, receives the line address of every globally
+	// visible store this core performs (a multicore system routes these to
+	// the other cores' coherence ports).
+	snoopSink func(addr uint64)
+
+	// final is the result document Finalize returns, set by its first
+	// call. It is a copy of res, not a pointer into the core, so a kept
+	// result does not keep the core's window, caches and queues alive.
+	final *Results
+
+	// Statistics. metrics is the typed hot-path counter set (array
+	// increments, no allocation); counters keeps only genuinely free-form
+	// extras whose names are dynamic.
+	res      Results
+	srlOcc   *stats.OccupancyTracker
+	metrics  obs.MetricSet
+	counters *stats.Counters
+	actBase  activity
+
+	// Observability (nil unless cfg.Obs enables it): the cycle-window
+	// sampler and typed event trace. Disabled runs pay one nil test per
+	// cycle.
+	obsrv *obsState
+
+	// Differential checker (nil unless cfg.Check): the lockstep reference
+	// memory system plus structure-invariant sweeps. See check.go.
+	chk *checker
+}
+
+// scalars is the scalar machine state of a Core (everything but the
+// clock), embedded so each field reads as c.<name>.
+type scalars struct {
+	// Index into win of the next uop to (re)allocate; == win.len() means
+	// fetch new.
+	replayPos  int
+	nextCkptID int
+
+	// Resource occupancy.
+	schedInt, schedFP, schedMem int
+	regsInt, regsFP             int
+	loadsInWindow               int
+	storesInWindow              int
+
+	sdbCount int // live entries (inSDB) in the sdb heap
+
+	// Memory-ordering enforcement: the monotonic ordering version bumped
+	// at every sync allocation, and the base, head slot and total of the
+	// per-version counter ring (Core.verCounts).
+	ordVer   uint64
+	verBase  uint64
+	verHead  int
+	verTotal int
+
+	// unknownAddrStores counts resident store-queue entries whose address
+	// has not been computed yet (gates the filtered design's search skip).
+	unknownAddrStores int
+
+	// Store identifier assignment (the paper's store IDs = SRL indices).
+	storeCounter uint64
+
+	// Front-end redirect: no allocation before this cycle.
+	fetchResume uint64
+
+	// Youngest architecturally committed sequence number.
+	lastCommittedSeq uint64
+
 	// Outstanding memory misses (poisoned loads awaiting data).
 	outstandingMisses int
 
@@ -138,49 +194,17 @@ type Core struct {
 	// so at least part of the replay always commits.
 	forceShortCkpt bool
 
-	// Snoop injection.
-	snoopRNG    *xrand.RNG
-	recentLoads []uint64
-	rlPos       int
+	rlPos int // next slot of Core.recentLoads
 
 	// pendingSnoopFire marks that the cycle-skip fast-forward already drew
 	// this cycle's snoop coin (and it came up heads): injectSnoops must
 	// fire without drawing again. See skip.go's applySkip.
 	pendingSnoopFire bool
 
-	// skip is the event-driven cycle-skipping engine (see skip.go): it
-	// probes one real cycle, verifies the machine was quiescent, and
-	// fast-forwards to the next interesting cycle with every
-	// cycle-denominated statistic extrapolated across the gap.
-	skip skipState
-
-	// snoopSink, when set, receives the line address of every globally
-	// visible store this core performs (a multicore system routes these to
-	// the other cores' coherence ports).
-	snoopSink func(addr uint64)
-	finalized bool
-
-	// Statistics. metrics is the typed hot-path counter set (array
-	// increments, no allocation); counters keeps only genuinely free-form
-	// extras whose names are dynamic.
-	res              Results
-	srlOcc           *stats.OccupancyTracker
-	metrics          obs.MetricSet
-	counters         *stats.Counters
 	committed        uint64 // total committed uops
 	committedAtReset uint64
 	measuring        bool
 	statsResetAt     uint64
-	actBase          activity
-
-	// Observability (nil unless cfg.Obs enables it): the cycle-window
-	// sampler and typed event trace. Disabled runs pay one nil test per
-	// cycle.
-	obsrv *obsState
-
-	// Differential checker (nil unless cfg.Check): the lockstep reference
-	// memory system plus structure-invariant sweeps. See check.go.
-	chk *checker
 }
 
 // New builds a core for the given configuration and workload suite. The
@@ -458,13 +482,15 @@ func (c *Core) MeasuredUops() uint64 {
 	return c.committed - c.committedAtReset
 }
 
-// Finalize closes the measured region and returns the results (idempotent).
+// Finalize closes the measured region and returns the results. Every
+// call returns the same document, which holds no reference to the core.
 func (c *Core) Finalize() *Results {
-	if !c.finalized {
+	if c.final == nil {
 		c.finalize()
-		c.finalized = true
+		final := c.res
+		c.final = &final
 	}
-	return &c.res
+	return c.final
 }
 
 // SetSnoopSink registers a callback receiving the line address of every

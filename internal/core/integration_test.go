@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"srlproc/internal/lsq"
@@ -203,8 +204,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestResultsDerivedMetrics(t *testing.T) {
-	r := &Results{Cycles: 1000, Uops: 2000, Stores: 100, RedoneStores: 25,
-		MissDependentUops: 40, MissDependentStores: 10, SRLLoadStalls: 4, Loads: 500}
+	r := &Results{EventCounts: EventCounts{Cycles: 1000, Uops: 2000, Stores: 100, RedoneStores: 25,
+		MissDependentUops: 40, MissDependentStores: 10, SRLLoadStalls: 4, Loads: 500}}
 	if r.IPC() != 2.0 {
 		t.Fatalf("IPC %v", r.IPC())
 	}
@@ -220,9 +221,39 @@ func TestResultsDerivedMetrics(t *testing.T) {
 	if r.SRLStallsPer10K() != 20 {
 		t.Fatalf("stalls %v", r.SRLStallsPer10K())
 	}
-	base := &Results{Cycles: 2000}
+	base := &Results{EventCounts: EventCounts{Cycles: 2000}}
 	if r.SpeedupOver(base) != 100 {
 		t.Fatalf("speedup %v", r.SpeedupOver(base))
+	}
+}
+
+// TestFinalizedResultsDoNotPinCore: a kept *Results must not keep its
+// core's window, caches and queues reachable. Those run to megabytes,
+// while the sweep cache budgets about 4 KiB per result.
+func TestFinalizedResultsDoNotPinCore(t *testing.T) {
+	const n = 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := make([]*Results, 0, n)
+	for i := 0; i < n; i++ {
+		cfg := DefaultConfig(DesignSRL)
+		cfg.WarmupUops, cfg.RunUops, cfg.Seed = 1000, 8000, uint64(i+1)
+		c, err := New(cfg, trace.SFP2K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := c.Run(); r != c.Finalize() {
+			t.Fatal("Finalize returned a different document than Run")
+		}
+		kept = append(kept, c.Finalize())
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(kept)
+	if per > 64<<10 {
+		t.Fatalf("each kept result retains %d KiB, want under 64 KiB", per>>10)
 	}
 }
 

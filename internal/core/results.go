@@ -14,11 +14,57 @@ import (
 	"srlproc/internal/trace"
 )
 
-// Results holds everything one simulation run reports.
+// Results holds everything one simulation run reports. Its counters sit
+// in three embedded blocks that the event-skip engine (skip.go) compares
+// or extrapolates whole, so a counter added to a block is covered with no
+// edit there. Embedding keeps every field's JSON key, key order and
+// promoted access. No block may implement json.Marshaler or
+// encoding.TextMarshaler: MarshalJSON's raw copy would inherit it.
 type Results struct {
 	Suite  trace.Suite `json:"suite"`
 	Design StoreDesign `json:"design"`
 
+	EventCounts
+	StallCounts
+
+	// SRL occupancy (Figure 7 / Table 3 col 6).
+	SRLOccupancy *stats.OccupancyTracker `json:"srlOccupancy,omitempty"`
+
+	ActivityCounts
+
+	// Metrics holds the typed hot-path counters (see obs.Metric). Access
+	// individual values through Metric.
+	Metrics obs.MetricSet `json:"metrics"`
+
+	// Timeline is the cycle-window time-series, non-nil only when the run
+	// was configured with Config.Obs.SampleEvery > 0.
+	Timeline *obs.Timeline `json:"timeline,omitempty"`
+
+	// Trace is the typed event trace, non-nil only when the run was
+	// configured with Config.Obs.TraceEvents. Its JSON form is a summary;
+	// export the full stream with Trace.WriteJSONL or Trace.WriteChromeTrace.
+	Trace *obs.TraceWriter `json:"trace,omitempty"`
+
+	// Counters holds free-form extra counters.
+	//
+	// Deprecated: hot-path counters moved to the typed Metrics set; use
+	// Metric for those and Extra/ExtraNames for anything still free-form.
+	// Direct map access remains only for backward compatibility.
+	Counters *stats.Counters `json:"extras,omitempty"`
+
+	// Divergences holds the differential oracle's findings (Config.Check):
+	// the first oracle.DefaultMaxDivergences disagreements in detection
+	// order, each with recent-event context. DivergenceCount keeps counting
+	// past the retention cap. Both are zero on a clean (or unchecked) run.
+	Divergences     []oracle.Divergence `json:"divergences,omitempty"`
+	DivergenceCount uint64              `json:"divergenceCount,omitempty"`
+}
+
+// EventCounts are the run's event counters. The cycle loop bumps them only
+// on real events — a commit, a forward, a violation — and finalize fills
+// in the cycle, uop and memory-system totals, so a quiescent cycle leaves
+// the block unchanged.
+type EventCounts struct {
 	Cycles uint64 `json:"cycles"`
 	Uops   uint64 `json:"uops"` // committed micro-ops in the measured region
 	Loads  uint64 `json:"loads"`
@@ -61,8 +107,12 @@ type Results struct {
 	// far-free configs are unchanged.
 	FarAccesses         uint64 `json:"farAccesses,omitempty"`
 	FarDegradedAccesses uint64 `json:"farDegradedAccesses,omitempty"`
+}
 
-	// Stall accounting (allocation stall cycles by cause).
+// StallCounts are the allocation stall cycles by cause. They are the only
+// Results counters a quiescent cycle advances, so the skip engine
+// extrapolates them across the gap it jumps.
+type StallCounts struct {
 	StallSTQ    uint64 `json:"stallSTQ"`
 	StallLQ     uint64 `json:"stallLQ"`
 	StallSched  uint64 `json:"stallSched"`
@@ -70,11 +120,11 @@ type Results struct {
 	StallCkpt   uint64 `json:"stallCkpt"`
 	StallWindow uint64 `json:"stallWindow"`
 	StallSDB    uint64 `json:"stallSDB"`
+}
 
-	// SRL occupancy (Figure 7 / Table 3 col 6).
-	SRLOccupancy *stats.OccupancyTracker `json:"srlOccupancy,omitempty"`
-
-	// Structure activity for the power model.
+// ActivityCounts are the structure-activity counters the power model
+// reads, filled in by finalize.
+type ActivityCounts struct {
 	CamSearches  uint64 `json:"camSearches"`
 	CamEntryOps  uint64 `json:"camEntryOps"`
 	LCFProbes    uint64 `json:"lcfProbes"`
@@ -89,33 +139,6 @@ type Results struct {
 	MTBMaybes    uint64 `json:"mtbMaybes"`
 	SRLReads     uint64 `json:"srlReads"`
 	SRLWrites    uint64 `json:"srlWrites"`
-
-	// Metrics holds the typed hot-path counters (see obs.Metric). Access
-	// individual values through Metric.
-	Metrics obs.MetricSet `json:"metrics"`
-
-	// Timeline is the cycle-window time-series, non-nil only when the run
-	// was configured with Config.Obs.SampleEvery > 0.
-	Timeline *obs.Timeline `json:"timeline,omitempty"`
-
-	// Trace is the typed event trace, non-nil only when the run was
-	// configured with Config.Obs.TraceEvents. Its JSON form is a summary;
-	// export the full stream with Trace.WriteJSONL or Trace.WriteChromeTrace.
-	Trace *obs.TraceWriter `json:"trace,omitempty"`
-
-	// Counters holds free-form extra counters.
-	//
-	// Deprecated: hot-path counters moved to the typed Metrics set; use
-	// Metric for those and Extra/ExtraNames for anything still free-form.
-	// Direct map access remains only for backward compatibility.
-	Counters *stats.Counters `json:"extras,omitempty"`
-
-	// Divergences holds the differential oracle's findings (Config.Check):
-	// the first oracle.DefaultMaxDivergences disagreements in detection
-	// order, each with recent-event context. DivergenceCount keeps counting
-	// past the retention cap. Both are zero on a clean (or unchecked) run.
-	Divergences     []oracle.Divergence `json:"divergences,omitempty"`
-	DivergenceCount uint64              `json:"divergenceCount,omitempty"`
 }
 
 // Metric returns one typed hot-path counter.

@@ -14,91 +14,62 @@ import "srlproc/internal/obs"
 //     earliest of the completion-heap head, an MSHR fill return, the SDB
 //     head's miss-return wake-up, the front-end redirect resume, the §6.5
 //     temporary-update retry, and the timeline sampler's next sample. If
-//     e is at least three cycles out, snapshot the machine fingerprint,
-//     the statistics, and the structure-activity counters.
+//     e is at least skipMinGap cycles out, snapshot the machine
+//     fingerprint, the statistics, and the structure-activity counters.
 //  2. Probe. The next cycle runs for real — no behaviour is guessed.
-//  3. Verify. If the probe changed nothing except whitelisted linear
-//     per-cycle counters (the stall breakdown and the cycles-condition
-//     metrics), every cycle until e must repeat it exactly: the machine
-//     state is unchanged, every cycle-gated branch in the step functions
-//     compares c.cycle against one of the enumerated event thresholds
-//     (all >= e), and the only RNG consumer on a quiescent cycle is the
-//     snoop coin, which applySkip replays draw-for-draw.
-//  4. Jump. Extrapolate the probe's whitelisted deltas across the gap
-//     and set c.cycle = e-1, so the next real step lands exactly on e.
+//  3. Verify. If the probe changed nothing except per-cycle counters
+//     (Results.StallCounts and the metrics obs flags PerCycle), every
+//     cycle until e must repeat it exactly: the machine state is
+//     unchanged, every cycle-gated branch in the step functions compares
+//     c.cycle against one of the enumerated event thresholds (all >= e),
+//     and the only RNG consumer on a quiescent cycle is the snoop coin,
+//     which applySkip replays draw-for-draw.
+//  4. Jump. Extrapolate the probe's per-cycle deltas across the gap and
+//     set c.cycle = e-1, so the next real step lands exactly on e.
 //
-// If verification fails — any counter outside the whitelist moved, any
-// structure changed length, any fingerprint field differs — the probe was
-// just a normal cycle and stepping continues; nothing was skipped, so
-// nothing can be wrong. The golden design-point suite, the determinism
-// tests, the regression corpus and the oracle sweep all run with EventSkip
-// on and off and require byte-identical results (skip_test.go,
-// internal/check).
+// If verification fails — any other counter moved, any structure changed
+// length, any scalar differs — the probe was just a normal cycle and
+// stepping continues; nothing was skipped, so nothing can be wrong.
+//
+// What the probe compares is declared by type, not listed here: Core's
+// scalars block, Results' counter blocks, and the metric table's
+// PerCycle flags. TestSkipCoverage fails on a Core or Results field that
+// none of these, a container length or a one-line exemption covers.
+//
+// The golden design-point suite, the determinism tests, the regression
+// corpus and the oracle sweep all run with EventSkip on and off and
+// require byte-identical results (skip_test.go, internal/check).
 
 // skipFP is the structural fingerprint of everything a quiescent cycle
-// must leave untouched. It is a plain comparable value: verification is
-// one struct compare. Lengths stand in for container contents — any
-// insert/remove path that could change contents without changing a length
-// here also moves an activity counter or a non-whitelisted statistic,
-// which verifySkip checks separately.
+// must leave untouched, one plain comparable value: every scalar of the
+// machine, each container's length, and a hash of the checkpoint records.
+// Lengths stand in for container contents — any insert/remove path that
+// could change contents without changing a length here also moves an
+// activity counter or a one-off statistic, which verifySkip checks
+// separately.
 type skipFP struct {
-	committed         uint64
-	lastCommittedSeq  uint64
-	storeCounter      uint64
-	fetchResume       uint64
-	tempUpdateStall   uint64
-	ckptSum           uint64
-	ordVer            uint64
-	verBase           uint64
-	verTotal          int
-	pendingSyncsLen   int
-	outstandingMisses int
-	loadsInWindow     int
-	storesInWindow    int
-	schedInt          int
-	schedFP           int
-	schedMem          int
-	regsInt           int
-	regsFP            int
-	unknownAddrStores int
-	readyLen          int
-	cmplLen           int
-	sdbLen            int
-	sdbCount          int
-	pendDrainLen      int
-	srlStalledLen     int
-	unknownStoresLen  int
-	deferredLen       int
-	winLen            int
-	replayPos         int
-	l1stqLen          int
-	l2stqLen          int
-	srlLen            int
-	ldbufLen          int
-	ckptsLen          int
-	nextCkptID        int
-	pendingFetch      bool
-	pendingSnoopFire  bool
-	forceShortCkpt    bool
-	measuring         bool
-	redoActive        bool
+	state        scalars
+	lens         skipLens
+	ckptSum      uint64
+	pendingFetch bool
 }
 
-// skipResCount is the number of Results counters captured for
-// verification; the first skipResLinear of them must be exactly equal
-// across the probe, the rest (the per-cycle stall breakdown) are
-// whitelisted to advance linearly and are extrapolated across the gap.
-const (
-	skipResLinear = 17
-	skipResCount  = 24
-)
+// skipLens holds the length of each Core container, in a field named after
+// it (TestSkipCoverage matches the names).
+type skipLens struct {
+	win, ckpts, ready, cmpl, sdb, pendDrain int
+	pendingSyncs, srlStalled, unknownStores int
+	deferred, l1stq, l2stq, srl, ldbuf      int
+}
 
 // skipSnap is the armed snapshot the probe cycle is verified against.
 type skipSnap struct {
-	fp  skipFP
-	res [skipResCount]uint64
-	met obs.MetricSet
-	act activity
+	fp     skipFP
+	events EventCounts
+	stalls StallCounts
+	counts ActivityCounts
+	met    obs.MetricSet
+	act    activity
 }
 
 // skipState is the per-core skip engine, embedded by value in Core so the
@@ -109,7 +80,7 @@ type skipState struct {
 	// arming backoff they impose. Snapshot capture is several times the
 	// cost of one quiescent step, so arming every cycle of an active
 	// phase — where verification keeps failing — is a net loss; backing
-	// off exponentially (4..64 cycles) caps that overhead at a few
+	// off exponentially (4..32 cycles) caps that overhead at a few
 	// percent while a long gap still gets armed within its first
 	// sliver. Backoff shapes only *when* a skip is attempted, never what
 	// a skip produces, so it cannot affect results.
@@ -125,86 +96,33 @@ type skipState struct {
 // carry the whole win.
 const skipMinGap = 16
 
-// skipMetricLinear marks the typed metrics a quiescent cycle advances
-// linearly (at most a fixed amount per cycle while the gating condition
-// holds): the cycles-condition occupancy metrics, the store-queue stall
-// mode counters, and the SRL drain/stall gating counters. Everything else
-// must stay exactly equal across the probe or the skip is vetoed — in
-// particular MetricSnoopsInjected, the temporary-update stall metrics and
-// the drain-conflict counters, all of which mark real one-off events.
-var skipMetricLinear = func() [obs.NumMetrics]bool {
-	var lin [obs.NumMetrics]bool
-	for _, m := range []obs.Metric{
-		obs.MetricCyclesMissOutstanding,
-		obs.MetricCyclesSRLNonEmpty,
-		obs.MetricCyclesSRLHeadReady,
-		obs.MetricSTQStallSRLMode,
-		obs.MetricSTQStallMissMode,
-		obs.MetricSTQStallQuiet,
-		obs.MetricSRLDrainWaitData,
-		obs.MetricSRLDrainWaitWAR,
-		obs.MetricSRLStallLoadCycles,
-		// Ordering waits are per-cycle retries while the gating condition
-		// holds: a deferred fence re-checks fenceReady each cycle, and a
-		// gated SRL head re-checks its release/sync gate each drain attempt.
-		// MetricLoadsBlockedOnSync is deliberately absent — blocking a load
-		// is a one-off event (the load then parks on a waiter list).
-		obs.MetricSRLDrainWaitRelease,
-		obs.MetricSRLDrainWaitSync,
-		obs.MetricFenceWaitCycles,
-	} {
-		lin[m] = true
-	}
-	return lin
-}()
-
-// skipFP captures the structural fingerprint. Every accessor here is pure
-// (no lazy pops, no counter bumps): c.sdb.Len() counts raw heap entries
-// rather than going through sdbHead, so capture itself perturbs nothing.
+// skipFPCapture captures the structural fingerprint. Every accessor here is
+// pure (no lazy pops, no counter bumps): c.sdb.Len() counts raw heap
+// entries rather than going through sdbHead, so capture itself perturbs
+// nothing.
 func (c *Core) skipFPCapture() skipFP {
 	fp := skipFP{
-		committed:         c.committed,
-		lastCommittedSeq:  c.lastCommittedSeq,
-		storeCounter:      c.storeCounter,
-		fetchResume:       c.fetchResume,
-		tempUpdateStall:   c.tempUpdateStall,
-		ckptSum:           c.ckptSumHash(),
-		ordVer:            c.ordVer,
-		verBase:           c.verBase,
-		verTotal:          c.verTotal,
-		pendingSyncsLen:   len(c.pendingSyncs),
-		outstandingMisses: c.outstandingMisses,
-		loadsInWindow:     c.loadsInWindow,
-		storesInWindow:    c.storesInWindow,
-		schedInt:          c.schedInt,
-		schedFP:           c.schedFP,
-		schedMem:          c.schedMem,
-		regsInt:           c.regsInt,
-		regsFP:            c.regsFP,
-		unknownAddrStores: c.unknownAddrStores,
-		readyLen:          c.ready.Len(),
-		cmplLen:           c.cmpl.Len(),
-		sdbLen:            c.sdb.Len(),
-		sdbCount:          c.sdbCount,
-		pendDrainLen:      len(c.pendDrain),
-		srlStalledLen:     len(c.srlStalled),
-		unknownStoresLen:  len(c.unknownStores),
-		deferredLen:       len(c.deferred),
-		winLen:            c.win.len(),
-		replayPos:         c.replayPos,
-		l1stqLen:          c.l1stq.Len(),
-		srlLen:            c.srlLen(),
-		ldbufLen:          c.ldbuf.Len(),
-		ckptsLen:          len(c.ckpts),
-		nextCkptID:        c.nextCkptID,
-		pendingFetch:      c.pendingFetch != nil,
-		pendingSnoopFire:  c.pendingSnoopFire,
-		forceShortCkpt:    c.forceShortCkpt,
-		measuring:         c.measuring,
-		redoActive:        c.redoActive,
+		state: c.scalars,
+		lens: skipLens{
+			win:           c.win.len(),
+			ckpts:         len(c.ckpts),
+			ready:         c.ready.Len(),
+			cmpl:          c.cmpl.Len(),
+			sdb:           c.sdb.Len(),
+			pendDrain:     len(c.pendDrain),
+			pendingSyncs:  len(c.pendingSyncs),
+			srlStalled:    len(c.srlStalled),
+			unknownStores: len(c.unknownStores),
+			deferred:      len(c.deferred),
+			l1stq:         c.l1stq.Len(),
+			srl:           c.srlLen(),
+			ldbuf:         c.ldbuf.Len(),
+		},
+		ckptSum:      c.ckptSumHash(),
+		pendingFetch: c.pendingFetch != nil,
 	}
 	if c.l2stq != nil {
-		fp.l2stqLen = c.l2stq.Len()
+		fp.lens.l2stq = c.l2stq.Len()
 	}
 	return fp
 }
@@ -230,25 +148,6 @@ func (c *Core) ckptSumHash() uint64 {
 		mix(ck.startSeq)
 	}
 	return h
-}
-
-// skipResCapture snapshots the Results counters verification cares about.
-// Indices < skipResLinear must be equal across the probe; the tail is the
-// per-cycle stall breakdown, whitelisted for linear extrapolation.
-func (c *Core) skipResCapture() [skipResCount]uint64 {
-	r := &c.res
-	return [skipResCount]uint64{
-		r.Loads, r.Stores,
-		r.MissDependentUops, r.MissDependentStores,
-		r.RedoneStores, r.SRLLoadStalls, r.IndexedForwards,
-		r.L1STQForwards, r.L2STQForwards, r.FCForwards,
-		r.MemDepViolations, r.SnoopViolations, r.OverflowViolations,
-		r.BranchMispredicts, r.Restarts, r.ReplayedUops,
-		r.SpecDiscards,
-		// Linear tail (order matches addSkipDeltas).
-		r.StallSTQ, r.StallLQ, r.StallSched, r.StallRegs,
-		r.StallCkpt, r.StallWindow, r.StallSDB,
-	}
 }
 
 // nextEventCycle returns the earliest future cycle at which the machine
@@ -339,33 +238,34 @@ func (c *Core) maybeSkip() {
 	if _, ok := c.nextEventCycle(c.cycle + skipMinGap); !ok {
 		return
 	}
-	c.skip.snap.fp = c.skipFPCapture()
-	c.skip.snap.res = c.skipResCapture()
-	c.skip.snap.met = c.metrics
-	c.skip.snap.act = c.snapshotActivity()
+	c.skip.snap = c.skipCapture()
 	c.skip.armed = true
 }
 
+// skipCapture snapshots everything the probe cycle is verified against.
+func (c *Core) skipCapture() skipSnap {
+	return skipSnap{
+		fp:     c.skipFPCapture(),
+		events: c.res.EventCounts,
+		stalls: c.res.StallCounts,
+		counts: c.res.ActivityCounts,
+		met:    c.metrics,
+		act:    c.snapshotActivity(),
+	}
+}
+
 // verifySkip reports whether the probe cycle was quiescent: the
-// fingerprint and structure-activity counters are unchanged, every
-// non-whitelisted statistic is unchanged, and only the linear per-cycle
-// counters may have advanced.
+// fingerprint, the structure-activity counters and every Results counter
+// outside StallCounts are unchanged, and of the metrics only per-cycle
+// ones may have advanced.
 func (c *Core) verifySkip() bool {
 	s := &c.skip.snap
-	if c.skipFPCapture() != s.fp {
+	if c.skipFPCapture() != s.fp || c.snapshotActivity() != s.act ||
+		c.res.EventCounts != s.events || c.res.ActivityCounts != s.counts {
 		return false
-	}
-	if c.snapshotActivity() != s.act {
-		return false
-	}
-	cur := c.skipResCapture()
-	for i := 0; i < skipResLinear; i++ {
-		if cur[i] != s.res[i] {
-			return false
-		}
 	}
 	for m, v := range c.metrics {
-		if !skipMetricLinear[m] && v != s.met[m] {
+		if v != s.met[m] && !obs.Metric(m).PerCycle() {
 			return false
 		}
 	}
@@ -373,12 +273,12 @@ func (c *Core) verifySkip() bool {
 }
 
 // applySkip jumps from a verified-quiescent probe cycle to just before
-// the next event, extrapolating the probe's whitelisted per-cycle deltas
-// across the gap. The event is recomputed fresh rather than trusted from
-// arm time (the probe may have moved it), and the snoop RNG is replayed
-// one draw per skipped cycle: if a draw comes up heads, the jump stops
-// just before that cycle and pendingSnoopFire makes injectSnoops consume
-// the already-drawn coin when the cycle runs for real.
+// the next event, extrapolating the probe's per-cycle deltas across the
+// gap. The event is recomputed fresh rather than trusted from arm time
+// (the probe may have moved it), and the snoop RNG is replayed one draw
+// per skipped cycle: if a draw comes up heads, the jump stops just before
+// that cycle and pendingSnoopFire makes injectSnoops consume the
+// already-drawn coin when the cycle runs for real.
 func (c *Core) applySkip() {
 	e, ok := c.nextEventCycle(c.cycle + 2)
 	if !ok {
@@ -400,28 +300,33 @@ func (c *Core) applySkip() {
 	c.cycle += w
 }
 
-// addSkipDeltas accumulates w more copies of the probe cycle's whitelisted
-// deltas: the stall breakdown and the linear cycles-condition metrics.
-// Everything else was verified unchanged, and the occupancy trackers need
-// nothing — stats.OccupancyTracker.Set accrues (cycle - lastCycle) at the
-// last level, so the next real Set call accounts the gap exactly as
-// per-cycle calls at an unchanged level would have.
+// addSkipDeltas accumulates w more copies of the probe cycle's per-cycle
+// deltas: the stall block and the per-cycle metrics. Everything else was
+// verified unchanged, and the occupancy trackers need nothing —
+// stats.OccupancyTracker.Set accrues (cycle - lastCycle) at the last
+// level, so the next real Set call accounts the gap exactly as per-cycle
+// calls at an unchanged level would have.
 func (c *Core) addSkipDeltas(w uint64) {
 	if w == 0 {
 		return
 	}
 	s := &c.skip.snap
-	r := &c.res
-	r.StallSTQ += (r.StallSTQ - s.res[17]) * w
-	r.StallLQ += (r.StallLQ - s.res[18]) * w
-	r.StallSched += (r.StallSched - s.res[19]) * w
-	r.StallRegs += (r.StallRegs - s.res[20]) * w
-	r.StallCkpt += (r.StallCkpt - s.res[21]) * w
-	r.StallWindow += (r.StallWindow - s.res[22]) * w
-	r.StallSDB += (r.StallSDB - s.res[23]) * w
-	for m, lin := range skipMetricLinear {
-		if lin {
+	extrapolateStalls(&c.res.StallCounts, &s.stalls, w)
+	for m := range c.metrics {
+		if obs.Metric(m).PerCycle() {
 			c.metrics[m] += (c.metrics[m] - s.met[m]) * w
 		}
 	}
+}
+
+// extrapolateStalls adds w more copies of each field's delta since snap
+// to cur.
+func extrapolateStalls(cur, snap *StallCounts, w uint64) {
+	cur.StallSTQ += (cur.StallSTQ - snap.StallSTQ) * w
+	cur.StallLQ += (cur.StallLQ - snap.StallLQ) * w
+	cur.StallSched += (cur.StallSched - snap.StallSched) * w
+	cur.StallRegs += (cur.StallRegs - snap.StallRegs) * w
+	cur.StallCkpt += (cur.StallCkpt - snap.StallCkpt) * w
+	cur.StallWindow += (cur.StallWindow - snap.StallWindow) * w
+	cur.StallSDB += (cur.StallSDB - snap.StallSDB) * w
 }

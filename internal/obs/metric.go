@@ -76,52 +76,70 @@ const (
 	NumMetrics
 )
 
-// metricNames is the stable name table. Names keep the snake_case spelling
-// the free-form counters used, so existing output consumers keep working.
-var metricNames = [NumMetrics]string{
-	MetricSnoopsInjected:          "snoops_injected",
-	MetricSnoopsExternal:          "snoops_external",
-	MetricCyclesMissOutstanding:   "cycles_miss_outstanding",
-	MetricCyclesSRLNonEmpty:       "cycles_srl_nonempty",
-	MetricCyclesSRLHeadReady:      "cycles_srl_head_ready",
-	MetricMissRegionStream:        "miss_region_stream",
-	MetricMissRegionHeap:          "miss_region_heap",
-	MetricMissRegionHot:           "miss_region_hot",
-	MetricPoisonNewMiss:           "poison_new_miss",
-	MetricPoisonMerged:            "poison_merged",
-	MetricSDBCauseMissRoot:        "sdb_cause_miss_root",
-	MetricSDBCauseMemDep:          "sdb_cause_memdep",
-	MetricSTQStallSRLMode:         "stq_stall_srlmode",
-	MetricSTQStallMissMode:        "stq_stall_missmode",
-	MetricSTQStallQuiet:           "stq_stall_quiet",
-	MetricSRLDrainWaitData:        "srl_drain_wait_data",
-	MetricSRLDrainWaitWAR:         "srl_drain_wait_war",
-	MetricSRLDrainTempDiscards:    "srl_drain_temp_discards",
-	MetricSRLDrainSpecConflicts:   "srl_drain_spec_conflicts",
-	MetricSRLStallLoadCycles:      "srl_stall_load_cycles",
-	MetricTempUpdateFetchStalls:   "temp_update_fetch_stalls",
-	MetricTempUpdateVersionStalls: "temp_update_version_stalls",
-	MetricSpecWritebacks:          "spec_writebacks",
-	MetricSpecConflicts:           "spec_conflicts",
-	MetricFilteredSearchesSaved:   "filtered_searches_saved",
-	MetricSRLDrainWaitRelease:     "srl_drain_wait_release",
-	MetricSRLDrainWaitSync:        "srl_drain_wait_sync",
-	MetricFenceWaitCycles:         "fence_wait_cycles",
-	MetricLoadsBlockedOnSync:      "loads_blocked_on_sync",
+// metricTable is the stable name table plus each metric's skip class.
+// Names keep the snake_case spelling the free-form counters used, so
+// existing output consumers keep working.
+//
+// perCycle marks a metric that advances by at most a fixed amount per
+// cycle while its condition holds; the event-skip engine
+// (internal/core/skip.go) extrapolates those across a quiescent gap. An
+// unflagged metric is a one-off event that must stay unchanged across the
+// skip's probe cycle, so a forgotten flag can only veto skips, never make
+// one wrong.
+var metricTable = [NumMetrics]struct {
+	name     string
+	perCycle bool
+}{
+	MetricSnoopsInjected:          {name: "snoops_injected"},
+	MetricSnoopsExternal:          {name: "snoops_external"},
+	MetricCyclesMissOutstanding:   {name: "cycles_miss_outstanding", perCycle: true},
+	MetricCyclesSRLNonEmpty:       {name: "cycles_srl_nonempty", perCycle: true},
+	MetricCyclesSRLHeadReady:      {name: "cycles_srl_head_ready", perCycle: true},
+	MetricMissRegionStream:        {name: "miss_region_stream"},
+	MetricMissRegionHeap:          {name: "miss_region_heap"},
+	MetricMissRegionHot:           {name: "miss_region_hot"},
+	MetricPoisonNewMiss:           {name: "poison_new_miss"},
+	MetricPoisonMerged:            {name: "poison_merged"},
+	MetricSDBCauseMissRoot:        {name: "sdb_cause_miss_root"},
+	MetricSDBCauseMemDep:          {name: "sdb_cause_memdep"},
+	MetricSTQStallSRLMode:         {name: "stq_stall_srlmode", perCycle: true},
+	MetricSTQStallMissMode:        {name: "stq_stall_missmode", perCycle: true},
+	MetricSTQStallQuiet:           {name: "stq_stall_quiet", perCycle: true},
+	MetricSRLDrainWaitData:        {name: "srl_drain_wait_data", perCycle: true},
+	MetricSRLDrainWaitWAR:         {name: "srl_drain_wait_war", perCycle: true},
+	MetricSRLDrainTempDiscards:    {name: "srl_drain_temp_discards"},
+	MetricSRLDrainSpecConflicts:   {name: "srl_drain_spec_conflicts"},
+	MetricSRLStallLoadCycles:      {name: "srl_stall_load_cycles", perCycle: true},
+	MetricTempUpdateFetchStalls:   {name: "temp_update_fetch_stalls"},
+	MetricTempUpdateVersionStalls: {name: "temp_update_version_stalls"},
+	MetricSpecWritebacks:          {name: "spec_writebacks"},
+	MetricSpecConflicts:           {name: "spec_conflicts"},
+	MetricFilteredSearchesSaved:   {name: "filtered_searches_saved"},
+	// A deferred fence re-checks its gate every cycle and a gated SRL head
+	// every drain attempt, so those waits are per-cycle; blocking a load
+	// is one event (the load then parks on a waiter list).
+	MetricSRLDrainWaitRelease: {name: "srl_drain_wait_release", perCycle: true},
+	MetricSRLDrainWaitSync:    {name: "srl_drain_wait_sync", perCycle: true},
+	MetricFenceWaitCycles:     {name: "fence_wait_cycles", perCycle: true},
+	MetricLoadsBlockedOnSync:  {name: "loads_blocked_on_sync"},
 }
 
 // String returns the metric's stable machine-readable name.
 func (m Metric) String() string {
 	if m < NumMetrics {
-		return metricNames[m]
+		return metricTable[m].name
 	}
 	return fmt.Sprintf("metric(%d)", uint8(m))
 }
 
+// PerCycle reports whether m advances by at most a fixed amount per cycle
+// while its condition holds, rather than once per event (see metricTable).
+func (m Metric) PerCycle() bool { return m < NumMetrics && metricTable[m].perCycle }
+
 // MetricByName resolves a stable name back to its Metric key.
 func MetricByName(name string) (Metric, bool) {
-	for m, n := range metricNames {
-		if n == name {
+	for m, e := range metricTable {
+		if e.name == name {
 			return Metric(m), true
 		}
 	}

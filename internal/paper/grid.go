@@ -27,8 +27,8 @@ import (
 
 // Knobs are the per-experiment simulation overrides a grid entry (or a
 // profile) can set — the same knobs cmd/experiments exposes as flags.
-// Zero values mean "inherit"; NoSkip and NoCache use pointers so a profile
-// can explicitly switch them off again.
+// Zero values mean "inherit"; NoCache is a pointer so a profile can
+// explicitly switch it off again.
 type Knobs struct {
 	// Uops overrides measured micro-ops per point (cmd flag -uops).
 	Uops uint64 `json:"uops,omitempty"`
@@ -36,9 +36,6 @@ type Knobs struct {
 	Warmup uint64 `json:"warmup,omitempty"`
 	// Seed overrides the workload seed (-seed).
 	Seed uint64 `json:"seed,omitempty"`
-	// NoSkip disables event-driven cycle skipping (-noskip). Results are
-	// bit-identical either way; this only measures the fast path.
-	NoSkip *bool `json:"noskip,omitempty"`
 	// NoCache disables result memoization for the experiment, forcing a
 	// fresh simulation of every point (-nocache).
 	NoCache *bool `json:"nocache,omitempty"`
@@ -54,9 +51,6 @@ func (k Knobs) merge(over Knobs) Knobs {
 	}
 	if over.Seed != 0 {
 		k.Seed = over.Seed
-	}
-	if over.NoSkip != nil {
-		k.NoSkip = over.NoSkip
 	}
 	if over.NoCache != nil {
 		k.NoCache = over.NoCache
@@ -74,9 +68,6 @@ func (k Knobs) apply(o bench.Options) bench.Options {
 	}
 	if k.Seed != 0 {
 		o.Seed = k.Seed
-	}
-	if k.NoSkip != nil {
-		o.NoEventSkip = *k.NoSkip
 	}
 	if k.NoCache != nil {
 		o.NoCache = *k.NoCache

@@ -14,7 +14,7 @@ const testGrid = `{
   "common": { "seed": 7 },
   "profiles": {
     "quick": { "uops": 40000, "warmup": 8000 },
-    "stress": { "nocache": true, "noskip": true }
+    "stress": { "nocache": true }
   },
   "experiments": [
     { "id": "fig6" },
@@ -40,6 +40,7 @@ func TestParseGridErrors(t *testing.T) {
 		{"no experiments", `{"repeats":1}`, "no experiments"},
 		{"unknown field", `{"repeats":1,"experiments":[{"id":"fig6"}],"bogus":1}`, "bogus"},
 		{"unknown knob", `{"repeats":1,"common":{"cycles":5},"experiments":[{"id":"fig6"}]}`, "cycles"},
+		{"removed noskip knob", `{"repeats":1,"common":{"noskip":true},"experiments":[{"id":"fig6"}]}`, "noskip"},
 		{"bad id", `{"repeats":1,"experiments":[{"id":"fig99"}]}`, "fig99"},
 		{"duplicate id", `{"repeats":1,"experiments":[{"id":"fig6"},{"id":"figure6"}]}`, "duplicate"},
 		{"redefined full", `{"repeats":1,"profiles":{"full":{}},"experiments":[{"id":"fig6"}]}`, "implicit"},
@@ -82,13 +83,13 @@ func TestPlanKnobLayering(t *testing.T) {
 		t.Errorf("per-experiment override lost: seed=%d", table3.Seed)
 	}
 
-	// The stress profile flips the boolean knobs via pointers.
+	// The stress profile flips the boolean knob via its pointer.
 	stress, err := g.Plan("stress", nil, 0)
 	if err != nil {
 		t.Fatalf("Plan stress: %v", err)
 	}
-	if o := stress[0].Options; !o.NoCache || !o.NoEventSkip {
-		t.Errorf("stress profile booleans not applied: %+v", o)
+	if o := stress[0].Options; !o.NoCache {
+		t.Errorf("stress profile boolean not applied: %+v", o)
 	}
 
 	// The full profile keeps the default scale.

@@ -200,16 +200,13 @@ func (r *Runner) runUnit(ctx context.Context, u Unit) (*ManifestUnit, error) {
 		return nil, err
 	}
 	defer lf.Close()
-	fmt.Fprintf(lf, "unit: %s\nexperiment: %s repeat %d/%d\npoints: %d\nuops: %d warmup: %d seed: %d noskip: %v nocache: %v\nstart: %s\n",
+	fmt.Fprintf(lf, "unit: %s\nexperiment: %s repeat %d/%d\npoints: %d\nuops: %d warmup: %d seed: %d nocache: %v\nstart: %s\n",
 		key, u.ID, u.Repeat, u.Repeats, shape.Points,
-		o.RunUops, o.WarmupUops, o.Seed, o.NoEventSkip, o.NoCache, time.Now().Format(time.RFC3339))
+		o.RunUops, o.WarmupUops, o.Seed, o.NoCache, time.Now().Format(time.RFC3339))
 
 	begin := time.Now()
 	var doc []byte
 	if r.cfg.Server != "" {
-		if o.NoEventSkip {
-			fmt.Fprintf(lf, "note: noskip knob has no /v1/sweep form; server ran with its default skip mode (results are bit-identical either way)\n")
-		}
 		doc, err = r.runServer(ctx, u.ID, o)
 	} else {
 		doc, err = runLocal(ctx, u.ID, o)

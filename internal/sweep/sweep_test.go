@@ -25,7 +25,8 @@ func tinyCfg(d core.StoreDesign, seed uint64) core.Config {
 
 // fakeResults builds a deterministic stand-in result for fake simulators.
 func fakeResults(cfg core.Config, suite trace.Suite) *core.Results {
-	return &core.Results{Suite: suite, Design: cfg.Design, Cycles: cfg.RunUops * 2, Uops: cfg.RunUops}
+	return &core.Results{Suite: suite, Design: cfg.Design,
+		EventCounts: core.EventCounts{Cycles: cfg.RunUops * 2, Uops: cfg.RunUops}}
 }
 
 func TestRunEmpty(t *testing.T) {
