@@ -3,7 +3,7 @@
 # sweep engine's worker pool is the default execution path for every
 # experiment. Run both before merging.
 
-.PHONY: tier1 verify lint srlbench-test bench bench-json bench-smoke fuzz serve serve-smoke cluster-smoke clean-store paper paper-quick paper-smoke
+.PHONY: tier1 verify lint srlbench-test bench bench-json profile bench-smoke fuzz serve serve-smoke cluster-smoke clean-store paper paper-quick paper-smoke
 
 tier1:
 	go build ./... && go test ./...
@@ -31,11 +31,12 @@ srlbench-test:
 bench:
 	go test -run '^$$' -bench BenchmarkSweepMatrix -benchtime 1x -benchmem .
 
-# Machine-readable perf trajectory: the cycle-loop micro-benchmarks (three
-# repetitions, minimum kept) plus the end-to-end sweep matrix, rendered to
-# BENCH_core.json by cmd/benchjson. This file is the CI bench gate's
-# baseline and the repo's recorded perf history — regenerate and commit it
-# when a PR intentionally shifts performance.
+# Machine-readable perf trajectory: the cycle-loop, trace-generator and
+# MSHR miss-path micro-benchmarks (three repetitions, minimum kept) plus the
+# end-to-end sweep matrix, rendered to BENCH_core.json by cmd/benchjson.
+# This file is the CI bench gate's baseline and the repo's recorded perf
+# history — regenerate and commit it when a PR intentionally shifts
+# performance.
 BENCHOUT ?= BENCH_core.json
 BENCHRAW ?= /tmp/srlproc_bench_raw.txt
 bench-json:
@@ -43,9 +44,26 @@ bench-json:
 	   go test -run '^$$' -bench '^(BenchmarkCycleLoop|BenchmarkReadyHeap|BenchmarkIssueWidth)(/|$$)' \
 	       -benchtime 20000x -count 3 -benchmem ./internal/core && \
 	   go test -run '^$$' -bench '^BenchmarkCycleLoopSkip(/|$$)' \
-	       -benchtime 10x -count 3 -benchmem ./internal/core ; } | tee $(BENCHRAW) | \
+	       -benchtime 10x -count 3 -benchmem ./internal/core && \
+	   go test -run '^$$' -bench '^BenchmarkGeneratorNext(/|$$)' \
+	       -benchtime 200000x -count 3 -benchmem ./internal/trace && \
+	   go test -run '^$$' -bench '^BenchmarkHierarchyMissPath$$' \
+	       -benchtime 200000x -count 3 -benchmem ./internal/cachesim ; } | tee $(BENCHRAW) | \
 	   go run ./cmd/benchjson -o $(BENCHOUT)
 	@echo "wrote $(BENCHOUT) (raw text: $(BENCHRAW))"
+
+# CPU profile of the two cycle-loop benchmarks the perf ledger watches, and
+# pprof's table of it sorted by flat%. Both land in PROFILEDIR, outside the
+# repository by default like BENCHRAW; `go tool pprof -http=: cpu.pprof`
+# there browses the profile.
+PROFILEDIR ?= /tmp/srlproc_profile
+profile:
+	@mkdir -p $(PROFILEDIR)
+	go test -run '^$$' -bench '^BenchmarkCycleLoop$$/^(baseline-48STQ|SRL)$$' -benchtime 2000000x \
+	    -o $(PROFILEDIR)/core.test -cpuprofile $(PROFILEDIR)/cpu.pprof ./internal/core
+	go tool pprof -top $(PROFILEDIR)/core.test $(PROFILEDIR)/cpu.pprof > $(PROFILEDIR)/top.txt
+	@head -30 $(PROFILEDIR)/top.txt
+	@echo "wrote $(PROFILEDIR)/cpu.pprof and $(PROFILEDIR)/top.txt"
 
 # One-iteration compile-and-run pass over every benchmark in the repo, so
 # `go test ./...` runs that match no benchmarks cannot let them rot.

@@ -41,9 +41,13 @@ type Config struct {
 	FarDegradedLatency uint64
 }
 
-// Validate checks the far-memory knobs for internal consistency.
+// Validate checks the MSHR count and the far-memory knobs. With no MSHR no
+// miss could ever reach memory, and the core would spin until its
+// forward-progress guard gives up.
 func (c *Config) Validate() error {
 	switch {
+	case c.MSHRs < 1:
+		return fmt.Errorf("cachesim: MSHRs %d must be at least 1", c.MSHRs)
 	case c.FarFrac < 0 || c.FarFrac > 1:
 		return fmt.Errorf("cachesim: FarFrac %v out of range [0,1]", c.FarFrac)
 	case c.FarFrac > 0 && c.FarLatency == 0:
@@ -78,8 +82,10 @@ type Hierarchy struct {
 	// Diagnostics: evictions of low-address (hot region) lines.
 	L2EvictHot uint64
 
-	// mshrs maps outstanding miss line address -> fill completion cycle.
-	mshrs map[uint64]uint64
+	// mshrs holds the outstanding misses, at most one per line and at
+	// most cfg.MSHRs in all. Every use is order-independent, so entries
+	// sit in no particular order.
+	mshrs []mshr
 
 	demandMisses   uint64
 	memAccesses    uint64
@@ -89,13 +95,17 @@ type Hierarchy struct {
 	farDegraded    uint64
 }
 
+// mshr is one outstanding line miss: its line address and the cycle its
+// fill completes.
+type mshr struct{ line, fill uint64 }
+
 // NewHierarchy builds the hierarchy from cfg.
 func NewHierarchy(cfg Config) *Hierarchy {
 	h := &Hierarchy{
 		L1:    NewCache("L1D", cfg.L1Size, cfg.L1Assoc, cfg.L1Latency),
 		L2:    NewCache("L2", cfg.L2Size, cfg.L2Assoc, cfg.L2Latency),
 		cfg:   cfg,
-		mshrs: make(map[uint64]uint64),
+		mshrs: make([]mshr, 0, cfg.MSHRs),
 	}
 	if cfg.PrefetchOn {
 		h.pf = NewStreamPrefetcher(cfg.PrefetchN, cfg.PrefetchD)
@@ -156,31 +166,42 @@ func (h *Hierarchy) PrefetchIssued() uint64 {
 // EarliestPendingFill returns the earliest MSHR fill-completion cycle
 // strictly after the given cycle, and whether one exists. It is a pure
 // read for the core's cycle-skip event computation: unlike the access
-// path it never prunes the MSHR map, so calling it cannot perturb later
+// path it never prunes the MSHR file, so calling it cannot perturb later
 // MSHR-occupancy decisions. The answer is conservative — a fill already
 // merged into an L1 line resolves through the completion heap instead —
 // but every cycle it names is a cycle at which memory state can change.
 func (h *Hierarchy) EarliestPendingFill(cycle uint64) (uint64, bool) {
 	best := ^uint64(0)
 	ok := false
-	for _, done := range h.mshrs {
-		if done > cycle && done < best {
-			best = done
+	for _, m := range h.mshrs {
+		if m.fill > cycle && m.fill < best {
+			best = m.fill
 			ok = true
 		}
 	}
 	return best, ok
 }
 
+// pruneMSHRs drops the entries whose fill completed by cycle.
 func (h *Hierarchy) pruneMSHRs(cycle uint64) {
-	if len(h.mshrs) == 0 {
-		return
-	}
-	for a, done := range h.mshrs {
-		if done <= cycle {
-			delete(h.mshrs, a)
+	kept := h.mshrs[:0]
+	for _, m := range h.mshrs {
+		if m.fill > cycle {
+			kept = append(kept, m)
 		}
 	}
+	h.mshrs = kept
+}
+
+// pendingFill returns the fill cycle of line la's MSHR entry, completed or
+// not, and whether it has one.
+func (h *Hierarchy) pendingFill(la uint64) (uint64, bool) {
+	for _, m := range h.mshrs {
+		if m.line == la {
+			return m.fill, true
+		}
+	}
+	return 0, false
 }
 
 // Access performs a demand read (write=false) or write (write=true) of addr
@@ -211,7 +232,7 @@ func (h *Hierarchy) Access(cycle, addr uint64, write bool) AccessResult {
 	// MSHR, and counting it against the cap would reject admissible
 	// accesses (spurious MSHRFull retries).
 	h.pruneMSHRs(cycle)
-	if done, ok := h.mshrs[la]; ok {
+	if done, ok := h.pendingFill(la); ok {
 		d := done + h.cfg.L1Latency
 		h.fillL1(la, d, write)
 		return AccessResult{Done: d, Level: 3}
@@ -223,7 +244,7 @@ func (h *Hierarchy) Access(cycle, addr uint64, write bool) AccessResult {
 	h.demandMisses++
 	h.memAccesses++
 	fill := cycle + h.memLatencyFor(cycle, la)
-	h.mshrs[la] = fill
+	h.mshrs = append(h.mshrs, mshr{la, fill})
 	if ev := h.L2.Insert(la, fill, false); ev.Valid && ev.Addr < 0x4000_0000 {
 		h.L2EvictHot++
 	}
@@ -259,7 +280,7 @@ func (h *Hierarchy) prefetchLine(cycle, addr uint64) {
 		return
 	}
 	h.pruneMSHRs(cycle)
-	if _, ok := h.mshrs[la]; ok {
+	if _, ok := h.pendingFill(la); ok {
 		return
 	}
 	if len(h.mshrs) >= h.cfg.MSHRs {
@@ -268,7 +289,7 @@ func (h *Hierarchy) prefetchLine(cycle, addr uint64) {
 	h.memAccesses++
 	h.prefFills++
 	fill := cycle + h.memLatencyFor(cycle, la)
-	h.mshrs[la] = fill
+	h.mshrs = append(h.mshrs, mshr{la, fill})
 	h.L2.Insert(la, fill, false)
 }
 
@@ -283,7 +304,7 @@ func (h *Hierarchy) WouldMissToMemory(cycle, addr uint64) bool {
 	if h.L1.Contains(la) || h.L2.Contains(la) {
 		return false
 	}
-	done, pending := h.mshrs[la]
+	done, pending := h.pendingFill(la)
 	return !(pending && done > cycle)
 }
 
@@ -297,7 +318,7 @@ func (h *Hierarchy) ProbeState(addr uint64) string {
 	if h.L2.Contains(la) {
 		return "l2"
 	}
-	if _, ok := h.mshrs[la]; ok {
+	if _, ok := h.pendingFill(la); ok {
 		return "mshr"
 	}
 	return "cold"

@@ -226,3 +226,53 @@ func TestPrefetcherSlotReplacement(t *testing.T) {
 		t.Logf("continuation produced %v", out)
 	}
 }
+
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		mod  func(*Config)
+		ok   bool
+	}{
+		{"defaults", func(*Config) {}, true},
+		{"one MSHR", func(c *Config) { c.MSHRs = 1 }, true},
+		{"zero MSHRs", func(c *Config) { c.MSHRs = 0 }, false},
+		{"negative MSHRs", func(c *Config) { c.MSHRs = -1 }, false},
+		{"far tier", func(c *Config) { c.FarFrac, c.FarLatency = 0.5, 2000 }, true},
+		{"FarFrac above one", func(c *Config) { c.FarFrac, c.FarLatency = 1.5, 2000 }, false},
+		{"FarFrac without latency", func(c *Config) { c.FarFrac = 0.5 }, false},
+		{"degrade without latency", func(c *Config) { c.FarDegradeAfter = 100 }, false},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.mod(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// pendingFillSink keeps BenchmarkHierarchyMissPath's side-effect-free
+// EarliestPendingFill calls from being optimized away.
+var pendingFillSink uint64
+
+// BenchmarkHierarchyMissPath measures demand accesses that all miss to
+// memory, arriving faster than fills return, so the MSHR file stays full:
+// every access prunes, searches and either fills or rejects an entry. The
+// skip engine's EarliestPendingFill probe rides along once per access.
+func BenchmarkHierarchyMissPath(b *testing.B) {
+	h := NewHierarchy(DefaultConfig())
+	x := uint64(0x9E3779B97F4A7C15)
+	var cycle uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x ^= x << 13 // xorshift64: scattered lines, no stream to prefetch
+		x ^= x >> 7
+		x ^= x << 17
+		cycle += 20 // 40 accesses per 800-cycle fill against 32 MSHRs
+		h.Access(cycle, x&(1<<34-1), false)
+		next, _ := h.EarliestPendingFill(cycle)
+		pendingFillSink += next
+	}
+	b.ReportMetric(float64(h.MSHRFullEvents())/float64(b.N), "mshr-full/op")
+}

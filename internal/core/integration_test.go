@@ -193,6 +193,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.RunUops = 0 },
 		func(c *Config) { c.LCFSize = 1000 },
 		func(c *Config) { c.UseLCF = false }, // with indexed fwd still on
+		func(c *Config) { c.Mem.MSHRs = 0 },
+		func(c *Config) { c.Mem.MSHRs = -1 },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig(DesignSRL)

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/bits"
+
 	"srlproc/internal/isa"
 	"srlproc/internal/xrand"
 )
@@ -33,14 +35,16 @@ type Generator struct {
 
 	seq uint64
 
-	// chain tracks registers holding values data-dependent on a recent
-	// load (the raw material of miss slices). Keyed by register number,
-	// value is the sequence number at which membership expires. Expiry only
-	// stops further chain *extension*; the register remains tainted (unsafe
-	// for "independent" reads) until overwritten, because in the simulator
-	// a poisoned value stays poisoned until the slice re-executes.
-	chain map[int8]uint64
-	taint map[int8]bool
+	// live is the set of registers (bit r = register r) holding values
+	// data-dependent on a recent load (the raw material of miss slices);
+	// chainExp[r] is the sequence number at which r's membership expires.
+	// Expiry only stops further chain *extension*; the register stays in
+	// taint (unsafe for "independent" reads) until overwritten, because in
+	// the simulator a poisoned value stays poisoned until the slice
+	// re-executes. live is always a subset of taint.
+	chainExp [isa.NumArchRegs]uint64
+	live     uint32
+	taint    uint32
 
 	nextReg int8
 
@@ -108,10 +112,8 @@ const (
 // NewGenerator builds a generator for profile prof seeded with seed.
 func NewGenerator(prof Profile, seed uint64) *Generator {
 	g := &Generator{
-		prof:  prof,
-		rng:   xrand.New(seed ^ uint64(prof.Suite+1)*0x9E37),
-		chain: make(map[int8]uint64),
-		taint: make(map[int8]bool),
+		prof: prof,
+		rng:  xrand.New(seed ^ uint64(prof.Suite+1)*0x9E37),
 	}
 	zipfSpan := prof.HeapLines
 	if prof.PhaseUops > 0 && prof.PhaseLines > 0 {
@@ -260,10 +262,14 @@ func (g *Generator) address(t *tmpl) uint64 {
 	}
 }
 
+// regBit is register r's bit in the live and taint sets.
+func regBit(r int8) uint32 { return 1 << uint(r) }
+
 func (g *Generator) pruneChains() {
-	for r, exp := range g.chain {
-		if exp <= g.seq {
-			delete(g.chain, r)
+	for m := g.live; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros32(m)
+		if g.chainExp[r] <= g.seq {
+			g.live &^= 1 << uint(r)
 		}
 	}
 }
@@ -273,22 +279,21 @@ func (g *Generator) pruneChains() {
 // ones that actually miss — so dependent consumers concentrate on real
 // slices. Scanning register order keeps selection deterministic.
 func (g *Generator) chainReg() (int8, bool) {
+	if g.live == 0 {
+		return 0, false
+	}
 	// Prefer a sweep-rooted (deep) chain: its expiry lies beyond what a
 	// normal joinChain could produce.
 	deepBound := g.seq + 2*uint64(g.prof.ChainDecay)
-	for r := int8(0); r < isa.NumArchRegs; r++ {
-		if exp, ok := g.chain[r]; ok && exp > deepBound {
-			return r, true
+	for m := g.live; m != 0; m &= m - 1 {
+		if r := bits.TrailingZeros32(m); g.chainExp[r] > deepBound {
+			return int8(r), true
 		}
 	}
-	start := int8(g.seq % isa.NumArchRegs)
-	for i := int8(0); i < isa.NumArchRegs; i++ {
-		r := (start + i) % isa.NumArchRegs
-		if _, ok := g.chain[r]; ok {
-			return r, true
-		}
-	}
-	return 0, false
+	// Otherwise the first live register at or cyclically after seq%32.
+	start := int(g.seq % isa.NumArchRegs)
+	r := (start + bits.TrailingZeros32(bits.RotateLeft32(g.live, -start))) % isa.NumArchRegs
+	return int8(r), true
 }
 
 // allocReg picks a destination register, preferring dead values — tainted
@@ -297,12 +302,8 @@ func (g *Generator) chainReg() (int8, bool) {
 // dead chain values keeps the tainted fraction of the register file low,
 // which in turn keeps miss slices bounded.
 func (g *Generator) allocReg() int8 {
-	for r := int8(0); r < isa.NumArchRegs; r++ {
-		if g.taint[r] {
-			if _, live := g.chain[r]; !live {
-				return r
-			}
-		}
+	if dead := g.taint &^ g.live; dead != 0 {
+		return int8(bits.TrailingZeros32(dead))
 	}
 	g.nextReg = (g.nextReg + 1) % isa.NumArchRegs
 	return g.nextReg
@@ -316,7 +317,7 @@ func (g *Generator) allocReg() int8 {
 func (g *Generator) cleanReg() int8 {
 	for try := 0; try < 6; try++ {
 		r := int8(g.rng.Intn(isa.NumArchRegs))
-		if !g.taint[r] {
+		if g.taint&regBit(r) == 0 {
 			return r
 		}
 	}
@@ -330,36 +331,36 @@ func (g *Generator) cleanReg() int8 {
 const maxLiveChain = 10
 
 func (g *Generator) joinChain(reg int8) {
-	if len(g.chain) >= maxLiveChain {
-		g.taint[reg] = true // value still poisonable, but chain stops growing
-		return
+	g.taint |= regBit(reg)
+	if bits.OnesCount32(g.live) >= maxLiveChain {
+		return // value still poisonable, but chain stops growing
 	}
-	g.chain[reg] = g.seq + uint64(g.prof.ChainDecay)
-	g.taint[reg] = true
+	g.live |= regBit(reg)
+	g.chainExp[reg] = g.seq + uint64(g.prof.ChainDecay)
 }
 
 // joinChainLong roots a chain with a much longer life, used for cold-sweep
 // loads (the ones that miss to memory): their consumers form the slice. If
-// the live set is full, the earliest-expiring chain is displaced — a miss
-// root always gets a chain.
+// the live set is full, the earliest-expiring chain is displaced, the
+// lowest-numbered register on a tie — a miss root always gets a chain.
 func (g *Generator) joinChainLong(reg int8) {
-	if _, ok := g.chain[reg]; !ok && len(g.chain) >= maxLiveChain {
-		victim := int8(-1)
-		var vexp uint64
-		for r, exp := range g.chain {
-			if victim < 0 || exp < vexp {
-				victim, vexp = r, exp
+	if g.live&regBit(reg) == 0 && bits.OnesCount32(g.live) >= maxLiveChain {
+		victim := bits.TrailingZeros32(g.live)
+		for m := g.live & (g.live - 1); m != 0; m &= m - 1 {
+			if r := bits.TrailingZeros32(m); g.chainExp[r] < g.chainExp[victim] {
+				victim = r
 			}
 		}
-		delete(g.chain, victim)
+		g.live &^= 1 << uint(victim)
 	}
-	g.chain[reg] = g.seq + 6*uint64(g.prof.ChainDecay)
-	g.taint[reg] = true
+	g.live |= regBit(reg)
+	g.taint |= regBit(reg)
+	g.chainExp[reg] = g.seq + 6*uint64(g.prof.ChainDecay)
 }
 
 func (g *Generator) leaveChain(reg int8) {
-	delete(g.chain, reg)
-	delete(g.taint, reg)
+	g.live &^= regBit(reg)
+	g.taint &^= regBit(reg)
 }
 
 // Next produces the next micro-op in program order.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"srlproc/internal/isa"
@@ -204,8 +205,11 @@ func TestChainSetBounded(t *testing.T) {
 	g := NewGenerator(ProfileFor(SFP2K), 17)
 	for i := 0; i < 50_000; i++ {
 		g.Next()
-		if len(g.chain) > maxLiveChain {
-			t.Fatalf("live chain set grew to %d", len(g.chain))
+		if n := bits.OnesCount32(g.live); n > maxLiveChain {
+			t.Fatalf("live chain set grew to %d", n)
+		}
+		if g.live&^g.taint != 0 {
+			t.Fatalf("live chains %#x not all tainted (%#x)", g.live, g.taint)
 		}
 	}
 }
