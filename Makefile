@@ -31,9 +31,10 @@ srlbench-test:
 bench:
 	go test -run '^$$' -bench BenchmarkSweepMatrix -benchtime 1x -benchmem .
 
-# Machine-readable perf trajectory: the cycle-loop, trace-generator and
-# MSHR miss-path micro-benchmarks (three repetitions, minimum kept) plus the
-# end-to-end sweep matrix, rendered to BENCH_core.json by cmd/benchjson.
+# Machine-readable perf trajectory: the cycle-loop, ready-list,
+# order-tracker, trace-generator and MSHR miss-path micro-benchmarks (three
+# repetitions, minimum kept) plus the end-to-end sweep matrix, rendered to
+# BENCH_core.json by cmd/benchjson.
 # This file is the CI bench gate's baseline and the repo's recorded perf
 # history — regenerate and commit it when a PR intentionally shifts
 # performance.
@@ -41,8 +42,10 @@ BENCHOUT ?= BENCH_core.json
 BENCHRAW ?= /tmp/srlproc_bench_raw.txt
 bench-json:
 	@{ go test -run '^$$' -bench '^BenchmarkSweepMatrix$$/^serial$$' -benchtime 1x -benchmem . && \
-	   go test -run '^$$' -bench '^(BenchmarkCycleLoop|BenchmarkReadyHeap|BenchmarkIssueWidth)(/|$$)' \
+	   go test -run '^$$' -bench '^(BenchmarkCycleLoop|BenchmarkReadyList|BenchmarkIssueWidth)(/|$$)' \
 	       -benchtime 20000x -count 3 -benchmem ./internal/core && \
+	   go test -run '^$$' -bench '^BenchmarkOrderTracker$$' \
+	       -benchtime 20000x -count 3 -benchmem ./internal/lsq && \
 	   go test -run '^$$' -bench '^BenchmarkCycleLoopSkip(/|$$)' \
 	       -benchtime 10x -count 3 -benchmem ./internal/core && \
 	   go test -run '^$$' -bench '^BenchmarkGeneratorNext(/|$$)' \
@@ -121,11 +124,14 @@ paper-smoke:
 # Budgeted differential-oracle run (see internal/check): the seeded-bug and
 # regression-trace tests, the full-scale oracle sweep over every Figure 2/6
 # design point, then FUZZTIME of randomized trace-profile x design-point
-# fuzzing. Failing fuzz inputs are auto-saved under
-# internal/check/testdata/fuzz/FuzzOracle/ and become permanent regression
-# seeds; minimize one with `go run ./cmd/traceconv minimize`.
+# fuzzing, then FUZZTIME of arbitrary bytes through the .srlt decoder and a
+# short simulation of whatever it accepts. Failing fuzz inputs are
+# auto-saved under internal/check/testdata/fuzz/FuzzOracle/ and
+# internal/trace/testdata/fuzz/FuzzReadRecords/ and become permanent
+# regression seeds; minimize an oracle one with `go run ./cmd/traceconv minimize`.
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/check -run 'TestSeededForwardingBugCaught|TestSeededOrderingBugCaught|TestRegressionTraces' -count=1
 	SRLPROC_ORACLE_FULL=1 go test ./internal/check -run 'TestFiguresOracleClean|TestOrderingOracleClean' -count=1
 	go test ./internal/check -run '^$$' -fuzz FuzzOracle -fuzztime $(FUZZTIME)
+	go test ./internal/trace -run '^$$' -fuzz FuzzReadRecords -fuzztime $(FUZZTIME)

@@ -9,6 +9,8 @@
 package check
 
 import (
+	"context"
+
 	"srlproc/internal/core"
 	"srlproc/internal/isa"
 	"srlproc/internal/lsq"
@@ -189,7 +191,7 @@ func RunChecked(cfg core.Config, suite trace.Suite, uops []isa.Uop) (*core.Resul
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(), nil
+	return c.RunContext(context.Background())
 }
 
 // sliceSource replays an in-memory micro-op slice as a trace.Source with

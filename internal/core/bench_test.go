@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"srlproc/internal/isa"
 	"srlproc/internal/trace"
 )
 
@@ -82,25 +83,58 @@ func BenchmarkCycleLoopSkip(b *testing.B) {
 	}
 }
 
-// BenchmarkReadyHeap measures the scheduler ready-heap push/pop cycle with
-// the real readyEntry payload (the hot pair of the issue stage).
-func BenchmarkReadyHeap(b *testing.B) {
-	var h readyHeap
-	h.Grow(256)
+// BenchmarkReadyList measures the issue stage's ready list on its own: push
+// is one cycle's worth of arrivals eight times over (64 entries, each
+// eight-entry block pushed youngest first, as wake-ups arrive out of
+// order), and scan is eight select passes over 64 entries, half of them
+// loads whose port is taken, which stay put — the case a heap paid for
+// with a pop and a re-push per entry.
+func BenchmarkReadyList(b *testing.B) {
 	var uops [64]dynUop
 	for i := range uops {
-		uops[i].u.Seq = uint64(i)
+		uops[i].u.Seq = uint64(i + 1)
+		if i%2 == 0 {
+			uops[i].u.Class = isa.Load
+		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("push", func(b *testing.B) {
+		var l readyList
+		l.grow(len(uops))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < 8; r++ {
+				l.s = l.s[:0]
+				for blk := 0; blk < len(uops); blk += 8 {
+					for j := blk + 7; j >= blk; j-- {
+						l.push(&uops[j])
+					}
+				}
+			}
+		}
+	})
+	b.Run("scan", func(b *testing.B) {
+		var l readyList
+		l.grow(len(uops))
 		for j := range uops {
-			pushReady(&h, &uops[j])
+			l.push(&uops[j])
 		}
-		for h.Len() > 0 {
-			h.PopMin()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < 8; r++ {
+				l.begin()
+				for {
+					e, ok := l.next()
+					if !ok {
+						break
+					}
+					l.keep(e)
+				}
+				l.end()
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkIssueWidth measures the cycle loop at different issue widths —

@@ -41,14 +41,14 @@ type Core struct {
 	lastWriter [isa.NumArchRegs]uopRef
 
 	// Scheduling.
-	ready readyHeap
+	ready readyList
 	cmpl  cmplHeap
 	// sdb is the slice data buffer. It is kept ordered by sequence number
 	// (oldest poisoned uop first): slices drain and re-insert in program
 	// order, and a consumer can never block the queue ahead of its
 	// producer, which a plain arrival-order FIFO would allow after
 	// re-slicing against a second miss.
-	sdb       readyHeap
+	sdb       sdbHeap
 	pendDrain []*dynUop // poisoned uops waiting for SDB space
 
 	// Memory-ordering enforcement (ordering.go, DESIGN.md §12): the ring
@@ -73,12 +73,10 @@ type Core struct {
 	// Steady-state allocation pools and scratch. uopFree recycles dynUops
 	// popped from the window at commit (epoch-bumped, so stale references
 	// self-invalidate); nodeFree recycles waiter-list nodes; ckptFree
-	// recycles checkpoint records; parkedScratch is issue()'s per-cycle
-	// holding pen for port-starved entries, reused across cycles.
-	uopFree       []*dynUop
-	nodeFree      *waiterNode
-	ckptFree      []*ckptState
-	parkedScratch []readyEntry
+	// recycles checkpoint records.
+	uopFree  []*dynUop
+	nodeFree *waiterNode
+	ckptFree []*ckptState
 
 	// pendingFetch holds a generated-but-not-yet-allocated uop so that a
 	// resource stall never drops an instruction from the stream.
@@ -233,7 +231,7 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 		gen:      src,
 		prof:     prof,
 		win:      newWindow(cfg.WindowCap),
-		order:    lsq.NewOrderTracker(),
+		order:    lsq.NewOrderTracker(cfg.WindowCap),
 		mem:      cachesim.NewHierarchy(cfg.Mem),
 		bp:       bpred.NewHybrid(),
 		mdp:      memdep.New(cfg.StoreSetsSize),
@@ -246,18 +244,17 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 	c.res.Suite = prof.Suite
 	c.res.Design = cfg.Design
 	c.recentLoads = make([]uint64, 64)
-	// Pre-size the scheduler heaps from the structures that bound their
-	// live population (the scheduler windows for ready, the slice data
-	// buffer and completion burst for the others): after at most one
+	// Pre-size the ready list and the event heaps from the structures that
+	// bound their live population (the scheduler windows for ready, the
+	// slice data buffer and completion burst for the heaps): after at most one
 	// amortized growth lap to the run's true working size, the cycle loop
 	// never allocates. Sizing from WindowCap would be correct too but
 	// wastes ~0.7 MB per core across a sweep's many short-lived cores.
-	c.ready.Grow(cfg.SchedInt + cfg.SchedFP + cfg.SchedMem + cfg.IssueWidth)
+	c.ready.grow(cfg.SchedInt + cfg.SchedFP + cfg.SchedMem + cfg.IssueWidth)
 	c.sdb.Grow(256)
 	c.cmpl.Grow(256)
 	c.uopFree = make([]*dynUop, 0, 64)
 	c.ckptFree = make([]*ckptState, 0, cfg.Checkpoints+1)
-	c.parkedScratch = make([]readyEntry, 0, cfg.IssueWidth+2)
 	// Store identifiers start at 1: a load allocated before any store then
 	// carries nearestStoreID 0, which every magnitude age comparison reads
 	// as "older than all stores". Starting at 0 made that value underflow
@@ -404,9 +401,13 @@ func (c *Core) findCkpt(id int) *ckptState {
 }
 
 // Run simulates until cfg.WarmupUops+cfg.RunUops micro-ops have committed
-// and returns the measured-region results.
+// and returns the measured-region results. It panics with the
+// *NoProgressError RunContext would return if the machine wedges.
 func (c *Core) Run() *Results {
-	res, _ := c.RunContext(context.Background())
+	res, err := c.RunContext(context.Background())
+	if err != nil {
+		panic(err)
+	}
 	return res
 }
 
@@ -419,17 +420,34 @@ const ctxPollMask = 0x1fff
 // progressGuardIters bounds loop iterations between committed-uop advances.
 // It is denominated in iterations, not cycles: with EventSkip one iteration
 // can cover thousands of simulated cycles, so a cycle-based bound would
-// false-panic on legitimately long miss shadows when skipping is off and
+// falsely trip on legitimately long miss shadows when skipping is off and
 // degenerate to uselessness when it is on. The largest legitimate
 // commit-to-commit gap observed across the figure sweeps is a few million
 // stepped cycles; 40M iterations is an order of magnitude of headroom while
-// still catching a genuinely wedged machine in seconds of wall time.
-const progressGuardIters = 40_000_000
+// still catching a genuinely wedged machine in seconds of wall time. It is
+// a variable only so this package's tests can trip it quickly.
+var progressGuardIters uint64 = 40_000_000
+
+// NoProgressError is RunContext's error when the forward-progress guard
+// trips: progressGuardIters loop iterations passed without a commit, so the
+// machine is wedged (a simulator bug). State is the core's diagnostic
+// snapshot at that point.
+type NoProgressError struct {
+	Suite  trace.Suite
+	Design StoreDesign
+	Cycle  uint64
+	State  string
+}
+
+func (e *NoProgressError) Error() string {
+	return fmt.Sprintf("core: %s/%s: no forward progress at cycle %d: %s", e.Suite, e.Design, e.Cycle, e.State)
+}
 
 // RunContext simulates like Run but with cooperative cancellation: the
 // context is polled every few thousand loop iterations and, once it is
 // done, the run stops and ctx.Err() is returned (wrapped). The core is left
-// mid-flight and must not be reused after a cancelled run.
+// mid-flight and must not be reused after a cancelled run. A wedged machine
+// stops the run the same way, with a *NoProgressError.
 //
 // When cfg.EventSkip is set, each real step may be followed by a
 // fast-forward over a proven-quiescent gap (see skip.go). The ctx poll
@@ -452,7 +470,7 @@ func (c *Core) RunContext(ctx context.Context) (*Results, error) {
 			lastCommitted = c.committed
 			sinceCommit = 0
 		} else if sinceCommit++; sinceCommit > progressGuardIters {
-			panic("core: no forward progress: " + c.debugState())
+			return nil, &NoProgressError{Suite: c.res.Suite, Design: c.cfg.Design, Cycle: c.cycle, State: c.debugState()}
 		}
 	}
 	return c.Finalize(), nil

@@ -156,12 +156,23 @@ func (w *window) push(d *dynUop) {
 	if w.full() {
 		panic("core: window overflow")
 	}
-	w.buf[(w.head+w.count)%len(w.buf)] = d
+	w.buf[w.slot(w.count)] = d
 	w.count++
 }
 
+// slot maps offset i from the head (0 <= i <= capacity) to its ring
+// slot, with a conditional subtract instead of % (the capacity is a
+// configuration value, so a division would be a real divide per access).
+func (w *window) slot(i int) int {
+	j := w.head + i
+	if j >= len(w.buf) {
+		j -= len(w.buf)
+	}
+	return j
+}
+
 func (w *window) at(i int) *dynUop {
-	return w.buf[(w.head+i)%len(w.buf)]
+	return w.buf[w.slot(i)]
 }
 
 func (w *window) popFront() *dynUop {
@@ -170,7 +181,7 @@ func (w *window) popFront() *dynUop {
 	}
 	d := w.buf[w.head]
 	w.buf[w.head] = nil
-	w.head = (w.head + 1) % len(w.buf)
+	w.head = w.slot(1)
 	w.count--
 	return d
 }
@@ -190,19 +201,22 @@ func (w *window) indexOfSeq(seq uint64) int {
 
 // --- event heaps ---
 //
-// Both scheduler heaps are heapq.Heap instances — index-based min-heaps
-// over preallocated slices, no interface boxing on Push/Pop. The ready/SDB
-// heaps key on sequence number (oldest schedulable uop first); the
-// completion heap keys on the event's cycle. Entries carry the uop's epoch
-// at insertion so squashes invalidate them lazily.
+// Two event queues remain heaps (heapq.Heap: index-based min-heaps over
+// preallocated slices, no interface boxing on Push/Pop): the slice data
+// buffer, keyed by sequence number so slices re-insert oldest first, and
+// the completion heap, keyed by the event's cycle. Many completions share
+// a cycle, and heapq's sift reproduces container/heap's swaps exactly so
+// those ties pop in the order they always have. The ready set is the
+// age-ordered readyList (ready.go), not a heap. Entries carry the uop's
+// epoch at insertion so squashes invalidate them lazily.
 
-// readyEntry is the payload of the ready and SDB heaps (key: d.u.Seq).
-type readyEntry struct {
+// sdbEntry is the payload of the SDB heap (key: d.u.Seq).
+type sdbEntry struct {
 	d     *dynUop
 	epoch uint32
 }
 
-type readyHeap = heapq.Heap[readyEntry]
+type sdbHeap = heapq.Heap[sdbEntry]
 
 // cmplEvent is the payload of the completion heap (key: completion cycle).
 type cmplEvent struct {
@@ -216,8 +230,8 @@ func pushCmpl(h *cmplHeap, cycle uint64, d *dynUop) {
 	h.Push(cycle, cmplEvent{d: d, epoch: d.epoch})
 }
 
-func pushReady(h *readyHeap, d *dynUop) {
-	h.Push(d.u.Seq, readyEntry{d: d, epoch: d.epoch})
+func pushSDB(h *sdbHeap, d *dynUop) {
+	h.Push(d.u.Seq, sdbEntry{d: d, epoch: d.epoch})
 }
 
 // --- checkpoints ---

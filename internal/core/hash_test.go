@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,5 +91,33 @@ func TestRunContextCompletesUncancelled(t *testing.T) {
 	}
 	if res.Uops < cfg.RunUops {
 		t.Fatalf("short run: %d uops", res.Uops)
+	}
+}
+
+// TestRunContextNoProgressError trips the forward-progress guard with a
+// bound far below one stepped DRAM miss shadow: RunContext must stop with
+// a *NoProgressError carrying the core's diagnostic state, not panic.
+func TestRunContextNoProgressError(t *testing.T) {
+	defer func(n uint64) { progressGuardIters = n }(progressGuardIters)
+	progressGuardIters = 50
+	cfg := DefaultConfig(DesignBaseline)
+	cfg.WarmupUops = 1_000
+	cfg.RunUops = 10_000
+	cfg.EventSkip = false
+	c, err := New(cfg, trace.SFP2K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunContext(context.Background())
+	var np *NoProgressError
+	if !errors.As(err, &np) {
+		t.Fatalf("RunContext returned %v, want a *NoProgressError", err)
+	}
+	if res != nil {
+		t.Fatal("a wedged run returned results")
+	}
+	if np.Cycle == 0 || np.Design != DesignBaseline || np.Suite != trace.SFP2K ||
+		!strings.Contains(np.State, "cycle=") || !strings.Contains(err.Error(), np.State) {
+		t.Fatalf("error lacks the run's identity or state: %+v", np)
 	}
 }

@@ -21,9 +21,9 @@ func (c *Core) addWaiter(producer, consumer *dynUop) {
 }
 
 // wakeWaiters notifies consumers that d's value (or poison) is available.
-// List order does not affect behavior: woken consumers are pushed into the
-// ready heap keyed by their distinct sequence numbers, and a min-heap pops
-// distinct keys in sorted order regardless of push order.
+// List order does not affect behavior: woken consumers enter the ready
+// list at the position their distinct sequence numbers sort to, whatever
+// the order they are pushed in.
 func (c *Core) wakeWaiters(d *dynUop) {
 	n := d.waiters
 	d.waiters = nil
@@ -35,7 +35,7 @@ func (c *Core) wakeWaiters(d *dynUop) {
 				w.pendingSrc--
 			}
 			if w.pendingSrc == 0 && w.inSched {
-				pushReady(&c.ready, w)
+				c.ready.push(w)
 			}
 		}
 		n.d = nil
@@ -197,7 +197,7 @@ func (c *Core) drainToSDB(d *dynUop) {
 	if c.sdbCount < c.cfg.SDBSize {
 		d.inSDB = true
 		c.sdbCount++
-		pushReady(&c.sdb, d)
+		pushSDB(&c.sdb, d)
 	} else {
 		c.pendDrain = append(c.pendDrain, d)
 	}
@@ -239,7 +239,7 @@ func (c *Core) movePendingDrains() {
 		if d.poisoned && !d.inSDB && d.allocated {
 			d.inSDB = true
 			c.sdbCount++
-			pushReady(&c.sdb, d)
+			pushSDB(&c.sdb, d)
 		}
 	}
 	if i > 0 {
@@ -346,7 +346,7 @@ func (c *Core) reinsertSlice() {
 		c.schedTake(d.u.Class)
 		c.regTake(d)
 		d.pendingSrc = 0
-		pushReady(&c.ready, d)
+		c.ready.push(d)
 	}
 }
 
@@ -619,7 +619,7 @@ func (c *Core) issue() {
 	// Re-arm uops deferred to this cycle (MSHR-full retries).
 	for _, d := range c.deferred {
 		if d.allocated && d.inSched {
-			pushReady(&c.ready, d)
+			c.ready.push(d)
 		}
 	}
 	c.deferred = c.deferred[:0]
@@ -627,9 +627,12 @@ func (c *Core) issue() {
 	budget := c.cfg.IssueWidth
 	loadP := c.cfg.LoadPorts
 	storeP := c.cfg.StorePorts
-	parked := c.parkedScratch[:0]
-	for budget > 0 && c.ready.Len() > 0 {
-		_, re := c.ready.PopMin()
+	c.ready.begin()
+	for budget > 0 {
+		re, ok := c.ready.next()
+		if !ok {
+			break
+		}
 		d := re.d
 		if re.epoch != d.epoch || !d.inSched || d.pendingSrc > 0 {
 			continue
@@ -642,13 +645,13 @@ func (c *Core) issue() {
 		switch d.u.Class {
 		case isa.Load:
 			if loadP == 0 {
-				parked = append(parked, re)
+				c.ready.keep(re)
 				continue
 			}
 			loadP--
 		case isa.Store:
 			if storeP == 0 {
-				parked = append(parked, re)
+				c.ready.keep(re)
 				continue
 			}
 			storeP--
@@ -656,12 +659,7 @@ func (c *Core) issue() {
 		budget--
 		c.execute(d)
 	}
-	for _, re := range parked {
-		// Re-insert with the captured epoch (not a fresh one): the entry
-		// must stay invalid if the uop was squashed while parked.
-		c.ready.Push(re.d.u.Seq, re)
-	}
-	c.parkedScratch = parked[:0]
+	c.ready.end()
 }
 
 // --- allocate / fetch ---
@@ -861,7 +859,7 @@ func (c *Core) allocate() {
 		}
 
 		if d.pendingSrc == 0 {
-			pushReady(&c.ready, d)
+			c.ready.push(d)
 		}
 	}
 }

@@ -5,17 +5,19 @@
 // allocation each) — the dominant allocation sites in a cycle-stepped
 // run. This heap stores (key, value) pairs inline in a slice, so
 // steady-state Push/Pop allocate nothing once the slice has grown to its
-// working size.
+// working size. Two of the core's queues use it: the completion heap,
+// keyed by cycle, and the slice data buffer, keyed by sequence number.
+// (The ready set, once a third heap, is an age-ordered array now.)
 //
 // The sift algorithm is a line-for-line port of container/heap's up/down
-// with pairwise swaps. That is deliberate, not incidental: heap order is
-// only partial, so the layout after a sequence of operations — and hence
-// the pop order among EQUAL keys — depends on the exact swap sequence.
-// The simulator's completion heap is keyed by cycle and routinely holds
-// many events for the same cycle; replicating container/heap's swaps
-// keeps a refactored simulator bit-for-bit identical to the original.
-// Do not "optimise" up/down into a hole-copying sift without re-verifying
-// determinism against the full oracle sweep.
+// with pairwise swaps. That is deliberate, not incidental, and it is for
+// the completion heap: heap order is only partial, so the layout after a
+// sequence of operations — and hence the pop order among EQUAL keys —
+// depends on the exact swap sequence, and the completion heap routinely
+// holds many events for the same cycle. Replicating container/heap's
+// swaps keeps their pop order, and with it every simulated result,
+// bit-for-bit what it was. Do not "optimise" up/down into a hole-copying
+// sift without re-verifying determinism against the full oracle sweep.
 package heapq
 
 // Heap is a min-heap of values ordered by a uint64 key. Ties pop in an

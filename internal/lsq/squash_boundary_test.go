@@ -97,12 +97,12 @@ func TestSquashBoundaryLoadBuffer(t *testing.T) {
 }
 
 func TestSquashBoundaryOrderTracker(t *testing.T) {
-	tr := NewOrderTracker()
+	tr := NewOrderTracker(64)
 	for _, s := range []uint64{9, 10, 11} {
 		tr.LoadAllocated(s)
 	}
 	tr.SquashYoungerThan(boundary)
-	seqsKept(t, "OrderTracker", func(seq uint64) bool { return tr.outstanding[seq] })
+	seqsKept(t, "OrderTracker", func(seq uint64) bool { return tr.has(seq) })
 	// The surviving loads still gate the SRL head; the squashed one does not.
 	if tr.AllLoadsOlderThanDone(11) {
 		t.Fatal("loads 9 and 10 must still gate a head at seq 11")

@@ -67,7 +67,7 @@ func (s *SRL) Alloc(e StoreEntry) (uint64, bool) {
 	} else if e.SRLIndex != s.base+uint64(s.count) {
 		panic("lsq: SRL allocation out of store-identifier order")
 	}
-	s.entries[(s.head+s.count)%len(s.entries)] = e
+	s.entries[ringSlot(s.head, s.count, len(s.entries))] = e
 	s.count++
 	s.writes++
 	return e.SRLIndex, true
@@ -79,7 +79,7 @@ func (s *SRL) Get(idx uint64) *StoreEntry {
 	if idx < s.base || idx >= s.base+uint64(s.count) {
 		return nil
 	}
-	return &s.entries[(s.head+int(idx-s.base))%len(s.entries)]
+	return &s.entries[ringSlot(s.head, int(idx-s.base), len(s.entries))]
 }
 
 // Fill completes a reserved entry: the re-executed miss-dependent store
@@ -111,7 +111,7 @@ func (s *SRL) PopHead() (StoreEntry, bool) {
 		return StoreEntry{}, false
 	}
 	e := s.entries[s.head]
-	s.head = (s.head + 1) % len(s.entries)
+	s.head = ringSlot(s.head, 1, len(s.entries))
 	s.base++
 	s.count--
 	s.reads++
@@ -130,7 +130,7 @@ func (s *SRL) IndexedRead(idx uint64) *StoreEntry {
 // differential checker's FIFO/coverage sweeps.
 func (s *SRL) ForEach(fn func(i int, e *StoreEntry)) {
 	for i := 0; i < s.count; i++ {
-		fn(i, &s.entries[(s.head+i)%len(s.entries)])
+		fn(i, &s.entries[ringSlot(s.head, i, len(s.entries))])
 	}
 }
 
@@ -144,7 +144,7 @@ func (s *SRL) ForEach(fn func(i int, e *StoreEntry)) {
 func (s *SRL) SquashYoungerThan(seq uint64) []StoreEntry {
 	removed := s.squashScratch[:0]
 	for s.count > 0 {
-		tail := &s.entries[(s.head+s.count-1)%len(s.entries)]
+		tail := &s.entries[ringSlot(s.head, s.count-1, len(s.entries))]
 		if tail.Seq <= seq {
 			break
 		}

@@ -110,7 +110,7 @@ func (q *StoreQueue) Alloc(e StoreEntry) (int, bool) {
 	if q.Full() {
 		return -1, false
 	}
-	slot := (q.head + q.count) % len(q.entries)
+	slot := ringSlot(q.head, q.count, len(q.entries))
 	q.entries[slot] = e
 	q.count++
 	return slot, true
@@ -123,7 +123,10 @@ func (q *StoreQueue) Locate(slot int, seq uint64) *StoreEntry {
 	if slot < 0 || slot >= len(q.entries) {
 		return nil
 	}
-	off := (slot - q.head + len(q.entries)) % len(q.entries)
+	off := slot - q.head
+	if off < 0 {
+		off += len(q.entries)
+	}
 	if off >= q.count {
 		return nil
 	}
@@ -133,9 +136,20 @@ func (q *StoreQueue) Locate(slot int, seq uint64) *StoreEntry {
 	return &q.entries[slot]
 }
 
+// ringSlot maps offset i from head (0 <= i <= n) to its slot in a ring of
+// n entries. A conditional subtract stands in for %: the 48-entry queue of
+// Table 1 is not a power of two, so no mask would do, and a division per
+// access showed in profiles.
+func ringSlot(head, i, n int) int {
+	if j := head + i; j < n {
+		return j
+	}
+	return head + i - n
+}
+
 // at returns the i-th entry from the head (0 = oldest).
 func (q *StoreQueue) at(i int) *StoreEntry {
-	return &q.entries[(q.head+i)%len(q.entries)]
+	return &q.entries[ringSlot(q.head, i, len(q.entries))]
 }
 
 // Head returns the oldest entry, or nil when empty.
@@ -152,7 +166,7 @@ func (q *StoreQueue) PopHead() (StoreEntry, bool) {
 		return StoreEntry{}, false
 	}
 	e := *q.at(0)
-	q.head = (q.head + 1) % len(q.entries)
+	q.head = ringSlot(q.head, 1, len(q.entries))
 	q.count--
 	return e, true
 }

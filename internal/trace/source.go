@@ -130,19 +130,50 @@ func WriteRecords(w io.Writer, uops []isa.Uop) error {
 	return tw.Flush()
 }
 
+// decodeRecord parses record i (counting from 0) of a trace. A class or
+// register number outside the ISA is an error rather than a micro-op — the
+// simulator indexes per-class and per-register tables with them directly —
+// and so is a sequence number other than i+1 or a producer reference
+// (MemSeq) that is not older than its load: the window relies on dense
+// program order, and looping a trace shifts every number by one pass.
+func decodeRecord(rec *[recordBytes]byte, i uint64) (isa.Uop, error) {
+	u := isa.Uop{
+		Seq:    binary.LittleEndian.Uint64(rec[0:]),
+		PC:     binary.LittleEndian.Uint64(rec[8:]),
+		Addr:   binary.LittleEndian.Uint64(rec[16:]),
+		MemSeq: binary.LittleEndian.Uint64(rec[24:]),
+		Class:  isa.Class(rec[32]),
+		Src1:   int8(rec[33]),
+		Src2:   int8(rec[34]),
+		Dst:    int8(rec[35]),
+		Size:   rec[36],
+		Taken:  rec[37] != 0,
+		Acq:    rec[38]&flagAcq != 0,
+		Rel:    rec[38]&flagRel != 0,
+	}
+	if u.Class >= isa.NumClasses {
+		return isa.Uop{}, fmt.Errorf("class %d out of range", rec[32])
+	}
+	for _, r := range [...]int8{u.Src1, u.Src2, u.Dst} {
+		if r != isa.NoReg && (r < 0 || r >= isa.NumArchRegs) {
+			return isa.Uop{}, fmt.Errorf("register %d out of range", r)
+		}
+	}
+	if u.Seq != i+1 {
+		return isa.Uop{}, fmt.Errorf("sequence number %d, want %d", u.Seq, i+1)
+	}
+	if u.MemSeq >= u.Seq {
+		return isa.Uop{}, fmt.Errorf("producer %d is not older than the load", u.MemSeq)
+	}
+	return u, nil
+}
+
 // ReadRecords parses a whole trace file into memory (one pass, no looping) —
 // the counterpart of WriteRecords for replaying minimized divergence traces.
 func ReadRecords(rd io.Reader) ([]isa.Uop, error) {
 	br := bufio.NewReaderSize(rd, 1<<16)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[0:]); got != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %#x", got)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[4:]); got != traceVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", got)
+	if err := readHeader(br); err != nil {
+		return nil, err
 	}
 	var uops []isa.Uop
 	for {
@@ -153,21 +184,27 @@ func ReadRecords(rd io.Reader) ([]isa.Uop, error) {
 			}
 			return nil, fmt.Errorf("trace: reading record %d: %w", len(uops), err)
 		}
-		uops = append(uops, isa.Uop{
-			Seq:    binary.LittleEndian.Uint64(rec[0:]),
-			PC:     binary.LittleEndian.Uint64(rec[8:]),
-			Addr:   binary.LittleEndian.Uint64(rec[16:]),
-			MemSeq: binary.LittleEndian.Uint64(rec[24:]),
-			Class:  isa.Class(rec[32]),
-			Src1:   int8(rec[33]),
-			Src2:   int8(rec[34]),
-			Dst:    int8(rec[35]),
-			Size:   rec[36],
-			Taken:  rec[37] != 0,
-			Acq:    rec[38]&flagAcq != 0,
-			Rel:    rec[38]&flagRel != 0,
-		})
+		u, err := decodeRecord(&rec, uint64(len(uops)))
+		if err != nil {
+			return nil, fmt.Errorf("trace: record %d: %w", len(uops), err)
+		}
+		uops = append(uops, u)
 	}
+}
+
+// readHeader reads and checks the magic/version header.
+func readHeader(br *bufio.Reader) error {
+	var hdr [8]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return fmt.Errorf("trace: reading header: %w", err)
+	}
+	if got := binary.LittleEndian.Uint32(hdr[0:]); got != traceMagic {
+		return fmt.Errorf("trace: bad magic %#x", got)
+	}
+	if got := binary.LittleEndian.Uint32(hdr[4:]); got != traceVersion {
+		return fmt.Errorf("trace: unsupported version %d", got)
+	}
+	return nil
 }
 
 // Reader replays a recorded trace as a Source. When the trace is exhausted
@@ -183,9 +220,31 @@ type Reader struct {
 	err     error
 }
 
-// NewReader validates the header and returns a replaying Source.
+// NewReader validates the header and every record and returns a replaying
+// Source. Checking the records here makes a bad one an error before the
+// run rather than a silent switch to no-op micro-ops in the middle of it.
+// A trace needs at least one whole record: an empty one has nothing to
+// loop over.
 func NewReader(rs io.ReadSeeker) (*Reader, error) {
 	r := &Reader{rs: rs}
+	if err := r.rewind(); err != nil {
+		return nil, err
+	}
+	for i := uint64(0); ; i++ {
+		var rec [recordBytes]byte
+		if _, err := io.ReadFull(r.br, rec[:]); err != nil {
+			if err != io.EOF && err != io.ErrUnexpectedEOF {
+				return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
+			}
+			if i == 0 {
+				return nil, fmt.Errorf("trace: no records")
+			}
+			break
+		}
+		if _, err := decodeRecord(&rec, i); err != nil {
+			return nil, fmt.Errorf("trace: record %d: %w", i, err)
+		}
+	}
 	if err := r.rewind(); err != nil {
 		return nil, err
 	}
@@ -197,17 +256,7 @@ func (r *Reader) rewind() error {
 		return err
 	}
 	r.br = bufio.NewReaderSize(r.rs, 1<<16)
-	var hdr [8]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		return fmt.Errorf("trace: reading header: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[0:]); got != traceMagic {
-		return fmt.Errorf("trace: bad magic %#x", got)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[4:]); got != traceVersion {
-		return fmt.Errorf("trace: unsupported version %d", got)
-	}
-	return nil
+	return readHeader(r.br)
 }
 
 // Err returns the first error encountered while replaying (io errors make
@@ -235,20 +284,12 @@ func (r *Reader) Next() isa.Uop {
 		r.err = err
 		return r.Next()
 	}
-	u := isa.Uop{
-		Seq:    binary.LittleEndian.Uint64(rec[0:]) + r.seqBase,
-		PC:     binary.LittleEndian.Uint64(rec[8:]),
-		Addr:   binary.LittleEndian.Uint64(rec[16:]),
-		MemSeq: binary.LittleEndian.Uint64(rec[24:]),
-		Class:  isa.Class(rec[32]),
-		Src1:   int8(rec[33]),
-		Src2:   int8(rec[34]),
-		Dst:    int8(rec[35]),
-		Size:   rec[36],
-		Taken:  rec[37] != 0,
-		Acq:    rec[38]&flagAcq != 0,
-		Rel:    rec[38]&flagRel != 0,
+	u, err := decodeRecord(&rec, r.seqSpan)
+	if err != nil {
+		r.err = fmt.Errorf("trace: record %d: %w", r.seqSpan, err)
+		return r.Next()
 	}
+	u.Seq += r.seqBase
 	if u.MemSeq != 0 {
 		u.MemSeq += r.seqBase
 	}
