@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"srlproc"
@@ -89,32 +88,12 @@ func run() int {
 		defer cancel()
 	}
 
-	var d srlproc.StoreDesign
-	switch strings.ToLower(*design) {
-	case "baseline":
-		d = srlproc.DesignBaseline
-	case "large", "ideal":
-		d = srlproc.DesignLargeSTQ
-	case "hier", "hierarchical":
-		d = srlproc.DesignHierarchical
-	case "srl":
-		d = srlproc.DesignSRL
-	case "filtered":
-		d = srlproc.DesignFilteredSTQ
-	default:
+	d, err := srlproc.ParseDesign(*design)
+	if err != nil {
 		return usage("unknown design %q", *design)
 	}
-
-	var su srlproc.Suite
-	found := false
-	for _, s := range srlproc.AllSuites() {
-		if strings.EqualFold(s.String(), *suite) {
-			su = s
-			found = true
-			break
-		}
-	}
-	if !found {
+	su, err := srlproc.ParseSuite(*suite)
+	if err != nil {
 		return usage("unknown suite %q", *suite)
 	}
 

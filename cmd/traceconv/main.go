@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"srlproc"
 	"srlproc/internal/check"
@@ -54,15 +53,9 @@ func record(args []string) {
 	out := fs.String("o", "trace.srlt", "output file")
 	fs.Parse(args)
 
-	var su srlproc.Suite
-	found := false
-	for _, s := range srlproc.AllSuites() {
-		if strings.EqualFold(s.String(), *suite) {
-			su, found = s, true
-		}
-	}
-	if !found {
-		log.Fatalf("unknown suite %q", *suite)
+	su, err := srlproc.ParseSuite(*suite)
+	if err != nil {
+		log.Fatal(err)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
@@ -143,22 +136,13 @@ func checkFlags(fs *flag.FlagSet) func() (core.Config, trace.Suite) {
 	fault := fs.Bool("fault-invert-fwd-age", false, "seed the inverted forwarding-age bug")
 	snoops := fs.Bool("snoops", false, "enable external snoop injection")
 	return func() (core.Config, trace.Suite) {
-		var d core.StoreDesign
-		switch strings.ToLower(*design) {
-		case "baseline":
-			d = core.DesignBaseline
-		case "large-stq", "largestq":
-			d = core.DesignLargeSTQ
-		case "hier", "hierarchical":
-			d = core.DesignHierarchical
-		case "srl":
-			d = core.DesignSRL
-		case "filtered", "filtered-stq":
-			d = core.DesignFilteredSTQ
-		default:
-			if err := d.UnmarshalText([]byte(*design)); err != nil {
-				log.Fatal(err)
-			}
+		d, err := core.ParseDesign(*design)
+		if err != nil {
+			log.Fatal(err)
+		}
+		su, err := trace.ParseSuite(*suite)
+		if err != nil {
+			log.Fatal(err)
 		}
 		cfg := core.DefaultConfig(d)
 		cfg.Seed = *seed
@@ -173,15 +157,6 @@ func checkFlags(fs *flag.FlagSet) func() (core.Config, trace.Suite) {
 		cfg.Check = true
 		cfg.FaultInvertFwdAge = *fault
 		cfg.SnoopsEnabled = *snoops
-		su, found := trace.Suite(0), false
-		for _, s := range trace.AllSuites() {
-			if strings.EqualFold(s.String(), *suite) {
-				su, found = s, true
-			}
-		}
-		if !found {
-			log.Fatalf("unknown suite %q", *suite)
-		}
 		return cfg, su
 	}
 }

@@ -10,9 +10,8 @@ import (
 
 // benchCore builds a core and warms it past the measurement reset so the
 // pools and heaps have grown to their working size.
-func benchCore(b *testing.B, d StoreDesign) *Core {
+func benchCore(b *testing.B, cfg Config) *Core {
 	b.Helper()
-	cfg := DefaultConfig(d)
 	cfg.WarmupUops = 5_000
 	cfg.RunUops = 1 << 60 // never Done during the benchmark
 	c, err := New(cfg, trace.SINT2K)
@@ -28,10 +27,19 @@ func benchCore(b *testing.B, d StoreDesign) *Core {
 // BenchmarkCycleLoop measures the steady-state cost of one simulated cycle
 // on a warmed core — the innermost signal the CI bench gate watches. After
 // the warm-up lap, allocs/op must stay at (or within rounding of) zero.
+// SRL-sync adds the ordering experiment's fences, acquires and releases,
+// so every ordering gate is on the measured path.
 func BenchmarkCycleLoop(b *testing.B) {
-	for _, d := range []StoreDesign{DesignBaseline, DesignSRL} {
-		b.Run(d.String(), func(b *testing.B) {
-			c := benchCore(b, d)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{DesignBaseline.String(), DefaultConfig(DesignBaseline)},
+		{DesignSRL.String(), DefaultConfig(DesignSRL)},
+		{"SRL-sync", withSyncKnobs(DefaultConfig(DesignSRL))},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := benchCore(b, tc.cfg)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -81,9 +81,7 @@ func (k *checker) recentEvents() []obs.Event {
 // --- hook wrappers (each call site guards on c.chk != nil) ---
 
 func (c *Core) chkStoreAlloc(d *dynUop) {
-	// Called from allocStoreEntry, before the commit section stamps
-	// d.ordVer — c.ordVer is the value this store is about to receive.
-	c.chk.o.StoreAlloc(c.cycle, d.u.Seq, d.storeID, d.u.Rel, c.ordVer)
+	c.chk.o.StoreAlloc(c.cycle, d.u.Seq, d.storeID, d.u.Rel)
 }
 
 func (c *Core) chkLoadAlloc(d *dynUop) {

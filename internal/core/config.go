@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"srlproc/internal/cachesim"
 	"srlproc/internal/lsq"
@@ -65,16 +66,41 @@ func (d StoreDesign) MarshalText() ([]byte, error) {
 	return []byte(d.String()), nil
 }
 
+// allDesigns lists every store design in declaration order.
+var allDesigns = [...]StoreDesign{DesignBaseline, DesignLargeSTQ, DesignHierarchical, DesignSRL, DesignFilteredSTQ}
+
 // UnmarshalText parses a design name as produced by String/MarshalText.
 func (d *StoreDesign) UnmarshalText(text []byte) error {
 	name := string(text)
-	for _, dd := range []StoreDesign{DesignBaseline, DesignLargeSTQ, DesignHierarchical, DesignSRL, DesignFilteredSTQ} {
+	for _, dd := range allDesigns {
 		if dd.String() == name {
 			*d = dd
 			return nil
 		}
 	}
 	return fmt.Errorf("core: unknown store design %q", name)
+}
+
+// ParseDesign resolves a design name the way every front end (srlsim,
+// traceconv, /v1) accepts it: a String name or one of the short
+// spellings, ignoring case.
+func ParseDesign(name string) (StoreDesign, error) {
+	switch strings.ToLower(name) {
+	case "baseline":
+		return DesignBaseline, nil
+	case "large", "ideal", "largestq":
+		return DesignLargeSTQ, nil
+	case "hier", "hierarchical":
+		return DesignHierarchical, nil
+	case "filtered":
+		return DesignFilteredSTQ, nil
+	}
+	for _, d := range allDesigns {
+		if strings.EqualFold(d.String(), name) {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown store design %q", name)
 }
 
 // Config parameterises one simulation. DefaultConfig reproduces Table 1.

@@ -51,12 +51,6 @@ type Core struct {
 	sdb       sdbHeap
 	pendDrain []*dynUop // poisoned uops waiting for SDB space
 
-	// Memory-ordering enforcement (ordering.go, DESIGN.md §12): the ring
-	// of per-version outstanding-load counters (Louvre-style) and the
-	// program-ordered list of unperformed fences/load-acquires.
-	verCounts    []uint32
-	pendingSyncs []uopRef
-
 	// SRL-stalled loads, plus the retry loop's reusable snapshot buffer
 	// (the loop must not iterate srlStalled itself: releasing a load can
 	// restart the machine, which rewrites the list in place).
@@ -90,7 +84,11 @@ type Core struct {
 	lcf   *lsq.LCF
 	fc    *lsq.FC
 	ldbuf *lsq.LoadBuffer
+	// The §4.3 write-after-read bit rings the ordering gates ask
+	// (ordering.go): outstanding loads, and outstanding fences and
+	// load-acquires.
 	order *lsq.OrderTracker
+	syncs *lsq.OrderTracker
 
 	mem *cachesim.Hierarchy
 	bp  bpred.Predictor
@@ -154,14 +152,6 @@ type scalars struct {
 	storesInWindow              int
 
 	sdbCount int // live entries (inSDB) in the sdb heap
-
-	// Memory-ordering enforcement: the monotonic ordering version bumped
-	// at every sync allocation, and the base, head slot and total of the
-	// per-version counter ring (Core.verCounts).
-	ordVer   uint64
-	verBase  uint64
-	verHead  int
-	verTotal int
 
 	// unknownAddrStores counts resident store-queue entries whose address
 	// has not been computed yet (gates the filtered design's search skip).
@@ -232,6 +222,7 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 		prof:     prof,
 		win:      newWindow(cfg.WindowCap),
 		order:    lsq.NewOrderTracker(cfg.WindowCap),
+		syncs:    lsq.NewOrderTracker(cfg.WindowCap),
 		mem:      cachesim.NewHierarchy(cfg.Mem),
 		bp:       bpred.NewHybrid(),
 		mdp:      memdep.New(cfg.StoreSetsSize),
@@ -386,9 +377,6 @@ func (c *Core) freeWaiterChain(n *waiterNode) {
 }
 
 func (c *Core) curCkpt() *ckptState { return c.ckpts[len(c.ckpts)-1] }
-
-// oldestCkptID returns the id of the oldest live checkpoint.
-func (c *Core) oldestCkptID() int { return c.ckpts[0].id }
 
 // findCkpt returns the live checkpoint with the given id, or nil.
 func (c *Core) findCkpt(id int) *ckptState {
@@ -562,26 +550,11 @@ func (c *Core) step() {
 	if c.outstandingMisses > 0 {
 		c.metrics.Inc(obs.MetricCyclesMissOutstanding)
 	}
-	if debugInvariants && c.cycle%5000 == 0 {
-		actual := 0
-		for i := 0; i < c.win.len(); i++ {
-			d := c.win.at(i)
-			if d.allocated && d.missReturn > 0 && !d.done {
-				actual++
-			}
-		}
-		if actual != c.outstandingMisses {
-			panic(fmt.Sprintf("outstandingMisses leak: counter=%d actual=%d cycle=%d", c.outstandingMisses, actual, c.cycle))
-		}
-	}
 	if c.srl != nil && !c.srl.Empty() {
 		c.metrics.Inc(obs.MetricCyclesSRLNonEmpty)
 		if c.srl.Head().DataReady {
 			c.metrics.Inc(obs.MetricCyclesSRLHeadReady)
 		}
-	}
-	if debugInvariants && c.win.len() > 0 && c.win.at(0).u.Seq < c.ckpts[0].startSeq {
-		panic("core: window head older than oldest checkpoint: " + c.debugState())
 	}
 	c.processCompletions()
 	c.commitCheckpoints()

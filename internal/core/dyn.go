@@ -31,8 +31,7 @@ type dynUop struct {
 	inSDB     bool
 	committed bool
 
-	holdsReg  bool
-	doneCycle uint64
+	holdsReg bool
 
 	ckptID int // owning checkpoint (monotonic id)
 
@@ -57,13 +56,6 @@ type dynUop struct {
 
 	// SRL stall state.
 	srlStalled bool
-
-	// Memory-ordering state (DESIGN.md §12): the ordering version stamped
-	// at allocation, whether this load is counted in the core's version
-	// tracker, and whether this fence/acquire sits in the pending-sync list.
-	ordVer     uint64
-	verCounted bool
-	inSyncList bool
 
 	// ldbufInserted marks a load already recorded in the load buffer at
 	// access time (long-latency misses insert early so store checks and

@@ -406,10 +406,6 @@ func (c *Core) insertLoadBufEntry(d *dynUop) bool {
 // accessCacheForLoad sends the load to the memory hierarchy; a long-latency
 // miss poisons the destination and drains the load into the SDB.
 func (c *Core) accessCacheForLoad(d *dynUop) {
-	var preState string
-	if debugInvariants {
-		preState = c.mem.ProbeState(d.u.Addr)
-	}
 	res := c.mem.Access(c.cycle, d.u.Addr, false)
 	if res.MSHRFull {
 		if !d.inSched {
@@ -440,9 +436,6 @@ func (c *Core) accessCacheForLoad(d *dynUop) {
 			c.metrics.Inc(obs.MetricMissRegionHeap)
 		default:
 			c.metrics.Inc(obs.MetricMissRegionHot)
-			if debugInvariants {
-				c.counters.Inc("hotmiss_pre_" + preState)
-			}
 		}
 		if res.Done-c.cycle > 700 {
 			c.metrics.Inc(obs.MetricPoisonNewMiss)
@@ -701,7 +694,7 @@ func (c *Core) drainSRLHead() {
 		// speculatively, ahead of commit. FaultDropSyncGate removes both
 		// gates so the oracle can demonstrate it catches the violations.
 		if !c.cfg.FaultDropSyncGate {
-			if h.Rel && !c.verLoadsDone(h.Ver) {
+			if h.Rel && !c.order.AllLoadsOlderThanDone(h.Seq) {
 				c.metrics.Inc(obs.MetricSRLDrainWaitRelease)
 				return
 			}
@@ -730,19 +723,6 @@ func (c *Core) drainSRLHead() {
 			}
 			if sw.Conflict {
 				c.metrics.Inc(obs.MetricSRLDrainSpecConflicts)
-				if debugInvariants && c.metrics.Get(obs.MetricSRLDrainSpecConflicts) == 2000 {
-					debugTrace("spec conflict cyc=%d head seq=%d ckpt=%d owner=%d ownerLive=%v oldest=%d lastCommit=%d",
-						c.cycle, h.Seq, h.Ckpt, sw.OwnerCkpt, c.findCkpt(sw.OwnerCkpt) != nil, c.oldestCkptID(), c.lastCommittedSeq)
-					ck0 := c.ckpts[0]
-					debugTrace("ckpt0 id=%d start=%d uops=%d pending=%d", ck0.id, ck0.startSeq, ck0.uops, ck0.pending)
-					for i := 0; i < c.win.len(); i++ {
-						d := c.win.at(i)
-						if d.allocated && !d.done && d.ckptID == ck0.id {
-							debugTrace("  pending uop %s ckpt=%d inSched=%v pois=%v inSDB=%v stall=%v missRet=%d pendSrc=%d nearest=%d",
-								d.u.String(), d.ckptID, d.inSched, d.poisoned, d.inSDB, d.srlStalled, d.missReturn, d.pendingSrc, d.nearestStoreID)
-						}
-					}
-				}
 				return // one speculative version per block (Section 4.3)
 			}
 			res := c.mem.Access(c.cycle, h.Addr, true)

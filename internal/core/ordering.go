@@ -1,160 +1,44 @@
 package core
 
-import "srlproc/internal/isa"
-
 // Memory-ordering enforcement (DESIGN.md §12).
 //
 // The core supports release consistency over three primitive kinds: full
 // fences (isa.Fence), load-acquires (isa.Uop.Acq) and store-releases
-// (isa.Uop.Rel). Enforcement uses Louvre-style version tracking: every
-// sync operation bumps a monotonically increasing ordering version at
-// allocation, every uop is stamped with the version current at its
-// allocation, and a ring of per-version outstanding-load counters answers
-// "have all loads with version <= v performed?" in O(1) amortized — no
-// per-load CAM search, matching the paper's scalable-structures theme.
+// (isa.Uop.Rel). Every gate asks one of two questions, and each is
+// answered in O(1) by a write-after-read bit ring of Section 4.3
+// (lsq.OrderTracker) — no per-load CAM search, matching the paper's
+// scalable-structures theme:
 //
-// Program-order invariants the stamping gives for free:
-//   - every op older than a sync S carries a version <= S's version;
-//   - every op younger than S carries a strictly greater version.
-// So verLoadsDone(S.ver) is exactly "all program-order-older loads have
-// performed", which is the wait condition for fences and release drains.
+//   - "have all loads older than seq performed?" is c.order, the ring the
+//     SRL head's WAR check already asks. Fences and store-release drains
+//     wait on it.
+//   - "is a fence or load-acquire older than seq still pending?" is
+//     c.syncs, a second ring over fences and load-acquires: set at
+//     allocation, cleared at completion. Loads, fences and SRL drains wait
+//     on its oldest entry.
 //
-// The version counter never rolls back at a checkpoint restart: squashed
-// counted loads are forgotten from the ring, and replayed uops re-stamp at
-// the (monotonically advanced) current version. Monotonicity keeps the
-// gates conservative across replays — a replayed load's new version is
-// never smaller than any replayed younger sync's, so no gate opens early.
-
-// isSyncUop reports whether u is an ordering sync operation (bumps the
-// version at allocation).
-func isSyncUop(u *isa.Uop) bool {
-	return u.Class == isa.Fence || (u.Class == isa.Load && u.Acq) || (u.Class == isa.Store && u.Rel)
-}
-
-// verAdd counts an outstanding (allocated, unperformed) load at version v.
-// The ring grows amortized-doubling to the live version span and is reused
-// for the rest of the run, so the steady state allocates nothing.
-func (c *Core) verAdd(v uint64) {
-	if c.verTotal == 0 {
-		// Empty tracker: rebase the ring at v so long quiet stretches never
-		// force the span (v - base) to grow the ring.
-		c.verBase = v
-		c.verHead = 0
-		if len(c.verCounts) == 0 {
-			c.verCounts = make([]uint32, 64)
-		} else {
-			for i := range c.verCounts {
-				c.verCounts[i] = 0
-			}
-		}
-	}
-	span := int(v-c.verBase) + 1
-	if span > len(c.verCounts) {
-		grown := make([]uint32, 2*len(c.verCounts))
-		for len(grown) < span {
-			grown = append(grown, make([]uint32, len(grown))...)
-		}
-		for i := 0; i < len(c.verCounts); i++ {
-			grown[i] = c.verCounts[(c.verHead+i)%len(c.verCounts)]
-		}
-		c.verCounts = grown
-		c.verHead = 0
-	}
-	c.verCounts[(c.verHead+span-1)%len(c.verCounts)]++
-	c.verTotal++
-}
-
-// verForget removes a previously counted load (performed, or squashed
-// before performing). Idempotent via d.verCounted.
-func (c *Core) verForget(d *dynUop) {
-	if !d.verCounted {
-		return
-	}
-	d.verCounted = false
-	slot := (c.verHead + int(d.ordVer-c.verBase)) % len(c.verCounts)
-	c.verCounts[slot]--
-	c.verTotal--
-}
-
-// verLoadsDone reports whether every outstanding load stamped with version
-// <= v has performed. The head advances lazily past drained versions, so
-// repeated queries are O(1) amortized.
-func (c *Core) verLoadsDone(v uint64) bool {
-	if c.verTotal == 0 || v < c.verBase {
-		return true
-	}
-	for c.verCounts[c.verHead] == 0 {
-		c.verHead = (c.verHead + 1) % len(c.verCounts)
-		c.verBase++
-		if c.verBase > v {
-			return true
-		}
-	}
-	return c.verBase > v
-}
-
-// notePendingSync registers a fence or load-acquire in the pending-sync
-// list at allocation. Entries are appended in program order and the list
-// stays sequence-sorted: a restart filters squashed entries and replayed
-// syncs re-append with strictly larger sequence numbers than the survivors.
-func (c *Core) notePendingSync(d *dynUop) {
-	d.inSyncList = true
-	c.pendingSyncs = append(c.pendingSyncs, ref(d))
-}
-
-// prunePendingSyncs drops completed (or squashed/recycled) entries from the
-// front of the pending-sync list. Sync operations complete in program order
-// — a fence waits for all older loads including acquires, and an acquire's
-// execution is gated behind every older sync — so front pruning retires
-// the whole completed prefix.
-func (c *Core) prunePendingSyncs() {
-	i := 0
-	for i < len(c.pendingSyncs) {
-		s := c.pendingSyncs[i].live()
-		if s != nil && s.allocated && !s.done {
-			break
-		}
-		i++
-	}
-	if i > 0 {
-		n := copy(c.pendingSyncs, c.pendingSyncs[i:])
-		for j := n; j < len(c.pendingSyncs); j++ {
-			c.pendingSyncs[j] = uopRef{}
-		}
-		c.pendingSyncs = c.pendingSyncs[:n]
-	}
-}
+// A checkpoint restart squashes both rings like every other structure, and
+// replayed uops set their bits again when they re-allocate.
 
 // pendingSyncBefore returns the oldest unperformed fence or load-acquire
 // strictly older than seq, or nil. Loads may not perform past it; in the
 // SRL design, speculative store drains may not pass it either.
 func (c *Core) pendingSyncBefore(seq uint64) *dynUop {
-	c.prunePendingSyncs()
-	for _, r := range c.pendingSyncs {
-		s := r.live()
-		if s == nil || !s.allocated || s.done {
-			continue
-		}
-		if s.u.Seq >= seq {
-			return nil
-		}
-		return s
+	if s, ok := c.syncs.Oldest(); ok && s < seq {
+		return c.uopBySeq(s)
 	}
 	return nil
 }
 
 // fenceReady reports whether fence d may perform: every older sync has
-// performed, every older load has performed (version query), and every
-// older store has drained out of the design's store FIFOs — each FIFO is
-// sequence-sorted, so head checks suffice. Fences force a fresh checkpoint
-// at allocation (see allocate), so older stores always sit in older,
-// committable checkpoints and the drain wait cannot deadlock against the
-// fence's own checkpoint.
+// performed, every older load has performed, and every older store has
+// drained out of the design's store FIFOs — each FIFO is sequence-sorted,
+// so head checks suffice. Fences force a fresh checkpoint at allocation
+// (see allocate), so older stores always sit in older, committable
+// checkpoints and the drain wait cannot deadlock against the fence's own
+// checkpoint.
 func (c *Core) fenceReady(d *dynUop) bool {
-	if c.pendingSyncBefore(d.u.Seq) != nil {
-		return false
-	}
-	if !c.verLoadsDone(d.ordVer) {
+	if c.pendingSyncBefore(d.u.Seq) != nil || !c.order.AllLoadsOlderThanDone(d.u.Seq) {
 		return false
 	}
 	if h := c.l1stq.Head(); h != nil && h.Seq < d.u.Seq {

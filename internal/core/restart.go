@@ -36,14 +36,6 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	if c.win.len() > pos {
 		c.res.ReplayedUops += uint64(c.win.len() - pos)
 	}
-	if debugInvariants {
-		headSeq := uint64(0)
-		if c.win.len() > 0 {
-			headSeq = c.win.at(0).u.Seq
-		}
-		debugTrace("restart cyc=%d ckptID=%d found=%v fromSeq=%d pos=%d head=%d winLen=%d replayPos=%d nCkpts=%d oldest=%d cur=%d",
-			c.cycle, ckptID, c.findCkpt(ckptID) != nil, fromSeq, pos, headSeq, c.win.len(), c.replayPos, len(c.ckpts), c.ckpts[0].startSeq, c.curCkpt().startSeq)
-	}
 
 	// Reset per-uop dynamic state for everything from the restart point.
 	for i := pos; i < c.win.len(); i++ {
@@ -56,7 +48,6 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 		c.regFree(d)
 		if d.allocated && d.isLoad() {
 			c.loadsInWindow--
-			c.verForget(d) // uncounts a squashed unperformed load (no-op if performed)
 		}
 		if d.allocated && d.isStore() {
 			c.storesInWindow--
@@ -84,8 +75,6 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 		d.memDep = uopRef{}
 		d.inUnknownList = false
 		d.ldbufInserted = false
-		d.ordVer = 0 // re-stamped at re-allocation (c.ordVer never rolls back)
-		d.inSyncList = false
 		// d.everInSDB is deliberately preserved: miss-dependence is
 		// counted once per uop even across replays.
 	}
@@ -108,12 +97,11 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	c.srlStalled = filterUops(c.srlStalled, squashBelow)
 	c.unknownStores = filterUops(c.unknownStores, squashBelow)
 	c.deferred = filterUops(c.deferred, squashBelow)
-	c.pendingSyncs = filterSyncRefs(c.pendingSyncs, squashBelow)
 
 	// Store/load structures. Every SquashYoungerThan follows one convention
 	// (entries with Seq > argument are removed, see lsq.StoreQueue), so the
 	// restart boundary — squash everything with Seq >= fromSeq — is uniformly
-	// expressed as SquashYoungerThan(fromSeq-1) across all five structures.
+	// expressed as SquashYoungerThan(fromSeq-1) across all seven structures.
 	for _, e := range c.l1stq.SquashYoungerThan(squashBelow - 1) {
 		if c.cfg.Design == DesignFilteredSTQ && e.AddrKnown {
 			c.mtb.Remove(e.Addr)
@@ -153,6 +141,7 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	}
 	c.ldbuf.SquashYoungerThan(squashBelow - 1)
 	c.order.SquashYoungerThan(squashBelow - 1)
+	c.syncs.SquashYoungerThan(squashBelow - 1)
 	c.mem.DiscardSpecInto(c.cycle, c.mem.L1.DiscardSpecFrom(ck.id))
 
 	// Checkpoint file: free everything younger than ck, reset ck itself.
@@ -197,23 +186,6 @@ func filterUops(list []*dynUop, squashBelow uint64) []*dynUop {
 		if d.u.Seq < squashBelow && d.allocated {
 			out = append(out, d)
 		}
-	}
-	return out
-}
-
-// filterSyncRefs drops squashed or recycled entries from the pending-sync
-// list (the restart reset loop bumped squashed uops' epochs, so live()
-// already rejects them); the vacated tail is zeroed so dropped references
-// don't pin recycled uops.
-func filterSyncRefs(list []uopRef, squashBelow uint64) []uopRef {
-	out := list[:0]
-	for _, r := range list {
-		if s := r.live(); s != nil && s.allocated && s.u.Seq < squashBelow {
-			out = append(out, r)
-		}
-	}
-	for i := len(out); i < len(list); i++ {
-		list[i] = uopRef{}
 	}
 	return out
 }

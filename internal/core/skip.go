@@ -58,8 +58,8 @@ type skipFP struct {
 // it (TestSkipCoverage matches the names).
 type skipLens struct {
 	win, ckpts, ready, cmpl, sdb, pendDrain int
-	pendingSyncs, srlStalled, unknownStores int
-	deferred, l1stq, l2stq, srl, ldbuf      int
+	srlStalled, unknownStores, deferred     int
+	l1stq, l2stq, srl, ldbuf                int
 }
 
 // skipSnap is the armed snapshot the probe cycle is verified against.
@@ -110,7 +110,6 @@ func (c *Core) skipFPCapture() skipFP {
 			cmpl:          c.cmpl.Len(),
 			sdb:           c.sdb.Len(),
 			pendDrain:     len(c.pendDrain),
-			pendingSyncs:  len(c.pendingSyncs),
 			srlStalled:    len(c.srlStalled),
 			unknownStores: len(c.unknownStores),
 			deferred:      len(c.deferred),

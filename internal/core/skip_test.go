@@ -44,7 +44,9 @@ func runSkipVariant(t testing.TB, cfg Config, suite trace.Suite, skip bool) (*Re
 
 // skipIdentityPoints is the design-point matrix the skip-identity and
 // golden tests share: every store organisation (plus the no-LCF SRL
-// ablation) crossed with three workload suites — 18 points.
+// ablation, and SRL with sync knobs with and without the WAR tracker, the
+// latter so the release gate does real work) crossed with three workload
+// suites — 24 points.
 func skipIdentityPoints() []struct {
 	Name  string
 	Cfg   Config
@@ -67,6 +69,12 @@ func skipIdentityPoints() []struct {
 			c := shortCfg(DesignSRL)
 			c.UseLCF = false
 			c.UseIndexedFwd = false
+			return c
+		}()},
+		{"srl-sync", withSyncKnobs(shortCfg(DesignSRL))},
+		{"srl-sync-nowar", func() Config {
+			c := withSyncKnobs(shortCfg(DesignSRL))
+			c.UseWARTracker = false
 			return c
 		}()},
 	}
@@ -291,7 +299,7 @@ var skipExempt = []struct {
 	{"allocation pools and scratch: their contents are dead", []string{
 		"uopFree", "nodeFree", "ckptFree", "srlRetryScratch"}},
 	{"touched only when a uop is fetched, allocated, executed, completed or squashed, which moves a length or scalar",
-		[]string{"gen", "lastWriter", "verCounts", "order", "bp", "mdp", "conf", "recentLoads"}},
+		[]string{"gen", "lastWriter", "order", "syncs", "bp", "mdp", "conf", "recentLoads"}},
 	{"filters beside the queues: a probe bumps a counter snapshotActivity reads, an insert moves a queue length",
 		[]string{"mtb", "lcf", "fc"}},
 	{"the memory system: accessed only by executing uops, and its fills are nextEventCycle wake events", []string{"mem"}},

@@ -14,6 +14,15 @@ func shortCfg(d StoreDesign) Config {
 	return cfg
 }
 
+// withSyncKnobs adds the ordering experiment's sync traffic to cfg:
+// fences, load-acquires and store-releases exercise every ordering gate.
+func withSyncKnobs(cfg Config) Config {
+	cfg.FencePer1K = 3
+	cfg.AcquireFrac = 0.12
+	cfg.ReleaseFrac = 0.12
+	return cfg
+}
+
 func TestSmokeAllDesigns(t *testing.T) {
 	for _, d := range []StoreDesign{DesignBaseline, DesignLargeSTQ, DesignHierarchical, DesignSRL} {
 		d := d
@@ -86,4 +95,52 @@ func TestDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPipelineInvariants steps every design, plain and with sync knobs,
+// over every suite and checks two bookkeeping invariants every 1000
+// cycles: the outstanding-miss counter equals the allocated, unfinished
+// miss loads in the window, and the window head is not older than the
+// oldest checkpoint.
+func TestPipelineInvariants(t *testing.T) {
+	if testing.Short() {
+		t.Skip("invariant sweep skipped in -short mode")
+	}
+	checks := 0
+	for _, d := range []StoreDesign{DesignBaseline, DesignLargeSTQ, DesignHierarchical, DesignSRL, DesignFilteredSTQ} {
+		for _, sync := range []bool{false, true} {
+			for _, su := range trace.AllSuites() {
+				cfg := shortCfg(d)
+				if sync {
+					cfg = withSyncKnobs(cfg)
+				}
+				c, err := New(cfg, su)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for !c.Done() {
+					c.StepCycle()
+					if c.cycle%1000 != 0 {
+						continue
+					}
+					checks++
+					misses := 0
+					for i := 0; i < c.win.len(); i++ {
+						if u := c.win.at(i); u.allocated && u.missReturn > 0 && !u.done {
+							misses++
+						}
+					}
+					if misses != c.outstandingMisses {
+						t.Fatalf("%s/%s sync=%v cycle %d: outstandingMisses=%d, window holds %d",
+							d, su, sync, c.cycle, c.outstandingMisses, misses)
+					}
+					if c.win.len() > 0 && c.win.at(0).u.Seq < c.ckpts[0].startSeq {
+						t.Fatalf("%s/%s sync=%v: window head older than oldest checkpoint: %s",
+							d, su, sync, c.debugState())
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d invariant checks", checks)
 }

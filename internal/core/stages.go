@@ -383,7 +383,6 @@ func (c *Core) complete(d *dynUop) {
 	}
 	d.done = true
 	d.poisoned = false
-	d.doneCycle = c.cycle
 	c.regFree(d)
 	if ck := c.findCkpt(d.ckptID); ck != nil {
 		ck.pending--
@@ -393,7 +392,9 @@ func (c *Core) complete(d *dynUop) {
 	switch {
 	case d.isLoad():
 		c.order.LoadCompleted(d.u.Seq)
-		c.verForget(d)
+		if d.u.Acq {
+			c.syncs.LoadCompleted(d.u.Seq)
+		}
 		c.noteRecentLoad(d.u.Addr)
 		if d.ldbufInserted {
 			// Already recorded at access time (long-latency miss); a second
@@ -421,6 +422,7 @@ func (c *Core) complete(d *dynUop) {
 		c.resolveBranch(d)
 		return
 	case d.u.Class == isa.Fence:
+		c.syncs.LoadCompleted(d.u.Seq)
 		if c.chk != nil {
 			c.chkFencePerformed(d)
 		}
@@ -779,15 +781,6 @@ func (c *Core) allocate() {
 		ck.pending++
 		ck.uops++
 
-		// Memory-ordering stamping (ordering.go): every uop carries the
-		// version current at its allocation; sync operations bump it, so
-		// ops older than a sync carry a version <= the sync's and younger
-		// ops a strictly greater one.
-		d.ordVer = c.ordVer
-		if isSyncUop(&d.u) {
-			c.ordVer++
-		}
-
 		// Dependences from the rename state. A stale lastWriter reference
 		// means the producer committed (its value is architectural), so the
 		// source needs no producer link — same as the register being clean.
@@ -822,16 +815,14 @@ func (c *Core) allocate() {
 			d.fwdStoreID = lsq.NoFwd
 			c.order.LoadAllocated(d.u.Seq)
 			c.loadsInWindow++
-			c.verAdd(d.ordVer)
-			d.verCounted = true
 			if d.u.Acq {
-				c.notePendingSync(d)
+				c.syncs.LoadAllocated(d.u.Seq)
 			}
 			if c.chk != nil {
 				c.chkLoadAlloc(d)
 			}
 		case isa.Fence:
-			c.notePendingSync(d)
+			c.syncs.LoadAllocated(d.u.Seq)
 			if c.chk != nil {
 				c.chkFenceAlloc(d)
 			}
@@ -895,11 +886,7 @@ func (c *Core) allocStoreEntry(d *dynUop, ckptID int) bool {
 	c.storeCounter = d.storeID + 1
 
 	entry := lsq.StoreEntry{
-		Seq: d.u.Seq, PC: d.u.PC, Ckpt: ckptID, SRLIndex: d.storeID,
-		// Release-consistency tags: the drain path holds a release until
-		// every load at or below Ver has performed. c.ordVer is the value
-		// the commit section will stamp into d.ordVer this same iteration.
-		Rel: d.u.Rel, Ver: c.ordVer,
+		Seq: d.u.Seq, PC: d.u.PC, Ckpt: ckptID, SRLIndex: d.storeID, Rel: d.u.Rel,
 	}
 	switch c.cfg.Design {
 	case DesignHierarchical:

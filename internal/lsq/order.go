@@ -19,6 +19,10 @@ import "math/bits"
 // A load may be allocated, squashed by a checkpoint restart, and allocated
 // again with the same sequence number; setting a set bit or clearing a
 // clear one changes nothing, so replays need no bookkeeping of their own.
+//
+// Nothing here is specific to loads: the core keeps a second tracker over
+// fences and load-acquires, whose oldest outstanding entry is the sync
+// operation younger accesses wait behind.
 type OrderTracker struct {
 	bits   []uint64 // bit seq&(64*len(bits)-1); len(bits) is a power of two
 	count  int      // set bits: loads allocated and not completed
@@ -102,6 +106,12 @@ func (t *OrderTracker) nextSet(from uint64) uint64 {
 // never share a sequence number, so the boundary case is moot in practice).
 func (t *OrderTracker) AllLoadsOlderThanDone(seq uint64) bool {
 	return t.count == 0 || t.oldest >= seq
+}
+
+// Oldest returns the lowest outstanding sequence number; ok is false when
+// nothing is outstanding.
+func (t *OrderTracker) Oldest() (seq uint64, ok bool) {
+	return t.oldest, t.count > 0
 }
 
 // Outstanding returns the number of loads allocated but not completed.

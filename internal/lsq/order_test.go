@@ -82,8 +82,8 @@ func TestOrderTrackerSizing(t *testing.T) {
 	}
 }
 
-// Property: the tracker's gate answer and outstanding count always equal
-// the reference "min of the outstanding set > seq" under random
+// Property: the tracker's gate answer, oldest entry and outstanding count
+// always equal the reference "min of the outstanding set" under random
 // alloc/complete/squash traffic, including replays of the same sequence
 // numbers. Loads stay within a span of the ring's size above a base that
 // moves forward — completing every load it passes, as commit does — so the
@@ -121,6 +121,18 @@ func TestOrderTrackerMatchesReference(t *testing.T) {
 					}
 				}
 				if o.Outstanding() != len(ref) {
+					return false
+				}
+				oldest, ok := o.Oldest()
+				if ok != (len(ref) > 0) {
+					return false
+				}
+				for s := range ref {
+					if s < oldest {
+						return false
+					}
+				}
+				if ok && !ref[oldest] {
 					return false
 				}
 				// Probe around the live span, below and above it.

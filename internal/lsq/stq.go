@@ -26,11 +26,9 @@ type StoreEntry struct {
 	// LCFCounted marks an SRL entry whose address has been counted in the
 	// loose check filter (so squashes decrement exactly what was added).
 	LCFCounted bool
-	// Rel marks a store-release; Ver is the core's ordering version at its
-	// allocation — the drain path holds a release until every load with
-	// version <= Ver has performed (DESIGN.md §12).
+	// Rel marks a store-release: the drain path holds it until every
+	// older load has performed (DESIGN.md §12).
 	Rel bool
-	Ver uint64
 }
 
 func wordAddr(a uint64) uint64 { return a >> 3 }

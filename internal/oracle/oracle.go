@@ -136,10 +136,6 @@ const (
 	// still unperformed (release semantics require all older accesses
 	// visible before the release's write becomes visible).
 	KindReleaseOrder
-	// KindSyncVersion: ordering-version bookkeeping inconsistent — a
-	// younger release carried a version no greater than an older one's
-	// (versions must grow monotonically along program order).
-	KindSyncVersion
 
 	numKinds
 )
@@ -163,7 +159,6 @@ var kindNames = [numKinds]string{
 	KindSyncOrder:        "sync-order",
 	KindFenceOrder:       "fence-order",
 	KindReleaseOrder:     "release-order",
-	KindSyncVersion:      "sync-version",
 }
 
 // String returns the divergence kind's stable name.
@@ -250,8 +245,7 @@ type storeRec struct {
 	drained   bool
 	drainCyc  uint64
 	committed bool
-	rel       bool   // store-release (DESIGN.md §12)
-	ver       uint64 // ordering version stamped at allocation
+	rel       bool // store-release (DESIGN.md §12)
 }
 
 // loadRec is the reference model's record of one load's decision.
@@ -303,10 +297,6 @@ type Oracle struct {
 	pendingLoads   map[uint64]struct{}
 	pendingSyncOps map[uint64]bool
 	undrained      map[uint64]*storeRec
-	// lastRelSeq/lastRelVer track the youngest surviving release for the
-	// version-monotonicity check; reset when a squash removes it.
-	lastRelSeq uint64
-	lastRelVer uint64
 
 	divs  []Divergence
 	count uint64
@@ -367,24 +357,13 @@ func (o *Oracle) Divergences() []Divergence { return o.divs }
 
 // StoreAlloc records a store entering the window with its identifier
 // (called once per allocation; a replayed store re-enters after Squash
-// removed its previous incarnation). rel marks a store-release and ver is
-// the ordering version the core stamps at allocation; release versions
-// must grow monotonically along program order (each release bumps the
-// counter after stamping its own value).
-func (o *Oracle) StoreAlloc(cycle, seq, id uint64, rel bool, ver uint64) {
-	r := &storeRec{seq: seq, id: id, rel: rel, ver: ver}
+// removed its previous incarnation). rel marks a store-release.
+func (o *Oracle) StoreAlloc(cycle, seq, id uint64, rel bool) {
+	r := &storeRec{seq: seq, id: id, rel: rel}
 	o.stores[seq] = r
 	o.byID[id] = r
 	o.uncommitted[seq] = r
 	o.undrained[seq] = r
-	if rel {
-		if seq > o.lastRelSeq && o.lastRelSeq != 0 && ver <= o.lastRelVer {
-			o.Report(Divergence{Kind: KindSyncVersion, Cycle: cycle, StoreSeq: seq,
-				Expected: o.lastRelVer + 1, Actual: ver,
-				Detail: "release version not greater than an older release's"})
-		}
-		o.lastRelSeq, o.lastRelVer = seq, ver
-	}
 }
 
 // LoadAlloc records a load entering the window; acq marks a load-acquire,
@@ -725,11 +704,6 @@ func (o *Oracle) Squash(fromSeq uint64) {
 		if seq >= fromSeq {
 			delete(o.pendingSyncOps, seq)
 		}
-	}
-	if o.lastRelSeq >= fromSeq {
-		// The youngest-known release was squashed; its replayed incarnation
-		// re-stamps a fresh (never rolled back, so still larger) version.
-		o.lastRelSeq, o.lastRelVer = 0, 0
 	}
 	for w := range o.specWords {
 		ws := o.words[w]

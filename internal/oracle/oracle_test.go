@@ -13,7 +13,7 @@ func newTest(strict bool) *Oracle {
 // allocResolved is shorthand: a plain (non-release) store allocated,
 // resolved, and ready.
 func allocResolved(o *Oracle, cycle, seq, id, addr uint64) {
-	o.StoreAlloc(cycle, seq, id, false, 0)
+	o.StoreAlloc(cycle, seq, id, false)
 	o.StoreResolved(cycle, seq, addr, 8, true)
 }
 
@@ -55,7 +55,7 @@ func TestForwardAgeAndAddrAndSource(t *testing.T) {
 	// Forward from an unknown producer.
 	o.LoadDecision(4, 26, 0x80, FwdIndexed, 999)
 	// Forward from a resolved-but-unready store.
-	o.StoreAlloc(5, 27, 201, false, 0)
+	o.StoreAlloc(5, 27, 201, false)
 	o.StoreResolved(5, 27, 0x88, 8, false)
 	o.LoadDecision(6, 28, 0x88, FwdL1STQ, 201)
 	wantKinds(t, o, KindForwardAge, KindForwardAddr, KindForwardSource, KindForwardSource)
@@ -124,7 +124,7 @@ func TestCommitVisibilityDrainAfterAccess(t *testing.T) {
 func TestCommitMissingAndCommitStore(t *testing.T) {
 	o := newTest(false)
 	o.CommitLoad(1, 5)
-	o.StoreAlloc(2, 6, 60, false, 0)
+	o.StoreAlloc(2, 6, 60, false)
 	o.CommitStore(3, 6) // never resolved
 	wantKinds(t, o, KindCommitMissing, KindCommitStore)
 }
@@ -230,7 +230,7 @@ func TestSyncOrderStoreDrainPastAcquire(t *testing.T) {
 func TestReleaseOrderDrainPastLoad(t *testing.T) {
 	o := newTest(false)
 	o.LoadAlloc(1, 10, false)
-	o.StoreAlloc(1, 11, 100, true, 1)
+	o.StoreAlloc(1, 11, 100, true)
 	o.StoreResolved(1, 11, 0x40, 8, true)
 	o.StoreDrained(2, 11)
 	wantKinds(t, o, KindReleaseOrder)
@@ -268,24 +268,16 @@ func TestFenceCleanAfterAllOlderDone(t *testing.T) {
 	wantKinds(t, o)
 }
 
-func TestSyncVersionMonotonic(t *testing.T) {
-	o := newTest(false)
-	o.StoreAlloc(1, 10, 100, true, 5)
-	o.StoreAlloc(2, 12, 101, true, 5) // version failed to advance
-	wantKinds(t, o, KindSyncVersion)
-}
-
 func TestSquashClearsOrderingState(t *testing.T) {
 	o := newTest(false)
 	o.LoadAlloc(1, 10, false)
 	o.FenceAlloc(1, 11)
-	o.StoreAlloc(1, 12, 100, true, 3)
+	o.StoreAlloc(1, 12, 100, true)
 	o.Squash(10)
-	// Replay: the fence performs immediately — nothing older survives — and
-	// the release's fresh version restarts the monotonicity chain.
+	// Replay: the fence performs immediately — nothing older survives.
 	o.FenceAlloc(2, 11)
 	o.FencePerformed(3, 11)
-	o.StoreAlloc(4, 12, 101, true, 4)
+	o.StoreAlloc(4, 12, 101, true)
 	wantKinds(t, o)
 }
 

@@ -13,10 +13,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"time"
 
 	"srlproc/internal/bench"
+	"srlproc/internal/cluster"
+	"srlproc/internal/serve"
 	"srlproc/internal/store"
 )
 
@@ -259,20 +260,22 @@ func runLocal(ctx context.Context, id bench.ExperimentID, o bench.Options) ([]by
 }
 
 // runServer executes one experiment against a running srlserved via
-// POST /v1/sweep, retrying bounded 429 sheds with the server's advertised
-// Retry-After. The response body is the same document runLocal produces.
+// POST /v1/sweep, retrying bounded 429 sheds after the backoff their
+// error envelope advertises. Request and error envelope are the /v1 wire
+// types themselves. The response body is the same document runLocal
+// produces.
 func (r *Runner) runServer(ctx context.Context, id bench.ExperimentID, o bench.Options) ([]byte, error) {
 	client := r.cfg.Client
 	if client == nil {
 		client = http.DefaultClient
 	}
-	body, err := json.Marshal(map[string]any{
-		"experiment":  id.String(),
-		"run_uops":    o.RunUops,
-		"warmup_uops": o.WarmupUops,
-		"seed":        o.Seed,
-		"workers":     r.cfg.Workers,
-		"no_cache":    o.NoCache,
+	body, err := json.Marshal(serve.SweepRequest{
+		Experiment: id.String(),
+		RunUops:    o.RunUops,
+		WarmupUops: o.WarmupUops,
+		Seed:       o.Seed,
+		Workers:    r.cfg.Workers,
+		NoCache:    o.NoCache,
 	})
 	if err != nil {
 		return nil, err
@@ -294,67 +297,24 @@ func (r *Runner) runServer(ctx context.Context, id bench.ExperimentID, o bench.O
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
+		if resp.StatusCode == http.StatusOK {
 			// The server's json.Encoder appends a newline that the local
 			// json.Marshal path does not; trim it so the two execution
 			// modes emit byte-identical documents.
 			return bytes.TrimRight(doc, "\n"), nil
-		case resp.StatusCode == http.StatusTooManyRequests && attempt < maxRetries:
-			delay := retryAfter(resp, doc)
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		default:
-			return nil, fmt.Errorf("%s: HTTP %d: %s", url, resp.StatusCode, errorMessage(doc))
+		}
+		apiErr := cluster.DecodeError(resp.StatusCode, doc)
+		if resp.StatusCode != http.StatusTooManyRequests || attempt >= maxRetries {
+			return nil, fmt.Errorf("%s: HTTP %d: %s: %s", url, resp.StatusCode, apiErr.Code, apiErr.Message)
+		}
+		// Back off as the shed envelope advises, within [1s, 10s].
+		delay := min(max(apiErr.RetryAfter(time.Second), time.Second), 10*time.Second)
+		select {
+		case <-time.After(delay):
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 	}
-}
-
-// retryAfter extracts the server's shed backoff from the Retry-After
-// header or the error envelope's retry_after_ms, clamped to [1s, 10s].
-func retryAfter(resp *http.Response, doc []byte) time.Duration {
-	d := time.Second
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-			d = time.Duration(secs) * time.Second
-		}
-	} else {
-		var env struct {
-			Error struct {
-				RetryAfterMs int64 `json:"retry_after_ms"`
-			} `json:"error"`
-		}
-		if json.Unmarshal(doc, &env) == nil && env.Error.RetryAfterMs > 0 {
-			d = time.Duration(env.Error.RetryAfterMs) * time.Millisecond
-		}
-	}
-	if d > 10*time.Second {
-		d = 10 * time.Second
-	}
-	if d < time.Second {
-		d = time.Second
-	}
-	return d
-}
-
-// errorMessage renders a /v1 error envelope, falling back to the raw body.
-func errorMessage(doc []byte) string {
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(doc, &env) == nil && env.Error.Message != "" {
-		return env.Error.Code + ": " + env.Error.Message
-	}
-	if len(doc) > 200 {
-		doc = doc[:200]
-	}
-	return string(doc)
 }
 
 func (r *Runner) loadState(hash string) error {

@@ -41,47 +41,21 @@ type SimulateRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// ParseDesign resolves the CLI short names and the canonical
-// StoreDesign.String names.
+// ParseDesign resolves a design name as every front end does
+// (core.ParseDesign).
 func ParseDesign(name string) (core.StoreDesign, error) {
-	switch strings.ToLower(name) {
-	case "baseline":
-		return core.DesignBaseline, nil
-	case "large", "ideal":
-		return core.DesignLargeSTQ, nil
-	case "hier", "hierarchical":
-		return core.DesignHierarchical, nil
-	case "srl":
-		return core.DesignSRL, nil
-	case "filtered":
-		return core.DesignFilteredSTQ, nil
-	}
-	var d core.StoreDesign
-	if err := d.UnmarshalText([]byte(name)); err == nil {
-		return d, nil
-	}
-	return 0, fmt.Errorf("unknown store design %q", name)
-}
-
-// ParseSuite resolves a suite name case-insensitively.
-func ParseSuite(name string) (trace.Suite, error) {
-	for _, s := range trace.AllSuites() {
-		if strings.EqualFold(s.String(), name) {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown suite %q", name)
+	return core.ParseDesign(name)
 }
 
 // config builds the core.Config for the request, mirroring cmd/srlsim's
 // flag handling so a curl of the service and a CLI run of the same point
 // produce byte-identical Results JSON.
 func (req *SimulateRequest) config() (core.Config, trace.Suite, error) {
-	d, err := ParseDesign(req.Design)
+	d, err := core.ParseDesign(req.Design)
 	if err != nil {
 		return core.Config{}, 0, err
 	}
-	su, err := ParseSuite(req.Suite)
+	su, err := trace.ParseSuite(req.Suite)
 	if err != nil {
 		return core.Config{}, 0, err
 	}

@@ -13,7 +13,10 @@
 // unbounded dynamic micro-op stream.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Suite identifies one of the paper's seven benchmark suites.
 type Suite int
@@ -73,6 +76,17 @@ func (s *Suite) UnmarshalText(text []byte) error {
 		}
 	}
 	return fmt.Errorf("trace: unknown suite %q", name)
+}
+
+// ParseSuite resolves a suite name the way every front end (srlsim,
+// traceconv, /v1) accepts it, ignoring case.
+func ParseSuite(name string) (Suite, error) {
+	for _, s := range AllSuites() {
+		if strings.EqualFold(s.String(), name) {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown suite %q", name)
 }
 
 // Profile parameterises a suite's synthetic workload.

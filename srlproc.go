@@ -108,6 +108,13 @@ const (
 // AllSuites lists every suite in the paper's presentation order.
 func AllSuites() []Suite { return trace.AllSuites() }
 
+// ParseDesign resolves a design name: a StoreDesign String name or a short
+// spelling (baseline, large, ideal, hier, srl, filtered), ignoring case.
+func ParseDesign(name string) (StoreDesign, error) { return core.ParseDesign(name) }
+
+// ParseSuite resolves a suite name, ignoring case.
+func ParseSuite(name string) (Suite, error) { return trace.ParseSuite(name) }
+
 // DefaultConfig returns the Table 1 machine with the given store design.
 func DefaultConfig(d StoreDesign) Config { return core.DefaultConfig(d) }
 

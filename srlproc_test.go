@@ -36,6 +36,47 @@ func TestAllSuitesExported(t *testing.T) {
 	}
 }
 
+// TestParseNames pins the one design and suite parser srlsim, traceconv
+// and /v1 share: every spelling any of them accepted resolves, in any
+// case, and nothing else does.
+func TestParseNames(t *testing.T) {
+	designs := []struct {
+		name string
+		want StoreDesign
+	}{
+		{"baseline", DesignBaseline}, {"baseline-48STQ", DesignBaseline},
+		{"large", DesignLargeSTQ}, {"ideal", DesignLargeSTQ}, {"large-STQ", DesignLargeSTQ},
+		{"large-stq", DesignLargeSTQ}, {"largestq", DesignLargeSTQ},
+		{"hier", DesignHierarchical}, {"hierarchical", DesignHierarchical},
+		{"hierarchical-STQ", DesignHierarchical},
+		{"srl", DesignSRL}, {"SRL", DesignSRL},
+		{"filtered", DesignFilteredSTQ}, {"filtered-STQ", DesignFilteredSTQ},
+		{"filtered-stq", DesignFilteredSTQ},
+	}
+	for _, tc := range designs {
+		for _, name := range []string{tc.name, strings.ToUpper(tc.name), strings.ToLower(tc.name)} {
+			if got, err := ParseDesign(name); err != nil || got != tc.want {
+				t.Errorf("ParseDesign(%q) = %v, %v; want %v", name, got, err, tc.want)
+			}
+		}
+	}
+	for _, s := range AllSuites() {
+		for _, name := range []string{s.String(), strings.ToLower(s.String())} {
+			if got, err := ParseSuite(name); err != nil || got != s {
+				t.Errorf("ParseSuite(%q) = %v, %v; want %v", name, got, err, s)
+			}
+		}
+	}
+	for _, bad := range []string{"", "nonesuch", "large-", "srl2", "hier-stq"} {
+		if _, err := ParseDesign(bad); err == nil {
+			t.Errorf("ParseDesign(%q) accepted", bad)
+		}
+		if _, err := ParseSuite(bad); err == nil {
+			t.Errorf("ParseSuite(%q) accepted", bad)
+		}
+	}
+}
+
 func TestAllDesignsRunnable(t *testing.T) {
 	for _, d := range []StoreDesign{DesignBaseline, DesignLargeSTQ, DesignHierarchical, DesignSRL} {
 		cfg := DefaultConfig(d)
