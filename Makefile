@@ -33,8 +33,9 @@ bench:
 
 # Machine-readable perf trajectory: the cycle-loop, ready-list,
 # order-tracker, trace-generator and MSHR miss-path micro-benchmarks (three
-# repetitions, minimum kept) plus the end-to-end sweep matrix, rendered to
-# BENCH_core.json by cmd/benchjson.
+# repetitions: the minimum kept for the gate, with n, mean and std beside
+# it) plus the end-to-end sweep matrix, rendered to BENCH_core.json by
+# cmd/benchjson.
 # This file is the CI bench gate's baseline and the repo's recorded perf
 # history — regenerate and commit it when a PR intentionally shifts
 # performance.
@@ -55,14 +56,14 @@ bench-json:
 	   go run ./cmd/benchjson -o $(BENCHOUT)
 	@echo "wrote $(BENCHOUT) (raw text: $(BENCHRAW))"
 
-# CPU profile of the two cycle-loop benchmarks the perf ledger watches, and
+# CPU profile of the cycle-loop benchmarks the perf ledger watches, and
 # pprof's table of it sorted by flat%. Both land in PROFILEDIR, outside the
 # repository by default like BENCHRAW; `go tool pprof -http=: cpu.pprof`
 # there browses the profile.
 PROFILEDIR ?= /tmp/srlproc_profile
 profile:
 	@mkdir -p $(PROFILEDIR)
-	go test -run '^$$' -bench '^BenchmarkCycleLoop$$/^(baseline-48STQ|SRL)$$' -benchtime 2000000x \
+	go test -run '^$$' -bench '^BenchmarkCycleLoop$$/^(baseline-48STQ|SRL|ideal-1024STQ|hierarchical-STQ)$$' -benchtime 2000000x \
 	    -o $(PROFILEDIR)/core.test -cpuprofile $(PROFILEDIR)/cpu.pprof ./internal/core
 	go tool pprof -top $(PROFILEDIR)/core.test $(PROFILEDIR)/cpu.pprof > $(PROFILEDIR)/top.txt
 	@head -30 $(PROFILEDIR)/top.txt

@@ -13,7 +13,10 @@
 //
 // When a benchmark ran multiple times (go test -count=N), the minimum of
 // each metric is kept: simulation workloads are deterministic, so the
-// minimum is the least-noisy estimate of the true cost.
+// minimum is the least-noisy estimate of the true cost, and the gate
+// judges it. Beside each minimum the document records the runs' n, mean
+// and standard deviation, and -compare prints them, so a reader can tell a
+// row that moved by its noise alone from one that regressed.
 package main
 
 import (
@@ -37,6 +40,34 @@ type Metrics struct {
 	BytesPerOp  float64            `json:"bytes_per_op"`
 	AllocsPerOp float64            `json:"allocs_per_op"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
+	// Spread summarises every run of each metric, keyed by its unit
+	// ("ns/op", "B/op", "allocs/op" or a custom unit).
+	Spread map[string]Spread `json:"spread,omitempty"`
+}
+
+// Spread is the n, mean and sample standard deviation (0 for one run) of a
+// metric's runs.
+type Spread struct {
+	N    int     `json:"n"`
+	Mean float64 `json:"mean"`
+	Std  float64 `json:"std"`
+}
+
+// spreadOf summarises samples.
+func spreadOf(samples []float64) Spread {
+	sp := Spread{N: len(samples)}
+	for _, v := range samples {
+		sp.Mean += v
+	}
+	sp.Mean /= float64(sp.N)
+	if sp.N > 1 {
+		var ss float64
+		for _, v := range samples {
+			ss += (v - sp.Mean) * (v - sp.Mean)
+		}
+		sp.Std = math.Sqrt(ss / float64(sp.N-1))
+	}
+	return sp
 }
 
 // Document is the BENCH_*.json schema: benchmark name (with the CPU-count
@@ -92,6 +123,7 @@ func stripCPUSuffix(name string) string {
 
 func parse(f *os.File) (*Document, error) {
 	doc := &Document{Benchmarks: map[string]Metrics{}}
+	samples := map[string]map[string][]float64{} // name -> unit -> runs
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -104,13 +136,19 @@ func parse(f *os.File) (*Document, error) {
 		if len(fields) < 4 {
 			continue
 		}
+		name := stripCPUSuffix(fields[0])
+		if samples[name] == nil {
+			samples[name] = map[string][]float64{}
+		}
 		m := Metrics{NsPerOp: -1, BytesPerOp: -1, AllocsPerOp: -1}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad value %q in line %q", fields[i], line)
 			}
-			switch unit := fields[i+1]; unit {
+			unit := fields[i+1]
+			samples[name][unit] = append(samples[name][unit], v)
+			switch unit {
 			case "ns/op":
 				m.NsPerOp = v
 			case "B/op":
@@ -124,9 +162,16 @@ func parse(f *os.File) (*Document, error) {
 				m.Extra[unit] = v
 			}
 		}
-		name := stripCPUSuffix(fields[0])
 		if prev, ok := doc.Benchmarks[name]; ok {
 			m = mergeMin(prev, m)
+		}
+		doc.Benchmarks[name] = m
+	}
+	for name, units := range samples {
+		m := doc.Benchmarks[name]
+		m.Spread = make(map[string]Spread, len(units))
+		for unit, vs := range units {
+			m.Spread[unit] = spreadOf(vs)
 		}
 		doc.Benchmarks[name] = m
 	}
@@ -201,7 +246,8 @@ func runCompare(w io.Writer, oldPath, newPath string, threshold float64) int {
 		nw := newDoc.Benchmarks[name]
 		od, ok := oldDoc.Benchmarks[name]
 		if !ok {
-			fmt.Fprintf(w, "NEW    %-50s %12.0f ns/op %10.0f allocs/op\n", name, nw.NsPerOp, nw.AllocsPerOp)
+			fmt.Fprintf(w, "NEW    %-50s %12.0f ns/op %10.0f allocs/op%s\n",
+				name, nw.NsPerOp, nw.AllocsPerOp, fmtSpread("new", nw.Spread["ns/op"]))
 			continue
 		}
 		nsBad, nsDelta := regressed(od.NsPerOp, nw.NsPerOp, threshold)
@@ -211,8 +257,9 @@ func runCompare(w io.Writer, oldPath, newPath string, threshold float64) int {
 			status = "REGRES"
 			failed = true
 		}
-		fmt.Fprintf(w, "%s %-50s ns/op %12.0f -> %12.0f (%s)  allocs/op %10.0f -> %10.0f (%s)\n",
-			status, name, od.NsPerOp, nw.NsPerOp, fmtDelta(nsDelta), od.AllocsPerOp, nw.AllocsPerOp, fmtDelta(alDelta))
+		fmt.Fprintf(w, "%s %-50s ns/op %12.0f -> %12.0f (%s)  allocs/op %10.0f -> %10.0f (%s)%s%s\n",
+			status, name, od.NsPerOp, nw.NsPerOp, fmtDelta(nsDelta), od.AllocsPerOp, nw.AllocsPerOp, fmtDelta(alDelta),
+			fmtSpread("old", od.Spread["ns/op"]), fmtSpread("new", nw.Spread["ns/op"]))
 	}
 	gone := make([]string, 0)
 	for name := range oldDoc.Benchmarks {
@@ -230,6 +277,15 @@ func runCompare(w io.Writer, oldPath, newPath string, threshold float64) int {
 	}
 	fmt.Fprintf(w, "\nno regressions beyond %.1f%% threshold\n", threshold)
 	return 0
+}
+
+// fmtSpread renders a document's ns/op spread after a label, or nothing
+// for a document recorded without one.
+func fmtSpread(label string, sp Spread) string {
+	if sp.N == 0 {
+		return ""
+	}
+	return fmt.Sprintf("  %s mean %.0f ± %.0f (n=%d)", label, sp.Mean, sp.Std, sp.N)
 }
 
 // fmtDelta renders a percent delta; NaN marks a delta that has no

@@ -175,3 +175,65 @@ some unrelated line
 		t.Fatalf("extra metric lost: %+v", doc.Benchmarks["BenchmarkExtra"])
 	}
 }
+
+// TestSpreadRecordedAndPrinted checks that every metric keeps its runs'
+// n, mean and standard deviation beside the minimum, that -compare prints
+// them, and that the gate still judges the minimum alone: a candidate
+// whose mean is far worse but whose minimum is inside the threshold
+// passes.
+func TestSpreadRecordedAndPrinted(t *testing.T) {
+	dir := t.TempDir()
+	raw := writeDoc(t, dir, "bench.txt", `BenchmarkCycleLoop-8   20000   1000 ns/op   0 B/op   0 allocs/op
+BenchmarkCycleLoop-8   20000   1200 ns/op   0 B/op   0 allocs/op
+BenchmarkCycleLoop-8   20000   1400 ns/op   0 B/op   0 allocs/op
+BenchmarkOnce-8            1    100 ns/op   42.0 cache-hits
+`)
+	f, err := os.Open(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	doc, err := parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := doc.Benchmarks["BenchmarkCycleLoop"]
+	if m.NsPerOp != 1000 {
+		t.Fatalf("minimum %v, want 1000", m.NsPerOp)
+	}
+	if sp := m.Spread["ns/op"]; sp.N != 3 || sp.Mean != 1200 || math.Abs(sp.Std-200) > 1e-9 {
+		t.Fatalf("ns/op spread %+v, want n=3 mean=1200 std=200", sp)
+	}
+	if sp := m.Spread["allocs/op"]; sp.N != 3 || sp.Mean != 0 || sp.Std != 0 {
+		t.Fatalf("allocs/op spread %+v", sp)
+	}
+	if sp := doc.Benchmarks["BenchmarkOnce"].Spread["cache-hits"]; sp.N != 1 || sp.Mean != 42 || sp.Std != 0 {
+		t.Fatalf("single-run custom spread %+v", sp)
+	}
+
+	oldPath := writeDoc(t, dir, "old.json", `{"benchmarks":{
+		"BenchmarkCycleLoop": {"ns_per_op": 1000, "bytes_per_op": 0, "allocs_per_op": 0,
+			"spread": {"ns/op": {"n": 3, "mean": 1010, "std": 10}}},
+		"BenchmarkLegacy": {"ns_per_op": 50, "bytes_per_op": 0, "allocs_per_op": 0}
+	}}`)
+	newPath := writeDoc(t, dir, "new.json", `{"benchmarks":{
+		"BenchmarkCycleLoop": {"ns_per_op": 1040, "bytes_per_op": 0, "allocs_per_op": 0,
+			"spread": {"ns/op": {"n": 3, "mean": 1500, "std": 400}}},
+		"BenchmarkLegacy": {"ns_per_op": 50, "bytes_per_op": 0, "allocs_per_op": 0}
+	}}`)
+	var out strings.Builder
+	if code := runCompare(&out, oldPath, newPath, 5); code != 0 {
+		t.Fatalf("a minimum inside the threshold failed the gate (exit %d):\n%s", code, out.String())
+	}
+	report := out.String()
+	for _, want := range []string{"old mean 1010 ± 10 (n=3)", "new mean 1500 ± 400 (n=3)"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
+		}
+	}
+	for _, line := range strings.Split(report, "\n") {
+		if strings.Contains(line, "BenchmarkLegacy") && strings.Contains(line, "mean") {
+			t.Errorf("a row recorded without spread printed one: %q", line)
+		}
+	}
+}

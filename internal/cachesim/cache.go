@@ -36,11 +36,18 @@ type Cache struct {
 	name     string
 	sets     [][]line // each set ordered MRU-first
 	assoc    int
-	numSets  int
+	setMask  uint64 // set count - 1
+	tagShift uint   // log2(line size * set count)
 	latency  uint64
 	accesses uint64
 	misses   uint64
 	wbacks   uint64
+	// anySpec is false only when no valid line is speculative. SpecWrite
+	// sets it and every bulk walk recomputes it, so CommitSpec and the
+	// discards return at once on a cache that holds no speculative data —
+	// the common case, which would otherwise walk all 512 lines of Table
+	// 1's L1 at every checkpoint commit.
+	anySpec bool
 }
 
 // NewCache builds a cache of sizeBytes capacity and the given associativity
@@ -50,7 +57,11 @@ func NewCache(name string, sizeBytes, assoc int, latency uint64) *Cache {
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cachesim: %s: set count %d not a positive power of two", name, numSets))
 	}
-	c := &Cache{name: name, assoc: assoc, numSets: numSets, latency: latency}
+	tagShift := uint(0)
+	for 1<<tagShift < isa.CacheLineSize*numSets {
+		tagShift++
+	}
+	c := &Cache{name: name, assoc: assoc, setMask: uint64(numSets - 1), tagShift: tagShift, latency: latency}
 	c.sets = make([][]line, numSets)
 	for i := range c.sets {
 		c.sets[i] = make([]line, 0, assoc)
@@ -67,7 +78,14 @@ func (c *Cache) Misses() uint64     { return c.misses }
 func (c *Cache) Writebacks() uint64 { return c.wbacks }
 
 func (c *Cache) setIdx(addr uint64) uint64 {
-	return (addr / isa.CacheLineSize) % uint64(c.numSets)
+	return (addr / isa.CacheLineSize) & c.setMask
+}
+
+func (c *Cache) tag(addr uint64) uint64 { return addr >> c.tagShift }
+
+// lineAddr rebuilds the address of the line with tag in set si.
+func (c *Cache) lineAddr(tag, si uint64) uint64 {
+	return tag<<c.tagShift | si*isa.CacheLineSize
 }
 
 // Lookup probes for addr's line. On a hit it refreshes LRU and returns the
@@ -76,7 +94,7 @@ func (c *Cache) setIdx(addr uint64) uint64 {
 func (c *Cache) Lookup(cycle, addr uint64) (hit bool, ready uint64) {
 	c.accesses++
 	si := c.setIdx(addr)
-	tag := addr / isa.CacheLineSize / uint64(c.numSets)
+	tag := c.tag(addr)
 	set := c.sets[si]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -97,7 +115,7 @@ func (c *Cache) Lookup(cycle, addr uint64) (hit bool, ready uint64) {
 // Contains reports presence without touching LRU or counters.
 func (c *Cache) Contains(addr uint64) bool {
 	si := c.setIdx(addr)
-	tag := addr / isa.CacheLineSize / uint64(c.numSets)
+	tag := c.tag(addr)
 	for i := range c.sets[si] {
 		if c.sets[si][i].valid && c.sets[si][i].tag == tag {
 			return true
@@ -118,7 +136,7 @@ type Evicted struct {
 // write-allocate store.
 func (c *Cache) Insert(addr, readyAt uint64, dirty bool) Evicted {
 	si := c.setIdx(addr)
-	tag := addr / isa.CacheLineSize / uint64(c.numSets)
+	tag := c.tag(addr)
 	set := c.sets[si]
 	// Already present (e.g. racing fills): just update.
 	for i := range set {
@@ -143,7 +161,7 @@ func (c *Cache) Insert(addr, readyAt uint64, dirty bool) Evicted {
 	set[0] = nl
 	ev := Evicted{Valid: victim.valid, Dirty: victim.dirty}
 	if victim.valid {
-		ev.Addr = (victim.tag*uint64(c.numSets) + si) * isa.CacheLineSize
+		ev.Addr = c.lineAddr(victim.tag, si)
 		if victim.dirty {
 			c.wbacks++
 		}
@@ -154,7 +172,7 @@ func (c *Cache) Insert(addr, readyAt uint64, dirty bool) Evicted {
 // MarkDirty sets the dirty bit on addr's line if present.
 func (c *Cache) MarkDirty(addr uint64) {
 	si := c.setIdx(addr)
-	tag := addr / isa.CacheLineSize / uint64(c.numSets)
+	tag := c.tag(addr)
 	for i := range c.sets[si] {
 		if c.sets[si][i].valid && c.sets[si][i].tag == tag {
 			c.sets[si][i].dirty = true
@@ -166,7 +184,7 @@ func (c *Cache) MarkDirty(addr uint64) {
 // Invalidate drops addr's line, returning whether it was present and dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	si := c.setIdx(addr)
-	tag := addr / isa.CacheLineSize / uint64(c.numSets)
+	tag := c.tag(addr)
 	set := c.sets[si]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -206,7 +224,7 @@ type SpecWriteResult struct {
 // temporary (pre-redo) update that DiscardSpecTemp will drop.
 func (c *Cache) SpecWrite(addr uint64, ckpt int, temp bool) SpecWriteResult {
 	si := c.setIdx(addr)
-	tag := addr / isa.CacheLineSize / uint64(c.numSets)
+	tag := c.tag(addr)
 	set := c.sets[si]
 	for i := range set {
 		if !set[i].valid || set[i].tag != tag {
@@ -226,6 +244,7 @@ func (c *Cache) SpecWrite(addr uint64, ckpt int, temp bool) SpecWriteResult {
 		set[i].spec = true
 		set[i].specTemp = set[i].specTemp || temp
 		set[i].specCkpt = ckpt
+		c.anySpec = true
 		return res
 	}
 	return SpecWriteResult{Present: false}
@@ -234,31 +253,23 @@ func (c *Cache) SpecWrite(addr uint64, ckpt int, temp bool) SpecWriteResult {
 // CommitSpec bulk-clears speculative ownership for checkpoint ckpt, marking
 // those blocks committed (and dirty, since they hold store data).
 func (c *Cache) CommitSpec(ckpt int) (committed int) {
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			l := &c.sets[si][i]
-			if l.valid && l.spec && l.specCkpt == ckpt {
-				l.spec = false
-				l.specTemp = false
-				l.specCkpt = -1
-				l.dirty = true
-				committed++
-			}
+	c.walkSpec(func(l *line, _ uint64) {
+		if l.specCkpt == ckpt {
+			l.spec = false
+			l.specTemp = false
+			l.specCkpt = -1
+			l.dirty = true
+			committed++
 		}
-	}
+	})
 	return committed
-}
-
-// DiscardSpec bulk-invalidates every speculative line, returning the
-// invalidated line addresses (the pre-store architectural data still exists
-// at the next level; the caller re-registers it there).
-func (c *Cache) DiscardSpec() []uint64 {
-	return c.discardSpecIf(func(l *line) bool { return true })
 }
 
 // DiscardSpecTemp invalidates only temporary (pre-redo) speculative lines —
 // the redo-phase discard of §6.5; the next access to any such block
-// re-misses to the next level, the extra misses the paper describes.
+// re-misses to the next level, the extra misses the paper describes. The
+// invalidated line addresses are returned (the pre-store architectural
+// data still exists at the next level; the caller re-registers it there).
 func (c *Cache) DiscardSpecTemp() []uint64 {
 	return c.discardSpecIf(func(l *line) bool { return l.specTemp })
 }
@@ -271,19 +282,35 @@ func (c *Cache) DiscardSpecFrom(minCkpt int) []uint64 {
 
 func (c *Cache) discardSpecIf(pred func(*line) bool) []uint64 {
 	var addrs []uint64
+	c.walkSpec(func(l *line, si uint64) {
+		if pred(l) {
+			addrs = append(addrs, c.lineAddr(l.tag, si))
+			l.valid = false
+			l.spec = false
+			l.specTemp = false
+			l.specCkpt = -1
+		}
+	})
+	return addrs
+}
+
+// walkSpec calls fn on every valid speculative line with its set index,
+// then recomputes anySpec from what fn left speculative. It returns at
+// once when anySpec proves there is no such line.
+func (c *Cache) walkSpec(fn func(l *line, si uint64)) {
+	if !c.anySpec {
+		return
+	}
+	c.anySpec = false
 	for si := range c.sets {
 		for i := range c.sets[si] {
 			l := &c.sets[si][i]
-			if l.valid && l.spec && pred(l) {
-				addrs = append(addrs, (l.tag*uint64(c.numSets)+uint64(si))*isa.CacheLineSize)
-				l.valid = false
-				l.spec = false
-				l.specTemp = false
-				l.specCkpt = -1
+			if l.valid && l.spec {
+				fn(l, uint64(si))
+				c.anySpec = c.anySpec || (l.valid && l.spec)
 			}
 		}
 	}
-	return addrs
 }
 
 // HasTempSpec reports whether addr's line is resident and holds a
@@ -291,7 +318,7 @@ func (c *Cache) discardSpecIf(pred func(*line) bool) []uint64 {
 // source.
 func (c *Cache) HasTempSpec(addr uint64) bool {
 	si := c.setIdx(addr)
-	tag := addr / isa.CacheLineSize / uint64(c.numSets)
+	tag := c.tag(addr)
 	for i := range c.sets[si] {
 		l := &c.sets[si][i]
 		if l.valid && l.tag == tag {

@@ -1,0 +1,138 @@
+package cachesim
+
+import (
+	"reflect"
+	"testing"
+
+	"srlproc/internal/isa"
+	"srlproc/internal/xrand"
+)
+
+// TestSpecWalkMatchesFullWalk drives random fills, lookups, invalidations,
+// speculative writes, commits and discards through two identical caches.
+// Before each bulk operation the reference's anySpec flag is forced on, so
+// it always walks every line; the cache under test may return early. Both
+// must report the same results and hold the same lines after every
+// operation, and whenever the cache under test claims no speculative line
+// (anySpec false), a walk must find none. Every evicted line address must
+// be one that was filled, which checks the mask-and-shift address rebuild.
+func TestSpecWalkMatchesFullWalk(t *testing.T) {
+	cases := map[string]int{}
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := xrand.New(seed)
+		c := NewCache("t", 8*64*2, 2, 3) // 8 sets, 2-way
+		ref := NewCache("t", 8*64*2, 2, 3)
+		filled := map[uint64]bool{}
+		pick := func() uint64 { return 0x4000 + isa.CacheLineSize*rng.Uint64n(40) }
+		for step := 0; step < 5000; step++ {
+			op := ""
+			bulk := false
+			switch k := rng.Intn(100); {
+			case k < 30:
+				op = "insert"
+				a, dirty := pick(), rng.Bool(0.3)
+				if set := c.sets[c.setIdx(a)]; !c.Contains(a) && len(set) == c.assoc && set[len(set)-1].valid && set[len(set)-1].spec {
+					cases["evict a speculative line"]++
+				}
+				filled[a] = true
+				ev, rev := c.Insert(a, uint64(step), dirty), ref.Insert(a, uint64(step), dirty)
+				if ev != rev {
+					t.Fatalf("seed %d step %d: Insert evicted %+v, reference %+v", seed, step, ev, rev)
+				}
+				if ev.Valid && !filled[ev.Addr] {
+					t.Fatalf("seed %d step %d: evicted %#x, never filled", seed, step, ev.Addr)
+				}
+			case k < 40:
+				op = "lookup"
+				a := pick()
+				hit, _ := c.Lookup(uint64(step), a)
+				if rhit, _ := ref.Lookup(uint64(step), a); hit != rhit {
+					t.Fatalf("seed %d step %d: Lookup %v, reference %v", seed, step, hit, rhit)
+				}
+			case k < 46:
+				op = "invalidate"
+				a := pick()
+				if isSpec(c, a) {
+					cases["invalidate a speculative line"]++
+				}
+				p, d := c.Invalidate(a)
+				if rp, rd := ref.Invalidate(a); p != rp || d != rd {
+					t.Fatalf("seed %d step %d: Invalidate %v/%v, reference %v/%v", seed, step, p, d, rp, rd)
+				}
+			case k < 70:
+				op = "spec write"
+				a, ck, temp := pick(), rng.Intn(6), rng.Bool(0.5)
+				if r, rr := c.SpecWrite(a, ck, temp), ref.SpecWrite(a, ck, temp); r != rr {
+					t.Fatalf("seed %d step %d: SpecWrite %+v, reference %+v", seed, step, r, rr)
+				}
+			case k < 82:
+				op, bulk = "commit", true
+				ck := rng.Intn(6)
+				skipped := !c.anySpec
+				ref.anySpec = true
+				n, rn := c.CommitSpec(ck), ref.CommitSpec(ck)
+				if n != rn {
+					t.Fatalf("seed %d step %d: CommitSpec(%d) = %d, full walk %d", seed, step, ck, n, rn)
+				}
+				if skipped {
+					cases["commit skipped"]++
+				} else if n > 0 {
+					cases["commit walked and committed"]++
+				}
+			case k < 91:
+				op, bulk = "discard from", true
+				ck := rng.Intn(6)
+				skipped := !c.anySpec
+				ref.anySpec = true
+				got, want := c.DiscardSpecFrom(ck), ref.DiscardSpecFrom(ck)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: DiscardSpecFrom(%d) = %v, full walk %v", seed, step, ck, got, want)
+				}
+				if skipped {
+					cases["discard skipped"]++
+				} else if len(got) > 0 {
+					cases["discard walked and dropped lines"]++
+				}
+			default:
+				op, bulk = "discard temp", true
+				skipped := !c.anySpec
+				ref.anySpec = true
+				got, want := c.DiscardSpecTemp(), ref.DiscardSpecTemp()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: DiscardSpecTemp = %v, full walk %v", seed, step, got, want)
+				}
+				if skipped {
+					cases["discard skipped"]++
+				} else if len(got) > 0 {
+					cases["temp discard walked and dropped lines"]++
+				}
+			}
+			if !reflect.DeepEqual(c.sets, ref.sets) {
+				t.Fatalf("seed %d step %d (%s): line state differs from the full-walk reference", seed, step, op)
+			}
+			if n := c.SpecLines(); n > 0 && !c.anySpec {
+				t.Fatalf("seed %d step %d (%s): %d speculative lines with anySpec false", seed, step, op, n)
+			} else if bulk && c.anySpec != (n > 0) {
+				t.Fatalf("seed %d step %d (%s): a walk left anySpec %v with %d speculative lines", seed, step, op, c.anySpec, n)
+			}
+		}
+	}
+	for _, want := range []string{"evict a speculative line", "invalidate a speculative line", "commit skipped",
+		"commit walked and committed", "discard skipped", "discard walked and dropped lines",
+		"temp discard walked and dropped lines"} {
+		if cases[want] == 0 {
+			t.Errorf("case never exercised: %s", want)
+		}
+	}
+	t.Logf("cases: %v", cases)
+}
+
+// isSpec reports whether addr's line is resident and speculative.
+func isSpec(c *Cache, addr uint64) bool {
+	for _, l := range c.sets[c.setIdx(addr)] {
+		if l.valid && l.tag == c.tag(addr) {
+			return l.spec
+		}
+	}
+	return false
+}

@@ -28,8 +28,13 @@ func benchCore(b *testing.B, cfg Config) *Core {
 // on a warmed core — the innermost signal the CI bench gate watches. After
 // the warm-up lap, allocs/op must stay at (or within rounding of) zero.
 // SRL-sync adds the ordering experiment's fences, acquires and releases,
-// so every ordering gate is on the measured path.
+// so every ordering gate is on the measured path. ideal-1024STQ (Figure
+// 6's single-level 1K-entry queue) and hierarchical-STQ (Table 1
+// defaults, with its 1K-entry L2 STQ) are the designs whose large CAMs
+// and 1K-entry load queue the store and load searches span.
 func BenchmarkCycleLoop(b *testing.B) {
+	ideal := DefaultConfig(DesignLargeSTQ)
+	ideal.STQSize = 1024
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -37,6 +42,8 @@ func BenchmarkCycleLoop(b *testing.B) {
 		{DesignBaseline.String(), DefaultConfig(DesignBaseline)},
 		{DesignSRL.String(), DefaultConfig(DesignSRL)},
 		{"SRL-sync", withSyncKnobs(DefaultConfig(DesignSRL))},
+		{"ideal-1024STQ", ideal},
+		{DesignHierarchical.String(), DefaultConfig(DesignHierarchical)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			c := benchCore(b, tc.cfg)

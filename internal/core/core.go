@@ -53,9 +53,11 @@ type Core struct {
 
 	// SRL-stalled loads, plus the retry loop's reusable snapshot buffer
 	// (the loop must not iterate srlStalled itself: releasing a load can
-	// restart the machine, which rewrites the list in place).
+	// restart the machine, which rewrites the list in place) and its memo
+	// of the last idle pass.
 	srlStalled      []*dynUop
 	srlRetryScratch []*dynUop
+	srlRetry        srlRetryMemo
 
 	// In-flight stores with unknown (poisoned) addresses, for the memory
 	// dependence predictor to screen loads against.
@@ -152,10 +154,6 @@ type scalars struct {
 	storesInWindow              int
 
 	sdbCount int // live entries (inSDB) in the sdb heap
-
-	// unknownAddrStores counts resident store-queue entries whose address
-	// has not been computed yet (gates the filtered design's search skip).
-	unknownAddrStores int
 
 	// Store identifier assignment (the paper's store IDs = SRL indices).
 	storeCounter uint64

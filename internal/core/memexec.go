@@ -152,7 +152,7 @@ func (c *Core) executeLoad(d *dynUop) {
 	// still-unresolved store is caught later by the load buffer.
 	var sr lsq.SearchResult
 	if c.cfg.Design == DesignFilteredSTQ && !c.mtb.MightContain(d.u.Addr) &&
-		(c.unknownAddrStores == 0 || !c.mdp.DependentOnAny(d.u.PC)) {
+		(c.l1stq.UnknownAddrs() == 0 || !c.mdp.DependentOnAny(d.u.PC)) {
 		c.metrics.Inc(obs.MetricFilteredSearchesSaved)
 	} else {
 		sr = c.l1stq.Search(d.u.Addr, d.u.Size, d.u.Seq)
@@ -296,6 +296,29 @@ func (c *Core) stallOnSRL(d *dynUop) {
 	c.leaveSched(d)
 	d.srlStalled = true
 	c.srlStalled = append(c.srlStalled, d)
+	c.srlRetry.listMuts++
+}
+
+// srlRetryMemo lets retrySRLStalled skip a pass whose outcome is already
+// known. A pass decides from the stall list, the SRL (emptiness, head
+// index, the entry indexed forwarding reads) and the LCF's counters, and
+// from nothing else; so when none of the three has changed since a pass
+// that released no load, dropped no entry and kept budget to spare, this
+// pass would repeat it exactly and can be skipped. Mutation counts prove
+// "unchanged": the SRL and LCF keep their own, and listMuts moves on every
+// stallOnSRL and every restart's filtering of the list.
+type srlRetryMemo struct {
+	listMuts uint64
+	idle     bool      // the last pass changed nothing
+	at       [3]uint64 // the SRL, LCF and list counts it saw
+}
+
+func (c *Core) srlRetryKey() [3]uint64 {
+	k := [3]uint64{c.srl.Mutations(), 0, c.srlRetry.listMuts}
+	if c.lcf != nil {
+		k[1] = c.lcf.Mutations()
+	}
+	return k
 }
 
 // retrySRLStalled re-examines stalled loads each cycle.
@@ -304,6 +327,11 @@ func (c *Core) retrySRLStalled() {
 		return
 	}
 	c.metrics.Add(obs.MetricSRLStallLoadCycles, uint64(len(c.srlStalled)))
+	key := c.srlRetryKey()
+	if c.srlRetry.idle && c.srlRetry.at == key {
+		return
+	}
+	idle := true
 	// Stalled loads wake as drains release them; the wait buffer can wake
 	// several per cycle (they re-enter through the cache port pipeline).
 	budget := 4 * c.cfg.LoadPorts
@@ -317,10 +345,12 @@ func (c *Core) retrySRLStalled() {
 	c.srlStalled = c.srlStalled[:0]
 	for i, d := range pending {
 		if !d.allocated || !d.srlStalled {
+			idle = false
 			continue
 		}
 		if budget == 0 {
 			c.srlStalled = append(c.srlStalled, pending[i:]...)
+			idle = false
 			break
 		}
 		proceed := c.srl.Empty() || c.srl.HeadIndex() > d.nearestStoreID
@@ -333,12 +363,14 @@ func (c *Core) retrySRLStalled() {
 			if _, lastIdx := c.lcf.Peek(d.u.Addr); c.tryIndexedForward(d, lastIdx) {
 				d.srlStalled = false
 				budget--
+				idle = false
 				continue
 			}
 		}
 		if proceed {
 			d.srlStalled = false
 			budget--
+			idle = false
 			// Re-search the L1 STQ before releasing the load to the cache:
 			// an older store may have entered (or completed in) the L1 STQ
 			// while the load sat stalled, and skipping the search would
@@ -363,6 +395,7 @@ func (c *Core) retrySRLStalled() {
 		}
 		c.srlStalled = append(c.srlStalled, d)
 	}
+	c.srlRetry.idle, c.srlRetry.at = idle, key
 }
 
 // finishLoadForward completes a load via store forwarding at the given

@@ -95,6 +95,7 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	c.sdbCount = live
 	c.pendDrain = filterUops(c.pendDrain, squashBelow)
 	c.srlStalled = filterUops(c.srlStalled, squashBelow)
+	c.srlRetry.listMuts++
 	c.unknownStores = filterUops(c.unknownStores, squashBelow)
 	c.deferred = filterUops(c.deferred, squashBelow)
 
@@ -158,16 +159,6 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	ck.pending = 0
 	ck.uops = 0
 	ck.closed = false
-
-	// Recount the unknown-address store population over the surviving
-	// store queue contents.
-	c.unknownAddrStores = 0
-	for i := 0; i < c.win.len(); i++ {
-		d := c.win.at(i)
-		if d.allocated && d.isStore() && !d.addrKnown {
-			c.unknownAddrStores++
-		}
-	}
 
 	// Restore the rename map and store-identifier counter from the
 	// checkpoint snapshot, set the replay position, and pay the redirect.

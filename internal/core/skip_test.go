@@ -308,6 +308,7 @@ var skipExempt = []struct {
 	{"srlOcc accrues a gap exactly at its next Set; actBase moves only with measuring", []string{"srlOcc", "actBase"}},
 	{"the skip engine's own state and its output", []string{"skip", "final"}},
 	{"observers the pipeline never reads", []string{"obsrv", "chk"}},
+	{"a memo of an idle retry pass: it only skips passes that would change nothing", []string{"srlRetry"}},
 }
 
 // skipResultsExempt lists the Results fields outside the counter blocks:

@@ -207,12 +207,9 @@ func (c *Core) drainToSDB(d *dynUop) {
 	if d.isStore() {
 		ap := d.prod[0].live()
 		if (ap == nil || ap.done) && !d.addrKnown {
-			if e := c.locateStoreEntry(d); e != nil {
-				e.AddrKnown = true
-				e.Addr = d.u.Addr
-				e.Size = d.u.Size
+			if q, e := c.locateStoreEntry(d); e != nil {
+				q.Resolve(e, d.u.Addr, d.u.Size)
 				d.addrKnown = true
-				c.noteStoreAddrKnown()
 				if c.cfg.Design == DesignFilteredSTQ {
 					c.mtb.Add(d.u.Addr)
 				}
@@ -432,13 +429,15 @@ func (c *Core) complete(d *dynUop) {
 	}
 }
 
-// locateStoreEntry finds d's store queue entry (L1 or, in the hierarchical
-// design, L2 after displacement).
-func (c *Core) locateStoreEntry(d *dynUop) *lsq.StoreEntry {
+// locateStoreEntry finds d's store queue entry and the queue holding it
+// (L1 or, in the hierarchical design, L2 after displacement); the entry is
+// nil once the store has left the queue.
+func (c *Core) locateStoreEntry(d *dynUop) (*lsq.StoreQueue, *lsq.StoreEntry) {
+	q := c.l1stq
 	if d.inL2STQ && c.l2stq != nil {
-		return c.l2stq.Locate(d.stqSlot, d.u.Seq)
+		q = c.l2stq
 	}
-	return c.l1stq.Locate(d.stqSlot, d.u.Seq)
+	return q, q.Locate(d.stqSlot, d.u.Seq)
 }
 
 // completeStore captures a store's address and data, fills its SRL slot if
@@ -451,16 +450,11 @@ func (c *Core) completeStore(d *dynUop) bool {
 		// Address and data both available from here on.
 		c.chkStoreResolved(d, true)
 	}
-	if wasUnknown {
-		c.noteStoreAddrKnown()
-		if c.cfg.Design == DesignFilteredSTQ {
-			c.mtb.Add(d.u.Addr)
-		}
+	if wasUnknown && c.cfg.Design == DesignFilteredSTQ {
+		c.mtb.Add(d.u.Addr)
 	}
-	if e := c.locateStoreEntry(d); e != nil {
-		e.AddrKnown = true
-		e.Addr = d.u.Addr
-		e.Size = d.u.Size
+	if q, e := c.locateStoreEntry(d); e != nil {
+		q.Resolve(e, d.u.Addr, d.u.Size)
 		e.DataReady = true
 		// A store displaced to the L2 STQ with an unknown address joins
 		// the membership test buffer once the address resolves.
@@ -922,20 +916,10 @@ func (c *Core) allocStoreEntry(d *dynUop, ckptID int) bool {
 		}
 		d.stqSlot = slot
 	}
-	c.unknownAddrStores++
 	if c.chk != nil {
 		c.chkStoreAlloc(d)
 	}
 	return true
-}
-
-// noteStoreAddrKnown maintains the unknown-address store population (used
-// by the filtered design's search gate) when a store's address resolves or
-// its entry is squashed before resolving.
-func (c *Core) noteStoreAddrKnown() {
-	if c.unknownAddrStores > 0 {
-		c.unknownAddrStores--
-	}
 }
 
 func (c *Core) noteRecentLoad(addr uint64) {

@@ -13,9 +13,9 @@ package lsq
 // the producing store, so a load can check the producer is older than
 // itself (a single magnitude comparison — no CAM).
 type FC struct {
-	sets  [][]fcEntry
-	assoc int
-	nsets int
+	sets    [][]fcEntry
+	assoc   int
+	setMask uint64
 
 	// FaultInvertAge inverts the producer-age eligibility comparison in
 	// Lookup (fault injection: lets the checker and fuzzer prove they catch
@@ -42,7 +42,7 @@ func NewFC(entries, assoc int) *FC {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("lsq: FC set count must be a positive power of two")
 	}
-	f := &FC{sets: make([][]fcEntry, nsets), assoc: assoc, nsets: nsets}
+	f := &FC{sets: make([][]fcEntry, nsets), assoc: assoc, setMask: uint64(nsets - 1)}
 	for i := range f.sets {
 		f.sets[i] = make([]fcEntry, 0, assoc)
 	}
@@ -54,7 +54,7 @@ func (f *FC) Lookups() uint64 { return f.lookups }
 func (f *FC) Hits() uint64    { return f.hits }
 func (f *FC) Updates() uint64 { return f.updates }
 
-func (f *FC) set(addr uint64) int { return int(wordAddr(addr) % uint64(f.nsets)) }
+func (f *FC) set(addr uint64) int { return int(wordAddr(addr) & f.setMask) }
 
 // Update records a miss-independent store's temporary data. Stores
 // normally reach the FC in program order (they leave the L1 STQ in order),

@@ -37,6 +37,10 @@ type LCF struct {
 	hitsNZ                 uint64 // probes finding a non-zero counter
 	overflows              uint64 // increments refused (counter saturated)
 	increments, decrements uint64
+	muts                   uint64 // Inc, IncSticky, Dec and Reset calls
+	// dirty is false while no Inc or IncSticky has landed since the last
+	// Reset: every array is still zero, so Reset has nothing to clear.
+	dirty bool
 }
 
 // NewLCF creates a loose check filter with entries counters (power of two)
@@ -64,6 +68,10 @@ func (f *LCF) Entries() int { return len(f.count) }
 
 // Hash returns the configured hash kind.
 func (f *LCF) Hash() HashKind { return f.hash }
+
+// Mutations returns the count of Inc, IncSticky, Dec and Reset calls; a
+// reader that saw the same count before would Peek the same answers.
+func (f *LCF) Mutations() uint64 { return f.muts }
 
 // Probes, NonZeroHits and Overflows return activity counts.
 func (f *LCF) Probes() uint64      { return f.probes }
@@ -94,6 +102,8 @@ func (f *LCF) idx(addr uint64) uint64 {
 // stored index belongs to an already-drained store and must be replaced
 // unconditionally.
 func (f *LCF) Inc(addr uint64, srlIndex uint64) bool {
+	f.muts++
+	f.dirty = true
 	i := f.idx(addr)
 	if f.count[i] == f.maxCount {
 		f.overflows++
@@ -117,6 +127,8 @@ func (f *LCF) Inc(addr uint64, srlIndex uint64) bool {
 // no-false-negatives guarantee. Sticky state clears when the SRL empties
 // and the owner calls Reset (every counter is provably zero then).
 func (f *LCF) IncSticky(addr uint64, srlIndex uint64) {
+	f.muts++
+	f.dirty = true
 	i := f.idx(addr)
 	if f.count[i] >= f.maxCount {
 		f.count[i] = f.maxCount
@@ -135,6 +147,7 @@ func (f *LCF) IncSticky(addr uint64, srlIndex uint64) {
 // counter (see IncSticky) absorbs the decrement: its true population is
 // unknown, so it must stay conservatively non-zero until Reset.
 func (f *LCF) Dec(addr uint64) {
+	f.muts++
 	i := f.idx(addr)
 	f.decrements++
 	if f.sticky[i] {
@@ -173,11 +186,14 @@ func (f *LCF) Peek(addr uint64) (mayMatch bool, lastSRLIndex uint64) {
 // is empty (episode end, full squash): an empty SRL means every counter's
 // true population is zero.
 func (f *LCF) Reset() {
-	for i := range f.count {
-		f.count[i] = 0
-		f.lastIndex[i] = 0
-		f.sticky[i] = false
+	f.muts++
+	if !f.dirty {
+		return
 	}
+	f.dirty = false
+	clear(f.count)
+	clear(f.lastIndex)
+	clear(f.sticky)
 }
 
 // SizeBytes returns the storage footprint: the paper's 2K-entry LCF stores

@@ -1,5 +1,7 @@
 package lsq
 
+import "math/bits"
+
 // LoadEntry is one executed load's record in the (secondary) load buffer.
 type LoadEntry struct {
 	Seq  uint64
@@ -52,13 +54,20 @@ const (
 // queue (associativity = capacity, one set) for the baseline and
 // hierarchical designs; the power model charges that configuration CAM
 // costs.
+//
+// The simulator answers a check without comparing entries when it can: a
+// word filter over the resident loads proves most lookups match nothing,
+// and an occupancy bit per set lets the bulk removals visit only the sets
+// that hold loads. EntryCompares still counts what the hardware compares.
 type LoadBuffer struct {
-	sets   [][]LoadEntry
-	assoc  int
-	nsets  int
-	policy OverflowPolicy
-	victim []LoadEntry
-	vcap   int
+	sets     [][]LoadEntry
+	assoc    int
+	setMask  uint64
+	occupied []uint64 // bit si set iff sets[si] is non-empty
+	policy   OverflowPolicy
+	victim   []LoadEntry
+	vcap     int
+	words    wordFilter // words of every resident entry, victims included
 
 	count     int
 	lookups   uint64
@@ -80,8 +89,9 @@ func NewLoadBuffer(capacity, assoc int, policy OverflowPolicy, victimCap int) *L
 		panic("lsq: load buffer set count must be a positive power of two")
 	}
 	b := &LoadBuffer{
-		sets: make([][]LoadEntry, nsets), assoc: assoc, nsets: nsets,
-		policy: policy, vcap: victimCap,
+		sets: make([][]LoadEntry, nsets), assoc: assoc, setMask: uint64(nsets - 1),
+		occupied: make([]uint64, (nsets+63)/64),
+		policy:   policy, vcap: victimCap, words: newWordFilter(capacity + victimCap),
 	}
 	for i := range b.sets {
 		b.sets[i] = make([]LoadEntry, 0, assoc)
@@ -104,7 +114,7 @@ func (b *LoadBuffer) Overflows() uint64 { return b.overflows }
 // spread across all sets instead of aliasing onto a power-of-two subset.
 func (b *LoadBuffer) set(addr uint64) int {
 	w := wordAddr(addr)
-	return int((w ^ (w >> 7) ^ (w >> 14)) % uint64(b.nsets))
+	return int((w ^ (w >> 7) ^ (w >> 14)) & b.setMask)
 }
 
 // Insert records an executed load. It returns ok=false only under
@@ -115,30 +125,36 @@ func (b *LoadBuffer) Insert(e LoadEntry) bool {
 	si := b.set(e.Addr)
 	if len(b.sets[si]) < b.assoc {
 		b.sets[si] = append(b.sets[si], e)
-		b.count++
-		return true
-	}
-	b.overflows++
-	if b.policy == OverflowVictim && len(b.victim) < b.vcap {
+		b.occupied[si>>6] |= 1 << (si & 63)
+	} else {
+		b.overflows++
+		if b.policy != OverflowVictim || len(b.victim) >= b.vcap {
+			return false
+		}
 		b.victim = append(b.victim, e)
-		b.count++
-		return true
 	}
-	return false
+	b.words.add(e.Addr)
+	b.count++
+	return true
 }
 
-// scan calls fn over every entry matching addr by word.
+// scan calls fn over every entry matching addr by word. The hardware
+// compares every entry of the indexed set and of the victim buffer, and
+// EntryCompares counts them all; the simulator skips the comparisons when
+// the word filter proves no resident load matches.
 func (b *LoadBuffer) scan(addr uint64, fn func(*LoadEntry)) {
-	w := wordAddr(addr)
 	set := b.sets[b.set(addr)]
+	b.entryCmps += uint64(len(set) + len(b.victim))
+	if !b.words.mayHold(addr) {
+		return
+	}
+	w := wordAddr(addr)
 	for i := range set {
-		b.entryCmps++
 		if wordAddr(set[i].Addr) == w {
 			fn(&set[i])
 		}
 	}
 	for i := range b.victim {
-		b.entryCmps++
 		if wordAddr(b.victim[i].Addr) == w {
 			fn(&b.victim[i])
 		}
@@ -219,29 +235,32 @@ func (b *LoadBuffer) ForEach(fn func(e *LoadEntry)) {
 	}
 }
 
+// removeIf drops the entries pred selects from the occupied sets and the
+// victim buffer, keeping survivors in their order.
 func (b *LoadBuffer) removeIf(pred func(*LoadEntry) bool) int {
 	removed := 0
-	for si := range b.sets {
-		set := b.sets[si]
-		out := set[:0]
-		for i := range set {
-			if pred(&set[i]) {
+	keep := func(es []LoadEntry) []LoadEntry {
+		out := es[:0]
+		for i := range es {
+			if pred(&es[i]) {
+				b.words.remove(es[i].Addr)
 				removed++
 			} else {
-				out = append(out, set[i])
+				out = append(out, es[i])
 			}
 		}
-		b.sets[si] = out
+		return out
 	}
-	vout := b.victim[:0]
-	for i := range b.victim {
-		if pred(&b.victim[i]) {
-			removed++
-		} else {
-			vout = append(vout, b.victim[i])
+	for wi, occ := range b.occupied {
+		for occ != 0 {
+			si := wi<<6 | bits.TrailingZeros64(occ)
+			occ &= occ - 1
+			if b.sets[si] = keep(b.sets[si]); len(b.sets[si]) == 0 {
+				b.occupied[wi] &^= 1 << (si & 63)
+			}
 		}
 	}
-	b.victim = vout
+	b.victim = keep(b.victim)
 	b.count -= removed
 	return removed
 }

@@ -22,6 +22,10 @@ type SRL struct {
 	reads        uint64 // RAM reads (drain/indexed forward)
 	indexedReads uint64
 
+	// muts moves on every Alloc, Fill, PopHead and squash: every change of
+	// the log's occupancy or of an entry's address and data.
+	muts uint64
+
 	// squashScratch backs SquashYoungerThan's returned slice, so squashes
 	// allocate nothing in the steady state.
 	squashScratch []StoreEntry
@@ -45,6 +49,12 @@ func (s *SRL) Empty() bool { return s.count == 0 }
 func (s *SRL) Writes() uint64       { return s.writes }
 func (s *SRL) Reads() uint64        { return s.reads }
 func (s *SRL) IndexedReads() uint64 { return s.indexedReads }
+
+// Mutations returns the count of Alloc, Fill, PopHead and squash calls; a
+// reader that saw the same count before has seen the same head, base and
+// entry addresses and data (writes made through Get's pointer to other
+// fields are not counted).
+func (s *SRL) Mutations() uint64 { return s.muts }
 
 // HeadIndex returns the virtual index of the oldest entry (valid only when
 // non-empty).
@@ -70,6 +80,7 @@ func (s *SRL) Alloc(e StoreEntry) (uint64, bool) {
 	s.entries[ringSlot(s.head, s.count, len(s.entries))] = e
 	s.count++
 	s.writes++
+	s.muts++
 	return e.SRLIndex, true
 }
 
@@ -94,6 +105,7 @@ func (s *SRL) Fill(idx uint64, addr uint64, size uint8) bool {
 	e.AddrKnown = true
 	e.DataReady = true
 	s.writes++
+	s.muts++
 	return true
 }
 
@@ -115,6 +127,7 @@ func (s *SRL) PopHead() (StoreEntry, bool) {
 	s.base++
 	s.count--
 	s.reads++
+	s.muts++
 	return e, true
 }
 
@@ -142,6 +155,7 @@ func (s *SRL) ForEach(fn func(i int, e *StoreEntry)) {
 // returned slice aliases a reusable scratch buffer and is valid only until
 // the next SquashYoungerThan call.
 func (s *SRL) SquashYoungerThan(seq uint64) []StoreEntry {
+	s.muts++
 	removed := s.squashScratch[:0]
 	for s.count > 0 {
 		tail := &s.entries[ringSlot(s.head, s.count-1, len(s.entries))]

@@ -63,12 +63,22 @@ type SearchResult struct {
 // (a CAM): the conventional L1 STQ, and — at larger sizes — the "ideal"
 // single-level store queue of Figure 6 and the L2 STQ of the hierarchical
 // design.
+//
+// The simulator does not walk the CAM to answer a search. Two indexes,
+// kept by every method that changes an entry's address state, answer it:
+// a word filter over the known-address entries, whose zero count proves no
+// resident store matches, and the seq-ordered list of unknown-address
+// entries. The power model still sees every comparator fire (camEntryOps
+// counts each entry older than the load), because the hardware CAM does.
 type StoreQueue struct {
 	name    string
 	entries []StoreEntry // ring, program order
 	head    int          // oldest
 	count   int
 	latency uint64
+
+	known   wordFilter // words of the entries with AddrKnown set
+	unknown []uint64   // Seqs of the entries with AddrKnown clear, oldest first
 
 	searches    uint64 // CAM search operations
 	camEntryOps uint64 // per-entry comparisons (power proxy)
@@ -84,7 +94,10 @@ type StoreQueue struct {
 // NewStoreQueue creates a store queue with capacity entries and the given
 // forwarding/search latency in cycles.
 func NewStoreQueue(name string, capacity int, latency uint64) *StoreQueue {
-	return &StoreQueue{name: name, entries: make([]StoreEntry, capacity), latency: latency}
+	return &StoreQueue{
+		name: name, entries: make([]StoreEntry, capacity), latency: latency,
+		known: newWordFilter(capacity),
+	}
 }
 
 // Latency returns the queue's search/forward latency.
@@ -102,6 +115,64 @@ func (q *StoreQueue) Searches() uint64    { return q.searches }
 func (q *StoreQueue) CamEntryOps() uint64 { return q.camEntryOps }
 func (q *StoreQueue) Forwards() uint64    { return q.forwards }
 
+// UnknownAddrs returns how many resident entries have no address yet.
+func (q *StoreQueue) UnknownAddrs() int { return len(q.unknown) }
+
+// index records an entry entering the queue in the address indexes;
+// unindex records one leaving it. Entries enter at the tail, so an unknown
+// Seq is the youngest of the list.
+func (q *StoreQueue) index(e *StoreEntry) {
+	if e.AddrKnown {
+		q.known.add(e.Addr)
+	} else {
+		q.unknown = append(q.unknown, e.Seq)
+	}
+}
+
+func (q *StoreQueue) unindex(e *StoreEntry) {
+	if e.AddrKnown {
+		q.known.remove(e.Addr)
+		return
+	}
+	i := q.unknownPos(e.Seq)
+	if i == len(q.unknown) || q.unknown[i] != e.Seq {
+		panic("lsq: store queue entry missing from its unknown-address list")
+	}
+	q.unknown = append(q.unknown[:i], q.unknown[i+1:]...)
+}
+
+// unknownPos returns the position of seq in the unknown list, or of the
+// first Seq after it: a binary search, as the list is in program order,
+// after a look at both ends, where loads and pops usually land.
+func (q *StoreQueue) unknownPos(seq uint64) int {
+	n := len(q.unknown)
+	if n == 0 || q.unknown[n-1] < seq {
+		return n
+	}
+	if q.unknown[0] >= seq {
+		return 0
+	}
+	lo, hi := 1, n-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q.unknown[m] < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// Resolve records a resident entry's computed address: the store has
+// executed (or its address operand arrived). Every address change of a
+// queued entry goes through here, so the indexes Search reads stay exact.
+func (q *StoreQueue) Resolve(e *StoreEntry, addr uint64, size uint8) {
+	q.unindex(e)
+	e.AddrKnown, e.Addr, e.Size = true, addr, size
+	q.index(e)
+}
+
 // Alloc appends a store at the tail, returning the absolute slot index
 // (stable until the entry is popped or squashed) and false when full.
 func (q *StoreQueue) Alloc(e StoreEntry) (int, bool) {
@@ -111,6 +182,7 @@ func (q *StoreQueue) Alloc(e StoreEntry) (int, bool) {
 	slot := ringSlot(q.head, q.count, len(q.entries))
 	q.entries[slot] = e
 	q.count++
+	q.index(&q.entries[slot])
 	return slot, true
 }
 
@@ -164,57 +236,68 @@ func (q *StoreQueue) PopHead() (StoreEntry, bool) {
 		return StoreEntry{}, false
 	}
 	e := *q.at(0)
+	q.unindex(&e)
 	q.head = ringSlot(q.head, 1, len(q.entries))
 	q.count--
 	return e, true
 }
 
-// Find returns the entry with sequence number seq, or nil.
-func (q *StoreQueue) Find(seq uint64) *StoreEntry {
-	for i := 0; i < q.count; i++ {
-		if e := q.at(i); e.Seq == seq {
-			return e
-		}
-	}
-	return nil
-}
-
 // Search performs the CAM lookup a load issues: find the youngest store
 // older than loadSeq whose address matches (addr, size); report unknown
 // older addresses. This is the power-hungry operation the SRL eliminates
-// from the secondary level.
+// from the secondary level. Every entry older than the load counts as one
+// comparison, as in the hardware; the simulator itself walks the entries
+// only when the word filter cannot rule a match out, and stops at the
+// youngest match.
 func (q *StoreQueue) Search(addr uint64, size uint8, loadSeq uint64) SearchResult {
 	q.searches++
+	older := q.olderThan(loadSeq)
+	q.camEntryOps += uint64(older)
 	var res SearchResult
-	res.UnknownSeqs = q.unknownScratch[:0]
-	for i := q.count - 1; i >= 0; i-- { // youngest first
-		e := q.at(i)
-		if e.Seq >= loadSeq {
-			continue
+	if n := q.unknownPos(loadSeq); n > 0 {
+		seqs := q.unknownScratch[:0]
+		for i := n - 1; i >= 0; i-- { // youngest first
+			seqs = append(seqs, q.unknown[i])
 		}
-		q.camEntryOps++
-		if !e.AddrKnown {
-			res.UnknownOlder = true
-			res.UnknownSeqs = append(res.UnknownSeqs, e.Seq)
-			continue
-		}
-		if overlap(e.Addr, e.Size, addr, size) && !res.Hit {
-			res.Hit = true
-			res.Entry = e
-			res.PoisonedMatch = !e.DataReady
-			// Older matching stores are shadowed by this one; unknown
-			// addresses older than the match can still matter, keep
-			// scanning for them only.
-		}
+		q.unknownScratch = seqs[:0]
+		res.UnknownOlder, res.UnknownSeqs = true, seqs
 	}
-	q.unknownScratch = res.UnknownSeqs[:0]
-	if len(res.UnknownSeqs) == 0 {
-		res.UnknownSeqs = nil
+	if !q.known.mayHold(addr) {
+		return res
 	}
-	if res.Hit {
-		q.forwards++
+	for i := older - 1; i >= 0; i-- { // youngest first
+		if e := q.at(i); e.AddrKnown && overlap(e.Addr, e.Size, addr, size) {
+			res.Hit, res.Entry, res.PoisonedMatch = true, e, !e.DataReady
+			q.forwards++
+			break
+		}
 	}
 	return res
+}
+
+// olderThan returns how many entries are older than seq. The ring is in
+// program order, so the boundary is found by galloping back from the
+// youngest entry — a load usually has few younger stores, often none — and
+// then by a binary search inside the bracket found.
+func (q *StoreQueue) olderThan(seq uint64) int {
+	lo, hi := 0, q.count // entries from hi on are not older than seq
+	for step := 1; hi > lo; step <<= 1 {
+		i := max(hi-step, 0)
+		if q.at(i).Seq < seq {
+			lo = i + 1
+			break
+		}
+		hi = i
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q.at(m).Seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // SquashYoungerThan removes all entries strictly younger than seq: an
@@ -234,6 +317,7 @@ func (q *StoreQueue) SquashYoungerThan(seq uint64) []StoreEntry {
 			break
 		}
 		removed = append(removed, *tail)
+		q.unindex(tail)
 		q.count--
 	}
 	q.squashScratch = removed[:0]
@@ -286,10 +370,3 @@ func (m *MTB) MightContain(addr uint64) bool {
 // Probes and Maybes return filter activity for the power model.
 func (m *MTB) Probes() uint64 { return m.probes }
 func (m *MTB) Maybes() uint64 { return m.maybes }
-
-// Reset clears all counters (used on full-window squash).
-func (m *MTB) Reset() {
-	for i := range m.counters {
-		m.counters[i] = 0
-	}
-}

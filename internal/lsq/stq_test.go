@@ -173,12 +173,3 @@ func TestMTBAliasing(t *testing.T) {
 		t.Fatal("aliasing should produce a (false-positive) match")
 	}
 }
-
-func TestMTBReset(t *testing.T) {
-	m := NewMTB(8)
-	m.Add(0x100)
-	m.Reset()
-	if m.MightContain(0x100) {
-		t.Fatal("reset did not clear")
-	}
-}
