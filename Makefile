@@ -126,13 +126,16 @@ paper-smoke:
 # regression-trace tests, the full-scale oracle sweep over every Figure 2/6
 # design point, then FUZZTIME of randomized trace-profile x design-point
 # fuzzing, then FUZZTIME of arbitrary bytes through the .srlt decoder and a
-# short simulation of whatever it accepts. Failing fuzz inputs are
-# auto-saved under internal/check/testdata/fuzz/FuzzOracle/ and
-# internal/trace/testdata/fuzz/FuzzReadRecords/ and become permanent
-# regression seeds; minimize an oracle one with `go run ./cmd/traceconv minimize`.
+# short simulation of whatever it accepts, then FUZZTIME of machine
+# geometries near Table 1's, each rejected by Config.Validate or run. Failing
+# fuzz inputs are auto-saved under internal/check/testdata/fuzz/FuzzOracle/,
+# internal/trace/testdata/fuzz/FuzzReadRecords/ and
+# internal/core/testdata/fuzz/FuzzConfig/ and become permanent regression
+# seeds; minimize an oracle one with `go run ./cmd/traceconv minimize`.
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/check -run 'TestSeededForwardingBugCaught|TestSeededOrderingBugCaught|TestRegressionTraces' -count=1
 	SRLPROC_ORACLE_FULL=1 go test ./internal/check -run 'TestFiguresOracleClean|TestOrderingOracleClean' -count=1
 	go test ./internal/check -run '^$$' -fuzz FuzzOracle -fuzztime $(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz FuzzReadRecords -fuzztime $(FUZZTIME)
+	go test ./internal/core -run '^$$' -fuzz FuzzConfig -fuzztime $(FUZZTIME)

@@ -60,11 +60,6 @@ type Options struct {
 	// both. See obs.Config. Observed points fingerprint differently from
 	// unobserved ones, so they memoize separately.
 	Obs obs.Config
-
-	// LatencySuite selects the benchmark suite the Latency experiment
-	// sweeps; other experiments ignore it. The zero value is trace.SFP2K,
-	// the suite the CLI and HTTP surfaces have always used.
-	LatencySuite trace.Suite
 }
 
 // DefaultOptions is sized for minutes-scale full reproduction runs.
@@ -648,13 +643,16 @@ func (l *LatencyResult) String() string {
 // LatencySweepLatencies are the swept memory latencies in cycles.
 var LatencySweepLatencies = []uint64{200, 400, 800, 1600}
 
-// planLatency measures, on Options.LatencySuite, how each design's
-// throughput degrades as memory latency grows — the latency tolerance the
-// paper's title claims. The baseline's small store queue caps its
-// in-flight window, so its IPC decays faster with latency than the SRL's
-// (whose secondary buffering scales the window with the miss).
+// latencySuite is the suite the Latency and Ordering experiments run.
+const latencySuite = trace.SFP2K
+
+// planLatency measures, on latencySuite, how each design's throughput
+// degrades as memory latency grows — the latency tolerance the paper's
+// title claims. The baseline's small store queue caps its in-flight
+// window, so its IPC decays faster with latency than the SRL's (whose
+// secondary buffering scales the window with the miss).
 func planLatency(o Options, _ string) *plan {
-	suite := o.LatencySuite
+	suite := latencySuite
 	type pointID struct {
 		d   core.StoreDesign
 		lat uint64
@@ -792,10 +790,10 @@ func orderingScenarios() []struct {
 // SRL machine: the cost of release-consistency enforcement rides on the
 // drain path the SRL already owns, so the SRL's advantage should survive
 // sync traffic — and widen under far-memory latency, which deepens the
-// miss shadows the paper's mechanism hides. Options.LatencySuite selects
-// the suite (default SFP2K), mirroring the Latency experiment.
+// miss shadows the paper's mechanism hides. It runs latencySuite, as the
+// Latency experiment does.
 func planOrdering(o Options, _ string) *plan {
-	suite := o.LatencySuite
+	suite := latencySuite
 	type pointID struct {
 		d    core.StoreDesign
 		scen string

@@ -257,7 +257,6 @@ func TestRunEnergyStructure(t *testing.T) {
 func TestRunLatencySweepShape(t *testing.T) {
 	o := tinyOptions()
 	o.RunUops = 30_000
-	o.LatencySuite = trace.SFP2K
 	r, err := RunExperiment(context.Background(), Latency, o)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"srlproc/internal/sweep"
-	"srlproc/internal/trace"
 )
 
 // ExperimentID names one experiment of the paper's evaluation. It is the
@@ -38,12 +37,11 @@ const (
 	Fig10
 	// Energy attributes dynamic energy to structure activity.
 	Energy
-	// Latency sweeps memory latency per design (Options.LatencySuite
-	// selects the suite; its zero value is SFP2K).
+	// Latency sweeps memory latency per design on SFP2K.
 	Latency
 	// Ordering runs the memory-ordering + far-memory scenario pack:
 	// {plain, sync} × {local, far, far-degraded} on the baseline and SRL
-	// machines (Options.LatencySuite selects the suite, default SFP2K).
+	// machines, on SFP2K.
 	Ordering
 
 	numExperiments
@@ -417,7 +415,3 @@ func RunExperiment(ctx context.Context, id ExperimentID, o Options) (Result, err
 	}
 	return p.assemble(rep)
 }
-
-// suite check: Latency's default (the zero LatencySuite) must stay SFP2K,
-// the suite the HTTP and CLI surfaces have always swept.
-var _ = [1]struct{}{}[trace.SFP2K]

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-
-	"srlproc/internal/trace"
 )
 
 func TestExperimentIDNamesRoundTrip(t *testing.T) {
@@ -97,27 +95,5 @@ func TestRunExperimentAllIDs(t *testing.T) {
 	}
 	if _, err := DecodeResult(numExperiments, []byte("{}")); err == nil {
 		t.Fatal("invalid id decoded")
-	}
-}
-
-// TestLatencySuiteOption pins the Latency experiment's suite selection:
-// the zero value sweeps SFP2K (the historical default) and a set value is
-// honoured.
-func TestLatencySuiteOption(t *testing.T) {
-	o := tinyOptions()
-	res, err := RunExperiment(context.Background(), Latency, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.(*LatencyResult).Suite; got != trace.SFP2K {
-		t.Fatalf("default latency suite = %v, want SFP2K", got)
-	}
-	o.LatencySuite = trace.WEB
-	res, err = RunExperiment(context.Background(), Latency, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.(*LatencyResult).Suite; got != trace.WEB {
-		t.Fatalf("latency suite = %v, want WEB", got)
 	}
 }

@@ -110,8 +110,8 @@ func samplePointWith(rng *xrand.RNG, design core.StoreDesign, suite trace.Suite)
 	cfg.SnoopsEnabled = rng.Bool(0.5)
 
 	// Memory-ordering traffic (DESIGN.md §12): half the points carry
-	// fences and acquire/release tags so the sync gates, the version
-	// tracker and the oracle's ordering checks get fuzz coverage; the
+	// fences and acquire/release tags so the sync gates, the WAR bit rings
+	// they ask and the oracle's ordering checks get fuzz coverage; the
 	// other half keeps the historical zero-knob stream.
 	if rng.Bool(0.5) {
 		cfg.FencePer1K = pick(rng, 1, 4, 16)

@@ -185,7 +185,7 @@ type Config struct {
 	// exact pre-existing streams. FencePer1K full fences per 1000 uops;
 	// AcquireFrac of load sites become load-acquires; ReleaseFrac of store
 	// sites become store-releases. The core enforces release consistency
-	// with Louvre-style version tracking (DESIGN.md §12).
+	// by asking the §4.3 write-after-read bit ring (DESIGN.md §12).
 	FencePer1K  int
 	AcquireFrac float64
 	ReleaseFrac float64
@@ -300,10 +300,29 @@ func DefaultConfig(d StoreDesign) Config {
 }
 
 // Validate checks internal consistency and returns a descriptive error.
+// It rejects every geometry the structure constructors would panic on or
+// the pipeline could never run, checking only the fields the design uses.
 func (c *Config) Validate() error {
 	switch {
 	case c.AllocWidth <= 0 || c.IssueWidth <= 0:
 		return fmt.Errorf("core: widths must be positive")
+	case c.LoadPorts <= 0 || c.StorePorts <= 0:
+		return fmt.Errorf("core: load and store ports must be positive")
+	case c.SchedInt <= sliceReserve || c.SchedFP <= sliceReserve || c.SchedMem <= sliceReserve:
+		return fmt.Errorf("core: scheduler windows %d/%d/%d must exceed the slice reserve of %d",
+			c.SchedInt, c.SchedFP, c.SchedMem, sliceReserve)
+	case c.IntRegs <= sliceReserve || c.FPRegs <= sliceReserve:
+		return fmt.Errorf("core: register files %d/%d must exceed the slice reserve of %d",
+			c.IntRegs, c.FPRegs, sliceReserve)
+	case c.SDBSize < c.Checkpoints*c.CkptInterval:
+		// A smaller SDB can fill with a slice's younger uops while an
+		// older poisoned uop waits outside it, and the slice deadlocks.
+		return fmt.Errorf("core: SDB size %d below the %d uops %d checkpoints of %d can hold",
+			c.SDBSize, c.Checkpoints*c.CkptInterval, c.Checkpoints, c.CkptInterval)
+	case !isPow2(c.StoreSetsSize):
+		return fmt.Errorf("core: store sets size %d must be a positive power of two", c.StoreSetsSize)
+	case c.LQSize <= 0:
+		return fmt.Errorf("core: load buffer size must be positive")
 	case c.Checkpoints < 2:
 		return fmt.Errorf("core: need at least 2 checkpoints")
 	case c.CkptInterval <= 0:
@@ -322,16 +341,44 @@ func (c *Config) Validate() error {
 	if err := c.Mem.Validate(); err != nil {
 		return err
 	}
-	if c.Design == DesignSRL {
-		if c.SRLSize <= 0 {
+	switch c.Design {
+	case DesignBaseline, DesignLargeSTQ, DesignFilteredSTQ:
+		if c.STQSize <= 0 {
+			return fmt.Errorf("core: STQ size must be positive")
+		}
+	case DesignHierarchical, DesignSRL:
+		if c.L1STQSize <= 0 {
+			return fmt.Errorf("core: L1 STQ size must be positive")
+		}
+	}
+	switch c.Design {
+	case DesignHierarchical, DesignFilteredSTQ:
+		if !isPow2(c.MTBSize) {
+			return fmt.Errorf("core: MTB size %d must be a positive power of two", c.MTBSize)
+		}
+	}
+	switch c.Design {
+	case DesignHierarchical:
+		if c.L2STQSize < 0 {
+			return fmt.Errorf("core: L2 STQ size must not be negative")
+		}
+	case DesignSRL:
+		switch {
+		case c.SRLSize <= 0:
 			return fmt.Errorf("core: SRL size must be positive")
-		}
-		if c.UseLCF && c.LCFSize&(c.LCFSize-1) != 0 {
-			return fmt.Errorf("core: LCF size must be a power of two")
-		}
-		if c.UseIndexedFwd && !c.UseLCF {
+		case c.UseLCF && !isPow2(c.LCFSize):
+			return fmt.Errorf("core: LCF size must be a positive power of two")
+		case c.UseLCF && (c.LCFCounterBits < 1 || c.LCFCounterBits > 8):
+			return fmt.Errorf("core: LCF counter width %d out of range [1,8]", c.LCFCounterBits)
+		case c.UseIndexedFwd && !c.UseLCF:
 			return fmt.Errorf("core: indexed forwarding requires the LCF")
+		case c.UseFC && (c.FCAssoc <= 0 || !isPow2(c.FCSize/c.FCAssoc)):
+			return fmt.Errorf("core: FC of %d entries, %d-way needs a power-of-two set count", c.FCSize, c.FCAssoc)
+		case c.LoadBufAssoc <= 0 || !isPow2(c.LQSize/min(c.LoadBufAssoc, c.LQSize)):
+			return fmt.Errorf("core: load buffer of %d entries, %d-way needs a power-of-two set count", c.LQSize, c.LoadBufAssoc)
 		}
 	}
 	return nil
 }
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

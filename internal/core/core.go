@@ -81,9 +81,9 @@ type Core struct {
 	// Structures.
 	l1stq *lsq.StoreQueue
 	l2stq *lsq.StoreQueue // hierarchical only
-	mtb   *lsq.MTB        // hierarchical only
+	mtb   *lsq.MTB        // the filtered STQ's, or the L2 STQ's; the queue keeps it
 	srl   *lsq.SRL        // SRL design only
-	lcf   *lsq.LCF
+	lcf   *lsq.LCF        // the SRL's; the SRL keeps it
 	fc    *lsq.FC
 	ldbuf *lsq.LoadBuffer
 	// The §4.3 write-after-read bit rings the ordering gates ask
@@ -255,23 +255,23 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 
 	switch cfg.Design {
 	case DesignBaseline, DesignLargeSTQ:
-		c.l1stq = lsq.NewStoreQueue("STQ", cfg.STQSize, cfg.L1STQLatency)
+		c.l1stq = lsq.NewStoreQueue("STQ", cfg.STQSize, cfg.L1STQLatency, nil)
 		c.ldbuf = lsq.NewLoadBuffer(cfg.LQSize, cfg.LQSize, lsq.OverflowViolate, 0)
 	case DesignFilteredSTQ:
-		c.l1stq = lsq.NewStoreQueue("STQ", cfg.STQSize, cfg.L1STQLatency)
 		c.mtb = lsq.NewMTB(cfg.MTBSize)
+		c.l1stq = lsq.NewStoreQueue("STQ", cfg.STQSize, cfg.L1STQLatency, c.mtb)
 		c.ldbuf = lsq.NewLoadBuffer(cfg.LQSize, cfg.LQSize, lsq.OverflowViolate, 0)
 	case DesignHierarchical:
-		c.l1stq = lsq.NewStoreQueue("L1STQ", cfg.L1STQSize, cfg.L1STQLatency)
-		c.l2stq = lsq.NewStoreQueue("L2STQ", cfg.L2STQSize, cfg.L2STQLatency)
 		c.mtb = lsq.NewMTB(cfg.MTBSize)
+		c.l1stq = lsq.NewStoreQueue("L1STQ", cfg.L1STQSize, cfg.L1STQLatency, nil)
+		c.l2stq = lsq.NewStoreQueue("L2STQ", cfg.L2STQSize, cfg.L2STQLatency, c.mtb)
 		c.ldbuf = lsq.NewLoadBuffer(cfg.LQSize, cfg.LQSize, lsq.OverflowViolate, 0)
 	case DesignSRL:
-		c.l1stq = lsq.NewStoreQueue("L1STQ", cfg.L1STQSize, cfg.L1STQLatency)
-		c.srl = lsq.NewSRL(cfg.SRLSize)
 		if cfg.UseLCF {
 			c.lcf = lsq.NewLCF(cfg.LCFSize, cfg.LCFHash, cfg.LCFCounterBits)
 		}
+		c.l1stq = lsq.NewStoreQueue("L1STQ", cfg.L1STQSize, cfg.L1STQLatency, nil)
+		c.srl = lsq.NewSRL(cfg.SRLSize, c.lcf)
 		if cfg.UseFC {
 			c.fc = lsq.NewFC(cfg.FCSize, cfg.FCAssoc)
 		}
@@ -334,10 +334,10 @@ func (c *Core) newDynUop(u isa.Uop) *dynUop {
 	if n := len(c.uopFree); n > 0 {
 		d := c.uopFree[n-1]
 		c.uopFree = c.uopFree[:n-1]
-		*d = dynUop{u: u, ckptID: -1, stqSlot: -1, epoch: d.epoch}
+		*d = dynUop{u: u, ckptID: -1, epoch: d.epoch}
 		return d
 	}
-	return &dynUop{u: u, ckptID: -1, stqSlot: -1}
+	return &dynUop{u: u, ckptID: -1}
 }
 
 // freeUop recycles a committed uop popped from the window. The epoch bump
@@ -686,8 +686,8 @@ func (c *Core) debugState() string {
 		s += fmt.Sprintf("srl head: seq=%d idx=%d addrKnown=%v dataReady=%v lcfCnt=%v uop=%v\n",
 			h.Seq, h.SRLIndex, h.AddrKnown, h.DataReady, h.LCFCounted, hu != nil)
 		if hu != nil {
-			s += fmt.Sprintf("  head uop: alloc=%v done=%v pois=%v inSDB=%v inSched=%v srlRes=%v srlIdx=%d pendSrc=%d\n",
-				hu.allocated, hu.done, hu.poisoned, hu.inSDB, hu.inSched, hu.srlReserved, hu.srlIdx, hu.pendingSrc)
+			s += fmt.Sprintf("  head uop: alloc=%v done=%v pois=%v inSDB=%v inSched=%v storeID=%d pendSrc=%d\n",
+				hu.allocated, hu.done, hu.poisoned, hu.inSDB, hu.inSched, hu.storeID, hu.pendingSrc)
 		}
 		s += fmt.Sprintf("order: allLoadsOlderDone(head)=%v outstanding=%d\n",
 			c.order.AllLoadsOlderThanDone(h.Seq), c.order.Outstanding())

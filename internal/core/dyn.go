@@ -35,14 +35,11 @@ type dynUop struct {
 
 	ckptID int // owning checkpoint (monotonic id)
 
-	// Memory state.
+	// Memory state. A store's queue entries are found by sequence number,
+	// and its SRL slot is its storeID.
 	storeID        uint64 // stores: global allocation order (the paper's store identifier)
 	nearestStoreID uint64 // loads: identifier of the last prior store
 	fwdStoreID     uint64 // loads: identifier of the forwarding store (lsq.NoFwd if memory)
-	stqSlot        int    // stores: slot hint in the owning store queue
-	inL2STQ        bool   // hierarchical design: entry displaced to L2 STQ
-	srlIdx         uint64 // stores: reserved/filled SRL index
-	srlReserved    bool
 	addrKnown      bool
 	missReturn     uint64 // loads: DRAM fill cycle when the load missed to memory
 	everInSDB      bool   // for miss-dependent accounting (counted once)

@@ -266,7 +266,7 @@ func (c *Core) tryIndexedForward(d *dynUop, lastIdx uint64) bool {
 	if !c.cfg.UseIndexedFwd {
 		return false
 	}
-	e := c.srl.IndexedRead(lastIdx)
+	e := c.srl.Get(lastIdx)
 	if e == nil {
 		return false
 	}
@@ -488,23 +488,21 @@ func (c *Core) accessCacheForLoad(d *dynUop) {
 // drainStores advances the design-specific store pipelines by one cycle.
 func (c *Core) drainStores() {
 	switch c.cfg.Design {
-	case DesignBaseline, DesignLargeSTQ:
-		c.drainCommitted(c.l1stq, nil)
-	case DesignFilteredSTQ:
-		c.drainCommitted(c.l1stq, c.mtb)
+	case DesignBaseline, DesignLargeSTQ, DesignFilteredSTQ:
+		c.drainCommitted(c.l1stq)
 	case DesignHierarchical:
 		// The L2 STQ holds the oldest stores once displacement has begun.
 		if c.l2stq.Len() > 0 {
-			c.drainCommitted(c.l2stq, c.mtb)
+			c.drainCommitted(c.l2stq)
 		} else {
-			c.drainCommitted(c.l1stq, nil)
+			c.drainCommitted(c.l1stq)
 		}
 	case DesignSRL:
 		if c.srlMode() {
 			c.moveL1STQToSRL()
 			c.drainSRLHead()
 		} else {
-			c.drainCommitted(c.l1stq, nil)
+			c.drainCommitted(c.l1stq)
 		}
 		c.srlOcc.Set(c.cycle, uint64(c.srl.Len()))
 	}
@@ -512,7 +510,7 @@ func (c *Core) drainStores() {
 
 // drainCommitted retires the queue head's store to the data cache once its
 // checkpoint has committed (conventional in-order memory update).
-func (c *Core) drainCommitted(q *lsq.StoreQueue, mtb *lsq.MTB) {
+func (c *Core) drainCommitted(q *lsq.StoreQueue) {
 	// Bulk commit makes whole checkpoints' stores drain-eligible at once;
 	// two combined writes per cycle absorb the burst (write combining).
 	for i := 0; i < 2*c.cfg.StorePorts; i++ {
@@ -523,9 +521,6 @@ func (c *Core) drainCommitted(q *lsq.StoreQueue, mtb *lsq.MTB) {
 		res := c.mem.Access(c.cycle, h.Addr, true)
 		if res.MSHRFull {
 			return
-		}
-		if mtb != nil && h.AddrKnown {
-			mtb.Remove(h.Addr)
 		}
 		if c.snoopSink != nil {
 			c.snoopSink(isa.LineAddr(h.Addr))
@@ -575,18 +570,8 @@ func (c *Core) moveL1STQToSRL() {
 					return
 				}
 			}
-			if c.lcf != nil {
-				if !c.lcf.Inc(h.Addr, h.SRLIndex) {
-					return // LCF counter saturated: stall SRL allocation
-				}
-			}
-			e := *h
-			e.LCFCounted = c.lcf != nil
-			if _, ok := c.srl.Alloc(e); !ok {
-				if c.lcf != nil {
-					c.lcf.Dec(h.Addr)
-				}
-				return
+			if !c.srl.Alloc(*h) {
+				return // LCF counter saturated: stall SRL allocation
 			}
 			// Temporary update for forwarding: the FC, or the data cache
 			// itself in the §6.5 variant.
@@ -613,11 +598,9 @@ func (c *Core) moveL1STQToSRL() {
 		if !su.done && (poisonedStore || pressure) {
 			e := *h
 			e.DataReady = false
-			if _, ok := c.srl.Alloc(e); !ok {
+			if !c.srl.Alloc(e) {
 				return
 			}
-			su.srlReserved = true
-			su.srlIdx = h.SRLIndex
 			if !poisonedStore && !su.addrKnown && !su.inUnknownList {
 				// Its address is unknown for disambiguation until it
 				// executes; screen loads against it like any other
@@ -766,9 +749,6 @@ func (c *Core) drainSRLHead() {
 				c.mem.L1.SpecWrite(h.Addr, h.Ckpt, false)
 			}
 		}
-		if h.LCFCounted && c.lcf != nil {
-			c.lcf.Dec(h.Addr)
-		}
 		if c.snoopSink != nil {
 			c.snoopSink(isa.LineAddr(h.Addr))
 		}
@@ -785,25 +765,10 @@ func (c *Core) drainSRLHead() {
 			c.chkSRLDrained(seq)
 		}
 		if c.srl.Empty() {
-			if c.redoActive {
-				c.obsEvent(obs.EvRedoEnd, 0)
-				if c.chk != nil {
-					c.chkSweep() // redo episode closed: structures quiescent
-				}
+			if c.redoActive && c.chk != nil {
+				c.chkSweep() // redo episode closed: structures quiescent
 			}
-			c.redoActive = false
-			// The episode's temporary updates are all in the cache now. FC
-			// entries must not survive into the next miss episode: stores
-			// draining through the normal path in between supersede them,
-			// and a stale hit would silently forward old data.
-			if c.fc != nil {
-				c.fc.DiscardAll()
-			}
-			// Empty SRL: every LCF counter's true population is zero, so
-			// rebuild — this is what releases sticky-saturated counters.
-			if c.lcf != nil {
-				c.lcf.Reset()
-			}
+			c.srlEmptied()
 		}
 		if v, found := c.ldbuf.StoreCheck(addr, size, storeIdx); found {
 			c.res.MemDepViolations++
@@ -811,5 +776,21 @@ func (c *Core) drainSRLHead() {
 			c.restart(v.Ckpt, c.cfg.MispredictPenalty)
 			return
 		}
+	}
+}
+
+// srlEmptied closes the redo episode once the SRL has drained or been
+// squashed empty (the SRL has already reset its LCF). The episode's
+// temporary updates are all in the cache now, so FC entries must not
+// survive into the next miss episode: stores draining through the normal
+// path in between supersede them, and a stale hit would silently forward
+// old data.
+func (c *Core) srlEmptied() {
+	if c.redoActive {
+		c.obsEvent(obs.EvRedoEnd, 0)
+	}
+	c.redoActive = false
+	if c.fc != nil {
+		c.fc.DiscardAll()
 	}
 }

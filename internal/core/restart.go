@@ -65,12 +65,8 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 		d.waiters = nil
 		d.prod[0], d.prod[1] = uopRef{}, uopRef{}
 		d.missReturn = 0
-		d.srlReserved = false
-		d.srlIdx = 0
 		d.addrKnown = false
 		d.srlStalled = false
-		d.inL2STQ = false
-		d.stqSlot = -1
 		d.fwdStoreID = 0
 		d.memDep = uopRef{}
 		d.inUnknownList = false
@@ -103,38 +99,15 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	// (entries with Seq > argument are removed, see lsq.StoreQueue), so the
 	// restart boundary — squash everything with Seq >= fromSeq — is uniformly
 	// expressed as SquashYoungerThan(fromSeq-1) across all seven structures.
-	for _, e := range c.l1stq.SquashYoungerThan(squashBelow - 1) {
-		if c.cfg.Design == DesignFilteredSTQ && e.AddrKnown {
-			c.mtb.Remove(e.Addr)
-		}
-	}
+	// The store queues and the SRL update their own filters.
+	c.l1stq.SquashYoungerThan(squashBelow - 1)
 	if c.l2stq != nil {
-		for _, e := range c.l2stq.SquashYoungerThan(squashBelow - 1) {
-			if e.AddrKnown {
-				c.mtb.Remove(e.Addr)
-			}
-		}
+		c.l2stq.SquashYoungerThan(squashBelow - 1)
 	}
 	if c.srl != nil {
-		for _, e := range c.srl.SquashYoungerThan(squashBelow - 1) {
-			if e.LCFCounted && c.lcf != nil {
-				c.lcf.Dec(e.Addr)
-			}
-		}
+		c.srl.SquashYoungerThan(squashBelow - 1)
 		if c.srl.Empty() {
-			if c.redoActive {
-				c.obsEvent(obs.EvRedoEnd, 0)
-			}
-			c.redoActive = false
-			// Episode over: clear surviving temporary updates (see
-			// drainSRLHead) so the next miss episode starts clean, and
-			// rebuild the LCF (releases sticky-saturated counters).
-			if c.fc != nil {
-				c.fc.DiscardAll()
-			}
-			if c.lcf != nil {
-				c.lcf.Reset()
-			}
+			c.srlEmptied()
 		}
 	}
 	if c.fc != nil {

@@ -210,9 +210,6 @@ func (c *Core) drainToSDB(d *dynUop) {
 			if q, e := c.locateStoreEntry(d); e != nil {
 				q.Resolve(e, d.u.Addr, d.u.Size)
 				d.addrKnown = true
-				if c.cfg.Design == DesignFilteredSTQ {
-					c.mtb.Add(d.u.Addr)
-				}
 				if c.chk != nil {
 					// Address visible to disambiguation, data still poisoned.
 					c.chkStoreResolved(d, false)
@@ -431,13 +428,12 @@ func (c *Core) complete(d *dynUop) {
 
 // locateStoreEntry finds d's store queue entry and the queue holding it
 // (L1 or, in the hierarchical design, L2 after displacement); the entry is
-// nil once the store has left the queue.
+// nil once the store has left the store queues.
 func (c *Core) locateStoreEntry(d *dynUop) (*lsq.StoreQueue, *lsq.StoreEntry) {
-	q := c.l1stq
-	if d.inL2STQ && c.l2stq != nil {
-		q = c.l2stq
+	if e := c.l1stq.Find(d.u.Seq); e != nil || c.l2stq == nil {
+		return c.l1stq, e
 	}
-	return q, q.Locate(d.stqSlot, d.u.Seq)
+	return c.l2stq, c.l2stq.Find(d.u.Seq)
 }
 
 // completeStore captures a store's address and data, fills its SRL slot if
@@ -450,29 +446,13 @@ func (c *Core) completeStore(d *dynUop) bool {
 		// Address and data both available from here on.
 		c.chkStoreResolved(d, true)
 	}
-	if wasUnknown && c.cfg.Design == DesignFilteredSTQ {
-		c.mtb.Add(d.u.Addr)
-	}
 	if q, e := c.locateStoreEntry(d); e != nil {
 		q.Resolve(e, d.u.Addr, d.u.Size)
 		e.DataReady = true
-		// A store displaced to the L2 STQ with an unknown address joins
-		// the membership test buffer once the address resolves.
-		if wasUnknown && d.inL2STQ && c.mtb != nil {
-			c.mtb.Add(d.u.Addr)
-		}
-	} else if d.srlReserved && c.srl != nil {
-		c.srl.Fill(d.srlIdx, d.u.Addr, d.u.Size)
-		if c.lcf != nil {
-			if se := c.srl.Get(d.srlIdx); se != nil {
-				// The slot was reserved before the address was known, so a
-				// saturated counter cannot refuse this insert the way
-				// drainToSRL stalls allocation — it pins sticky instead.
-				c.lcf.IncSticky(d.u.Addr, d.srlIdx)
-				se.LCFCounted = true
-				se.Ckpt = d.ckptID
-			}
-		}
+	} else if c.srl != nil {
+		// A store outside the L1 STQ at completion has reserved its SRL
+		// slot, whose index is its store identifier.
+		c.srl.Fill(d.storeID, d.u.Addr, d.u.Size)
 		// The completing store also performs its temporary forwarding
 		// update (it has left the L1 STQ; later independent loads source
 		// its data from the FC or the data cache, Section 4.1). Stores can
@@ -484,9 +464,9 @@ func (c *Core) completeStore(d *dynUop) bool {
 		// insertion after eviction or discard.)
 		if !c.youngerSRLStoreOverlaps(d) {
 			if c.fc != nil {
-				c.fc.Update(d.u.Addr, d.u.Size, d.srlIdx, d.u.Seq, d.ckptID)
+				c.fc.Update(d.u.Addr, d.u.Size, d.storeID, d.u.Seq, d.ckptID)
 			} else if c.cfg.Design == DesignSRL && !c.cfg.UseFC {
-				if se := c.srl.Get(d.srlIdx); se != nil {
+				if se := c.srl.Get(d.storeID); se != nil {
 					c.tempUpdateDataCache(se)
 				}
 			}
@@ -882,39 +862,18 @@ func (c *Core) allocStoreEntry(d *dynUop, ckptID int) bool {
 	entry := lsq.StoreEntry{
 		Seq: d.u.Seq, PC: d.u.PC, Ckpt: ckptID, SRLIndex: d.storeID, Rel: d.u.Rel,
 	}
-	switch c.cfg.Design {
-	case DesignHierarchical:
-		if c.l1stq.Full() {
-			// Displace the L1 STQ head (the oldest store) into the L2 STQ.
-			if c.l2stq.Full() {
-				c.res.StallSTQ++
-				return false
-			}
-			he, _ := c.l1stq.PopHead()
-			slot, _ := c.l2stq.Alloc(he)
-			if he.AddrKnown {
-				c.mtb.Add(he.Addr)
-			}
-			if pos := c.win.indexOfSeq(he.Seq); pos >= 0 {
-				hd := c.win.at(pos)
-				hd.inL2STQ = true
-				hd.stqSlot = slot
-			}
-		}
-		slot, ok := c.l1stq.Alloc(entry)
-		if !ok {
+	if c.cfg.Design == DesignHierarchical && c.l1stq.Full() {
+		// Displace the L1 STQ head (the oldest store) into the L2 STQ.
+		if c.l2stq.Full() {
 			c.res.StallSTQ++
 			return false
 		}
-		d.stqSlot = slot
-		d.inL2STQ = false
-	default:
-		slot, ok := c.l1stq.Alloc(entry)
-		if !ok {
-			c.res.StallSTQ++
-			return false
-		}
-		d.stqSlot = slot
+		he, _ := c.l1stq.PopHead()
+		c.l2stq.Alloc(he)
+	}
+	if !c.l1stq.Alloc(entry) {
+		c.res.StallSTQ++
+		return false
 	}
 	if c.chk != nil {
 		c.chkStoreAlloc(d)

@@ -24,11 +24,12 @@ func (h HashKind) String() string {
 // counting Bloom filter over the SRL's contents. A zero counter proves no
 // store to the address is in the SRL, so a load may issue safely during the
 // redo phase. Each entry also stores the SRL index of the last matching
-// store inserted, enabling indexed forwarding without a CAM.
+// store inserted, enabling indexed forwarding without a CAM. The SRL it is
+// built into (NewSRL) is the only writer of its counters.
 type LCF struct {
 	count     []uint8
 	lastIndex []uint64
-	sticky    []bool // saturated by an unrefusable insert; ignores Dec
+	sticky    []bool // saturated by an unrefusable insert; ignores dec
 	bits      uint   // log2(entries)
 	hash      HashKind
 	maxCount  uint8
@@ -37,9 +38,9 @@ type LCF struct {
 	hitsNZ                 uint64 // probes finding a non-zero counter
 	overflows              uint64 // increments refused (counter saturated)
 	increments, decrements uint64
-	muts                   uint64 // Inc, IncSticky, Dec and Reset calls
-	// dirty is false while no Inc or IncSticky has landed since the last
-	// Reset: every array is still zero, so Reset has nothing to clear.
+	muts                   uint64 // inc, incSticky, dec and reset calls
+	// dirty is false while no inc or incSticky has landed since the last
+	// reset: every array is still zero, so reset has nothing to clear.
 	dirty bool
 }
 
@@ -69,7 +70,7 @@ func (f *LCF) Entries() int { return len(f.count) }
 // Hash returns the configured hash kind.
 func (f *LCF) Hash() HashKind { return f.hash }
 
-// Mutations returns the count of Inc, IncSticky, Dec and Reset calls; a
+// Mutations returns the count of inc, incSticky, dec and reset calls; a
 // reader that saw the same count before would Peek the same answers.
 func (f *LCF) Mutations() uint64 { return f.muts }
 
@@ -89,10 +90,9 @@ func (f *LCF) idx(addr uint64) uint64 {
 	}
 }
 
-// Inc records a store entering the SRL, remembering its SRL index for
+// inc records a store entering the SRL, remembering its SRL index for
 // indexed forwarding. It returns false when the counter is saturated, in
-// which case the caller must stall SRL allocation (the paper's overflow
-// rule).
+// which case the SRL refuses the allocation (the paper's overflow rule).
 //
 // lastIndex must point at the *youngest* counted store mapping to the
 // entry: indexed forwarding assumes it. Stores usually enter the SRL in
@@ -101,7 +101,7 @@ func (f *LCF) idx(addr uint64) uint64 {
 // program order). The one exception is the 0→1 transition, where the
 // stored index belongs to an already-drained store and must be replaced
 // unconditionally.
-func (f *LCF) Inc(addr uint64, srlIndex uint64) bool {
+func (f *LCF) inc(addr uint64, srlIndex uint64) bool {
 	f.muts++
 	f.dirty = true
 	i := f.idx(addr)
@@ -117,16 +117,16 @@ func (f *LCF) Inc(addr uint64, srlIndex uint64) bool {
 	return true
 }
 
-// IncSticky records a store that cannot be refused — a reserved SRL slot
-// filled late, after its address resolves. Where Inc stalls allocation on a
+// incSticky records a store that cannot be refused — a reserved SRL slot
+// filled late, after its address resolves. Where inc stalls allocation on a
 // saturated counter, a late fill has no stall option: the slot is already
 // allocated in program order. A saturated counter therefore pins at its
 // maximum ("sticky") and ignores decrements from then on — once it has
 // absorbed more inserts than it can count, any decrement could zero it
 // while matching stores remain in the SRL, breaking the filter's
 // no-false-negatives guarantee. Sticky state clears when the SRL empties
-// and the owner calls Reset (every counter is provably zero then).
-func (f *LCF) IncSticky(addr uint64, srlIndex uint64) {
+// and the SRL resets the filter (every counter is provably zero then).
+func (f *LCF) incSticky(addr uint64, srlIndex uint64) {
 	f.muts++
 	f.dirty = true
 	i := f.idx(addr)
@@ -143,10 +143,10 @@ func (f *LCF) IncSticky(addr uint64, srlIndex uint64) {
 	}
 }
 
-// Dec records a store leaving the SRL (redo drain or squash). A sticky
-// counter (see IncSticky) absorbs the decrement: its true population is
-// unknown, so it must stay conservatively non-zero until Reset.
-func (f *LCF) Dec(addr uint64) {
+// dec records a store leaving the SRL (redo drain or squash). A sticky
+// counter (see incSticky) absorbs the decrement: its true population is
+// unknown, so it must stay conservatively non-zero until reset.
+func (f *LCF) dec(addr uint64) {
 	f.muts++
 	i := f.idx(addr)
 	f.decrements++
@@ -182,10 +182,10 @@ func (f *LCF) Peek(addr uint64) (mayMatch bool, lastSRLIndex uint64) {
 	return true, f.lastIndex[i]
 }
 
-// Reset clears every counter and all sticky state. Sound whenever the SRL
+// reset clears every counter and all sticky state. Sound whenever the SRL
 // is empty (episode end, full squash): an empty SRL means every counter's
 // true population is zero.
-func (f *LCF) Reset() {
+func (f *LCF) reset() {
 	f.muts++
 	if !f.dirty {
 		return

@@ -12,14 +12,14 @@ func TestLCFBasic(t *testing.T) {
 	if may, _ := f.Probe(0x100); may {
 		t.Fatal("empty filter matched")
 	}
-	if !f.Inc(0x100, 42) {
+	if !f.inc(0x100, 42) {
 		t.Fatal("inc failed")
 	}
 	may, idx := f.Probe(0x100)
 	if !may || idx != 42 {
 		t.Fatalf("probe: may=%v idx=%d", may, idx)
 	}
-	f.Dec(0x100)
+	f.dec(0x100)
 	if may, _ := f.Probe(0x100); may {
 		t.Fatal("decremented filter still matches")
 	}
@@ -27,8 +27,8 @@ func TestLCFBasic(t *testing.T) {
 
 func TestLCFLastIndexTracksLatest(t *testing.T) {
 	f := NewLCF(256, HashLAB, 6)
-	f.Inc(0x100, 1)
-	f.Inc(0x100, 9)
+	f.inc(0x100, 1)
+	f.inc(0x100, 9)
 	if _, idx := f.Probe(0x100); idx != 9 {
 		t.Fatalf("last index %d, want the most recent insertion", idx)
 	}
@@ -37,11 +37,11 @@ func TestLCFLastIndexTracksLatest(t *testing.T) {
 func TestLCFCounterSaturation(t *testing.T) {
 	f := NewLCF(64, HashLAB, 2) // 2-bit counters saturate at 3
 	for i := 0; i < 3; i++ {
-		if !f.Inc(0x100, uint64(i)) {
+		if !f.inc(0x100, uint64(i)) {
 			t.Fatalf("inc %d refused", i)
 		}
 	}
-	if f.Inc(0x100, 99) {
+	if f.inc(0x100, 99) {
 		t.Fatal("saturated counter accepted an increment")
 	}
 	if f.Overflows() != 1 {
@@ -51,11 +51,11 @@ func TestLCFCounterSaturation(t *testing.T) {
 
 func TestLCFDecFloorsAtZero(t *testing.T) {
 	f := NewLCF(64, HashLAB, 6)
-	f.Dec(0x100) // nothing to remove
+	f.dec(0x100) // nothing to remove
 	if may, _ := f.Probe(0x100); may {
 		t.Fatal("underflowed counter nonzero")
 	}
-	f.Inc(0x100, 1)
+	f.inc(0x100, 1)
 	if may, _ := f.Probe(0x100); !may {
 		t.Fatal("counter lost after prior underflow")
 	}
@@ -68,8 +68,8 @@ func TestLCFHashesDiffer(t *testing.T) {
 	// but not under 3-PAX (the differing middle bits fold into the index).
 	a := uint64(0x0000_1000)
 	b := uint64(0x0000_5000)
-	lab.Inc(a, 1)
-	pax.Inc(a, 1)
+	lab.inc(a, 1)
+	pax.inc(a, 1)
 	mayLab, _ := lab.Probe(b)
 	mayPax, _ := pax.Probe(b)
 	if !mayLab {
@@ -82,7 +82,7 @@ func TestLCFHashesDiffer(t *testing.T) {
 
 func TestLCFPeekCountsNothing(t *testing.T) {
 	f := NewLCF(64, HashLAB, 6)
-	f.Inc(0x100, 5)
+	f.inc(0x100, 5)
 	before := f.Probes()
 	may, idx := f.Peek(0x100)
 	if !may || idx != 5 {
@@ -95,8 +95,8 @@ func TestLCFPeekCountsNothing(t *testing.T) {
 
 func TestLCFReset(t *testing.T) {
 	f := NewLCF(64, HashLAB, 6)
-	f.Inc(0x100, 1)
-	f.Reset()
+	f.inc(0x100, 1)
+	f.reset()
 	if may, _ := f.Probe(0x100); may {
 		t.Fatal("reset did not clear")
 	}
@@ -120,11 +120,11 @@ func TestLCFNoFalseNegativesProperty(t *testing.T) {
 		for _, op := range opsRaw {
 			addr := uint64(rng.Intn(64)) * 8
 			if op%2 == 0 {
-				if lcf.Inc(addr, 0) {
+				if lcf.inc(addr, 0) {
 					resident[addr]++
 				}
 			} else if resident[addr] > 0 {
-				lcf.Dec(addr)
+				lcf.dec(addr)
 				resident[addr]--
 			}
 		}

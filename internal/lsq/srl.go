@@ -12,29 +12,30 @@ package lsq
 // magnitude comparison. This model uses a monotonically increasing 64-bit
 // virtual index with a ring buffer underneath, which has identical
 // comparison semantics and never wraps in practice.
+//
+// A log built with a Loose Check Filter keeps it exact: every entry whose
+// address and data are in the log is counted (LCFCounted), an entry that
+// leaves is uncounted, and the filter is reset whenever the log empties.
 type SRL struct {
 	entries []StoreEntry
 	base    uint64 // virtual index of entries[head]
 	head    int
 	count   int
+	lcf     *LCF // the filter over the log's contents, or nil
 
-	writes       uint64 // RAM writes (allocate/fill)
-	reads        uint64 // RAM reads (drain/indexed forward)
-	indexedReads uint64
+	writes uint64 // RAM writes (allocate/fill)
+	reads  uint64 // RAM reads (drain)
 
 	// muts moves on every Alloc, Fill, PopHead and squash: every change of
 	// the log's occupancy or of an entry's address and data.
 	muts uint64
-
-	// squashScratch backs SquashYoungerThan's returned slice, so squashes
-	// allocate nothing in the steady state.
-	squashScratch []StoreEntry
 }
 
 // NewSRL creates a store redo log with the given capacity (the paper uses
-// 1K entries; Figure 7 shows that suffices for all suites).
-func NewSRL(capacity int) *SRL {
-	return &SRL{entries: make([]StoreEntry, capacity)}
+// 1K entries; Figure 7 shows that suffices for all suites). lcf, when not
+// nil, is the Loose Check Filter that summarizes this log.
+func NewSRL(capacity int, lcf *LCF) *SRL {
+	return &SRL{entries: make([]StoreEntry, capacity), lcf: lcf}
 }
 
 // Len, Cap and Full report occupancy.
@@ -45,10 +46,9 @@ func (s *SRL) Full() bool { return s.count == len(s.entries) }
 // Empty reports whether the SRL holds no stores.
 func (s *SRL) Empty() bool { return s.count == 0 }
 
-// Writes, Reads and IndexedReads return RAM activity for the power model.
-func (s *SRL) Writes() uint64       { return s.writes }
-func (s *SRL) Reads() uint64        { return s.reads }
-func (s *SRL) IndexedReads() uint64 { return s.indexedReads }
+// Writes and Reads return RAM activity for the power model.
+func (s *SRL) Writes() uint64 { return s.writes }
+func (s *SRL) Reads() uint64  { return s.reads }
 
 // Mutations returns the count of Alloc, Fill, PopHead and squash calls; a
 // reader that saw the same count before has seen the same head, base and
@@ -68,20 +68,32 @@ func (s *SRL) HeadIndex() uint64 { return s.base }
 // address+data (DataReady=true); for a miss-dependent store only the slot
 // is reserved (DataReady=false) and the index is recorded with the store in
 // the SDB for the later Fill.
-func (s *SRL) Alloc(e StoreEntry) (uint64, bool) {
+//
+// Alloc returns false, changing nothing, when the log is full or when the
+// LCF counter a data-ready entry maps to is saturated: the paper's overflow
+// rule stalls SRL allocation until the counter drains.
+func (s *SRL) Alloc(e StoreEntry) bool {
 	if s.Full() {
-		return 0, false
+		return false
+	}
+	if s.count > 0 && e.SRLIndex != s.base+uint64(s.count) {
+		panic("lsq: SRL allocation out of store-identifier order")
+	}
+	e.LCFCounted = false
+	if e.DataReady && s.lcf != nil {
+		if !s.lcf.inc(e.Addr, e.SRLIndex) {
+			return false
+		}
+		e.LCFCounted = true
 	}
 	if s.count == 0 {
 		s.base = e.SRLIndex
-	} else if e.SRLIndex != s.base+uint64(s.count) {
-		panic("lsq: SRL allocation out of store-identifier order")
 	}
 	s.entries[ringSlot(s.head, s.count, len(s.entries))] = e
 	s.count++
 	s.writes++
 	s.muts++
-	return e.SRLIndex, true
+	return true
 }
 
 // Get returns the entry at virtual index idx, or nil if it is no longer
@@ -94,7 +106,10 @@ func (s *SRL) Get(idx uint64) *StoreEntry {
 }
 
 // Fill completes a reserved entry: the re-executed miss-dependent store
-// writes its address and data into its pre-allocated slot.
+// writes its address and data into its pre-allocated slot. The slot was
+// allocated before the address was known, so a saturated LCF counter
+// cannot refuse the count the way Alloc does; it pins sticky instead
+// (see LCF.incSticky).
 func (s *SRL) Fill(idx uint64, addr uint64, size uint8) bool {
 	e := s.Get(idx)
 	if e == nil {
@@ -104,6 +119,10 @@ func (s *SRL) Fill(idx uint64, addr uint64, size uint8) bool {
 	e.Size = size
 	e.AddrKnown = true
 	e.DataReady = true
+	if s.lcf != nil {
+		s.lcf.incSticky(addr, idx)
+		e.LCFCounted = true
+	}
 	s.writes++
 	s.muts++
 	return true
@@ -128,14 +147,25 @@ func (s *SRL) PopHead() (StoreEntry, bool) {
 	s.count--
 	s.reads++
 	s.muts++
+	s.uncount(&e)
+	s.resetFilterIfEmpty()
 	return e, true
 }
 
-// IndexedRead reads the entry at idx for indexed forwarding (a single RAM
-// read plus one external comparator — no CAM).
-func (s *SRL) IndexedRead(idx uint64) *StoreEntry {
-	s.indexedReads++
-	return s.Get(idx)
+// uncount removes a departing entry from the LCF.
+func (s *SRL) uncount(e *StoreEntry) {
+	if e.LCFCounted && s.lcf != nil {
+		s.lcf.dec(e.Addr)
+	}
+}
+
+// resetFilterIfEmpty resets the LCF once the log holds nothing: every
+// counter's true population is zero then, and the reset is what releases
+// sticky-saturated counters.
+func (s *SRL) resetFilterIfEmpty() {
+	if s.count == 0 && s.lcf != nil {
+		s.lcf.reset()
+	}
 }
 
 // ForEach visits resident entries oldest-first, passing each entry's
@@ -150,21 +180,17 @@ func (s *SRL) ForEach(fn func(i int, e *StoreEntry)) {
 // SquashYoungerThan removes entries strictly younger than seq from the
 // tail: an entry survives iff its Seq <= seq. This is the repo-wide squash
 // convention (see StoreQueue.SquashYoungerThan); callers restarting at a
-// checkpoint whose first sequence number is fromSeq pass fromSeq-1. It
-// returns the removed entries so the caller can decrement LCF counters; the
-// returned slice aliases a reusable scratch buffer and is valid only until
-// the next SquashYoungerThan call.
-func (s *SRL) SquashYoungerThan(seq uint64) []StoreEntry {
+// checkpoint whose first sequence number is fromSeq pass fromSeq-1. The
+// removed entries leave the LCF.
+func (s *SRL) SquashYoungerThan(seq uint64) {
 	s.muts++
-	removed := s.squashScratch[:0]
 	for s.count > 0 {
 		tail := &s.entries[ringSlot(s.head, s.count-1, len(s.entries))]
 		if tail.Seq <= seq {
 			break
 		}
-		removed = append(removed, *tail)
+		s.uncount(tail)
 		s.count--
 	}
-	s.squashScratch = removed[:0]
-	return removed
+	s.resetFilterIfEmpty()
 }

@@ -23,8 +23,9 @@ type StoreEntry struct {
 	DataReady bool // data value captured (not poisoned / slice returned)
 	Ckpt      int  // owning checkpoint
 	SRLIndex  uint64
-	// LCFCounted marks an SRL entry whose address has been counted in the
-	// loose check filter (so squashes decrement exactly what was added).
+	// LCFCounted marks an SRL entry whose address the SRL has counted in
+	// its loose check filter, so a drain or squash uncounts exactly what
+	// was counted.
 	LCFCounted bool
 	// Rel marks a store-release: the drain path holds it until every
 	// older load has performed (DESIGN.md §12).
@@ -70,6 +71,10 @@ type SearchResult struct {
 // resident store matches, and the seq-ordered list of unknown-address
 // entries. The power model still sees every comparator fire (camEntryOps
 // counts each entry older than the load), because the hardware CAM does.
+//
+// A queue built with a Membership Test Buffer keeps it beside the word
+// filter: the MTB counts exactly the queue's known-address entries, as
+// the hardware's allocate, resolve, drain and squash ports update it.
 type StoreQueue struct {
 	name    string
 	entries []StoreEntry // ring, program order
@@ -79,24 +84,24 @@ type StoreQueue struct {
 
 	known   wordFilter // words of the entries with AddrKnown set
 	unknown []uint64   // Seqs of the entries with AddrKnown clear, oldest first
+	mtb     *MTB       // the same entries' membership filter, or nil
 
 	searches    uint64 // CAM search operations
 	camEntryOps uint64 // per-entry comparisons (power proxy)
 	forwards    uint64
 
-	// Reusable result buffers: Search and SquashYoungerThan return slices
-	// backed by these, so the steady state allocates nothing. Each is valid
-	// only until the next call of the same method on this queue.
+	// unknownScratch backs Search's UnknownSeqs, so the steady state
+	// allocates nothing; it is valid only until the queue's next Search.
 	unknownScratch []uint64
-	squashScratch  []StoreEntry
 }
 
 // NewStoreQueue creates a store queue with capacity entries and the given
-// forwarding/search latency in cycles.
-func NewStoreQueue(name string, capacity int, latency uint64) *StoreQueue {
+// forwarding/search latency in cycles. mtb, when not nil, is the
+// Membership Test Buffer that summarizes this queue.
+func NewStoreQueue(name string, capacity int, latency uint64, mtb *MTB) *StoreQueue {
 	return &StoreQueue{
 		name: name, entries: make([]StoreEntry, capacity), latency: latency,
-		known: newWordFilter(capacity),
+		known: newWordFilter(capacity), mtb: mtb,
 	}
 }
 
@@ -118,20 +123,26 @@ func (q *StoreQueue) Forwards() uint64    { return q.forwards }
 // UnknownAddrs returns how many resident entries have no address yet.
 func (q *StoreQueue) UnknownAddrs() int { return len(q.unknown) }
 
-// index records an entry entering the queue in the address indexes;
-// unindex records one leaving it. Entries enter at the tail, so an unknown
-// Seq is the youngest of the list.
+// index records an entry entering the queue in the address indexes and
+// the MTB; unindex records one leaving them. Entries enter at the tail, so
+// an unknown Seq is the youngest of the list.
 func (q *StoreQueue) index(e *StoreEntry) {
-	if e.AddrKnown {
-		q.known.add(e.Addr)
-	} else {
+	if !e.AddrKnown {
 		q.unknown = append(q.unknown, e.Seq)
+		return
+	}
+	q.known.add(e.Addr)
+	if q.mtb != nil {
+		q.mtb.add(e.Addr)
 	}
 }
 
 func (q *StoreQueue) unindex(e *StoreEntry) {
 	if e.AddrKnown {
 		q.known.remove(e.Addr)
+		if q.mtb != nil {
+			q.mtb.remove(e.Addr)
+		}
 		return
 	}
 	i := q.unknownPos(e.Seq)
@@ -173,37 +184,29 @@ func (q *StoreQueue) Resolve(e *StoreEntry, addr uint64, size uint8) {
 	q.index(e)
 }
 
-// Alloc appends a store at the tail, returning the absolute slot index
-// (stable until the entry is popped or squashed) and false when full.
-func (q *StoreQueue) Alloc(e StoreEntry) (int, bool) {
+// Alloc appends a store at the tail; it returns false when the queue is
+// full.
+func (q *StoreQueue) Alloc(e StoreEntry) bool {
 	if q.Full() {
-		return -1, false
+		return false
 	}
 	slot := ringSlot(q.head, q.count, len(q.entries))
 	q.entries[slot] = e
 	q.count++
 	q.index(&q.entries[slot])
-	return slot, true
+	return true
 }
 
-// Locate returns the entry at the given slot if it still holds sequence
-// number seq, else nil. This lets a re-executing store find its entry in
-// O(1) without a CAM (the hardware keeps the index with the uop).
-func (q *StoreQueue) Locate(slot int, seq uint64) *StoreEntry {
-	if slot < 0 || slot >= len(q.entries) {
-		return nil
+// Find returns the resident entry with sequence number seq, or nil once
+// the store has left the queue (or never entered it). The ring is in
+// program order, so the entry sits at the boundary olderThan finds.
+func (q *StoreQueue) Find(seq uint64) *StoreEntry {
+	if i := q.olderThan(seq); i < q.count {
+		if e := q.at(i); e.Seq == seq {
+			return e
+		}
 	}
-	off := slot - q.head
-	if off < 0 {
-		off += len(q.entries)
-	}
-	if off >= q.count {
-		return nil
-	}
-	if q.entries[slot].Seq != seq {
-		return nil
-	}
-	return &q.entries[slot]
+	return nil
 }
 
 // ringSlot maps offset i from head (0 <= i <= n) to its slot in a ring of
@@ -305,30 +308,26 @@ func (q *StoreQueue) olderThan(seq uint64) int {
 // repo-wide squash convention — every SquashYoungerThan in this package
 // (StoreQueue, SRL, FC, LoadBuffer, OrderTracker) keeps seq itself and
 // removes Seq > seq, and a caller restarting at a checkpoint whose first
-// sequence number is fromSeq passes fromSeq-1. The removed entries are
-// returned (youngest first) so the caller can maintain side structures
-// such as the MTB. The returned slice aliases a per-queue scratch buffer
-// and is valid only until this queue's next SquashYoungerThan call.
-func (q *StoreQueue) SquashYoungerThan(seq uint64) []StoreEntry {
-	removed := q.squashScratch[:0]
+// sequence number is fromSeq passes fromSeq-1. The removed entries leave
+// the address indexes and the MTB.
+func (q *StoreQueue) SquashYoungerThan(seq uint64) {
 	for q.count > 0 {
 		tail := q.at(q.count - 1)
 		if tail.Seq <= seq {
 			break
 		}
-		removed = append(removed, *tail)
 		q.unindex(tail)
 		q.count--
 	}
-	q.squashScratch = removed[:0]
-	return removed
 }
 
 // --- Membership Test Buffer (hierarchical design) ---
 
 // MTB is the Membership Test Buffer of the hierarchical store queue: a
 // counting filter that answers "might the L2 STQ hold a store to this
-// address?", saving L2 STQ searches (and their power) on misses.
+// address?", saving L2 STQ searches (and their power) on misses. The store
+// queue it summarizes keeps it (NewStoreQueue); it counts that queue's
+// known-address entries.
 type MTB struct {
 	counters []uint16
 	mask     uint64
@@ -347,11 +346,11 @@ func NewMTB(entries int) *MTB {
 
 func (m *MTB) idx(addr uint64) uint64 { return wordAddr(addr) & m.mask }
 
-// Add records a store address entering the L2 STQ.
-func (m *MTB) Add(addr uint64) { m.counters[m.idx(addr)]++ }
+// add records a known store address entering the queue; remove records
+// one leaving it.
+func (m *MTB) add(addr uint64) { m.counters[m.idx(addr)]++ }
 
-// Remove records a store address leaving the L2 STQ.
-func (m *MTB) Remove(addr uint64) {
+func (m *MTB) remove(addr uint64) {
 	if m.counters[m.idx(addr)] > 0 {
 		m.counters[m.idx(addr)]--
 	}

@@ -7,13 +7,13 @@ func mkEntry(seq uint64, addr uint64, ready bool) StoreEntry {
 }
 
 func TestStoreQueueFIFO(t *testing.T) {
-	q := NewStoreQueue("t", 4, 3)
+	q := NewStoreQueue("t", 4, 3, nil)
 	for i := uint64(1); i <= 4; i++ {
-		if _, ok := q.Alloc(mkEntry(i, i*8, true)); !ok {
+		if !q.Alloc(mkEntry(i, i*8, true)) {
 			t.Fatalf("alloc %d failed", i)
 		}
 	}
-	if _, ok := q.Alloc(mkEntry(5, 40, true)); ok {
+	if q.Alloc(mkEntry(5, 40, true)) {
 		t.Fatal("alloc succeeded on a full queue")
 	}
 	if !q.Full() || q.Len() != 4 {
@@ -31,7 +31,7 @@ func TestStoreQueueFIFO(t *testing.T) {
 }
 
 func TestSearchFindsYoungestOlder(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3)
+	q := NewStoreQueue("t", 8, 3, nil)
 	q.Alloc(mkEntry(1, 0x100, true))
 	q.Alloc(mkEntry(2, 0x100, true)) // younger store, same word
 	q.Alloc(mkEntry(3, 0x200, true))
@@ -51,7 +51,7 @@ func TestSearchFindsYoungestOlder(t *testing.T) {
 }
 
 func TestSearchUnknownAddresses(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3)
+	q := NewStoreQueue("t", 8, 3, nil)
 	e := mkEntry(1, 0, false)
 	e.AddrKnown = false
 	q.Alloc(e)
@@ -66,7 +66,7 @@ func TestSearchUnknownAddresses(t *testing.T) {
 }
 
 func TestSearchPoisonedMatch(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3)
+	q := NewStoreQueue("t", 8, 3, nil)
 	q.Alloc(mkEntry(1, 0x100, false)) // address known, data not ready
 	r := q.Search(0x100, 8, 5)
 	if !r.Hit || !r.PoisonedMatch {
@@ -75,7 +75,7 @@ func TestSearchPoisonedMatch(t *testing.T) {
 }
 
 func TestWordGranularityMatch(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3)
+	q := NewStoreQueue("t", 8, 3, nil)
 	q.Alloc(mkEntry(1, 0x100, true))
 	if r := q.Search(0x104, 4, 5); !r.Hit {
 		t.Fatal("same-word different-offset access missed")
@@ -85,44 +85,43 @@ func TestWordGranularityMatch(t *testing.T) {
 	}
 }
 
-func TestLocate(t *testing.T) {
-	q := NewStoreQueue("t", 4, 3)
-	slot, _ := q.Alloc(mkEntry(7, 0x100, false))
-	if e := q.Locate(slot, 7); e == nil || e.Seq != 7 {
-		t.Fatal("locate failed")
+func TestFind(t *testing.T) {
+	q := NewStoreQueue("t", 4, 3, nil)
+	q.Alloc(mkEntry(7, 0x100, false))
+	q.Alloc(mkEntry(9, 0x200, false))
+	for _, seq := range []uint64{7, 9} {
+		if e := q.Find(seq); e == nil || e.Seq != seq {
+			t.Fatalf("find %d failed", seq)
+		}
 	}
-	if q.Locate(slot, 8) != nil {
-		t.Fatal("locate matched wrong seq")
+	for _, seq := range []uint64{6, 8, 10} {
+		if q.Find(seq) != nil {
+			t.Fatalf("find matched absent seq %d", seq)
+		}
 	}
 	q.PopHead()
-	if q.Locate(slot, 7) != nil {
-		t.Fatal("locate found a popped entry")
+	if q.Find(7) != nil {
+		t.Fatal("find found a popped entry")
 	}
 }
 
 func TestSquashYoungerThan(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3)
+	q := NewStoreQueue("t", 8, 3, nil)
 	for i := uint64(1); i <= 5; i++ {
 		q.Alloc(mkEntry(i, i*0x100, true))
 	}
-	removed := q.SquashYoungerThan(3)
-	if len(removed) != 2 {
-		t.Fatalf("removed %d", len(removed))
-	}
-	if removed[0].Seq != 5 || removed[1].Seq != 4 {
-		t.Fatalf("squash order %v %v", removed[0].Seq, removed[1].Seq)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("len %d", q.Len())
+	q.SquashYoungerThan(3)
+	if q.Len() != 3 || q.Find(3) == nil || q.Find(4) != nil {
+		t.Fatalf("len %d after squashing seqs 4 and 5", q.Len())
 	}
 	// Re-allocation after squash reuses the freed space.
-	if _, ok := q.Alloc(mkEntry(4, 0x400, true)); !ok {
+	if !q.Alloc(mkEntry(4, 0x400, true)) {
 		t.Fatal("realloc after squash failed")
 	}
 }
 
 func TestCAMActivityCounted(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3)
+	q := NewStoreQueue("t", 8, 3, nil)
 	q.Alloc(mkEntry(1, 0x100, true))
 	q.Alloc(mkEntry(2, 0x200, true))
 	q.Search(0x100, 8, 10)
@@ -142,16 +141,16 @@ func TestMTB(t *testing.T) {
 	if m.MightContain(0x100) {
 		t.Fatal("empty filter matched")
 	}
-	m.Add(0x100)
-	m.Add(0x100)
+	m.add(0x100)
+	m.add(0x100)
 	if !m.MightContain(0x100) {
 		t.Fatal("added address missed")
 	}
-	m.Remove(0x100)
+	m.remove(0x100)
 	if !m.MightContain(0x100) {
 		t.Fatal("count-2 address dropped after one removal")
 	}
-	m.Remove(0x100)
+	m.remove(0x100)
 	if m.MightContain(0x100) {
 		t.Fatal("fully removed address still matches")
 	}
@@ -159,7 +158,7 @@ func TestMTB(t *testing.T) {
 		t.Fatalf("activity %d/%d", m.Probes(), m.Maybes())
 	}
 	// Underflow is clamped.
-	m.Remove(0x100)
+	m.remove(0x100)
 	if m.MightContain(0x100) {
 		t.Fatal("underflow corrupted the filter")
 	}
@@ -167,9 +166,37 @@ func TestMTB(t *testing.T) {
 
 func TestMTBAliasing(t *testing.T) {
 	m := NewMTB(8)
-	m.Add(0x100)
+	m.add(0x100)
 	aliased := uint64(0x100 + 8*8) // same counter (word-granular index)
 	if !m.MightContain(aliased) {
 		t.Fatal("aliasing should produce a (false-positive) match")
+	}
+}
+
+// TestMTBCountsEntryResolvedInQueue pins the hierarchical design's gap
+// that ownership closes: a store displaced into the L2 STQ before its
+// address is known, and resolved there later, must enter the MTB then and
+// leave it when it drains or is squashed.
+func TestMTBCountsEntryResolvedInQueue(t *testing.T) {
+	m := NewMTB(64)
+	l2 := NewStoreQueue("L2", 8, 8, m)
+	for seq := uint64(1); seq <= 2; seq++ {
+		l2.Alloc(StoreEntry{Seq: seq, SRLIndex: seq}) // displaced, address unknown
+	}
+	if m.MightContain(0x100) || m.MightContain(0x200) {
+		t.Fatal("an unknown-address entry was counted")
+	}
+	l2.Resolve(l2.Find(1), 0x100, 8)
+	l2.Resolve(l2.Find(2), 0x200, 8)
+	if !m.MightContain(0x100) || !m.MightContain(0x200) {
+		t.Fatal("an entry resolved in the queue was not counted")
+	}
+	l2.PopHead()
+	if m.MightContain(0x100) {
+		t.Fatal("a drained entry is still counted")
+	}
+	l2.SquashYoungerThan(1)
+	if m.MightContain(0x200) {
+		t.Fatal("a squashed entry is still counted")
 	}
 }

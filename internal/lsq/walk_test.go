@@ -76,14 +76,30 @@ func (q *walkQueue) search(addr uint64, size uint8, loadSeq uint64) SearchResult
 	return res
 }
 
+// find returns the resident entry with sequence number seq, or nil.
+func (q *walkQueue) find(seq uint64) *StoreEntry {
+	for i := 0; i < q.count; i++ {
+		if e := q.at(i); e.Seq == seq {
+			return e
+		}
+	}
+	return nil
+}
+
 // storePair drives a StoreQueue and its walking reference in lockstep.
 type storePair struct {
 	q *StoreQueue
 	r *walkQueue
 }
 
-func newStorePair(capacity int) storePair {
-	return storePair{NewStoreQueue("t", capacity, 1), &walkQueue{entries: make([]StoreEntry, capacity)}}
+// newStorePair builds a pair whose queue owns an MTB of mtbEntries
+// counters, or none when mtbEntries is 0.
+func newStorePair(capacity, mtbEntries int) storePair {
+	var mtb *MTB
+	if mtbEntries > 0 {
+		mtb = NewMTB(mtbEntries)
+	}
+	return storePair{NewStoreQueue("t", capacity, 1, mtb), &walkQueue{entries: make([]StoreEntry, capacity)}}
 }
 
 // agree fails unless both sides hold the same entries and counters.
@@ -110,6 +126,17 @@ func (p storePair) agree(t *testing.T, op string) {
 	if p.q.UnknownAddrs() != unknown {
 		t.Fatalf("%s: UnknownAddrs %d, walk counts %d", op, p.q.UnknownAddrs(), unknown)
 	}
+	if m := p.q.mtb; m != nil {
+		want := make([]uint16, len(m.counters))
+		for i := 0; i < p.r.count; i++ {
+			if e := p.r.at(i); e.AddrKnown {
+				want[m.idx(e.Addr)]++
+			}
+		}
+		if !reflect.DeepEqual(m.counters, want) {
+			t.Fatalf("%s: MTB counters %v, rebuilt from the walk's known entries %v", op, m.counters, want)
+		}
+	}
 }
 
 func sameSearch(got, want SearchResult) bool {
@@ -122,16 +149,19 @@ func sameSearch(got, want SearchResult) bool {
 	return reflect.DeepEqual(got.UnknownSeqs, want.UnknownSeqs)
 }
 
-// TestStoreQueueMatchesWalk drives random Alloc, Resolve, PopHead, squash
-// and Search traffic — and the hierarchical design's PopHead→Alloc
+// TestStoreQueueMatchesWalk drives random Alloc, Resolve, Find, PopHead,
+// squash and Search traffic — and the hierarchical design's PopHead→Alloc
 // displacement from a small L1 queue into a large L2 one — through the
 // indexed StoreQueue and the walking reference, and requires the same
-// search answers and the same power counters after every operation.
+// search answers and the same power counters after every operation. The
+// L2 queue owns an MTB, as in the hierarchical design, and on even seeds
+// so does the L1 queue, as in the filtered design; each MTB must count
+// exactly its queue's known-address entries.
 func TestStoreQueueMatchesWalk(t *testing.T) {
 	cases := map[string]int{}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := xrand.New(seed)
-		l1, l2 := newStorePair(6+int(seed%3)), newStorePair(24)
+		l1, l2 := newStorePair(6+int(seed%3), 16*int(1-seed%2)), newStorePair(24, 16)
 		pairs := []storePair{l1, l2}
 		next := uint64(1)
 		addrs := 4 + rng.Intn(12) // a small word pool, so matches happen
@@ -154,7 +184,7 @@ func TestStoreQueueMatchesWalk(t *testing.T) {
 				if rng.Bool(0.4) {
 					e.AddrKnown, e.Addr, e.Size = true, addr(), 8
 				}
-				_, ok := l1.q.Alloc(e)
+				ok := l1.q.Alloc(e)
 				if _, rok := l1.r.alloc(e); ok != rok {
 					t.Fatalf("seed %d step %d: Alloc ok %v, walk %v", seed, step, ok, rok)
 				}
@@ -170,9 +200,14 @@ func TestStoreQueueMatchesWalk(t *testing.T) {
 					continue
 				}
 				i := rng.Intn(p.r.count)
-				slot := ringSlot(p.r.head, i, len(p.r.entries))
 				a := addr()
-				e := p.q.Locate(slot, p.r.at(i).Seq)
+				e := p.q.Find(p.r.at(i).Seq)
+				if e != p.q.at(i) {
+					t.Fatalf("seed %d step %d: Find(%d) is not entry %d", seed, step, p.r.at(i).Seq, i)
+				}
+				if p.q.mtb != nil && !e.AddrKnown {
+					cases["resolve an unknown entry of an MTB queue"]++
+				}
 				if e.AddrKnown {
 					cases["resolve a known entry again"]++
 				} else {
@@ -194,6 +229,9 @@ func TestStoreQueueMatchesWalk(t *testing.T) {
 				if !he.AddrKnown {
 					cases["displace an unknown entry"]++
 				}
+				if l1.q.mtb != nil && he.AddrKnown {
+					cases["displace a known entry out of an MTB queue"]++
+				}
 				l2.q.Alloc(he)
 				l2.r.alloc(rhe)
 			case k < 66:
@@ -207,6 +245,9 @@ func TestStoreQueueMatchesWalk(t *testing.T) {
 				if e != re {
 					t.Fatalf("seed %d step %d: PopHead %+v, walk %+v", seed, step, e, re)
 				}
+				if p.q.mtb != nil && e.AddrKnown {
+					cases["drain a known entry of an MTB queue"]++
+				}
 			case k < 70:
 				op = "squash"
 				span := next - oldest()
@@ -215,17 +256,29 @@ func TestStoreQueueMatchesWalk(t *testing.T) {
 				}
 				keep := oldest() - 1 + rng.Uint64n(span+1)
 				for _, p := range []storePair{l1, l2} {
-					got, want := p.q.SquashYoungerThan(keep), p.r.squashYoungerThan(keep)
-					if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-						t.Fatalf("seed %d step %d: squash removed %+v, walk %+v", seed, step, got, want)
-					}
-					for _, e := range got {
+					p.q.SquashYoungerThan(keep)
+					for _, e := range p.r.squashYoungerThan(keep) {
 						if !e.AddrKnown {
 							cases["squash an unknown entry"]++
+						} else if p.q.mtb != nil {
+							cases["squash a known entry of an MTB queue"]++
 						}
 					}
 				}
 				next = keep + 1
+			case k < 74:
+				op = "find"
+				p := pairs[rng.Intn(2)]
+				seq := oldest() - 1 + rng.Uint64n(next-oldest()+2)
+				got, want := p.q.Find(seq), p.r.find(seq)
+				if (got == nil) != (want == nil) || (got != nil && *got != *want) {
+					t.Fatalf("seed %d step %d: Find(%d) = %+v, walk %+v", seed, step, seq, got, want)
+				}
+				if got != nil {
+					cases["find a resident seq"]++
+				} else {
+					cases["find an absent seq"]++
+				}
 			default:
 				op = "search"
 				p := pairs[rng.Intn(2)]
@@ -263,7 +316,9 @@ func TestStoreQueueMatchesWalk(t *testing.T) {
 	for _, c := range []string{"alloc into a full queue", "resolve a known entry again", "resolve an unknown entry",
 		"displace an unknown entry", "squash an unknown entry", "search the filter proves empty over older stores", "search that hits",
 		"search the filter passes that misses", "poisoned match", "several unknown older stores",
-		"search with younger stores resident"} {
+		"search with younger stores resident", "resolve an unknown entry of an MTB queue",
+		"displace a known entry out of an MTB queue", "drain a known entry of an MTB queue",
+		"squash a known entry of an MTB queue", "find a resident seq", "find an absent seq"} {
 		if cases[c] == 0 {
 			t.Errorf("case never exercised: %s", c)
 		}

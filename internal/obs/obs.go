@@ -15,18 +15,9 @@ type Config struct {
 	// Timeline. Zero disables sampling.
 	SampleEvery uint64
 
-	// TimelineCap bounds the in-memory sample ring; once full, the oldest
-	// samples are evicted (and counted in Timeline.Dropped). Zero means
-	// DefaultTimelineCap.
-	TimelineCap int
-
 	// TraceEvents enables the typed event trace (checkpoint create/commit,
 	// restarts, miss returns, redo-drain episodes, violations).
 	TraceEvents bool
-
-	// TraceCap bounds the retained event count; further events are dropped
-	// and counted. Zero means DefaultTraceCap.
-	TraceCap int
 }
 
 // Defaults for the bounded in-memory buffers.
@@ -36,11 +27,13 @@ const (
 	// while keeping a 150K-uop run under ~100 samples.
 	DefaultSampleEvery = 4096
 
-	// DefaultTimelineCap retains ~64M cycles of history at the default
-	// window before the ring starts evicting.
+	// DefaultTimelineCap bounds the in-memory sample ring: ~64M cycles of
+	// history at the default window before the oldest samples are evicted
+	// (and counted in Timeline.Dropped).
 	DefaultTimelineCap = 16384
 
-	// DefaultTraceCap bounds the event trace to ~24 MB of events.
+	// DefaultTraceCap bounds the event trace to ~24 MB of events; further
+	// events are dropped and counted.
 	DefaultTraceCap = 1 << 20
 )
 
@@ -53,29 +46,13 @@ func DefaultConfig() Config {
 	return Config{SampleEvery: DefaultSampleEvery, TraceEvents: true}
 }
 
-// timelineCap resolves the configured cap.
-func (c Config) timelineCap() int {
-	if c.TimelineCap > 0 {
-		return c.TimelineCap
-	}
-	return DefaultTimelineCap
-}
-
-// traceCap resolves the configured cap.
-func (c Config) traceCap() int {
-	if c.TraceCap > 0 {
-		return c.TraceCap
-	}
-	return DefaultTraceCap
-}
-
 // NewTimeline builds the run's timeline per the config, or nil when
 // sampling is disabled.
 func (c Config) NewTimeline() *Timeline {
 	if c.SampleEvery == 0 {
 		return nil
 	}
-	return NewTimeline(c.SampleEvery, c.timelineCap())
+	return NewTimeline(c.SampleEvery, DefaultTimelineCap)
 }
 
 // NewTraceWriter builds the run's event trace per the config, or nil when
@@ -84,5 +61,5 @@ func (c Config) NewTraceWriter() *TraceWriter {
 	if !c.TraceEvents {
 		return nil
 	}
-	return NewTraceWriter(c.traceCap())
+	return NewTraceWriter(DefaultTraceCap)
 }

@@ -378,8 +378,7 @@ func ParseExperimentID(name string) (ExperimentID, error) {
 }
 
 // RunExperiment runs one experiment of the paper's evaluation. The Latency
-// and Ordering experiments pick their suite from Options.LatencySuite
-// (zero value SFP2K).
+// and Ordering experiments run SFP2K.
 func RunExperiment(ctx context.Context, id ExperimentID, o Options) (ExperimentResult, error) {
 	return bench.RunExperiment(ctx, id, o)
 }
