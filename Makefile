@@ -3,7 +3,7 @@
 # sweep engine's worker pool is the default execution path for every
 # experiment. Run both before merging.
 
-.PHONY: tier1 verify lint srlbench-test bench bench-json profile bench-smoke fuzz serve serve-smoke cluster-smoke clean-store paper paper-quick paper-smoke
+.PHONY: tier1 verify lint srlbench-test identity bench bench-json profile bench-smoke fuzz serve serve-smoke cluster-smoke clean-store paper paper-quick paper-smoke
 
 tier1:
 	go build ./... && go test ./...
@@ -25,6 +25,15 @@ lint:
 # builds it; it compiles against the internal/bench and internal/paper APIs.
 srlbench-test:
 	cd cmd/srlbench && go vet ./... && go test ./...
+
+# Byte identity against a base revision (default main): builds
+# cmd/experiments and cmd/paperrepro at BASE and from the working tree and
+# compares their results, tables, paper-pipeline trees and skip engagement
+# (scripts/identity.sh lists them). A tool, not a CI gate: a change meant
+# to move results differs on purpose.
+BASE ?= main
+identity:
+	./scripts/identity.sh $(BASE)
 
 # The sweep-engine comparison: serial vs pooled vs pooled+memoized on the
 # Figure 6 matrix at QuickOptions scale.

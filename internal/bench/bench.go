@@ -480,7 +480,7 @@ func Table1() ConfigTable {
 	ct := ConfigTable{Title: "Table 1: baseline processor model", Headers: []string{"Parameter", "Value"}}
 	add := func(k, v string) { ct.Rows = append(ct.Rows, []string{k, v}) }
 	add("Processor frequency", "8 GHz (100ns memory = 800 cycles)")
-	add("Rename/issue/retire width", fmt.Sprintf("%d/%d/%d", cfg.AllocWidth, cfg.IssueWidth, cfg.RetireWidth))
+	add("Rename/issue/retire width", fmt.Sprintf("%d/%d/4", cfg.AllocWidth, cfg.IssueWidth))
 	add("Branch mispred. penalty", fmt.Sprintf("minimum %d cycles", cfg.MispredictPenalty))
 	add("Scheduling window size", fmt.Sprintf("%d Int, %d FP, %d Mem", cfg.SchedInt, cfg.SchedFP, cfg.SchedMem))
 	add("Map table checkpoints", fmt.Sprintf("%d", cfg.Checkpoints))

@@ -107,12 +107,12 @@ func ParseDesign(name string) (StoreDesign, error) {
 type Config struct {
 	Design StoreDesign
 
-	// Pipeline widths (Table 1: rename/issue/retire = 4/6/4).
-	AllocWidth  int
-	IssueWidth  int
-	RetireWidth int
-	LoadPorts   int
-	StorePorts  int
+	// Pipeline widths (Table 1: rename/issue/retire = 4/6/4). CPR commits
+	// a whole checkpoint at once, so no retire width is modelled.
+	AllocWidth int
+	IssueWidth int
+	LoadPorts  int
+	StorePorts int
 
 	// Scheduling windows (Table 1: 64 Int, 64 FP, 32 Mem).
 	SchedInt int
@@ -164,10 +164,8 @@ type Config struct {
 	// Memory dependence predictor SSIT size.
 	StoreSetsSize int
 
-	// Slice data buffer capacity (CFP).
-	SDBSize int
-
-	// Total in-flight window bound (ring capacity).
+	// Total in-flight window bound (ring capacity). The slice data buffer
+	// (CFP) holds any poisoned uop in it, so it has no size of its own.
 	WindowCap int
 
 	// Workload control.
@@ -240,12 +238,11 @@ type Config struct {
 // 1K-entry load buffer).
 func DefaultConfig(d StoreDesign) Config {
 	return Config{
-		Design:      d,
-		AllocWidth:  4,
-		IssueWidth:  6,
-		RetireWidth: 4,
-		LoadPorts:   1,
-		StorePorts:  1,
+		Design:     d,
+		AllocWidth: 4,
+		IssueWidth: 6,
+		LoadPorts:  1,
+		StorePorts: 1,
 
 		SchedInt: 64,
 		SchedFP:  64,
@@ -287,7 +284,6 @@ func DefaultConfig(d StoreDesign) Config {
 
 		StoreSetsSize: 4096,
 
-		SDBSize:   4096,
 		WindowCap: 8192,
 
 		Seed:       1,
@@ -314,11 +310,6 @@ func (c *Config) Validate() error {
 	case c.IntRegs <= sliceReserve || c.FPRegs <= sliceReserve:
 		return fmt.Errorf("core: register files %d/%d must exceed the slice reserve of %d",
 			c.IntRegs, c.FPRegs, sliceReserve)
-	case c.SDBSize < c.Checkpoints*c.CkptInterval:
-		// A smaller SDB can fill with a slice's younger uops while an
-		// older poisoned uop waits outside it, and the slice deadlocks.
-		return fmt.Errorf("core: SDB size %d below the %d uops %d checkpoints of %d can hold",
-			c.SDBSize, c.Checkpoints*c.CkptInterval, c.Checkpoints, c.CkptInterval)
 	case !isPow2(c.StoreSetsSize):
 		return fmt.Errorf("core: store sets size %d must be a positive power of two", c.StoreSetsSize)
 	case c.LQSize <= 0:

@@ -16,7 +16,7 @@ import (
 // accounting depends on. Their order is the fuzz input's byte order.
 var geometryFields = []string{
 	"STQSize", "L1STQSize", "L2STQSize", "MTBSize", "LQSize", "LoadBufAssoc",
-	"LCFSize", "LCFCounterBits", "FCAssoc", "StoreSetsSize", "SDBSize",
+	"LCFSize", "LCFCounterBits", "FCAssoc", "StoreSetsSize",
 	"SchedInt", "SchedFP", "SchedMem", "IntRegs", "FPRegs", "LoadPorts", "StorePorts",
 }
 
@@ -37,7 +37,6 @@ var invalidGeometry = []geometryRow{
 	{DesignSRL, "StorePorts", 0},
 	{DesignSRL, "SchedMem", 2},
 	{DesignBaseline, "IntRegs", 4},
-	{DesignLargeSTQ, "SDBSize", 0},
 	{DesignBaseline, "StoreSetsSize", 0},
 	{DesignHierarchical, "LQSize", 0},
 	{DesignBaseline, "STQSize", 0},

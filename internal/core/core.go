@@ -43,13 +43,13 @@ type Core struct {
 	// Scheduling.
 	ready readyList
 	cmpl  cmplHeap
-	// sdb is the slice data buffer. It is kept ordered by sequence number
-	// (oldest poisoned uop first): slices drain and re-insert in program
-	// order, and a consumer can never block the queue ahead of its
-	// producer, which a plain arrival-order FIFO would allow after
-	// re-slicing against a second miss.
-	sdb       sdbHeap
-	pendDrain []*dynUop // poisoned uops waiting for SDB space
+	// sdb is the slice data buffer: one bit per sequence number, set while
+	// the uop is poisoned (drained and not yet re-inserted). Its oldest
+	// entry re-inserts first, so slices re-insert in program order and a
+	// consumer can never block the buffer ahead of its producer, which a
+	// plain arrival-order FIFO would allow after re-slicing against a
+	// second miss. The ring spans the window, so the buffer never fills.
+	sdb *lsq.OrderTracker
 
 	// SRL-stalled loads, plus the retry loop's reusable snapshot buffer
 	// (the loop must not iterate srlStalled itself: releasing a load can
@@ -153,8 +153,6 @@ type scalars struct {
 	loadsInWindow               int
 	storesInWindow              int
 
-	sdbCount int // live entries (inSDB) in the sdb heap
-
 	// Store identifier assignment (the paper's store IDs = SRL indices).
 	storeCounter uint64
 
@@ -221,6 +219,7 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 		win:      newWindow(cfg.WindowCap),
 		order:    lsq.NewOrderTracker(cfg.WindowCap),
 		syncs:    lsq.NewOrderTracker(cfg.WindowCap),
+		sdb:      lsq.NewOrderTracker(cfg.WindowCap),
 		mem:      cachesim.NewHierarchy(cfg.Mem),
 		bp:       bpred.NewHybrid(),
 		mdp:      memdep.New(cfg.StoreSetsSize),
@@ -233,14 +232,13 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 	c.res.Suite = prof.Suite
 	c.res.Design = cfg.Design
 	c.recentLoads = make([]uint64, 64)
-	// Pre-size the ready list and the event heaps from the structures that
-	// bound their live population (the scheduler windows for ready, the
-	// slice data buffer and completion burst for the heaps): after at most one
-	// amortized growth lap to the run's true working size, the cycle loop
-	// never allocates. Sizing from WindowCap would be correct too but
-	// wastes ~0.7 MB per core across a sweep's many short-lived cores.
+	// Pre-size the ready list and the completion heap from what bounds
+	// their live population (the scheduler windows for ready, a completion
+	// burst for the heap): after at most one amortized growth lap to the
+	// run's true working size, the cycle loop never allocates. Sizing from
+	// WindowCap would be correct too but wastes ~0.7 MB per core across a
+	// sweep's many short-lived cores.
 	c.ready.grow(cfg.SchedInt + cfg.SchedFP + cfg.SchedMem + cfg.IssueWidth)
-	c.sdb.Grow(256)
 	c.cmpl.Grow(256)
 	c.uopFree = make([]*dynUop, 0, 64)
 	c.ckptFree = make([]*ckptState, 0, cfg.Checkpoints+1)
@@ -558,7 +556,6 @@ func (c *Core) step() {
 	c.commitCheckpoints()
 	c.injectSnoops()
 	c.drainStores()
-	c.movePendingDrains()
 	c.reinsertSlice()
 	c.retrySRLStalled()
 	c.issue()
@@ -671,9 +668,9 @@ func (c *Core) snapshotActivity() activity {
 
 // debugState renders a diagnostic snapshot for forward-progress failures.
 func (c *Core) debugState() string {
-	s := fmt.Sprintf("%s/%s cycle=%d committed=%d win=%d replayPos=%d sdb=%d pend=%d srlStalled=%d ready=%d cmpl=%d ckpts=%d fetchResume=%d\n",
+	s := fmt.Sprintf("%s/%s cycle=%d committed=%d win=%d replayPos=%d sdb=%d srlStalled=%d ready=%d cmpl=%d ckpts=%d fetchResume=%d\n",
 		c.res.Suite, c.res.Design, c.cycle, c.committed, c.win.len(), c.replayPos,
-		c.sdbCount, len(c.pendDrain), len(c.srlStalled), c.ready.Len(), c.cmpl.Len(), len(c.ckpts), c.fetchResume)
+		c.sdb.Len(), len(c.srlStalled), c.ready.Len(), c.cmpl.Len(), len(c.ckpts), c.fetchResume)
 	s += fmt.Sprintf("sched(i/f/m)=%d/%d/%d regs(i/f)=%d/%d loadsInWin=%d l1stq=%d srlLen=%d outMiss=%d\n",
 		c.schedInt, c.schedFP, c.schedMem, c.regsInt, c.regsFP, c.loadsInWindow, c.l1stq.Len(), c.srlLen(), c.outstandingMisses)
 	if len(c.ckpts) > 0 {
@@ -686,19 +683,17 @@ func (c *Core) debugState() string {
 		s += fmt.Sprintf("srl head: seq=%d idx=%d addrKnown=%v dataReady=%v lcfCnt=%v uop=%v\n",
 			h.Seq, h.SRLIndex, h.AddrKnown, h.DataReady, h.LCFCounted, hu != nil)
 		if hu != nil {
-			s += fmt.Sprintf("  head uop: alloc=%v done=%v pois=%v inSDB=%v inSched=%v storeID=%d pendSrc=%d\n",
-				hu.allocated, hu.done, hu.poisoned, hu.inSDB, hu.inSched, hu.storeID, hu.pendingSrc)
+			s += fmt.Sprintf("  head uop: alloc=%v done=%v pois=%v inSched=%v storeID=%d pendSrc=%d\n",
+				hu.allocated, hu.done, hu.poisoned, hu.inSched, hu.storeID, hu.pendingSrc)
 		}
 		s += fmt.Sprintf("order: allLoadsOlderDone(head)=%v outstanding=%d\n",
-			c.order.AllLoadsOlderThanDone(h.Seq), c.order.Outstanding())
+			c.order.AllLoadsOlderThanDone(h.Seq), c.order.Len())
 	}
 	for _, ld := range c.srlStalled {
 		s += fmt.Sprintf("  stalled load seq=%d nearest=%d srlHeadIdx=%d\n", ld.u.Seq, ld.nearestStoreID, c.srl.HeadIndex())
 		break
 	}
-	if c.sdb.Len() > 0 {
-		_, re := c.sdb.Min()
-		d := re.d
+	if d := c.sdbHead(); d != nil {
 		s += fmt.Sprintf("  sdb[0]: %s\n", d.u.String())
 		// Walk the producer chain of the SDB head.
 		cur := d
@@ -706,14 +701,14 @@ func (c *Core) debugState() string {
 			var next *dynUop
 			for j, r := range cur.prod {
 				if p := r.live(); p != nil && !p.done && p.allocated {
-					s += fmt.Sprintf("   hop%d prod%d: %s done=%v pois=%v inSDB=%v inSched=%v issued=%v stall=%v pendSrc=%d missRet=%d\n",
-						hop, j, p.u.String(), p.done, p.poisoned, p.inSDB, p.inSched, p.issued, p.srlStalled, p.pendingSrc, p.missReturn)
+					s += fmt.Sprintf("   hop%d prod%d: %s done=%v pois=%v inSched=%v issued=%v stall=%v pendSrc=%d missRet=%d\n",
+						hop, j, p.u.String(), p.done, p.poisoned, p.inSched, p.issued, p.srlStalled, p.pendingSrc, p.missReturn)
 					next = p
 				}
 			}
 			if p := cur.memDep.live(); next == nil && p != nil && !p.done {
-				s += fmt.Sprintf("   hop%d memDep: %s done=%v pois=%v inSDB=%v inSched=%v issued=%v stall=%v pendSrc=%d missRet=%d\n",
-					hop, p.u.String(), p.done, p.poisoned, p.inSDB, p.inSched, p.issued, p.srlStalled, p.pendingSrc, p.missReturn)
+				s += fmt.Sprintf("   hop%d memDep: %s done=%v pois=%v inSched=%v issued=%v stall=%v pendSrc=%d missRet=%d\n",
+					hop, p.u.String(), p.done, p.poisoned, p.inSched, p.issued, p.srlStalled, p.pendingSrc, p.missReturn)
 				next = p
 			}
 			cur = next
@@ -726,8 +721,8 @@ func (c *Core) debugState() string {
 		if d.done || !d.allocated {
 			continue
 		}
-		s += fmt.Sprintf("  stuck uop %s alloc=%v inSched=%v issued=%v pois=%v inSDB=%v pendSrc=%d stall=%v missRet=%d\n",
-			d.u.String(), d.allocated, d.inSched, d.issued, d.poisoned, d.inSDB, d.pendingSrc, d.srlStalled, d.missReturn)
+		s += fmt.Sprintf("  stuck uop %s alloc=%v inSched=%v issued=%v pois=%v pendSrc=%d stall=%v missRet=%d\n",
+			d.u.String(), d.allocated, d.inSched, d.issued, d.poisoned, d.pendingSrc, d.srlStalled, d.missReturn)
 		n++
 	}
 	return s

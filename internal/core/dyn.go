@@ -27,8 +27,7 @@ type dynUop struct {
 	inSched   bool
 	issued    bool
 	done      bool // executed with real data
-	poisoned  bool // currently carrying poison (in or destined for the SDB)
-	inSDB     bool
+	poisoned  bool // carrying poison: exactly while in the SDB
 	committed bool
 
 	holdsReg bool
@@ -53,12 +52,6 @@ type dynUop struct {
 
 	// SRL stall state.
 	srlStalled bool
-
-	// ldbufInserted marks a load already recorded in the load buffer at
-	// access time (long-latency misses insert early so store checks and
-	// snoops see them while the miss is in flight); complete() must not
-	// insert it again.
-	ldbufInserted bool
 
 	// memDep is a store this load must wait for (predicted or detected
 	// memory dependence); the load re-executes once the store completes.
@@ -188,24 +181,16 @@ func (w *window) indexOfSeq(seq uint64) int {
 	return int(seq - first)
 }
 
-// --- event heaps ---
+// --- completion heap ---
 //
-// Two event queues remain heaps (heapq.Heap: index-based min-heaps over
-// preallocated slices, no interface boxing on Push/Pop): the slice data
-// buffer, keyed by sequence number so slices re-insert oldest first, and
-// the completion heap, keyed by the event's cycle. Many completions share
-// a cycle, and heapq's sift reproduces container/heap's swaps exactly so
-// those ties pop in the order they always have. The ready set is the
-// age-ordered readyList (ready.go), not a heap. Entries carry the uop's
-// epoch at insertion so squashes invalidate them lazily.
-
-// sdbEntry is the payload of the SDB heap (key: d.u.Seq).
-type sdbEntry struct {
-	d     *dynUop
-	epoch uint32
-}
-
-type sdbHeap = heapq.Heap[sdbEntry]
+// The completion queue is a heap (heapq.Heap: an index-based min-heap over
+// a preallocated slice, no interface boxing on Push/Pop), keyed by the
+// event's cycle. Many completions share a cycle, and heapq's sift
+// reproduces container/heap's swaps exactly so those ties pop in the order
+// they always have. The ready set is the age-ordered readyList (ready.go)
+// and the slice data buffer a sequence-number bit ring (Core.sdb), not
+// heaps. Events carry the uop's epoch at insertion so squashes invalidate
+// them lazily.
 
 // cmplEvent is the payload of the completion heap (key: completion cycle).
 type cmplEvent struct {
@@ -217,10 +202,6 @@ type cmplHeap = heapq.Heap[cmplEvent]
 
 func pushCmpl(h *cmplHeap, cycle uint64, d *dynUop) {
 	h.Push(cycle, cmplEvent{d: d, epoch: d.epoch})
-}
-
-func pushSDB(h *sdbHeap, d *dynUop) {
-	h.Push(d.u.Seq, sdbEntry{d: d, epoch: d.epoch})
 }
 
 // --- checkpoints ---

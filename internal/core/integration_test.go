@@ -164,7 +164,6 @@ func TestTinyResourcesStillProgress(t *testing.T) {
 			cfg.STQSize = 8
 			cfg.L2STQSize = 64
 			cfg.SRLSize = 64
-			cfg.SDBSize = 256
 			cfg.LQSize = 64
 			cfg.WindowCap = 512
 			res := run(t, cfg, trace.SINT2K)

@@ -8,9 +8,6 @@ import (
 	"srlproc/internal/oracle"
 )
 
-// cachesimSpecResult aliases the cache's speculative-write result.
-type cachesimSpecResult = cachesim.SpecWriteResult
-
 // poisonThreshold: a load whose data will take longer than this many cycles
 // is treated as a long-latency miss — its destination is poisoned and its
 // forward slice drains out of the pipeline (CFP).
@@ -34,13 +31,10 @@ func (c *Core) execute(d *dynUop) {
 		c.leaveSched(d)
 		d.issued = true
 		pushCmpl(&c.cmpl, c.cycle+d.u.Class.Latency(), d)
-	case isa.Store:
-		// Address generation and data capture; the store's architectural
-		// memory update happens later, in order, from the store queues.
-		c.leaveSched(d)
-		d.issued = true
-		pushCmpl(&c.cmpl, c.cycle+d.u.Class.Latency(), d)
 	default:
+		// A store's execution is address generation and data capture; its
+		// architectural memory update happens later, in order, from the
+		// store queues.
 		c.leaveSched(d)
 		d.issued = true
 		pushCmpl(&c.cmpl, c.cycle+d.u.Class.Latency(), d)
@@ -105,6 +99,47 @@ func (c *Core) predictedDependentStore(d *dynUop, seqs []uint64) *dynUop {
 	return nil
 }
 
+// blockOnUnknownOlder makes load d wait for the older unknown-address store
+// a search found and the dependence predictor says d depends on, if any.
+// It reports whether d blocked.
+func (c *Core) blockOnUnknownOlder(d *dynUop, sr lsq.SearchResult) bool {
+	if !sr.UnknownOlder {
+		return false
+	}
+	s := c.predictedDependentStore(d, sr.UnknownSeqs)
+	if s == nil {
+		return false
+	}
+	c.blockOnStore(d, s)
+	return true
+}
+
+// forwardOnHit handles a store queue search that found an older matching
+// store: load d blocks behind it while its data is poisoned, or forwards
+// from it at the given latency once its data is ready, counting the
+// forward in *forwards. It reports whether d did either; if not, the load
+// goes on to the next source.
+func (c *Core) forwardOnHit(d *dynUop, sr lsq.SearchResult, latency uint64, kind oracle.ForwardKind, forwards *uint64) bool {
+	if !sr.Hit {
+		return false
+	}
+	if sr.PoisonedMatch {
+		// The forwarding store's data is poisoned (or not yet captured): the
+		// load blocks behind the store (a detected, not merely predicted,
+		// memory dependence).
+		if su := c.uopBySeq(sr.Entry.Seq); su != nil && !su.done {
+			c.blockOnStore(d, su)
+			return true
+		}
+	}
+	if !sr.Entry.DataReady {
+		return false
+	}
+	c.finishLoadForward(d, sr.Entry.SRLIndex, latency, kind)
+	*forwards++
+	return true
+}
+
 // uopBySeq finds the in-window dynamic uop with the given sequence number.
 func (c *Core) uopBySeq(seq uint64) *dynUop {
 	if pos := c.win.indexOfSeq(seq); pos >= 0 {
@@ -158,56 +193,25 @@ func (c *Core) executeLoad(d *dynUop) {
 		sr = c.l1stq.Search(d.u.Addr, d.u.Size, d.u.Seq)
 	}
 	// Unexecuted older stores have unknown addresses: the dependence
-	// predictor decides whether the load proceeds past them.
-	if sr.UnknownOlder {
-		if s := c.predictedDependentStore(d, sr.UnknownSeqs); s != nil {
-			c.blockOnStore(d, s)
-			return
-		}
-	}
-	if sr.Hit {
-		if sr.PoisonedMatch {
-			// Forwarding store's data is poisoned (or not yet captured):
-			// the load blocks behind the store (a detected, not merely
-			// predicted, memory dependence).
-			if su := c.uopBySeq(sr.Entry.Seq); su != nil && !su.done {
-				c.blockOnStore(d, su)
-				return
-			}
-		}
-		if sr.Entry.DataReady {
-			c.finishLoadForward(d, sr.Entry.SRLIndex, c.cfg.L1STQLatency, oracle.FwdL1STQ)
-			c.res.L1STQForwards++
-			return
-		}
+	// predictor decides whether the load proceeds past them. Then the
+	// youngest older matching store forwards its data, or blocks the load
+	// while its data is poisoned.
+	if c.blockOnUnknownOlder(d, sr) ||
+		c.forwardOnHit(d, sr, c.cfg.L1STQLatency, oracle.FwdL1STQ, &c.res.L1STQForwards) {
+		return
 	}
 
 	// 3. Design-specific secondary forwarding.
 	switch c.cfg.Design {
 	case DesignHierarchical:
 		if c.mtb.MightContain(d.u.Addr) {
+			// Forwarding from the L2 STQ costs the L2 STQ's access latency
+			// (8 cycles) — the disadvantage SRL forwarding at L1-hit
+			// latency avoids (Section 6.1).
 			sr2 := c.l2stq.Search(d.u.Addr, d.u.Size, d.u.Seq)
-			if sr2.UnknownOlder {
-				if s := c.predictedDependentStore(d, sr2.UnknownSeqs); s != nil {
-					c.blockOnStore(d, s)
-					return
-				}
-			}
-			if sr2.Hit {
-				if sr2.PoisonedMatch {
-					if su := c.uopBySeq(sr2.Entry.Seq); su != nil && !su.done {
-						c.blockOnStore(d, su)
-						return
-					}
-				}
-				if sr2.Entry.DataReady {
-					// Forwarding from the L2 STQ costs the L2 STQ's access
-					// latency (8 cycles) — the disadvantage SRL forwarding
-					// at L1-hit latency avoids (Section 6.1).
-					c.finishLoadForward(d, sr2.Entry.SRLIndex, c.cfg.L2STQLatency, oracle.FwdL2STQ)
-					c.res.L2STQForwards++
-					return
-				}
+			if c.blockOnUnknownOlder(d, sr2) ||
+				c.forwardOnHit(d, sr2, c.cfg.L2STQLatency, oracle.FwdL2STQ, &c.res.L2STQForwards) {
+				return
 			}
 		}
 	case DesignSRL:
@@ -377,20 +381,10 @@ func (c *Core) retrySRLStalled() {
 			// silently hand the load pre-store data. The hardware
 			// equivalent: a woken load re-enters the load pipeline from the
 			// search stage, not the cache stage.
-			if sr := c.l1stq.Search(d.u.Addr, d.u.Size, d.u.Seq); sr.Hit {
-				if sr.PoisonedMatch {
-					if su := c.uopBySeq(sr.Entry.Seq); su != nil && !su.done {
-						c.blockOnStore(d, su)
-						continue
-					}
-				}
-				if sr.Entry.DataReady {
-					c.finishLoadForward(d, sr.Entry.SRLIndex, c.cfg.L1STQLatency, oracle.FwdL1STQ)
-					c.res.L1STQForwards++
-					continue
-				}
+			sr := c.l1stq.Search(d.u.Addr, d.u.Size, d.u.Seq)
+			if !c.forwardOnHit(d, sr, c.cfg.L1STQLatency, oracle.FwdL1STQ, &c.res.L1STQForwards) {
+				c.accessCacheForLoad(d)
 			}
-			c.accessCacheForLoad(d)
 			continue
 		}
 		c.srlStalled = append(c.srlStalled, d)
@@ -408,7 +402,7 @@ func (c *Core) finishLoadForward(d *dynUop, storeID uint64, latency uint64, kind
 	if c.chk != nil {
 		c.chkLoadDecision(d, kind, storeID)
 	}
-	if !d.ldbufInserted && !c.insertLoadBufEntry(d) {
+	if !c.insertLoadBufEntry(d) {
 		return
 	}
 	pushCmpl(&c.cmpl, c.cycle+latency, d)
@@ -432,7 +426,6 @@ func (c *Core) insertLoadBufEntry(d *dynUop) bool {
 		c.restart(d.ckptID, c.cfg.MispredictPenalty)
 		return false
 	}
-	d.ldbufInserted = true
 	return true
 }
 
@@ -456,7 +449,7 @@ func (c *Core) accessCacheForLoad(d *dynUop) {
 		// this cycle, even if the data arrives much later.
 		c.chkLoadDecision(d, oracle.FwdMemory, lsq.NoFwd)
 	}
-	if !d.ldbufInserted && !c.insertLoadBufEntry(d) {
+	if !c.insertLoadBufEntry(d) {
 		return
 	}
 	if res.Done > c.cycle+poisonThreshold {
@@ -650,7 +643,7 @@ func (c *Core) tempUpdateDataCacheReady(h *lsq.StoreEntry) bool {
 // L1 data cache, paying the dirty-writeback and fetch costs Section 6.5
 // describes.
 func (c *Core) tempUpdateDataCache(h *lsq.StoreEntry) {
-	sw := c.specWriteResolvingDeadOwnersTemp(h.Addr, h.Ckpt, true)
+	sw := c.specWriteResolvingDeadOwners(h.Addr, h.Ckpt, true)
 	if !sw.Present {
 		c.mem.Access(c.cycle, h.Addr, true)
 		sw = c.mem.L1.SpecWrite(h.Addr, h.Ckpt, true)
@@ -667,15 +660,12 @@ func (c *Core) tempUpdateDataCache(h *lsq.StoreEntry) {
 	}
 }
 
-// specWriteResolvingDeadOwners performs a speculative cache write,
-// resolving one-version conflicts against checkpoints that no longer exist:
-// a committed owner's line becomes architectural; a squashed owner's line
-// was already discarded, so any survivor is stale bookkeeping.
-func (c *Core) specWriteResolvingDeadOwners(addr uint64, ckpt int) cachesimSpecResult {
-	return c.specWriteResolvingDeadOwnersTemp(addr, ckpt, false)
-}
-
-func (c *Core) specWriteResolvingDeadOwnersTemp(addr uint64, ckpt int, temp bool) cachesimSpecResult {
+// specWriteResolvingDeadOwners performs a speculative cache write (a
+// temporary update when temp is set), resolving one-version conflicts
+// against checkpoints that no longer exist: a committed owner's line
+// becomes architectural; a squashed owner's line was already discarded, so
+// any survivor is stale bookkeeping.
+func (c *Core) specWriteResolvingDeadOwners(addr uint64, ckpt int, temp bool) cachesim.SpecWriteResult {
 	sw := c.mem.L1.SpecWrite(addr, ckpt, temp)
 	if sw.Conflict && c.findCkpt(sw.OwnerCkpt) == nil {
 		c.mem.L1.CommitSpec(sw.OwnerCkpt)
@@ -727,7 +717,7 @@ func (c *Core) drainSRLHead() {
 				return
 			}
 		} else {
-			sw := c.specWriteResolvingDeadOwners(h.Addr, h.Ckpt)
+			sw := c.specWriteResolvingDeadOwners(h.Addr, h.Ckpt, false)
 			if sw.Conflict && sw.OwnerTemp {
 				// The conflicting version is a stale temporary update; the
 				// in-order redo supersedes it. Discard and rewrite (the

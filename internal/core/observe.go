@@ -118,7 +118,7 @@ func (c *Core) obsSample() {
 		STQOcc:            c.l1stq.Len(),
 		LoadBufOcc:        c.ldbuf.Len(),
 		WindowOcc:         c.win.len(),
-		SDBOcc:            c.sdbCount,
+		SDBOcc:            c.sdb.Len(),
 		Ckpts:             len(c.ckpts),
 		OutstandingMisses: c.outstandingMisses,
 		RedoActive:        c.redoActive,

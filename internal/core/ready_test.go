@@ -120,11 +120,33 @@ func (w *selWorld) decide(e readyItem, loadP, storeP *int) (act selAct) {
 	return selExec
 }
 
+// refHeap is the reference's ready heap. heapq.Heap shows only its
+// minimum, so the test counts the entries it holds beside it.
+type refHeap struct {
+	h    heapq.Heap[readyItem]
+	held map[readyItem]int
+}
+
+func (r *refHeap) push(e readyItem) {
+	r.h.Push(e.seq, e)
+	r.held[e]++
+}
+
+func (r *refHeap) pop() readyItem {
+	_, e := r.h.PopMin()
+	if r.held[e]--; r.held[e] == 0 {
+		delete(r.held, e)
+	}
+	return e
+}
+
+func (r *refHeap) Len() int { return r.h.Len() }
+
 // heapSelect is the reference: the heap pop/park/re-push loop.
-func heapSelect(h *heapq.Heap[readyItem], w *selWorld, budget, loadP, storeP int) {
+func heapSelect(h *refHeap, w *selWorld, budget, loadP, storeP int) {
 	var parked []readyItem
 	for budget > 0 && h.Len() > 0 {
-		_, e := h.PopMin()
+		e := h.pop()
 		switch w.decide(e, &loadP, &storeP) {
 		case selDrop:
 		case selPark:
@@ -137,7 +159,7 @@ func heapSelect(h *heapq.Heap[readyItem], w *selWorld, budget, loadP, storeP int
 		w.seen.exhausted++
 	}
 	for _, e := range parked {
-		h.Push(e.seq, e)
+		h.push(e)
 	}
 }
 
@@ -213,17 +235,17 @@ func selTraffic(rng *xrand.RNG, w *selWorld, frontier int, mixed bool) {
 // selDiff drives a heap world and a list world with the same traffic for
 // several seeds, hands each cycle's logs and structures to check, and
 // returns what the heap world saw.
-func selDiff(t *testing.T, mixed bool, check func(hLog, lLog []selStep, h *heapq.Heap[readyItem], l *readyList) string) (seen selCoverage) {
+func selDiff(t *testing.T, mixed bool, check func(hLog, lLog []selStep, h *refHeap, l *readyList) string) (seen selCoverage) {
 	const uops, cycles = 600, 4000
 	for seed := uint64(1); seed <= 40; seed++ {
-		var h heapq.Heap[readyItem]
+		h := refHeap{held: map[readyItem]int{}}
 		var l readyList
 		hw, lw := newSelWorld(uops), newSelWorld(uops)
-		hw.push = func(d *dynUop) { h.Push(d.u.Seq, readyItem{seq: d.u.Seq, d: d, epoch: d.epoch}) }
+		hw.push = func(d *dynUop) { h.push(readyItem{seq: d.u.Seq, d: d, epoch: d.epoch}) }
 		lw.push = l.push
 		hw.queued = func(seq uint64) bool {
-			for i := 0; i < h.Len(); i++ {
-				if _, e := h.At(i); e.seq == seq {
+			for e := range h.held {
+				if e.seq == seq {
 					return true
 				}
 			}
@@ -269,7 +291,7 @@ func selDiff(t *testing.T, mixed bool, check func(hLog, lLog []selStep, h *heapq
 // processes exactly the entries the heap did, in the same order, and holds
 // as many entries after every cycle.
 func TestReadyListMatchesHeap(t *testing.T) {
-	seen := selDiff(t, false, func(hLog, lLog []selStep, h *heapq.Heap[readyItem], l *readyList) string {
+	seen := selDiff(t, false, func(hLog, lLog []selStep, h *refHeap, l *readyList) string {
 		if fmt.Sprint(hLog) != fmt.Sprint(lLog) {
 			return fmt.Sprintf("processed\nheap %v\nlist %v", hLog, lLog)
 		}
@@ -296,24 +318,25 @@ func TestReadyListMatchesHeap(t *testing.T) {
 // never queued two epochs under one key in this repository's tests or the
 // full oracle sweep; this bounds what would happen if it did.)
 func TestReadyListMatchesHeapMixedEpochs(t *testing.T) {
-	current := func(n int, at func(int) readyItem) (cur int) {
-		for i := 0; i < n; i++ {
-			if e := at(i); e.epoch == e.d.epoch {
-				cur++
-			}
-		}
-		return cur
-	}
 	lenDiffers := 0
-	selDiff(t, true, func(hLog, lLog []selStep, h *heapq.Heap[readyItem], l *readyList) string {
+	selDiff(t, true, func(hLog, lLog []selStep, h *refHeap, l *readyList) string {
 		if h.Len() != l.Len() {
 			lenDiffers++
 		}
 		if a, b := fmt.Sprint(liveSteps(hLog)), fmt.Sprint(liveSteps(lLog)); a != b {
 			return fmt.Sprintf("drained, parked and issued\nheap %v\nlist %v", a, b)
 		}
-		hc := current(h.Len(), func(i int) readyItem { _, e := h.At(i); return e })
-		lc := current(l.Len(), func(i int) readyItem { return l.s[i] })
+		hc, lc := 0, 0
+		for e, n := range h.held {
+			if e.epoch == e.d.epoch {
+				hc += n
+			}
+		}
+		for _, e := range l.s[:l.Len()] {
+			if e.epoch == e.d.epoch {
+				lc++
+			}
+		}
 		if hc != lc {
 			return fmt.Sprintf("heap holds %d current-epoch entries, list %d", hc, lc)
 		}

@@ -59,7 +59,6 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 		d.issued = false
 		d.done = false
 		d.poisoned = false
-		d.inSDB = false
 		d.pendingSrc = 0
 		c.freeWaiterChain(d.waiters)
 		d.waiters = nil
@@ -70,7 +69,6 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 		d.fwdStoreID = 0
 		d.memDep = uopRef{}
 		d.inUnknownList = false
-		d.ldbufInserted = false
 		// d.everInSDB is deliberately preserved: miss-dependence is
 		// counted once per uop even across replays.
 	}
@@ -79,27 +77,18 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	if c.chk != nil {
 		c.chkSquash(fromSeq)
 	}
-	// Slice data buffer (stale heap entries are dropped lazily; recount the
-	// live population) and companion lists.
-	live := 0
-	for i := 0; i < c.sdb.Len(); i++ {
-		_, re := c.sdb.At(i)
-		if re.d.allocated && re.d.inSDB && re.epoch == re.d.epoch {
-			live++
-		}
-	}
-	c.sdbCount = live
-	c.pendDrain = filterUops(c.pendDrain, squashBelow)
+	// Companion lists.
 	c.srlStalled = filterUops(c.srlStalled, squashBelow)
 	c.srlRetry.listMuts++
 	c.unknownStores = filterUops(c.unknownStores, squashBelow)
 	c.deferred = filterUops(c.deferred, squashBelow)
 
-	// Store/load structures. Every SquashYoungerThan follows one convention
-	// (entries with Seq > argument are removed, see lsq.StoreQueue), so the
-	// restart boundary — squash everything with Seq >= fromSeq — is uniformly
-	// expressed as SquashYoungerThan(fromSeq-1) across all seven structures.
-	// The store queues and the SRL update their own filters.
+	// Store/load structures and the slice data buffer. Every
+	// SquashYoungerThan follows one convention (entries with Seq > argument
+	// are removed, see lsq.StoreQueue), so the restart boundary — squash
+	// everything with Seq >= fromSeq — is uniformly expressed as
+	// SquashYoungerThan(fromSeq-1) across all eight structures. The store
+	// queues and the SRL update their own filters.
 	c.l1stq.SquashYoungerThan(squashBelow - 1)
 	if c.l2stq != nil {
 		c.l2stq.SquashYoungerThan(squashBelow - 1)
@@ -116,6 +105,7 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	c.ldbuf.SquashYoungerThan(squashBelow - 1)
 	c.order.SquashYoungerThan(squashBelow - 1)
 	c.syncs.SquashYoungerThan(squashBelow - 1)
+	c.sdb.SquashYoungerThan(squashBelow - 1)
 	c.mem.DiscardSpecInto(c.cycle, c.mem.L1.DiscardSpecFrom(ck.id))
 
 	// Checkpoint file: free everything younger than ck, reset ck itself.

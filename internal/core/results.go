@@ -119,7 +119,11 @@ type StallCounts struct {
 	StallRegs   uint64 `json:"stallRegs"`
 	StallCkpt   uint64 `json:"stallCkpt"`
 	StallWindow uint64 `json:"stallWindow"`
-	StallSDB    uint64 `json:"stallSDB"`
+	// StallSDB is always zero: the slice data buffer holds every poisoned
+	// uop the window can hold, so it never fills. The field stays because
+	// the golden documents and the Results, CSV and timeline formats
+	// carry it.
+	StallSDB uint64 `json:"stallSDB"`
 }
 
 // ActivityCounts are the structure-activity counters the power model

@@ -57,9 +57,9 @@ type skipFP struct {
 // skipLens holds the length of each Core container, in a field named after
 // it (TestSkipCoverage matches the names).
 type skipLens struct {
-	win, ckpts, ready, cmpl, sdb, pendDrain int
-	srlStalled, unknownStores, deferred     int
-	l1stq, l2stq, srl, ldbuf                int
+	win, ckpts, ready, cmpl, sdb        int
+	srlStalled, unknownStores, deferred int
+	l1stq, l2stq, srl, ldbuf            int
 }
 
 // skipSnap is the armed snapshot the probe cycle is verified against.
@@ -97,9 +97,7 @@ type skipState struct {
 const skipMinGap = 16
 
 // skipFPCapture captures the structural fingerprint. Every accessor here is
-// pure (no lazy pops, no counter bumps): c.sdb.Len() counts raw heap
-// entries rather than going through sdbHead, so capture itself perturbs
-// nothing.
+// pure (no counter bumps), so capture itself perturbs nothing.
 func (c *Core) skipFPCapture() skipFP {
 	fp := skipFP{
 		state: c.scalars,
@@ -109,7 +107,6 @@ func (c *Core) skipFPCapture() skipFP {
 			ready:         c.ready.Len(),
 			cmpl:          c.cmpl.Len(),
 			sdb:           c.sdb.Len(),
-			pendDrain:     len(c.pendDrain),
 			srlStalled:    len(c.srlStalled),
 			unknownStores: len(c.unknownStores),
 			deferred:      len(c.deferred),
@@ -231,9 +228,6 @@ func (c *Core) maybeSkip() {
 		// cycle; it will be anything but quiescent.
 		return
 	}
-	// Compute the event before capturing the snapshot: sdbHead may lazily
-	// pop squashed heap tops, and those pops must land inside the
-	// captured fingerprint, not between it and the probe.
 	if _, ok := c.nextEventCycle(c.cycle + skipMinGap); !ok {
 		return
 	}

@@ -98,15 +98,18 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestPipelineInvariants steps every design, plain and with sync knobs,
-// over every suite and checks two bookkeeping invariants every 1000
+// over every suite and checks the bookkeeping invariants every 1000
 // cycles: the outstanding-miss counter equals the allocated, unfinished
-// miss loads in the window, and the window head is not older than the
-// oldest checkpoint.
+// miss loads in the window; the window head is not older than the oldest
+// checkpoint; the SDB holds exactly the window's poisoned uops, its head is
+// the oldest of them, and that head has no poisoned producer. So that the
+// SDB checks cannot pass vacuously, some check must see more than one SDB
+// resident, and some cycle that began with a non-empty SDB must restart.
 func TestPipelineInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invariant sweep skipped in -short mode")
 	}
-	checks := 0
+	checks, maxSDB, sdbRestarts := 0, 0, 0
 	for _, d := range []StoreDesign{DesignBaseline, DesignLargeSTQ, DesignHierarchical, DesignSRL, DesignFilteredSTQ} {
 		for _, sync := range []bool{false, true} {
 			for _, su := range trace.AllSuites() {
@@ -119,15 +122,27 @@ func TestPipelineInvariants(t *testing.T) {
 					t.Fatal(err)
 				}
 				for !c.Done() {
+					sdbBefore, restartsBefore := c.sdb.Len(), c.res.Restarts
 					c.StepCycle()
+					if sdbBefore > 0 && c.res.Restarts > restartsBefore {
+						sdbRestarts++
+					}
 					if c.cycle%1000 != 0 {
 						continue
 					}
 					checks++
-					misses := 0
+					misses, poisoned := 0, 0
+					var oldestPoisoned *dynUop
 					for i := 0; i < c.win.len(); i++ {
-						if u := c.win.at(i); u.allocated && u.missReturn > 0 && !u.done {
+						u := c.win.at(i)
+						if u.allocated && u.missReturn > 0 && !u.done {
 							misses++
+						}
+						if u.poisoned {
+							if oldestPoisoned == nil {
+								oldestPoisoned = u
+							}
+							poisoned++
 						}
 					}
 					if misses != c.outstandingMisses {
@@ -138,9 +153,27 @@ func TestPipelineInvariants(t *testing.T) {
 						t.Fatalf("%s/%s sync=%v: window head older than oldest checkpoint: %s",
 							d, su, sync, c.debugState())
 					}
+					if c.sdb.Len() != poisoned {
+						t.Fatalf("%s/%s sync=%v cycle %d: SDB holds %d uops, window holds %d poisoned",
+							d, su, sync, c.cycle, c.sdb.Len(), poisoned)
+					}
+					head := c.sdbHead()
+					if head != oldestPoisoned {
+						t.Fatalf("%s/%s sync=%v: SDB head is not the oldest poisoned uop in the window: %s",
+							d, su, sync, c.debugState())
+					}
+					if head != nil && head.anyPoisonedSrc() {
+						t.Fatalf("%s/%s sync=%v: SDB head has a poisoned producer: %s",
+							d, su, sync, c.debugState())
+					}
+					maxSDB = max(maxSDB, poisoned)
 				}
 			}
 		}
 	}
-	t.Logf("%d invariant checks", checks)
+	t.Logf("%d invariant checks; at most %d SDB residents at a check; %d cycles with a non-empty SDB restarted",
+		checks, maxSDB, sdbRestarts)
+	if maxSDB < 2 || sdbRestarts == 0 {
+		t.Fatal("the SDB checks ran vacuously: no check saw two residents, or no cycle with a non-empty SDB restarted")
+	}
 }

@@ -194,13 +194,7 @@ func (c *Core) drainToSDB(d *dynUop) {
 			c.counters.Inc(sdbCauseName(d.u.Class))
 		}
 	}
-	if c.sdbCount < c.cfg.SDBSize {
-		d.inSDB = true
-		c.sdbCount++
-		pushSDB(&c.sdb, d)
-	} else {
-		c.pendDrain = append(c.pendDrain, d)
-	}
+	c.sdb.Add(d.u.Seq)
 	// For stores with a known (clean) address, record the address in the
 	// store queue entry so loads can disambiguate against it; otherwise the
 	// store's address is unknown and the dependence predictor screens loads.
@@ -225,29 +219,6 @@ func (c *Core) drainToSDB(d *dynUop) {
 	c.wakeWaiters(d)
 }
 
-func (c *Core) movePendingDrains() {
-	i := 0
-	for i < len(c.pendDrain) && c.sdbCount < c.cfg.SDBSize {
-		d := c.pendDrain[i]
-		i++
-		if d.poisoned && !d.inSDB && d.allocated {
-			d.inSDB = true
-			c.sdbCount++
-			pushSDB(&c.sdb, d)
-		}
-	}
-	if i > 0 {
-		n := copy(c.pendDrain, c.pendDrain[i:])
-		for j := n; j < len(c.pendDrain); j++ {
-			c.pendDrain[j] = nil
-		}
-		c.pendDrain = c.pendDrain[:n]
-	}
-	if len(c.pendDrain) > 0 {
-		c.res.StallSDB++
-	}
-}
-
 // sliceHeadReady reports whether the SDB head can re-enter the pipeline.
 func (c *Core) sliceHeadReady(d *dynUop) bool {
 	if d.missReturn > 0 {
@@ -264,29 +235,19 @@ func (c *Core) sliceHeadReady(d *dynUop) bool {
 	return true
 }
 
+// sdbHead returns the oldest SDB resident, or nil when the SDB is empty.
+func (c *Core) sdbHead() *dynUop {
+	seq, ok := c.sdb.Oldest()
+	if !ok {
+		return nil
+	}
+	return c.uopBySeq(seq)
+}
+
 // reinsertSlice drains the SDB head back into the pipeline when the miss
 // data has returned (Section 2.1: slice re-acquires resources and executes,
-// interleaved in program order with the redo of independent stores).
-// sdbHead returns the oldest live SDB resident, discarding stale heap
-// entries (squashed or already-removed uops).
-func (c *Core) sdbHead() *dynUop {
-	for c.sdb.Len() > 0 {
-		_, re := c.sdb.Min()
-		if re.epoch != re.d.epoch || !re.d.allocated || !re.d.inSDB || !re.d.poisoned {
-			c.sdb.PopMin()
-			continue
-		}
-		return re.d
-	}
-	return nil
-}
-
-func (c *Core) popSDB(d *dynUop) {
-	c.sdb.PopMin()
-	d.inSDB = false
-	c.sdbCount--
-}
-
+// interleaved in program order with the redo of independent stores). The
+// head's producers are older, so none of them is still poisoned.
 func (c *Core) reinsertSlice() {
 	budget := c.cfg.AllocWidth
 	for budget > 0 {
@@ -305,7 +266,7 @@ func (c *Core) reinsertSlice() {
 				c.res.StallRegs++
 				break
 			}
-			c.popSDB(d)
+			c.sdb.Remove(d.u.Seq)
 			budget--
 			d.poisoned = false
 			c.regTake(d)
@@ -317,13 +278,6 @@ func (c *Core) reinsertSlice() {
 			c.complete(d)
 			continue
 		}
-		if d.anyPoisonedSrc() {
-			// The oldest poisoned uop cannot itself have a poisoned-in-SDB
-			// producer (the producer would be older and thus at the head),
-			// so this only occurs transiently via the pending-drain list;
-			// wait for the producer to enter the SDB.
-			break
-		}
 		// Re-acquire scheduler and register resources and re-execute.
 		if !c.schedAvailSlice(d.u.Class) {
 			c.res.StallSched++
@@ -333,7 +287,7 @@ func (c *Core) reinsertSlice() {
 			c.res.StallRegs++
 			break
 		}
-		c.popSDB(d)
+		c.sdb.Remove(d.u.Seq)
 		budget--
 		d.poisoned = false
 		d.inSched = true
@@ -385,30 +339,13 @@ func (c *Core) complete(d *dynUop) {
 	restarted := false
 	switch {
 	case d.isLoad():
-		c.order.LoadCompleted(d.u.Seq)
+		// The load buffer recorded the load at its decision
+		// (insertLoadBufEntry), before its completion was scheduled.
+		c.order.Remove(d.u.Seq)
 		if d.u.Acq {
-			c.syncs.LoadCompleted(d.u.Seq)
+			c.syncs.Remove(d.u.Seq)
 		}
 		c.noteRecentLoad(d.u.Addr)
-		if d.ldbufInserted {
-			// Already recorded at access time (long-latency miss); a second
-			// insert would duplicate the entry.
-			break
-		}
-		entry := lsq.LoadEntry{
-			Seq: d.u.Seq, PC: d.u.PC, Addr: d.u.Addr, Size: d.u.Size,
-			NearestStoreID: d.nearestStoreID, FwdStoreID: d.fwdStoreID,
-			Ckpt: d.ckptID,
-		}
-		if !c.ldbuf.Insert(entry) {
-			// Set overflow with the violate-on-overflow policy: take a
-			// memory ordering violation (Section 3).
-			c.res.OverflowViolations++
-			c.obsEvent(obs.EvOverflowViolation, d.u.Addr)
-			c.wakeWaiters(d)
-			c.restart(d.ckptID, c.cfg.MispredictPenalty)
-			return
-		}
 	case d.isStore():
 		restarted = c.completeStore(d)
 	case d.u.Class == isa.Branch:
@@ -416,7 +353,7 @@ func (c *Core) complete(d *dynUop) {
 		c.resolveBranch(d)
 		return
 	case d.u.Class == isa.Fence:
-		c.syncs.LoadCompleted(d.u.Seq)
+		c.syncs.Remove(d.u.Seq)
 		if c.chk != nil {
 			c.chkFencePerformed(d)
 		}
@@ -787,16 +724,16 @@ func (c *Core) allocate() {
 		case isa.Load:
 			d.nearestStoreID = c.storeCounter - 1
 			d.fwdStoreID = lsq.NoFwd
-			c.order.LoadAllocated(d.u.Seq)
+			c.order.Add(d.u.Seq)
 			c.loadsInWindow++
 			if d.u.Acq {
-				c.syncs.LoadAllocated(d.u.Seq)
+				c.syncs.Add(d.u.Seq)
 			}
 			if c.chk != nil {
 				c.chkLoadAlloc(d)
 			}
 		case isa.Fence:
-			c.syncs.LoadAllocated(d.u.Seq)
+			c.syncs.Add(d.u.Seq)
 			if c.chk != nil {
 				c.chkFenceAlloc(d)
 			}

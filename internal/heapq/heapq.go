@@ -5,9 +5,8 @@
 // allocation each) — the dominant allocation sites in a cycle-stepped
 // run. This heap stores (key, value) pairs inline in a slice, so
 // steady-state Push/Pop allocate nothing once the slice has grown to its
-// working size. Two of the core's queues use it: the completion heap,
-// keyed by cycle, and the slice data buffer, keyed by sequence number.
-// (The ready set, once a third heap, is an age-ordered array now.)
+// working size. The core's completion queue, keyed by cycle, is its one
+// user.
 //
 // The sift algorithm is a line-for-line port of container/heap's up/down
 // with pairwise swaps. That is deliberate, not incidental, and it is for
@@ -45,9 +44,6 @@ func (h *Heap[V]) Grow(n int) {
 // Len returns the number of elements.
 func (h *Heap[V]) Len() int { return len(h.s) }
 
-// Reset empties the heap, keeping the backing storage.
-func (h *Heap[V]) Reset() { h.s = h.s[:0] }
-
 // Push inserts value v with key k.
 func (h *Heap[V]) Push(k uint64, v V) {
 	h.s = append(h.s, pair[V]{k: k, v: v})
@@ -72,13 +68,6 @@ func (h *Heap[V]) PopMin() (uint64, V) {
 	h.s[n] = zero
 	h.s = h.s[:n]
 	return p.k, p.v
-}
-
-// At returns the i-th element in heap-internal order (0 = the minimum;
-// other positions are unspecified). For full scans such as live-entry
-// recounts, without exposing the backing slice.
-func (h *Heap[V]) At(i int) (uint64, V) {
-	return h.s[i].k, h.s[i].v
 }
 
 func (h *Heap[V]) up(j int) {

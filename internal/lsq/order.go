@@ -10,28 +10,28 @@ import "math/bits"
 // still set.
 //
 // The array is a ring indexed by sequence number, one bit per window slot.
-// Outstanding loads are in the window, whose sequence numbers are dense,
-// so they span fewer sequence numbers than the ring has bits and never
-// alias. oldest is kept on the oldest outstanding load at every change,
-// not only when queried, so it answers the question in O(1); newest bounds
-// the outstanding loads from above for squashes and the span check.
+// Tracked entries are in the window, whose sequence numbers are dense, so
+// they span fewer sequence numbers than the ring has bits and never alias.
+// oldest is kept on the oldest entry at every change, not only when
+// queried, so it answers the question in O(1); newest bounds the entries
+// from above for squashes and the span check.
 //
-// A load may be allocated, squashed by a checkpoint restart, and allocated
-// again with the same sequence number; setting a set bit or clearing a
-// clear one changes nothing, so replays need no bookkeeping of their own.
+// An entry may be added, squashed by a checkpoint restart, and added again
+// with the same sequence number; setting a set bit or clearing a clear one
+// changes nothing, so replays need no bookkeeping of their own.
 //
-// Nothing here is specific to loads: the core keeps a second tracker over
-// fences and load-acquires, whose oldest outstanding entry is the sync
-// operation younger accesses wait behind.
+// Nothing here is specific to loads: the core also tracks fences and
+// load-acquires (the oldest is the sync younger accesses wait behind) and
+// the slice data buffer (the oldest poisoned uop re-inserts first).
 type OrderTracker struct {
 	bits   []uint64 // bit seq&(64*len(bits)-1); len(bits) is a power of two
-	count  int      // set bits: loads allocated and not completed
-	oldest uint64   // lowest outstanding sequence number (when count > 0)
-	newest uint64   // no outstanding sequence number is above it (when count > 0)
+	count  int      // set bits: entries added and not removed
+	oldest uint64   // lowest tracked sequence number (when count > 0)
+	newest uint64   // no tracked sequence number is above it (when count > 0)
 }
 
-// NewOrderTracker returns an empty tracker for outstanding loads spanning
-// fewer than span sequence numbers — the instruction window's capacity.
+// NewOrderTracker returns an empty tracker for entries spanning fewer than
+// span sequence numbers — the instruction window's capacity.
 func NewOrderTracker(span int) *OrderTracker {
 	words := 1
 	for words*64 < span {
@@ -45,14 +45,14 @@ func (t *OrderTracker) word(seq uint64) int {
 	return int(seq>>6) & (len(t.bits) - 1)
 }
 
-// has reports whether load seq is outstanding.
+// has reports whether seq is tracked.
 func (t *OrderTracker) has(seq uint64) bool {
 	return t.count > 0 && seq >= t.oldest && seq <= t.newest &&
 		t.bits[t.word(seq)]&(1<<(seq&63)) != 0
 }
 
-// LoadAllocated records a load entering the window (its bit is set).
-func (t *OrderTracker) LoadAllocated(seq uint64) {
+// Add sets seq's bit (a load or sync allocated, a uop drained to the SDB).
+func (t *OrderTracker) Add(seq uint64) {
 	switch {
 	case t.count == 0:
 		t.oldest, t.newest = seq, seq
@@ -71,12 +71,12 @@ func (t *OrderTracker) LoadAllocated(seq uint64) {
 
 func (t *OrderTracker) checkSpan(lo, hi uint64) {
 	if hi-lo >= uint64(64*len(t.bits)) {
-		panic("lsq: outstanding loads span more sequence numbers than the order tracker holds")
+		panic("lsq: tracked entries span more sequence numbers than the order tracker holds")
 	}
 }
 
-// LoadCompleted records a load finishing execution (its bit clears).
-func (t *OrderTracker) LoadCompleted(seq uint64) {
+// Remove clears seq's bit (a load or sync completed, a uop re-inserted).
+func (t *OrderTracker) Remove(seq uint64) {
 	if !t.has(seq) {
 		return
 	}
@@ -87,8 +87,7 @@ func (t *OrderTracker) LoadCompleted(seq uint64) {
 	}
 }
 
-// nextSet returns the lowest outstanding sequence number at or above from;
-// one must exist.
+// nextSet returns the lowest tracked seq at or above from; one must exist.
 func (t *OrderTracker) nextSet(from uint64) uint64 {
 	w := t.word(from)
 	base := from &^ 63
@@ -108,17 +107,16 @@ func (t *OrderTracker) AllLoadsOlderThanDone(seq uint64) bool {
 	return t.count == 0 || t.oldest >= seq
 }
 
-// Oldest returns the lowest outstanding sequence number; ok is false when
-// nothing is outstanding.
+// Oldest returns the lowest tracked sequence number, ok false when empty.
 func (t *OrderTracker) Oldest() (seq uint64, ok bool) {
 	return t.oldest, t.count > 0
 }
 
-// Outstanding returns the number of loads allocated but not completed.
-func (t *OrderTracker) Outstanding() int { return t.count }
+// Len returns the number of tracked entries.
+func (t *OrderTracker) Len() int { return t.count }
 
-// SquashYoungerThan discards outstanding loads strictly younger than seq:
-// a load survives iff its Seq <= seq, so its bit keeps gating the SRL head.
+// SquashYoungerThan discards entries strictly younger than seq: an entry
+// survives iff its Seq <= seq, so a surviving load keeps gating the SRL head.
 // This is the repo-wide squash convention (see StoreQueue.SquashYoungerThan);
 // callers restarting at a checkpoint whose first sequence number is fromSeq
 // pass fromSeq-1.

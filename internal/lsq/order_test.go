@@ -10,15 +10,15 @@ func TestOrderTrackerBasics(t *testing.T) {
 	if !o.AllLoadsOlderThanDone(100) {
 		t.Fatal("empty tracker should pass")
 	}
-	o.LoadAllocated(10)
-	o.LoadAllocated(20)
+	o.Add(10)
+	o.Add(20)
 	if o.AllLoadsOlderThanDone(15) {
 		t.Fatal("outstanding load 10 should gate seq 15")
 	}
 	if !o.AllLoadsOlderThanDone(10) {
 		t.Fatal("load 10 itself is not older than seq 10")
 	}
-	o.LoadCompleted(10)
+	o.Remove(10)
 	if !o.AllLoadsOlderThanDone(15) {
 		t.Fatal("completed load still gates")
 	}
@@ -29,13 +29,13 @@ func TestOrderTrackerBasics(t *testing.T) {
 
 func TestOrderTrackerSquash(t *testing.T) {
 	o := NewOrderTracker(64)
-	o.LoadAllocated(10)
-	o.LoadAllocated(20)
+	o.Add(10)
+	o.Add(20)
 	o.SquashYoungerThan(15)
 	if o.AllLoadsOlderThanDone(25) {
 		t.Fatal("load 10 survived the squash and must gate")
 	}
-	o.LoadCompleted(10)
+	o.Remove(10)
 	if !o.AllLoadsOlderThanDone(25) {
 		t.Fatal("squashed load 20 still gates")
 	}
@@ -46,26 +46,26 @@ func TestOrderTrackerReplayDuplicate(t *testing.T) {
 	// restart) must behave like a single outstanding load — the bug class
 	// that deadlocked the SRL drain.
 	o := NewOrderTracker(64)
-	o.LoadAllocated(10)
+	o.Add(10)
 	o.SquashYoungerThan(5) // squashes 10
-	o.LoadAllocated(10)    // replayed
+	o.Add(10)              // replayed
 	if o.AllLoadsOlderThanDone(15) {
 		t.Fatal("replayed load not outstanding")
 	}
-	o.LoadCompleted(10)
+	o.Remove(10)
 	if !o.AllLoadsOlderThanDone(15) {
 		t.Fatal("replayed load stuck after completion")
 	}
-	if o.Outstanding() != 0 {
-		t.Fatalf("outstanding %d", o.Outstanding())
+	if o.Len() != 0 {
+		t.Fatalf("outstanding %d", o.Len())
 	}
 }
 
 func TestOrderTrackerReset(t *testing.T) {
 	o := NewOrderTracker(64)
-	o.LoadAllocated(10)
+	o.Add(10)
 	o.Reset()
-	if !o.AllLoadsOlderThanDone(100) || o.Outstanding() != 0 {
+	if !o.AllLoadsOlderThanDone(100) || o.Len() != 0 {
 		t.Fatal("reset did not clear")
 	}
 }
@@ -99,10 +99,10 @@ func TestOrderTrackerMatchesReference(t *testing.T) {
 				seq := base + uint64(op>>8)%uint64(span)
 				switch op % 5 {
 				case 0, 1:
-					o.LoadAllocated(seq)
+					o.Add(seq)
 					ref[seq] = true
 				case 2:
-					o.LoadCompleted(seq)
+					o.Remove(seq)
 					delete(ref, seq)
 				case 3:
 					o.SquashYoungerThan(seq - 1)
@@ -115,12 +115,12 @@ func TestOrderTrackerMatchesReference(t *testing.T) {
 					base += uint64(op>>8) % 97
 					for s := range ref {
 						if s < base {
-							o.LoadCompleted(s)
+							o.Remove(s)
 							delete(ref, s)
 						}
 					}
 				}
-				if o.Outstanding() != len(ref) {
+				if o.Len() != len(ref) {
 					return false
 				}
 				oldest, ok := o.Oldest()
@@ -165,13 +165,13 @@ func TestOrderTrackerInOrderWithoutQueries(t *testing.T) {
 	const span, inFlight = 128, 24
 	o := NewOrderTracker(span)
 	for seq := uint64(1); seq <= 10*span; seq++ {
-		o.LoadAllocated(seq)
+		o.Add(seq)
 		if seq > inFlight {
-			o.LoadCompleted(seq - inFlight)
+			o.Remove(seq - inFlight)
 		}
 	}
-	if o.Outstanding() != inFlight {
-		t.Fatalf("outstanding %d, want %d", o.Outstanding(), inFlight)
+	if o.Len() != inFlight {
+		t.Fatalf("outstanding %d, want %d", o.Len(), inFlight)
 	}
 	if o.AllLoadsOlderThanDone(10*span-inFlight+2) || !o.AllLoadsOlderThanDone(10*span-inFlight+1) {
 		t.Fatal("gate does not sit on the oldest outstanding load")
@@ -182,14 +182,14 @@ func TestOrderTrackerInOrderWithoutQueries(t *testing.T) {
 // alias, so allocating one is an invariant violation, not a silent wrap.
 func TestOrderTrackerSpanCheck(t *testing.T) {
 	o := NewOrderTracker(64)
-	o.LoadAllocated(100)
-	o.LoadAllocated(163) // span 63: fits
+	o.Add(100)
+	o.Add(163) // span 63: fits
 	defer func() {
 		if recover() == nil {
 			t.Fatal("allocating across more than the span did not panic")
 		}
 	}()
-	o.LoadAllocated(164)
+	o.Add(164)
 }
 
 // BenchmarkOrderTracker measures the write-after-read tracker under a
@@ -206,12 +206,12 @@ func BenchmarkOrderTracker(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		base := seq
 		for j := 0; j < 256; j++ {
-			o.LoadAllocated(seq)
+			o.Add(seq)
 			seq++
 		}
 		for s := uint64(0); s < 8; s++ {
 			for j := s; j < 256; j += 8 {
-				o.LoadCompleted(base + j)
+				o.Remove(base + j)
 				if !o.AllLoadsOlderThanDone(base + 128) {
 					gated++
 				}

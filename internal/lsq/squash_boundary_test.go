@@ -93,7 +93,7 @@ func TestSquashBoundaryLoadBuffer(t *testing.T) {
 func TestSquashBoundaryOrderTracker(t *testing.T) {
 	tr := NewOrderTracker(64)
 	for _, s := range []uint64{9, 10, 11} {
-		tr.LoadAllocated(s)
+		tr.Add(s)
 	}
 	tr.SquashYoungerThan(boundary)
 	seqsKept(t, "OrderTracker", func(seq uint64) bool { return tr.has(seq) })
@@ -101,8 +101,8 @@ func TestSquashBoundaryOrderTracker(t *testing.T) {
 	if tr.AllLoadsOlderThanDone(11) {
 		t.Fatal("loads 9 and 10 must still gate a head at seq 11")
 	}
-	tr.LoadCompleted(9)
-	tr.LoadCompleted(10)
+	tr.Remove(9)
+	tr.Remove(10)
 	if !tr.AllLoadsOlderThanDone(12) {
 		t.Fatal("squashed load 11 must not gate the head")
 	}
