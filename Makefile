@@ -136,11 +136,15 @@ paper-smoke:
 # design point, then FUZZTIME of randomized trace-profile x design-point
 # fuzzing, then FUZZTIME of arbitrary bytes through the .srlt decoder and a
 # short simulation of whatever it accepts, then FUZZTIME of machine
-# geometries near Table 1's, each rejected by Config.Validate or run. Failing
+# geometries near Table 1's, each rejected by Config.Validate or run, then
+# FUZZTIME of arbitrary /v1/simulate bodies through the server's handler,
+# each answered with a short run's Results or a 4xx envelope. Failing
 # fuzz inputs are auto-saved under internal/check/testdata/fuzz/FuzzOracle/,
-# internal/trace/testdata/fuzz/FuzzReadRecords/ and
-# internal/core/testdata/fuzz/FuzzConfig/ and become permanent regression
-# seeds; minimize an oracle one with `go run ./cmd/traceconv minimize`.
+# internal/trace/testdata/fuzz/FuzzReadRecords/,
+# internal/core/testdata/fuzz/FuzzConfig/ and
+# internal/serve/testdata/fuzz/FuzzSimulateRequest/ and become permanent
+# regression seeds; minimize an oracle one with
+# `go run ./cmd/traceconv minimize`.
 FUZZTIME ?= 30s
 fuzz:
 	go test ./internal/check -run 'TestSeededForwardingBugCaught|TestSeededOrderingBugCaught|TestRegressionTraces' -count=1
@@ -148,3 +152,4 @@ fuzz:
 	go test ./internal/check -run '^$$' -fuzz FuzzOracle -fuzztime $(FUZZTIME)
 	go test ./internal/trace -run '^$$' -fuzz FuzzReadRecords -fuzztime $(FUZZTIME)
 	go test ./internal/core -run '^$$' -fuzz FuzzConfig -fuzztime $(FUZZTIME)
+	go test ./internal/serve -run '^$$' -fuzz FuzzSimulateRequest -fuzztime $(FUZZTIME)

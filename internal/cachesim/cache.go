@@ -69,9 +69,6 @@ func NewCache(name string, sizeBytes, assoc int, latency uint64) *Cache {
 	return c
 }
 
-// Latency returns the hit latency in cycles.
-func (c *Cache) Latency() uint64 { return c.latency }
-
 // Accesses and Misses return raw counts; Writebacks the dirty evictions.
 func (c *Cache) Accesses() uint64   { return c.accesses }
 func (c *Cache) Misses() uint64     { return c.misses }

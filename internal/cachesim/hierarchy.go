@@ -79,9 +79,6 @@ type Hierarchy struct {
 	cfg Config
 	pf  *StreamPrefetcher
 
-	// Diagnostics: evictions of low-address (hot region) lines.
-	L2EvictHot uint64
-
 	// mshrs holds the outstanding misses, at most one per line and at
 	// most cfg.MSHRs in all. Every use is order-independent, so entries
 	// sit in no particular order.
@@ -90,7 +87,6 @@ type Hierarchy struct {
 	demandMisses   uint64
 	memAccesses    uint64
 	mshrFullEvents uint64
-	prefFills      uint64
 	farAccesses    uint64
 	farDegraded    uint64
 }
@@ -245,9 +241,7 @@ func (h *Hierarchy) Access(cycle, addr uint64, write bool) AccessResult {
 	h.memAccesses++
 	fill := cycle + h.memLatencyFor(cycle, la)
 	h.mshrs = append(h.mshrs, mshr{la, fill})
-	if ev := h.L2.Insert(la, fill, false); ev.Valid && ev.Addr < 0x4000_0000 {
-		h.L2EvictHot++
-	}
+	h.L2.Insert(la, fill, false)
 	done := fill + h.cfg.L1Latency
 	h.fillL1(la, done, write)
 	return AccessResult{Done: done, Level: 3}
@@ -287,7 +281,6 @@ func (h *Hierarchy) prefetchLine(cycle, addr uint64) {
 		return // prefetches never steal the last MSHRs
 	}
 	h.memAccesses++
-	h.prefFills++
 	fill := cycle + h.memLatencyFor(cycle, la)
 	h.mshrs = append(h.mshrs, mshr{la, fill})
 	h.L2.Insert(la, fill, false)

@@ -6,11 +6,9 @@ import "srlproc/internal/isa"
 // 16 concurrent unit-stride streams of cache-line misses and, once a stream
 // is confirmed, runs a configurable distance ahead of the demand stream.
 type StreamPrefetcher struct {
-	streams  []stream
-	depth    int // lines fetched ahead once confirmed
-	issued   uint64
-	useful   uint64 // filled lines later hit by demand (tracked by Hierarchy)
-	nextSlot int
+	streams []stream
+	depth   int // lines fetched ahead once confirmed
+	issued  uint64
 }
 
 type stream struct {

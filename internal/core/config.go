@@ -295,9 +295,22 @@ func DefaultConfig(d StoreDesign) Config {
 	}
 }
 
+// The largest sizes Validate accepts. Every queue, the window and the
+// checkpoint file are allocated whole when a core is built, so an
+// unbounded size (a /v1/simulate body's stq_size, say) could ask for more
+// memory than the host can map: a fatal runtime error that no panic
+// recovery catches. Each bound is 8-16 times the paper's: its largest
+// queue has 1K entries, Table 1's window 8192 uops and CPR 8 checkpoints.
+const (
+	maxQueueEntries = 16384   // STQSize, L1STQSize, L2STQSize, SRLSize, LQSize
+	maxWindowCap    = 1 << 16 // uops
+	maxCheckpoints  = 64
+)
+
 // Validate checks internal consistency and returns a descriptive error.
-// It rejects every geometry the structure constructors would panic on or
-// the pipeline could never run, checking only the fields the design uses.
+// It rejects every geometry the structure constructors would panic on,
+// the pipeline could never run or the host could not allocate, checking
+// only the fields the design uses.
 func (c *Config) Validate() error {
 	switch {
 	case c.AllocWidth <= 0 || c.IssueWidth <= 0:
@@ -312,14 +325,16 @@ func (c *Config) Validate() error {
 			c.IntRegs, c.FPRegs, sliceReserve)
 	case !isPow2(c.StoreSetsSize):
 		return fmt.Errorf("core: store sets size %d must be a positive power of two", c.StoreSetsSize)
-	case c.LQSize <= 0:
-		return fmt.Errorf("core: load buffer size must be positive")
-	case c.Checkpoints < 2:
-		return fmt.Errorf("core: need at least 2 checkpoints")
+	case c.LQSize <= 0 || c.LQSize > maxQueueEntries:
+		return fmt.Errorf("core: load buffer size %d out of range [1,%d]", c.LQSize, maxQueueEntries)
+	case c.Checkpoints < 2 || c.Checkpoints > maxCheckpoints:
+		return fmt.Errorf("core: %d checkpoints out of range [2,%d]", c.Checkpoints, maxCheckpoints)
 	case c.CkptInterval <= 0:
 		return fmt.Errorf("core: checkpoint interval must be positive")
 	case c.WindowCap < c.CkptInterval*2:
 		return fmt.Errorf("core: window cap %d too small for checkpoint interval %d", c.WindowCap, c.CkptInterval)
+	case c.WindowCap > maxWindowCap:
+		return fmt.Errorf("core: window cap %d exceeds %d", c.WindowCap, maxWindowCap)
 	case c.RunUops == 0:
 		return fmt.Errorf("core: RunUops must be positive")
 	case c.FencePer1K < 0 || c.FencePer1K > 1000:
@@ -334,12 +349,12 @@ func (c *Config) Validate() error {
 	}
 	switch c.Design {
 	case DesignBaseline, DesignLargeSTQ, DesignFilteredSTQ:
-		if c.STQSize <= 0 {
-			return fmt.Errorf("core: STQ size must be positive")
+		if c.STQSize <= 0 || c.STQSize > maxQueueEntries {
+			return fmt.Errorf("core: STQ size %d out of range [1,%d]", c.STQSize, maxQueueEntries)
 		}
 	case DesignHierarchical, DesignSRL:
-		if c.L1STQSize <= 0 {
-			return fmt.Errorf("core: L1 STQ size must be positive")
+		if c.L1STQSize <= 0 || c.L1STQSize > maxQueueEntries {
+			return fmt.Errorf("core: L1 STQ size %d out of range [1,%d]", c.L1STQSize, maxQueueEntries)
 		}
 	}
 	switch c.Design {
@@ -350,13 +365,13 @@ func (c *Config) Validate() error {
 	}
 	switch c.Design {
 	case DesignHierarchical:
-		if c.L2STQSize < 0 {
-			return fmt.Errorf("core: L2 STQ size must not be negative")
+		if c.L2STQSize < 0 || c.L2STQSize > maxQueueEntries {
+			return fmt.Errorf("core: L2 STQ size %d out of range [0,%d]", c.L2STQSize, maxQueueEntries)
 		}
 	case DesignSRL:
 		switch {
-		case c.SRLSize <= 0:
-			return fmt.Errorf("core: SRL size must be positive")
+		case c.SRLSize <= 0 || c.SRLSize > maxQueueEntries:
+			return fmt.Errorf("core: SRL size %d out of range [1,%d]", c.SRLSize, maxQueueEntries)
 		case c.UseLCF && !isPow2(c.LCFSize):
 			return fmt.Errorf("core: LCF size must be a positive power of two")
 		case c.UseLCF && (c.LCFCounterBits < 1 || c.LCFCounterBits > 8):

@@ -50,6 +50,21 @@ var invalidGeometry = []geometryRow{
 	{DesignSRL, "LoadBufAssoc", 3},
 }
 
+// oversizedGeometry holds one row per upper bound of Validate. Every queue,
+// the window and the checkpoint file are allocated whole when a core is
+// built, so without its bound a large enough value asks for more memory
+// than the host can map. The values are out of the fuzz encoding's reach,
+// so these rows do not seed FuzzConfig.
+var oversizedGeometry = []geometryRow{
+	{DesignLargeSTQ, "STQSize", maxQueueEntries + 1},
+	{DesignSRL, "L1STQSize", maxQueueEntries + 1},
+	{DesignHierarchical, "L2STQSize", maxQueueEntries + 1},
+	{DesignSRL, "SRLSize", maxQueueEntries + 1},
+	{DesignBaseline, "LQSize", maxQueueEntries + 1},
+	{DesignSRL, "WindowCap", maxWindowCap + 1},
+	{DesignFilteredSTQ, "Checkpoints", maxCheckpoints + 1},
+}
+
 // ignoredGeometry sets fields to values invalidGeometry rejects, on
 // designs that do not use them: Validate must accept each.
 var ignoredGeometry = []geometryRow{
@@ -138,15 +153,23 @@ func newCore(cfg Config, suite trace.Suite) (c *Core, err error) {
 }
 
 // TestValidateRejectsUnrunnableGeometry requires New to reject each row of
-// invalidGeometry with an error, not a panic, and to accept each row of
-// ignoredGeometry, whose field the design does not use.
+// invalidGeometry and oversizedGeometry with an error, not a panic,
+// Validate to accept each oversized row's bound itself, and New to accept
+// each row of ignoredGeometry, whose field the design does not use.
 func TestValidateRejectsUnrunnableGeometry(t *testing.T) {
-	for _, r := range invalidGeometry {
+	for _, r := range append(invalidGeometry, oversizedGeometry...) {
 		c, err := newCore(r.config(), trace.SINT2K)
 		if c != nil || err == nil {
 			t.Errorf("%v: New accepted it", r)
 		} else if strings.HasPrefix(err.Error(), "panic:") {
 			t.Errorf("%v: New panicked: %v", r, err)
+		}
+	}
+	for _, r := range oversizedGeometry {
+		r.value--
+		cfg := r.config()
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%v: at its bound, but Validate failed: %v", r, err)
 		}
 	}
 	for _, r := range ignoredGeometry {

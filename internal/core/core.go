@@ -32,8 +32,9 @@ type Core struct {
 	// In-flight window; scalars.replayPos is the replay position.
 	win *window
 
-	// Checkpoints, oldest first.
-	ckpts []*ckptState
+	// The checkpoint file, oldest first: at most Config.Checkpoints
+	// records, held by value in a slice of that capacity.
+	ckpts []ckptState
 
 	// Rename state: last writer of each architectural register
 	// (epoch-stamped; a stale reference means the writer committed and the
@@ -66,13 +67,11 @@ type Core struct {
 	// Uops deferred to the next cycle (MSHR-full retries).
 	deferred []*dynUop
 
-	// Steady-state allocation pools and scratch. uopFree recycles dynUops
-	// popped from the window at commit (epoch-bumped, so stale references
-	// self-invalidate); nodeFree recycles waiter-list nodes; ckptFree
-	// recycles checkpoint records.
+	// Steady-state allocation pools. uopFree recycles dynUops popped from
+	// the window at commit (epoch-bumped, so stale references
+	// self-invalidate); nodeFree recycles waiter-list nodes.
 	uopFree  []*dynUop
 	nodeFree *waiterNode
-	ckptFree []*ckptState
 
 	// pendingFetch holds a generated-but-not-yet-allocated uop so that a
 	// resource stall never drops an instruction from the stream.
@@ -159,9 +158,6 @@ type scalars struct {
 	// Front-end redirect: no allocation before this cycle.
 	fetchResume uint64
 
-	// Youngest architecturally committed sequence number.
-	lastCommittedSeq uint64
-
 	// Outstanding memory misses (poisoned loads awaiting data).
 	outstandingMisses int
 
@@ -241,7 +237,7 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 	c.ready.grow(cfg.SchedInt + cfg.SchedFP + cfg.SchedMem + cfg.IssueWidth)
 	c.cmpl.Grow(256)
 	c.uopFree = make([]*dynUop, 0, 64)
-	c.ckptFree = make([]*ckptState, 0, cfg.Checkpoints+1)
+	c.ckpts = make([]ckptState, 0, cfg.Checkpoints)
 	// Store identifiers start at 1: a load allocated before any store then
 	// carries nearestStoreID 0, which every magnitude age comparison reads
 	// as "older than all stores". Starting at 0 made that value underflow
@@ -253,22 +249,22 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 
 	switch cfg.Design {
 	case DesignBaseline, DesignLargeSTQ:
-		c.l1stq = lsq.NewStoreQueue("STQ", cfg.STQSize, cfg.L1STQLatency, nil)
+		c.l1stq = lsq.NewStoreQueue(cfg.STQSize, nil)
 		c.ldbuf = lsq.NewLoadBuffer(cfg.LQSize, cfg.LQSize, lsq.OverflowViolate, 0)
 	case DesignFilteredSTQ:
 		c.mtb = lsq.NewMTB(cfg.MTBSize)
-		c.l1stq = lsq.NewStoreQueue("STQ", cfg.STQSize, cfg.L1STQLatency, c.mtb)
+		c.l1stq = lsq.NewStoreQueue(cfg.STQSize, c.mtb)
 		c.ldbuf = lsq.NewLoadBuffer(cfg.LQSize, cfg.LQSize, lsq.OverflowViolate, 0)
 	case DesignHierarchical:
 		c.mtb = lsq.NewMTB(cfg.MTBSize)
-		c.l1stq = lsq.NewStoreQueue("L1STQ", cfg.L1STQSize, cfg.L1STQLatency, nil)
-		c.l2stq = lsq.NewStoreQueue("L2STQ", cfg.L2STQSize, cfg.L2STQLatency, c.mtb)
+		c.l1stq = lsq.NewStoreQueue(cfg.L1STQSize, nil)
+		c.l2stq = lsq.NewStoreQueue(cfg.L2STQSize, c.mtb)
 		c.ldbuf = lsq.NewLoadBuffer(cfg.LQSize, cfg.LQSize, lsq.OverflowViolate, 0)
 	case DesignSRL:
 		if cfg.UseLCF {
 			c.lcf = lsq.NewLCF(cfg.LCFSize, cfg.LCFHash, cfg.LCFCounterBits)
 		}
-		c.l1stq = lsq.NewStoreQueue("L1STQ", cfg.L1STQSize, cfg.L1STQLatency, nil)
+		c.l1stq = lsq.NewStoreQueue(cfg.L1STQSize, nil)
 		c.srl = lsq.NewSRL(cfg.SRLSize, c.lcf)
 		if cfg.UseFC {
 			c.fc = lsq.NewFC(cfg.FCSize, cfg.FCAssoc)
@@ -299,30 +295,20 @@ func (c *Core) srlMode() bool {
 	return c.outstandingMisses > 0 || !c.srl.Empty()
 }
 
+// newCheckpoint opens the youngest checkpoint at startSeq and returns it.
+// The pointer is into the checkpoint file: valid until the next commit or
+// restart.
 func (c *Core) newCheckpoint(startSeq uint64) *ckptState {
-	var ck *ckptState
-	if n := len(c.ckptFree); n > 0 {
-		ck = c.ckptFree[n-1]
-		c.ckptFree = c.ckptFree[:n-1]
-	} else {
-		ck = &ckptState{}
-	}
-	*ck = ckptState{
+	c.ckpts = append(c.ckpts, ckptState{
 		id:           c.nextCkptID,
 		startSeq:     startSeq,
 		startStoreID: c.storeCounter,
 		renameSnap:   c.lastWriter,
-	}
+	})
 	c.nextCkptID++
-	c.ckpts = append(c.ckpts, ck)
+	ck := c.curCkpt()
 	c.obsEvent(obs.EvCheckpointCreate, uint64(ck.id))
 	return ck
-}
-
-// freeCkpt returns a checkpoint record to the pool. Identity is the
-// monotonic id (never reused), so stale id lookups via findCkpt stay safe.
-func (c *Core) freeCkpt(ck *ckptState) {
-	c.ckptFree = append(c.ckptFree, ck)
 }
 
 // newDynUop hands out a dynamic uop, recycling committed ones. A recycled
@@ -372,17 +358,25 @@ func (c *Core) freeWaiterChain(n *waiterNode) {
 	}
 }
 
-func (c *Core) curCkpt() *ckptState { return c.ckpts[len(c.ckpts)-1] }
+func (c *Core) curCkpt() *ckptState { return &c.ckpts[len(c.ckpts)-1] }
 
-// findCkpt returns the live checkpoint with the given id, or nil.
-func (c *Core) findCkpt(id int) *ckptState {
-	for _, ck := range c.ckpts {
-		if ck.id == id {
-			return ck
+// ckptIndex returns the position of the live checkpoint with the given id
+// in the checkpoint file, or -1 once it has committed or been squashed.
+// Ids are monotonic and never reused, so a stale id finds nothing.
+func (c *Core) ckptIndex(id int) int {
+	for i := range c.ckpts {
+		if c.ckpts[i].id == id {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
+
+// seqCommitted reports whether the uop with sequence number seq has
+// committed. Checkpoints are contiguous and commit oldest first, so the
+// youngest committed uop is the one just before the oldest live
+// checkpoint's first.
+func (c *Core) seqCommitted(seq uint64) bool { return seq < c.ckpts[0].startSeq }
 
 // Run simulates until cfg.WarmupUops+cfg.RunUops micro-ops have committed
 // and returns the measured-region results. It panics with the
@@ -674,7 +668,7 @@ func (c *Core) debugState() string {
 	s += fmt.Sprintf("sched(i/f/m)=%d/%d/%d regs(i/f)=%d/%d loadsInWin=%d l1stq=%d srlLen=%d outMiss=%d\n",
 		c.schedInt, c.schedFP, c.schedMem, c.regsInt, c.regsFP, c.loadsInWindow, c.l1stq.Len(), c.srlLen(), c.outstandingMisses)
 	if len(c.ckpts) > 0 {
-		ck := c.ckpts[0]
+		ck := &c.ckpts[0]
 		s += fmt.Sprintf("ckpt0: id=%d start=%d pending=%d uops=%d closed=%v\n", ck.id, ck.startSeq, ck.pending, ck.uops, ck.closed)
 	}
 	if c.srl != nil && !c.srl.Empty() {
@@ -701,14 +695,14 @@ func (c *Core) debugState() string {
 			var next *dynUop
 			for j, r := range cur.prod {
 				if p := r.live(); p != nil && !p.done && p.allocated {
-					s += fmt.Sprintf("   hop%d prod%d: %s done=%v pois=%v inSched=%v issued=%v stall=%v pendSrc=%d missRet=%d\n",
-						hop, j, p.u.String(), p.done, p.poisoned, p.inSched, p.issued, p.srlStalled, p.pendingSrc, p.missReturn)
+					s += fmt.Sprintf("   hop%d prod%d: %s done=%v pois=%v inSched=%v pendSrc=%d missRet=%d\n",
+						hop, j, p.u.String(), p.done, p.poisoned, p.inSched, p.pendingSrc, p.missReturn)
 					next = p
 				}
 			}
 			if p := cur.memDep.live(); next == nil && p != nil && !p.done {
-				s += fmt.Sprintf("   hop%d memDep: %s done=%v pois=%v inSched=%v issued=%v stall=%v pendSrc=%d missRet=%d\n",
-					hop, p.u.String(), p.done, p.poisoned, p.inSched, p.issued, p.srlStalled, p.pendingSrc, p.missReturn)
+				s += fmt.Sprintf("   hop%d memDep: %s done=%v pois=%v inSched=%v pendSrc=%d missRet=%d\n",
+					hop, p.u.String(), p.done, p.poisoned, p.inSched, p.pendingSrc, p.missReturn)
 				next = p
 			}
 			cur = next
@@ -721,8 +715,8 @@ func (c *Core) debugState() string {
 		if d.done || !d.allocated {
 			continue
 		}
-		s += fmt.Sprintf("  stuck uop %s alloc=%v inSched=%v issued=%v pois=%v pendSrc=%d stall=%v missRet=%d\n",
-			d.u.String(), d.allocated, d.inSched, d.issued, d.poisoned, d.pendingSrc, d.srlStalled, d.missReturn)
+		s += fmt.Sprintf("  stuck uop %s alloc=%v inSched=%v pois=%v pendSrc=%d missRet=%d\n",
+			d.u.String(), d.allocated, d.inSched, d.poisoned, d.pendingSrc, d.missReturn)
 		n++
 	}
 	return s

@@ -25,7 +25,6 @@ type dynUop struct {
 	// Lifecycle flags.
 	allocated bool
 	inSched   bool
-	issued    bool
 	done      bool // executed with real data
 	poisoned  bool // carrying poison: exactly while in the SDB
 	committed bool
@@ -38,7 +37,6 @@ type dynUop struct {
 	// and its SRL slot is its storeID.
 	storeID        uint64 // stores: global allocation order (the paper's store identifier)
 	nearestStoreID uint64 // loads: identifier of the last prior store
-	fwdStoreID     uint64 // loads: identifier of the forwarding store (lsq.NoFwd if memory)
 	addrKnown      bool
 	missReturn     uint64 // loads: DRAM fill cycle when the load missed to memory
 	everInSDB      bool   // for miss-dependent accounting (counted once)
@@ -49,9 +47,6 @@ type dynUop struct {
 	predTaken  bool
 	brResolved bool // outcome known to the front end (post-restart replay)
 	bpTrained  bool // predictor updated (once, in program order at allocate)
-
-	// SRL stall state.
-	srlStalled bool
 
 	// memDep is a store this load must wait for (predicted or detected
 	// memory dependence); the load re-executes once the store completes.
@@ -206,9 +201,9 @@ func pushCmpl(h *cmplHeap, cycle uint64, d *dynUop) {
 
 // --- checkpoints ---
 
-// ckptState is one CPR map-table checkpoint. Instances are recycled
-// through the core's checkpoint free list; identity is the monotonic id,
-// never the pointer.
+// ckptState is one CPR map-table checkpoint, a record of the core's
+// checkpoint file (Core.ckpts). Identity is the monotonic id, never the
+// position in the file.
 type ckptState struct {
 	id           int
 	startSeq     uint64

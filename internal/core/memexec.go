@@ -29,14 +29,12 @@ func (c *Core) execute(d *dynUop) {
 			return
 		}
 		c.leaveSched(d)
-		d.issued = true
 		pushCmpl(&c.cmpl, c.cycle+d.u.Class.Latency(), d)
 	default:
 		// A store's execution is address generation and data capture; its
 		// architectural memory update happens later, in order, from the
 		// store queues.
 		c.leaveSched(d)
-		d.issued = true
 		pushCmpl(&c.cmpl, c.cycle+d.u.Class.Latency(), d)
 	}
 }
@@ -190,7 +188,7 @@ func (c *Core) executeLoad(d *dynUop) {
 		(c.l1stq.UnknownAddrs() == 0 || !c.mdp.DependentOnAny(d.u.PC)) {
 		c.metrics.Inc(obs.MetricFilteredSearchesSaved)
 	} else {
-		sr = c.l1stq.Search(d.u.Addr, d.u.Size, d.u.Seq)
+		sr = c.l1stq.Search(d.u.Addr, d.u.Seq)
 	}
 	// Unexecuted older stores have unknown addresses: the dependence
 	// predictor decides whether the load proceeds past them. Then the
@@ -208,7 +206,7 @@ func (c *Core) executeLoad(d *dynUop) {
 			// Forwarding from the L2 STQ costs the L2 STQ's access latency
 			// (8 cycles) — the disadvantage SRL forwarding at L1-hit
 			// latency avoids (Section 6.1).
-			sr2 := c.l2stq.Search(d.u.Addr, d.u.Size, d.u.Seq)
+			sr2 := c.l2stq.Search(d.u.Addr, d.u.Seq)
 			if c.blockOnUnknownOlder(d, sr2) ||
 				c.forwardOnHit(d, sr2, c.cfg.L2STQLatency, oracle.FwdL2STQ, &c.res.L2STQForwards) {
 				return
@@ -298,7 +296,6 @@ func (c *Core) tryIndexedForward(d *dynUop, lastIdx uint64) bool {
 func (c *Core) stallOnSRL(d *dynUop) {
 	c.res.SRLLoadStalls++
 	c.leaveSched(d)
-	d.srlStalled = true
 	c.srlStalled = append(c.srlStalled, d)
 	c.srlRetry.listMuts++
 }
@@ -348,7 +345,9 @@ func (c *Core) retrySRLStalled() {
 	c.srlRetryScratch = pending
 	c.srlStalled = c.srlStalled[:0]
 	for i, d := range pending {
-		if !d.allocated || !d.srlStalled {
+		// A load is stalled exactly while it is on the list, so one that
+		// is no longer allocated was squashed by a restart this pass.
+		if !d.allocated {
 			idle = false
 			continue
 		}
@@ -365,14 +364,12 @@ func (c *Core) retrySRLStalled() {
 		}
 		if !proceed && c.cfg.UseIndexedFwd && c.lcf != nil {
 			if _, lastIdx := c.lcf.Peek(d.u.Addr); c.tryIndexedForward(d, lastIdx) {
-				d.srlStalled = false
 				budget--
 				idle = false
 				continue
 			}
 		}
 		if proceed {
-			d.srlStalled = false
 			budget--
 			idle = false
 			// Re-search the L1 STQ before releasing the load to the cache:
@@ -381,7 +378,7 @@ func (c *Core) retrySRLStalled() {
 			// silently hand the load pre-store data. The hardware
 			// equivalent: a woken load re-enters the load pipeline from the
 			// search stage, not the cache stage.
-			sr := c.l1stq.Search(d.u.Addr, d.u.Size, d.u.Seq)
+			sr := c.l1stq.Search(d.u.Addr, d.u.Seq)
 			if !c.forwardOnHit(d, sr, c.cfg.L1STQLatency, oracle.FwdL1STQ, &c.res.L1STQForwards) {
 				c.accessCacheForLoad(d)
 			}
@@ -397,12 +394,10 @@ func (c *Core) retrySRLStalled() {
 // checker (which validates the producer at this decision point).
 func (c *Core) finishLoadForward(d *dynUop, storeID uint64, latency uint64, kind oracle.ForwardKind) {
 	c.leaveSched(d)
-	d.issued = true
-	d.fwdStoreID = storeID
 	if c.chk != nil {
 		c.chkLoadDecision(d, kind, storeID)
 	}
-	if !c.insertLoadBufEntry(d) {
+	if !c.insertLoadBufEntry(d, storeID) {
 		return
 	}
 	pushCmpl(&c.cmpl, c.cycle+latency, d)
@@ -412,12 +407,14 @@ func (c *Core) finishLoadForward(d *dynUop, storeID uint64, latency uint64, kind
 // consumes its data. Recording at completion instead opens a window (the
 // access latency) in which a completing store's check misses the load and a
 // stale read commits undetected — the load must be visible to store checks
-// and snoops from its decision cycle on. Returns false when the overflow
-// policy forced a violation restart (the load is squashed and replays).
-func (c *Core) insertLoadBufEntry(d *dynUop) bool {
+// and snoops from its decision cycle on. fwdStoreID is the identifier of
+// the store that forwarded the load's data, or lsq.NoFwd when it read the
+// cache. Returns false when the overflow policy forced a violation restart
+// (the load is squashed and replays).
+func (c *Core) insertLoadBufEntry(d *dynUop, fwdStoreID uint64) bool {
 	entry := lsq.LoadEntry{
-		Seq: d.u.Seq, PC: d.u.PC, Addr: d.u.Addr, Size: d.u.Size,
-		NearestStoreID: d.nearestStoreID, FwdStoreID: d.fwdStoreID,
+		Seq: d.u.Seq, PC: d.u.PC, Addr: d.u.Addr,
+		NearestStoreID: d.nearestStoreID, FwdStoreID: fwdStoreID,
 		Ckpt: d.ckptID,
 	}
 	if !c.ldbuf.Insert(entry) {
@@ -442,14 +439,12 @@ func (c *Core) accessCacheForLoad(d *dynUop) {
 		return
 	}
 	c.leaveSched(d)
-	d.issued = true
-	d.fwdStoreID = lsq.NoFwd
 	if c.chk != nil {
 		// The load's decision happens now — it reads the memory image as of
 		// this cycle, even if the data arrives much later.
 		c.chkLoadDecision(d, oracle.FwdMemory, lsq.NoFwd)
 	}
-	if !c.insertLoadBufEntry(d) {
+	if !c.insertLoadBufEntry(d, lsq.NoFwd) {
 		return
 	}
 	if res.Done > c.cycle+poisonThreshold {
@@ -508,7 +503,7 @@ func (c *Core) drainCommitted(q *lsq.StoreQueue) {
 	// two combined writes per cycle absorb the burst (write combining).
 	for i := 0; i < 2*c.cfg.StorePorts; i++ {
 		h := q.Head()
-		if h == nil || h.Seq > c.lastCommittedSeq || !h.DataReady {
+		if h == nil || !c.seqCommitted(h.Seq) || !h.DataReady {
 			return
 		}
 		res := c.mem.Access(c.cycle, h.Addr, true)
@@ -518,7 +513,7 @@ func (c *Core) drainCommitted(q *lsq.StoreQueue) {
 		if c.snoopSink != nil {
 			c.snoopSink(isa.LineAddr(h.Addr))
 		}
-		seq, addr, size, storeIdx := h.Seq, h.Addr, h.Size, h.SRLIndex
+		seq, addr, storeIdx := h.Seq, h.Addr, h.SRLIndex
 		q.PopHead()
 		if c.chk != nil {
 			c.chkStoreDrained(seq)
@@ -527,7 +522,7 @@ func (c *Core) drainCommitted(q *lsq.StoreQueue) {
 		// while this (older, committed) store was still queued must have
 		// forwarded from it or younger — anything else slipped past the
 		// issue-time search and is a memory dependence violation.
-		if v, found := c.ldbuf.StoreCheck(addr, size, storeIdx); found {
+		if v, found := c.ldbuf.StoreCheck(addr, storeIdx); found {
 			c.res.MemDepViolations++
 			c.obsEvent(obs.EvMemDepViolation, addr)
 			c.restart(v.Ckpt, c.cfg.MispredictPenalty)
@@ -554,7 +549,7 @@ func (c *Core) moveL1STQToSRL() {
 		}
 		if h.DataReady {
 			// Independent (completed) store.
-			if c.fc == nil && c.cfg.Design == DesignSRL {
+			if c.fc == nil {
 				// §6.5 variant: the temporary update goes to the data
 				// cache, which costs real bandwidth — a dirty block must
 				// be written back first and associativity conflicts stall
@@ -569,7 +564,7 @@ func (c *Core) moveL1STQToSRL() {
 			// Temporary update for forwarding: the FC, or the data cache
 			// itself in the §6.5 variant.
 			if c.fc != nil {
-				c.fc.Update(h.Addr, h.Size, h.SRLIndex, h.Seq, h.Ckpt)
+				c.fc.Update(h.Addr, h.SRLIndex, h.Seq)
 			} else {
 				c.tempUpdateDataCache(h)
 			}
@@ -628,7 +623,7 @@ func (c *Core) tempUpdateDataCacheReady(h *lsq.StoreEntry) bool {
 	// processing until that checkpoint commits (Section 4.3).
 	sw := c.mem.L1.SpecWrite(h.Addr, h.Ckpt, true)
 	if sw.Conflict {
-		if c.findCkpt(sw.OwnerCkpt) == nil {
+		if c.ckptIndex(sw.OwnerCkpt) < 0 {
 			c.mem.L1.CommitSpec(sw.OwnerCkpt)
 			return true
 		}
@@ -667,7 +662,7 @@ func (c *Core) tempUpdateDataCache(h *lsq.StoreEntry) {
 // any survivor is stale bookkeeping.
 func (c *Core) specWriteResolvingDeadOwners(addr uint64, ckpt int, temp bool) cachesim.SpecWriteResult {
 	sw := c.mem.L1.SpecWrite(addr, ckpt, temp)
-	if sw.Conflict && c.findCkpt(sw.OwnerCkpt) == nil {
+	if sw.Conflict && c.ckptIndex(sw.OwnerCkpt) < 0 {
 		c.mem.L1.CommitSpec(sw.OwnerCkpt)
 		sw = c.mem.L1.SpecWrite(addr, ckpt, temp)
 	}
@@ -709,7 +704,7 @@ func (c *Core) drainSRLHead() {
 				return
 			}
 		}
-		if h.Seq <= c.lastCommittedSeq {
+		if c.seqCommitted(h.Seq) {
 			// The store's checkpoint has committed: this is an ordinary
 			// architectural write (drains run behind bulk commit).
 			res := c.mem.Access(c.cycle, h.Addr, true)
@@ -742,9 +737,7 @@ func (c *Core) drainSRLHead() {
 		if c.snoopSink != nil {
 			c.snoopSink(isa.LineAddr(h.Addr))
 		}
-		storeIdx := h.SRLIndex
-		addr, size := h.Addr, h.Size
-		seq := h.Seq
+		storeIdx, addr, seq := h.SRLIndex, h.Addr, h.Seq
 		if su := c.uopBySeq(h.Seq); su != nil {
 			su.everRedone = true // counted once, at commit
 		} else {
@@ -760,7 +753,7 @@ func (c *Core) drainSRLHead() {
 			}
 			c.srlEmptied()
 		}
-		if v, found := c.ldbuf.StoreCheck(addr, size, storeIdx); found {
+		if v, found := c.ldbuf.StoreCheck(addr, storeIdx); found {
 			c.res.MemDepViolations++
 			c.obsEvent(obs.EvMemDepViolation, addr)
 			c.restart(v.Ckpt, c.cfg.MispredictPenalty)

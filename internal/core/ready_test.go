@@ -116,7 +116,6 @@ func (w *selWorld) decide(e readyItem, loadP, storeP *int) (act selAct) {
 		*storeP--
 	}
 	d.inSched = false
-	d.issued = true
 	return selExec
 }
 
@@ -195,7 +194,7 @@ func selTraffic(rng *xrand.RNG, w *selWorld, frontier int, mixed bool) {
 			if d.inSched || (!mixed && w.queued(d.u.Seq)) {
 				continue
 			}
-			d.inSched, d.issued, d.poisoned = true, false, false
+			d.inSched, d.poisoned = true, false
 			d.pendingSrc = 0
 			d.prod[0] = uopRef{}
 			if rng.Bool(0.25) {

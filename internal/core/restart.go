@@ -13,13 +13,14 @@ import (
 // bulk-squashed; the replayed micro-ops re-enter through the normal
 // allocate path from the in-window ring.
 func (c *Core) restart(ckptID int, penalty uint64) {
-	ck := c.findCkpt(ckptID)
-	if ck == nil {
+	ci := c.ckptIndex(ckptID)
+	if ci < 0 {
 		// The checkpoint has already committed (stale violation); nothing
 		// younger than commit can be rolled back — restart from the oldest
 		// live checkpoint instead.
-		ck = c.ckpts[0]
+		ci = 0
 	}
+	ck := &c.ckpts[ci]
 	fromSeq := ck.startSeq
 	pos := c.win.indexOfSeq(fromSeq)
 	if pos < 0 {
@@ -56,7 +57,6 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 			c.outstandingMisses--
 		}
 		d.allocated = false
-		d.issued = false
 		d.done = false
 		d.poisoned = false
 		d.pendingSrc = 0
@@ -65,8 +65,6 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 		d.prod[0], d.prod[1] = uopRef{}, uopRef{}
 		d.missReturn = 0
 		d.addrKnown = false
-		d.srlStalled = false
-		d.fwdStoreID = 0
 		d.memDep = uopRef{}
 		d.inUnknownList = false
 		// d.everInSDB is deliberately preserved: miss-dependence is
@@ -108,17 +106,8 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	c.sdb.SquashYoungerThan(squashBelow - 1)
 	c.mem.DiscardSpecInto(c.cycle, c.mem.L1.DiscardSpecFrom(ck.id))
 
-	// Checkpoint file: free everything younger than ck, reset ck itself.
-	for i, k := range c.ckpts {
-		if k.id == ck.id {
-			for j := i + 1; j < len(c.ckpts); j++ {
-				c.freeCkpt(c.ckpts[j])
-				c.ckpts[j] = nil
-			}
-			c.ckpts = c.ckpts[:i+1]
-			break
-		}
-	}
+	// Checkpoint file: drop everything younger than ck, reset ck itself.
+	c.ckpts = c.ckpts[:ci+1]
 	ck.pending = 0
 	ck.uops = 0
 	ck.closed = false

@@ -132,7 +132,8 @@ func (c *Core) ckptSumHash() uint64 {
 	mix := func(v uint64) {
 		h = (h ^ v) * 0x9E3779B97F4A7C15
 	}
-	for _, ck := range c.ckpts {
+	for i := range c.ckpts {
+		ck := &c.ckpts[i]
 		mix(uint64(ck.id))
 		if ck.closed {
 			mix(1)

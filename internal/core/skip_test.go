@@ -297,7 +297,7 @@ var skipExempt = []struct {
 }{
 	{"fixed before the first cycle", []string{"cfg", "prof", "snoopSink"}},
 	{"allocation pools and scratch: their contents are dead", []string{
-		"uopFree", "nodeFree", "ckptFree", "srlRetryScratch"}},
+		"uopFree", "nodeFree", "srlRetryScratch"}},
 	{"touched only when a uop is fetched, allocated, executed, completed or squashed, which moves a length or scalar",
 		[]string{"gen", "lastWriter", "order", "syncs", "bp", "mdp", "conf", "recentLoads"}},
 	{"filters beside the queues: a probe bumps a counter snapshotActivity reads, an insert moves a queue length",

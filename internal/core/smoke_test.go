@@ -98,18 +98,24 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestPipelineInvariants steps every design, plain and with sync knobs,
-// over every suite and checks the bookkeeping invariants every 1000
-// cycles: the outstanding-miss counter equals the allocated, unfinished
-// miss loads in the window; the window head is not older than the oldest
-// checkpoint; the SDB holds exactly the window's poisoned uops, its head is
-// the oldest of them, and that head has no poisoned producer. So that the
-// SDB checks cannot pass vacuously, some check must see more than one SDB
-// resident, and some cycle that began with a non-empty SDB must restart.
+// over every suite and checks the bookkeeping invariants. After every
+// cycle: a non-empty window's head is the oldest checkpoint's first uop,
+// and each checkpoint starts where the previous one's uops end (so the
+// youngest committed uop is the one before the oldest checkpoint's start,
+// as seqCommitted assumes); every entry of the SRL stall list is an
+// allocated load that is neither in the scheduler nor done (so the retry
+// loop's allocated test is its stall test). Every 1000 cycles: the
+// outstanding-miss counter equals the allocated, unfinished miss loads in
+// the window; the SDB holds exactly the window's poisoned uops, its head
+// is the oldest of them, and that head has no poisoned producer. So that
+// the checks cannot pass vacuously, some cycle must see more than one
+// checkpoint and a stalled load, some check more than one SDB resident,
+// and some cycle that began with a non-empty SDB must restart.
 func TestPipelineInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invariant sweep skipped in -short mode")
 	}
-	checks, maxSDB, sdbRestarts := 0, 0, 0
+	checks, maxSDB, sdbRestarts, maxCkpts, maxStalled := 0, 0, 0, 0, 0
 	for _, d := range []StoreDesign{DesignBaseline, DesignLargeSTQ, DesignHierarchical, DesignSRL, DesignFilteredSTQ} {
 		for _, sync := range []bool{false, true} {
 			for _, su := range trace.AllSuites() {
@@ -127,6 +133,25 @@ func TestPipelineInvariants(t *testing.T) {
 					if sdbBefore > 0 && c.res.Restarts > restartsBefore {
 						sdbRestarts++
 					}
+					if c.win.len() > 0 && c.win.at(0).u.Seq != c.ckpts[0].startSeq {
+						t.Fatalf("%s/%s sync=%v: window head is not the oldest checkpoint's first uop: %s",
+							d, su, sync, c.debugState())
+					}
+					for i := 1; i < len(c.ckpts); i++ {
+						prev := &c.ckpts[i-1]
+						if end := prev.startSeq + uint64(prev.uops); c.ckpts[i].startSeq != end {
+							t.Fatalf("%s/%s sync=%v cycle %d: checkpoint %d starts at %d, its predecessor's uops end before %d",
+								d, su, sync, c.cycle, c.ckpts[i].id, c.ckpts[i].startSeq, end)
+						}
+					}
+					for _, ld := range c.srlStalled {
+						if !ld.allocated || !ld.isLoad() || ld.inSched || ld.done {
+							t.Fatalf("%s/%s sync=%v cycle %d: SRL-stalled uop %s is not an allocated load waiting outside the scheduler (alloc=%v inSched=%v done=%v)",
+								d, su, sync, c.cycle, ld.u.String(), ld.allocated, ld.inSched, ld.done)
+						}
+					}
+					maxCkpts = max(maxCkpts, len(c.ckpts))
+					maxStalled = max(maxStalled, len(c.srlStalled))
 					if c.cycle%1000 != 0 {
 						continue
 					}
@@ -149,10 +174,6 @@ func TestPipelineInvariants(t *testing.T) {
 						t.Fatalf("%s/%s sync=%v cycle %d: outstandingMisses=%d, window holds %d",
 							d, su, sync, c.cycle, c.outstandingMisses, misses)
 					}
-					if c.win.len() > 0 && c.win.at(0).u.Seq < c.ckpts[0].startSeq {
-						t.Fatalf("%s/%s sync=%v: window head older than oldest checkpoint: %s",
-							d, su, sync, c.debugState())
-					}
 					if c.sdb.Len() != poisoned {
 						t.Fatalf("%s/%s sync=%v cycle %d: SDB holds %d uops, window holds %d poisoned",
 							d, su, sync, c.cycle, c.sdb.Len(), poisoned)
@@ -171,9 +192,12 @@ func TestPipelineInvariants(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d invariant checks; at most %d SDB residents at a check; %d cycles with a non-empty SDB restarted",
-		checks, maxSDB, sdbRestarts)
+	t.Logf("%d window checks; at most %d SDB residents at a check; at most %d checkpoints and %d SRL-stalled loads after a cycle; %d cycles with a non-empty SDB restarted",
+		checks, maxSDB, maxCkpts, maxStalled, sdbRestarts)
 	if maxSDB < 2 || sdbRestarts == 0 {
 		t.Fatal("the SDB checks ran vacuously: no check saw two residents, or no cycle with a non-empty SDB restarted")
+	}
+	if maxCkpts < 2 || maxStalled == 0 {
+		t.Fatal("the checkpoint or stall checks ran vacuously: no cycle saw two checkpoints, or none saw a stalled load")
 	}
 }

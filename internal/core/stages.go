@@ -270,7 +270,6 @@ func (c *Core) reinsertSlice() {
 			budget--
 			d.poisoned = false
 			c.regTake(d)
-			d.fwdStoreID = lsq.NoFwd
 			c.outstandingMisses--
 			d.missReturn = 0
 			c.obsEvent(obs.EvMissReturn, d.u.Addr)
@@ -332,8 +331,8 @@ func (c *Core) complete(d *dynUop) {
 	d.done = true
 	d.poisoned = false
 	c.regFree(d)
-	if ck := c.findCkpt(d.ckptID); ck != nil {
-		ck.pending--
+	if i := c.ckptIndex(d.ckptID); i >= 0 {
+		c.ckpts[i].pending--
 	}
 
 	restarted := false
@@ -401,11 +400,9 @@ func (c *Core) completeStore(d *dynUop) bool {
 		// insertion after eviction or discard.)
 		if !c.youngerSRLStoreOverlaps(d) {
 			if c.fc != nil {
-				c.fc.Update(d.u.Addr, d.u.Size, d.storeID, d.u.Seq, d.ckptID)
-			} else if c.cfg.Design == DesignSRL && !c.cfg.UseFC {
-				if se := c.srl.Get(d.storeID); se != nil {
-					c.tempUpdateDataCache(se)
-				}
+				c.fc.Update(d.u.Addr, d.storeID, d.u.Seq)
+			} else if se := c.srl.Get(d.storeID); se != nil {
+				c.tempUpdateDataCache(se)
 			}
 		}
 	}
@@ -414,7 +411,7 @@ func (c *Core) completeStore(d *dynUop) bool {
 	}
 	// A store whose address was unknown while younger loads executed may
 	// expose a memory dependence violation now.
-	if v, found := c.ldbuf.StoreCheck(d.u.Addr, d.u.Size, d.storeID); found {
+	if v, found := c.ldbuf.StoreCheck(d.u.Addr, d.storeID); found {
 		c.res.MemDepViolations++
 		c.obsEvent(obs.EvMemDepViolation, d.u.Addr)
 		c.mdp.RecordViolation(v.LoadPC, d.u.PC)
@@ -471,8 +468,8 @@ func (c *Core) resolveBranch(d *dynUop) {
 // --- commit ---
 
 func (c *Core) commitCheckpoints() {
-	for len(c.ckpts) > 0 {
-		ck := c.ckpts[0]
+	for {
+		ck := &c.ckpts[0]
 		if !ck.closed || ck.pending > 0 {
 			return
 		}
@@ -480,7 +477,6 @@ func (c *Core) commitCheckpoints() {
 		// completion counter reaches zero).
 		c.obsEvent(obs.EvCheckpointCommit, uint64(ck.id))
 		endSeq := ck.startSeq + uint64(ck.uops) - 1
-		c.lastCommittedSeq = endSeq
 		for c.win.len() > 0 && c.win.at(0).u.Seq <= endSeq {
 			d := c.win.popFront()
 			d.committed = true
@@ -515,13 +511,10 @@ func (c *Core) commitCheckpoints() {
 		if c.chk != nil {
 			c.chkSweep()
 		}
-		n := copy(c.ckpts, c.ckpts[1:])
-		c.ckpts[n] = nil
-		c.ckpts = c.ckpts[:n]
-		c.freeCkpt(ck)
+		c.ckpts = c.ckpts[:copy(c.ckpts, c.ckpts[1:])]
 		if len(c.ckpts) == 0 {
 			// Always keep a live checkpoint to allocate into.
-			c.newCheckpoint(c.lastCommittedSeq + 1)
+			c.newCheckpoint(endSeq + 1)
 		}
 	}
 }
@@ -723,7 +716,6 @@ func (c *Core) allocate() {
 			c.storesInWindow++
 		case isa.Load:
 			d.nearestStoreID = c.storeCounter - 1
-			d.fwdStoreID = lsq.NoFwd
 			c.order.Add(d.u.Seq)
 			c.loadsInWindow++
 			if d.u.Acq {

@@ -4,10 +4,10 @@ package lsq
 // that miss-independent stores update as they leave the L1 STQ, and from
 // which later miss-independent loads forward at L1-hit latency. Its
 // contents are temporary: they are discarded when the miss returns and the
-// store redo begins, and entries belonging to a squashed checkpoint are
-// flash-cleared. Using the FC instead of the data cache avoids the dirty
-// writebacks, associativity stalls and redo-phase re-misses Section 6.5
-// measures (Figure 10).
+// store redo begins, and a restart flash-clears the entries whose producing
+// store it squashed, found by that store's sequence number. Using the FC
+// instead of the data cache avoids the dirty writebacks, associativity
+// stalls and redo-phase re-misses Section 6.5 measures (Figure 10).
 //
 // Each entry is tagged with the word address and carries the SRL index of
 // the producing store, so a load can check the producer is older than
@@ -24,7 +24,6 @@ type FC struct {
 
 	lookups uint64
 	hits    uint64
-	updates uint64
 }
 
 type fcEntry struct {
@@ -32,7 +31,6 @@ type fcEntry struct {
 	word     uint64
 	srlIndex uint64 // producing store's SRL virtual index
 	storeSeq uint64
-	ckpt     int
 }
 
 // NewFC creates a forwarding cache with the given total entries and
@@ -49,10 +47,9 @@ func NewFC(entries, assoc int) *FC {
 	return f
 }
 
-// Lookups, Hits and Updates return activity counts for the power model.
+// Lookups and Hits return activity counts for the power model.
 func (f *FC) Lookups() uint64 { return f.lookups }
 func (f *FC) Hits() uint64    { return f.hits }
-func (f *FC) Updates() uint64 { return f.updates }
 
 func (f *FC) set(addr uint64) int { return int(wordAddr(addr) & f.setMask) }
 
@@ -63,8 +60,7 @@ func (f *FC) set(addr uint64) int { return int(wordAddr(addr) & f.setMask) }
 // out of order) may update after a younger store to the same word already
 // did. The age guard refuses to let such a late, older store clobber the
 // younger entry: forwarding from it would silently hand loads stale data.
-func (f *FC) Update(addr uint64, size uint8, srlIndex, storeSeq uint64, ckpt int) {
-	f.updates++
+func (f *FC) Update(addr, srlIndex, storeSeq uint64) {
 	w := wordAddr(addr)
 	si := f.set(addr)
 	set := f.sets[si]
@@ -74,13 +70,13 @@ func (f *FC) Update(addr uint64, size uint8, srlIndex, storeSeq uint64, ckpt int
 				return
 			}
 			e := set[i]
-			e.srlIndex, e.storeSeq, e.ckpt = srlIndex, storeSeq, ckpt
+			e.srlIndex, e.storeSeq = srlIndex, storeSeq
 			copy(set[1:i+1], set[:i])
 			set[0] = e
 			return
 		}
 	}
-	ne := fcEntry{valid: true, word: w, srlIndex: srlIndex, storeSeq: storeSeq, ckpt: ckpt}
+	ne := fcEntry{valid: true, word: w, srlIndex: srlIndex, storeSeq: storeSeq}
 	if len(set) < f.assoc {
 		f.sets[si] = append(set, fcEntry{})
 		set = f.sets[si]

@@ -4,8 +4,8 @@ import "testing"
 
 func TestFCForwardYoungestOlder(t *testing.T) {
 	fc := NewFC(16, 4)
-	fc.Update(0x100, 8, 10, 100, 1) // store seq 100
-	fc.Update(0x100, 8, 11, 200, 1) // younger store, same word
+	fc.Update(0x100, 10, 100) // store seq 100
+	fc.Update(0x100, 11, 200) // younger store, same word
 	// A load younger than both forwards from the youngest.
 	hit, ok := fc.Lookup(0x100, 300)
 	if !ok || hit.SRLIndex != 11 {
@@ -21,7 +21,7 @@ func TestFCForwardYoungestOlder(t *testing.T) {
 
 func TestFCMissOnDifferentWord(t *testing.T) {
 	fc := NewFC(16, 4)
-	fc.Update(0x100, 8, 1, 10, 0)
+	fc.Update(0x100, 1, 10)
 	if _, ok := fc.Lookup(0x108, 100); ok {
 		t.Fatal("different word hit")
 	}
@@ -33,9 +33,9 @@ func TestFCEvictionLRU(t *testing.T) {
 	a := uint64(0 * 8)
 	b := uint64(4 * 8)
 	c := uint64(8 * 8)
-	fc.Update(a, 8, 1, 10, 0)
-	fc.Update(b, 8, 2, 20, 0)
-	fc.Update(c, 8, 3, 30, 0) // evicts a (LRU)
+	fc.Update(a, 1, 10)
+	fc.Update(b, 2, 20)
+	fc.Update(c, 3, 30) // evicts a (LRU)
 	if _, ok := fc.Lookup(a, 100); ok {
 		t.Fatal("evicted entry still forwards")
 	}
@@ -46,7 +46,7 @@ func TestFCEvictionLRU(t *testing.T) {
 
 func TestFCDiscardAll(t *testing.T) {
 	fc := NewFC(16, 4)
-	fc.Update(0x100, 8, 1, 10, 0)
+	fc.Update(0x100, 1, 10)
 	fc.DiscardAll()
 	if fc.Len() != 0 {
 		t.Fatal("discard left entries")
@@ -58,8 +58,8 @@ func TestFCDiscardAll(t *testing.T) {
 
 func TestFCSquash(t *testing.T) {
 	fc := NewFC(16, 4)
-	fc.Update(0x100, 8, 1, 10, 0)
-	fc.Update(0x200, 8, 2, 20, 0)
+	fc.Update(0x100, 1, 10)
+	fc.Update(0x200, 2, 20)
 	fc.SquashYoungerThan(15)
 	if _, ok := fc.Lookup(0x100, 100); !ok {
 		t.Fatal("older entry squashed")
@@ -71,8 +71,8 @@ func TestFCSquash(t *testing.T) {
 
 func TestFCUpdateInPlace(t *testing.T) {
 	fc := NewFC(16, 4)
-	fc.Update(0x100, 8, 1, 10, 0)
-	fc.Update(0x100, 8, 5, 50, 2) // same word re-written
+	fc.Update(0x100, 1, 10)
+	fc.Update(0x100, 5, 50) // same word re-written
 	if fc.Len() != 1 {
 		t.Fatalf("duplicate entries: %d", fc.Len())
 	}
@@ -84,10 +84,10 @@ func TestFCUpdateInPlace(t *testing.T) {
 
 func TestFCActivityCounters(t *testing.T) {
 	fc := NewFC(16, 4)
-	fc.Update(0x100, 8, 1, 10, 0)
+	fc.Update(0x100, 1, 10)
 	fc.Lookup(0x100, 100)
 	fc.Lookup(0x999, 100)
-	if fc.Updates() != 1 || fc.Lookups() != 2 || fc.Hits() != 1 {
-		t.Fatalf("counters u=%d l=%d h=%d", fc.Updates(), fc.Lookups(), fc.Hits())
+	if fc.Lookups() != 2 || fc.Hits() != 1 {
+		t.Fatalf("counters l=%d h=%d", fc.Lookups(), fc.Hits())
 	}
 }

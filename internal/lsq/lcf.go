@@ -34,11 +34,10 @@ type LCF struct {
 	hash      HashKind
 	maxCount  uint8
 
-	probes                 uint64
-	hitsNZ                 uint64 // probes finding a non-zero counter
-	overflows              uint64 // increments refused (counter saturated)
-	increments, decrements uint64
-	muts                   uint64 // inc, incSticky, dec and reset calls
+	probes    uint64
+	hitsNZ    uint64 // probes finding a non-zero counter
+	overflows uint64 // increments refused (counter saturated)
+	muts      uint64 // inc, incSticky, dec and reset calls
 	// dirty is false while no inc or incSticky has landed since the last
 	// reset: every array is still zero, so reset has nothing to clear.
 	dirty bool
@@ -66,9 +65,6 @@ func NewLCF(entries int, hash HashKind, counterBits uint) *LCF {
 
 // Entries returns the number of counters.
 func (f *LCF) Entries() int { return len(f.count) }
-
-// Hash returns the configured hash kind.
-func (f *LCF) Hash() HashKind { return f.hash }
 
 // Mutations returns the count of inc, incSticky, dec and reset calls; a
 // reader that saw the same count before would Peek the same answers.
@@ -113,7 +109,6 @@ func (f *LCF) inc(addr uint64, srlIndex uint64) bool {
 	if f.count[i] == 1 || srlIndex > f.lastIndex[i] {
 		f.lastIndex[i] = srlIndex
 	}
-	f.increments++
 	return true
 }
 
@@ -136,7 +131,6 @@ func (f *LCF) incSticky(addr uint64, srlIndex uint64) {
 		f.overflows++
 	} else {
 		f.count[i]++
-		f.increments++
 	}
 	if f.count[i] == 1 || srlIndex > f.lastIndex[i] {
 		f.lastIndex[i] = srlIndex
@@ -149,7 +143,6 @@ func (f *LCF) incSticky(addr uint64, srlIndex uint64) {
 func (f *LCF) dec(addr uint64) {
 	f.muts++
 	i := f.idx(addr)
-	f.decrements++
 	if f.sticky[i] {
 		return
 	}

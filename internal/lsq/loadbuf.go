@@ -7,7 +7,6 @@ type LoadEntry struct {
 	Seq  uint64
 	PC   uint64
 	Addr uint64
-	Size uint8
 	// NearestStoreID is the SRL virtual index of the last store allocated
 	// before the load in program order: a single magnitude comparison
 	// against a store's index determines their relative program order
@@ -24,10 +23,9 @@ const NoFwd = ^uint64(0)
 
 // Violation describes a detected memory ordering problem.
 type Violation struct {
-	LoadSeq  uint64
-	LoadPC   uint64
-	Ckpt     int // checkpoint to restart from
-	External bool
+	LoadSeq uint64
+	LoadPC  uint64
+	Ckpt    int // checkpoint to restart from
 }
 
 // OverflowPolicy selects what happens when a load buffer set is full
@@ -73,7 +71,6 @@ type LoadBuffer struct {
 	lookups   uint64
 	entryCmps uint64
 	overflows uint64
-	inserts   uint64
 }
 
 // NewLoadBuffer creates a load buffer with the given total capacity and
@@ -121,7 +118,6 @@ func (b *LoadBuffer) set(addr uint64) int {
 // OverflowViolate when the set (and victim space) is full — the caller must
 // treat it as an ordering violation and restart from the load's checkpoint.
 func (b *LoadBuffer) Insert(e LoadEntry) bool {
-	b.inserts++
 	si := b.set(e.Addr)
 	if len(b.sets[si]) < b.assoc {
 		b.sets[si] = append(b.sets[si], e)
@@ -167,7 +163,7 @@ func (b *LoadBuffer) scan(addr uint64, fn func(*LoadEntry)) {
 // (FwdStoreID < store's index, including NoFwd... which is treated as
 // "memory", i.e. older than every store). The oldest such load is a memory
 // dependence violation; execution restarts from its checkpoint.
-func (b *LoadBuffer) StoreCheck(addr uint64, size uint8, storeIdx uint64) (Violation, bool) {
+func (b *LoadBuffer) StoreCheck(addr, storeIdx uint64) (Violation, bool) {
 	b.lookups++
 	var v Violation
 	found := false
@@ -200,7 +196,7 @@ func (b *LoadBuffer) SnoopCheck(addr uint64) (Violation, bool) {
 	b.scan(addr, func(e *LoadEntry) {
 		if !found || e.Seq < v.LoadSeq {
 			found = true
-			v = Violation{LoadSeq: e.Seq, LoadPC: e.PC, Ckpt: e.Ckpt, External: true}
+			v = Violation{LoadSeq: e.Seq, LoadPC: e.PC, Ckpt: e.Ckpt}
 		}
 	})
 	return v, found

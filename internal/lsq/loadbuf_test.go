@@ -8,7 +8,7 @@ import (
 )
 
 func ld(seq, addr, nearest, fwd uint64, ckpt int) LoadEntry {
-	return LoadEntry{Seq: seq, PC: seq * 4, Addr: addr, Size: 8, NearestStoreID: nearest, FwdStoreID: fwd, Ckpt: ckpt}
+	return LoadEntry{Seq: seq, PC: seq * 4, Addr: addr, NearestStoreID: nearest, FwdStoreID: fwd, Ckpt: ckpt}
 }
 
 func TestStoreCheckDetectsMissedForward(t *testing.T) {
@@ -16,7 +16,7 @@ func TestStoreCheckDetectsMissedForward(t *testing.T) {
 	// Load (nearest store id 10) read memory; store id 8 (older) to the
 	// same word later resolves: the load should have seen it — violation.
 	b.Insert(ld(100, 0x100, 10, NoFwd, 3))
-	v, found := b.StoreCheck(0x100, 8, 8)
+	v, found := b.StoreCheck(0x100, 8)
 	if !found || v.LoadSeq != 100 || v.Ckpt != 3 {
 		t.Fatalf("violation not detected: %+v %v", v, found)
 	}
@@ -25,7 +25,7 @@ func TestStoreCheckDetectsMissedForward(t *testing.T) {
 func TestStoreCheckForwardedFromThisStore(t *testing.T) {
 	b := NewLoadBuffer(64, 4, OverflowViolate, 0)
 	b.Insert(ld(100, 0x100, 10, 8, 3)) // forwarded from store 8
-	if _, found := b.StoreCheck(0x100, 8, 8); found {
+	if _, found := b.StoreCheck(0x100, 8); found {
 		t.Fatal("correctly-forwarded load flagged")
 	}
 }
@@ -33,7 +33,7 @@ func TestStoreCheckForwardedFromThisStore(t *testing.T) {
 func TestStoreCheckForwardedFromYounger(t *testing.T) {
 	b := NewLoadBuffer(64, 4, OverflowViolate, 0)
 	b.Insert(ld(100, 0x100, 10, 9, 3)) // forwarded from store 9 (younger than 8)
-	if _, found := b.StoreCheck(0x100, 8, 8); found {
+	if _, found := b.StoreCheck(0x100, 8); found {
 		t.Fatal("load shadowed by a younger store was flagged")
 	}
 }
@@ -41,7 +41,7 @@ func TestStoreCheckForwardedFromYounger(t *testing.T) {
 func TestStoreCheckLoadOlderThanStore(t *testing.T) {
 	b := NewLoadBuffer(64, 4, OverflowViolate, 0)
 	b.Insert(ld(100, 0x100, 5, NoFwd, 3)) // nearest store 5 < store id 8
-	if _, found := b.StoreCheck(0x100, 8, 8); found {
+	if _, found := b.StoreCheck(0x100, 8); found {
 		t.Fatal("load older than the store was flagged")
 	}
 }
@@ -50,7 +50,7 @@ func TestStoreCheckReturnsOldestViolator(t *testing.T) {
 	b := NewLoadBuffer(64, 4, OverflowViolate, 0)
 	b.Insert(ld(200, 0x100, 10, NoFwd, 4))
 	b.Insert(ld(100, 0x100, 10, NoFwd, 3))
-	v, found := b.StoreCheck(0x100, 8, 8)
+	v, found := b.StoreCheck(0x100, 8)
 	if !found || v.LoadSeq != 100 {
 		t.Fatalf("oldest violator not chosen: %+v", v)
 	}
@@ -59,7 +59,7 @@ func TestStoreCheckReturnsOldestViolator(t *testing.T) {
 func TestStoreCheckDifferentWordIgnored(t *testing.T) {
 	b := NewLoadBuffer(64, 4, OverflowViolate, 0)
 	b.Insert(ld(100, 0x108, 10, NoFwd, 3))
-	if _, found := b.StoreCheck(0x100, 8, 8); found {
+	if _, found := b.StoreCheck(0x100, 8); found {
 		t.Fatal("different word flagged")
 	}
 }
@@ -68,7 +68,7 @@ func TestSnoopCheckAnyMatch(t *testing.T) {
 	b := NewLoadBuffer(64, 4, OverflowViolate, 0)
 	b.Insert(ld(100, 0x100, 10, 9, 3))
 	v, found := b.SnoopCheck(0x100)
-	if !found || !v.External || v.Ckpt != 3 {
+	if !found || v.Ckpt != 3 {
 		t.Fatalf("snoop check: %+v %v", v, found)
 	}
 	if _, found := b.SnoopCheck(0x900); found {
@@ -189,7 +189,7 @@ func TestStoreCheckMatchesReferenceModel(t *testing.T) {
 					want = e
 				}
 			}
-			v, found := b.StoreCheck(addr, 8, storeIdx)
+			v, found := b.StoreCheck(addr, storeIdx)
 			if (want != nil) != found {
 				return false
 			}

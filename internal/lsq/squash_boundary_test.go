@@ -24,7 +24,7 @@ func seqsKept(t *testing.T, name string, present func(seq uint64) bool) {
 }
 
 func TestSquashBoundaryStoreQueue(t *testing.T) {
-	q := NewStoreQueue("t", 8, 1, nil)
+	q := NewStoreQueue(8, nil)
 	for _, s := range []uint64{9, 10, 11} {
 		q.Alloc(StoreEntry{Seq: s})
 	}
@@ -59,9 +59,9 @@ func TestSquashBoundarySRL(t *testing.T) {
 func TestSquashBoundaryFC(t *testing.T) {
 	f := NewFC(16, 4)
 	// Distinct words so each store owns an entry.
-	f.Update(0x100, 8, 100, 9, 1)
-	f.Update(0x200, 8, 101, 10, 1)
-	f.Update(0x300, 8, 102, 11, 1)
+	f.Update(0x100, 100, 9)
+	f.Update(0x200, 101, 10)
+	f.Update(0x300, 102, 11)
 	f.SquashYoungerThan(boundary)
 	seqsKept(t, "FC", func(seq uint64) bool {
 		addr := map[uint64]uint64{9: 0x100, 10: 0x200, 11: 0x300}[seq]
@@ -113,14 +113,14 @@ func TestSquashBoundaryOrderTracker(t *testing.T) {
 // the same word.
 func TestFCUpdateAgeGuard(t *testing.T) {
 	f := NewFC(16, 4)
-	f.Update(0x100, 8, 120, 20, 1) // younger store, seq 20
-	f.Update(0x100, 8, 110, 10, 1) // older store fills late, seq 10
+	f.Update(0x100, 120, 20) // younger store, seq 20
+	f.Update(0x100, 110, 10) // older store fills late, seq 10
 	hit, ok := f.Lookup(0x100, 30)
 	if !ok || hit.SRLIndex != 120 || hit.StoreSeq != 20 {
 		t.Fatalf("lookup = %+v ok=%v, want younger store (idx 120, seq 20)", hit, ok)
 	}
 	// A genuinely younger update still replaces the entry.
-	f.Update(0x100, 8, 130, 25, 1)
+	f.Update(0x100, 130, 25)
 	hit, ok = f.Lookup(0x100, 30)
 	if !ok || hit.SRLIndex != 130 {
 		t.Fatalf("lookup = %+v ok=%v, want idx 130", hit, ok)
@@ -153,7 +153,7 @@ func TestLCFLastIndexMonotone(t *testing.T) {
 // producer forwards.
 func TestFCFaultInvertAge(t *testing.T) {
 	f := NewFC(16, 4)
-	f.Update(0x100, 8, 110, 10, 1)
+	f.Update(0x100, 110, 10)
 	if _, ok := f.Lookup(0x100, 20); !ok {
 		t.Fatal("healthy lookup should forward from the older store")
 	}

@@ -35,9 +35,10 @@ type StoreEntry struct {
 func wordAddr(a uint64) uint64 { return a >> 3 }
 
 // overlap reports whether two accesses touch the same 8-byte word. The
-// paper's CAM includes byte masks for unaligned/partial matches; at the
-// granularity this timing model needs, word overlap is the match condition.
-func overlap(a1 uint64, s1 uint8, a2 uint64, s2 uint8) bool {
+// paper's CAM includes byte masks for unaligned/partial matches; this
+// package matches whole words everywhere (store queue searches, load-buffer
+// checks, the FC and the LCF), so access sizes take no part in a match.
+func overlap(a1, a2 uint64) bool {
 	return wordAddr(a1) == wordAddr(a2)
 }
 
@@ -76,11 +77,9 @@ type SearchResult struct {
 // filter: the MTB counts exactly the queue's known-address entries, as
 // the hardware's allocate, resolve, drain and squash ports update it.
 type StoreQueue struct {
-	name    string
 	entries []StoreEntry // ring, program order
 	head    int          // oldest
 	count   int
-	latency uint64
 
 	known   wordFilter // words of the entries with AddrKnown set
 	unknown []uint64   // Seqs of the entries with AddrKnown clear, oldest first
@@ -88,25 +87,17 @@ type StoreQueue struct {
 
 	searches    uint64 // CAM search operations
 	camEntryOps uint64 // per-entry comparisons (power proxy)
-	forwards    uint64
 
 	// unknownScratch backs Search's UnknownSeqs, so the steady state
 	// allocates nothing; it is valid only until the queue's next Search.
 	unknownScratch []uint64
 }
 
-// NewStoreQueue creates a store queue with capacity entries and the given
-// forwarding/search latency in cycles. mtb, when not nil, is the
-// Membership Test Buffer that summarizes this queue.
-func NewStoreQueue(name string, capacity int, latency uint64, mtb *MTB) *StoreQueue {
-	return &StoreQueue{
-		name: name, entries: make([]StoreEntry, capacity), latency: latency,
-		known: newWordFilter(capacity), mtb: mtb,
-	}
+// NewStoreQueue creates a store queue with capacity entries. mtb, when
+// not nil, is the Membership Test Buffer that summarizes this queue.
+func NewStoreQueue(capacity int, mtb *MTB) *StoreQueue {
+	return &StoreQueue{entries: make([]StoreEntry, capacity), known: newWordFilter(capacity), mtb: mtb}
 }
-
-// Latency returns the queue's search/forward latency.
-func (q *StoreQueue) Latency() uint64 { return q.latency }
 
 // Len and Cap report occupancy.
 func (q *StoreQueue) Len() int { return q.count }
@@ -118,7 +109,6 @@ func (q *StoreQueue) Full() bool { return q.count == len(q.entries) }
 // Searches and CamEntryOps return CAM activity counts for the power model.
 func (q *StoreQueue) Searches() uint64    { return q.searches }
 func (q *StoreQueue) CamEntryOps() uint64 { return q.camEntryOps }
-func (q *StoreQueue) Forwards() uint64    { return q.forwards }
 
 // UnknownAddrs returns how many resident entries have no address yet.
 func (q *StoreQueue) UnknownAddrs() int { return len(q.unknown) }
@@ -246,13 +236,13 @@ func (q *StoreQueue) PopHead() (StoreEntry, bool) {
 }
 
 // Search performs the CAM lookup a load issues: find the youngest store
-// older than loadSeq whose address matches (addr, size); report unknown
+// older than loadSeq whose address matches addr's word; report unknown
 // older addresses. This is the power-hungry operation the SRL eliminates
 // from the secondary level. Every entry older than the load counts as one
 // comparison, as in the hardware; the simulator itself walks the entries
 // only when the word filter cannot rule a match out, and stops at the
 // youngest match.
-func (q *StoreQueue) Search(addr uint64, size uint8, loadSeq uint64) SearchResult {
+func (q *StoreQueue) Search(addr, loadSeq uint64) SearchResult {
 	q.searches++
 	older := q.olderThan(loadSeq)
 	q.camEntryOps += uint64(older)
@@ -269,9 +259,8 @@ func (q *StoreQueue) Search(addr uint64, size uint8, loadSeq uint64) SearchResul
 		return res
 	}
 	for i := older - 1; i >= 0; i-- { // youngest first
-		if e := q.at(i); e.AddrKnown && overlap(e.Addr, e.Size, addr, size) {
+		if e := q.at(i); e.AddrKnown && overlap(e.Addr, addr) {
 			res.Hit, res.Entry, res.PoisonedMatch = true, e, !e.DataReady
-			q.forwards++
 			break
 		}
 	}

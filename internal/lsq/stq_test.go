@@ -7,7 +7,7 @@ func mkEntry(seq uint64, addr uint64, ready bool) StoreEntry {
 }
 
 func TestStoreQueueFIFO(t *testing.T) {
-	q := NewStoreQueue("t", 4, 3, nil)
+	q := NewStoreQueue(4, nil)
 	for i := uint64(1); i <= 4; i++ {
 		if !q.Alloc(mkEntry(i, i*8, true)) {
 			t.Fatalf("alloc %d failed", i)
@@ -31,32 +31,32 @@ func TestStoreQueueFIFO(t *testing.T) {
 }
 
 func TestSearchFindsYoungestOlder(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3, nil)
+	q := NewStoreQueue(8, nil)
 	q.Alloc(mkEntry(1, 0x100, true))
 	q.Alloc(mkEntry(2, 0x100, true)) // younger store, same word
 	q.Alloc(mkEntry(3, 0x200, true))
-	r := q.Search(0x100, 8, 10)
+	r := q.Search(0x100, 10)
 	if !r.Hit || r.Entry.Seq != 2 {
 		t.Fatalf("search hit=%v seq=%v; want youngest older (2)", r.Hit, r.Entry)
 	}
 	// A load between the two stores must see only the first.
-	r = q.Search(0x100, 8, 2)
+	r = q.Search(0x100, 2)
 	if !r.Hit || r.Entry.Seq != 1 {
 		t.Fatalf("age-bounded search got %+v", r.Entry)
 	}
 	// A load older than both must miss.
-	if r := q.Search(0x100, 8, 1); r.Hit {
+	if r := q.Search(0x100, 1); r.Hit {
 		t.Fatal("load forwarded from a younger store")
 	}
 }
 
 func TestSearchUnknownAddresses(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3, nil)
+	q := NewStoreQueue(8, nil)
 	e := mkEntry(1, 0, false)
 	e.AddrKnown = false
 	q.Alloc(e)
 	q.Alloc(mkEntry(2, 0x100, true))
-	r := q.Search(0x300, 8, 10)
+	r := q.Search(0x300, 10)
 	if r.Hit {
 		t.Fatal("spurious hit")
 	}
@@ -66,27 +66,27 @@ func TestSearchUnknownAddresses(t *testing.T) {
 }
 
 func TestSearchPoisonedMatch(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3, nil)
+	q := NewStoreQueue(8, nil)
 	q.Alloc(mkEntry(1, 0x100, false)) // address known, data not ready
-	r := q.Search(0x100, 8, 5)
+	r := q.Search(0x100, 5)
 	if !r.Hit || !r.PoisonedMatch {
 		t.Fatalf("poisoned match not flagged: %+v", r)
 	}
 }
 
 func TestWordGranularityMatch(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3, nil)
+	q := NewStoreQueue(8, nil)
 	q.Alloc(mkEntry(1, 0x100, true))
-	if r := q.Search(0x104, 4, 5); !r.Hit {
+	if r := q.Search(0x104, 5); !r.Hit {
 		t.Fatal("same-word different-offset access missed")
 	}
-	if r := q.Search(0x108, 8, 5); r.Hit {
+	if r := q.Search(0x108, 5); r.Hit {
 		t.Fatal("different word matched")
 	}
 }
 
 func TestFind(t *testing.T) {
-	q := NewStoreQueue("t", 4, 3, nil)
+	q := NewStoreQueue(4, nil)
 	q.Alloc(mkEntry(7, 0x100, false))
 	q.Alloc(mkEntry(9, 0x200, false))
 	for _, seq := range []uint64{7, 9} {
@@ -106,7 +106,7 @@ func TestFind(t *testing.T) {
 }
 
 func TestSquashYoungerThan(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3, nil)
+	q := NewStoreQueue(8, nil)
 	for i := uint64(1); i <= 5; i++ {
 		q.Alloc(mkEntry(i, i*0x100, true))
 	}
@@ -121,18 +121,15 @@ func TestSquashYoungerThan(t *testing.T) {
 }
 
 func TestCAMActivityCounted(t *testing.T) {
-	q := NewStoreQueue("t", 8, 3, nil)
+	q := NewStoreQueue(8, nil)
 	q.Alloc(mkEntry(1, 0x100, true))
 	q.Alloc(mkEntry(2, 0x200, true))
-	q.Search(0x100, 8, 10)
+	q.Search(0x100, 10)
 	if q.Searches() != 1 {
 		t.Fatalf("searches %d", q.Searches())
 	}
 	if q.CamEntryOps() != 2 {
 		t.Fatalf("entry ops %d (every resident entry's comparator fires)", q.CamEntryOps())
-	}
-	if q.Forwards() != 1 {
-		t.Fatalf("forwards %d", q.Forwards())
 	}
 }
 
@@ -179,7 +176,7 @@ func TestMTBAliasing(t *testing.T) {
 // leave it when it drains or is squashed.
 func TestMTBCountsEntryResolvedInQueue(t *testing.T) {
 	m := NewMTB(64)
-	l2 := NewStoreQueue("L2", 8, 8, m)
+	l2 := NewStoreQueue(8, m)
 	for seq := uint64(1); seq <= 2; seq++ {
 		l2.Alloc(StoreEntry{Seq: seq, SRLIndex: seq}) // displaced, address unknown
 	}

@@ -12,9 +12,9 @@ import (
 // address indexes, searched by walking every entry older than the load,
 // youngest first.
 type walkQueue struct {
-	entries                         []StoreEntry
-	head, count                     int
-	searches, camEntryOps, forwards uint64
+	entries               []StoreEntry
+	head, count           int
+	searches, camEntryOps uint64
 }
 
 func (q *walkQueue) at(i int) *StoreEntry {
@@ -50,7 +50,7 @@ func (q *walkQueue) squashYoungerThan(seq uint64) []StoreEntry {
 	return removed
 }
 
-func (q *walkQueue) search(addr uint64, size uint8, loadSeq uint64) SearchResult {
+func (q *walkQueue) search(addr, loadSeq uint64) SearchResult {
 	q.searches++
 	var res SearchResult
 	for i := q.count - 1; i >= 0; i-- { // youngest first
@@ -64,14 +64,11 @@ func (q *walkQueue) search(addr uint64, size uint8, loadSeq uint64) SearchResult
 			res.UnknownSeqs = append(res.UnknownSeqs, e.Seq)
 			continue
 		}
-		if overlap(e.Addr, e.Size, addr, size) && !res.Hit {
+		if overlap(e.Addr, addr) && !res.Hit {
 			res.Hit = true
 			res.Entry = e
 			res.PoisonedMatch = !e.DataReady
 		}
-	}
-	if res.Hit {
-		q.forwards++
 	}
 	return res
 }
@@ -99,7 +96,7 @@ func newStorePair(capacity, mtbEntries int) storePair {
 	if mtbEntries > 0 {
 		mtb = NewMTB(mtbEntries)
 	}
-	return storePair{NewStoreQueue("t", capacity, 1, mtb), &walkQueue{entries: make([]StoreEntry, capacity)}}
+	return storePair{NewStoreQueue(capacity, mtb), &walkQueue{entries: make([]StoreEntry, capacity)}}
 }
 
 // agree fails unless both sides hold the same entries and counters.
@@ -113,9 +110,9 @@ func (p storePair) agree(t *testing.T, op string) {
 			t.Fatalf("%s: entry %d is %+v, walk %+v", op, i, *p.q.at(i), *p.r.at(i))
 		}
 	}
-	if p.q.Searches() != p.r.searches || p.q.CamEntryOps() != p.r.camEntryOps || p.q.Forwards() != p.r.forwards {
-		t.Fatalf("%s: counters %d/%d/%d, walk %d/%d/%d", op, p.q.Searches(), p.q.CamEntryOps(), p.q.Forwards(),
-			p.r.searches, p.r.camEntryOps, p.r.forwards)
+	if p.q.Searches() != p.r.searches || p.q.CamEntryOps() != p.r.camEntryOps {
+		t.Fatalf("%s: counters %d/%d, walk %d/%d", op, p.q.Searches(), p.q.CamEntryOps(),
+			p.r.searches, p.r.camEntryOps)
 	}
 	unknown := 0
 	for i := 0; i < p.r.count; i++ {
@@ -285,8 +282,8 @@ func TestStoreQueueMatchesWalk(t *testing.T) {
 				a, lo := addr(), oldest()
 				loadSeq := lo + rng.Uint64n(next-lo+2)
 				filtered := !p.q.known.mayHold(a) && p.q.olderThan(loadSeq) > 0
-				got := p.q.Search(a, 8, loadSeq)
-				want := p.r.search(a, 8, loadSeq)
+				got := p.q.Search(a, loadSeq)
+				want := p.r.search(a, loadSeq)
 				if !sameSearch(got, want) {
 					t.Fatalf("seed %d step %d: Search(%#x, seq %d) = %+v, walk %+v", seed, step, a, loadSeq, got, want)
 				}
@@ -409,7 +406,7 @@ func (b *walkLoadBuffer) snoopCheck(addr uint64) (Violation, bool) {
 	b.scan(addr, func(e *LoadEntry) {
 		if !found || e.Seq < v.LoadSeq {
 			found = true
-			v = Violation{LoadSeq: e.Seq, LoadPC: e.PC, Ckpt: e.Ckpt, External: true}
+			v = Violation{LoadSeq: e.Seq, LoadPC: e.PC, Ckpt: e.Ckpt}
 		}
 	})
 	return v, found
@@ -481,7 +478,7 @@ func TestLoadBufferMatchesWalk(t *testing.T) {
 				switch k := rng.Intn(100); {
 				case k < 40:
 					op = "insert"
-					e := LoadEntry{Seq: seq, PC: 0x400 + seq, Addr: addr(), Size: 8,
+					e := LoadEntry{Seq: seq, PC: 0x400 + seq, Addr: addr(),
 						NearestStoreID: storeID, FwdStoreID: NoFwd, Ckpt: ckpt}
 					if rng.Bool(0.3) && storeID > 1 {
 						e.FwdStoreID = 1 + rng.Uint64n(storeID)
@@ -508,7 +505,7 @@ func TestLoadBufferMatchesWalk(t *testing.T) {
 					op = "store check"
 					a, idx := addr(), 1+rng.Uint64n(storeID+1)
 					filtered := !b.words.mayHold(a)
-					v, found := b.StoreCheck(a, 8, idx)
+					v, found := b.StoreCheck(a, idx)
 					rv, rfound := r.storeCheck(a, idx)
 					if found != rfound || v != rv {
 						t.Fatalf("%v seed %d step %d: StoreCheck = %+v/%v, walk %+v/%v", sh, seed, step, v, found, rv, rfound)

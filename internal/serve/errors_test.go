@@ -193,6 +193,24 @@ func TestErrorEnvelopePayloadTooLarge(t *testing.T) {
 	}
 }
 
+// TestOversizedQueueRejected pins the queue-size bound at the API: a
+// store queue too large to allocate answers 400 with the envelope instead
+// of taking the server down.
+func TestOversizedQueueRejected(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp := post(t, ts.Client(), ts.URL+"/v1/simulate", oversizedSTQBody)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if code, msg, _ := decodeEnvelope(t, body); code != "bad_request" || !strings.Contains(msg, "STQ size") {
+		t.Fatalf("code %q, message %q", code, msg)
+	}
+}
+
 // TestEmptyContentTypeTolerated keeps the API curl-friendly: a JSON
 // endpoint accepts a body with no Content-Type at all.
 func TestEmptyContentTypeTolerated(t *testing.T) {
