@@ -39,7 +39,6 @@ type Cache struct {
 	setMask  uint64 // set count - 1
 	tagShift uint   // log2(line size * set count)
 	latency  uint64
-	accesses uint64
 	misses   uint64
 	wbacks   uint64
 	// anySpec is false only when no valid line is speculative. SpecWrite
@@ -69,8 +68,7 @@ func NewCache(name string, sizeBytes, assoc int, latency uint64) *Cache {
 	return c
 }
 
-// Accesses and Misses return raw counts; Writebacks the dirty evictions.
-func (c *Cache) Accesses() uint64   { return c.accesses }
+// Misses returns the raw miss count; Writebacks the dirty evictions.
 func (c *Cache) Misses() uint64     { return c.misses }
 func (c *Cache) Writebacks() uint64 { return c.wbacks }
 
@@ -89,7 +87,6 @@ func (c *Cache) lineAddr(tag, si uint64) uint64 {
 // cycle the data is available (max of now+latency and the line's fill
 // ready time). It does not allocate.
 func (c *Cache) Lookup(cycle, addr uint64) (hit bool, ready uint64) {
-	c.accesses++
 	si := c.setIdx(addr)
 	tag := c.tag(addr)
 	set := c.sets[si]
@@ -323,17 +320,4 @@ func (c *Cache) HasTempSpec(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// SpecLines returns how many lines are currently speculative.
-func (c *Cache) SpecLines() int {
-	n := 0
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			if c.sets[si][i].valid && c.sets[si][i].spec {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -17,9 +17,22 @@ func TestLookupMissThenHit(t *testing.T) {
 	if ready != 23 {
 		t.Fatalf("ready %d, want cycle+latency", ready)
 	}
-	if c.Accesses() != 2 || c.Misses() != 1 {
-		t.Fatalf("counters %d/%d", c.Accesses(), c.Misses())
+	if c.Misses() != 1 {
+		t.Fatalf("misses %d, want 1", c.Misses())
 	}
+}
+
+// specLines counts the valid speculative lines in c.
+func specLines(c *Cache) int {
+	n := 0
+	for si := range c.sets {
+		for i := range c.sets[si] {
+			if c.sets[si][i].valid && c.sets[si][i].spec {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestFutureReadyPropagates(t *testing.T) {
@@ -137,7 +150,7 @@ func TestCommitSpecMakesDirty(t *testing.T) {
 	c.Insert(0x0000, 0, false) // same set
 	ev1 := c.Insert(0x0100+0x1000%0x100, 0, false)
 	_ = ev1
-	if c.SpecLines() != 0 {
+	if specLines(c) != 0 {
 		t.Fatal("spec lines remain after commit")
 	}
 	// A new checkpoint can now spec-write it.

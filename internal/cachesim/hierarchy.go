@@ -41,19 +41,58 @@ type Config struct {
 	FarDegradedLatency uint64
 }
 
-// Validate checks the MSHR count and the far-memory knobs. With no MSHR no
-// miss could ever reach memory, and the core would spin until its
-// forward-progress guard gives up.
+// The largest sizes Validate accepts. Both caches, the MSHR file and the
+// prefetcher's stream table are allocated whole when a hierarchy is built
+// (and a prefetch list per confirmed stream), so an unbounded size could
+// ask for more memory than the host can map. Each bound is 16 to 64 times
+// Table 1's: a 1 MB L2, 32 MSHRs, 16 streams and a depth of 12 lines.
+const (
+	MaxCacheBytes      = 64 << 20 // L1Size, L2Size
+	MaxMSHRs           = 1024
+	MaxPrefetchStreams = 256 // PrefetchN
+	MaxPrefetchDepth   = 256 // PrefetchD, lines
+)
+
+// Validate checks the cache geometries, the MSHR count, the prefetcher and
+// the far-memory knobs. It rejects every cache NewCache would panic on and
+// every size above its bound. With no MSHR no miss could ever reach memory,
+// and the core would spin until its forward-progress guard gives up.
 func (c *Config) Validate() error {
+	if err := validateCache("L1", c.L1Size, c.L1Assoc); err != nil {
+		return err
+	}
+	if err := validateCache("L2", c.L2Size, c.L2Assoc); err != nil {
+		return err
+	}
 	switch {
-	case c.MSHRs < 1:
-		return fmt.Errorf("cachesim: MSHRs %d must be at least 1", c.MSHRs)
+	case c.MSHRs < 1 || c.MSHRs > MaxMSHRs:
+		return fmt.Errorf("cachesim: MSHRs %d out of range [1,%d]", c.MSHRs, MaxMSHRs)
+	case c.PrefetchOn && (c.PrefetchN < 1 || c.PrefetchN > MaxPrefetchStreams):
+		return fmt.Errorf("cachesim: %d prefetch streams out of range [1,%d]", c.PrefetchN, MaxPrefetchStreams)
+	case c.PrefetchOn && (c.PrefetchD < 0 || c.PrefetchD > MaxPrefetchDepth):
+		return fmt.Errorf("cachesim: prefetch depth %d out of range [0,%d]", c.PrefetchD, MaxPrefetchDepth)
 	case c.FarFrac < 0 || c.FarFrac > 1:
 		return fmt.Errorf("cachesim: FarFrac %v out of range [0,1]", c.FarFrac)
 	case c.FarFrac > 0 && c.FarLatency == 0:
 		return fmt.Errorf("cachesim: FarFrac %v requires FarLatency > 0", c.FarFrac)
 	case c.FarDegradeAfter > 0 && c.FarDegradedLatency == 0:
 		return fmt.Errorf("cachesim: FarDegradeAfter requires FarDegradedLatency > 0")
+	}
+	return nil
+}
+
+// validateCache accepts the geometries NewCache builds: at least one way,
+// no more ways than lines, a positive power-of-two set count, and at most
+// MaxCacheBytes.
+func validateCache(name string, size, assoc int) error {
+	switch {
+	case size <= 0 || size > MaxCacheBytes:
+		return fmt.Errorf("cachesim: %s size %d out of range [1,%d]", name, size, MaxCacheBytes)
+	case assoc <= 0 || assoc > size/isa.CacheLineSize:
+		return fmt.Errorf("cachesim: %s associativity %d out of range [1,%d]", name, assoc, size/isa.CacheLineSize)
+	}
+	if sets := size / (assoc * isa.CacheLineSize); sets&(sets-1) != 0 {
+		return fmt.Errorf("cachesim: %s of %d bytes, %d-way has %d sets, not a power of two", name, size, assoc, sets)
 	}
 	return nil
 }
@@ -84,11 +123,9 @@ type Hierarchy struct {
 	// sit in no particular order.
 	mshrs []mshr
 
-	demandMisses   uint64
-	memAccesses    uint64
-	mshrFullEvents uint64
-	farAccesses    uint64
-	farDegraded    uint64
+	memAccesses uint64
+	farAccesses uint64
+	farDegraded uint64
 }
 
 // mshr is one outstanding line miss: its line address and the cycle its
@@ -109,7 +146,8 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	return h
 }
 
-// MemAccesses returns demand fetches that went to memory.
+// MemAccesses returns the line fetches, demand and prefetch, that went to
+// memory.
 func (h *Hierarchy) MemAccesses() uint64 { return h.memAccesses }
 
 // FarAccesses returns memory fetches (demand or prefetch) served by the
@@ -143,20 +181,6 @@ func (h *Hierarchy) memLatencyFor(cycle, la uint64) uint64 {
 		return h.cfg.FarDegradedLatency
 	}
 	return h.cfg.FarLatency
-}
-
-// DemandMisses returns demand (non-prefetch) misses to memory.
-func (h *Hierarchy) DemandMisses() uint64 { return h.demandMisses }
-
-// MSHRFullEvents returns how many accesses were rejected for lack of MSHRs.
-func (h *Hierarchy) MSHRFullEvents() uint64 { return h.mshrFullEvents }
-
-// PrefetchIssued returns prefetch lines requested.
-func (h *Hierarchy) PrefetchIssued() uint64 {
-	if h.pf == nil {
-		return 0
-	}
-	return h.pf.Issued()
 }
 
 // EarliestPendingFill returns the earliest MSHR fill-completion cycle
@@ -234,10 +258,8 @@ func (h *Hierarchy) Access(cycle, addr uint64, write bool) AccessResult {
 		return AccessResult{Done: d, Level: 3}
 	}
 	if len(h.mshrs) >= h.cfg.MSHRs {
-		h.mshrFullEvents++
 		return AccessResult{MSHRFull: true}
 	}
-	h.demandMisses++
 	h.memAccesses++
 	fill := cycle + h.memLatencyFor(cycle, la)
 	h.mshrs = append(h.mshrs, mshr{la, fill})
@@ -284,21 +306,6 @@ func (h *Hierarchy) prefetchLine(cycle, addr uint64) {
 	fill := cycle + h.memLatencyFor(cycle, la)
 	h.mshrs = append(h.mshrs, mshr{la, fill})
 	h.L2.Insert(la, fill, false)
-}
-
-// WouldMissToMemory probes (without side effects) whether a read of addr
-// at cycle would have to go to DRAM: nothing cached and no miss already in
-// flight. An MSHR entry whose fill cycle has passed is a completed miss,
-// not an in-flight one — it merely hasn't been garbage-collected yet — so
-// it must not suppress the answer (the probe is side-effect-free and
-// cannot prune the file itself).
-func (h *Hierarchy) WouldMissToMemory(cycle, addr uint64) bool {
-	la := isa.LineAddr(addr)
-	if h.L1.Contains(la) || h.L2.Contains(la) {
-		return false
-	}
-	done, pending := h.pendingFill(la)
-	return !(pending && done > cycle)
 }
 
 // ProbeState classifies a line's current residence for diagnostics:

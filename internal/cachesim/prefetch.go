@@ -8,7 +8,6 @@ import "srlproc/internal/isa"
 type StreamPrefetcher struct {
 	streams []stream
 	depth   int // lines fetched ahead once confirmed
-	issued  uint64
 }
 
 type stream struct {
@@ -24,9 +23,6 @@ type stream struct {
 func NewStreamPrefetcher(n, depth int) *StreamPrefetcher {
 	return &StreamPrefetcher{streams: make([]stream, n), depth: depth}
 }
-
-// Issued returns the number of prefetch requests generated.
-func (p *StreamPrefetcher) Issued() uint64 { return p.issued }
 
 // OnMiss observes a demand miss to addr and returns the line addresses to
 // prefetch (possibly none).
@@ -48,7 +44,6 @@ func (p *StreamPrefetcher) OnMiss(addr uint64, tick uint64) []uint64 {
 			for d := 1; d <= p.depth; d++ {
 				out = append(out, uint64(int64(la)+s.dir*int64(d)))
 			}
-			p.issued += uint64(len(out))
 			return out
 		}
 	}
@@ -69,7 +64,6 @@ func (p *StreamPrefetcher) OnMiss(addr uint64, tick uint64) []uint64 {
 			for d := 1; d <= p.depth; d++ {
 				out = append(out, uint64(int64(la)+s.dir*int64(d)))
 			}
-			p.issued += uint64(len(out))
 			return out
 		}
 	}

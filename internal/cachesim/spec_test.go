@@ -110,7 +110,7 @@ func TestSpecWalkMatchesFullWalk(t *testing.T) {
 			if !reflect.DeepEqual(c.sets, ref.sets) {
 				t.Fatalf("seed %d step %d (%s): line state differs from the full-walk reference", seed, step, op)
 			}
-			if n := c.SpecLines(); n > 0 && !c.anySpec {
+			if n := specLines(c); n > 0 && !c.anySpec {
 				t.Fatalf("seed %d step %d (%s): %d speculative lines with anySpec false", seed, step, op, n)
 			} else if bulk && c.anySpec != (n > 0) {
 				t.Fatalf("seed %d step %d (%s): a walk left anySpec %v with %d speculative lines", seed, step, op, c.anySpec, n)

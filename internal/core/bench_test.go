@@ -101,20 +101,22 @@ func BenchmarkCycleLoopSkip(b *testing.B) {
 // BenchmarkReadyList measures the issue stage's ready list on its own: push
 // is one cycle's worth of arrivals eight times over (64 entries, each
 // eight-entry block pushed youngest first, as wake-ups arrive out of
-// order), and scan is eight select passes over 64 entries, half of them
-// loads whose port is taken, which stay put — the case a heap paid for
-// with a pop and a re-push per entry.
+// order), and scan is eight select passes over 64 entries with both ports
+// taken, as issue() runs them: half are loads, which wait in the park lane
+// the scan passes over, and half stores, which keep their place — the
+// case a heap paid for with a pop and a re-push per entry.
 func BenchmarkReadyList(b *testing.B) {
 	var uops [64]dynUop
 	for i := range uops {
 		uops[i].u.Seq = uint64(i + 1)
+		uops[i].u.Class = isa.Store
 		if i%2 == 0 {
 			uops[i].u.Class = isa.Load
 		}
 	}
 	b.Run("push", func(b *testing.B) {
 		var l readyList
-		l.grow(len(uops))
+		l.grow(len(uops), 0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -130,7 +132,7 @@ func BenchmarkReadyList(b *testing.B) {
 	})
 	b.Run("scan", func(b *testing.B) {
 		var l readyList
-		l.grow(len(uops))
+		l.grow(len(uops), len(uops)/2)
 		for j := range uops {
 			l.push(&uops[j])
 		}
@@ -140,11 +142,15 @@ func BenchmarkReadyList(b *testing.B) {
 			for r := 0; r < 8; r++ {
 				l.begin()
 				for {
-					e, ok := l.next()
+					e, ok := l.next(false)
 					if !ok {
 						break
 					}
-					l.keep(e)
+					if e.d.isLoad() {
+						l.park(e)
+					} else {
+						l.keep(e)
+					}
 				}
 				l.end()
 			}

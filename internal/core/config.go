@@ -295,16 +295,21 @@ func DefaultConfig(d StoreDesign) Config {
 	}
 }
 
-// The largest sizes Validate accepts. Every queue, the window and the
-// checkpoint file are allocated whole when a core is built, so an
-// unbounded size (a /v1/simulate body's stq_size, say) could ask for more
-// memory than the host can map: a fatal runtime error that no panic
-// recovery catches. Each bound is 8-16 times the paper's: its largest
-// queue has 1K entries, Table 1's window 8192 uops and CPR 8 checkpoints.
+// The largest sizes Validate accepts. Every queue, table and filter, the
+// window and the checkpoint file are allocated whole when a core is built,
+// so an unbounded size (a /v1/simulate body's stq_size, say) could ask for
+// more memory than the host can map: a fatal runtime error that no panic
+// recovery catches. Each bound is 8 to 32 times the paper's: its largest
+// queue has 1K entries, Table 1's window 8192 uops and CPR 8 checkpoints;
+// the MTB has 1K counters, the LCF 2K, the store-set table 4K entries, the
+// FC 256 entries and the load buffer's victim buffer 16.
 const (
-	maxQueueEntries = 16384   // STQSize, L1STQSize, L2STQSize, SRLSize, LQSize
-	maxWindowCap    = 1 << 16 // uops
-	maxCheckpoints  = 64
+	maxQueueEntries  = 16384   // STQSize, L1STQSize, L2STQSize, SRLSize, LQSize
+	maxWindowCap     = 1 << 16 // uops
+	maxCheckpoints   = 64
+	maxTableEntries  = 1 << 15 // MTBSize, LCFSize, StoreSetsSize
+	maxFCEntries     = 4096    // FCSize
+	maxVictimEntries = 256     // LoadBufVictim
 )
 
 // Validate checks internal consistency and returns a descriptive error.
@@ -323,8 +328,8 @@ func (c *Config) Validate() error {
 	case c.IntRegs <= sliceReserve || c.FPRegs <= sliceReserve:
 		return fmt.Errorf("core: register files %d/%d must exceed the slice reserve of %d",
 			c.IntRegs, c.FPRegs, sliceReserve)
-	case !isPow2(c.StoreSetsSize):
-		return fmt.Errorf("core: store sets size %d must be a positive power of two", c.StoreSetsSize)
+	case !isPow2(c.StoreSetsSize) || c.StoreSetsSize > maxTableEntries:
+		return fmt.Errorf("core: store sets size %d must be a power of two in [1,%d]", c.StoreSetsSize, maxTableEntries)
 	case c.LQSize <= 0 || c.LQSize > maxQueueEntries:
 		return fmt.Errorf("core: load buffer size %d out of range [1,%d]", c.LQSize, maxQueueEntries)
 	case c.Checkpoints < 2 || c.Checkpoints > maxCheckpoints:
@@ -359,8 +364,8 @@ func (c *Config) Validate() error {
 	}
 	switch c.Design {
 	case DesignHierarchical, DesignFilteredSTQ:
-		if !isPow2(c.MTBSize) {
-			return fmt.Errorf("core: MTB size %d must be a positive power of two", c.MTBSize)
+		if !isPow2(c.MTBSize) || c.MTBSize > maxTableEntries {
+			return fmt.Errorf("core: MTB size %d must be a power of two in [1,%d]", c.MTBSize, maxTableEntries)
 		}
 	}
 	switch c.Design {
@@ -372,16 +377,20 @@ func (c *Config) Validate() error {
 		switch {
 		case c.SRLSize <= 0 || c.SRLSize > maxQueueEntries:
 			return fmt.Errorf("core: SRL size %d out of range [1,%d]", c.SRLSize, maxQueueEntries)
-		case c.UseLCF && !isPow2(c.LCFSize):
-			return fmt.Errorf("core: LCF size must be a positive power of two")
+		case c.UseLCF && (!isPow2(c.LCFSize) || c.LCFSize > maxTableEntries):
+			return fmt.Errorf("core: LCF size %d must be a power of two in [1,%d]", c.LCFSize, maxTableEntries)
 		case c.UseLCF && (c.LCFCounterBits < 1 || c.LCFCounterBits > 8):
 			return fmt.Errorf("core: LCF counter width %d out of range [1,8]", c.LCFCounterBits)
 		case c.UseIndexedFwd && !c.UseLCF:
 			return fmt.Errorf("core: indexed forwarding requires the LCF")
+		case c.UseFC && (c.FCSize <= 0 || c.FCSize > maxFCEntries):
+			return fmt.Errorf("core: FC size %d out of range [1,%d]", c.FCSize, maxFCEntries)
 		case c.UseFC && (c.FCAssoc <= 0 || !isPow2(c.FCSize/c.FCAssoc)):
 			return fmt.Errorf("core: FC of %d entries, %d-way needs a power-of-two set count", c.FCSize, c.FCAssoc)
 		case c.LoadBufAssoc <= 0 || !isPow2(c.LQSize/min(c.LoadBufAssoc, c.LQSize)):
 			return fmt.Errorf("core: load buffer of %d entries, %d-way needs a power-of-two set count", c.LQSize, c.LoadBufAssoc)
+		case c.LoadBufVictim < 0 || c.LoadBufVictim > maxVictimEntries:
+			return fmt.Errorf("core: load buffer victim size %d out of range [0,%d]", c.LoadBufVictim, maxVictimEntries)
 		}
 	}
 	return nil

@@ -5,19 +5,23 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"srlproc/internal/cachesim"
 	"srlproc/internal/trace"
 )
 
 // geometryFields are the Config fields FuzzConfig varies: every sizing
 // and port count a structure constructor or the pipeline's resource
-// accounting depends on. Their order is the fuzz input's byte order.
+// accounting depends on, the memory hierarchy's under Mem. Their order is
+// the fuzz input's byte order.
 var geometryFields = []string{
 	"STQSize", "L1STQSize", "L2STQSize", "MTBSize", "LQSize", "LoadBufAssoc",
 	"LCFSize", "LCFCounterBits", "FCAssoc", "StoreSetsSize",
 	"SchedInt", "SchedFP", "SchedMem", "IntRegs", "FPRegs", "LoadPorts", "StorePorts",
+	"Mem.L1Assoc", "Mem.L2Assoc", "Mem.MSHRs", "Mem.PrefetchN", "Mem.PrefetchD",
 }
 
 // geometryRow is one configuration change: design's defaults with field
@@ -48,21 +52,42 @@ var invalidGeometry = []geometryRow{
 	{DesignSRL, "LCFCounterBits", 9},
 	{DesignSRL, "FCAssoc", 3},
 	{DesignSRL, "LoadBufAssoc", 3},
+	{DesignBaseline, "Mem.L1Assoc", 0},
+	{DesignSRL, "Mem.L2Assoc", 3},
+	{DesignHierarchical, "Mem.MSHRs", 0},
+	{DesignBaseline, "Mem.PrefetchN", 0},
+	{DesignSRL, "Mem.PrefetchD", -1},
 }
 
-// oversizedGeometry holds one row per upper bound of Validate. Every queue,
-// the window and the checkpoint file are allocated whole when a core is
-// built, so without its bound a large enough value asks for more memory
-// than the host can map. The values are out of the fuzz encoding's reach,
-// so these rows do not seed FuzzConfig.
-var oversizedGeometry = []geometryRow{
-	{DesignLargeSTQ, "STQSize", maxQueueEntries + 1},
-	{DesignSRL, "L1STQSize", maxQueueEntries + 1},
-	{DesignHierarchical, "L2STQSize", maxQueueEntries + 1},
-	{DesignSRL, "SRLSize", maxQueueEntries + 1},
-	{DesignBaseline, "LQSize", maxQueueEntries + 1},
-	{DesignSRL, "WindowCap", maxWindowCap + 1},
-	{DesignFilteredSTQ, "Checkpoints", maxCheckpoints + 1},
+// oversizedGeometry holds one row per upper bound of Validate, at the
+// bound. Every queue, table and cache, the window and the checkpoint file
+// are allocated whole when a core is built, so without its bound a large
+// enough value asks for more memory than the host can map. Validate must
+// accept the bound and reject the field's next larger value of the same
+// shape: one more, or twice as much where the field must be a power of two
+// or make a power-of-two set count. The values are out of the fuzz
+// encoding's reach, so these rows do not seed FuzzConfig.
+var oversizedGeometry = []struct {
+	geometryRow
+	pow2 bool
+}{
+	{geometryRow{DesignLargeSTQ, "STQSize", maxQueueEntries}, false},
+	{geometryRow{DesignSRL, "L1STQSize", maxQueueEntries}, false},
+	{geometryRow{DesignHierarchical, "L2STQSize", maxQueueEntries}, false},
+	{geometryRow{DesignSRL, "SRLSize", maxQueueEntries}, false},
+	{geometryRow{DesignBaseline, "LQSize", maxQueueEntries}, false},
+	{geometryRow{DesignSRL, "WindowCap", maxWindowCap}, false},
+	{geometryRow{DesignFilteredSTQ, "Checkpoints", maxCheckpoints}, false},
+	{geometryRow{DesignHierarchical, "MTBSize", maxTableEntries}, true},
+	{geometryRow{DesignSRL, "LCFSize", maxTableEntries}, true},
+	{geometryRow{DesignBaseline, "StoreSetsSize", maxTableEntries}, true},
+	{geometryRow{DesignSRL, "FCSize", maxFCEntries}, true},
+	{geometryRow{DesignSRL, "LoadBufVictim", maxVictimEntries}, false},
+	{geometryRow{DesignBaseline, "Mem.L1Size", cachesim.MaxCacheBytes}, true},
+	{geometryRow{DesignSRL, "Mem.L2Size", cachesim.MaxCacheBytes}, true},
+	{geometryRow{DesignSRL, "Mem.MSHRs", cachesim.MaxMSHRs}, false},
+	{geometryRow{DesignBaseline, "Mem.PrefetchN", cachesim.MaxPrefetchStreams}, false},
+	{geometryRow{DesignSRL, "Mem.PrefetchD", cachesim.MaxPrefetchDepth}, false},
 }
 
 // ignoredGeometry sets fields to values invalidGeometry rejects, on
@@ -85,8 +110,17 @@ func (r geometryRow) config() Config {
 
 func (r geometryRow) String() string { return fmt.Sprintf("%v %s=%d", r.design, r.field, r.value) }
 
+// geometryField finds field in c, following a dotted path into Mem.
+func geometryField(c *Config, field string) reflect.Value {
+	f := reflect.ValueOf(c).Elem()
+	for _, name := range strings.Split(field, ".") {
+		f = f.FieldByName(name)
+	}
+	return f
+}
+
 func setGeometry(c *Config, field string, v int) {
-	f := reflect.ValueOf(c).Elem().FieldByName(field)
+	f := geometryField(c, field)
 	if f.Kind() == reflect.Uint {
 		f.SetUint(uint64(max(v, 0)))
 	} else {
@@ -95,7 +129,7 @@ func setGeometry(c *Config, field string, v int) {
 }
 
 func getGeometry(c *Config, field string) int {
-	f := reflect.ValueOf(c).Elem().FieldByName(field)
+	f := geometryField(c, field)
 	if f.Kind() == reflect.Uint {
 		return int(f.Uint())
 	}
@@ -153,23 +187,29 @@ func newCore(cfg Config, suite trace.Suite) (c *Core, err error) {
 }
 
 // TestValidateRejectsUnrunnableGeometry requires New to reject each row of
-// invalidGeometry and oversizedGeometry with an error, not a panic,
-// Validate to accept each oversized row's bound itself, and New to accept
-// each row of ignoredGeometry, whose field the design does not use.
+// invalidGeometry, and each oversized row's next larger value, with an
+// error, not a panic; Validate to accept each oversized row's bound
+// itself; and New to accept each row of ignoredGeometry, whose field the
+// design does not use.
 func TestValidateRejectsUnrunnableGeometry(t *testing.T) {
-	for _, r := range append(invalidGeometry, oversizedGeometry...) {
+	rejected := slices.Clone(invalidGeometry)
+	for _, r := range oversizedGeometry {
+		cfg := r.config()
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%v: at its bound, but Validate failed: %v", r.geometryRow, err)
+		}
+		over := r.geometryRow
+		if over.value++; r.pow2 {
+			over.value = 2 * r.value
+		}
+		rejected = append(rejected, over)
+	}
+	for _, r := range rejected {
 		c, err := newCore(r.config(), trace.SINT2K)
 		if c != nil || err == nil {
 			t.Errorf("%v: New accepted it", r)
 		} else if strings.HasPrefix(err.Error(), "panic:") {
 			t.Errorf("%v: New panicked: %v", r, err)
-		}
-	}
-	for _, r := range oversizedGeometry {
-		r.value--
-		cfg := r.config()
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("%v: at its bound, but Validate failed: %v", r, err)
 		}
 	}
 	for _, r := range ignoredGeometry {

@@ -229,12 +229,13 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 	c.res.Design = cfg.Design
 	c.recentLoads = make([]uint64, 64)
 	// Pre-size the ready list and the completion heap from what bounds
-	// their live population (the scheduler windows for ready, a completion
-	// burst for the heap): after at most one amortized growth lap to the
-	// run's true working size, the cycle loop never allocates. Sizing from
-	// WindowCap would be correct too but wastes ~0.7 MB per core across a
-	// sweep's many short-lived cores.
-	c.ready.grow(cfg.SchedInt + cfg.SchedFP + cfg.SchedMem + cfg.IssueWidth)
+	// their live population (the scheduler windows for ready, the memory
+	// scheduler for its park lane, since every parked load holds a slot of
+	// it, and a completion burst for the heap): after at most one amortized
+	// growth lap to the run's true working size, the cycle loop never
+	// allocates. Sizing from WindowCap would be correct too but wastes
+	// ~0.7 MB per core across a sweep's many short-lived cores.
+	c.ready.grow(cfg.SchedInt+cfg.SchedFP+cfg.SchedMem+cfg.IssueWidth, cfg.SchedMem)
 	c.cmpl.Grow(256)
 	c.uopFree = make([]*dynUop, 0, 64)
 	c.ckpts = make([]ckptState, 0, cfg.Checkpoints)

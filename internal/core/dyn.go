@@ -28,6 +28,7 @@ type dynUop struct {
 	done      bool // executed with real data
 	poisoned  bool // carrying poison: exactly while in the SDB
 	committed bool
+	parked    bool // a load whose sources are done, waiting in the ready list's park lane for a load port
 
 	holdsReg bool
 
@@ -109,6 +110,22 @@ func (d *dynUop) anyPoisonedSrc() bool {
 	}
 	m := d.memDep.live()
 	return m != nil && m.poisoned && !m.done
+}
+
+// settled reports whether every producer of d and its memory dependence
+// are done or gone. A done uop stays done until the squash that also
+// squashes d, so a settled uop's anyPoisonedSrc stays false until it issues
+// or is squashed. Passing anyPoisonedSrc does not settle a uop: a producer
+// that re-entered the pipeline from the slice data buffer is neither
+// poisoned nor done, and is poisoned again if it misses again.
+func (d *dynUop) settled() bool {
+	for _, r := range d.prod {
+		if p := r.live(); p != nil && !p.done {
+			return false
+		}
+	}
+	m := d.memDep.live()
+	return m == nil || m.done
 }
 
 // --- window ring ---

@@ -13,11 +13,12 @@ import (
 // the same order, as the min-heap select it replaced: pop every entry in
 // sequence order until the issue budget runs out, set port-blocked entries
 // aside, and push them back at the end. heapSelect keeps that loop as the
-// reference; listSelect is the same decision sequence over readyList, as
-// issue() runs it. Both run against a selWorld — dynUops with the flags
-// the select reads, plus the wake-ups a drain into the slice data buffer
-// causes — and TestReadyListMatchesHeap drives two identical worlds, one
-// per structure, with the same random traffic.
+// reference, unchanged; listSelect is issue()'s scan over readyList's two
+// lanes, with the parked bit. Both run against a selWorld — dynUops with
+// the flags the select reads, plus the wake-ups a drain into the slice
+// data buffer causes and the re-entry into the scheduler a load's
+// execution can cause — and TestReadyListMatchesHeap drives two identical
+// worlds, one per structure, with the same random traffic.
 
 // selAct is what the select did with one entry.
 type selAct uint8
@@ -37,25 +38,55 @@ type selStep struct {
 
 // selWorld is the machine state the select reads and writes.
 type selWorld struct {
+	lanes   bool                  // the select is issue()'s: parked bit and park lane
 	uops    []*dynUop             // uops[i] carries sequence number i+1
 	waiters map[*dynUop][]*dynUop // consumers woken when the key uop drains
 	poison  *dynUop               // a poisoned producer: consumers pointing at it drain
-	push    func(*dynUop)         // inserts into the structure under test
-	queued  func(seq uint64) bool // whether the structure holds an entry for seq
-	log     []selStep
-	woken   map[uint64]bool // consumers woken during the current scan
-	seen    selCoverage
+	// refill is a producer back from the slice data buffer: neither done
+	// nor poisoned, and poisoned again whenever it misses again. A consumer
+	// allocated while it was poisoned holds no wake-up on it, so it passes
+	// the poison check without its source being done.
+	refill        *dynUop
+	push          func(*dynUop)         // inserts into the structure under test
+	queued        func(seq uint64) bool // whether a squashed uop may not be allocated again yet
+	unpark        func(e readyItem) int // moves e's duplicates out of the park lane, returns how many
+	deferred      []*dynUop             // loads whose execution retries next cycle
+	issues        map[*dynUop]int       // executions per uop, which decide re-entry
+	unsettledKept map[*dynUop]bool
+	log           []selStep
+	woken         map[uint64]bool // consumers woken during the current scan
+	pushed        map[uint64]bool // sequence numbers pushed during the current cycle
+	seen          selCoverage
 }
 
 // selCoverage counts the situations the traffic is meant to produce, so
-// the test fails if it stops producing them.
+// the tests fail if it stops producing them. The first five are counted
+// on the reference's side; the rest are the lanes' cases:
+//   - laneSkipped: park-lane entries a scan passed over with the port taken;
+//   - laneIssued: parked loads issued from the park lane;
+//   - unparked: duplicates a parked load left in the park lane when it
+//     issued, which moved back to the main lane;
+//   - reentered: of those loads, the ones that re-entered the scheduler,
+//     so that their moved duplicates were live again;
+//   - squashedParked: parked uops squashed;
+//   - unsettledKept, unsettledDrains: port-blocked loads whose source was
+//     not done, kept in the main lane instead of parked, and those of them
+//     that later drained;
+//   - mixedKeys: selects that began with the reference holding entries
+//     of two epochs under one key.
 type selCoverage struct {
-	duplicates, stale, parks, wokenScanned, exhausted int
+	duplicates, stale, parks, wokenScanned, exhausted         int
+	laneSkipped, laneIssued, unparked, reentered              int
+	squashedParked, unsettledKept, unsettledDrains, mixedKeys int
 }
 
-func newSelWorld(n int) *selWorld {
-	w := &selWorld{waiters: map[*dynUop][]*dynUop{}, woken: map[uint64]bool{}, poison: &dynUop{poisoned: true}}
-	classes := []isa.Class{isa.IntALU, isa.IntALU, isa.Load, isa.Load, isa.Store, isa.FPAdd}
+func newSelWorld(n int, lanes bool) *selWorld {
+	w := &selWorld{
+		lanes: lanes, waiters: map[*dynUop][]*dynUop{}, woken: map[uint64]bool{}, pushed: map[uint64]bool{},
+		issues: map[*dynUop]int{}, unsettledKept: map[*dynUop]bool{},
+		poison: &dynUop{poisoned: true}, refill: &dynUop{},
+	}
+	classes := []isa.Class{isa.IntALU, isa.IntALU, isa.Load, isa.Load, isa.Store, isa.FPAdd, isa.Load}
 	for i := 0; i < n; i++ {
 		d := &dynUop{}
 		d.u.Seq = uint64(i + 1)
@@ -84,9 +115,14 @@ func (w *selWorld) decide(e readyItem, loadP, storeP *int) (act selAct) {
 		w.seen.stale++
 		return selDrop
 	}
-	if d.anyPoisonedSrc() {
+	parked := w.lanes && d.parked
+	if !parked && d.anyPoisonedSrc() {
 		// drainToSDB: the uop leaves the scheduler carrying poison, and
 		// the poison wakes its (younger) consumers in the same cycle.
+		if w.unsettledKept[d] {
+			w.seen.unsettledDrains++
+			delete(w.unsettledKept, d)
+		}
 		d.inSched = false
 		d.poisoned = true
 		for _, c := range w.waiters[d] {
@@ -105,6 +141,14 @@ func (w *selWorld) decide(e readyItem, loadP, storeP *int) (act selAct) {
 	case isa.Load:
 		if *loadP == 0 {
 			w.seen.parks++
+			if w.lanes {
+				if parked || d.settled() {
+					d.parked = true
+				} else {
+					w.seen.unsettledKept++
+					w.unsettledKept[d] = true
+				}
+			}
 			return selPark
 		}
 		*loadP--
@@ -116,6 +160,32 @@ func (w *selWorld) decide(e readyItem, loadP, storeP *int) (act selAct) {
 		*storeP--
 	}
 	d.inSched = false
+	moved := 0
+	if parked {
+		d.parked = false
+		moved = w.unpark(e)
+		w.seen.unparked += moved
+	}
+	delete(w.unsettledKept, d)
+	if d.isLoad() && d.u.Seq%4 == 0 {
+		// Every other execution of these loads re-enters the scheduler,
+		// as executeLoad's waitOn does when the load blocks on a store.
+		if w.issues[d]++; w.issues[d]%2 == 1 {
+			d.inSched = true
+			switch d.u.Seq / 4 % 3 {
+			case 0: // the store is done: retry next cycle
+				w.deferred = append(w.deferred, d)
+			case 1: // wait for the store; an arrival wakes the load
+				d.pendingSrc = 1
+			case 2: // ... and the store drains, so the woken load drains too
+				d.pendingSrc = 1
+				d.memDep = ref(w.poison)
+			}
+			if moved > 0 {
+				w.seen.reentered++
+			}
+		}
+	}
 	return selExec
 }
 
@@ -166,17 +236,36 @@ func heapSelect(h *refHeap, w *selWorld, budget, loadP, storeP int) {
 func listSelect(l *readyList, w *selWorld, budget, loadP, storeP int) {
 	l.begin()
 	for budget > 0 {
-		e, ok := l.next()
+		r := l.r
+		e, ok := l.next(loadP > 0)
 		if !ok {
 			break
+		}
+		d := e.d
+		fromLane := l.r == r
+		wasParked := d.parked
+		if fromLane && e.epoch == d.epoch && !d.parked {
+			panic(fmt.Sprintf("the park lane holds an entry of unparked uop %d at its epoch", e.seq))
 		}
 		switch w.decide(e, &loadP, &storeP) {
 		case selDrop:
 		case selPark:
-			l.keep(e)
+			if d.parked {
+				l.park(e)
+			} else {
+				l.keep(e)
+			}
+		case selExec:
+			if fromLane && wasParked {
+				w.seen.laneIssued++
+			}
+			budget--
 		default:
 			budget--
 		}
+	}
+	if loadP == 0 {
+		w.seen.laneSkipped += len(l.parked) - l.ph
 	}
 	l.end()
 }
@@ -184,21 +273,24 @@ func listSelect(l *readyList, w *selWorld, budget, loadP, storeP int) {
 // selTraffic applies one cycle's random arrivals to w. Both worlds draw
 // from identically seeded generators and read only their own (identical)
 // state, so they receive identical traffic for as long as they agree.
-// With mixed false a squashed uop is not allocated again while entries of
-// its old epoch are still queued.
+// With mixed false a squashed uop is not allocated again while the
+// reference may still hold entries of its old epoch.
 func selTraffic(rng *xrand.RNG, w *selWorld, frontier int, mixed bool) {
 	for k := rng.Intn(6); k > 0; k-- {
 		d := w.uops[frontier-1-rng.Intn(min(frontier, 48))]
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
 		case 0, 1, 2: // (re)allocate into the scheduler, as allocate and replay do
 			if d.inSched || (!mixed && w.queued(d.u.Seq)) {
 				continue
 			}
 			d.inSched, d.poisoned = true, false
 			d.pendingSrc = 0
-			d.prod[0] = uopRef{}
-			if rng.Bool(0.25) {
+			d.prod[0], d.memDep = uopRef{}, uopRef{}
+			switch rng.Intn(8) {
+			case 0, 1:
 				d.prod[0] = ref(w.poison)
+			case 2:
+				d.prod[0] = ref(w.refill)
 			}
 			// Wait on an older uop that will drain, if one is queued.
 			if p := w.uops[int(d.u.Seq)-1-rng.Intn(min(int(d.u.Seq), 8))]; p != d && p.inSched &&
@@ -213,12 +305,17 @@ func selTraffic(rng *xrand.RNG, w *selWorld, frontier int, mixed bool) {
 				w.push(d)
 			}
 		case 4, 5: // squash: the entries it holds go stale
+			if d.parked {
+				w.seen.squashedParked++
+			}
 			d.epoch++
-			d.inSched = false
+			d.inSched, d.parked = false, false
 			d.pendingSrc = 0
 			delete(w.waiters, d)
-		case 6: // a source becomes pending again: entries go stale
-			if d.inSched {
+			delete(w.unsettledKept, d)
+		case 6: // a source becomes pending again: entries go stale (a load's
+			// sources change only when it executes)
+			if d.inSched && !d.isLoad() {
 				d.pendingSrc++
 			}
 		case 7: // ... and that source arrives
@@ -227,125 +324,53 @@ func selTraffic(rng *xrand.RNG, w *selWorld, frontier int, mixed bool) {
 					w.push(d)
 				}
 			}
+		case 8: // the refilled producer misses again, or re-enters again
+			w.refill.poisoned = !w.refill.poisoned
 		}
 	}
 }
 
-// selDiff drives a heap world and a list world with the same traffic for
-// several seeds, hands each cycle's logs and structures to check, and
-// returns what the heap world saw.
-func selDiff(t *testing.T, mixed bool, check func(hLog, lLog []selStep, h *refHeap, l *readyList) string) (seen selCoverage) {
-	const uops, cycles = 600, 4000
-	for seed := uint64(1); seed <= 40; seed++ {
-		h := refHeap{held: map[readyItem]int{}}
-		var l readyList
-		hw, lw := newSelWorld(uops), newSelWorld(uops)
-		hw.push = func(d *dynUop) { h.push(readyItem{seq: d.u.Seq, d: d, epoch: d.epoch}) }
-		lw.push = l.push
-		hw.queued = func(seq uint64) bool {
-			for e := range h.held {
-				if e.seq == seq {
-					return true
-				}
-			}
-			return false
+// agree compares one cycle of the two selects. Leaving out drops, the
+// list's steps must be the heap's minus some load parks: the parked
+// entries the list passes over while the load ports are taken, each of
+// which the heap kept. So both make the same drains and issues in the
+// same order. And both structures must hold the same live entries (current
+// epoch, in the scheduler, no pending source), as many of each: only stale
+// ones may differ.
+func agree(hw, lw *selWorld, h *refHeap, l *readyList) string {
+	hs, ls := liveSteps(hw.log), liveSteps(lw.log)
+	j := 0
+	for _, s := range hs {
+		if j < len(ls) && ls[j] == s {
+			j++
+			continue
 		}
-		lw.queued = func(seq uint64) bool {
-			for _, e := range l.s {
-				if e.seq == seq {
-					return true
-				}
-			}
-			return false
+		if s.act != selPark || hw.uops[s.seq-1].u.Class != isa.Load {
+			return fmt.Sprintf("the list skipped a step the heap took: %v\nheap %v\nlist %v", s, hs, ls)
 		}
-		hrng, lrng, cfg := xrand.New(seed), xrand.New(seed), xrand.New(seed^0x5e1ec7)
-		frontier := 1
-		for cyc := 0; cyc < cycles; cyc++ {
-			frontier = min(frontier+cfg.Intn(3), uops)
-			selTraffic(hrng, hw, frontier, mixed)
-			selTraffic(lrng, lw, frontier, mixed)
-			// Budget exhaustion and port limits are the common case: few
-			// slots, often no free load or store port.
-			budget, loadP, storeP := 1+cfg.Intn(6), cfg.Intn(2), cfg.Intn(2)
-			hw.log, lw.log = hw.log[:0], lw.log[:0]
-			clear(hw.woken)
-			clear(lw.woken)
-			heapSelect(&h, hw, budget, loadP, storeP)
-			listSelect(&l, lw, budget, loadP, storeP)
-			if msg := check(hw.log, lw.log, &h, &l); msg != "" {
-				t.Fatalf("seed %d cycle %d: %s", seed, cyc, msg)
-			}
-		}
-		seen.duplicates += hw.seen.duplicates
-		seen.stale += hw.seen.stale
-		seen.parks += hw.seen.parks
-		seen.wokenScanned += hw.seen.wokenScanned
-		seen.exhausted += hw.seen.exhausted
 	}
-	return seen
-}
-
-// TestReadyListMatchesHeap: with duplicate entries, stale epochs, port
-// limits, budget exhaustion and consumers woken during the scan, the list
-// processes exactly the entries the heap did, in the same order, and holds
-// as many entries after every cycle.
-func TestReadyListMatchesHeap(t *testing.T) {
-	seen := selDiff(t, false, func(hLog, lLog []selStep, h *refHeap, l *readyList) string {
-		if fmt.Sprint(hLog) != fmt.Sprint(lLog) {
-			return fmt.Sprintf("processed\nheap %v\nlist %v", hLog, lLog)
-		}
-		if h.Len() != l.Len() {
-			return fmt.Sprintf("heap holds %d entries, list %d", h.Len(), l.Len())
-		}
-		return ""
-	})
-	t.Logf("coverage: %+v", seen)
-	if seen.duplicates == 0 || seen.stale == 0 || seen.parks == 0 || seen.wokenScanned == 0 || seen.exhausted == 0 {
-		t.Fatalf("traffic no longer covers every case: %+v", seen)
+	if j != len(ls) {
+		return fmt.Sprintf("the list took steps the heap did not\nheap %v\nlist %v", hs, ls)
 	}
-}
-
-// TestReadyListMatchesHeapMixedEpochs adds the one case where the two
-// differ: a squashed uop allocated again while entries of its old epoch
-// are still queued, so one key carries entries of two epochs. The heap
-// popped equal keys in the order its swap history left them; the list
-// keeps push order. At most one epoch is the uop's current one, so every
-// drain, park and issue — all the machine sees — is still the same, and
-// so is the number of current-epoch entries. Only when the budget runs out
-// on that key may stale entries outlive the scan in one structure and not
-// the other, until the next scan drops them. (Instrumented, the machine
-// never queued two epochs under one key in this repository's tests or the
-// full oracle sweep; this bounds what would happen if it did.)
-func TestReadyListMatchesHeapMixedEpochs(t *testing.T) {
-	lenDiffers := 0
-	selDiff(t, true, func(hLog, lLog []selStep, h *refHeap, l *readyList) string {
-		if h.Len() != l.Len() {
-			lenDiffers++
+	live := func(keys map[selStep]int, e readyItem, n int) {
+		if d := e.d; e.epoch == d.epoch && d.inSched && d.pendingSrc == 0 {
+			keys[selStep{seq: e.seq, epoch: e.epoch}] += n
 		}
-		if a, b := fmt.Sprint(liveSteps(hLog)), fmt.Sprint(liveSteps(lLog)); a != b {
-			return fmt.Sprintf("drained, parked and issued\nheap %v\nlist %v", a, b)
-		}
-		hc, lc := 0, 0
-		for e, n := range h.held {
-			if e.epoch == e.d.epoch {
-				hc += n
-			}
-		}
-		for _, e := range l.s[:l.Len()] {
-			if e.epoch == e.d.epoch {
-				lc++
-			}
-		}
-		if hc != lc {
-			return fmt.Sprintf("heap holds %d current-epoch entries, list %d", hc, lc)
-		}
-		return ""
-	})
-	// The traffic must reach the case this test is about.
-	t.Logf("stale entries outlived a scan in one structure only after %d cycles", lenDiffers)
-	if lenDiffers == 0 {
-		t.Fatal("traffic never left stale entries of two epochs under one key at the budget limit")
 	}
+	hk, lk := map[selStep]int{}, map[selStep]int{}
+	for e, n := range h.held {
+		live(hk, e, n)
+	}
+	for _, e := range l.s {
+		live(lk, e, 1)
+	}
+	for _, e := range l.parked[l.ph:] {
+		live(lk, e, 1)
+	}
+	if fmt.Sprint(hk) != fmt.Sprint(lk) {
+		return fmt.Sprintf("live entries differ\nheap %v\nlist %v", hk, lk)
+	}
+	return ""
 }
 
 // liveSteps drops the stale entries a log records.
@@ -359,25 +384,156 @@ func liveSteps(log []selStep) []selStep {
 	return out
 }
 
+// selDiff drives a heap world and a list world with the same traffic for
+// several seeds, checks each cycle with agree, and returns what the heap
+// world saw and the list world's lane counters.
+func selDiff(t *testing.T, mixed bool) (seen selCoverage) {
+	const uops, cycles = 600, 4000
+	for seed := uint64(1); seed <= 40; seed++ {
+		h := refHeap{held: map[readyItem]int{}}
+		var l readyList
+		hw, lw := newSelWorld(uops, false), newSelWorld(uops, true)
+		held := map[uint64]bool{}
+		for _, w := range []*selWorld{hw, lw} {
+			w.queued = func(seq uint64) bool { return held[seq] || w.pushed[seq] }
+		}
+		hw.push = func(d *dynUop) {
+			hw.pushed[d.u.Seq] = true
+			h.push(readyItem{seq: d.u.Seq, d: d, epoch: d.epoch})
+		}
+		lw.push = func(d *dynUop) {
+			lw.pushed[d.u.Seq] = true
+			l.push(d)
+		}
+		hw.unpark = func(readyItem) int { return 0 }
+		lw.unpark = func(e readyItem) int {
+			n := len(l.parked) - l.ph
+			l.unpark(e)
+			return n - (len(l.parked) - l.ph)
+		}
+		hrng, lrng, cfg := xrand.New(seed), xrand.New(seed), xrand.New(seed^0x5e1ec7)
+		frontier := 1
+		for cyc := 0; cyc < cycles; cyc++ {
+			frontier = min(frontier+cfg.Intn(3), uops)
+			// Which keys the reference holds entries for, read by both
+			// worlds, so the non-mixed rule cannot split their traffic.
+			clear(held)
+			for e := range h.held {
+				held[e.seq] = true
+			}
+			for _, w := range []*selWorld{hw, lw} {
+				clear(w.pushed)
+			}
+			selTraffic(hrng, hw, frontier, mixed)
+			selTraffic(lrng, lw, frontier, mixed)
+			// issue() re-arms the uops deferred to this cycle first.
+			for _, w := range []*selWorld{hw, lw} {
+				for _, d := range w.deferred {
+					if d.inSched {
+						w.push(d)
+					}
+				}
+				w.deferred = w.deferred[:0]
+			}
+			// Budget exhaustion and port limits are the common case: few
+			// slots, often no free load or store port.
+			budget, loadP, storeP := 1+cfg.Intn(6), cfg.Intn(3), cfg.Intn(2)
+			epochs := map[uint64]uint32{}
+			for e := range h.held {
+				if ep, ok := epochs[e.seq]; ok && ep != e.epoch {
+					seen.mixedKeys++
+					break
+				}
+				epochs[e.seq] = e.epoch
+			}
+			hw.log, lw.log = hw.log[:0], lw.log[:0]
+			clear(hw.woken)
+			clear(lw.woken)
+			heapSelect(&h, hw, budget, loadP, storeP)
+			listSelect(&l, lw, budget, loadP, storeP)
+			if msg := agree(hw, lw, &h, &l); msg != "" {
+				t.Fatalf("seed %d cycle %d: %s", seed, cyc, msg)
+			}
+		}
+		seen.duplicates += hw.seen.duplicates
+		seen.stale += hw.seen.stale
+		seen.parks += hw.seen.parks
+		seen.wokenScanned += hw.seen.wokenScanned
+		seen.exhausted += hw.seen.exhausted
+		seen.laneSkipped += lw.seen.laneSkipped
+		seen.laneIssued += lw.seen.laneIssued
+		seen.unparked += lw.seen.unparked
+		seen.reentered += lw.seen.reentered
+		seen.squashedParked += lw.seen.squashedParked
+		seen.unsettledKept += lw.seen.unsettledKept
+		seen.unsettledDrains += lw.seen.unsettledDrains
+	}
+	return seen
+}
+
+// covered fails the test unless the traffic produced every case.
+func covered(t *testing.T, seen selCoverage) {
+	t.Helper()
+	t.Logf("coverage: %+v", seen)
+	for _, n := range []int{seen.duplicates, seen.stale, seen.parks, seen.wokenScanned, seen.exhausted,
+		seen.laneSkipped, seen.laneIssued, seen.unparked, seen.reentered,
+		seen.squashedParked, seen.unsettledKept, seen.unsettledDrains} {
+		if n == 0 {
+			t.Fatalf("traffic no longer covers every case: %+v", seen)
+		}
+	}
+}
+
+// TestReadyListMatchesHeap: with duplicate entries, stale epochs, port
+// limits, budget exhaustion, consumers woken during the scan, loads that
+// re-enter the scheduler after issuing, and loads whose source is not yet
+// done, the list makes the drains and issues the heap made, in the same
+// order, and holds the same live entries after every cycle. The list may
+// hold more stale entries: a park-lane entry passed over while the port is
+// taken is dropped only when a later scan reaches it.
+func TestReadyListMatchesHeap(t *testing.T) {
+	seen := selDiff(t, false)
+	covered(t, seen)
+	if seen.mixedKeys != 0 {
+		t.Fatalf("traffic queued entries of two epochs under one key %d times", seen.mixedKeys)
+	}
+}
+
+// TestReadyListMatchesHeapMixedEpochs adds the case where a squashed uop
+// is allocated again while the reference still holds entries of its old
+// epoch, so one key carries entries of two epochs. The heap popped equal
+// keys in the order its swap history left them; the list keeps push
+// order. At most one epoch is the uop's current one, so the drains and
+// issues — all the machine sees — are still the same. (Instrumented, the
+// machine never queued two epochs under one key in this repository's tests
+// or the full oracle sweep; this bounds what would happen if it did.)
+func TestReadyListMatchesHeapMixedEpochs(t *testing.T) {
+	seen := selDiff(t, true)
+	covered(t, seen)
+	if seen.mixedKeys == 0 {
+		t.Fatal("traffic never left entries of two epochs under one key")
+	}
+}
+
 // TestReadyListOlderPushDuringScan covers a push older than the scan
 // position, which the machine never makes (a woken consumer is younger
 // than the uop that woke it) but which the list must still order like a
 // heap: scanned next, and kept in sequence order if it parks.
 func TestReadyListOlderPushDuringScan(t *testing.T) {
-	w := newSelWorld(8)
+	w := newSelWorld(8, false)
 	var l readyList
 	for _, i := range []int{2, 4, 6} {
 		w.uops[i].inSched = true
 		l.push(w.uops[i])
 	}
 	l.begin()
-	e, _ := l.next() // seq 3
+	e, _ := l.next(true) // seq 3
 	l.keep(e)
-	e, _ = l.next() // seq 5
+	e, _ = l.next(true) // seq 5
 	l.keep(e)
 	w.uops[0].inSched = true
 	l.push(w.uops[0]) // seq 1, older than everything scanned
-	if e, _ = l.next(); e.seq != 1 {
+	if e, _ = l.next(true); e.seq != 1 {
 		t.Fatalf("next after an older push is seq %d, want 1", e.seq)
 	}
 	l.keep(e)
@@ -388,5 +544,75 @@ func TestReadyListOlderPushDuringScan(t *testing.T) {
 	}
 	if fmt.Sprint(got) != "[1 3 5 7]" || l.Len() != 4 {
 		t.Fatalf("list after the scan: %v (Len %d), want [1 3 5 7]", got, l.Len())
+	}
+}
+
+// TestReadyListParkLane pins the lane mechanics issue() relies on: a
+// closed lane is passed over, an open one merges oldest first with its
+// entry ahead of a main-lane entry with the same key, parking keeps the
+// lane sorted, and a full lane with consumed slots closes up instead of
+// growing.
+func TestReadyListParkLane(t *testing.T) {
+	var uops [12]dynUop
+	for i := range uops {
+		uops[i].u.Seq = uint64(i + 1)
+	}
+	item := func(i int) readyItem { return readyItem{seq: uops[i].u.Seq, d: &uops[i]} }
+	var l readyList
+	l.grow(4, 4)
+	scan := func(lane bool) (got []uint64) {
+		l.begin()
+		for e, ok := l.next(lane); ok; e, ok = l.next(lane) {
+			got = append(got, e.seq)
+			l.keep(e)
+		}
+		l.end()
+		return got
+	}
+	l.park(item(5))
+	l.park(item(1))
+	l.park(item(3)) // parks out of order: the lane sorts
+	l.push(&uops[3])
+	l.push(&uops[1]) // a duplicate of a parked entry
+	if got := scan(false); fmt.Sprint(got) != "[2 4]" || l.Len() != 5 {
+		t.Fatalf("closed lane: scanned %v, Len %d; want [2 4], 5", got, l.Len())
+	}
+	l.begin()
+	var got []string
+	for {
+		r := l.r
+		e, ok := l.next(true)
+		if !ok {
+			break
+		}
+		lane := "main"
+		if l.r == r {
+			lane = "park"
+		}
+		got = append(got, fmt.Sprintf("%d/%s", e.seq, lane))
+	}
+	l.end()
+	if want := "[2/park 2/main 4/park 4/main 6/park]"; fmt.Sprint(got) != want {
+		t.Fatalf("open lane: visited %v, want %s", got, want)
+	}
+	if l.Len() != 0 || len(l.parked) != 0 || l.ph != 0 {
+		t.Fatalf("a drained lane resets: Len %d, lane %d from %d", l.Len(), len(l.parked), l.ph)
+	}
+	for _, i := range []int{0, 2, 4, 6} {
+		l.park(item(i))
+	}
+	l.begin()
+	l.next(true) // consume seq 1: the lane is full, with one free slot at its head
+	l.end()
+	l.park(item(1))
+	if c := cap(l.parked); c != 4 {
+		t.Fatalf("parking into a full lane with a consumed head grew it to %d", c)
+	}
+	var lane []uint64
+	for _, e := range l.parked[l.ph:] {
+		lane = append(lane, e.seq)
+	}
+	if fmt.Sprint(lane) != "[2 3 5 7]" {
+		t.Fatalf("lane after closing up: %v, want [2 3 5 7]", lane)
 	}
 }

@@ -59,6 +59,7 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 		d.allocated = false
 		d.done = false
 		d.poisoned = false
+		d.parked = false
 		d.pendingSrc = 0
 		c.freeWaiterChain(d.waiters)
 		d.waiters = nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"srlproc/internal/trace"
@@ -104,18 +105,21 @@ func TestDeterminism(t *testing.T) {
 // youngest committed uop is the one before the oldest checkpoint's start,
 // as seqCommitted assumes); every entry of the SRL stall list is an
 // allocated load that is neither in the scheduler nor done (so the retry
-// loop's allocated test is its stall test). Every 1000 cycles: the
-// outstanding-miss counter equals the allocated, unfinished miss loads in
-// the window; the SDB holds exactly the window's poisoned uops, its head
-// is the oldest of them, and that head has no poisoned producer. So that
-// the checks cannot pass vacuously, some cycle must see more than one
-// checkpoint and a stalled load, some check more than one SDB resident,
-// and some cycle that began with a non-empty SDB must restart.
+// loop's allocated test is its stall test); the ready list's lanes pass
+// checkReadyLanes. Every 1000 cycles: the outstanding-miss counter equals
+// the allocated, unfinished miss loads in the window; the SDB holds
+// exactly the window's poisoned uops, its head is the oldest of them, and
+// that head has no poisoned producer; every parked uop in the window has a
+// park-lane entry at its epoch. So that the checks cannot pass vacuously,
+// some cycle must see more than one checkpoint, a stalled load and a
+// parked load, some check more than one SDB resident, and some cycle that
+// began with a non-empty SDB must restart.
 func TestPipelineInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invariant sweep skipped in -short mode")
 	}
-	checks, maxSDB, sdbRestarts, maxCkpts, maxStalled := 0, 0, 0, 0, 0
+	checks, maxSDB, sdbRestarts, maxCkpts, maxStalled, maxParked := 0, 0, 0, 0, 0, 0
+	var lanes laneCheck
 	for _, d := range []StoreDesign{DesignBaseline, DesignLargeSTQ, DesignHierarchical, DesignSRL, DesignFilteredSTQ} {
 		for _, sync := range []bool{false, true} {
 			for _, su := range trace.AllSuites() {
@@ -127,6 +131,7 @@ func TestPipelineInvariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				lanes = laneCheck{}
 				for !c.Done() {
 					sdbBefore, restartsBefore := c.sdb.Len(), c.res.Restarts
 					c.StepCycle()
@@ -150,8 +155,12 @@ func TestPipelineInvariants(t *testing.T) {
 								d, su, sync, c.cycle, ld.u.String(), ld.allocated, ld.inSched, ld.done)
 						}
 					}
+					if msg := lanes.check(c); msg != "" {
+						t.Fatalf("%s/%s sync=%v cycle %d: %s", d, su, sync, c.cycle, msg)
+					}
 					maxCkpts = max(maxCkpts, len(c.ckpts))
 					maxStalled = max(maxStalled, len(c.srlStalled))
+					maxParked = max(maxParked, len(c.ready.parked)-c.ready.ph)
 					if c.cycle%1000 != 0 {
 						continue
 					}
@@ -168,6 +177,10 @@ func TestPipelineInvariants(t *testing.T) {
 								oldestPoisoned = u
 							}
 							poisoned++
+						}
+						if _, ok := lanes.cur[u]; u.parked && !ok {
+							t.Fatalf("%s/%s sync=%v cycle %d: parked uop %s has no park-lane entry at its epoch",
+								d, su, sync, c.cycle, u.u.String())
 						}
 					}
 					if misses != c.outstandingMisses {
@@ -192,12 +205,61 @@ func TestPipelineInvariants(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d window checks; at most %d SDB residents at a check; at most %d checkpoints and %d SRL-stalled loads after a cycle; %d cycles with a non-empty SDB restarted",
-		checks, maxSDB, maxCkpts, maxStalled, sdbRestarts)
+	t.Logf("%d window checks; at most %d SDB residents at a check; at most %d checkpoints, %d SRL-stalled loads and %d park-lane entries after a cycle; %d cycles with a non-empty SDB restarted",
+		checks, maxSDB, maxCkpts, maxStalled, maxParked, sdbRestarts)
 	if maxSDB < 2 || sdbRestarts == 0 {
 		t.Fatal("the SDB checks ran vacuously: no check saw two residents, or no cycle with a non-empty SDB restarted")
 	}
 	if maxCkpts < 2 || maxStalled == 0 {
 		t.Fatal("the checkpoint or stall checks ran vacuously: no cycle saw two checkpoints, or none saw a stalled load")
 	}
+	if maxParked == 0 {
+		t.Fatal("the park-lane checks ran vacuously: no cycle ended with a parked load")
+	}
+}
+
+// laneCheck checks the ready list's lanes after every cycle: both are
+// sorted by sequence number; a park-lane entry at its uop's current epoch
+// names a parked uop (every other entry there is stale for good, which is
+// why the scan may pass the lane over), an allocated load in the scheduler
+// whose sources are done, so none is pending or poisoned; and a uop whose
+// last entry at its epoch left the lane during the cycle is no longer
+// parked at that epoch (it issued or was squashed). cur and prev map the
+// uops with a park-lane entry at their epoch, after this cycle and the one
+// before, to that epoch.
+type laneCheck struct {
+	cur, prev map[*dynUop]uint32
+}
+
+func (k *laneCheck) check(c *Core) string {
+	lane := c.ready.parked[c.ready.ph:]
+	for _, s := range [][]readyItem{c.ready.s, lane} {
+		for i := 1; i < len(s); i++ {
+			if s[i].seq < s[i-1].seq {
+				return fmt.Sprintf("a ready-list lane is unsorted: seq %d after %d", s[i].seq, s[i-1].seq)
+			}
+		}
+	}
+	if k.cur == nil {
+		k.cur, k.prev = map[*dynUop]uint32{}, map[*dynUop]uint32{}
+	}
+	k.cur, k.prev = k.prev, k.cur
+	clear(k.cur)
+	for _, e := range lane {
+		u := e.d
+		if _, seen := k.cur[u]; seen || e.epoch != u.epoch {
+			continue
+		}
+		if !u.parked || !u.allocated || !u.isLoad() || !u.inSched || u.pendingSrc > 0 || u.anyPoisonedSrc() || !u.settled() {
+			return fmt.Sprintf("park-lane uop %s: parked=%v allocated=%v inSched=%v pendingSrc=%d poisonedSrc=%v settled=%v",
+				u.u.String(), u.parked, u.allocated, u.inSched, u.pendingSrc, u.anyPoisonedSrc(), u.settled())
+		}
+		k.cur[u] = u.epoch
+	}
+	for u, epoch := range k.prev {
+		if _, ok := k.cur[u]; !ok && u.parked && u.epoch == epoch {
+			return fmt.Sprintf("uop %s left the park lane still parked", u.u.String())
+		}
+	}
+	return ""
 }

@@ -535,7 +535,9 @@ func (c *Core) issue() {
 	storeP := c.cfg.StorePorts
 	c.ready.begin()
 	for budget > 0 {
-		re, ok := c.ready.next()
+		// Parked loads can only issue, so the park lane is visited only
+		// while a load port is free (ready.go).
+		re, ok := c.ready.next(loadP > 0)
 		if !ok {
 			break
 		}
@@ -543,7 +545,9 @@ func (c *Core) issue() {
 		if re.epoch != d.epoch || !d.inSched || d.pendingSrc > 0 {
 			continue
 		}
-		if d.anyPoisonedSrc() {
+		// A parked load's sources were done when it parked, so it cannot
+		// have turned poisoned before it issues or is squashed.
+		if !d.parked && d.anyPoisonedSrc() {
 			c.drainToSDB(d)
 			budget--
 			continue
@@ -551,10 +555,19 @@ func (c *Core) issue() {
 		switch d.u.Class {
 		case isa.Load:
 			if loadP == 0 {
-				c.ready.keep(re)
+				if d.parked || d.settled() {
+					d.parked = true
+					c.ready.park(re)
+				} else {
+					c.ready.keep(re)
+				}
 				continue
 			}
 			loadP--
+			if d.parked {
+				d.parked = false
+				c.ready.unpark(re)
+			}
 		case isa.Store:
 			if storeP == 0 {
 				c.ready.keep(re)

@@ -63,9 +63,6 @@ func NewLCF(entries int, hash HashKind, counterBits uint) *LCF {
 	}
 }
 
-// Entries returns the number of counters.
-func (f *LCF) Entries() int { return len(f.count) }
-
 // Mutations returns the count of inc, incSticky, dec and reset calls; a
 // reader that saw the same count before would Peek the same answers.
 func (f *LCF) Mutations() uint64 { return f.muts }

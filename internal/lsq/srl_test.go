@@ -298,7 +298,7 @@ func TestSRLKeepsLCFExact(t *testing.T) {
 				unfilled = live
 
 				where := fmt.Sprintf("%d-bit seed %d step %d (%s)", bits, seed, step, op)
-				residents := make([]uint8, lcf.Entries())
+				residents := make([]uint8, len(lcf.count))
 				s.ForEach(func(_ int, e *StoreEntry) {
 					if e.DataReady != e.LCFCounted {
 						t.Fatalf("%s: entry %+v: data ready %v but counted %v", where, *e, e.DataReady, e.LCFCounted)

@@ -98,7 +98,19 @@ echo "cluster-smoke: worker death mid-sweep"
 curl -sf -X POST -H 'Content-Type: application/json' \
     "http://$A4/v1/sweep" -d "$SWEEP_KILL" >"$TMP/killed.json" &
 sweep_pid=$!
-sleep 1
+# Kill worker 2 once it is running part of the sweep, not after a fixed
+# delay: a sweep that finishes first leaves no failure to record. Poll its
+# /healthz for a job in flight for up to 10 s.
+i=0
+until curl -sf "http://$A3/healthz" 2>/dev/null | grep -q '"inflight":[1-9]'; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "cluster-smoke: worker 2 ($A3) had no job in flight within 10s of the no-cache sweep starting; cannot test a mid-sweep kill" >&2
+        cat "$TMP/coord.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
 kill -KILL "$w2" 2>/dev/null || true
 if ! wait "$sweep_pid"; then
     echo "cluster-smoke: sweep failed after worker kill" >&2
