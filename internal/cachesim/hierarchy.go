@@ -46,23 +46,42 @@ type Config struct {
 // (and a prefetch list per confirmed stream), so an unbounded size could
 // ask for more memory than the host can map. Each bound is 16 to 64 times
 // Table 1's: a 1 MB L2, 32 MSHRs, 16 streams and a depth of 12 lines.
+//
+// MaxLatency bounds every latency, in cycles. A latency is added to the
+// current cycle, so a value near 2^64 wraps and a fill completes before it
+// began, as if memory were free; at 2^62 a miss never returns within the
+// core's forward-progress guard. The bound is over 100 times the largest
+// latency any experiment uses, 8000-cycle memory.
 const (
 	MaxCacheBytes      = 64 << 20 // L1Size, L2Size
 	MaxMSHRs           = 1024
-	MaxPrefetchStreams = 256 // PrefetchN
-	MaxPrefetchDepth   = 256 // PrefetchD, lines
+	MaxPrefetchStreams = 256     // PrefetchN
+	MaxPrefetchDepth   = 256     // PrefetchD, lines
+	MaxLatency         = 1 << 20 // L1, L2, memory, far and degraded-far latencies
 )
 
-// Validate checks the cache geometries, the MSHR count, the prefetcher and
-// the far-memory knobs. It rejects every cache NewCache would panic on and
-// every size above its bound. With no MSHR no miss could ever reach memory,
-// and the core would spin until its forward-progress guard gives up.
+// Validate checks the cache geometries, the MSHR count, the prefetcher,
+// the latencies and the far-memory knobs. It rejects every cache NewCache
+// would panic on and every size or latency above its bound. With no MSHR no
+// miss could ever reach memory, and the core would spin until its
+// forward-progress guard gives up.
 func (c *Config) Validate() error {
 	if err := validateCache("L1", c.L1Size, c.L1Assoc); err != nil {
 		return err
 	}
 	if err := validateCache("L2", c.L2Size, c.L2Assoc); err != nil {
 		return err
+	}
+	for _, l := range []struct {
+		name string
+		v    uint64
+	}{
+		{"L1", c.L1Latency}, {"L2", c.L2Latency}, {"memory", c.MemLatency},
+		{"far", c.FarLatency}, {"degraded far", c.FarDegradedLatency},
+	} {
+		if l.v > MaxLatency {
+			return fmt.Errorf("cachesim: %s latency %d exceeds %d cycles", l.name, l.v, MaxLatency)
+		}
 	}
 	switch {
 	case c.MSHRs < 1 || c.MSHRs > MaxMSHRs:
@@ -149,6 +168,16 @@ func NewHierarchy(cfg Config) *Hierarchy {
 // MemAccesses returns the line fetches, demand and prefetch, that went to
 // memory.
 func (h *Hierarchy) MemAccesses() uint64 { return h.memAccesses }
+
+// PrefetchTrains returns the demand misses the stream prefetcher has
+// trained on (zero with the prefetcher off). Each one changed its stream
+// table: it extended a stream, paired with one, or took a slot.
+func (h *Hierarchy) PrefetchTrains() uint64 {
+	if h.pf == nil {
+		return 0
+	}
+	return h.pf.trains
+}
 
 // FarAccesses returns memory fetches (demand or prefetch) served by the
 // far-memory tier.

@@ -72,6 +72,31 @@ func TestMSHRFull(t *testing.T) {
 	}
 }
 
+// TestPrefetchTrainsCountsEveryL1Miss: every L1 miss trains the stream
+// prefetcher, admitted or turned away by a full MSHR file, and an L1 hit
+// does not. The core's skip engine reads the count to see a stream table
+// change that nothing else shows.
+func TestPrefetchTrainsCountsEveryL1Miss(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.PrefetchOn = on
+		cfg.MSHRs = 1
+		h := NewHierarchy(cfg)
+		h.Access(100, 0x10000, false)
+		if !h.Access(100, 0x30000, false).MSHRFull {
+			t.Fatal("a second miss admitted with 1 MSHR")
+		}
+		h.Access(101, 0x10000, false)
+		want := uint64(0)
+		if on {
+			want = 2
+		}
+		if got := h.PrefetchTrains(); got != want {
+			t.Errorf("prefetcher on=%v: %d trains, want %d", on, got, want)
+		}
+	}
+}
+
 func TestWriteAllocatesAndDirties(t *testing.T) {
 	h := smallHier()
 	h.Access(0, 0x1000, true)
@@ -259,6 +284,21 @@ func TestConfigValidate(t *testing.T) {
 		{"streams over the bound", func(c *Config) { c.PrefetchN = MaxPrefetchStreams + 1 }, false},
 		{"negative prefetch depth", func(c *Config) { c.PrefetchD = -1 }, false},
 		{"depth over the bound", func(c *Config) { c.PrefetchD = MaxPrefetchDepth + 1 }, false},
+		{"zero latencies", func(c *Config) { c.L1Latency, c.L2Latency, c.MemLatency = 0, 0, 0 }, true},
+		{"latencies at the bound", func(c *Config) {
+			c.L1Latency, c.L2Latency, c.MemLatency = MaxLatency, MaxLatency, MaxLatency
+			c.FarFrac, c.FarLatency = 0.5, MaxLatency
+			c.FarDegradeAfter, c.FarDegradedLatency = 100, MaxLatency
+		}, true},
+		{"L1 latency over the bound", func(c *Config) { c.L1Latency = MaxLatency + 1 }, false},
+		{"L2 latency over the bound", func(c *Config) { c.L2Latency = MaxLatency + 1 }, false},
+		{"memory latency over the bound", func(c *Config) { c.MemLatency = MaxLatency + 1 }, false},
+		{"memory latency that wraps the cycle count", func(c *Config) { c.MemLatency = ^uint64(0) }, false},
+		{"far latency over the bound", func(c *Config) { c.FarFrac, c.FarLatency = 0.5, MaxLatency+1 }, false},
+		{"degraded latency over the bound", func(c *Config) {
+			c.FarFrac, c.FarLatency = 0.5, 2000
+			c.FarDegradeAfter, c.FarDegradedLatency = 100, MaxLatency+1
+		}, false},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

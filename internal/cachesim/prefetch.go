@@ -7,7 +7,8 @@ import "srlproc/internal/isa"
 // is confirmed, runs a configurable distance ahead of the demand stream.
 type StreamPrefetcher struct {
 	streams []stream
-	depth   int // lines fetched ahead once confirmed
+	depth   int    // lines fetched ahead once confirmed
+	trains  uint64 // OnMiss calls, each of which rewrites a stream slot
 }
 
 type stream struct {
@@ -27,6 +28,7 @@ func NewStreamPrefetcher(n, depth int) *StreamPrefetcher {
 // OnMiss observes a demand miss to addr and returns the line addresses to
 // prefetch (possibly none).
 func (p *StreamPrefetcher) OnMiss(addr uint64, tick uint64) []uint64 {
+	p.trains++
 	la := isa.LineAddr(addr)
 	const ls = int64(isa.CacheLineSize)
 

@@ -57,28 +57,33 @@ func BenchmarkCycleLoop(b *testing.B) {
 }
 
 // BenchmarkCycleLoopSkip measures event-driven cycle skipping (skip.go)
-// against plain stepping on whole runs of the small-STQ baseline in the
-// paper's motivating regime: a deep memory latency (8000 cycles, the
-// "growing memory gap" end of Figure 1) with the prefetcher off, so every
-// miss is a full DRAM shadow and the commit-blocked machine sits fully
-// quiescent for most of its cycles. The two sub-benchmarks must report
-// identical sim-cycles/op: they simulate the same machine, or the
-// identity gate (TestSkipIdentityGoldenPoints) is broken. At the default
-// 800-cycle latency with prefetching the skipped cycles are so cheap the
-// win shrinks to 1-3%; here it is the headline number the CI gate pins.
+// against plain stepping on whole runs of the small-STQ baseline and of
+// SRL in the paper's motivating regime: a deep memory latency (8000
+// cycles, the "growing memory gap" end of Figure 1) with the prefetcher
+// off, so every miss is a full DRAM shadow and the commit-blocked machine
+// sits fully quiescent for most of its cycles. SRL's window holds far more
+// misses, so its loads and drains retry a full MSHR file in nearly twice
+// the share of cycles the baseline's do; the SRL rows show what crossing
+// those waits saves. Each skip row
+// must report the sim-cycles/op of its step row: they simulate the same
+// machine, or the identity gate (TestSkipIdentityGoldenPoints) is broken.
+// At the default 800-cycle latency with prefetching the skipped cycles are
+// so cheap the win shrinks to 1-3%; here it is the headline number the CI
+// gate pins.
 func BenchmarkCycleLoopSkip(b *testing.B) {
-	for _, skip := range []bool{true, false} {
-		name := "skip"
-		if !skip {
-			name = "step"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := DefaultConfig(DesignBaseline)
-			cfg.WarmupUops = 5_000
-			cfg.RunUops = 20_000
-			cfg.Mem.MemLatency = 8000
-			cfg.Mem.PrefetchOn = false
-			cfg.EventSkip = skip
+	for _, row := range []struct {
+		name   string
+		design StoreDesign
+		skip   bool
+	}{
+		{"skip", DesignBaseline, true},
+		{"step", DesignBaseline, false},
+		{"SRL-skip", DesignSRL, true},
+		{"SRL-step", DesignSRL, false},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			cfg := deepCfg(row.design)
+			cfg.EventSkip = row.skip
 			b.ReportAllocs()
 			var cycles uint64
 			b.ResetTimer()

@@ -314,8 +314,9 @@ const (
 
 // Validate checks internal consistency and returns a descriptive error.
 // It rejects every geometry the structure constructors would panic on,
-// the pipeline could never run or the host could not allocate, checking
-// only the fields the design uses.
+// the pipeline could never run or the host could not allocate, and every
+// latency above cachesim.MaxLatency, checking only the fields the design
+// uses.
 func (c *Config) Validate() error {
 	switch {
 	case c.AllocWidth <= 0 || c.IssueWidth <= 0:
@@ -348,6 +349,15 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: AcquireFrac %v out of range [0,1]", c.AcquireFrac)
 	case c.ReleaseFrac < 0 || c.ReleaseFrac > 1:
 		return fmt.Errorf("core: ReleaseFrac %v out of range [0,1]", c.ReleaseFrac)
+	case c.L1STQLatency > cachesim.MaxLatency:
+		return fmt.Errorf("core: L1 STQ latency %d exceeds %d cycles", c.L1STQLatency, cachesim.MaxLatency)
+	case c.MispredictPenalty > cachesim.MaxLatency:
+		return fmt.Errorf("core: mispredict penalty %d exceeds %d cycles", c.MispredictPenalty, cachesim.MaxLatency)
+	case c.Mem.L1Latency > poisonThreshold:
+		// Every L1 hit would count as a long-latency miss and drain to the
+		// slice data buffer; the SRL design then restarts on memory
+		// dependence violations without ever committing.
+		return fmt.Errorf("core: L1 latency %d exceeds the %d-cycle long-latency miss threshold", c.Mem.L1Latency, poisonThreshold)
 	}
 	if err := c.Mem.Validate(); err != nil {
 		return err
@@ -360,6 +370,9 @@ func (c *Config) Validate() error {
 	case DesignHierarchical, DesignSRL:
 		if c.L1STQSize <= 0 || c.L1STQSize > maxQueueEntries {
 			return fmt.Errorf("core: L1 STQ size %d out of range [1,%d]", c.L1STQSize, maxQueueEntries)
+		}
+		if c.L2STQLatency > cachesim.MaxLatency {
+			return fmt.Errorf("core: L2 STQ latency %d exceeds %d cycles", c.L2STQLatency, cachesim.MaxLatency)
 		}
 	}
 	switch c.Design {

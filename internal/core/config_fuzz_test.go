@@ -15,13 +15,17 @@ import (
 
 // geometryFields are the Config fields FuzzConfig varies: every sizing
 // and port count a structure constructor or the pipeline's resource
-// accounting depends on, the memory hierarchy's under Mem. Their order is
-// the fuzz input's byte order.
+// accounting depends on, and every latency the pipeline adds to the cycle
+// count, the memory hierarchy's under Mem. Their order is the fuzz input's
+// byte order; a field added at the end leaves saved corpus entries their
+// meaning.
 var geometryFields = []string{
 	"STQSize", "L1STQSize", "L2STQSize", "MTBSize", "LQSize", "LoadBufAssoc",
 	"LCFSize", "LCFCounterBits", "FCAssoc", "StoreSetsSize",
 	"SchedInt", "SchedFP", "SchedMem", "IntRegs", "FPRegs", "LoadPorts", "StorePorts",
 	"Mem.L1Assoc", "Mem.L2Assoc", "Mem.MSHRs", "Mem.PrefetchN", "Mem.PrefetchD",
+	"L1STQLatency", "L2STQLatency", "MispredictPenalty",
+	"Mem.L1Latency", "Mem.L2Latency", "Mem.MemLatency", "Mem.FarLatency", "Mem.FarDegradedLatency",
 }
 
 // geometryRow is one configuration change: design's defaults with field
@@ -57,6 +61,7 @@ var invalidGeometry = []geometryRow{
 	{DesignHierarchical, "Mem.MSHRs", 0},
 	{DesignBaseline, "Mem.PrefetchN", 0},
 	{DesignSRL, "Mem.PrefetchD", -1},
+	{DesignSRL, "Mem.L1Latency", poisonThreshold + 1},
 }
 
 // oversizedGeometry holds one row per upper bound of Validate, at the
@@ -88,6 +93,13 @@ var oversizedGeometry = []struct {
 	{geometryRow{DesignSRL, "Mem.MSHRs", cachesim.MaxMSHRs}, false},
 	{geometryRow{DesignBaseline, "Mem.PrefetchN", cachesim.MaxPrefetchStreams}, false},
 	{geometryRow{DesignSRL, "Mem.PrefetchD", cachesim.MaxPrefetchDepth}, false},
+	{geometryRow{DesignBaseline, "L1STQLatency", cachesim.MaxLatency}, false},
+	{geometryRow{DesignHierarchical, "L2STQLatency", cachesim.MaxLatency}, false},
+	{geometryRow{DesignSRL, "MispredictPenalty", cachesim.MaxLatency}, false},
+	{geometryRow{DesignHierarchical, "Mem.L2Latency", cachesim.MaxLatency}, false},
+	{geometryRow{DesignSRL, "Mem.MemLatency", cachesim.MaxLatency}, false},
+	{geometryRow{DesignBaseline, "Mem.FarLatency", cachesim.MaxLatency}, false},
+	{geometryRow{DesignFilteredSTQ, "Mem.FarDegradedLatency", cachesim.MaxLatency}, false},
 }
 
 // ignoredGeometry sets fields to values invalidGeometry rejects, on
@@ -121,7 +133,7 @@ func geometryField(c *Config, field string) reflect.Value {
 
 func setGeometry(c *Config, field string, v int) {
 	f := geometryField(c, field)
-	if f.Kind() == reflect.Uint {
+	if f.CanUint() {
 		f.SetUint(uint64(max(v, 0)))
 	} else {
 		f.SetInt(int64(v))
@@ -130,7 +142,7 @@ func setGeometry(c *Config, field string, v int) {
 
 func getGeometry(c *Config, field string) int {
 	f := geometryField(c, field)
-	if f.Kind() == reflect.Uint {
+	if f.CanUint() {
 		return int(f.Uint())
 	}
 	return int(f.Int())

@@ -611,53 +611,85 @@ func (c *Core) finalize() {
 	c.res.FarDegradedAccesses = act.farDegraded - c.actBase.farDegraded
 }
 
-// activity is a snapshot of cumulative structure counters.
+// activity is a snapshot of cumulative structure counters, in two blocks
+// the skip engine (skip.go) treats by type. readActivity holds the counters
+// that only pure lookups bump — a lookup that changes nothing else — so a
+// probe cycle that moved them can still be skipped, and the jump
+// extrapolates them. writeActivity holds the counters of operations that
+// change structure state, which must not move in a probe cycle. A counter
+// added to either block is covered with no edit to skip.go.
 type activity struct {
-	camSearches, camEntryOps            uint64
-	lcfProbes, lcfNonZero, lcfOverflows uint64
-	fcLookups, fcHits                   uint64
-	lbLookups, lbEntryCmps, lbOverflows uint64
-	mtbProbes, mtbMaybes                uint64
-	srlReads, srlWrites                 uint64
-	l1Misses, l2Misses, memAccesses     uint64
-	writebacks                          uint64
-	farAccesses, farDegraded            uint64
+	readActivity
+	writeActivity
 }
 
+// readActivity is the pure-read block: store-queue searches and the entries
+// they compare, LCF probes and the non-zero hits among them, FC lookups, MTB
+// probes and maybes, load-buffer lookups and the entries they compare, and
+// L1 and L2 misses. A miss changes nothing else only when its access finds
+// every MSHR busy; any other miss fills a line, which its caller shows by a
+// queue length, or allocates an MSHR or trains the prefetcher, which the
+// write block shows.
+type readActivity struct {
+	camSearches, camEntryOps uint64
+	lcfProbes, lcfNonZero    uint64
+	fcLookups                uint64
+	mtbProbes, mtbMaybes     uint64
+	lbLookups, lbEntryCmps   uint64
+	l1Misses, l2Misses       uint64
+}
+
+// writeActivity is the block a quiescent cycle leaves unchanged: refused
+// LCF increments and load-buffer overflows, FC hits, SRL reads (a drain)
+// and writes, memory fetches, writebacks, far-tier fetches, and prefetcher
+// training, which rewrites the stream table on every L1 miss.
+type writeActivity struct {
+	lcfOverflows, lbOverflows uint64
+	fcHits                    uint64
+	srlReads, srlWrites       uint64
+	memAccesses, writebacks   uint64
+	farAccesses, farDegraded  uint64
+	pfTrains                  uint64
+}
+
+// snapshotActivity reads the structure counters, plus the reads the skip
+// engine's jumps stand in for (skipState.reads): the sum is what plain
+// stepping would have counted.
 func (c *Core) snapshotActivity() activity {
-	var a activity
-	a.camSearches = c.l1stq.Searches()
-	a.camEntryOps = c.l1stq.CamEntryOps()
+	a := activity{readActivity: c.skip.reads}
+	a.camSearches += c.l1stq.Searches()
+	a.camEntryOps += c.l1stq.CamEntryOps()
 	if c.l2stq != nil {
 		a.camSearches += c.l2stq.Searches()
 		a.camEntryOps += c.l2stq.CamEntryOps()
 	}
 	if c.lcf != nil {
-		a.lcfProbes = c.lcf.Probes()
-		a.lcfNonZero = c.lcf.NonZeroHits()
+		a.lcfProbes += c.lcf.Probes()
+		a.lcfNonZero += c.lcf.NonZeroHits()
 		a.lcfOverflows = c.lcf.Overflows()
 	}
 	if c.fc != nil {
-		a.fcLookups = c.fc.Lookups()
+		a.fcLookups += c.fc.Lookups()
 		a.fcHits = c.fc.Hits()
 	}
-	a.lbLookups = c.ldbuf.Lookups()
-	a.lbEntryCmps = c.ldbuf.EntryCompares()
+	a.lbLookups += c.ldbuf.Lookups()
+	a.lbEntryCmps += c.ldbuf.EntryCompares()
 	a.lbOverflows = c.ldbuf.Overflows()
 	if c.mtb != nil {
-		a.mtbProbes = c.mtb.Probes()
-		a.mtbMaybes = c.mtb.Maybes()
+		a.mtbProbes += c.mtb.Probes()
+		a.mtbMaybes += c.mtb.Maybes()
 	}
 	if c.srl != nil {
 		a.srlReads = c.srl.Reads()
 		a.srlWrites = c.srl.Writes()
 	}
-	a.l1Misses = c.mem.L1.Misses()
-	a.l2Misses = c.mem.L2.Misses()
+	a.l1Misses += c.mem.L1.Misses()
+	a.l2Misses += c.mem.L2.Misses()
 	a.memAccesses = c.mem.MemAccesses()
 	a.writebacks = c.mem.L1.Writebacks() + c.mem.L2.Writebacks()
 	a.farAccesses = c.mem.FarAccesses()
 	a.farDegraded = c.mem.FarDegradedAccesses()
+	a.pfTrains = c.mem.PrefetchTrains()
 	return a
 }
 

@@ -64,7 +64,11 @@ func (l *readyList) grow(n, parked int) {
 }
 
 // Len returns the number of entries in both lanes, including stale ones.
-func (l *readyList) Len() int { return len(l.s) - (l.r - l.w) + len(l.parked) - l.ph }
+func (l *readyList) Len() int { n := l.lens(); return n[0] + n[1] }
+
+// lens returns the number of entries in the main lane and in the park
+// lane, including stale ones.
+func (l *readyList) lens() [2]int { return [2]int{len(l.s) - (l.r - l.w), len(l.parked) - l.ph} }
 
 // push inserts d under its current epoch at its sorted position in the
 // main lane, after any entries with the same key. Inside a scan an entry

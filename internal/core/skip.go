@@ -18,23 +18,36 @@ import "srlproc/internal/obs"
 //     fingerprint, the statistics, and the structure-activity counters.
 //  2. Probe. The next cycle runs for real — no behaviour is guessed.
 //  3. Verify. If the probe changed nothing except per-cycle counters
-//     (Results.StallCounts and the metrics obs flags PerCycle), every
-//     cycle until e must repeat it exactly: the machine state is
-//     unchanged, every cycle-gated branch in the step functions compares
-//     c.cycle against one of the enumerated event thresholds (all >= e),
-//     and the only RNG consumer on a quiescent cycle is the snoop coin,
-//     which applySkip replays draw-for-draw.
-//  4. Jump. Extrapolate the probe's per-cycle deltas across the gap and
-//     set c.cycle = e-1, so the next real step lands exactly on e.
+//     (Results.StallCounts, the metrics obs flags PerCycle) and the
+//     counters that pure reads bump (the read block of the structure
+//     activity: store-queue searches, filter probes, FC and load-buffer
+//     lookups, and the L1 and L2 misses of an access that found every
+//     MSHR busy), every cycle until e must repeat it exactly: the machine
+//     state is unchanged, every cycle-gated branch in the step functions
+//     compares c.cycle against one of the enumerated event thresholds
+//     (all >= e), and the only RNG consumer on a quiescent cycle is the
+//     snoop coin, which applySkip replays draw-for-draw.
+//  4. Jump. Extrapolate the probe's per-cycle deltas across the gap —
+//     the read-block deltas into skipState.reads, which snapshotActivity
+//     adds — and set c.cycle = e-1, so the next real step lands exactly
+//     on e.
 //
 // If verification fails — any other counter moved, any structure changed
 // length, any scalar differs — the probe was just a normal cycle and
 // stepping continues; nothing was skipped, so nothing can be wrong.
 //
+// A load retrying a full MSHR file, or a committed store's drain retrying
+// it, is such a probe: it searches the store queues, probes the filters,
+// misses in both caches and changes nothing, so the machine waits for the
+// next MSHR fill without stepping. With the prefetcher on, every L1 miss
+// also trains the stream table, a write-block counter, so those waits are
+// stepped.
+//
 // What the probe compares is declared by type, not listed here: Core's
-// scalars block, Results' counter blocks, and the metric table's
-// PerCycle flags. TestSkipCoverage fails on a Core or Results field that
-// none of these, a container length or a one-line exemption covers.
+// scalars block, Results' counter blocks, the activity snapshot's read and
+// write blocks, and the metric table's PerCycle flags. TestSkipCoverage
+// fails on a Core, Results or activity field that none of these, a
+// container length or a one-line exemption covers.
 //
 // The golden design-point suite, the determinism tests, the regression
 // corpus and the oracle sweep all run with EventSkip on and off and
@@ -43,10 +56,15 @@ import "srlproc/internal/obs"
 // skipFP is the structural fingerprint of everything a quiescent cycle
 // must leave untouched, one plain comparable value: every scalar of the
 // machine, each container's length, and a hash of the checkpoint records.
-// Lengths stand in for container contents — any insert/remove path that
-// could change contents without changing a length here also moves an
-// activity counter or a one-off statistic, which verifySkip checks
-// separately.
+// Lengths stand in for container contents. A pure read — a store-queue
+// search, a filter probe, an FC or load-buffer lookup, an access that
+// finds every MSHR busy — changes no contents and moves only the read
+// block, which the jump extrapolates. Any other path that could change
+// contents without changing a length here also moves a write-block
+// counter, an event counter or a one-off metric, which verifySkip checks
+// separately. The ready list's two lanes count apart: an older load that
+// takes the load port only to find every MSHR busy can park a younger one,
+// moving it from the main lane to the park lane while the total stays put.
 type skipFP struct {
 	state        scalars
 	lens         skipLens
@@ -55,9 +73,11 @@ type skipFP struct {
 }
 
 // skipLens holds the length of each Core container, in a field named after
-// it (TestSkipCoverage matches the names).
+// it (TestSkipCoverage matches the names). The ready list counts each lane
+// apart: a load that parks moves from one to the other.
 type skipLens struct {
-	win, ckpts, ready, cmpl, sdb        int
+	win, ckpts, cmpl, sdb               int
+	ready                               [2]int
 	srlStalled, unknownStores, deferred int
 	l1stq, l2stq, srl, ldbuf            int
 }
@@ -67,7 +87,6 @@ type skipSnap struct {
 	fp     skipFP
 	events EventCounts
 	stalls StallCounts
-	counts ActivityCounts
 	met    obs.MetricSet
 	act    activity
 }
@@ -87,6 +106,10 @@ type skipState struct {
 	fails uint32
 	wait  uint32
 	snap  skipSnap
+	// reads is what the skipped cycles' pure lookups would have added to
+	// the read-block counters; snapshotActivity adds it to the structures'
+	// own counts.
+	reads readActivity
 }
 
 // skipMinGap is the shortest event distance worth probing. A capture +
@@ -104,7 +127,7 @@ func (c *Core) skipFPCapture() skipFP {
 		lens: skipLens{
 			win:           c.win.len(),
 			ckpts:         len(c.ckpts),
-			ready:         c.ready.Len(),
+			ready:         c.ready.lens(),
 			cmpl:          c.cmpl.Len(),
 			sdb:           c.sdb.Len(),
 			srlStalled:    len(c.srlStalled),
@@ -242,20 +265,20 @@ func (c *Core) skipCapture() skipSnap {
 		fp:     c.skipFPCapture(),
 		events: c.res.EventCounts,
 		stalls: c.res.StallCounts,
-		counts: c.res.ActivityCounts,
 		met:    c.metrics,
 		act:    c.snapshotActivity(),
 	}
 }
 
 // verifySkip reports whether the probe cycle was quiescent: the
-// fingerprint, the structure-activity counters and every Results counter
+// fingerprint, the write-block activity counters and every Results counter
 // outside StallCounts are unchanged, and of the metrics only per-cycle
-// ones may have advanced.
+// ones may have advanced. The read-block counters may have moved. Only
+// finalize fills Results.ActivityCounts, so it is compared with zero.
 func (c *Core) verifySkip() bool {
 	s := &c.skip.snap
-	if c.skipFPCapture() != s.fp || c.snapshotActivity() != s.act ||
-		c.res.EventCounts != s.events || c.res.ActivityCounts != s.counts {
+	if c.skipFPCapture() != s.fp || c.snapshotActivity().writeActivity != s.act.writeActivity ||
+		c.res.EventCounts != s.events || c.res.ActivityCounts != (ActivityCounts{}) {
 		return false
 	}
 	for m, v := range c.metrics {
@@ -295,7 +318,8 @@ func (c *Core) applySkip() {
 }
 
 // addSkipDeltas accumulates w more copies of the probe cycle's per-cycle
-// deltas: the stall block and the per-cycle metrics. Everything else was
+// deltas: the stall block, the per-cycle metrics and the read-block
+// activity counters, the last into skipState.reads. Everything else was
 // verified unchanged, and the occupancy trackers need nothing —
 // stats.OccupancyTracker.Set accrues (cycle - lastCycle) at the last
 // level, so the next real Set call accounts the gap exactly as per-cycle
@@ -311,6 +335,8 @@ func (c *Core) addSkipDeltas(w uint64) {
 			c.metrics[m] += (c.metrics[m] - s.met[m]) * w
 		}
 	}
+	act := c.snapshotActivity()
+	extrapolateReads(&c.skip.reads, &act.readActivity, &s.act.readActivity, w)
 }
 
 // extrapolateStalls adds w more copies of each field's delta since snap
@@ -323,4 +349,20 @@ func extrapolateStalls(cur, snap *StallCounts, w uint64) {
 	cur.StallCkpt += (cur.StallCkpt - snap.StallCkpt) * w
 	cur.StallWindow += (cur.StallWindow - snap.StallWindow) * w
 	cur.StallSDB += (cur.StallSDB - snap.StallSDB) * w
+}
+
+// extrapolateReads adds to off w more copies of each read counter's delta
+// from snap to cur.
+func extrapolateReads(off, cur, snap *readActivity, w uint64) {
+	off.camSearches += (cur.camSearches - snap.camSearches) * w
+	off.camEntryOps += (cur.camEntryOps - snap.camEntryOps) * w
+	off.lcfProbes += (cur.lcfProbes - snap.lcfProbes) * w
+	off.lcfNonZero += (cur.lcfNonZero - snap.lcfNonZero) * w
+	off.fcLookups += (cur.fcLookups - snap.fcLookups) * w
+	off.mtbProbes += (cur.mtbProbes - snap.mtbProbes) * w
+	off.mtbMaybes += (cur.mtbMaybes - snap.mtbMaybes) * w
+	off.lbLookups += (cur.lbLookups - snap.lbLookups) * w
+	off.lbEntryCmps += (cur.lbEntryCmps - snap.lbEntryCmps) * w
+	off.l1Misses += (cur.l1Misses - snap.l1Misses) * w
+	off.l2Misses += (cur.l2Misses - snap.l2Misses) * w
 }

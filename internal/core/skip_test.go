@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"srlproc/internal/obs"
 	"srlproc/internal/trace"
@@ -44,9 +45,11 @@ func runSkipVariant(t testing.TB, cfg Config, suite trace.Suite, skip bool) (*Re
 
 // skipIdentityPoints is the design-point matrix the skip-identity and
 // golden tests share: every store organisation (plus the no-LCF SRL
-// ablation, and SRL with sync knobs with and without the WAR tracker, the
-// latter so the release gate does real work) crossed with three workload
-// suites — 24 points.
+// ablation, SRL with sync knobs with and without the WAR tracker, the
+// latter so the release gate does real work, and baseline and SRL at
+// 8000-cycle memory with the prefetcher off, where loads wait for a free
+// MSHR through long skipped gaps) crossed with three workload suites — 30
+// points.
 func skipIdentityPoints() []struct {
 	Name  string
 	Cfg   Config
@@ -77,6 +80,8 @@ func skipIdentityPoints() []struct {
 			c.UseWARTracker = false
 			return c
 		}()},
+		{"baseline-deep", deepCfg(DesignBaseline)},
+		{"srl-deep", deepCfg(DesignSRL)},
 	}
 	suites := []trace.Suite{trace.SFP2K, trace.SINT2K, trace.WEB}
 	var pts []struct {
@@ -193,6 +198,25 @@ func TestSkipIdentityObserved(t *testing.T) {
 	}
 }
 
+// skipLoop runs cfg/suite with event skipping, one real step and one skip
+// decision per loop iteration as RunContext takes them, and returns the
+// cycles simulated and the iterations it took.
+func skipLoop(t *testing.T, cfg Config, suite trace.Suite) (cycles, iters uint64) {
+	t.Helper()
+	cfg.EventSkip = true
+	c, err := New(cfg, suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !c.Done() {
+		c.StepCycle()
+		c.maybeSkip()
+		iters++
+	}
+	c.Finalize()
+	return c.cycle, iters
+}
+
 // TestSkipActuallySkips proves the fast path engages: every store design
 // spends stretches in miss shadows with the whole machine quiescent, so
 // the loop must skip a real share of the cycles it simulates. Each floor
@@ -212,25 +236,39 @@ func TestSkipActuallySkips(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.d.String(), func(t *testing.T) {
-			cfg := shortCfg(tc.d)
-			cfg.EventSkip = true
-			c, err := New(cfg, trace.SFP2K)
-			if err != nil {
-				t.Fatal(err)
-			}
-			iters := uint64(0)
-			for !c.Done() {
-				c.StepCycle()
-				c.maybeSkip()
-				iters++
-			}
-			c.Finalize()
-			share := 100 * float64(c.cycle-iters) / float64(c.cycle)
-			t.Logf("%d cycles in %d iterations (%.1f%% skipped)", c.cycle, iters, share)
+			cycles, iters := skipLoop(t, shortCfg(tc.d), trace.SFP2K)
+			share := 100 * float64(cycles-iters) / float64(cycles)
+			t.Logf("%d cycles in %d iterations (%.1f%% skipped)", cycles, iters, share)
 			if share < tc.minShare {
 				t.Fatalf("skipped %.1f%% of cycles, want at least %.1f%%", share, tc.minShare)
 			}
 		})
+	}
+}
+
+// TestSkipMSHRWaits proves the skip engine crosses MSHR waits. At
+// 8000-cycle memory with the prefetcher off, an SRL core spends a large
+// share of its stepped cycles with a load (or a committed store's drain)
+// retrying a full MSHR file. Each retry bumps only read-block counters —
+// store-queue searches, LCF probes, FC lookups, L1 and L2 misses — which
+// the jump extrapolates. An engine that vetoed on them stepped through
+// every such wait and needed 269,167 iterations for this point; with them
+// extrapolated it needs 165,547. The bound sits between the two.
+func TestSkipMSHRWaits(t *testing.T) {
+	cycles, iters := skipLoop(t, deepCfg(DesignSRL), trace.SFP2K)
+	t.Logf("%d cycles in %d iterations", cycles, iters)
+	if iters >= 217_000 {
+		t.Fatalf("%d iterations, want fewer than 217,000", iters)
+	}
+}
+
+// TestCoreSizeClass keeps Core inside Go's 4,096-byte size class: a sweep
+// builds one core per design point, and the next class up is 4,864 bytes.
+// Core is 4,080 bytes on 64-bit hosts; the skip engine's read-count offset
+// fits because its snapshot no longer copies Results.ActivityCounts.
+func TestCoreSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Core{}); n > 4096 {
+		t.Fatalf("Core is %d bytes, past the 4,096-byte size class", n)
 	}
 }
 
@@ -300,9 +338,10 @@ var skipExempt = []struct {
 		"uopFree", "nodeFree", "srlRetryScratch"}},
 	{"touched only when a uop is fetched, allocated, executed, completed or squashed, which moves a length or scalar",
 		[]string{"gen", "lastWriter", "order", "syncs", "bp", "mdp", "conf", "recentLoads"}},
-	{"filters beside the queues: a probe bumps a counter snapshotActivity reads, an insert moves a queue length",
+	{"filters beside the queues: a lookup changes nothing but a read-block counter; an update rides on a queue insert or removal, which moves a length, or is a refused LCF increment or an FC hit, which move the write block",
 		[]string{"mtb", "lcf", "fc"}},
-	{"the memory system: accessed only by executing uops, and its fills are nextEventCycle wake events", []string{"mem"}},
+	{"the memory system: an access that finds every MSHR busy changes nothing but read-block misses (and, with the prefetcher on, the write block's training count); any other access changes cache state, which its caller shows by a length, scalar or one-off metric; fills are nextEventCycle wake events",
+		[]string{"mem"}},
 	{"the snoop coin, which applySkip replays draw-for-draw", []string{"snoopRNG"}},
 	{"free-form extras, bumped only beside an SDB drain or a miss", []string{"counters"}},
 	{"srlOcc accrues a gap exactly at its next Set; actBase moves only with measuring", []string{"srlOcc", "actBase"}},
@@ -316,12 +355,20 @@ var skipExempt = []struct {
 var skipResultsExempt = []string{"Suite", "Design", "SRLOccupancy", "Metrics",
 	"Timeline", "Trace", "Counters", "Divergences", "DivergenceCount"}
 
+// settable returns v, a field reached through unexported names, as a value
+// the test can set.
+func settable(v reflect.Value) reflect.Value {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+}
+
 // TestSkipCoverage makes the skip engine's safety structural: every field of
 // Core and Results must be compared whole by the probe verification,
 // fingerprinted by length, or exempt with a reason — so a field added
 // anywhere fails here until it is classified. Core's scalars must live in
 // the scalars block; a move in any Results block must veto the skip,
-// except in StallCounts, whose every field the jump must advance.
+// except in StallCounts, whose every field the jump must advance. Every
+// structure-activity counter must sit in the read block, whose moves the
+// jump extrapolates, or in the write block, whose moves veto.
 func TestSkipCoverage(t *testing.T) {
 	scalarKind := func(k reflect.Kind) bool {
 		return k == reflect.Bool || k == reflect.String ||
@@ -417,6 +464,43 @@ func TestSkipCoverage(t *testing.T) {
 	for i := 0; i < v.NumField(); i++ {
 		if v.Field(i).Uint() != 2 {
 			t.Errorf("extrapolateStalls does not advance StallCounts.%s", v.Type().Field(i).Name)
+		}
+	}
+
+	// The activity rule: every counter sits in the read block, whose moves
+	// the jump extrapolates, or in the write block, whose moves veto. A
+	// probe that moved a counter by one is simulated by lowering the
+	// snapshot's copy.
+	readT, writeT := reflect.TypeOf(readActivity{}), reflect.TypeOf(writeActivity{})
+	av := reflect.ValueOf(&c.skip.snap.act).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		f := av.Type().Field(i)
+		if !f.Anonymous || (f.Type != readT && f.Type != writeT) {
+			t.Errorf("activity.%s is in neither the read nor the write block", f.Name)
+			continue
+		}
+		reads := f.Type == readT
+		block := av.Field(i)
+		for j := 0; j < block.NumField(); j++ {
+			name, fv := block.Type().Field(j).Name, settable(block.Field(j))
+			if fv.Kind() != reflect.Uint64 {
+				t.Errorf("%s.%s is not a uint64 counter", f.Name, name)
+				continue
+			}
+			fv.SetUint(fv.Uint() - 1)
+			if vetoed := !c.verifySkip(); vetoed == reads {
+				t.Errorf("a move in %s.%s: skip vetoed = %v", f.Name, name, vetoed)
+			}
+			if reads {
+				c.addSkipDeltas(3)
+				var want readActivity
+				settable(reflect.ValueOf(&want).Elem().Field(j)).SetUint(3)
+				if c.skip.reads != want {
+					t.Errorf("a move in %s.%s extrapolates to %+v, want %+v", f.Name, name, c.skip.reads, want)
+				}
+				c.skip.reads = readActivity{}
+			}
+			fv.SetUint(fv.Uint() + 1)
 		}
 	}
 }

@@ -15,6 +15,16 @@ func shortCfg(d StoreDesign) Config {
 	return cfg
 }
 
+// deepCfg is shortCfg at the far end of the paper's memory gap: 8000-cycle
+// memory with the prefetcher off, so every miss is a full memory shadow and
+// loads and store drains queue for a free MSHR.
+func deepCfg(d StoreDesign) Config {
+	cfg := shortCfg(d)
+	cfg.Mem.MemLatency = 8000
+	cfg.Mem.PrefetchOn = false
+	return cfg
+}
+
 // withSyncKnobs adds the ordering experiment's sync traffic to cfg:
 // fences, load-acquires and store-releases exercise every ordering gate.
 func withSyncKnobs(cfg Config) Config {
