@@ -41,10 +41,10 @@ bench:
 	go test -run '^$$' -bench BenchmarkSweepMatrix -benchtime 1x -benchmem .
 
 # Machine-readable perf trajectory: the cycle-loop, ready-list,
-# order-tracker, trace-generator and MSHR miss-path micro-benchmarks (three
-# repetitions: the minimum kept for the gate, with n, mean and std beside
-# it) plus the end-to-end sweep matrix, rendered to BENCH_core.json by
-# cmd/benchjson.
+# order-tracker, trace-generator and MSHR miss-path micro-benchmarks and
+# one full design point per design (three repetitions: the minimum kept for
+# the gate, with n, mean and std beside it) plus the end-to-end sweep
+# matrix, rendered to BENCH_core.json by cmd/benchjson.
 # This file is the CI bench gate's baseline and the repo's recorded perf
 # history — regenerate and commit it when a PR intentionally shifts
 # performance.
@@ -58,6 +58,8 @@ bench-json:
 	       -benchtime 20000x -count 3 -benchmem ./internal/lsq && \
 	   go test -run '^$$' -bench '^BenchmarkCycleLoopSkip(/|$$)' \
 	       -benchtime 10x -count 3 -benchmem ./internal/core && \
+	   go test -run '^$$' -bench '^BenchmarkDesignPoint(/|$$)' \
+	       -benchtime 1x -count 3 -benchmem ./internal/core && \
 	   go test -run '^$$' -bench '^BenchmarkGeneratorNext(/|$$)' \
 	       -benchtime 200000x -count 3 -benchmem ./internal/trace && \
 	   go test -run '^$$' -bench '^BenchmarkHierarchyMissPath$$' \
@@ -138,11 +140,14 @@ paper-smoke:
 # short simulation of whatever it accepts, then FUZZTIME of machine
 # geometries near Table 1's, each rejected by Config.Validate or run, then
 # FUZZTIME of arbitrary /v1/simulate bodies through the server's handler,
-# each answered with a short run's Results or a 4xx envelope. Failing
-# fuzz inputs are auto-saved under internal/check/testdata/fuzz/FuzzOracle/,
+# each answered with a short run's Results or a 4xx envelope, then FUZZTIME
+# of arbitrary paper grids (scripts/paper/experiments.json's format), each
+# rejected by ParseGrid or planned for every profile. Failing fuzz inputs
+# are auto-saved under internal/check/testdata/fuzz/FuzzOracle/,
 # internal/trace/testdata/fuzz/FuzzReadRecords/,
-# internal/core/testdata/fuzz/FuzzConfig/ and
-# internal/serve/testdata/fuzz/FuzzSimulateRequest/ and become permanent
+# internal/core/testdata/fuzz/FuzzConfig/,
+# internal/serve/testdata/fuzz/FuzzSimulateRequest/ and
+# internal/paper/testdata/fuzz/FuzzGridConfig/ and become permanent
 # regression seeds; minimize an oracle one with
 # `go run ./cmd/traceconv minimize`.
 FUZZTIME ?= 30s
@@ -153,3 +158,4 @@ fuzz:
 	go test ./internal/trace -run '^$$' -fuzz FuzzReadRecords -fuzztime $(FUZZTIME)
 	go test ./internal/core -run '^$$' -fuzz FuzzConfig -fuzztime $(FUZZTIME)
 	go test ./internal/serve -run '^$$' -fuzz FuzzSimulateRequest -fuzztime $(FUZZTIME)
+	go test ./internal/paper -run '^$$' -fuzz FuzzGridConfig -fuzztime $(FUZZTIME)

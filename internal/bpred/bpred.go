@@ -72,7 +72,9 @@ func (g *Gshare) Update(pc uint64, taken bool) {
 // Perceptron is Jiménez & Lin's perceptron predictor: per-PC weight vectors
 // dotted with the global history register.
 type Perceptron struct {
-	weights   [][]int16
+	// weights holds every row in one array, each its bias weight first,
+	// then one weight per history bit; row returns a branch's span.
+	weights   []int8
 	history   []int8 // +1 taken, -1 not taken
 	threshold int32
 	mask      uint64
@@ -85,13 +87,10 @@ func NewPerceptron(rows int, histLen int) *Perceptron {
 		panic("bpred: perceptron rows must be a positive power of two")
 	}
 	p := &Perceptron{
-		weights:   make([][]int16, rows),
+		weights:   make([]int8, rows*(histLen+1)), // +1 per row for the bias weight
 		history:   make([]int8, histLen),
 		threshold: int32(1.93*float64(histLen) + 14), // standard training threshold
 		mask:      uint64(rows - 1),
-	}
-	for i := range p.weights {
-		p.weights[i] = make([]int16, histLen+1) // +1 for bias weight
 	}
 	for i := range p.history {
 		p.history[i] = -1
@@ -99,8 +98,15 @@ func NewPerceptron(rows int, histLen int) *Perceptron {
 	return p
 }
 
+// row returns the weight vector of the branch at pc.
+func (p *Perceptron) row(pc uint64) []int8 {
+	n := len(p.history) + 1
+	lo := int((pc>>2)&p.mask) * n
+	return p.weights[lo : lo+n]
+}
+
 func (p *Perceptron) output(pc uint64) int32 {
-	w := p.weights[(pc>>2)&p.mask]
+	w := p.row(pc)
 	y := int32(w[0]) // bias
 	for i, h := range p.history {
 		y += int32(w[i+1]) * int32(h)
@@ -120,10 +126,10 @@ func (p *Perceptron) Update(pc uint64, taken bool) {
 		t = 1
 	}
 	if pred != taken || abs32(y) <= p.threshold {
-		w := p.weights[(pc>>2)&p.mask]
-		w[0] = satAdd(w[0], int16(t))
+		w := p.row(pc)
+		w[0] = satAdd(w[0], t)
 		for i, h := range p.history {
-			w[i+1] = satAdd(w[i+1], int16(t*int32(h)))
+			w[i+1] = satAdd(w[i+1], t*int32(h))
 		}
 	}
 	copy(p.history, p.history[1:])
@@ -206,14 +212,15 @@ func abs32(x int32) int32 {
 	return x
 }
 
-func satAdd(a, b int16) int16 {
-	s := int32(a) + int32(b)
-	const lim = 127 // 8-bit weights stored in int16 for simplicity
+// satAdd adds b to the 8-bit weight a, saturating at ±127.
+func satAdd(a int8, b int32) int8 {
+	s := int32(a) + b
+	const lim = 127
 	if s > lim {
 		return lim
 	}
 	if s < -lim {
 		return -lim
 	}
-	return int16(s)
+	return int8(s)
 }

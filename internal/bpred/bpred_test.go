@@ -102,3 +102,19 @@ func TestConstructorValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestSatAddSaturatesAt127: perceptron weights are stored in 8 bits, so a
+// weight at the ±127 clamp stays there instead of wrapping.
+func TestSatAddSaturatesAt127(t *testing.T) {
+	for _, c := range []struct {
+		a    int8
+		b    int32
+		want int8
+	}{
+		{0, 1, 1}, {5, -1, 4}, {126, 1, 127}, {127, 1, 127}, {-126, -1, -127}, {-127, -1, -127},
+	} {
+		if got := satAdd(c.a, c.b); got != c.want {
+			t.Errorf("satAdd(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}

@@ -13,11 +13,10 @@ import (
 	"srlproc/internal/isa"
 )
 
-// line is one cache line's bookkeeping.
+// line is one cache line's bookkeeping, 32 bytes: the words first, then
+// the flags, so the four bools share one word.
 type line struct {
 	tag   uint64
-	valid bool
-	dirty bool
 	ready uint64 // cycle at which the fill completes (0 = long resident)
 	// Speculative state for checkpointed store updates (Section 4.3):
 	// spec marks a line holding an uncommitted store's data; specCkpt is the
@@ -25,16 +24,23 @@ type line struct {
 	// block is allowed). specTemp additionally marks a *temporary* update —
 	// an independent store's pre-redo write in the §6.5 "use the data cache
 	// for forwarding" variant — which is discarded when the redo begins.
+	specCkpt int
+	valid    bool
+	dirty    bool
 	spec     bool
 	specTemp bool
-	specCkpt int
 }
 
 // Cache is one set-associative, write-back, write-allocate cache level with
 // LRU replacement.
 type Cache struct {
-	name     string
-	sets     [][]line // each set ordered MRU-first
+	name string
+	// lines holds every set in one array: set si is the span set(si)
+	// returns, its fill[si] resident lines from lines[si*assoc], ordered
+	// MRU-first. A set fills to assoc lines and never shrinks (an
+	// invalidated line keeps its way until it is evicted).
+	lines    []line
+	fill     []uint32
 	assoc    int
 	setMask  uint64 // set count - 1
 	tagShift uint   // log2(line size * set count)
@@ -60,12 +66,10 @@ func NewCache(name string, sizeBytes, assoc int, latency uint64) *Cache {
 	for 1<<tagShift < isa.CacheLineSize*numSets {
 		tagShift++
 	}
-	c := &Cache{name: name, assoc: assoc, setMask: uint64(numSets - 1), tagShift: tagShift, latency: latency}
-	c.sets = make([][]line, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, 0, assoc)
+	return &Cache{
+		name: name, lines: make([]line, numSets*assoc), fill: make([]uint32, numSets),
+		assoc: assoc, setMask: uint64(numSets - 1), tagShift: tagShift, latency: latency,
 	}
-	return c
 }
 
 // Misses returns the raw miss count; Writebacks the dirty evictions.
@@ -78,6 +82,12 @@ func (c *Cache) setIdx(addr uint64) uint64 {
 
 func (c *Cache) tag(addr uint64) uint64 { return addr >> c.tagShift }
 
+// set returns set si's resident lines, MRU-first: a span of the one array.
+func (c *Cache) set(si uint64) []line {
+	lo := si * uint64(c.assoc)
+	return c.lines[lo : lo+uint64(c.fill[si])]
+}
+
 // lineAddr rebuilds the address of the line with tag in set si.
 func (c *Cache) lineAddr(tag, si uint64) uint64 {
 	return tag<<c.tagShift | si*isa.CacheLineSize
@@ -89,7 +99,7 @@ func (c *Cache) lineAddr(tag, si uint64) uint64 {
 func (c *Cache) Lookup(cycle, addr uint64) (hit bool, ready uint64) {
 	si := c.setIdx(addr)
 	tag := c.tag(addr)
-	set := c.sets[si]
+	set := c.set(si)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			l := set[i]
@@ -108,10 +118,10 @@ func (c *Cache) Lookup(cycle, addr uint64) (hit bool, ready uint64) {
 
 // Contains reports presence without touching LRU or counters.
 func (c *Cache) Contains(addr uint64) bool {
-	si := c.setIdx(addr)
 	tag := c.tag(addr)
-	for i := range c.sets[si] {
-		if c.sets[si][i].valid && c.sets[si][i].tag == tag {
+	set := c.set(c.setIdx(addr))
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
 			return true
 		}
 	}
@@ -131,7 +141,7 @@ type Evicted struct {
 func (c *Cache) Insert(addr, readyAt uint64, dirty bool) Evicted {
 	si := c.setIdx(addr)
 	tag := c.tag(addr)
-	set := c.sets[si]
+	set := c.set(si)
 	// Already present (e.g. racing fills): just update.
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -144,8 +154,8 @@ func (c *Cache) Insert(addr, readyAt uint64, dirty bool) Evicted {
 	}
 	nl := line{tag: tag, valid: true, dirty: dirty, ready: readyAt, specCkpt: -1}
 	if len(set) < c.assoc {
-		c.sets[si] = append(set, line{})
-		set = c.sets[si]
+		c.fill[si]++
+		set = c.set(si)
 		copy(set[1:], set[:len(set)-1])
 		set[0] = nl
 		return Evicted{}
@@ -165,11 +175,11 @@ func (c *Cache) Insert(addr, readyAt uint64, dirty bool) Evicted {
 
 // MarkDirty sets the dirty bit on addr's line if present.
 func (c *Cache) MarkDirty(addr uint64) {
-	si := c.setIdx(addr)
 	tag := c.tag(addr)
-	for i := range c.sets[si] {
-		if c.sets[si][i].valid && c.sets[si][i].tag == tag {
-			c.sets[si][i].dirty = true
+	set := c.set(c.setIdx(addr))
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			set[i].dirty = true
 			return
 		}
 	}
@@ -177,9 +187,8 @@ func (c *Cache) MarkDirty(addr uint64) {
 
 // Invalidate drops addr's line, returning whether it was present and dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	si := c.setIdx(addr)
 	tag := c.tag(addr)
-	set := c.sets[si]
+	set := c.set(c.setIdx(addr))
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			d := set[i].dirty
@@ -217,9 +226,8 @@ type SpecWriteResult struct {
 // line, implementing the one-version rule of Section 4.3. temp marks a
 // temporary (pre-redo) update that DiscardSpecTemp will drop.
 func (c *Cache) SpecWrite(addr uint64, ckpt int, temp bool) SpecWriteResult {
-	si := c.setIdx(addr)
 	tag := c.tag(addr)
-	set := c.sets[si]
+	set := c.set(c.setIdx(addr))
 	for i := range set {
 		if !set[i].valid || set[i].tag != tag {
 			continue
@@ -296,9 +304,10 @@ func (c *Cache) walkSpec(fn func(l *line, si uint64)) {
 		return
 	}
 	c.anySpec = false
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			l := &c.sets[si][i]
+	for si := range c.fill {
+		set := c.set(uint64(si))
+		for i := range set {
+			l := &set[i]
 			if l.valid && l.spec {
 				fn(l, uint64(si))
 				c.anySpec = c.anySpec || (l.valid && l.spec)
@@ -311,10 +320,10 @@ func (c *Cache) walkSpec(fn func(l *line, si uint64)) {
 // temporary (pre-redo) speculative update — the §6.5 variant's forwarding
 // source.
 func (c *Cache) HasTempSpec(addr uint64) bool {
-	si := c.setIdx(addr)
 	tag := c.tag(addr)
-	for i := range c.sets[si] {
-		l := &c.sets[si][i]
+	set := c.set(c.setIdx(addr))
+	for i := range set {
+		l := &set[i]
 		if l.valid && l.tag == tag {
 			return l.spec && l.specTemp
 		}

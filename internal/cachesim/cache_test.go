@@ -1,8 +1,20 @@
 package cachesim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func newSmall() *Cache { return NewCache("t", 4*64*2, 2, 3) } // 4 sets, 2-way
+
+// TestLineSize pins a cache line's bookkeeping at 32 bytes, words first:
+// Table 1's L2 holds 16,384 of them, and with the flags between the words
+// a line took 40.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 32 {
+		t.Fatalf("line is %d bytes, want 32", n)
+	}
+}
 
 func TestLookupMissThenHit(t *testing.T) {
 	c := newSmall()
@@ -25,9 +37,9 @@ func TestLookupMissThenHit(t *testing.T) {
 // specLines counts the valid speculative lines in c.
 func specLines(c *Cache) int {
 	n := 0
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			if c.sets[si][i].valid && c.sets[si][i].spec {
+	for si := range c.fill {
+		for _, l := range c.set(uint64(si)) {
+			if l.valid && l.spec {
 				n++
 			}
 		}

@@ -42,10 +42,10 @@ type Config struct {
 }
 
 // The largest sizes Validate accepts. Both caches, the MSHR file and the
-// prefetcher's stream table are allocated whole when a hierarchy is built
-// (and a prefetch list per confirmed stream), so an unbounded size could
-// ask for more memory than the host can map. Each bound is 16 to 64 times
-// Table 1's: a 1 MB L2, 32 MSHRs, 16 streams and a depth of 12 lines.
+// prefetcher's stream table and prefetch buffer are allocated whole when a
+// hierarchy is built, so an unbounded size could ask for more memory than
+// the host can map. Each bound is 16 to 64 times Table 1's: a 1 MB L2, 32
+// MSHRs, 16 streams and a depth of 12 lines.
 //
 // MaxLatency bounds every latency, in cycles. A latency is added to the
 // current cycle, so a value near 2^64 wraps and a fill completes before it

@@ -242,6 +242,27 @@ func TestPrefetcherDescendingStream(t *testing.T) {
 	}
 }
 
+// TestPrefetcherConfirmedStreamAllocatesNothing: OnMiss returns a
+// confirmed stream's prefetch lines in the prefetcher's own buffer, so a
+// demand stream the prefetcher runs ahead of allocates nothing per miss.
+func TestPrefetcherConfirmedStreamAllocatesNothing(t *testing.T) {
+	p := NewStreamPrefetcher(16, 12)
+	la := uint64(0x8000_0000)
+	p.OnMiss(la, 1)
+	tick := uint64(2)
+	extend := func() {
+		la += 64
+		if out := p.OnMiss(la, tick); len(out) != 12 || out[0] != la+64 || out[11] != la+12*64 {
+			t.Fatalf("confirmed stream at %#x prefetched %v", la, out)
+		}
+		tick++
+	}
+	extend() // the neighbour confirms the stream
+	if n := testing.AllocsPerRun(100, extend); n != 0 {
+		t.Fatalf("OnMiss on a confirmed stream made %.1f allocations, want 0", n)
+	}
+}
+
 func TestPrefetcherSlotReplacement(t *testing.T) {
 	p := NewStreamPrefetcher(2, 2)
 	p.OnMiss(0x1000, 1)

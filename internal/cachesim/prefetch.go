@@ -7,26 +7,28 @@ import "srlproc/internal/isa"
 // is confirmed, runs a configurable distance ahead of the demand stream.
 type StreamPrefetcher struct {
 	streams []stream
-	depth   int    // lines fetched ahead once confirmed
-	trains  uint64 // OnMiss calls, each of which rewrites a stream slot
+	depth   int      // lines fetched ahead once confirmed
+	out     []uint64 // OnMiss's result, reused by every call
+	trains  uint64   // OnMiss calls, each of which rewrites a stream slot
 }
 
 type stream struct {
-	valid     bool
 	lastLine  uint64 // last demand-miss line address seen
 	dir       int64  // +64 or -64 bytes
-	confirmed bool
 	lru       uint64
+	valid     bool
+	confirmed bool
 }
 
 // NewStreamPrefetcher creates a prefetcher with n stream slots that fetches
 // depth lines ahead of a confirmed stream.
 func NewStreamPrefetcher(n, depth int) *StreamPrefetcher {
-	return &StreamPrefetcher{streams: make([]stream, n), depth: depth}
+	return &StreamPrefetcher{streams: make([]stream, n), depth: depth, out: make([]uint64, 0, depth)}
 }
 
 // OnMiss observes a demand miss to addr and returns the line addresses to
-// prefetch (possibly none).
+// prefetch (possibly none). The slice is the prefetcher's own buffer: it is
+// valid until the next call.
 func (p *StreamPrefetcher) OnMiss(addr uint64, tick uint64) []uint64 {
 	p.trains++
 	la := isa.LineAddr(addr)
@@ -42,11 +44,7 @@ func (p *StreamPrefetcher) OnMiss(addr uint64, tick uint64) []uint64 {
 			s.lastLine = la
 			s.confirmed = true
 			s.lru = tick
-			out := make([]uint64, 0, p.depth)
-			for d := 1; d <= p.depth; d++ {
-				out = append(out, uint64(int64(la)+s.dir*int64(d)))
-			}
-			return out
+			return p.ahead(la, s.dir)
 		}
 	}
 	// Look for a stream to pair with (ascending or descending neighbour)
@@ -62,11 +60,7 @@ func (p *StreamPrefetcher) OnMiss(addr uint64, tick uint64) []uint64 {
 			s.lastLine = la
 			s.confirmed = true
 			s.lru = tick
-			out := make([]uint64, 0, p.depth)
-			for d := 1; d <= p.depth; d++ {
-				out = append(out, uint64(int64(la)+s.dir*int64(d)))
-			}
-			return out
+			return p.ahead(la, s.dir)
 		}
 	}
 	// Allocate a new (unconfirmed) stream in the LRU slot.
@@ -84,4 +78,14 @@ func (p *StreamPrefetcher) OnMiss(addr uint64, tick uint64) []uint64 {
 	}
 	p.streams[victim] = stream{valid: true, lastLine: la, dir: ls, lru: tick}
 	return nil
+}
+
+// ahead fills the reused buffer with the depth lines past la in direction
+// dir, nearest first.
+func (p *StreamPrefetcher) ahead(la uint64, dir int64) []uint64 {
+	p.out = p.out[:0]
+	for d := 1; d <= p.depth; d++ {
+		p.out = append(p.out, uint64(int64(la)+dir*int64(d)))
+	}
+	return p.out
 }

@@ -31,7 +31,7 @@ func TestSpecWalkMatchesFullWalk(t *testing.T) {
 			case k < 30:
 				op = "insert"
 				a, dirty := pick(), rng.Bool(0.3)
-				if set := c.sets[c.setIdx(a)]; !c.Contains(a) && len(set) == c.assoc && set[len(set)-1].valid && set[len(set)-1].spec {
+				if set := c.set(c.setIdx(a)); !c.Contains(a) && len(set) == c.assoc && set[len(set)-1].valid && set[len(set)-1].spec {
 					cases["evict a speculative line"]++
 				}
 				filled[a] = true
@@ -107,7 +107,7 @@ func TestSpecWalkMatchesFullWalk(t *testing.T) {
 					cases["temp discard walked and dropped lines"]++
 				}
 			}
-			if !reflect.DeepEqual(c.sets, ref.sets) {
+			if !reflect.DeepEqual(setsOf(c), setsOf(ref)) {
 				t.Fatalf("seed %d step %d (%s): line state differs from the full-walk reference", seed, step, op)
 			}
 			if n := specLines(c); n > 0 && !c.anySpec {
@@ -127,9 +127,18 @@ func TestSpecWalkMatchesFullWalk(t *testing.T) {
 	t.Logf("cases: %v", cases)
 }
 
+// setsOf returns every set's resident lines, MRU-first, in set order.
+func setsOf(c *Cache) [][]line {
+	sets := make([][]line, len(c.fill))
+	for si := range sets {
+		sets[si] = c.set(uint64(si))
+	}
+	return sets
+}
+
 // isSpec reports whether addr's line is resident and speculative.
 func isSpec(c *Cache, addr uint64) bool {
-	for _, l := range c.sets[c.setIdx(addr)] {
+	for _, l := range c.set(c.setIdx(addr)) {
 		if l.valid && l.tag == c.tag(addr) {
 			return l.spec
 		}

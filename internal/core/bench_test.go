@@ -103,6 +103,29 @@ func BenchmarkCycleLoopSkip(b *testing.B) {
 	}
 }
 
+// BenchmarkDesignPoint is one full design point per design: New plus Run
+// on SFP2K at Table 1 defaults (DefaultConfig's 50K warm-up and 250K
+// measured uops), the unit a sweep builds for every fresh point. Its
+// allocs/op repeat exactly from run to run, so the ledger gate catches a
+// structure that goes back to allocating per set or per row.
+func BenchmarkDesignPoint(b *testing.B) {
+	for _, d := range allDesigns {
+		b.Run(d.String(), func(b *testing.B) {
+			cfg := DefaultConfig(d)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := New(cfg, trace.SFP2K)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.RunContext(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkReadyList measures the issue stage's ready list on its own: push
 // is one cycle's worth of arrivals eight times over (64 entries, each
 // eight-entry block pushed youngest first, as wake-ups arrive out of

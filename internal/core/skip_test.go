@@ -14,6 +14,7 @@ import (
 	"time"
 	"unsafe"
 
+	"srlproc/internal/isa"
 	"srlproc/internal/obs"
 	"srlproc/internal/trace"
 )
@@ -269,6 +270,37 @@ func TestSkipMSHRWaits(t *testing.T) {
 func TestCoreSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Core{}); n > 4096 {
 		t.Fatalf("Core is %d bytes, past the 4,096-byte size class", n)
+	}
+}
+
+// TestUopSizes pins the per-uop records at their unpadded sizes: isa.Uop
+// at 40 bytes (its words first), which puts a pooled dynUop in Go's
+// 160-byte size class; at 56 bytes it took the 176-byte class.
+func TestUopSizes(t *testing.T) {
+	if n := unsafe.Sizeof(isa.Uop{}); n != 40 {
+		t.Errorf("isa.Uop is %d bytes, want 40", n)
+	}
+	if n := unsafe.Sizeof(dynUop{}); n != 160 {
+		t.Errorf("dynUop is %d bytes, want 160", n)
+	}
+}
+
+// TestNewAllocs bounds what building a core allocates, for every design
+// at Table 1 defaults. Each set-associative table (L1, L2, the FC and the
+// load buffer) is one array and the perceptron's rows are one, so a core
+// takes about 70 allocations; one slice per set or row took about 2,500.
+func TestNewAllocs(t *testing.T) {
+	for _, d := range allDesigns {
+		cfg := DefaultConfig(d)
+		n := testing.AllocsPerRun(5, func() {
+			if _, err := New(cfg, trace.SFP2K); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 80 {
+			t.Errorf("%s: New made %.0f allocations, want at most 80", d, n)
+		}
+		t.Logf("%s: %.0f allocations", d, n)
 	}
 }
 

@@ -107,17 +107,20 @@ const NoReg int8 = -1
 // sequence number of that store (0 if none); the simulator uses it as ground
 // truth to resolve forwarding and detect mispredicted dependences, exactly
 // as an execution-driven simulator would observe the actual values.
+//
+// The four words come first and the eight one-byte fields after them, so a
+// Uop is 40 bytes with no padding.
 type Uop struct {
 	Seq    uint64 // global program-order sequence number, starts at 1
 	PC     uint64 // synthetic instruction address (for predictors)
+	Addr   uint64 // memory effective address (loads/stores)
+	MemSeq uint64 // true producing store sequence for loads; 0 if from memory
 	Class  Class
 	Src1   int8
 	Src2   int8
 	Dst    int8
-	Addr   uint64 // memory effective address (loads/stores)
-	Size   uint8  // access size in bytes (loads/stores)
-	Taken  bool   // branch outcome
-	MemSeq uint64 // true producing store sequence for loads; 0 if from memory
+	Size   uint8 // access size in bytes (loads/stores)
+	Taken  bool  // branch outcome
 
 	// Release-consistency annotations. Acq marks a load-acquire (younger
 	// memory operations may not perform before it); Rel marks a

@@ -13,7 +13,11 @@ package lsq
 // the producing store, so a load can check the producer is older than
 // itself (a single magnitude comparison — no CAM).
 type FC struct {
-	sets    [][]fcEntry
+	// entries holds every set in one array: set si is the span set(si)
+	// returns, its fill[si] entries from entries[si*assoc], ordered
+	// MRU-first.
+	entries []fcEntry
+	fill    []uint32
 	assoc   int
 	setMask uint64
 
@@ -26,8 +30,9 @@ type FC struct {
 	hits    uint64
 }
 
+// fcEntry is one resident temporary update. Every resident entry is valid:
+// DiscardAll and SquashYoungerThan remove entries rather than mark them.
 type fcEntry struct {
-	valid    bool
 	word     uint64
 	srlIndex uint64 // producing store's SRL virtual index
 	storeSeq uint64
@@ -40,18 +45,20 @@ func NewFC(entries, assoc int) *FC {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("lsq: FC set count must be a positive power of two")
 	}
-	f := &FC{sets: make([][]fcEntry, nsets), assoc: assoc, setMask: uint64(nsets - 1)}
-	for i := range f.sets {
-		f.sets[i] = make([]fcEntry, 0, assoc)
-	}
-	return f
+	return &FC{entries: make([]fcEntry, nsets*assoc), fill: make([]uint32, nsets), assoc: assoc, setMask: uint64(nsets - 1)}
 }
 
 // Lookups and Hits return activity counts for the power model.
 func (f *FC) Lookups() uint64 { return f.lookups }
 func (f *FC) Hits() uint64    { return f.hits }
 
-func (f *FC) set(addr uint64) int { return int(wordAddr(addr) & f.setMask) }
+func (f *FC) setIdx(addr uint64) int { return int(wordAddr(addr) & f.setMask) }
+
+// set returns set si's resident entries, MRU-first: a span of the one array.
+func (f *FC) set(si int) []fcEntry {
+	lo := si * f.assoc
+	return f.entries[lo : lo+int(f.fill[si])]
+}
 
 // Update records a miss-independent store's temporary data. Stores
 // normally reach the FC in program order (they leave the L1 STQ in order),
@@ -62,10 +69,10 @@ func (f *FC) set(addr uint64) int { return int(wordAddr(addr) & f.setMask) }
 // younger entry: forwarding from it would silently hand loads stale data.
 func (f *FC) Update(addr, srlIndex, storeSeq uint64) {
 	w := wordAddr(addr)
-	si := f.set(addr)
-	set := f.sets[si]
+	si := f.setIdx(addr)
+	set := f.set(si)
 	for i := range set {
-		if set[i].valid && set[i].word == w {
+		if set[i].word == w {
 			if storeSeq < set[i].storeSeq {
 				return
 			}
@@ -76,10 +83,10 @@ func (f *FC) Update(addr, srlIndex, storeSeq uint64) {
 			return
 		}
 	}
-	ne := fcEntry{valid: true, word: w, srlIndex: srlIndex, storeSeq: storeSeq}
+	ne := fcEntry{word: w, srlIndex: srlIndex, storeSeq: storeSeq}
 	if len(set) < f.assoc {
-		f.sets[si] = append(set, fcEntry{})
-		set = f.sets[si]
+		f.fill[si]++
+		set = f.set(si)
 	}
 	copy(set[1:], set[:len(set)-1])
 	set[0] = ne
@@ -99,9 +106,9 @@ type FCHit struct {
 func (f *FC) Lookup(addr uint64, loadSeq uint64) (FCHit, bool) {
 	f.lookups++
 	w := wordAddr(addr)
-	set := f.sets[f.set(addr)]
+	set := f.set(f.setIdx(addr))
 	for i := range set {
-		if set[i].valid && set[i].word == w {
+		if set[i].word == w {
 			older := set[i].storeSeq < loadSeq
 			if f.FaultInvertAge {
 				older = !older
@@ -117,11 +124,7 @@ func (f *FC) Lookup(addr uint64, loadSeq uint64) (FCHit, bool) {
 }
 
 // DiscardAll drops every temporary update (miss returned; redo begins).
-func (f *FC) DiscardAll() {
-	for i := range f.sets {
-		f.sets[i] = f.sets[i][:0]
-	}
-}
+func (f *FC) DiscardAll() { clear(f.fill) }
 
 // SquashYoungerThan flash-clears entries produced by stores strictly
 // younger than seq: an entry survives iff its producer's storeSeq <= seq.
@@ -129,23 +132,23 @@ func (f *FC) DiscardAll() {
 // callers restarting at a checkpoint whose first sequence number is
 // fromSeq pass fromSeq-1.
 func (f *FC) SquashYoungerThan(seq uint64) {
-	for si := range f.sets {
-		set := f.sets[si]
+	for si := range f.fill {
+		set := f.set(si)
 		out := set[:0]
 		for i := range set {
-			if set[i].valid && set[i].storeSeq <= seq {
+			if set[i].storeSeq <= seq {
 				out = append(out, set[i])
 			}
 		}
-		f.sets[si] = out
+		f.fill[si] = uint32(len(out))
 	}
 }
 
 // Len returns the number of valid entries (for tests).
 func (f *FC) Len() int {
 	n := 0
-	for i := range f.sets {
-		n += len(f.sets[i])
+	for _, k := range f.fill {
+		n += int(k)
 	}
 	return n
 }

@@ -58,10 +58,14 @@ const (
 // and an occupancy bit per set lets the bulk removals visit only the sets
 // that hold loads. EntryCompares still counts what the hardware compares.
 type LoadBuffer struct {
-	sets     [][]LoadEntry
+	// entries holds every set in one array: set si is the span set(si)
+	// returns, its fill[si] entries from entries[si*assoc], in insertion
+	// order.
+	entries  []LoadEntry
+	fill     []uint32
 	assoc    int
 	setMask  uint64
-	occupied []uint64 // bit si set iff sets[si] is non-empty
+	occupied []uint64 // bit si set iff set si is non-empty
 	policy   OverflowPolicy
 	victim   []LoadEntry
 	vcap     int
@@ -85,15 +89,11 @@ func NewLoadBuffer(capacity, assoc int, policy OverflowPolicy, victimCap int) *L
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("lsq: load buffer set count must be a positive power of two")
 	}
-	b := &LoadBuffer{
-		sets: make([][]LoadEntry, nsets), assoc: assoc, setMask: uint64(nsets - 1),
-		occupied: make([]uint64, (nsets+63)/64),
-		policy:   policy, vcap: victimCap, words: newWordFilter(capacity + victimCap),
+	return &LoadBuffer{
+		entries: make([]LoadEntry, nsets*assoc), fill: make([]uint32, nsets),
+		assoc: assoc, setMask: uint64(nsets - 1), occupied: make([]uint64, (nsets+63)/64),
+		policy: policy, vcap: victimCap, words: newWordFilter(capacity + victimCap),
 	}
-	for i := range b.sets {
-		b.sets[i] = make([]LoadEntry, 0, assoc)
-	}
-	return b
 }
 
 // Len returns the number of resident entries.
@@ -106,21 +106,28 @@ func (b *LoadBuffer) EntryCompares() uint64 { return b.entryCmps }
 // Overflows returns how many inserts hit a full set.
 func (b *LoadBuffer) Overflows() uint64 { return b.overflows }
 
-// set hashes the word address over the sets. The upper bits are folded in
-// so strided access patterns (unit-stride streams touch every 8th word)
+// setIdx hashes the word address over the sets. The upper bits are folded
+// in so strided access patterns (unit-stride streams touch every 8th word)
 // spread across all sets instead of aliasing onto a power-of-two subset.
-func (b *LoadBuffer) set(addr uint64) int {
+func (b *LoadBuffer) setIdx(addr uint64) int {
 	w := wordAddr(addr)
 	return int((w ^ (w >> 7) ^ (w >> 14)) & b.setMask)
+}
+
+// set returns set si's resident entries: a span of the one array.
+func (b *LoadBuffer) set(si int) []LoadEntry {
+	lo := si * b.assoc
+	return b.entries[lo : lo+int(b.fill[si])]
 }
 
 // Insert records an executed load. It returns ok=false only under
 // OverflowViolate when the set (and victim space) is full — the caller must
 // treat it as an ordering violation and restart from the load's checkpoint.
 func (b *LoadBuffer) Insert(e LoadEntry) bool {
-	si := b.set(e.Addr)
-	if len(b.sets[si]) < b.assoc {
-		b.sets[si] = append(b.sets[si], e)
+	si := b.setIdx(e.Addr)
+	if n := int(b.fill[si]); n < b.assoc {
+		b.entries[si*b.assoc+n] = e
+		b.fill[si]++
 		b.occupied[si>>6] |= 1 << (si & 63)
 	} else {
 		b.overflows++
@@ -139,7 +146,7 @@ func (b *LoadBuffer) Insert(e LoadEntry) bool {
 // EntryCompares counts them all; the simulator skips the comparisons when
 // the word filter proves no resident load matches.
 func (b *LoadBuffer) scan(addr uint64, fn func(*LoadEntry)) {
-	set := b.sets[b.set(addr)]
+	set := b.set(b.setIdx(addr))
 	b.entryCmps += uint64(len(set) + len(b.victim))
 	if !b.words.mayHold(addr) {
 		return
@@ -220,8 +227,8 @@ func (b *LoadBuffer) SquashYoungerThan(seq uint64) int {
 // ForEach visits every resident entry (sets in index order, then the
 // victim buffer). For the differential checker's monotonicity sweep.
 func (b *LoadBuffer) ForEach(fn func(e *LoadEntry)) {
-	for si := range b.sets {
-		set := b.sets[si]
+	for si := range b.fill {
+		set := b.set(si)
 		for i := range set {
 			fn(&set[i])
 		}
@@ -251,7 +258,8 @@ func (b *LoadBuffer) removeIf(pred func(*LoadEntry) bool) int {
 		for occ != 0 {
 			si := wi<<6 | bits.TrailingZeros64(occ)
 			occ &= occ - 1
-			if b.sets[si] = keep(b.sets[si]); len(b.sets[si]) == 0 {
+			n := len(keep(b.set(si)))
+			if b.fill[si] = uint32(n); n == 0 {
 				b.occupied[wi] &^= 1 << (si & 63)
 			}
 		}

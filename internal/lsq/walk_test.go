@@ -511,7 +511,7 @@ func TestLoadBufferMatchesWalk(t *testing.T) {
 						t.Fatalf("%v seed %d step %d: StoreCheck = %+v/%v, walk %+v/%v", sh, seed, step, v, found, rv, rfound)
 					}
 					switch {
-					case filtered && len(b.sets[b.set(a)])+len(b.victim) > 0:
+					case filtered && len(b.set(b.setIdx(a)))+len(b.victim) > 0:
 						cases["check the filter proves empty"]++
 					case found:
 						cases["store check violation"]++
@@ -559,7 +559,8 @@ func TestLoadBufferMatchesWalk(t *testing.T) {
 						sh, seed, step, op, b.Len(), b.Lookups(), b.EntryCompares(), b.Overflows(),
 						r.count, r.lookups, r.entryCmps, r.overflows)
 				}
-				for si, set := range b.sets {
+				for si := range b.fill {
+					set := b.set(si)
 					if occ := b.occupied[si>>6]>>(si&63)&1 == 1; occ != (len(set) > 0) {
 						t.Fatalf("%v seed %d step %d (%s): set %d occupancy bit %v with %d entries", sh, seed, step, op, si, occ, len(set))
 					}
@@ -569,6 +570,154 @@ func TestLoadBufferMatchesWalk(t *testing.T) {
 	}
 	for _, c := range []string{"overflow refused", "overflow into the victim buffer", "check the filter proves empty",
 		"store check violation", "snoop violation", "commit removes loads", "squash removes loads"} {
+		if cases[c] == 0 {
+			t.Errorf("case never exercised: %s", c)
+		}
+	}
+	t.Logf("cases: %v", cases)
+}
+
+// sliceFC is the reference FC must match: one slice per set, grown by
+// append up to the associativity, with a valid bit per entry, as the FC
+// kept its sets before they became spans of one array.
+type sliceFC struct {
+	sets    [][]sliceFCEntry
+	assoc   int
+	setMask uint64
+}
+
+type sliceFCEntry struct {
+	valid                    bool
+	word, srlIndex, storeSeq uint64
+}
+
+func newSliceFC(entries, assoc int) *sliceFC {
+	f := &sliceFC{sets: make([][]sliceFCEntry, entries/assoc), assoc: assoc, setMask: uint64(entries/assoc - 1)}
+	for i := range f.sets {
+		f.sets[i] = make([]sliceFCEntry, 0, assoc)
+	}
+	return f
+}
+
+func (f *sliceFC) update(addr, srlIndex, storeSeq uint64) {
+	w := wordAddr(addr)
+	si := int(w & f.setMask)
+	set := f.sets[si]
+	for i := range set {
+		if set[i].valid && set[i].word == w {
+			if storeSeq < set[i].storeSeq {
+				return
+			}
+			e := set[i]
+			e.srlIndex, e.storeSeq = srlIndex, storeSeq
+			copy(set[1:i+1], set[:i])
+			set[0] = e
+			return
+		}
+	}
+	if len(set) < f.assoc {
+		f.sets[si] = append(set, sliceFCEntry{})
+		set = f.sets[si]
+	}
+	copy(set[1:], set[:len(set)-1])
+	set[0] = sliceFCEntry{valid: true, word: w, srlIndex: srlIndex, storeSeq: storeSeq}
+}
+
+func (f *sliceFC) lookup(addr, loadSeq uint64) (FCHit, bool) {
+	w := wordAddr(addr)
+	for _, e := range f.sets[w&f.setMask] {
+		if e.valid && e.word == w {
+			if e.storeSeq < loadSeq {
+				return FCHit{SRLIndex: e.srlIndex, StoreSeq: e.storeSeq}, true
+			}
+			return FCHit{}, false
+		}
+	}
+	return FCHit{}, false
+}
+
+func (f *sliceFC) squashYoungerThan(seq uint64) {
+	for si, set := range f.sets {
+		out := set[:0]
+		for _, e := range set {
+			if e.valid && e.storeSeq <= seq {
+				out = append(out, e)
+			}
+		}
+		f.sets[si] = out
+	}
+}
+
+// TestFCMatchesSliceSets drives random updates (older stores arriving late
+// included), lookups, discards and squashes through the FC and the
+// slice-per-set reference, in a 4-way and a fully associative shape, and
+// requires the same answers and the same entries in every set, in the same
+// MRU order, after every operation.
+func TestFCMatchesSliceSets(t *testing.T) {
+	cases := map[string]int{}
+	for _, sh := range []struct{ entries, assoc int }{{32, 4}, {8, 8}} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			rng := xrand.New(seed*17 + uint64(sh.assoc))
+			f, r := NewFC(sh.entries, sh.assoc), newSliceFC(sh.entries, sh.assoc)
+			var seq uint64 = 1
+			addr := func() uint64 { return 0x4000 + 8*rng.Uint64n(48) }
+			for step := 0; step < 3000; step++ {
+				var op string
+				switch k := rng.Intn(100); {
+				case k < 45:
+					op = "update"
+					a, s := addr(), seq
+					if rng.Bool(0.2) && seq > 8 {
+						s = seq - 1 - rng.Uint64n(8) // a late, older store
+						cases["late older update"]++
+					}
+					seq++
+					f.Update(a, s+1000, s)
+					r.update(a, s+1000, s)
+				case k < 85:
+					op = "lookup"
+					a, ls := addr(), seq-rng.Uint64n(min(seq, 16))
+					hit, ok := f.Lookup(a, ls)
+					if rhit, rok := r.lookup(a, ls); hit != rhit || ok != rok {
+						t.Fatalf("%v seed %d step %d: Lookup = %+v/%v, reference %+v/%v", sh, seed, step, hit, ok, rhit, rok)
+					}
+					if ok {
+						cases["lookup forwards"]++
+					}
+				case k < 88:
+					op = "discard"
+					f.DiscardAll()
+					for si := range r.sets {
+						r.sets[si] = r.sets[si][:0]
+					}
+				default:
+					op = "squash"
+					keep := seq - 1 - rng.Uint64n(min(seq, 24))
+					n := f.Len()
+					f.SquashYoungerThan(keep)
+					r.squashYoungerThan(keep)
+					if f.Len() < n {
+						cases["squash drops entries"]++
+					}
+					seq = keep + 1
+				}
+				for si := range r.sets {
+					got, want := f.set(si), r.sets[si]
+					same := len(got) == len(want)
+					for i := 0; same && i < len(got); i++ {
+						same = want[i].valid && got[i] == fcEntry{word: want[i].word, srlIndex: want[i].srlIndex, storeSeq: want[i].storeSeq}
+					}
+					if !same {
+						t.Fatalf("%v seed %d step %d (%s): set %d holds %+v, reference %+v", sh, seed, step, op, si, got, want)
+					}
+					if len(got) == sh.assoc {
+						cases["full set"]++
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []string{"late older update", "lookup forwards", "squash drops entries", "full set"} {
 		if cases[c] == 0 {
 			t.Errorf("case never exercised: %s", c)
 		}

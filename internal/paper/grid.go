@@ -109,6 +109,12 @@ type Grid struct {
 // scale, with no profile overrides.
 const FullProfile = "full"
 
+// MaxRepeats bounds every repeat count: the grid's, an experiment's and
+// Plan's override (paperrepro -repeats). Plan builds one Unit per repeat
+// before anything runs, so an unbounded count could ask for more memory
+// than the host has; seed ensembles plan 5.
+const MaxRepeats = 100
+
 // Unit is one schedulable cell of the grid: an experiment, a repeat index
 // (1-based) and the fully-resolved options it runs under.
 type Unit struct {
@@ -153,6 +159,9 @@ func (g *Grid) validate() error {
 	if g.Repeats < 1 {
 		return fmt.Errorf("grid: repeats must be >= 1 (got %d)", g.Repeats)
 	}
+	if g.Repeats > MaxRepeats {
+		return fmt.Errorf("grid: repeats must be at most %d (got %d)", MaxRepeats, g.Repeats)
+	}
 	if len(g.Experiments) == 0 {
 		return fmt.Errorf("grid: no experiments")
 	}
@@ -168,6 +177,9 @@ func (g *Grid) validate() error {
 		seen[id] = e.ID
 		if e.Repeats < 0 {
 			return fmt.Errorf("grid: %s: negative repeats", e.ID)
+		}
+		if e.Repeats > MaxRepeats {
+			return fmt.Errorf("grid: %s: repeats must be at most %d (got %d)", e.ID, MaxRepeats, e.Repeats)
 		}
 	}
 	if _, ok := g.Profiles[FullProfile]; ok {
@@ -190,8 +202,12 @@ func (g *Grid) ProfileNames() []string {
 // Plan resolves the grid into its unit list for one profile: every
 // experiment × repeat with fully-merged options, in grid order. only, when
 // non-empty, restricts the plan to the listed experiments (which must all
-// be in the grid); repeats, when positive, overrides every repeat count.
+// be in the grid); repeats, when positive, overrides every repeat count
+// and may be at most MaxRepeats.
 func (g *Grid) Plan(profile string, only []bench.ExperimentID, repeats int) ([]Unit, error) {
+	if repeats > MaxRepeats {
+		return nil, fmt.Errorf("paper: repeats must be at most %d (got %d)", MaxRepeats, repeats)
+	}
 	prof, ok := g.Profiles[profile]
 	if !ok && profile != FullProfile {
 		return nil, fmt.Errorf("paper: unknown profile %q (have: %s)", profile, strings.Join(g.ProfileNames(), " "))

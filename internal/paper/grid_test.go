@@ -37,6 +37,8 @@ func TestParseGridErrors(t *testing.T) {
 		name, src, want string
 	}{
 		{"no repeats", `{"experiments":[{"id":"fig6"}]}`, "repeats must be >= 1"},
+		{"grid repeats above the bound", `{"repeats":101,"experiments":[{"id":"fig6"}]}`, "at most 100"},
+		{"experiment repeats above the bound", `{"repeats":1,"experiments":[{"id":"fig6","repeats":101}]}`, "at most 100"},
 		{"no experiments", `{"repeats":1}`, "no experiments"},
 		{"unknown field", `{"repeats":1,"experiments":[{"id":"fig6"}],"bogus":1}`, "bogus"},
 		{"unknown knob", `{"repeats":1,"common":{"cycles":5},"experiments":[{"id":"fig6"}]}`, "cycles"},
@@ -119,6 +121,18 @@ func TestPlanOnlyAndRepeats(t *testing.T) {
 	}
 	if _, err := g.Plan("nope", nil, 0); err == nil || !strings.Contains(err.Error(), "unknown profile") {
 		t.Fatalf("unknown profile error = %v", err)
+	}
+
+	// Every repeat count is bounded: the grid's and an experiment's at
+	// parse time (TestParseGridErrors), the override here.
+	if units, err := g.Plan("full", []bench.ExperimentID{bench.Table3}, MaxRepeats); err != nil || len(units) != MaxRepeats {
+		t.Fatalf("Plan at the repeat bound: %d units, %v", len(units), err)
+	}
+	if _, err := g.Plan("full", nil, MaxRepeats+1); err == nil || !strings.Contains(err.Error(), "at most 100") {
+		t.Fatalf("Plan above the repeat bound: error %v", err)
+	}
+	if _, err := ParseGrid([]byte(`{"repeats":100,"experiments":[{"id":"fig6","repeats":100}]}`)); err != nil {
+		t.Fatalf("grid at the repeat bound rejected: %v", err)
 	}
 }
 

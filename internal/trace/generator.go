@@ -53,9 +53,6 @@ type Generator struct {
 	storeHead  int                  // index of most recent store
 
 	streamPositions []uint64 // per-stream-site advancing pointers
-
-	// loopCount tracks per-template patterned branch positions.
-	loopCount []int
 }
 
 type storeRec struct {
@@ -71,15 +68,19 @@ const (
 	brNoisy
 )
 
+// tmpl is one static program site, 24 bytes. Its PC is derived from its
+// index in the program (progBase + 4*index).
 type tmpl struct {
-	class  isa.Class
-	pc     uint64
-	region int // 0 hot, 1 heap, 2 stream
-	stream int // stream site id when region==2
-	fwd    bool
-	brKind int
 	brBias float64 // for biased
-	brPer  int     // for patterned
+	stream int32   // stream site id when region==regionStream
+	class  isa.Class
+	region uint8 // regionHot, regionHeap or regionStream
+	fwd    bool
+	brKind uint8
+	// brPer is a patterned branch's period (16-63) and brPos its execution
+	// count modulo brPer: taken except when brPos wraps to 0.
+	brPer uint8
+	brPos uint8
 	// addrChain: this load's address depends on a chain register
 	// (pointer chasing), deepening slices.
 	addrChain bool
@@ -121,7 +122,6 @@ func NewGenerator(prof Profile, seed uint64) *Generator {
 	}
 	g.heapZipf = xrand.NewZipf(g.rng, zipfSpan, prof.ZipfS)
 	g.buildProgram()
-	g.loopCount = make([]int, len(g.program))
 	return g
 }
 
@@ -134,7 +134,7 @@ func (g *Generator) buildProgram() {
 	// all thresholds — and the RNG draw sequence — exactly as before.
 	fenceFrac := float64(p.FencePer1K) / 1000
 	for i := range g.program {
-		t := tmpl{pc: progBase + uint64(i)*4}
+		var t tmpl
 		r := g.rng.Float64()
 		switch {
 		case fenceFrac > 0 && r < fenceFrac:
@@ -165,7 +165,7 @@ func (g *Generator) buildProgram() {
 				// Loop back-edges: taken for per-1 iterations, then one
 				// not-taken (run-length behaviour counters learn well).
 				t.brKind = brPattern
-				t.brPer = 16 + g.rng.Intn(48)
+				t.brPer = uint8(16 + g.rng.Intn(48))
 			default:
 				t.brKind = brBiased
 				if g.rng.Bool(0.7) {
@@ -196,13 +196,13 @@ func (g *Generator) buildProgram() {
 	}
 }
 
-func (g *Generator) pickRegion() (region, stream int) {
+func (g *Generator) pickRegion() (region uint8, stream int32) {
 	r := g.rng.Float64()
 	switch {
 	case r < g.prof.HotFrac:
 		return regionHot, 0
 	case r < g.prof.HotFrac+g.prof.StreamFrac:
-		return regionStream, g.rng.Intn(maxInt(1, g.prof.NumStreams))
+		return regionStream, int32(g.rng.Intn(maxInt(1, g.prof.NumStreams)))
 	default:
 		return regionHeap, 0
 	}
@@ -210,7 +210,7 @@ func (g *Generator) pickRegion() (region, stream int) {
 
 // streamAddr returns the next address of a unit-stride stream site,
 // lazily initialising the per-site pointers.
-func (g *Generator) streamAddr(site int) uint64 {
+func (g *Generator) streamAddr(site int32) uint64 {
 	if g.streamPositions == nil {
 		g.streamPositions = make([]uint64, maxInt(1, g.prof.NumStreams))
 		for i := range g.streamPositions {
@@ -378,7 +378,7 @@ func (g *Generator) Next() isa.Uop {
 		g.pc = 0
 	}
 
-	u := isa.Uop{Seq: g.seq, PC: t.pc, Class: t.class, Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg}
+	u := isa.Uop{Seq: g.seq, PC: progBase + uint64(ti)*4, Class: t.class, Src1: isa.NoReg, Src2: isa.NoReg, Dst: isa.NoReg}
 
 	switch t.class {
 	case isa.Fence:
@@ -455,8 +455,10 @@ func (g *Generator) Next() isa.Uop {
 		case brNoisy:
 			u.Taken = g.rng.Bool(0.7) // data-dependent, weakly biased
 		case brPattern:
-			g.loopCount[ti]++
-			u.Taken = g.loopCount[ti]%t.brPer != 0
+			if t.brPos++; t.brPos == t.brPer {
+				t.brPos = 0
+			}
+			u.Taken = t.brPos != 0
 		default:
 			u.Taken = g.rng.Bool(t.brBias)
 		}
