@@ -269,31 +269,33 @@ func (c *Cache) CommitSpec(ckpt int) (committed int) {
 
 // DiscardSpecTemp invalidates only temporary (pre-redo) speculative lines —
 // the redo-phase discard of §6.5; the next access to any such block
-// re-misses to the next level, the extra misses the paper describes. The
-// invalidated line addresses are returned (the pre-store architectural
-// data still exists at the next level; the caller re-registers it there).
-func (c *Cache) DiscardSpecTemp() []uint64 {
-	return c.discardSpecIf(func(l *line) bool { return l.specTemp })
+// re-misses to the next level, the extra misses the paper describes. It
+// calls drop with each invalidated line's address, in walk order (the
+// pre-store architectural data still exists at the next level, where the
+// caller re-registers it), and returns how many it invalidated.
+func (c *Cache) DiscardSpecTemp(drop func(addr uint64)) int {
+	return c.discardSpecIf(func(l *line) bool { return l.specTemp }, drop)
 }
 
 // DiscardSpecFrom invalidates speculative lines owned by checkpoint ids >=
-// minCkpt (a checkpoint restart squashing those checkpoints).
-func (c *Cache) DiscardSpecFrom(minCkpt int) []uint64 {
-	return c.discardSpecIf(func(l *line) bool { return l.specCkpt >= minCkpt })
+// minCkpt (a checkpoint restart squashing those checkpoints), calling drop
+// as DiscardSpecTemp does.
+func (c *Cache) DiscardSpecFrom(minCkpt int, drop func(addr uint64)) int {
+	return c.discardSpecIf(func(l *line) bool { return l.specCkpt >= minCkpt }, drop)
 }
 
-func (c *Cache) discardSpecIf(pred func(*line) bool) []uint64 {
-	var addrs []uint64
+func (c *Cache) discardSpecIf(pred func(*line) bool, drop func(addr uint64)) (n int) {
 	c.walkSpec(func(l *line, si uint64) {
 		if pred(l) {
-			addrs = append(addrs, c.lineAddr(l.tag, si))
+			drop(c.lineAddr(l.tag, si))
 			l.valid = false
 			l.spec = false
 			l.specTemp = false
 			l.specCkpt = -1
+			n++
 		}
 	})
-	return addrs
+	return n
 }
 
 // walkSpec calls fn on every valid speculative line with its set index,

@@ -177,8 +177,9 @@ func TestDiscardSpecTempOnlyDropsTemps(t *testing.T) {
 	c.Insert(0x2000, 0, false)
 	c.SpecWrite(0x1000, 1, true)  // temporary update (§6.5)
 	c.SpecWrite(0x2000, 1, false) // redo (non-temp) update
-	addrs := c.DiscardSpecTemp()
-	if len(addrs) != 1 || addrs[0] != 0x1000 {
+	var addrs []uint64
+	n := c.DiscardSpecTemp(func(a uint64) { addrs = append(addrs, a) })
+	if n != 1 || len(addrs) != 1 || addrs[0] != 0x1000 {
 		t.Fatalf("temp discard returned %v", addrs)
 	}
 	if c.Contains(0x1000) {
@@ -195,8 +196,9 @@ func TestDiscardSpecFrom(t *testing.T) {
 	c.Insert(0x2000, 0, false)
 	c.SpecWrite(0x1000, 4, false)
 	c.SpecWrite(0x2000, 7, false)
-	addrs := c.DiscardSpecFrom(5) // squash checkpoints >= 5
-	if len(addrs) != 1 || addrs[0] != 0x2000 {
+	var addrs []uint64
+	n := c.DiscardSpecFrom(5, func(a uint64) { addrs = append(addrs, a) }) // squash checkpoints >= 5
+	if n != 1 || len(addrs) != 1 || addrs[0] != 0x2000 {
 		t.Fatalf("squash discard returned %v", addrs)
 	}
 	if !c.Contains(0x1000) || c.Contains(0x2000) {

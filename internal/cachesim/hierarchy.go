@@ -308,15 +308,19 @@ func (h *Hierarchy) fillL1(la, ready uint64, dirty bool) {
 	}
 }
 
-// DiscardSpecInto invalidates speculative L1 lines selected by which
-// ("from"/"temp"/"all") and re-registers their pre-store architectural data
-// in L2 (the committed copy was written back before the speculative
-// overwrite). Returns the number of lines discarded.
-func (h *Hierarchy) DiscardSpecInto(cycle uint64, addrs []uint64) int {
-	for _, a := range addrs {
-		h.L2.Insert(a, cycle, false)
-	}
-	return len(addrs)
+// DiscardSpecFrom invalidates the L1's speculative lines owned by
+// checkpoint ids >= minCkpt (a restart squashing those checkpoints) and
+// re-registers each line's pre-store architectural data in L2 (the
+// committed copy was written back before the speculative overwrite).
+// Returns the number of lines discarded.
+func (h *Hierarchy) DiscardSpecFrom(cycle uint64, minCkpt int) int {
+	return h.L1.DiscardSpecFrom(minCkpt, func(a uint64) { h.L2.Insert(a, cycle, false) })
+}
+
+// DiscardSpecTemp does what DiscardSpecFrom does for the L1's temporary
+// (pre-redo) speculative lines: the §6.5 variant's discard at a redo.
+func (h *Hierarchy) DiscardSpecTemp(cycle uint64) int {
+	return h.L1.DiscardSpecTemp(func(a uint64) { h.L2.Insert(a, cycle, false) })
 }
 
 func (h *Hierarchy) prefetchLine(cycle, addr uint64) {

@@ -189,17 +189,26 @@ func TestMSHRAdmitsAfterCompletion(t *testing.T) {
 	}
 }
 
+// TestDiscardSpecInto: both Hierarchy discards drop their L1 lines into
+// L2, where the pre-store architectural data lives.
 func TestDiscardSpecInto(t *testing.T) {
-	h := smallHier()
-	h.Access(0, 0x1000, false)
-	h.L1.SpecWrite(0x1000, 1, false)
-	h.L2.Invalidate(0x1000)
-	addrs := h.L1.DiscardSpecFrom(0)
-	if n := h.DiscardSpecInto(100, addrs); n != 1 {
-		t.Fatalf("discarded %d", n)
-	}
-	if !h.L2.Contains(0x1000) {
-		t.Fatal("discarded spec line not re-registered in L2")
+	for _, temp := range []bool{false, true} {
+		h := smallHier()
+		h.Access(0, 0x1000, false)
+		h.L1.SpecWrite(0x1000, 1, temp)
+		h.L2.Invalidate(0x1000)
+		var n int
+		if temp {
+			n = h.DiscardSpecTemp(100)
+		} else {
+			n = h.DiscardSpecFrom(100, 0)
+		}
+		if n != 1 {
+			t.Fatalf("temp=%v: discarded %d", temp, n)
+		}
+		if h.L1.Contains(0x1000) || !h.L2.Contains(0x1000) {
+			t.Fatalf("temp=%v: discarded spec line not moved from L1 to L2", temp)
+		}
 	}
 }
 

@@ -84,7 +84,8 @@ func TestSpecWalkMatchesFullWalk(t *testing.T) {
 				ck := rng.Intn(6)
 				skipped := !c.anySpec
 				ref.anySpec = true
-				got, want := c.DiscardSpecFrom(ck), ref.DiscardSpecFrom(ck)
+				got, want := discarded(t, func(drop func(uint64)) int { return c.DiscardSpecFrom(ck, drop) }),
+					discarded(t, func(drop func(uint64)) int { return ref.DiscardSpecFrom(ck, drop) })
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: DiscardSpecFrom(%d) = %v, full walk %v", seed, step, ck, got, want)
 				}
@@ -97,7 +98,7 @@ func TestSpecWalkMatchesFullWalk(t *testing.T) {
 				op, bulk = "discard temp", true
 				skipped := !c.anySpec
 				ref.anySpec = true
-				got, want := c.DiscardSpecTemp(), ref.DiscardSpecTemp()
+				got, want := discarded(t, c.DiscardSpecTemp), discarded(t, ref.DiscardSpecTemp)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: DiscardSpecTemp = %v, full walk %v", seed, step, got, want)
 				}
@@ -125,6 +126,17 @@ func TestSpecWalkMatchesFullWalk(t *testing.T) {
 		}
 	}
 	t.Logf("cases: %v", cases)
+}
+
+// discarded runs a discard and returns the addresses it passed to its
+// callback, in order. A count that disagrees with them fails the test.
+func discarded(t *testing.T, discard func(drop func(uint64)) int) []uint64 {
+	t.Helper()
+	var addrs []uint64
+	if n := discard(func(a uint64) { addrs = append(addrs, a) }); n != len(addrs) {
+		t.Fatalf("discard returned %d for %d lines", n, len(addrs))
+	}
+	return addrs
 }
 
 // setsOf returns every set's resident lines, MRU-first, in set order.

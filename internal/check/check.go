@@ -163,23 +163,12 @@ func captureProfile(p trace.Profile, seed uint64, n int) []isa.Uop {
 	return uops
 }
 
-// profileFor mirrors cfg's ordering knobs into suite's profile, exactly as
-// core.New does — a captured slice must carry the same fences and
-// acquire/release tags the live generator would emit.
-func profileFor(cfg core.Config, suite trace.Suite) trace.Profile {
-	p := trace.ProfileFor(suite)
-	p.FencePer1K = cfg.FencePer1K
-	p.AcquireFrac = cfg.AcquireFrac
-	p.ReleaseFrac = cfg.ReleaseFrac
-	return p
-}
-
 // CaptureFor sizes Capture for cfg: the committed budget plus two window
 // capacities of fetch-ahead slack. The slice source loops if the machine
 // somehow reads past that, so the bound only has to be roughly right.
 func CaptureFor(cfg core.Config, suite trace.Suite) []isa.Uop {
 	n := int(cfg.WarmupUops+cfg.RunUops) + 2*cfg.WindowCap
-	return captureProfile(profileFor(cfg, suite), cfg.Seed, n)
+	return captureProfile(core.ProfileFor(cfg, suite), cfg.Seed, n)
 }
 
 // RunChecked simulates cfg over the recorded micro-op slice with the
@@ -187,7 +176,7 @@ func CaptureFor(cfg core.Config, suite trace.Suite) []isa.Uop {
 // included — they never abort the run).
 func RunChecked(cfg core.Config, suite trace.Suite, uops []isa.Uop) (*core.Results, error) {
 	cfg.Check = true
-	c, err := core.NewFromSource(cfg, NewSliceSource(uops), profileFor(cfg, suite))
+	c, err := core.NewFromSource(cfg, NewSliceSource(uops), core.ProfileFor(cfg, suite))
 	if err != nil {
 		return nil, err
 	}

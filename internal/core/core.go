@@ -119,14 +119,11 @@ type Core struct {
 	// result does not keep the core's window, caches and queues alive.
 	final *Results
 
-	// Statistics. metrics is the typed hot-path counter set (array
-	// increments, no allocation); counters keeps only genuinely free-form
-	// extras whose names are dynamic.
-	res      Results
-	srlOcc   *stats.OccupancyTracker
-	metrics  obs.MetricSet
-	counters *stats.Counters
-	actBase  activity
+	// Statistics: the cycle loop counts straight into res, the measured
+	// region's document. actBase is the structure-activity snapshot at the
+	// region's start, which finalize subtracts.
+	res     Results
+	actBase activity
 
 	// Observability (nil unless cfg.Obs enables it): the cycle-window
 	// sampler and typed event trace. Disabled runs pay one nil test per
@@ -187,15 +184,22 @@ type scalars struct {
 	statsResetAt     uint64
 }
 
-// New builds a core for the given configuration and workload suite. The
-// config's memory-ordering workload knobs are mirrored into the suite
-// profile before the generator is built — zero knobs leave the profile
-// untouched, so pre-existing streams replay bit-identically.
-func New(cfg Config, suite trace.Suite) (*Core, error) {
+// ProfileFor returns suite's workload profile with cfg's memory-ordering
+// workload knobs (FencePer1K, AcquireFrac, ReleaseFrac) mirrored in. Zero
+// knobs leave the profile untouched, so pre-existing streams replay
+// bit-identically. Every generator built for a Config starts here.
+func ProfileFor(cfg Config, suite trace.Suite) trace.Profile {
 	prof := trace.ProfileFor(suite)
 	prof.FencePer1K = cfg.FencePer1K
 	prof.AcquireFrac = cfg.AcquireFrac
 	prof.ReleaseFrac = cfg.ReleaseFrac
+	return prof
+}
+
+// New builds a core for the given configuration and workload suite, over
+// a generator for ProfileFor(cfg, suite).
+func New(cfg Config, suite trace.Suite) (*Core, error) {
+	prof := ProfileFor(cfg, suite)
 	return NewFromSource(cfg, trace.NewGenerator(prof, cfg.Seed), prof)
 }
 
@@ -221,12 +225,9 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 		mdp:      memdep.New(cfg.StoreSetsSize),
 		conf:     make([]uint8, 4096),
 		snoopRNG: xrand.New(cfg.Seed*7919 + uint64(prof.Suite)),
-		srlOcc:   stats.NewOccupancyTracker(),
-		counters: stats.NewCounters(),
 		obsrv:    newObsState(cfg.Obs),
 	}
-	c.res.Suite = prof.Suite
-	c.res.Design = cfg.Design
+	c.res = Results{Suite: prof.Suite, Design: cfg.Design, SRLOccupancy: stats.NewOccupancyTracker()}
 	c.recentLoads = make([]uint64, 64)
 	// Pre-size the ready list and the completion heap from what bounds
 	// their live population (the scheduler windows for ready, the memory
@@ -500,7 +501,7 @@ func (c *Core) SetSnoopSink(sink func(addr uint64)) { c.snoopSink = sink }
 // a hit is a multiprocessor ordering violation and execution restarts from
 // the hit load's checkpoint (Section 3).
 func (c *Core) ExternalSnoop(addr uint64) {
-	c.metrics.Inc(obs.MetricSnoopsExternal)
+	c.res.Metrics.Inc(obs.MetricSnoopsExternal)
 	c.mem.Snoop(addr)
 	if v, found := c.ldbuf.SnoopCheck(addr); found {
 		c.res.SnoopViolations++
@@ -510,12 +511,8 @@ func (c *Core) ExternalSnoop(addr uint64) {
 }
 
 func (c *Core) resetStats() {
-	saved := c.res
-	c.res = Results{Suite: saved.Suite, Design: saved.Design}
-	c.srlOcc = stats.NewOccupancyTracker()
-	c.srlOcc.Set(c.cycle, uint64(c.srlLen()))
-	c.metrics = obs.MetricSet{}
-	c.counters = stats.NewCounters()
+	c.res = Results{Suite: c.res.Suite, Design: c.res.Design, SRLOccupancy: stats.NewOccupancyTracker()}
+	c.res.SRLOccupancy.Set(c.cycle, uint64(c.srlLen()))
 	c.statsResetAt = c.cycle
 	c.committedAtReset = c.committed
 	// Structure activity counters are cumulative; snapshot baselines.
@@ -539,12 +536,12 @@ func (c *Core) step() {
 		c.obsSample()
 	}
 	if c.outstandingMisses > 0 {
-		c.metrics.Inc(obs.MetricCyclesMissOutstanding)
+		c.res.Metrics.Inc(obs.MetricCyclesMissOutstanding)
 	}
 	if c.srl != nil && !c.srl.Empty() {
-		c.metrics.Inc(obs.MetricCyclesSRLNonEmpty)
+		c.res.Metrics.Inc(obs.MetricCyclesSRLNonEmpty)
 		if c.srl.Head().DataReady {
-			c.metrics.Inc(obs.MetricCyclesSRLHeadReady)
+			c.res.Metrics.Inc(obs.MetricCyclesSRLHeadReady)
 		}
 	}
 	c.processCompletions()
@@ -583,10 +580,7 @@ func (c *Core) finalize() {
 	}
 	c.res.Cycles = c.cycle - c.statsResetAt
 	c.res.Uops = c.committed - c.committedAtReset
-	c.srlOcc.Finish(c.cycle)
-	c.res.SRLOccupancy = c.srlOcc
-	c.res.Metrics = c.metrics
-	c.res.Counters = c.counters
+	c.res.SRLOccupancy.Finish(c.cycle)
 	c.obsFinalize()
 	act := c.snapshotActivity()
 	c.res.CamSearches = act.camSearches - c.actBase.camSearches

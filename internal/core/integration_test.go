@@ -1,10 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
+	"srlproc/internal/isa"
 	"srlproc/internal/lsq"
+	"srlproc/internal/obs"
 	"srlproc/internal/trace"
 )
 
@@ -82,6 +88,74 @@ func TestSRLStatisticsSane(t *testing.T) {
 	}
 	if res.SRLOccupancy == nil || res.SRLOccupancy.TotalCycles() == 0 {
 		t.Fatal("occupancy tracker empty")
+	}
+}
+
+// TestDrainCausesByName: every uop that first drains to the slice data
+// buffer is counted under exactly one cause — a miss root, a poisoned
+// store it depends on, or a poisoned source of its class — and Extra,
+// ExtraNames and the "extras" JSON object (a map's rendering: non-zero
+// classes, keys sorted) answer the per-class counts by name.
+func TestDrainCausesByName(t *testing.T) {
+	for _, d := range []StoreDesign{DesignBaseline, DesignLargeSTQ, DesignFilteredSTQ, DesignHierarchical, DesignSRL} {
+		res := run(t, shortCfg(d), trace.SFP2K)
+		sum := res.Metric(obs.MetricSDBCauseMissRoot) + res.Metric(obs.MetricSDBCauseMemDep)
+		var want []string
+		extras := map[string]uint64{}
+		for cl := isa.Class(0); cl < isa.NumClasses; cl++ {
+			name := "sdb_cause_poisoned_src_" + cl.String()
+			n := res.PoisonedSrcDrains[cl]
+			if got := res.Extra(name); got != n {
+				t.Errorf("%s: Extra(%q) = %d, want %d", d, name, got, n)
+			}
+			if n > 0 {
+				want = append(want, name)
+				extras[name] = n
+			}
+			sum += n
+		}
+		if len(extras) == 0 {
+			t.Errorf("%s: no poisoned-source drains: the check is vacuous", d)
+		}
+		if sum != res.MissDependentUops {
+			t.Errorf("%s: drain causes sum to %d, missDependentUops %d", d, sum, res.MissDependentUops)
+		}
+		for _, m := range res.Metrics.NonZero() {
+			want = append(want, m.String())
+		}
+		sort.Strings(want)
+		if got := res.ExtraNames(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ExtraNames() = %v, want %v", d, got, want)
+		}
+
+		doc, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw struct {
+			Extras json.RawMessage `json:"extras"`
+		}
+		if err := json.Unmarshal(doc, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if m, _ := json.Marshal(extras); !bytes.Equal(raw.Extras, m) {
+			t.Errorf("%s: extras renders %s, a map renders %s", d, raw.Extras, m)
+		}
+		var back Results
+		if err := json.Unmarshal(doc, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.PoisonedSrcDrains != res.PoisonedSrcDrains {
+			t.Errorf("%s: extras round-trip to %v, want %v", d, back.PoisonedSrcDrains, res.PoisonedSrcDrains)
+		}
+		t.Logf("%s: %d miss-dependent uops, poisoned-source drains %v", d, res.MissDependentUops, extras)
+	}
+	if b, _ := json.Marshal(PoisonedSrcCounts{}); string(b) != "{}" {
+		t.Errorf("no drains render %s, want {}", b)
+	}
+	var cc PoisonedSrcCounts
+	if err := json.Unmarshal([]byte(`{"sdb_cause_poisoned_src_class(9)":1}`), &cc); err == nil {
+		t.Error("an unknown extra name decoded without error")
 	}
 }
 

@@ -24,7 +24,7 @@ func (c *Core) execute(d *dynUop) {
 		// the store FIFOs (fenceReady). Until then it retries each cycle
 		// from the deferred list without leaving the scheduler.
 		if !c.fenceReady(d) {
-			c.metrics.Inc(obs.MetricFenceWaitCycles)
+			c.res.Metrics.Inc(obs.MetricFenceWaitCycles)
 			c.deferOneCycle(d)
 			return
 		}
@@ -158,7 +158,7 @@ func (c *Core) executeLoad(d *dynUop) {
 	// performed sync only un-performs through a squash that also squashes
 	// this load), so retry paths that bypass executeLoad are safe.
 	if s := c.pendingSyncBefore(d.u.Seq); s != nil {
-		c.metrics.Inc(obs.MetricLoadsBlockedOnSync)
+		c.res.Metrics.Inc(obs.MetricLoadsBlockedOnSync)
 		c.blockOnStore(d, s)
 		return
 	}
@@ -186,7 +186,7 @@ func (c *Core) executeLoad(d *dynUop) {
 	var sr lsq.SearchResult
 	if c.cfg.Design == DesignFilteredSTQ && !c.mtb.MightContain(d.u.Addr) &&
 		(c.l1stq.UnknownAddrs() == 0 || !c.mdp.DependentOnAny(d.u.PC)) {
-		c.metrics.Inc(obs.MetricFilteredSearchesSaved)
+		c.res.Metrics.Inc(obs.MetricFilteredSearchesSaved)
 	} else {
 		sr = c.l1stq.Search(d.u.Addr, d.u.Seq)
 	}
@@ -327,7 +327,7 @@ func (c *Core) retrySRLStalled() {
 	if len(c.srlStalled) == 0 {
 		return
 	}
-	c.metrics.Add(obs.MetricSRLStallLoadCycles, uint64(len(c.srlStalled)))
+	c.res.Metrics.Add(obs.MetricSRLStallLoadCycles, uint64(len(c.srlStalled)))
 	key := c.srlRetryKey()
 	if c.srlRetry.idle && c.srlRetry.at == key {
 		return
@@ -452,16 +452,16 @@ func (c *Core) accessCacheForLoad(d *dynUop) {
 		// return re-enters through slice reinsertion.
 		switch {
 		case d.u.Addr >= 0x8000_0000:
-			c.metrics.Inc(obs.MetricMissRegionStream)
+			c.res.Metrics.Inc(obs.MetricMissRegionStream)
 		case d.u.Addr >= 0x4000_0000:
-			c.metrics.Inc(obs.MetricMissRegionHeap)
+			c.res.Metrics.Inc(obs.MetricMissRegionHeap)
 		default:
-			c.metrics.Inc(obs.MetricMissRegionHot)
+			c.res.Metrics.Inc(obs.MetricMissRegionHot)
 		}
 		if res.Done-c.cycle > 700 {
-			c.metrics.Inc(obs.MetricPoisonNewMiss)
+			c.res.Metrics.Inc(obs.MetricPoisonNewMiss)
 		} else {
-			c.metrics.Inc(obs.MetricPoisonMerged)
+			c.res.Metrics.Inc(obs.MetricPoisonMerged)
 		}
 		d.missReturn = res.Done
 		c.outstandingMisses++
@@ -492,7 +492,7 @@ func (c *Core) drainStores() {
 		} else {
 			c.drainCommitted(c.l1stq)
 		}
-		c.srlOcc.Set(c.cycle, uint64(c.srl.Len()))
+		c.res.SRLOccupancy.Set(c.cycle, uint64(c.srl.Len()))
 	}
 }
 
@@ -615,7 +615,7 @@ func (c *Core) tempUpdateDataCacheReady(h *lsq.StoreEntry) bool {
 	if ps != "l1" {
 		// Fetch the block before the temporary update can be applied.
 		c.mem.Access(c.cycle, h.Addr, false)
-		c.metrics.Inc(obs.MetricTempUpdateFetchStalls)
+		c.res.Metrics.Inc(obs.MetricTempUpdateFetchStalls)
 		return false
 	}
 	// One version of a block per checkpoint: a temporary update to a block
@@ -627,7 +627,7 @@ func (c *Core) tempUpdateDataCacheReady(h *lsq.StoreEntry) bool {
 			c.mem.L1.CommitSpec(sw.OwnerCkpt)
 			return true
 		}
-		c.metrics.Inc(obs.MetricTempUpdateVersionStalls)
+		c.res.Metrics.Inc(obs.MetricTempUpdateVersionStalls)
 		c.tempUpdateStall = c.cycle + 2
 		return false
 	}
@@ -646,11 +646,11 @@ func (c *Core) tempUpdateDataCache(h *lsq.StoreEntry) {
 	if sw.NeededWriteback {
 		// The pre-update writeback consumes the cache write port: delay
 		// subsequent store processing by holding the drain a cycle.
-		c.metrics.Inc(obs.MetricSpecWritebacks)
+		c.res.Metrics.Inc(obs.MetricSpecWritebacks)
 		c.tempUpdateStall = c.cycle + c.cfg.L2STQLatency
 	}
 	if sw.Conflict {
-		c.metrics.Inc(obs.MetricSpecConflicts)
+		c.res.Metrics.Inc(obs.MetricSpecConflicts)
 		c.tempUpdateStall = c.cycle + c.cfg.L2STQLatency
 	}
 }
@@ -680,11 +680,11 @@ func (c *Core) drainSRLHead() {
 			return
 		}
 		if !h.DataReady {
-			c.metrics.Inc(obs.MetricSRLDrainWaitData)
+			c.res.Metrics.Inc(obs.MetricSRLDrainWaitData)
 			return // miss-dependent store not yet re-executed
 		}
 		if c.cfg.UseWARTracker && !c.order.AllLoadsOlderThanDone(h.Seq) {
-			c.metrics.Inc(obs.MetricSRLDrainWaitWAR)
+			c.res.Metrics.Inc(obs.MetricSRLDrainWaitWAR)
 			return // prior loads must read the pre-store memory image first
 		}
 		// Release-consistency gates (ordering.go): a store-release becomes
@@ -696,11 +696,11 @@ func (c *Core) drainSRLHead() {
 		// gates so the oracle can demonstrate it catches the violations.
 		if !c.cfg.FaultDropSyncGate {
 			if h.Rel && !c.order.AllLoadsOlderThanDone(h.Seq) {
-				c.metrics.Inc(obs.MetricSRLDrainWaitRelease)
+				c.res.Metrics.Inc(obs.MetricSRLDrainWaitRelease)
 				return
 			}
 			if c.pendingSyncBefore(h.Seq) != nil {
-				c.metrics.Inc(obs.MetricSRLDrainWaitSync)
+				c.res.Metrics.Inc(obs.MetricSRLDrainWaitSync)
 				return
 			}
 		}
@@ -719,11 +719,11 @@ func (c *Core) drainSRLHead() {
 				// committed data was written back before the temporary
 				// overwrite, so nothing is lost).
 				c.mem.L1.Invalidate(h.Addr)
-				c.metrics.Inc(obs.MetricSRLDrainTempDiscards)
+				c.res.Metrics.Inc(obs.MetricSRLDrainTempDiscards)
 				sw = c.mem.L1.SpecWrite(h.Addr, h.Ckpt, false)
 			}
 			if sw.Conflict {
-				c.metrics.Inc(obs.MetricSRLDrainSpecConflicts)
+				c.res.Metrics.Inc(obs.MetricSRLDrainSpecConflicts)
 				return // one speculative version per block (Section 4.3)
 			}
 			res := c.mem.Access(c.cycle, h.Addr, true)

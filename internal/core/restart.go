@@ -105,7 +105,7 @@ func (c *Core) restart(ckptID int, penalty uint64) {
 	c.order.SquashYoungerThan(squashBelow - 1)
 	c.syncs.SquashYoungerThan(squashBelow - 1)
 	c.sdb.SquashYoungerThan(squashBelow - 1)
-	c.mem.DiscardSpecInto(c.cycle, c.mem.L1.DiscardSpecFrom(ck.id))
+	c.mem.DiscardSpecFrom(c.cycle, ck.id)
 
 	// Checkpoint file: drop everything younger than ck, reset ck itself.
 	c.ckpts = c.ckpts[:ci+1]
@@ -166,7 +166,7 @@ func (c *Core) injectSnoops() {
 		// A random heap line (usually misses everything).
 		addr = 0x4000_0000 + c.snoopRNG.Uint64n(1<<20)*isa.CacheLineSize
 	}
-	c.metrics.Inc(obs.MetricSnoopsInjected)
+	c.res.Metrics.Inc(obs.MetricSnoopsInjected)
 	c.mem.Snoop(addr)
 	if v, found := c.ldbuf.SnoopCheck(addr); found {
 		c.res.SnoopViolations++

@@ -8,18 +8,21 @@ import (
 	"sort"
 	"strings"
 
+	"srlproc/internal/isa"
 	"srlproc/internal/obs"
 	"srlproc/internal/oracle"
 	"srlproc/internal/stats"
 	"srlproc/internal/trace"
 )
 
-// Results holds everything one simulation run reports. Its counters sit
-// in three embedded blocks that the event-skip engine (skip.go) compares
-// or extrapolates whole, so a counter added to a block is covered with no
-// edit there. Embedding keeps every field's JSON key, key order and
-// promoted access. No block may implement json.Marshaler or
-// encoding.TextMarshaler: MarshalJSON's raw copy would inherit it.
+// Results holds everything one simulation run reports. The cycle loop
+// counts straight into the core's copy; finalize fills in only the totals
+// and the structure-activity deltas. Its counters sit in three embedded
+// blocks that the event-skip engine (skip.go) compares or extrapolates
+// whole, so a counter added to a block is covered with no edit there.
+// Embedding keeps every field's JSON key, key order and promoted access.
+// No block may implement json.Marshaler or encoding.TextMarshaler:
+// MarshalJSON's raw copy would inherit it.
 type Results struct {
 	Suite  trace.Suite `json:"suite"`
 	Design StoreDesign `json:"design"`
@@ -45,12 +48,11 @@ type Results struct {
 	// export the full stream with Trace.WriteJSONL or Trace.WriteChromeTrace.
 	Trace *obs.TraceWriter `json:"trace,omitempty"`
 
-	// Counters holds free-form extra counters.
-	//
-	// Deprecated: hot-path counters moved to the typed Metrics set; use
-	// Metric for those and Extra/ExtraNames for anything still free-form.
-	// Direct map access remains only for backward compatibility.
-	Counters *stats.Counters `json:"extras,omitempty"`
+	// PoisonedSrcDrains counts, per class, the uops whose first drain to
+	// the slice data buffer had neither cause the typed metrics count
+	// (sdb_cause_miss_root, sdb_cause_memdep): a source operand was
+	// poisoned. Extra and ExtraNames read it by name.
+	PoisonedSrcDrains PoisonedSrcCounts `json:"extras"`
 
 	// Divergences holds the differential oracle's findings (Config.Check):
 	// the first oracle.DefaultMaxDivergences disagreements in detection
@@ -145,39 +147,83 @@ type ActivityCounts struct {
 	SRLWrites    uint64 `json:"srlWrites"`
 }
 
+// PoisonedSrcCounts counts an event per uop class, in a fixed array the
+// cycle loop indexes. Its names, "sdb_cause_poisoned_src_<class>", are
+// the keys of its JSON object, which holds the non-zero classes.
+type PoisonedSrcCounts [isa.NumClasses]uint64
+
+const poisonedSrcPrefix = "sdb_cause_poisoned_src_"
+
+// poisonedSrcClass returns the class a PoisonedSrcCounts name counts.
+func poisonedSrcClass(name string) (isa.Class, bool) {
+	if s, ok := strings.CutPrefix(name, poisonedSrcPrefix); ok {
+		for cl := isa.Class(0); cl < isa.NumClasses; cl++ {
+			if s == cl.String() {
+				return cl, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// MarshalJSON renders the non-zero classes as a name→value object with
+// its keys sorted (encoding/json sorts a map's keys): the "extras" object
+// of every result document.
+func (pc PoisonedSrcCounts) MarshalJSON() ([]byte, error) {
+	m := map[string]uint64{}
+	for cl, v := range pc {
+		if v > 0 {
+			m[poisonedSrcPrefix+isa.Class(cl).String()] = v
+		}
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON rebuilds the counts from their MarshalJSON form. An
+// unknown name is an error, as it is for obs.MetricSet: the persistent
+// result store treats such a document as unreadable.
+func (pc *PoisonedSrcCounts) UnmarshalJSON(data []byte) error {
+	var m map[string]uint64
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	*pc = PoisonedSrcCounts{}
+	for name, v := range m {
+		cl, ok := poisonedSrcClass(name)
+		if !ok {
+			return fmt.Errorf("core: unknown extra counter %q in document", name)
+		}
+		pc[cl] = v
+	}
+	return nil
+}
+
 // Metric returns one typed hot-path counter.
 func (r *Results) Metric(m obs.Metric) uint64 { return r.Metrics.Get(m) }
 
-// Extra returns a free-form extra counter by name. Names that correspond
-// to typed metrics (see obs.MetricByName) are answered from Metrics, so
-// callers that predate the typed set keep working.
+// Extra returns a counter by name: a typed metric (see obs.MetricByName)
+// or a per-class drain count ("sdb_cause_poisoned_src_<class>"). Unknown
+// names read zero.
 func (r *Results) Extra(name string) uint64 {
 	if m, ok := obs.MetricByName(name); ok {
 		return r.Metrics.Get(m)
 	}
-	if r.Counters == nil {
-		return 0
+	if cl, ok := poisonedSrcClass(name); ok {
+		return r.PoisonedSrcDrains[cl]
 	}
-	return r.Counters.Get(name)
+	return 0
 }
 
-// ExtraNames lists the names of all non-zero counters — typed metrics and
-// free-form extras — sorted.
+// ExtraNames lists the names of all non-zero counters Extra answers,
+// sorted.
 func (r *Results) ExtraNames() []string {
-	seen := map[string]bool{}
 	var names []string
-	for _, m := range obs.AllMetrics() {
-		if r.Metrics.Get(m) > 0 && !seen[m.String()] {
-			seen[m.String()] = true
-			names = append(names, m.String())
-		}
+	for _, m := range r.Metrics.NonZero() {
+		names = append(names, m.String())
 	}
-	if r.Counters != nil {
-		for _, name := range r.Counters.Names() {
-			if r.Counters.Get(name) > 0 && !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
+	for cl, v := range r.PoisonedSrcDrains {
+		if v > 0 {
+			names = append(names, poisonedSrcPrefix+isa.Class(cl).String())
 		}
 	}
 	sort.Strings(names)

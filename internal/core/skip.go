@@ -265,7 +265,7 @@ func (c *Core) skipCapture() skipSnap {
 		fp:     c.skipFPCapture(),
 		events: c.res.EventCounts,
 		stalls: c.res.StallCounts,
-		met:    c.metrics,
+		met:    c.res.Metrics,
 		act:    c.snapshotActivity(),
 	}
 }
@@ -281,7 +281,7 @@ func (c *Core) verifySkip() bool {
 		c.res.EventCounts != s.events || c.res.ActivityCounts != (ActivityCounts{}) {
 		return false
 	}
-	for m, v := range c.metrics {
+	for m, v := range c.res.Metrics {
 		if v != s.met[m] && !obs.Metric(m).PerCycle() {
 			return false
 		}
@@ -330,9 +330,9 @@ func (c *Core) addSkipDeltas(w uint64) {
 	}
 	s := &c.skip.snap
 	extrapolateStalls(&c.res.StallCounts, &s.stalls, w)
-	for m := range c.metrics {
+	for m := range c.res.Metrics {
 		if obs.Metric(m).PerCycle() {
-			c.metrics[m] += (c.metrics[m] - s.met[m]) * w
+			c.res.Metrics[m] += (c.res.Metrics[m] - s.met[m]) * w
 		}
 	}
 	act := c.snapshotActivity()

@@ -45,23 +45,6 @@ func (c *Core) wakeWaiters(d *dynUop) {
 	}
 }
 
-// sdbCauseNames precomputes the per-class SDB-cause counter names so the
-// drain path does not concatenate strings per poisoned uop.
-var sdbCauseNames = func() [isa.NumClasses]string {
-	var names [isa.NumClasses]string
-	for cl := isa.Class(0); cl < isa.NumClasses; cl++ {
-		names[cl] = "sdb_cause_poisoned_src_" + cl.String()
-	}
-	return names
-}()
-
-func sdbCauseName(cl isa.Class) string {
-	if cl < isa.NumClasses {
-		return sdbCauseNames[cl]
-	}
-	return "sdb_cause_poisoned_src_" + cl.String()
-}
-
 // --- resource helpers ---
 
 // sliceReserve is the number of scheduler entries per window reserved for
@@ -187,11 +170,11 @@ func (c *Core) drainToSDB(d *dynUop) {
 		m := d.memDep.live()
 		switch {
 		case d.missReturn > 0:
-			c.metrics.Inc(obs.MetricSDBCauseMissRoot)
+			c.res.Metrics.Inc(obs.MetricSDBCauseMissRoot)
 		case m != nil && m.poisoned && !m.done:
-			c.metrics.Inc(obs.MetricSDBCauseMemDep)
+			c.res.Metrics.Inc(obs.MetricSDBCauseMemDep)
 		default:
-			c.counters.Inc(sdbCauseName(d.u.Class))
+			c.res.PoisonedSrcDrains[d.u.Class]++
 		}
 	}
 	c.sdb.Add(d.u.Seq)
@@ -316,8 +299,7 @@ func (c *Core) onMissReturn() {
 	} else {
 		// Temporary updates discarded: the next access re-misses to L2 —
 		// the extra redo-phase misses of §6.5.
-		addrs := c.mem.L1.DiscardSpecTemp()
-		c.res.SpecDiscards += uint64(c.mem.DiscardSpecInto(c.cycle, addrs))
+		c.res.SpecDiscards += uint64(c.mem.DiscardSpecTemp(c.cycle))
 	}
 }
 
@@ -676,11 +658,11 @@ func (c *Core) allocate() {
 		}
 		if d.isStore() && !c.allocStoreEntry(d, ck.id) {
 			if c.srlMode() {
-				c.metrics.Inc(obs.MetricSTQStallSRLMode)
+				c.res.Metrics.Inc(obs.MetricSTQStallSRLMode)
 			} else if c.outstandingMisses > 0 {
-				c.metrics.Inc(obs.MetricSTQStallMissMode)
+				c.res.Metrics.Inc(obs.MetricSTQStallMissMode)
 			} else {
-				c.metrics.Inc(obs.MetricSTQStallQuiet)
+				c.res.Metrics.Inc(obs.MetricSTQStallQuiet)
 			}
 			c.maybeCloseCkptOnStall()
 			return
@@ -802,7 +784,7 @@ func (c *Core) allocStoreEntry(d *dynUop, ckptID int) bool {
 	c.storeCounter = d.storeID + 1
 
 	entry := lsq.StoreEntry{
-		Seq: d.u.Seq, PC: d.u.PC, Ckpt: ckptID, SRLIndex: d.storeID, Rel: d.u.Rel,
+		Seq: d.u.Seq, Ckpt: ckptID, SRLIndex: d.storeID, Rel: d.u.Rel,
 	}
 	if c.cfg.Design == DesignHierarchical && c.l1stq.Full() {
 		// Displace the L1 STQ head (the oldest store) into the L2 STQ.

@@ -131,15 +131,6 @@ type Uop struct {
 	Rel bool
 }
 
-// IsLoad reports whether u is a load.
-func (u *Uop) IsLoad() bool { return u.Class == Load }
-
-// IsStore reports whether u is a store.
-func (u *Uop) IsStore() bool { return u.Class == Store }
-
-// IsBranch reports whether u is a branch.
-func (u *Uop) IsBranch() bool { return u.Class == Branch }
-
 // String renders a compact human-readable form for debugging.
 func (u *Uop) String() string {
 	switch u.Class {

@@ -65,21 +65,6 @@ func TestLineAddr(t *testing.T) {
 	}
 }
 
-func TestUopPredicates(t *testing.T) {
-	u := Uop{Class: Load}
-	if !u.IsLoad() || u.IsStore() || u.IsBranch() {
-		t.Fatal("load predicates")
-	}
-	u.Class = Store
-	if !u.IsStore() {
-		t.Fatal("store predicate")
-	}
-	u.Class = Branch
-	if !u.IsBranch() {
-		t.Fatal("branch predicate")
-	}
-}
-
 func TestUopString(t *testing.T) {
 	u := Uop{Seq: 7, Class: Load, Dst: 3, Addr: 0x1000}
 	if !strings.Contains(u.String(), "load") || !strings.Contains(u.String(), "0x1000") {

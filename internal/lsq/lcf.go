@@ -185,7 +185,3 @@ func (f *LCF) reset() {
 	clear(f.lastIndex)
 	clear(f.sticky)
 }
-
-// SizeBytes returns the storage footprint: the paper's 2K-entry LCF stores
-// a 10-bit SRL index plus a 6-bit counter per entry = 2 bytes.
-func (f *LCF) SizeBytes() int { return len(f.count) * 2 }

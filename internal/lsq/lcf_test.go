@@ -102,13 +102,6 @@ func TestLCFReset(t *testing.T) {
 	}
 }
 
-func TestLCFSizeBytes(t *testing.T) {
-	// The paper's 2K-entry LCF is 4KB (2 bytes per entry).
-	if got := NewLCF(2048, Hash3PAX, 6).SizeBytes(); got != 4096 {
-		t.Fatalf("size %d", got)
-	}
-}
-
 // Property: a zero counter is a GUARANTEE of no matching store (no false
 // negatives) — the safety property loads rely on. Model the SRL contents as
 // a multiset and compare.

@@ -140,9 +140,3 @@ func (t *OrderTracker) SquashYoungerThan(seq uint64) {
 	}
 	t.newest = seq
 }
-
-// Reset clears the tracker (full squash).
-func (t *OrderTracker) Reset() {
-	clear(t.bits)
-	t.count = 0
-}

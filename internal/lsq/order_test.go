@@ -61,15 +61,6 @@ func TestOrderTrackerReplayDuplicate(t *testing.T) {
 	}
 }
 
-func TestOrderTrackerReset(t *testing.T) {
-	o := NewOrderTracker(64)
-	o.Add(10)
-	o.Reset()
-	if !o.AllLoadsOlderThanDone(100) || o.Len() != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
 // TestOrderTrackerSizing pins the ring to the smallest power-of-two number
 // of words covering the requested span.
 func TestOrderTrackerSizing(t *testing.T) {

@@ -16,13 +16,12 @@ package lsq
 // StoreEntry is one store's record in a store queue or the SRL.
 type StoreEntry struct {
 	Seq       uint64 // program-order sequence number
-	PC        uint64
 	Addr      uint64
+	Ckpt      int // owning checkpoint
+	SRLIndex  uint64
 	Size      uint8
 	AddrKnown bool // address has been computed (store has issued)
 	DataReady bool // data value captured (not poisoned / slice returned)
-	Ckpt      int  // owning checkpoint
-	SRLIndex  uint64
 	// LCFCounted marks an SRL entry whose address the SRL has counted in
 	// its loose check filter, so a drain or squash uncounts exactly what
 	// was counted.

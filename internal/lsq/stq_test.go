@@ -1,6 +1,18 @@
 package lsq
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestStoreEntrySize pins StoreEntry at its unpadded 40 bytes: the words
+// first, then the flags, which share one word. Every store queue and the
+// SRL hold their entries by value.
+func TestStoreEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(StoreEntry{}); n != 40 {
+		t.Fatalf("StoreEntry is %d bytes, want 40", n)
+	}
+}
 
 func mkEntry(seq uint64, addr uint64, ready bool) StoreEntry {
 	return StoreEntry{Seq: seq, Addr: addr, Size: 8, AddrKnown: true, DataReady: ready, SRLIndex: seq}

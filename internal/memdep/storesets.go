@@ -71,7 +71,3 @@ func (s *StoreSets) RecordViolation(loadPC, storePC uint64) {
 		}
 	}
 }
-
-// Clear removes the load's store-set membership; called on cyclic false
-// dependences (periodic clearing keeps the predictor from over-serialising).
-func (s *StoreSets) Clear(pc uint64) { s.ssit[s.idx(pc)] = -1 }

@@ -52,19 +52,6 @@ func TestBothInDifferentSetsMergeToLower(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	s := New(1024)
-	s.RecordViolation(0x100, 0x200)
-	s.Clear(0x100)
-	if s.DependentOnAny(0x100) {
-		t.Fatal("cleared load still in a set")
-	}
-	// The store keeps its membership.
-	if !s.DependentOnAny(0x200) {
-		t.Fatal("store lost set membership on load clear")
-	}
-}
-
 func TestAliasingIsByHashedPC(t *testing.T) {
 	s := New(64)
 	// PCs that collide modulo the table size behave as the same entry —

@@ -126,16 +126,10 @@ func New(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg}
 	for i := 0; i < cfg.Cores; i++ {
-		prof := trace.ProfileFor(cfg.Suite)
+		prof := core.ProfileFor(cfg.Core, cfg.Suite)
 		prof.CoreID = i
 		prof.SharedHotFrac = cfg.SharedHotFrac
 		prof.SnoopPer1KCycles = 0 // real traffic replaces the synthetic injector
-		// Mirror the memory-ordering workload knobs, exactly as core.New
-		// does for single-core runs: zero knobs leave the profile (and the
-		// generator's RNG stream) untouched.
-		prof.FencePer1K = cfg.Core.FencePer1K
-		prof.AcquireFrac = cfg.Core.AcquireFrac
-		prof.ReleaseFrac = cfg.Core.ReleaseFrac
 
 		cc := cfg.Core
 		cc.Seed = cfg.Core.Seed + uint64(i)*7919

@@ -203,8 +203,8 @@ func (s *MetricSet) NonZero() []Metric {
 	return out
 }
 
-// String renders the non-zero metrics one per line, aligned like
-// stats.Counters output.
+// String renders the non-zero metrics one per line, name and value
+// aligned as srlsim -v prints every counter.
 func (s *MetricSet) String() string {
 	var b strings.Builder
 	for _, m := range s.NonZero() {

@@ -1,6 +1,6 @@
-// Package stats collects the counters, histograms and occupancy-time
-// distributions the simulator reports, and formats them into the tables and
-// figure series the paper's evaluation section uses.
+// Package stats collects the histograms and occupancy-time distributions
+// the simulator reports, and formats them into the tables and figure series
+// the paper's evaluation section uses.
 package stats
 
 import (
@@ -8,73 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
-
-// Counters is a named set of monotonically increasing event counts.
-type Counters struct {
-	m     map[string]uint64
-	order []string
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]uint64)}
-}
-
-// Add increments counter name by delta.
-func (c *Counters) Add(name string, delta uint64) {
-	if _, ok := c.m[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.m[name] += delta
-}
-
-// Inc increments counter name by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Get returns the current value of name (zero if never incremented).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Names returns counter names in first-touch order.
-func (c *Counters) Names() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
-// String renders all counters, one per line, in first-touch order.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, n := range c.order {
-		fmt.Fprintf(&b, "%-40s %d\n", n, c.m[n])
-	}
-	return b.String()
-}
-
-// MarshalJSON renders the counters as a name→value object.
-func (c *Counters) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.m)
-}
-
-// UnmarshalJSON rebuilds the counter set from its MarshalJSON form. The
-// first-touch order is not part of the JSON document, so a rehydrated set
-// iterates in sorted-name order; the JSON form (which sorts map keys)
-// round-trips byte-identically, which is what the persistent result store
-// relies on.
-func (c *Counters) UnmarshalJSON(data []byte) error {
-	var m map[string]uint64
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	c.m = m
-	c.order = c.order[:0]
-	for name := range m {
-		c.order = append(c.order, name)
-	}
-	sort.Strings(c.order)
-	return nil
-}
 
 // Histogram is a fixed-bucket histogram over non-negative integer samples.
 type Histogram struct {

@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a")
-	c.Add("b", 5)
-	c.Inc("a")
-	if c.Get("a") != 2 || c.Get("b") != 5 {
-		t.Fatalf("got a=%d b=%d", c.Get("a"), c.Get("b"))
-	}
-	if c.Get("missing") != 0 {
-		t.Fatal("missing counter not zero")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names %v", names)
-	}
-	if !strings.Contains(c.String(), "a") {
-		t.Fatal("String missing counter name")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]uint64{0, 10, 100})
 	h.Observe(0)    // bucket <=0
@@ -145,26 +125,11 @@ func TestHistogramFracAbovePanicsOnNonBound(t *testing.T) {
 }
 
 func TestStatsMarshalJSON(t *testing.T) {
-	c := NewCounters()
-	c.Add("alpha", 3)
-	c.Inc("beta")
-	b, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]uint64
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["alpha"] != 3 || m["beta"] != 1 {
-		t.Fatalf("counters round-trip = %v", m)
-	}
-
 	h := NewHistogram([]uint64{0, 10})
 	h.Observe(0)
 	h.ObserveN(5, 2)
 	h.Observe(99)
-	b, err = json.Marshal(h)
+	b, err := json.Marshal(h)
 	if err != nil {
 		t.Fatal(err)
 	}

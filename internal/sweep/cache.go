@@ -347,7 +347,7 @@ func resultsFootprint(r *core.Results) int64 {
 	if r == nil {
 		return 0
 	}
-	n := int64(4096) // flat Results struct, occupancy tracker, slack
+	n := int64(5120) // flat Results struct, occupancy tracker, slack
 	if r.Timeline != nil {
 		n += int64(r.Timeline.Len()) * 192
 	}
@@ -355,8 +355,5 @@ func resultsFootprint(r *core.Results) int64 {
 		n += int64(r.Trace.Len()) * 24
 	}
 	n += int64(len(r.Divergences)) * 512
-	if r.Counters != nil {
-		n += 1024
-	}
 	return n
 }

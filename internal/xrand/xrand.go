@@ -1,6 +1,6 @@
 // Package xrand provides a small, fast, deterministic random number
 // generator plus the handful of distributions the synthetic workload
-// generators need (geometric, Zipf, weighted choice).
+// generators need (geometric, Zipf).
 //
 // The simulator must be bit-for-bit reproducible for a given seed so that
 // experiments are comparable across designs: every design point of an
@@ -126,48 +126,6 @@ func (z *Zipf) Next() int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Weighted selects an index proportionally to weights. Weights must be
-// non-negative and not all zero.
-type Weighted struct {
-	cum []float64
-	rng *RNG
-}
-
-// NewWeighted builds a weighted sampler.
-func NewWeighted(rng *RNG, weights []float64) *Weighted {
-	if len(weights) == 0 {
-		panic("xrand: Weighted with no weights")
-	}
-	w := &Weighted{cum: make([]float64, len(weights)), rng: rng}
-	sum := 0.0
-	for i, x := range weights {
-		if x < 0 {
-			panic("xrand: negative weight")
-		}
-		sum += x
-		w.cum[i] = sum
-	}
-	if sum == 0 {
-		panic("xrand: all weights zero")
-	}
-	return w
-}
-
-// Next returns the next weighted index.
-func (w *Weighted) Next() int {
-	u := w.rng.Float64() * w.cum[len(w.cum)-1]
-	lo, hi := 0, len(w.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if w.cum[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid

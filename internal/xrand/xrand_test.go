@@ -139,29 +139,3 @@ func TestZipfUniformWhenS0(t *testing.T) {
 		}
 	}
 }
-
-func TestWeighted(t *testing.T) {
-	r := New(19)
-	w := NewWeighted(r, []float64{1, 0, 3})
-	counts := make([]int, 3)
-	for i := 0; i < 100_000; i++ {
-		counts[w.Next()]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight bucket drawn %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if math.Abs(ratio-3) > 0.25 {
-		t.Fatalf("weight ratio %v, want ~3", ratio)
-	}
-}
-
-func TestWeightedPanics(t *testing.T) {
-	for _, weights := range [][]float64{{}, {0, 0}, {-1, 2}} {
-		func() {
-			defer func() { recover() }()
-			NewWeighted(New(1), weights)
-			t.Fatalf("NewWeighted(%v) did not panic", weights)
-		}()
-	}
-}

@@ -4,8 +4,9 @@
 #
 # Usage: scripts/identity.sh [BASE]     BASE defaults to main.
 #
-# Builds cmd/experiments and cmd/paperrepro twice: at BASE, exported with
-# `git archive` into a temporary directory, and from the working tree.
+# Builds cmd/experiments, cmd/paperrepro and cmd/srlsim twice: at BASE,
+# exported with `git archive` into a temporary directory, and from the
+# working tree.
 # Each side then produces, from its own source tree:
 #
 #   quick-json       experiments -quick -uops 8000 -warmup 1000 -json
@@ -13,6 +14,9 @@
 #   default-json     experiments -json (default scale)
 #   table1, table2, power
 #                    the text of experiments -only <name>
+#   srlsim-v         the text of srlsim -design srl -suite SFP2K
+#                    -uops 8000 -warmup 1000 -v (its -v block prints
+#                    every counter Results.ExtraNames lists)
 #   paper-csv, paper-analysis
 #                    the csv/ and analysis/ trees of
 #                    paperrepro -profile quick -check
@@ -41,7 +45,7 @@ produce() {
     local side=$1 src=$2 out="$tmp/$1"
     mkdir -p "$out/bin"
     echo "== identity: $side: build"
-    (cd "$src" && go build -o "$out/bin/" ./cmd/experiments ./cmd/paperrepro)
+    (cd "$src" && go build -o "$out/bin/" ./cmd/experiments ./cmd/paperrepro ./cmd/srlsim)
     local ex="$out/bin/experiments"
     echo "== identity: $side: experiments -quick"
     "$ex" -quick -uops 8000 -warmup 1000 -json -timeline "$out/quick-timeline" >"$out/quick-json"
@@ -50,6 +54,7 @@ produce() {
     for t in table1 table2 power; do
         "$ex" -only "$t" >"$out/$t"
     done
+    "$out/bin/srlsim" -design srl -suite SFP2K -uops 8000 -warmup 1000 -v >"$out/srlsim-v"
     echo "== identity: $side: paperrepro -profile quick -check"
     # A failed check still writes the trees, which are what is compared.
     if ! (cd "$src" && "$out/bin/paperrepro" -profile quick -check \
@@ -68,7 +73,7 @@ produce base "$tmp/base-src"
 produce work "$PWD"
 
 echo "== identity: comparing against $BASE ($rev)"
-files=(quick-json quick-timeline default-json table1 table2 power skip-lines)
+files=(quick-json quick-timeline default-json table1 table2 power srlsim-v skip-lines)
 trees=(csv analysis)
 differ=()
 for f in "${files[@]}"; do
