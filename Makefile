@@ -41,10 +41,11 @@ bench:
 	go test -run '^$$' -bench BenchmarkSweepMatrix -benchtime 1x -benchmem .
 
 # Machine-readable perf trajectory: the cycle-loop, ready-list,
-# order-tracker, trace-generator and MSHR miss-path micro-benchmarks and
-# one full design point per design (three repetitions: the minimum kept for
-# the gate, with n, mean and std beside it) plus the end-to-end sweep
-# matrix, rendered to BENCH_core.json by cmd/benchjson.
+# order-tracker, trace-generator and MSHR miss-path micro-benchmarks, one
+# full design point per design, the result document's encoding and one
+# /v1/simulate memo hit through the server's handler (three repetitions:
+# the minimum kept for the gate, with n, mean and std beside it) plus the
+# end-to-end sweep matrix, rendered to BENCH_core.json by cmd/benchjson.
 # This file is the CI bench gate's baseline and the repo's recorded perf
 # history — regenerate and commit it when a PR intentionally shifts
 # performance.
@@ -52,8 +53,10 @@ BENCHOUT ?= BENCH_core.json
 BENCHRAW ?= /tmp/srlproc_bench_raw.txt
 bench-json:
 	@{ go test -run '^$$' -bench '^BenchmarkSweepMatrix$$/^serial$$' -benchtime 1x -benchmem . && \
-	   go test -run '^$$' -bench '^(BenchmarkCycleLoop|BenchmarkReadyList|BenchmarkIssueWidth)(/|$$)' \
+	   go test -run '^$$' -bench '^(BenchmarkCycleLoop|BenchmarkReadyList|BenchmarkIssueWidth|BenchmarkResultsJSON)(/|$$)' \
 	       -benchtime 20000x -count 3 -benchmem ./internal/core && \
+	   go test -run '^$$' -bench '^BenchmarkSimulateHit$$' \
+	       -benchtime 20000x -count 3 -benchmem ./internal/serve && \
 	   go test -run '^$$' -bench '^BenchmarkOrderTracker$$' \
 	       -benchtime 20000x -count 3 -benchmem ./internal/lsq && \
 	   go test -run '^$$' -bench '^BenchmarkCycleLoopSkip(/|$$)' \

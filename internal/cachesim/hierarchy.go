@@ -90,7 +90,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cachesim: %d prefetch streams out of range [1,%d]", c.PrefetchN, MaxPrefetchStreams)
 	case c.PrefetchOn && (c.PrefetchD < 0 || c.PrefetchD > MaxPrefetchDepth):
 		return fmt.Errorf("cachesim: prefetch depth %d out of range [0,%d]", c.PrefetchD, MaxPrefetchDepth)
-	case c.FarFrac < 0 || c.FarFrac > 1:
+	case !(c.FarFrac >= 0 && c.FarFrac <= 1): // NaN fails both
 		return fmt.Errorf("cachesim: FarFrac %v out of range [0,1]", c.FarFrac)
 	case c.FarFrac > 0 && c.FarLatency == 0:
 		return fmt.Errorf("cachesim: FarFrac %v requires FarLatency > 0", c.FarFrac)

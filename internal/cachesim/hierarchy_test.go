@@ -1,6 +1,9 @@
 package cachesim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func smallHier() *Hierarchy {
 	cfg := DefaultConfig()
@@ -298,6 +301,9 @@ func TestConfigValidate(t *testing.T) {
 		{"far tier", func(c *Config) { c.FarFrac, c.FarLatency = 0.5, 2000 }, true},
 		{"FarFrac above one", func(c *Config) { c.FarFrac, c.FarLatency = 1.5, 2000 }, false},
 		{"FarFrac without latency", func(c *Config) { c.FarFrac = 0.5 }, false},
+		{"negative FarFrac", func(c *Config) { c.FarFrac, c.FarLatency = -0.5, 2000 }, false},
+		{"NaN FarFrac", func(c *Config) { c.FarFrac, c.FarLatency = math.NaN(), 2000 }, false},
+		{"NaN FarFrac without latency", func(c *Config) { c.FarFrac = math.NaN() }, false},
 		{"degrade without latency", func(c *Config) { c.FarDegradeAfter = 100 }, false},
 		{"no L1 ways", func(c *Config) { c.L1Assoc = 0 }, false},
 		{"more ways than lines", func(c *Config) { c.L1Assoc = c.L1Size/64 + 1 }, false},

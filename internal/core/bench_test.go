@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"srlproc/internal/isa"
@@ -123,6 +124,27 @@ func BenchmarkDesignPoint(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkResultsJSON encodes one SRL/SFP2K result document the way a
+// caller of json.Marshal does: the document's MarshalJSON, whose nested
+// metric, extras and occupancy objects append their own JSON, then
+// encoding/json's compaction of it.
+func BenchmarkResultsJSON(b *testing.B) {
+	cfg := DefaultConfig(DesignSRL)
+	cfg.WarmupUops, cfg.RunUops = 2_000, 10_000
+	c, err := New(cfg, trace.SFP2K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := c.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := json.Marshal(r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

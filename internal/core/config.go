@@ -345,9 +345,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: RunUops must be positive")
 	case c.FencePer1K < 0 || c.FencePer1K > 1000:
 		return fmt.Errorf("core: FencePer1K %d out of range [0,1000]", c.FencePer1K)
-	case c.AcquireFrac < 0 || c.AcquireFrac > 1:
+	case !(c.AcquireFrac >= 0 && c.AcquireFrac <= 1): // NaN fails both
 		return fmt.Errorf("core: AcquireFrac %v out of range [0,1]", c.AcquireFrac)
-	case c.ReleaseFrac < 0 || c.ReleaseFrac > 1:
+	case !(c.ReleaseFrac >= 0 && c.ReleaseFrac <= 1):
 		return fmt.Errorf("core: ReleaseFrac %v out of range [0,1]", c.ReleaseFrac)
 	case c.L1STQLatency > cachesim.MaxLatency:
 		return fmt.Errorf("core: L1 STQ latency %d exceeds %d cycles", c.L1STQLatency, cachesim.MaxLatency)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,31 +11,91 @@ import (
 	"srlproc/internal/trace"
 )
 
+// TestFingerprintStableAndSensitive changes each leaf field of Config
+// alone, the nested memory-hierarchy and observability configs included,
+// and requires a fingerprint no other change produced. EventSkip is the
+// exception: a skipped and a stepped run share one fingerprint.
 func TestFingerprintStableAndSensitive(t *testing.T) {
 	a := DefaultConfig(DesignSRL)
 	b := DefaultConfig(DesignSRL)
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("identical configs hash differently")
 	}
-	// Every class of field must perturb the hash: top-level, nested memory
-	// config, seed and run-length workload control.
-	mods := []func(*Config){
-		func(c *Config) { c.Design = DesignBaseline },
-		func(c *Config) { c.SRLSize = 512 },
-		func(c *Config) { c.Mem.MemLatency = 400 },
-		func(c *Config) { c.Seed = 99 },
-		func(c *Config) { c.RunUops = 123 },
-		func(c *Config) { c.UseLCF = false },
-	}
-	seen := map[uint64]bool{a.Fingerprint(): true}
-	for i, mod := range mods {
+	seen := map[uint64]string{a.Fingerprint(): "the default config"}
+	leaves := 0
+	forEachLeaf(reflect.TypeOf(Config{}), nil, "", func(idx []int, name string) {
 		c := DefaultConfig(DesignSRL)
-		mod(&c)
-		fp := c.Fingerprint()
-		if seen[fp] {
-			t.Fatalf("mod %d did not change the fingerprint", i)
+		f := reflect.ValueOf(&c).Elem().FieldByIndex(idx)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		case reflect.Float32, reflect.Float64:
+			f.SetFloat(f.Float() + 0.25)
+		default:
+			t.Fatalf("%s: no way to change a %s field", name, f.Kind())
 		}
-		seen[fp] = true
+		fp := c.Fingerprint()
+		if name == "EventSkip" {
+			if fp != a.Fingerprint() {
+				t.Error("EventSkip changed the fingerprint")
+			}
+			return
+		}
+		leaves++
+		if other, dup := seen[fp]; dup {
+			t.Errorf("changing %s gives the fingerprint of %s", name, other)
+		}
+		seen[fp] = "changing " + name
+	})
+	if leaves < 60 {
+		t.Fatalf("the walk reached only %d leaf fields", leaves)
+	}
+	t.Logf("walked %d leaf fields", leaves)
+}
+
+// forEachLeaf calls f with the index path and dotted name of every
+// non-struct field under t, recursing into nested structs.
+func forEachLeaf(t reflect.Type, prefix []int, name string, f func([]int, string)) {
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		idx := append(append([]int(nil), prefix...), i)
+		n := name + sf.Name
+		if sf.Type.Kind() == reflect.Struct {
+			forEachLeaf(sf.Type, idx, n+".", f)
+			continue
+		}
+		f(idx, n)
+	}
+}
+
+// TestFingerprintRejectsNonScalarFields: the walk behind Fingerprint
+// panics on a field that is not a bool, an integer, a float or a struct of
+// them, so a string or slice added to Config fails every test that
+// fingerprints a config instead of hashing a pointer or a header.
+func TestFingerprintRejectsNonScalarFields(t *testing.T) {
+	for name, v := range map[string]any{
+		"string": struct {
+			N int
+			S string
+		}{},
+		"slice": struct {
+			N int
+			S []int
+		}{},
+		"nested slice": struct{ In struct{ S []uint64 } }{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a struct holding a %s fingerprinted without a panic", name)
+				}
+			}()
+			hashLeaves(fnvOffset, reflect.ValueOf(v))
+		}()
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -268,6 +269,14 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.UseLCF = false }, // with indexed fwd still on
 		func(c *Config) { c.Mem.MSHRs = 0 },
 		func(c *Config) { c.Mem.MSHRs = -1 },
+		// NaN fails every comparison, so only a check that NaN cannot
+		// pass rejects it: a NaN FarFrac made every line far at 0 cycles.
+		func(c *Config) { c.AcquireFrac = math.NaN() },
+		func(c *Config) { c.ReleaseFrac = math.NaN() },
+		func(c *Config) { c.AcquireFrac = -0.1 },
+		func(c *Config) { c.ReleaseFrac = 1.5 },
+		func(c *Config) { c.Mem.FarFrac = math.NaN() },
+		func(c *Config) { c.Mem.FarFrac, c.Mem.FarLatency = math.NaN(), 1600 },
 	}
 	for i, mod := range bad {
 		cfg := DefaultConfig(DesignSRL)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"srlproc/internal/isa"
@@ -166,17 +167,36 @@ func poisonedSrcClass(name string) (isa.Class, bool) {
 	return 0, false
 }
 
-// MarshalJSON renders the non-zero classes as a name→value object with
-// its keys sorted (encoding/json sorts a map's keys): the "extras" object
-// of every result document.
-func (pc PoisonedSrcCounts) MarshalJSON() ([]byte, error) {
-	m := map[string]uint64{}
-	for cl, v := range pc {
-		if v > 0 {
-			m[poisonedSrcPrefix+isa.Class(cl).String()] = v
-		}
+// poisonedSrcOrder lists the classes in the order of their names, which is
+// the order encoding/json gives the keys of a map.
+var poisonedSrcOrder = func() (order [isa.NumClasses]isa.Class) {
+	for i := range order {
+		order[i] = isa.Class(i)
 	}
-	return json.Marshal(m)
+	sort.Slice(order[:], func(i, j int) bool { return order[i].String() < order[j].String() })
+	return order
+}()
+
+// MarshalJSON renders the non-zero classes as a name→value object with
+// its keys sorted, as encoding/json renders a map: the "extras" object of
+// every result document.
+func (pc PoisonedSrcCounts) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 128)
+	b = append(b, '{')
+	for _, cl := range poisonedSrcOrder {
+		if pc[cl] == 0 {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, poisonedSrcPrefix...)
+		b = append(b, cl.String()...)
+		b = append(b, '"', ':')
+		b = strconv.AppendUint(b, pc[cl], 10)
+	}
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON rebuilds the counts from their MarshalJSON form. An
@@ -289,7 +309,9 @@ func (r *Results) PctTimeSRLOccupied() float64 {
 
 // MarshalJSON renders the run as one JSON object: every raw counter plus
 // the derived figures the paper reports (ipc, percentage columns), so a
-// consumer never has to re-derive them.
+// consumer never has to re-derive them. The document is already what
+// json.Marshal makes of r, compact and HTML-escaped, so /v1/simulate
+// writes it as it is.
 func (r *Results) MarshalJSON() ([]byte, error) {
 	type raw Results // shed the method set to avoid recursion
 	return json.Marshal(struct {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -158,6 +160,41 @@ func TestMetricSetJSON(t *testing.T) {
 	}
 	if len(m) != 2 || m["snoops_injected"] != 1 || m["srl_drain_wait_war"] != 42 {
 		t.Fatalf("metric set JSON = %v", m)
+	}
+}
+
+// TestMetricSetJSONMatchesFormer: the appender renders what the fmt-built
+// form it replaced did, for an empty, a sparse and a full set.
+func TestMetricSetJSONMatchesFormer(t *testing.T) {
+	former := func(s *MetricSet) string {
+		var b strings.Builder
+		b.WriteByte('{')
+		first := true
+		for _, m := range s.NonZero() {
+			if !first {
+				b.WriteByte(',')
+			}
+			first = false
+			fmt.Fprintf(&b, "%q:%d", m.String(), s[m])
+		}
+		b.WriteByte('}')
+		return b.String()
+	}
+	var empty, sparse, full MetricSet
+	sparse.Add(MetricCyclesSRLNonEmpty, 1<<63)
+	sparse.Inc(MetricLoadsBlockedOnSync)
+	for i := range full {
+		full[i] = uint64(i)*977 + 1
+	}
+	for name, s := range map[string]*MetricSet{"empty": &empty, "sparse": &sparse, "full": &full} {
+		got, err := s.MarshalJSON()
+		if err != nil || string(got) != former(s) {
+			t.Errorf("%s: got %s (%v), want %s", name, got, err, former(s))
+		}
+		var back MetricSet
+		if err := json.Unmarshal(got, &back); err != nil || back != *s {
+			t.Errorf("%s did not round-trip: %v", name, err)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -235,18 +236,22 @@ func (s *MetricSet) UnmarshalJSON(data []byte) error {
 }
 
 // MarshalJSON renders the non-zero metrics as a name→value object in
-// declaration order.
+// declaration order. The names are snake_case ASCII, which JSON spells as
+// is.
 func (s *MetricSet) MarshalJSON() ([]byte, error) {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	for _, m := range s.NonZero() {
-		if !first {
-			b.WriteByte(',')
+	b := make([]byte, 0, 512)
+	b = append(b, '{')
+	for i, v := range s {
+		if v == 0 {
+			continue
 		}
-		first = false
-		fmt.Fprintf(&b, "%q:%d", m.String(), s[m])
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, metricTable[i].name...)
+		b = append(b, '"', ':')
+		b = strconv.AppendUint(b, v, 10)
 	}
-	b.WriteByte('}')
-	return []byte(b.String()), nil
+	return append(b, '}'), nil
 }

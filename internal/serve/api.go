@@ -146,14 +146,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	rep, err := sweep.Run(ctx, []sweep.Point{{Label: "simulate", Cfg: cfg, Suite: su}},
 		sweep.Options{Workers: 1, Cache: s.cache, NoCache: req.NoCache})
 	runRelease()
-	s.observeJob(time.Since(start))
+	pr := &rep.Points[0]
+	if !pr.CacheHit {
+		// Retry-After estimates how long simulations hold the run slots;
+		// a memo hit's microseconds would drag it toward its floor.
+		s.observeJob(time.Since(start))
+	}
 	if !s.finishJob(w, err) {
 		return
 	}
 
-	pr := &rep.Points[0]
 	s.mergeMetrics(&pr.Results.Metrics)
-	doc, err := json.Marshal(pr.Results)
+	// MarshalJSON's document is already compact and HTML-escaped, so
+	// calling it directly saves json.Marshal's second pass over it.
+	doc, err := pr.Results.MarshalJSON()
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 		return

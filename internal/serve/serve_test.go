@@ -130,6 +130,30 @@ func TestIdempotentRetryHitsCache(t *testing.T) {
 	}
 }
 
+// TestPointHeaderIsPointFingerprint: X-Srlproc-Point is the point's
+// core.PointFingerprint, on the miss that simulates it and on the hit that
+// replays it.
+func TestPointHeaderIsPointFingerprint(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := `{"design":"large","suite":"MM","run_uops":3000,"warmup_uops":500,"seed":7,"stq_size":256}`
+	cfg := core.DefaultConfig(core.DesignLargeSTQ)
+	cfg.RunUops, cfg.WarmupUops, cfg.Seed, cfg.STQSize = 3000, 500, 7, 256
+	want := fmt.Sprintf("%016x", core.PointFingerprint(cfg, trace.MM))
+	for _, cache := range []string{"miss", "hit"} {
+		resp := post(t, ts.Client(), ts.URL+"/v1/simulate", body)
+		doc := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Srlproc-Cache") != cache {
+			t.Fatalf("status %d, cache %q (want %q): %.200s", resp.StatusCode, resp.Header.Get("X-Srlproc-Cache"), cache, doc)
+		}
+		if got := resp.Header.Get("X-Srlproc-Point"); got != want {
+			t.Fatalf("%s: X-Srlproc-Point %s, core.PointFingerprint %s", cache, got, want)
+		}
+	}
+}
+
 // TestLoadShedding pins backpressure: with one execution slot and no
 // queue, a second concurrent job is shed with 429 + Retry-After instead
 // of queueing.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Histogram is a fixed-bucket histogram over non-negative integer samples.
@@ -91,23 +92,57 @@ func (h *Histogram) FracAbove(bound uint64) float64 {
 	return float64(above) / float64(h.total)
 }
 
-// MarshalJSON renders the histogram as its bucket list plus summary stats.
+// MarshalJSON renders the histogram as its bucket list plus summary stats:
+// {"total":T,"max":M,"mean":F,"buckets":[{"bound":B,"count":C},...]}, the
+// last bucket's bound ^uint64(0) (18446744073709551615, the overflow).
 func (h *Histogram) MarshalJSON() ([]byte, error) {
-	type bucket struct {
-		Bound uint64 `json:"bound"` // ^uint64(0) renders as 18446744073709551615 (overflow)
-		Count uint64 `json:"count"`
+	return h.appendJSON(make([]byte, 0, 64+48*len(h.counts))), nil
+}
+
+// appendJSON appends the MarshalJSON form of h to b.
+func (h *Histogram) appendJSON(b []byte) []byte {
+	b = append(b, `{"total":`...)
+	b = strconv.AppendUint(b, h.total, 10)
+	b = append(b, `,"max":`...)
+	b = strconv.AppendUint(b, h.max, 10)
+	b = append(b, `,"mean":`...)
+	b = appendFloat(b, h.Mean())
+	b = append(b, `,"buckets":[`...)
+	for i, n := range h.counts {
+		bound := ^uint64(0)
+		if i < len(h.bounds) {
+			bound = h.bounds[i]
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"bound":`...)
+		b = strconv.AppendUint(b, bound, 10)
+		b = append(b, `,"count":`...)
+		b = strconv.AppendUint(b, n, 10)
+		b = append(b, '}')
 	}
-	bks := h.Buckets()
-	out := make([]bucket, len(bks))
-	for i, b := range bks {
-		out[i] = bucket{b.Bound, b.Count}
+	return append(b, ']', '}')
+}
+
+// appendFloat appends f as encoding/json spells a float64: the shortest
+// decimal that round-trips, in exponent form below 1e-6 and from 1e21 on,
+// with a one-digit negative exponent written without its leading zero.
+// f is finite: a histogram's mean is a ratio of counts.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
 	}
-	return json.Marshal(struct {
-		Total   uint64   `json:"total"`
-		Max     uint64   `json:"max"`
-		Mean    float64  `json:"mean"`
-		Buckets []bucket `json:"buckets"`
-	}{h.total, h.max, h.Mean(), out})
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 becomes e-9.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // UnmarshalJSON rebuilds the histogram from its MarshalJSON form: bucket
@@ -211,12 +246,11 @@ func (o *OccupancyTracker) Finish(endCycle uint64) {
 // OccupiedCycles returns cycles spent with occupancy > 0.
 func (o *OccupancyTracker) OccupiedCycles() uint64 {
 	var occ uint64
-	bk := o.hist.Buckets()
-	for i, b := range bk {
-		if i == 0 && b.Bound == 0 {
+	for i, n := range o.hist.counts {
+		if i == 0 && len(o.hist.bounds) > 0 && o.hist.bounds[0] == 0 {
 			continue // the v==0 bucket
 		}
-		occ += b.Count
+		occ += n
 	}
 	return occ
 }
@@ -243,13 +277,17 @@ func (o *OccupancyTracker) FracOccupiedAbove(n uint64) float64 {
 }
 
 // MarshalJSON renders the tracker as its occupancy histogram plus the
-// occupied-cycle summary.
+// occupied-cycle summary:
+// {"totalCycles":T,"occupiedCycles":O,"histogram":<Histogram>}.
 func (o *OccupancyTracker) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		TotalCycles    uint64     `json:"totalCycles"`
-		OccupiedCycles uint64     `json:"occupiedCycles"`
-		Histogram      *Histogram `json:"histogram"`
-	}{o.TotalCycles(), o.OccupiedCycles(), o.hist})
+	b := make([]byte, 0, 96+48*len(o.hist.counts))
+	b = append(b, `{"totalCycles":`...)
+	b = strconv.AppendUint(b, o.TotalCycles(), 10)
+	b = append(b, `,"occupiedCycles":`...)
+	b = strconv.AppendUint(b, o.OccupiedCycles(), 10)
+	b = append(b, `,"histogram":`...)
+	b = o.hist.appendJSON(b)
+	return append(b, '}'), nil
 }
 
 // UnmarshalJSON rebuilds the tracker from its MarshalJSON form. The

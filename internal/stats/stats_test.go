@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -165,5 +166,84 @@ func TestStatsMarshalJSON(t *testing.T) {
 	}
 	if ov.TotalCycles != 50 || ov.OccupiedCycles != 50 {
 		t.Fatalf("occupancy JSON = %+v", ov)
+	}
+}
+
+// TestAppendersMatchEncodingJSON: the tracker and histogram appenders
+// render what encoding/json made of the structs they replaced, byte for
+// byte, on tiny, typical and extreme histograms.
+func TestAppendersMatchEncodingJSON(t *testing.T) {
+	type bucket struct {
+		Bound uint64 `json:"bound"`
+		Count uint64 `json:"count"`
+	}
+	type histDoc struct {
+		Total   uint64   `json:"total"`
+		Max     uint64   `json:"max"`
+		Mean    float64  `json:"mean"`
+		Buckets []bucket `json:"buckets"`
+	}
+	type trackerDoc struct {
+		TotalCycles    uint64   `json:"totalCycles"`
+		OccupiedCycles uint64   `json:"occupiedCycles"`
+		Histogram      *histDoc `json:"histogram"`
+	}
+	former := func(h *Histogram) *histDoc {
+		d := &histDoc{Total: h.total, Max: h.max, Mean: h.Mean(), Buckets: []bucket{}}
+		for _, b := range h.Buckets() {
+			d.Buckets = append(d.Buckets, bucket{b.Bound, b.Count})
+		}
+		return d
+	}
+
+	empty := NewOccupancyTracker()
+	typical := NewOccupancyTracker()
+	for c, lvl := range []uint64{0, 3, 70, 70, 200, 0, 900, 2000, 5} {
+		typical.Set(uint64(c*37), lvl)
+	}
+	typical.Finish(1000)
+	tiny := NewOccupancyTracker() // a mean below 1e-6, spelled with an exponent
+	tiny.Set(0, 0)
+	tiny.Set(30_000_000, 1)
+	tiny.Finish(30_000_001)
+	huge := NewOccupancyTracker()
+	huge.Set(0, 1<<62)
+	huge.Finish(3)
+	idle := NewOccupancyTracker()
+	idle.Set(0, 0)
+	idle.Finish(100)
+
+	for name, o := range map[string]*OccupancyTracker{"empty": empty, "typical": typical, "tiny mean": tiny, "huge": huge, "idle": idle} {
+		want, err := json.Marshal(trackerDoc{o.TotalCycles(), o.OccupiedCycles(), former(o.hist)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(o)
+		if err != nil || string(got) != string(want) {
+			t.Errorf("%s tracker: got %s (%v), want %s", name, got, err, want)
+		}
+		want, _ = json.Marshal(former(o.hist))
+		got, err = o.hist.MarshalJSON()
+		if err != nil || string(got) != string(want) {
+			t.Errorf("%s histogram: got %s (%v), want %s", name, got, err, want)
+		}
+	}
+	h := NewHistogram(nil) // only the overflow bucket
+	h.ObserveN(7, 3)
+	want, _ := json.Marshal(former(h))
+	if got, _ := h.MarshalJSON(); string(got) != string(want) {
+		t.Errorf("bucketless histogram: got %s, want %s", got, want)
+	}
+}
+
+// TestAppendFloatMatchesEncodingJSON covers both of encoding/json's float
+// spellings and the exponent clean-up between them.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	for _, f := range []float64{0, 1, 0.5, 68.00740957871253, 1e-6, 9.99e-7, 1e-7, 3.3e-8, 1.5e-300,
+		5e-324, 1e20, 1e21, 1.8e19, 123456789012345678901234.0, math.MaxFloat64, -2.5e-9, -1e21} {
+		want, _ := json.Marshal(f)
+		if got := appendFloat(nil, f); string(got) != string(want) {
+			t.Errorf("appendFloat(%v) = %s, encoding/json spells %s", f, got, want)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"srlproc/internal/core"
@@ -43,9 +44,10 @@ type Progress struct {
 	Last      Point         // the point that just finished
 }
 
-// ProgressFunc observes sweep progress. It is called from worker
-// goroutines with the engine's bookkeeping lock released; implementations
-// must be safe for concurrent calls when Workers > 1.
+// ProgressFunc observes sweep progress. It is called from the workers (the
+// first of them is Run's caller) with the engine's bookkeeping lock
+// released; implementations must be safe for concurrent calls when
+// Workers > 1.
 type ProgressFunc func(Progress)
 
 // SimulateFunc produces the results for one point. The default simulator
@@ -217,62 +219,22 @@ func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
 
 	rep.Workers = workers
 
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range points {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	// Worker 0 is the calling goroutine, so a serial or one-point sweep
+	// (every /v1/simulate request) starts no goroutine.
+	p := &pool{ctx: ctx, points: points, cache: cache, sim: sim, progress: opts.Progress, start: start, rep: rep}
+	for w := 1; w < workers; w++ {
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
-				pr := runOne(ctx, cache, sim, points[i])
-				mu.Lock()
-				rep.Points[i] = pr
-				if pr.CacheHit {
-					rep.CacheHits++
-				} else if pr.Err == nil {
-					rep.Simulated++
-				}
-				if pr.Err != nil {
-					rep.Failed++
-				}
-				done++
-				prog := Progress{
-					Done:      done,
-					Total:     len(points),
-					CacheHits: rep.CacheHits,
-					Failed:    rep.Failed,
-					Elapsed:   time.Since(start),
-					Last:      points[i],
-				}
-				mu.Unlock()
-				if prog.Done > 0 && prog.Done < prog.Total {
-					prog.ETA = time.Duration(float64(prog.Elapsed) / float64(prog.Done) * float64(prog.Total-prog.Done))
-				}
-				if opts.Progress != nil {
-					opts.Progress(prog)
-				}
-			}
+			defer p.wg.Done()
+			p.work()
 		}()
 	}
-	wg.Wait()
+	func() {
+		// A panicking Progress callback unwinds the caller only after the
+		// other workers have stopped writing into rep.
+		defer p.wg.Wait()
+		p.work()
+	}()
 	rep.Elapsed = time.Since(start)
 
 	// Points the pool never reached (cancellation) carry the context error.
@@ -293,6 +255,61 @@ func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
 	}
 	rep.Err = errors.Join(errs...)
 	return rep, rep.Err
+}
+
+// pool is one sweep's shared state: workers claim points from next in
+// input order and record each outcome in rep under mu.
+type pool struct {
+	ctx      context.Context
+	points   []Point
+	cache    *Cache
+	sim      SimulateFunc
+	progress ProgressFunc
+	start    time.Time
+	rep      *Report
+
+	next atomic.Int64
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	done int
+}
+
+// work runs points until none is left or the context is done.
+func (p *pool) work() {
+	rep := p.rep
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= len(p.points) || p.ctx.Err() != nil {
+			return
+		}
+		pr := runOne(p.ctx, p.cache, p.sim, p.points[i])
+		p.mu.Lock()
+		rep.Points[i] = pr
+		if pr.CacheHit {
+			rep.CacheHits++
+		} else if pr.Err == nil {
+			rep.Simulated++
+		}
+		if pr.Err != nil {
+			rep.Failed++
+		}
+		p.done++
+		prog := Progress{
+			Done:      p.done,
+			Total:     len(p.points),
+			CacheHits: rep.CacheHits,
+			Failed:    rep.Failed,
+			Elapsed:   time.Since(p.start),
+			Last:      p.points[i],
+		}
+		p.mu.Unlock()
+		if prog.Done > 0 && prog.Done < prog.Total {
+			prog.ETA = time.Duration(float64(prog.Elapsed) / float64(prog.Done) * float64(prog.Total-prog.Done))
+		}
+		if p.progress != nil {
+			p.progress(prog)
+		}
+	}
 }
 
 // runOne executes one point, converting panics (from the simulator or the

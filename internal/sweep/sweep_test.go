@@ -257,3 +257,30 @@ func TestReportHelpers(t *testing.T) {
 		t.Fatalf("render: %s", rep)
 	}
 }
+
+// TestOnePointHitAllocs bounds what a one-point memo hit allocates, the
+// sweep every /v1/simulate hit runs: the report, its point slice and the
+// pool's shared state. A goroutine, a channel or a formatted fingerprint
+// on this path would each break the bound.
+func TestOnePointHitAllocs(t *testing.T) {
+	cache := NewCache()
+	ctx := context.Background()
+	p := Point{Label: "hit", Cfg: tinyCfg(core.DesignSRL, 1), Suite: trace.SFP2K}
+	opts := Options{Workers: 1, Cache: cache, Simulate: func(_ context.Context, cfg core.Config, su trace.Suite) (*core.Results, error) {
+		return fakeResults(cfg, su), nil
+	}}
+	points := []Point{p}
+	if _, err := Run(ctx, points, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		rep, err := Run(ctx, points, opts)
+		if err != nil || !rep.Points[0].CacheHit {
+			t.Fatalf("memo hit missed: %v", err)
+		}
+	})
+	t.Logf("a one-point memo hit allocates %.0f times", allocs)
+	if allocs > 3 {
+		t.Fatalf("a one-point memo hit allocates %.0f times, want at most 3", allocs)
+	}
+}
