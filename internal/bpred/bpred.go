@@ -19,7 +19,9 @@ type Predictor interface {
 
 // Gshare is the classic global-history XOR-indexed two-bit-counter scheme.
 type Gshare struct {
-	table   []uint8 // 2-bit saturating counters
+	// table packs the 2-bit saturating counters four to a byte, counter i
+	// in bits 2*(i%4) and up of byte i/4.
+	table   []uint8
 	history uint64
 	histLen uint
 	mask    uint64
@@ -32,12 +34,12 @@ func NewGshare(entries int, histLen uint) *Gshare {
 		panic("bpred: gshare entries must be a positive power of two")
 	}
 	g := &Gshare{
-		table:   make([]uint8, entries),
+		table:   make([]uint8, (entries+3)/4),
 		histLen: histLen,
 		mask:    uint64(entries - 1),
 	}
 	for i := range g.table {
-		g.table[i] = 1 // weakly not-taken
+		g.table[i] = 0x55 // every counter weakly not-taken (01)
 	}
 	return g
 }
@@ -46,22 +48,28 @@ func (g *Gshare) index(pc uint64) uint64 {
 	return ((pc >> 2) ^ g.history) & g.mask
 }
 
+// counter returns counter i's byte and the counter's shift within it.
+func (g *Gshare) counter(i uint64) (*uint8, uint) {
+	return &g.table[i>>2], uint(i&3) * 2
+}
+
 // Predict implements Predictor.
 func (g *Gshare) Predict(pc uint64) bool {
-	return g.table[g.index(pc)] >= 2
+	b, sh := g.counter(g.index(pc))
+	return *b>>sh&3 >= 2
 }
 
 // Update implements Predictor.
 func (g *Gshare) Update(pc uint64, taken bool) {
-	i := g.index(pc)
-	c := g.table[i]
+	b, sh := g.counter(g.index(pc))
+	c := *b >> sh & 3
 	if taken {
 		if c < 3 {
-			g.table[i] = c + 1
+			*b += 1 << sh
 		}
 	} else {
 		if c > 0 {
-			g.table[i] = c - 1
+			*b -= 1 << sh
 		}
 	}
 	g.history = ((g.history << 1) | b2u(taken)) & ((1 << g.histLen) - 1)

@@ -1,6 +1,10 @@
 package bpred
 
-import "testing"
+import (
+	"testing"
+
+	"srlproc/internal/xrand"
+)
 
 // train runs pred over a synthetic outcome stream and returns accuracy.
 func train(p Predictor, outcomes func(i int) (pc uint64, taken bool), n int) float64 {
@@ -115,6 +119,75 @@ func TestSatAddSaturatesAt127(t *testing.T) {
 	} {
 		if got := satAdd(c.a, c.b); got != c.want {
 			t.Errorf("satAdd(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// refGshare is the reference Gshare must match: one byte per counter.
+type refGshare struct {
+	table   []uint8
+	history uint64
+	histLen uint
+	mask    uint64
+}
+
+func (g *refGshare) index(pc uint64) uint64 { return ((pc >> 2) ^ g.history) & g.mask }
+
+func (g *refGshare) predict(pc uint64) bool { return g.table[g.index(pc)] >= 2 }
+
+func (g *refGshare) update(pc uint64, taken bool) {
+	i := g.index(pc)
+	if c := g.table[i]; taken && c < 3 {
+		g.table[i] = c + 1
+	} else if !taken && c > 0 {
+		g.table[i] = c - 1
+	}
+	g.history = ((g.history << 1) | b2u(taken)) & ((1 << g.histLen) - 1)
+}
+
+// TestGshareMatchesByteTable steps seeded branch streams, biased per PC so
+// counters saturate both ways, through Gshare and a reference with one
+// byte per counter, at sizes from one counter to Table 1's 64K. Every
+// prediction must agree, and after every update so must every counter
+// (Table 1's size compares the updated counter, and all of them at the end).
+func TestGshareMatchesByteTable(t *testing.T) {
+	for _, size := range []struct {
+		entries int
+		hist    uint
+	}{{1, 0}, {2, 1}, {4, 2}, {256, 6}, {64 * 1024, 16}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := NewGshare(size.entries, size.hist)
+			ref := &refGshare{table: make([]uint8, size.entries), histLen: size.hist, mask: uint64(size.entries - 1)}
+			for i := range ref.table {
+				ref.table[i] = 1
+			}
+			same := func(step int) {
+				for i := range ref.table {
+					if got := g.table[i/4] >> (2 * (i % 4)) & 3; got != ref.table[i] {
+						t.Fatalf("%d entries, seed %d, step %d: counter %d is %d, reference %d",
+							size.entries, seed, step, i, got, ref.table[i])
+					}
+				}
+			}
+			same(-1)
+			rng := xrand.New(seed)
+			for step := 0; step < 20_000; step++ {
+				pc := 0x1000 + 4*rng.Uint64n(512)
+				taken := rng.Bool(float64(pc>>2&7) / 7) // bias 0 to 1 by PC
+				if g.Predict(pc) != ref.predict(pc) {
+					t.Fatalf("%d entries, seed %d, step %d: predictions differ", size.entries, seed, step)
+				}
+				i := ref.index(pc)
+				g.Update(pc, taken)
+				ref.update(pc, taken)
+				if size.entries <= 256 {
+					same(step)
+				} else if got := g.table[i/4] >> (2 * (i % 4)) & 3; got != ref.table[i] {
+					t.Fatalf("%d entries, seed %d, step %d: counter %d is %d, reference %d",
+						size.entries, seed, step, i, got, ref.table[i])
+				}
+			}
+			same(20_000)
 		}
 	}
 }

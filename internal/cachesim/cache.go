@@ -13,23 +13,37 @@ import (
 	"srlproc/internal/isa"
 )
 
-// line is one cache line's bookkeeping, 32 bytes: the words first, then
-// the flags, so the four bools share one word.
+// line is one cache line's bookkeeping, 16 bytes: the tag and the four
+// flags share key, the flags in its top four bits. A tag is an address
+// shifted right by at least 6 (the 64-byte line offset), so a tag's top six
+// bits are always zero.
 type line struct {
-	tag   uint64
+	key   uint64 // tag | lineValid | lineDirty | lineSpec | lineSpecTemp
 	ready uint64 // cycle at which the fill completes (0 = long resident)
-	// Speculative state for checkpointed store updates (Section 4.3):
-	// spec marks a line holding an uncommitted store's data; specCkpt is the
-	// checkpoint that owns the speculative version (only one version of a
-	// block is allowed). specTemp additionally marks a *temporary* update —
-	// an independent store's pre-redo write in the §6.5 "use the data cache
-	// for forwarding" variant — which is discarded when the redo begins.
-	specCkpt int
-	valid    bool
-	dirty    bool
-	spec     bool
-	specTemp bool
 }
+
+// The flags in line.key. lineSpec and lineSpecTemp are the speculative
+// state for checkpointed store updates (Section 4.3): lineSpec marks a line
+// holding an uncommitted store's data, whose owner is the checkpoint in the
+// cache's owner table (only one version of a block is allowed). lineSpecTemp
+// additionally marks a *temporary* update — an independent store's pre-redo
+// write in the §6.5 "use the data cache for forwarding" variant — which is
+// discarded when the redo begins.
+const (
+	lineValid    uint64 = 1 << 63
+	lineDirty    uint64 = 1 << 62
+	lineSpec     uint64 = 1 << 61
+	lineSpecTemp uint64 = 1 << 60
+	// lineState is the flags a lookup ignores: key&^lineState equals
+	// tag|lineValid exactly when the line is valid and holds tag.
+	lineState = lineDirty | lineSpec | lineSpecTemp
+)
+
+// tag returns the line's tag, its key without the flags.
+func (l line) tag() uint64 { return l.key &^ (lineValid | lineState) }
+
+// has reports whether every flag in f is set.
+func (l line) has(f uint64) bool { return l.key&f == f }
 
 // Cache is one set-associative, write-back, write-allocate cache level with
 // LRU replacement.
@@ -39,8 +53,14 @@ type Cache struct {
 	// returns, its fill[si] resident lines from lines[si*assoc], ordered
 	// MRU-first. A set fills to assoc lines and never shrinks (an
 	// invalidated line keeps its way until it is evicted).
-	lines    []line
-	fill     []uint32
+	lines []line
+	fill  []uint32
+	// owner is the checkpoint owning each speculative line's version, slot
+	// for slot beside lines; a line that is not speculative has no owner
+	// and its entry means nothing. Only a cache that takes speculative
+	// writes has the table — of the hierarchy's caches only the L1, which
+	// NewHierarchy gives one at build; SpecWrite makes one for any other.
+	owner    []int
 	assoc    int
 	setMask  uint64 // set count - 1
 	tagShift uint   // log2(line size * set count)
@@ -51,7 +71,8 @@ type Cache struct {
 	// sets it and every bulk walk recomputes it, so CommitSpec and the
 	// discards return at once on a cache that holds no speculative data —
 	// the common case, which would otherwise walk all 512 lines of Table
-	// 1's L1 at every checkpoint commit.
+	// 1's L1 at every checkpoint commit. While it is false no owner is
+	// read, so a line moving within its set leaves its owner behind.
 	anySpec bool
 }
 
@@ -72,6 +93,13 @@ func NewCache(name string, sizeBytes, assoc int, latency uint64) *Cache {
 	}
 }
 
+// trackSpec gives the cache its owner table, if it has none yet.
+func (c *Cache) trackSpec() {
+	if c.owner == nil {
+		c.owner = make([]int, len(c.lines))
+	}
+}
+
 // Misses returns the raw miss count; Writebacks the dirty evictions.
 func (c *Cache) Misses() uint64     { return c.misses }
 func (c *Cache) Writebacks() uint64 { return c.wbacks }
@@ -81,6 +109,10 @@ func (c *Cache) setIdx(addr uint64) uint64 {
 }
 
 func (c *Cache) tag(addr uint64) uint64 { return addr >> c.tagShift }
+
+// key returns the key of addr's line while it is valid, ignoring the flags
+// in lineState.
+func (c *Cache) key(addr uint64) uint64 { return c.tag(addr) | lineValid }
 
 // set returns set si's resident lines, MRU-first: a span of the one array.
 func (c *Cache) set(si uint64) []line {
@@ -93,18 +125,32 @@ func (c *Cache) lineAddr(tag, si uint64) uint64 {
 	return tag<<c.tagShift | si*isa.CacheLineSize
 }
 
+// ownerToMRU moves the owner of set si's way i to way 0, shifting the ways
+// before it down one, as the set's lines just moved. It is a no-op while
+// no line is speculative (the owners mean nothing then).
+func (c *Cache) ownerToMRU(si uint64, i int) {
+	if !c.anySpec {
+		return
+	}
+	o := c.owner[si*uint64(c.assoc):]
+	v := o[i]
+	copy(o[1:i+1], o[:i])
+	o[0] = v
+}
+
 // Lookup probes for addr's line. On a hit it refreshes LRU and returns the
 // cycle the data is available (max of now+latency and the line's fill
 // ready time). It does not allocate.
 func (c *Cache) Lookup(cycle, addr uint64) (hit bool, ready uint64) {
 	si := c.setIdx(addr)
-	tag := c.tag(addr)
+	key := c.key(addr)
 	set := c.set(si)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].key&^lineState == key {
 			l := set[i]
 			copy(set[1:i+1], set[:i]) // move to MRU
 			set[0] = l
+			c.ownerToMRU(si, i)
 			r := cycle + c.latency
 			if l.ready > r {
 				r = l.ready
@@ -116,16 +162,24 @@ func (c *Cache) Lookup(cycle, addr uint64) (hit bool, ready uint64) {
 	return false, 0
 }
 
-// Contains reports presence without touching LRU or counters.
-func (c *Cache) Contains(addr uint64) bool {
-	tag := c.tag(addr)
-	set := c.set(c.setIdx(addr))
+// find returns addr's line if it is resident and valid, or nil, without
+// touching LRU or counters, and its way in the set.
+func (c *Cache) find(addr uint64) (*line, uint64, int) {
+	si := c.setIdx(addr)
+	key := c.key(addr)
+	set := c.set(si)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
+		if set[i].key&^lineState == key {
+			return &set[i], si, i
 		}
 	}
-	return false
+	return nil, si, 0
+}
+
+// Contains reports presence without touching LRU or counters.
+func (c *Cache) Contains(addr uint64) bool {
+	l, _, _ := c.find(addr)
+	return l != nil
 }
 
 // Evicted describes a line displaced by Insert.
@@ -139,34 +193,36 @@ type Evicted struct {
 // readyAt is the cycle the fill data arrives; dirty marks an immediate
 // write-allocate store.
 func (c *Cache) Insert(addr, readyAt uint64, dirty bool) Evicted {
-	si := c.setIdx(addr)
-	tag := c.tag(addr)
-	set := c.set(si)
-	// Already present (e.g. racing fills): just update.
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].dirty = set[i].dirty || dirty
-			if set[i].ready < readyAt {
-				set[i].ready = readyAt
-			}
-			return Evicted{}
-		}
+	nl := line{key: c.key(addr), ready: readyAt}
+	if dirty {
+		nl.key |= lineDirty
 	}
-	nl := line{tag: tag, valid: true, dirty: dirty, ready: readyAt, specCkpt: -1}
+	// Already present (e.g. racing fills): just update.
+	l, si, _ := c.find(addr)
+	if l != nil {
+		l.key |= nl.key & lineDirty
+		if l.ready < readyAt {
+			l.ready = readyAt
+		}
+		return Evicted{}
+	}
+	set := c.set(si)
 	if len(set) < c.assoc {
 		c.fill[si]++
 		set = c.set(si)
 		copy(set[1:], set[:len(set)-1])
 		set[0] = nl
+		c.ownerToMRU(si, len(set)-1)
 		return Evicted{}
 	}
 	victim := set[len(set)-1]
 	copy(set[1:], set[:len(set)-1])
 	set[0] = nl
-	ev := Evicted{Valid: victim.valid, Dirty: victim.dirty}
-	if victim.valid {
-		ev.Addr = c.lineAddr(victim.tag, si)
-		if victim.dirty {
+	c.ownerToMRU(si, len(set)-1)
+	ev := Evicted{Valid: victim.has(lineValid), Dirty: victim.has(lineDirty)}
+	if ev.Valid {
+		ev.Addr = c.lineAddr(victim.tag(), si)
+		if ev.Dirty {
 			c.wbacks++
 		}
 	}
@@ -175,28 +231,19 @@ func (c *Cache) Insert(addr, readyAt uint64, dirty bool) Evicted {
 
 // MarkDirty sets the dirty bit on addr's line if present.
 func (c *Cache) MarkDirty(addr uint64) {
-	tag := c.tag(addr)
-	set := c.set(c.setIdx(addr))
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].dirty = true
-			return
-		}
+	if l, _, _ := c.find(addr); l != nil {
+		l.key |= lineDirty
 	}
 }
 
 // Invalidate drops addr's line, returning whether it was present and dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	tag := c.tag(addr)
-	set := c.set(c.setIdx(addr))
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			d := set[i].dirty
-			set[i].valid = false
-			return true, d
-		}
+	l, _, _ := c.find(addr)
+	if l == nil {
+		return false, false
 	}
-	return false, false
+	l.key &^= lineValid
+	return true, l.has(lineDirty)
 }
 
 // --- speculative (checkpointed) line state, Section 4.3 ---
@@ -226,41 +273,39 @@ type SpecWriteResult struct {
 // line, implementing the one-version rule of Section 4.3. temp marks a
 // temporary (pre-redo) update that DiscardSpecTemp will drop.
 func (c *Cache) SpecWrite(addr uint64, ckpt int, temp bool) SpecWriteResult {
-	tag := c.tag(addr)
-	set := c.set(c.setIdx(addr))
-	for i := range set {
-		if !set[i].valid || set[i].tag != tag {
-			continue
-		}
-		if set[i].spec && set[i].specCkpt != ckpt {
-			return SpecWriteResult{Present: true, Conflict: true, OwnerCkpt: set[i].specCkpt, OwnerTemp: set[i].specTemp}
-		}
-		res := SpecWriteResult{Present: true}
-		if set[i].dirty && !set[i].spec {
-			// Write the committed dirty data back before overwriting it
-			// speculatively, so discarding the update cannot lose it.
-			res.NeededWriteback = true
-			c.wbacks++
-			set[i].dirty = false
-		}
-		set[i].spec = true
-		set[i].specTemp = set[i].specTemp || temp
-		set[i].specCkpt = ckpt
-		c.anySpec = true
-		return res
+	l, si, i := c.find(addr)
+	if l == nil {
+		return SpecWriteResult{Present: false}
 	}
-	return SpecWriteResult{Present: false}
+	c.trackSpec()
+	slot := int(si)*c.assoc + i
+	if l.has(lineSpec) && c.owner[slot] != ckpt {
+		return SpecWriteResult{Present: true, Conflict: true, OwnerCkpt: c.owner[slot], OwnerTemp: l.has(lineSpecTemp)}
+	}
+	res := SpecWriteResult{Present: true}
+	if l.key&(lineDirty|lineSpec) == lineDirty {
+		// Write the committed dirty data back before overwriting it
+		// speculatively, so discarding the update cannot lose it.
+		res.NeededWriteback = true
+		c.wbacks++
+		l.key &^= lineDirty
+	}
+	l.key |= lineSpec
+	if temp {
+		l.key |= lineSpecTemp
+	}
+	c.owner[slot] = ckpt
+	c.anySpec = true
+	return res
 }
 
 // CommitSpec bulk-clears speculative ownership for checkpoint ckpt, marking
 // those blocks committed (and dirty, since they hold store data).
 func (c *Cache) CommitSpec(ckpt int) (committed int) {
-	c.walkSpec(func(l *line, _ uint64) {
-		if l.specCkpt == ckpt {
-			l.spec = false
-			l.specTemp = false
-			l.specCkpt = -1
-			l.dirty = true
+	c.walkSpec(func(slot int, _ uint64) {
+		if c.owner[slot] == ckpt {
+			l := &c.lines[slot]
+			l.key = l.key&^(lineSpec|lineSpecTemp) | lineDirty
 			committed++
 		}
 	})
@@ -274,45 +319,43 @@ func (c *Cache) CommitSpec(ckpt int) (committed int) {
 // pre-store architectural data still exists at the next level, where the
 // caller re-registers it), and returns how many it invalidated.
 func (c *Cache) DiscardSpecTemp(drop func(addr uint64)) int {
-	return c.discardSpecIf(func(l *line) bool { return l.specTemp }, drop)
+	return c.discardSpecIf(func(slot int) bool { return c.lines[slot].has(lineSpecTemp) }, drop)
 }
 
 // DiscardSpecFrom invalidates speculative lines owned by checkpoint ids >=
 // minCkpt (a checkpoint restart squashing those checkpoints), calling drop
 // as DiscardSpecTemp does.
 func (c *Cache) DiscardSpecFrom(minCkpt int, drop func(addr uint64)) int {
-	return c.discardSpecIf(func(l *line) bool { return l.specCkpt >= minCkpt }, drop)
+	return c.discardSpecIf(func(slot int) bool { return c.owner[slot] >= minCkpt }, drop)
 }
 
-func (c *Cache) discardSpecIf(pred func(*line) bool, drop func(addr uint64)) (n int) {
-	c.walkSpec(func(l *line, si uint64) {
-		if pred(l) {
-			drop(c.lineAddr(l.tag, si))
-			l.valid = false
-			l.spec = false
-			l.specTemp = false
-			l.specCkpt = -1
+func (c *Cache) discardSpecIf(pred func(slot int) bool, drop func(addr uint64)) (n int) {
+	c.walkSpec(func(slot int, si uint64) {
+		if pred(slot) {
+			l := &c.lines[slot]
+			drop(c.lineAddr(l.tag(), si))
+			l.key &^= lineValid | lineSpec | lineSpecTemp
 			n++
 		}
 	})
 	return n
 }
 
-// walkSpec calls fn on every valid speculative line with its set index,
-// then recomputes anySpec from what fn left speculative. It returns at
-// once when anySpec proves there is no such line.
-func (c *Cache) walkSpec(fn func(l *line, si uint64)) {
+// walkSpec calls fn with the slot and set index of every valid speculative
+// line, set by set and MRU-first within a set, then recomputes anySpec from
+// what fn left speculative. It returns at once when anySpec proves there is
+// no such line.
+func (c *Cache) walkSpec(fn func(slot int, si uint64)) {
 	if !c.anySpec {
 		return
 	}
 	c.anySpec = false
-	for si := range c.fill {
-		set := c.set(uint64(si))
-		for i := range set {
-			l := &set[i]
-			if l.valid && l.spec {
-				fn(l, uint64(si))
-				c.anySpec = c.anySpec || (l.valid && l.spec)
+	for si, n := range c.fill {
+		lo := si * c.assoc
+		for slot := lo; slot < lo+int(n); slot++ {
+			if c.lines[slot].has(lineValid | lineSpec) {
+				fn(slot, uint64(si))
+				c.anySpec = c.anySpec || c.lines[slot].has(lineValid|lineSpec)
 			}
 		}
 	}
@@ -322,13 +365,6 @@ func (c *Cache) walkSpec(fn func(l *line, si uint64)) {
 // temporary (pre-redo) speculative update — the §6.5 variant's forwarding
 // source.
 func (c *Cache) HasTempSpec(addr uint64) bool {
-	tag := c.tag(addr)
-	set := c.set(c.setIdx(addr))
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			return l.spec && l.specTemp
-		}
-	}
-	return false
+	l, _, _ := c.find(addr)
+	return l != nil && l.has(lineSpec|lineSpecTemp)
 }

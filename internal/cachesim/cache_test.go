@@ -7,12 +7,11 @@ import (
 
 func newSmall() *Cache { return NewCache("t", 4*64*2, 2, 3) } // 4 sets, 2-way
 
-// TestLineSize pins a cache line's bookkeeping at 32 bytes, words first:
-// Table 1's L2 holds 16,384 of them, and with the flags between the words
-// a line took 40.
+// TestLineSize pins a cache line's bookkeeping at 16 bytes, its flags in
+// the tag word and no speculative owner: Table 1's L2 holds 16,384 lines.
 func TestLineSize(t *testing.T) {
-	if n := unsafe.Sizeof(line{}); n != 32 {
-		t.Fatalf("line is %d bytes, want 32", n)
+	if n := unsafe.Sizeof(line{}); n != 16 {
+		t.Fatalf("line is %d bytes, want 16", n)
 	}
 }
 
@@ -39,7 +38,7 @@ func specLines(c *Cache) int {
 	n := 0
 	for si := range c.fill {
 		for _, l := range c.set(uint64(si)) {
-			if l.valid && l.spec {
+			if l.has(lineValid | lineSpec) {
 				n++
 			}
 		}
@@ -254,6 +253,76 @@ func TestLRUMatchesReference(t *testing.T) {
 				tags = tags[:4]
 			}
 			ref[set] = tags
+		}
+	}
+}
+
+// TestTopOfAddressSpace runs a one-set, fully associative cache, whose
+// tags are 58 bits (a tag shift of 6), on line addresses at the top of the
+// address space and on the addresses that differ from the top line only in
+// one of the four bits a tag shares with the flags. Each line must be told
+// apart from every other, keep its own dirty and speculative state, and
+// come back whole from an eviction and a discard: no flag aliases a tag bit.
+func TestTopOfAddressSpace(t *testing.T) {
+	const ways = 8
+	c := NewCache("top", ways*64, ways, 1)
+	if c.tagShift != 6 || len(c.fill) != 1 {
+		t.Fatalf("tag shift %d, %d sets: want 6 and one set", c.tagShift, len(c.fill))
+	}
+	top := ^uint64(0) &^ 63
+	addrs := []uint64{top, top - 64, top - 128,
+		top &^ (1 << 63), top &^ (1 << 62), top &^ (1 << 61), top &^ (1 << 60), 0}
+	for i, a := range addrs {
+		if ev := c.Insert(a, uint64(i), false); ev.Valid {
+			t.Fatalf("insert %#x into a set with room evicted %+v", a, ev)
+		}
+	}
+	for _, a := range addrs {
+		if hit, _ := c.Lookup(100, a); !hit {
+			t.Fatalf("%#x missed", a)
+		}
+	}
+	c.MarkDirty(top)
+	if r := c.SpecWrite(top&^(1<<61), 7, true); !r.Present || r.Conflict || r.NeededWriteback {
+		t.Fatalf("speculative write to a clean line: %+v", r)
+	}
+	for _, a := range addrs {
+		wantSpec := a == top&^(1<<61)
+		if r := c.SpecWrite(a, 8, false); r.Conflict != wantSpec || r.NeededWriteback != (a == top) {
+			t.Fatalf("%#x: second checkpoint's write %+v", a, r)
+		}
+		if got := c.HasTempSpec(a); got != wantSpec {
+			t.Fatalf("%#x: HasTempSpec %v, want %v", a, got, wantSpec)
+		}
+	}
+	// Every line but checkpoint 7's is now owned by checkpoint 8;
+	// discarding from 8 must name each of them by its full address.
+	var dropped []uint64
+	c.DiscardSpecFrom(8, func(a uint64) { dropped = append(dropped, a) })
+	if len(dropped) != ways-1 {
+		t.Fatalf("discarded %#x, want the %d lines checkpoint 8 owns", dropped, ways-1)
+	}
+	for _, a := range dropped {
+		if a == top&^(1<<61) || c.Contains(a) {
+			t.Fatalf("discard named %#x, still resident %v", a, c.Contains(a))
+		}
+	}
+	if !c.Contains(top&^(1<<61)) || c.CommitSpec(7) != 1 {
+		t.Fatal("checkpoint 7's line did not survive the discard to commit")
+	}
+	if present, dirty := c.Invalidate(top &^ (1 << 61)); !present || !dirty {
+		t.Fatalf("committed line: present %v dirty %v, want both", present, dirty)
+	}
+	// Refill the set with the same addresses: the LRU way of each insert
+	// is an invalidated line until none is left, then a resident one,
+	// which must come back as its own full address.
+	for i, a := range addrs {
+		c.Insert(a, 200+uint64(i), i%2 == 0)
+	}
+	for i, a := range addrs {
+		ev := c.Insert(top-uint64(i+3)*64, 300, false)
+		if !ev.Valid || ev.Addr != a || ev.Dirty != (i%2 == 0) {
+			t.Fatalf("evicted %+v, want %#x dirty %v", ev, a, i%2 == 0)
 		}
 	}
 }

@@ -159,6 +159,9 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		cfg:   cfg,
 		mshrs: make([]mshr, 0, cfg.MSHRs),
 	}
+	// The L1 is the one cache the core writes speculatively; its owner
+	// table is built here so that a run allocates nothing for it.
+	h.L1.trackSpec()
 	if cfg.PrefetchOn {
 		h.pf = NewStreamPrefetcher(cfg.PrefetchN, cfg.PrefetchD)
 	}

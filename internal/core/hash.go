@@ -17,10 +17,10 @@ import (
 //
 // The hash is FNV-1a over the config's leaf values in field order, each
 // bool, integer and float fed in as one 64-bit word (a float by its IEEE
-// bits). It is stable within a process and across runs of the same build;
-// it is not a serialization format and makes no cross-version promises:
-// reordering or adding a field changes every value, which is why the
-// persistent store folds a build stamp into its keys.
+// bits, -0 as 0). It is stable within a process and across runs of the
+// same build; it is not a serialization format and makes no cross-version
+// promises: reordering or adding a field changes every value, which is why
+// the persistent store folds a build stamp into its keys.
 //
 // EventSkip is normalized out before hashing: cycle skipping is proven
 // bit-for-bit identical to plain stepping, so a skipped and a stepped run
@@ -77,7 +77,9 @@ func hashLeaves(h uint64, v reflect.Value) uint64 {
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		return fnvWord(h, v.Uint())
 	case reflect.Float32, reflect.Float64:
-		return fnvWord(h, math.Float64bits(v.Float()))
+		// Adding zero turns -0 into 0, which runs exactly as it does, so
+		// the two share one fingerprint.
+		return fnvWord(h, math.Float64bits(v.Float()+0))
 	}
 	panic(fmt.Sprintf("core: cannot fingerprint a %s field", v.Type()))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,6 +56,32 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 		t.Fatalf("the walk reached only %d leaf fields", leaves)
 	}
 	t.Logf("walked %d leaf fields", leaves)
+}
+
+// TestNegativeZeroFingerprintsLikeZero sets every float leaf of Config, one
+// at a time, to 0 and to -0: the two run alike, so they must give one
+// PointFingerprint.
+func TestNegativeZeroFingerprintsLikeZero(t *testing.T) {
+	floats := 0
+	forEachLeaf(reflect.TypeOf(Config{}), nil, "", func(idx []int, name string) {
+		f := reflect.ValueOf(&Config{}).Elem().FieldByIndex(idx)
+		if f.Kind() != reflect.Float32 && f.Kind() != reflect.Float64 {
+			return
+		}
+		floats++
+		fp := func(v float64) uint64 {
+			c := DefaultConfig(DesignSRL)
+			reflect.ValueOf(&c).Elem().FieldByIndex(idx).SetFloat(v)
+			return PointFingerprint(c, trace.SFP2K)
+		}
+		if pos, neg := fp(0), fp(math.Copysign(0, -1)); pos != neg {
+			t.Errorf("%s: 0 fingerprints %016x, -0 %016x", name, pos, neg)
+		}
+	})
+	if floats == 0 {
+		t.Fatal("Config has no float leaf")
+	}
+	t.Logf("checked %d float leaves", floats)
 }
 
 // forEachLeaf calls f with the index path and dotted name of every

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -301,6 +302,37 @@ func TestNewAllocs(t *testing.T) {
 			t.Errorf("%s: New made %.0f allocations, want at most 80", d, n)
 		}
 		t.Logf("%s: %.0f allocations", d, n)
+	}
+}
+
+// TestNewBytes bounds the bytes building a core allocates, for every
+// design at Table 1 defaults, at 5% above what each took when a cache line
+// became 16 bytes and gshare's counters four to a byte. The L2's 16,384
+// lines are the largest single array (256 KiB; 512 KiB at 32 bytes a line).
+func TestNewBytes(t *testing.T) {
+	measured := map[StoreDesign]uint64{
+		DesignBaseline:     589_632,
+		DesignLargeSTQ:     589_633,
+		DesignHierarchical: 641_025,
+		DesignSRL:          658_305,
+		DesignFilteredSTQ:  591_729,
+	}
+	for _, d := range allDesigns {
+		cfg := DefaultConfig(d)
+		const n = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := New(cfg, trace.SFP2K); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		b := (after.TotalAlloc - before.TotalAlloc) / n
+		if limit := measured[d] * 105 / 100; b > limit {
+			t.Errorf("%s: New allocated %d bytes, want at most %d", d, b, limit)
+		}
+		t.Logf("%s: %d bytes", d, b)
 	}
 }
 

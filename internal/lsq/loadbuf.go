@@ -242,17 +242,23 @@ func (b *LoadBuffer) ForEach(fn func(e *LoadEntry)) {
 // victim buffer, keeping survivors in their order.
 func (b *LoadBuffer) removeIf(pred func(*LoadEntry) bool) int {
 	removed := 0
+	// keep compacts es's survivors to its front, in order, and returns
+	// them. Survivors before the first removed entry are already in place,
+	// so a set that loses nothing is read and never rewritten.
 	keep := func(es []LoadEntry) []LoadEntry {
-		out := es[:0]
+		n := 0
 		for i := range es {
 			if pred(&es[i]) {
 				b.words.remove(es[i].Addr)
 				removed++
-			} else {
-				out = append(out, es[i])
+				continue
 			}
+			if n != i {
+				es[n] = es[i]
+			}
+			n++
 		}
-		return out
+		return es[:n]
 	}
 	for wi, occ := range b.occupied {
 		for occ != 0 {

@@ -2,6 +2,7 @@ package lsq
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -575,6 +576,128 @@ func TestLoadBufferMatchesWalk(t *testing.T) {
 		}
 	}
 	t.Logf("cases: %v", cases)
+}
+
+// fullRewriteRemoveIf is LoadBuffer.removeIf as it was before it skipped
+// the survivors ahead of a set's first removed entry: it copies every
+// survivor of every occupied set back over itself.
+func fullRewriteRemoveIf(b *LoadBuffer, pred func(*LoadEntry) bool) int {
+	removed := 0
+	keep := func(es []LoadEntry) []LoadEntry {
+		out := es[:0]
+		for i := range es {
+			if pred(&es[i]) {
+				b.words.remove(es[i].Addr)
+				removed++
+			} else {
+				out = append(out, es[i])
+			}
+		}
+		return out
+	}
+	for wi, occ := range b.occupied {
+		for occ != 0 {
+			si := wi<<6 | bits.TrailingZeros64(occ)
+			occ &= occ - 1
+			n := len(keep(b.set(si)))
+			if b.fill[si] = uint32(n); n == 0 {
+				b.occupied[wi] &^= 1 << (si & 63)
+			}
+		}
+	}
+	b.victim = keep(b.victim)
+	b.count -= removed
+	return removed
+}
+
+// TestLoadBufferRemoveMatchesFullRewrite drives random inserts, checkpoint
+// commits and squashes through a LoadBuffer and a second one whose bulk
+// removals run the full-rewrite form, in the secondary, the fully
+// associative and the overflow-violate shapes. After every operation the
+// two must be equal in every field, the backing array's slots past each
+// set's fill and the word filter included.
+func TestLoadBufferRemoveMatchesFullRewrite(t *testing.T) {
+	cases := map[string]int{}
+	shapes := []struct {
+		capacity, assoc int
+		policy          OverflowPolicy
+		victim          int
+	}{
+		{64, 4, OverflowVictim, 4},
+		{32, 32, OverflowViolate, 0},
+		{32, 2, OverflowViolate, 0},
+	}
+	for si, sh := range shapes {
+		for seed := uint64(1); seed <= 4; seed++ {
+			rng := xrand.New(seed*17 + uint64(si))
+			b := NewLoadBuffer(sh.capacity, sh.assoc, sh.policy, sh.victim)
+			r := NewLoadBuffer(sh.capacity, sh.assoc, sh.policy, sh.victim)
+			var seq uint64 = 1
+			ckpt := 0
+			addrs := 8 + rng.Intn(40)
+			for step := 0; step < 3000; step++ {
+				if rng.Intn(100) < 60 {
+					e := LoadEntry{Seq: seq, PC: 0x400 + seq, Addr: 0x4000 + 8*rng.Uint64n(uint64(addrs)),
+						NearestStoreID: seq, FwdStoreID: NoFwd, Ckpt: ckpt}
+					seq++
+					if rng.Bool(0.1) {
+						ckpt++
+					}
+					if ok, rok := b.Insert(e), r.Insert(e); ok != rok {
+						t.Fatalf("%v seed %d step %d: Insert ok %v and %v", sh, seed, step, ok, rok)
+					}
+					if !reflect.DeepEqual(b, r) {
+						t.Fatalf("%v seed %d step %d (insert): state differs from the full rewrite", sh, seed, step)
+					}
+					continue
+				}
+				c := ckpt - rng.Intn(4)
+				op, pred := "commit", func(e *LoadEntry) bool { return e.Ckpt == c }
+				remove := func() int { return b.CommitCkpt(c) }
+				if rng.Bool(0.4) {
+					keep := seq - 1 - rng.Uint64n(min(seq, 12))
+					op, pred = "squash", func(e *LoadEntry) bool { return e.Seq > keep }
+					remove = func() int { return b.SquashYoungerThan(keep) }
+					seq = keep + 1
+				}
+				for si := range b.fill {
+					countFirstRemoved(cases, b.set(si), pred)
+				}
+				countFirstRemoved(cases, b.victim, pred)
+				if n, rn := remove(), fullRewriteRemoveIf(r, pred); n != rn {
+					t.Fatalf("%v seed %d step %d: %s removed %d, full rewrite %d", sh, seed, step, op, n, rn)
+				}
+				if !reflect.DeepEqual(b, r) {
+					t.Fatalf("%v seed %d step %d (%s): state differs from the full rewrite", sh, seed, step, op)
+				}
+			}
+		}
+	}
+	for _, c := range []string{"set loses nothing", "set loses its first entry", "set keeps a prefix in place"} {
+		if cases[c] == 0 {
+			t.Errorf("case never exercised: %s", c)
+		}
+	}
+	t.Logf("cases: %v", cases)
+}
+
+// countFirstRemoved classifies a non-empty set by where pred selects its
+// first entry, if anywhere.
+func countFirstRemoved(cases map[string]int, es []LoadEntry, pred func(*LoadEntry) bool) {
+	for i := range es {
+		if !pred(&es[i]) {
+			continue
+		}
+		if i == 0 {
+			cases["set loses its first entry"]++
+		} else {
+			cases["set keeps a prefix in place"]++
+		}
+		return
+	}
+	if len(es) > 0 {
+		cases["set loses nothing"]++
+	}
 }
 
 // sliceFC is the reference FC must match: one slice per set, grown by

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"srlproc/internal/bench"
@@ -328,16 +329,29 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opts := req.options(s)
+	// Retry-After estimates how long simulations hold the run slots, so a
+	// sweep the memo cache answered whole is not folded in.
+	var simulated atomic.Bool
+	opts.Progress = func(p sweep.Progress) {
+		if p.Done > p.CacheHits {
+			simulated.Store(true)
+		}
+	}
+	start := time.Now()
+	observe := func() {
+		if simulated.Load() {
+			s.observeJob(time.Since(start))
+		}
+	}
 	if stream {
 		defer runRelease()
-		s.streamSweep(w, ctx, runner, opts)
+		s.streamSweep(w, ctx, runner, opts, observe)
 		return
 	}
 
-	start := time.Now()
 	result, err := runner(ctx, opts)
 	runRelease()
-	s.observeJob(time.Since(start))
+	observe()
 	if !s.finishJob(w, err) {
 		return
 	}
@@ -363,8 +377,9 @@ type sseProgress struct {
 // streamSweep runs the experiment while emitting SSE events: "progress"
 // per completed point (strictly increasing done counts — late-arriving
 // concurrent snapshots are dropped rather than reordered), then exactly
-// one terminal "result" or "error" event.
-func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, runner experimentRunner, opts bench.Options) {
+// one terminal "result" or "error" event. It passes every snapshot on to
+// opts.Progress, and calls observe once the run returns.
+func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, runner experimentRunner, opts bench.Options, observe func()) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		s.finishJob(w, errors.New("streaming unsupported by this connection"))
@@ -380,7 +395,9 @@ func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, runner 
 	// them off the simulation's critical path, dropping under backlog
 	// (the monotonic filter below would discard stale ones anyway).
 	progress := make(chan sweep.Progress, 128)
+	inner := opts.Progress
 	opts.Progress = func(p sweep.Progress) {
+		inner(p)
 		select {
 		case progress <- p:
 		default:
@@ -392,7 +409,6 @@ func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, runner 
 		err    error
 	}
 	resc := make(chan outcome, 1)
-	start := time.Now()
 	go func() {
 		result, err := runner(ctx, opts)
 		resc <- outcome{result, err}
@@ -424,7 +440,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, runner 
 		case p := <-progress:
 			emitProgress(p)
 		case out := <-resc:
-			s.observeJob(time.Since(start))
+			observe()
 			// Flush progress the workers raced in ahead of the result.
 			for {
 				select {

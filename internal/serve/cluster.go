@@ -203,7 +203,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		NoCache: req.NoCache,
 	})
 	runRelease()
-	s.observeJob(time.Since(start))
+	if rep.Simulated > 0 {
+		// A job the memo cache answered whole held no run slot for long;
+		// Retry-After follows simulations.
+		s.observeJob(time.Since(start))
+	}
 	// A dead context fails the whole RPC (worker-level failure for the
 	// coordinator); per-point simulation errors travel in-band below.
 	if ctx.Err() != nil {
