@@ -184,7 +184,7 @@ func BenchmarkSweepMatrix(b *testing.B) {
 					b.Fatal("unexpected figure shape")
 				}
 			}
-			b.ReportMetric(float64(sweep.Global().Hits()), "cache-hits")
+			b.ReportMetric(float64(sweep.Global().Stats().Hits), "cache-hits")
 		})
 	}
 }

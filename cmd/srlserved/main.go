@@ -24,14 +24,15 @@
 //	srlserved -addr :8082 -worker            # worker 2
 //	srlserved -addr :8080 -workers 127.0.0.1:8081,127.0.0.1:8082
 //
-// The coordinator splits every /v1/sweep into per-point /v1/jobs RPCs
+// The coordinator splits every /v1/sweep into one-point /v1/jobs RPCs
 // routed by consistent hash of each point's fingerprint (so repeated
 // sweeps hit the same workers' caches), steals work from stragglers,
-// re-dispatches jobs from failed workers, and merges the partial
-// reports into a document byte-identical to a single-node run. SIGTERM or
-// SIGINT starts a graceful drain: the listener stops accepting, in-flight
-// jobs finish, and after -drain-timeout whatever remains is cancelled.
-// A clean drain exits 0; a drain that hit the hard deadline exits 1.
+// re-dispatches jobs from failed workers, and records each answer at its
+// point's index, so the document is byte-identical to a single-node run.
+// SIGTERM or SIGINT starts a graceful drain: the listener stops accepting,
+// in-flight jobs finish, and after -drain-timeout whatever remains is
+// cancelled. A clean drain exits 0; a drain that hit the hard deadline
+// exits 1.
 package main
 
 import (

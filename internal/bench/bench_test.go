@@ -168,7 +168,7 @@ func TestWorkersCountsMatch(t *testing.T) {
 func TestMemoizationAcrossFigures(t *testing.T) {
 	o := tinyOptions()
 	o.Seed = 4242 // unique to this test so the global cache starts cold for it
-	hits0, misses0 := sweep.Global().Hits(), sweep.Global().Misses()
+	st0 := sweep.Global().Stats()
 	fig2, err := RunExperiment(context.Background(), Fig2, o)
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +179,9 @@ func TestMemoizationAcrossFigures(t *testing.T) {
 	}
 	suites := len(trace.AllSuites())
 	totalPoints := (len(fig2.(*FigureResult).Series)+1)*suites + (len(fig6.(*FigureResult).Series)+1)*suites
-	simulated := int(sweep.Global().Misses() - misses0)
-	hits := int(sweep.Global().Hits() - hits0)
+	st := sweep.Global().Stats()
+	simulated := int(st.Misses - st0.Misses)
+	hits := int(st.Hits - st0.Hits)
 	if simulated+hits != totalPoints {
 		t.Fatalf("cache accounting: %d simulated + %d hits != %d points", simulated, hits, totalPoints)
 	}

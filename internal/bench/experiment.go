@@ -290,8 +290,8 @@ func ExperimentNames() string {
 // list and the assembly that turns a completed report over exactly those
 // points into the experiment's result document. The split is what makes
 // experiments distributable — a coordinator enumerates the same points,
-// shards them across workers by fingerprint, merges the partial reports
-// and assembles the identical document.
+// shards them across workers by fingerprint, records each answer at its
+// point's index and assembles the identical document.
 type plan struct {
 	points   []sweep.Point
 	assemble func(*sweep.Report) (Result, error)
@@ -334,10 +334,11 @@ func ExperimentPoints(id ExperimentID, o Options) ([]sweep.Point, error) {
 
 // AssembleExperiment aggregates a completed report over exactly the
 // ExperimentPoints list — same points, same order — into the experiment's
-// result document. The report may come from one sweep.Run or from
-// sweep.MergeReports over per-shard partial reports: the simulator is
-// deterministic in its config, so both assemble to byte-identical JSON.
-// Every point must carry results; failed or missing points are an error.
+// result document. The report may come from one sweep.Run or from a
+// cluster dispatch that recorded each worker's answer at its point's
+// index: the simulator is deterministic in its config, so both assemble
+// to byte-identical JSON. Every point must carry results; failed or
+// missing points are an error.
 func AssembleExperiment(id ExperimentID, o Options, rep *sweep.Report) (Result, error) {
 	p, err := experimentPlan(id, o)
 	if err != nil {

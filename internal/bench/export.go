@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"srlproc/internal/core"
+	"srlproc/internal/sweep"
 	"srlproc/internal/trace"
 )
 
@@ -40,7 +41,7 @@ func (f *FigureResult) WriteCSV(w io.Writer) error {
 	bw.WriteString("suite")
 	for _, s := range f.Series {
 		bw.WriteByte(',')
-		bw.WriteString(csvQuote(s.Label))
+		bw.WriteString(sweep.CSVQuote(s.Label))
 	}
 	bw.WriteByte('\n')
 	for _, su := range trace.AllSuites() {
@@ -193,27 +194,4 @@ func (l *OrderingResult) WriteCSV(w io.Writer) error {
 		fmt.Fprintf(bw, "%s,%s,%s,%.4f\n", l.Suite, p.Design, p.Scenario, p.IPC)
 	}
 	return bw.Flush()
-}
-
-// csvQuote quotes a CSV field only when it needs it.
-func csvQuote(s string) string {
-	needs := false
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == ',' || c == '"' || c == '\n' || c == '\r' {
-			needs = true
-			break
-		}
-	}
-	if !needs {
-		return s
-	}
-	out := make([]byte, 0, len(s)+2)
-	out = append(out, '"')
-	for i := 0; i < len(s); i++ {
-		if s[i] == '"' {
-			out = append(out, '"')
-		}
-		out = append(out, s[i])
-	}
-	return string(append(out, '"'))
 }

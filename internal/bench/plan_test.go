@@ -46,10 +46,10 @@ func TestExperimentPointsAssembleMatchesRun(t *testing.T) {
 
 // TestShardedMergeMatchesSingleNode is the cluster correctness core: an
 // experiment's points split across disjoint "nodes" (each with a private
-// cache, as separate processes would have), run independently, merged with
-// sweep.MergeReports and assembled — must produce JSON byte-identical to
-// the single-node RunExperiment document, with cache stats summed across
-// the shards.
+// cache, as separate processes would have), run independently, recorded
+// at their canonical indexes and assembled — must produce JSON
+// byte-identical to the single-node RunExperiment document, with cache
+// stats summed across the shards.
 func TestShardedMergeMatchesSingleNode(t *testing.T) {
 	o := tinyOptions()
 	id := Fig6
@@ -62,12 +62,15 @@ func TestShardedMergeMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shards = 3
-	parts := make([]*sweep.Report, shards)
+	merged := sweep.NewReport(points)
+	var simulated, hits int
 	for s := 0; s < shards; s++ {
 		var mine []sweep.Point
+		var at []int
 		for i, p := range points {
 			if i%shards == s { // interleaved shard assignment, like a hash ring's
 				mine = append(mine, p)
+				at = append(at, i)
 			}
 		}
 		cache := sweep.NewCache()
@@ -79,16 +82,14 @@ func TestShardedMergeMatchesSingleNode(t *testing.T) {
 		if int(stats.Misses) != len(mine) {
 			t.Fatalf("shard %d: %d cache misses for %d points", s, stats.Misses, len(mine))
 		}
-		parts[s] = rep
+		for k, pr := range rep.Points {
+			merged.Record(at[k], pr)
+		}
+		simulated += rep.Simulated
+		hits += rep.CacheHits
 	}
-	merged, err := sweep.MergeReports(points, parts...)
-	if err != nil {
+	if err := merged.Finish(nil); err != nil {
 		t.Fatal(err)
-	}
-	var simulated, hits int
-	for _, part := range parts {
-		simulated += part.Simulated
-		hits += part.CacheHits
 	}
 	if merged.Simulated != simulated || merged.CacheHits != hits || merged.Failed != 0 {
 		t.Fatalf("merged stats simulated=%d hits=%d failed=%d, want %d/%d/0",

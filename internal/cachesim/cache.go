@@ -138,16 +138,19 @@ func (c *Cache) ownerToMRU(si uint64, i int) {
 	o[0] = v
 }
 
-// Lookup probes for addr's line. On a hit it refreshes LRU and returns the
-// cycle the data is available (max of now+latency and the line's fill
-// ready time). It does not allocate.
-func (c *Cache) Lookup(cycle, addr uint64) (hit bool, ready uint64) {
+// Lookup probes for addr's line. On a hit it refreshes LRU, dirties the
+// line when write is set, and returns the cycle the data is available (max
+// of now+latency and the line's fill ready time). It does not allocate.
+func (c *Cache) Lookup(cycle, addr uint64, write bool) (hit bool, ready uint64) {
 	si := c.setIdx(addr)
 	key := c.key(addr)
 	set := c.set(si)
 	for i := range set {
 		if set[i].key&^lineState == key {
 			l := set[i]
+			if write {
+				l.key |= lineDirty
+			}
 			copy(set[1:i+1], set[:i]) // move to MRU
 			set[0] = l
 			c.ownerToMRU(si, i)
@@ -227,13 +230,6 @@ func (c *Cache) Insert(addr, readyAt uint64, dirty bool) Evicted {
 		}
 	}
 	return ev
-}
-
-// MarkDirty sets the dirty bit on addr's line if present.
-func (c *Cache) MarkDirty(addr uint64) {
-	if l, _, _ := c.find(addr); l != nil {
-		l.key |= lineDirty
-	}
 }
 
 // Invalidate drops addr's line, returning whether it was present and dirty.

@@ -17,11 +17,11 @@ func TestLineSize(t *testing.T) {
 
 func TestLookupMissThenHit(t *testing.T) {
 	c := newSmall()
-	if hit, _ := c.Lookup(10, 0x1000); hit {
+	if hit, _ := c.Lookup(10, 0x1000, false); hit {
 		t.Fatal("cold lookup hit")
 	}
 	c.Insert(0x1000, 10, false)
-	hit, ready := c.Lookup(20, 0x1000)
+	hit, ready := c.Lookup(20, 0x1000, false)
 	if !hit {
 		t.Fatal("inserted line missed")
 	}
@@ -49,7 +49,7 @@ func specLines(c *Cache) int {
 func TestFutureReadyPropagates(t *testing.T) {
 	c := newSmall()
 	c.Insert(0x1000, 500, false) // fill arrives at cycle 500
-	_, ready := c.Lookup(100, 0x1000)
+	_, ready := c.Lookup(100, 0x1000, false)
 	if ready != 500 {
 		t.Fatalf("pending fill ready %d, want 500", ready)
 	}
@@ -59,7 +59,7 @@ func TestLRUEviction(t *testing.T) {
 	c := newSmall() // 2-way; lines 0x0000, 0x0100, 0x0200 share set 0 (4 sets x 64B)
 	c.Insert(0x0000, 0, false)
 	c.Insert(0x0100, 0, false)
-	c.Lookup(5, 0x0000) // make 0x0000 MRU
+	c.Lookup(5, 0x0000, false) // make 0x0000 MRU
 	ev := c.Insert(0x0200, 10, false)
 	if !ev.Valid || ev.Addr != 0x0100 {
 		t.Fatalf("evicted %+v, want LRU 0x0100", ev)
@@ -82,19 +82,6 @@ func TestDirtyEvictionReported(t *testing.T) {
 	}
 }
 
-func TestMarkDirtyAndInvalidate(t *testing.T) {
-	c := newSmall()
-	c.Insert(0x1000, 0, false)
-	c.MarkDirty(0x1000)
-	present, dirty := c.Invalidate(0x1000)
-	if !present || !dirty {
-		t.Fatalf("invalidate: present=%v dirty=%v", present, dirty)
-	}
-	if c.Contains(0x1000) {
-		t.Fatal("line still present after invalidate")
-	}
-}
-
 func TestInsertExistingMerges(t *testing.T) {
 	c := newSmall()
 	c.Insert(0x1000, 100, false)
@@ -102,7 +89,7 @@ func TestInsertExistingMerges(t *testing.T) {
 	if ev.Valid {
 		t.Fatal("merging insert evicted something")
 	}
-	_, ready := c.Lookup(0, 0x1000)
+	_, ready := c.Lookup(0, 0x1000, false)
 	if ready != 200 {
 		t.Fatalf("merged ready %d", ready)
 	}
@@ -242,7 +229,7 @@ func TestLRUMatchesReference(t *testing.T) {
 				break
 			}
 		}
-		hit, _ := c.Lookup(uint64(i), addr)
+		hit, _ := c.Lookup(uint64(i), addr, false)
 		if hit != refHit {
 			t.Fatalf("access %d addr %#x: cache hit=%v reference=%v", i, addr, hit, refHit)
 		}
@@ -278,11 +265,11 @@ func TestTopOfAddressSpace(t *testing.T) {
 		}
 	}
 	for _, a := range addrs {
-		if hit, _ := c.Lookup(100, a); !hit {
+		if hit, _ := c.Lookup(100, a, false); !hit {
 			t.Fatalf("%#x missed", a)
 		}
 	}
-	c.MarkDirty(top)
+	c.Lookup(101, top, true)
 	if r := c.SpecWrite(top&^(1<<61), 7, true); !r.Present || r.Conflict || r.NeededWriteback {
 		t.Fatalf("speculative write to a clean line: %+v", r)
 	}

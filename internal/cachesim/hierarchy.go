@@ -261,10 +261,7 @@ func (h *Hierarchy) pendingFill(la uint64) (uint64, bool) {
 // then dirtied. Level reports where the data was found.
 func (h *Hierarchy) Access(cycle, addr uint64, write bool) AccessResult {
 	la := isa.LineAddr(addr)
-	if hit, ready := h.L1.Lookup(cycle, addr); hit {
-		if write {
-			h.L1.MarkDirty(addr)
-		}
+	if hit, ready := h.L1.Lookup(cycle, addr, write); hit {
 		return AccessResult{Done: ready, Level: 1}
 	}
 	// L1 miss: consult prefetcher on the demand miss stream.
@@ -273,7 +270,7 @@ func (h *Hierarchy) Access(cycle, addr uint64, write bool) AccessResult {
 			h.prefetchLine(cycle, pl)
 		}
 	}
-	if hit, ready := h.L2.Lookup(cycle, addr); hit {
+	if hit, ready := h.L2.Lookup(cycle, addr, false); hit {
 		// Fill L1 from L2.
 		done := ready + h.cfg.L1Latency
 		h.fillL1(la, done, write)
@@ -342,22 +339,6 @@ func (h *Hierarchy) prefetchLine(cycle, addr uint64) {
 	fill := cycle + h.memLatencyFor(cycle, la)
 	h.mshrs = append(h.mshrs, mshr{la, fill})
 	h.L2.Insert(la, fill, false)
-}
-
-// ProbeState classifies a line's current residence for diagnostics:
-// "l1", "l2", "mshr", or "cold".
-func (h *Hierarchy) ProbeState(addr uint64) string {
-	la := isa.LineAddr(addr)
-	if h.L1.Contains(la) {
-		return "l1"
-	}
-	if h.L2.Contains(la) {
-		return "l2"
-	}
-	if _, ok := h.pendingFill(la); ok {
-		return "mshr"
-	}
-	return "cold"
 }
 
 // Snoop invalidates addr's line in both levels (an external store took

@@ -113,13 +113,36 @@ func TestWriteAllocatesAndDirties(t *testing.T) {
 	}
 }
 
+// TestWriteHitDirtiesLine: a store that hits the L1 dirties the line it
+// found, and a load that hits leaves it clean.
+func TestWriteHitDirtiesLine(t *testing.T) {
+	h := smallHier()
+	for i, write := range []bool{false, true} {
+		now := uint64(i) * 10000
+		h.Access(now, 0x1000, false) // fills the L1 clean
+		if r := h.Access(now+1000, 0x1000, write); r.Level != 1 {
+			t.Fatalf("write=%v: second access served by level %d, want the L1", write, r.Level)
+		}
+		present, dirty := h.L1.Invalidate(0x1000)
+		if !present || dirty != write {
+			t.Fatalf("write=%v hit: invalidate found present=%v dirty=%v", write, present, dirty)
+		}
+		if h.L1.Contains(0x1000) {
+			t.Fatal("line still present after invalidate")
+		}
+	}
+}
+
 func TestSnoopInvalidatesBothLevels(t *testing.T) {
 	h := smallHier()
 	h.Access(0, 0x1000, false)
+	if !h.L1.Contains(0x1000) || !h.L2.Contains(0x1000) {
+		t.Fatal("access did not fill both levels")
+	}
 	if !h.Snoop(0x1000) {
 		t.Fatal("snoop missed a resident line")
 	}
-	if h.ProbeState(0x1000) == "l1" || h.ProbeState(0x1000) == "l2" {
+	if h.L1.Contains(0x1000) || h.L2.Contains(0x1000) {
 		t.Fatal("line survived snoop")
 	}
 }

@@ -52,8 +52,8 @@ func TestSpecWalkMatchesFullWalk(t *testing.T) {
 			case k < 40:
 				op = "lookup"
 				a := pick()
-				hit, _ := c.Lookup(uint64(step), a)
-				if rhit, _ := ref.Lookup(uint64(step), a); hit != rhit {
+				hit, _ := c.Lookup(uint64(step), a, false)
+				if rhit, _ := ref.Lookup(uint64(step), a, false); hit != rhit {
 					t.Fatalf("seed %d step %d: Lookup %v, reference %v", seed, step, hit, rhit)
 				}
 			case k < 46:

@@ -13,10 +13,10 @@ import (
 // JobClient is the coordinator's transport to one worker. Production
 // uses HTTPClient; dispatcher tests substitute fakes.
 type JobClient interface {
-	// RunJob executes req on the worker and returns its response. A
+	// RunJob executes req on the worker and returns its answer. A
 	// non-nil error is either a transport failure or a decoded *APIError;
-	// per-point simulation failures travel inside the response instead.
-	RunJob(ctx context.Context, worker string, req *JobRequest) (*JobResponse, error)
+	// a simulation failure travels inside the answer instead.
+	RunJob(ctx context.Context, worker string, req *JobRequest) (*JobPoint, error)
 }
 
 // HTTPClient speaks the /v1/jobs and /healthz endpoints of srlserved
@@ -50,7 +50,7 @@ func BaseURL(worker string) string {
 const maxErrorBody = 64 << 10
 
 // RunJob POSTs req to the worker's /v1/jobs endpoint.
-func (c *HTTPClient) RunJob(ctx context.Context, worker string, req *JobRequest) (*JobResponse, error) {
+func (c *HTTPClient) RunJob(ctx context.Context, worker string, req *JobRequest) (*JobPoint, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: marshal job: %w", err)
@@ -69,7 +69,7 @@ func (c *HTTPClient) RunJob(ctx context.Context, worker string, req *JobRequest)
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		return nil, DecodeError(resp.StatusCode, bytes.TrimSpace(raw))
 	}
-	var out JobResponse
+	var out JobPoint
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("cluster: decode job response from %s: %w", worker, err)
 	}

@@ -65,7 +65,6 @@ func (o Options) withDefaults() Options {
 // WorkerSummary is one worker's share of a dispatched sweep.
 type WorkerSummary struct {
 	Worker    string `json:"worker"`
-	Jobs      int    `json:"jobs"`
 	Points    int    `json:"points"`
 	CacheHits int    `json:"cache_hits"`
 	Failed    bool   `json:"failed,omitempty"`
@@ -78,9 +77,10 @@ type Summary struct {
 	Redispatched int             `json:"redispatched"`
 }
 
-// Dispatch executes points across workers and returns the merged report
-// in canonical point order, exactly as a local sweep.Run over the same
-// list would have ordered it.
+// Dispatch executes points across workers, one point per job, and returns
+// the report in canonical point order, exactly as a local sweep.Run over
+// the same list would have ordered it: each answer is recorded at its
+// point's index, with the same bookkeeping sweep.Run keeps.
 //
 // Each point is initially routed to the worker owning its fingerprint on
 // the consistent-hash ring, so repeated sweeps hit the same workers'
@@ -89,13 +89,14 @@ type Summary struct {
 // RPC fails its queued and in-flight points re-dispatch to the
 // survivors' ring; the simulator's determinism guarantees the retried
 // points produce byte-identical results, so a mid-sweep worker loss is
-// invisible in the merged document. Per-point simulation errors are NOT
-// worker failures: they are recorded in the report like a local run's.
+// invisible in the document. Per-point simulation errors are NOT worker
+// failures: they are recorded in the report like a local run's.
 //
 // template carries the experiment-shaping fields of every JobRequest;
-// Dispatch fills Indexes per job. The returned error is terminal (no
-// live workers left, or ctx done); per-point failures surface in
-// Report.Err like sweep.Run's.
+// Dispatch fills Index per job. The returned error is terminal (no live
+// workers left, or ctx done); per-point failures surface in Report.Err
+// like sweep.Run's. The report's Workers is the dispatch's in-flight slot
+// count, the cluster's pool size.
 func Dispatch(ctx context.Context, client JobClient, workers []string, template JobRequest, points []sweep.Point, o Options) (*sweep.Report, *Summary, error) {
 	o = o.withDefaults()
 	if len(workers) == 0 {
@@ -104,15 +105,13 @@ func Dispatch(ctx context.Context, client JobClient, workers []string, template 
 	d := &dispatcher{
 		client:   client,
 		template: template,
-		points:   points,
 		fps:      make([]uint64, len(points)),
 		o:        o,
+		rep:      sweep.NewReport(points),
 		queues:   make(map[string][]int, len(workers)),
 		live:     make(map[string]bool, len(workers)),
-		parts:    make(map[string]*sweep.Report, len(workers)),
 		stats:    make(map[string]*WorkerSummary, len(workers)),
 		order:    workers,
-		start:    time.Now(),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.remaining = len(points)
@@ -140,37 +139,24 @@ func Dispatch(ctx context.Context, client JobClient, workers []string, template 
 	wg.Wait()
 
 	sum := d.summary()
-	d.mu.Lock()
-	failed := d.failedErr
-	d.mu.Unlock()
-	if failed != nil {
-		return nil, sum, failed
+	if d.failedErr != nil {
+		return nil, sum, d.failedErr
 	}
-	parts := make([]*sweep.Report, 0, len(d.parts))
-	for _, w := range workers {
-		if part := d.parts[w]; part != nil {
-			parts = append(parts, part)
-		}
-	}
-	rep, err := sweep.MergeReports(points, parts...)
-	if err != nil {
-		return nil, sum, err
-	}
-	rep.Elapsed = time.Since(d.start)
-	return rep, sum, nil
+	d.rep.Workers = len(workers) * o.InFlight
+	d.rep.Finish(nil)
+	return d.rep, sum, nil
 }
 
 type dispatcher struct {
 	client   JobClient
 	template JobRequest
-	points   []sweep.Point
 	fps      []uint64
 	o        Options
 	order    []string
-	start    time.Time
 
 	mu        sync.Mutex
 	cond      *sync.Cond
+	rep       *sweep.Report
 	queues    map[string][]int
 	live      map[string]bool
 	inflight  int
@@ -178,10 +164,8 @@ type dispatcher struct {
 	aborted   bool
 	failedErr error
 
-	parts                      map[string]*sweep.Report
-	stats                      map[string]*WorkerSummary
-	steals, redispatched       int
-	done, cacheHits, failedPts int
+	stats                map[string]*WorkerSummary
+	steals, redispatched int
 }
 
 // loop is one in-flight slot of one worker: claim a point, run it,
@@ -192,7 +176,7 @@ func (d *dispatcher) loop(ctx context.Context, w string) {
 		if !ok {
 			return
 		}
-		resp, err := d.runWithRetry(ctx, w, idx)
+		jp, err := d.runWithRetry(ctx, w, idx)
 		if err != nil {
 			if ctx.Err() != nil {
 				d.abort(ctx.Err())
@@ -201,7 +185,7 @@ func (d *dispatcher) loop(ctx context.Context, w string) {
 			d.workerFailed(w, idx, err)
 			return
 		}
-		d.complete(w, idx, resp)
+		d.complete(w, idx, jp)
 	}
 }
 
@@ -249,13 +233,13 @@ func (d *dispatcher) next(w string) (int, bool) {
 // runWithRetry ships one point to w, retrying bounded 429 shed responses
 // on the same worker (it is busy, not gone) with the server's suggested
 // backoff.
-func (d *dispatcher) runWithRetry(ctx context.Context, w string, idx int) (*JobResponse, error) {
+func (d *dispatcher) runWithRetry(ctx context.Context, w string, idx int) (*JobPoint, error) {
 	req := d.template
-	req.Indexes = []int{idx}
+	req.Index = &idx
 	for attempt := 0; ; attempt++ {
-		resp, err := d.client.RunJob(ctx, w, &req)
+		jp, err := d.client.RunJob(ctx, w, &req)
 		if err == nil {
-			return resp, nil
+			return jp, nil
 		}
 		var apiErr *APIError
 		if !errors.As(err, &apiErr) || apiErr.Code != CodeTooManyRequests || attempt >= d.o.MaxBusyRetries {
@@ -318,28 +302,20 @@ func (d *dispatcher) notifyDown(w string, err error) {
 	}
 }
 
-// complete records one answered job and publishes a progress snapshot.
-func (d *dispatcher) complete(w string, idx int, resp *JobResponse) {
-	pr := sweep.PointResult{Point: d.points[idx]}
-	var jp *JobPoint
-	for i := range resp.Points {
-		if resp.Points[i].Index == idx {
-			jp = &resp.Points[i]
-			break
-		}
-	}
+// complete records one answered job at its point's index and publishes
+// the progress snapshot.
+func (d *dispatcher) complete(w string, idx int, jp *JobPoint) {
+	var pr sweep.PointResult
+	want := fmt.Sprintf("%016x", d.fps[idx])
 	switch {
-	case jp == nil:
-		pr.Err = fmt.Errorf("cluster: worker %s returned no result for point %d", w, idx)
 	case jp.Error != "":
 		pr.Err = errors.New(jp.Error)
+	case jp.Index != idx || jp.Fingerprint != want:
+		// The worker enumerated a different point list — a version skew
+		// the determinism guarantee cannot survive.
+		pr.Err = fmt.Errorf("cluster: worker %s answered point %d (fingerprint %s) for point %d (%s): version skew?", w, jp.Index, jp.Fingerprint, idx, want)
 	default:
-		want := fmt.Sprintf("%016x", d.fps[idx])
-		if jp.Fingerprint != "" && jp.Fingerprint != want {
-			// The worker enumerated a different point list — a version
-			// skew the determinism guarantee cannot survive.
-			pr.Err = fmt.Errorf("cluster: worker %s fingerprint %s != %s for point %d (version skew?)", w, jp.Fingerprint, want, idx)
-		} else if res, err := store.Decode(jp.Result); err != nil {
+		if res, err := store.Decode(jp.Result); err != nil {
 			pr.Err = fmt.Errorf("cluster: decode result from %s: %w", w, err)
 		} else {
 			pr.Results = res
@@ -350,35 +326,13 @@ func (d *dispatcher) complete(w string, idx int, resp *JobResponse) {
 
 	d.mu.Lock()
 	d.inflight--
-	part := d.parts[w]
-	if part == nil {
-		part = &sweep.Report{Workers: 1}
-		d.parts[w] = part
-	}
-	part.Points = append(part.Points, pr)
+	d.remaining--
 	st := d.stats[w]
-	st.Jobs++
 	st.Points++
 	if pr.CacheHit {
 		st.CacheHits++
-		d.cacheHits++
 	}
-	if pr.Err != nil {
-		d.failedPts++
-	}
-	d.done++
-	d.remaining--
-	prog := sweep.Progress{
-		Done:      d.done,
-		Total:     len(d.points),
-		CacheHits: d.cacheHits,
-		Failed:    d.failedPts,
-		Elapsed:   time.Since(d.start),
-		Last:      pr.Point,
-	}
-	if d.done > 0 && d.done < prog.Total {
-		prog.ETA = time.Duration(int64(prog.Elapsed) / int64(d.done) * int64(prog.Total-d.done))
-	}
+	prog := d.rep.Record(idx, pr)
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	if d.o.Progress != nil {

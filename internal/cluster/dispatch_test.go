@@ -35,7 +35,7 @@ func mkPoint(label string, cfg core.Config) sweep.Point {
 }
 
 // fakeWorker is one simulated srlserved worker: it really simulates the
-// requested points (through its own private cache, like a real node) and
+// requested point (through its own private cache, like a real node) and
 // can be configured to shed load or die.
 type fakeWorker struct {
 	mu    sync.Mutex
@@ -44,7 +44,8 @@ type fakeWorker struct {
 	busy  int // answer this many leading calls with 429
 	dieAt int // fail RPCs from this call count on (0 = never)
 	slow  time.Duration
-	jobs  [][]int
+	hold  chan struct{} // when set, every call waits for it to close
+	jobs  []int         // the point index of every call, in call order
 }
 
 // fakeClient routes jobs to fakeWorkers against a canonical point list.
@@ -61,7 +62,7 @@ func newFakeClient(points []sweep.Point, names ...string) *fakeClient {
 	return c
 }
 
-func (c *fakeClient) RunJob(ctx context.Context, worker string, req *JobRequest) (*JobResponse, error) {
+func (c *fakeClient) RunJob(ctx context.Context, worker string, req *JobRequest) (*JobPoint, error) {
 	fw, ok := c.workers[worker]
 	if !ok {
 		return nil, fmt.Errorf("no route to %s", worker)
@@ -69,10 +70,11 @@ func (c *fakeClient) RunJob(ctx context.Context, worker string, req *JobRequest)
 	fw.mu.Lock()
 	fw.calls++
 	call := fw.calls
-	fw.jobs = append(fw.jobs, append([]int(nil), req.Indexes...))
+	idx := *req.Index
+	fw.jobs = append(fw.jobs, idx)
 	busy := call <= fw.busy
 	dead := fw.dieAt > 0 && call >= fw.dieAt
-	slow := fw.slow
+	slow, hold := fw.slow, fw.hold
 	fw.mu.Unlock()
 
 	if dead {
@@ -81,6 +83,13 @@ func (c *fakeClient) RunJob(ctx context.Context, worker string, req *JobRequest)
 	if busy {
 		return nil, &APIError{Status: 429, Code: CodeTooManyRequests, Message: "job queue full", RetryAfterMs: 1}
 	}
+	if hold != nil {
+		select {
+		case <-hold:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	if slow > 0 {
 		select {
 		case <-time.After(slow):
@@ -88,26 +97,29 @@ func (c *fakeClient) RunJob(ctx context.Context, worker string, req *JobRequest)
 			return nil, ctx.Err()
 		}
 	}
-	resp := &JobResponse{Experiment: req.Experiment}
-	for _, idx := range req.Indexes {
-		p := c.points[idx]
-		jp := JobPoint{Index: idx, Fingerprint: fmt.Sprintf("%016x", core.PointFingerprint(p.Cfg, p.Suite))}
-		rep, err := sweep.Run(ctx, []sweep.Point{p}, sweep.Options{Workers: 1, Cache: fw.cache})
-		if err != nil {
-			jp.Error = err.Error()
-		} else {
-			pr := rep.Points[0]
-			jp.CacheHit = pr.CacheHit
-			doc, err := store.Encode(pr.Results)
-			if err != nil {
-				jp.Error = err.Error()
-			} else {
-				jp.Result = doc
-			}
-		}
-		resp.Points = append(resp.Points, jp)
+	p := c.points[idx]
+	jp := &JobPoint{Index: idx, Fingerprint: fmt.Sprintf("%016x", core.PointFingerprint(p.Cfg, p.Suite))}
+	rep, err := sweep.Run(ctx, []sweep.Point{p}, sweep.Options{Workers: 1, Cache: fw.cache})
+	if err != nil {
+		jp.Error = err.Error()
+		return jp, nil
 	}
-	return resp, nil
+	jp.CacheHit = rep.Points[0].CacheHit
+	if jp.Result, err = store.Encode(rep.Points[0].Results); err != nil {
+		jp.Error = err.Error()
+	}
+	return jp, nil
+}
+
+// calls returns how many jobs the client has sent to every worker.
+func (c *fakeClient) calls() int {
+	n := 0
+	for _, fw := range c.workers {
+		fw.mu.Lock()
+		n += fw.calls
+		fw.mu.Unlock()
+	}
+	return n
 }
 
 // localGolden runs the points locally for comparison.
@@ -172,34 +184,61 @@ func TestDispatchMatchesLocalRun(t *testing.T) {
 	}
 }
 
+// TestDispatchRoutesByRingOwner: each worker that owns points on the ring
+// is sent one of its own points before any thief can empty its queue. The
+// workers hold every job until all four in-flight slots have claimed one,
+// so no slot finishes early and steals; a slot steals only from a queue
+// other than its own, and only once its own is empty.
 func TestDispatchRoutesByRingOwner(t *testing.T) {
-	points := testPoints(6, 12000)
+	points := testPoints(6, 12180) // w1 owns four of these, w2 two
 	client := newFakeClient(points, "w1", "w2")
-	// Slow both workers slightly so neither drains the other's queue
-	// before it starts its own.
-	client.workers["w1"].slow = 20 * time.Millisecond
-	client.workers["w2"].slow = 20 * time.Millisecond
-	_, sum, err := Dispatch(context.Background(), client, []string{"w1", "w2"}, JobRequest{}, points, Options{})
-	if err != nil {
-		t.Fatal(err)
+	hold := make(chan struct{})
+	client.workers["w1"].hold = hold
+	client.workers["w2"].hold = hold
+	const slots = 2
+	type outcome struct {
+		sum *Summary
+		err error
 	}
-	ring := NewRing([]string{"w1", "w2"}, 0)
-	wantOwned := map[string]int{}
-	for _, p := range points {
-		owner, _ := ring.Owner(core.PointFingerprint(p.Cfg, p.Suite))
-		wantOwned[owner]++
-	}
-	for _, ws := range sum.Workers {
-		// Stealing can move points toward a faster worker but a worker
-		// never processes fewer than zero nor can totals disagree.
-		if ws.Points < 0 || ws.Points > len(points) {
-			t.Fatalf("bogus summary: %+v", ws)
+	done := make(chan outcome, 1)
+	go func() {
+		_, sum, err := Dispatch(context.Background(), client, []string{"w1", "w2"}, JobRequest{}, points, Options{InFlight: slots})
+		done <- outcome{sum, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); client.calls() < 2*slots; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d slots claimed a point", client.calls(), 2*slots)
 		}
 	}
-	if sum.Redispatched != 0 {
-		t.Fatalf("healthy sweep re-dispatched %d points", sum.Redispatched)
+	close(hold)
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
 	}
-	_ = wantOwned
+	ring := NewRing([]string{"w1", "w2"}, 0)
+	owner := make([]string, len(points))
+	owned := map[string]int{}
+	for i, p := range points {
+		owner[i], _ = ring.Owner(core.PointFingerprint(p.Cfg, p.Suite))
+		owned[owner[i]]++
+	}
+	for name, fw := range client.workers {
+		if owned[name] == 0 {
+			t.Fatalf("%s owns none of the points; the test needs both workers to own some", name)
+		}
+		own := 0
+		for _, idx := range fw.jobs {
+			if owner[idx] == name {
+				own++
+			}
+		}
+		if own == 0 {
+			t.Fatalf("%s owns %d points but ran none of them: %v", name, owned[name], fw.jobs)
+		}
+	}
+	if out.sum.Redispatched != 0 {
+		t.Fatalf("healthy sweep re-dispatched %d points", out.sum.Redispatched)
+	}
 }
 
 func TestDispatchWorkerDeathRedispatches(t *testing.T) {
@@ -321,40 +360,44 @@ func TestDispatchContextCancel(t *testing.T) {
 	}
 }
 
+// TestDispatchPerPointErrorIsNotWorkerFailure: a point's simulation error,
+// or an answer for a point other than the one asked for (version skew),
+// fails that point alone; the worker stays up.
 func TestDispatchPerPointErrorIsNotWorkerFailure(t *testing.T) {
 	points := testPoints(3, 18000)
-	client := &errClient{inner: newFakeClient(points, "w1"), failIdx: 1}
-	rep, sum, err := Dispatch(context.Background(), client, []string{"w1"}, JobRequest{}, points, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 1 || rep.Points[1].Err == nil {
-		t.Fatalf("point failure not recorded: %+v", rep)
-	}
-	if rep.Points[0].Err != nil || rep.Points[2].Err != nil {
-		t.Fatal("healthy points failed")
-	}
-	if sum.Workers[0].Failed {
-		t.Fatal("simulation error took the worker down")
+	for _, fault := range []func(jp *JobPoint){
+		func(jp *JobPoint) { *jp = JobPoint{Index: jp.Index, Error: "simulated point fault"} },
+		func(jp *JobPoint) { jp.Fingerprint = "0123456789abcdef" },
+		func(jp *JobPoint) { jp.Index = 0 },
+	} {
+		client := &errClient{inner: newFakeClient(points, "w1"), failIdx: 1, fault: fault}
+		rep, sum, err := Dispatch(context.Background(), client, []string{"w1"}, JobRequest{}, points, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed != 1 || rep.Points[1].Err == nil {
+			t.Fatalf("point failure not recorded: %+v", rep)
+		}
+		if rep.Points[0].Err != nil || rep.Points[2].Err != nil {
+			t.Fatal("healthy points failed")
+		}
+		if sum.Workers[0].Failed {
+			t.Fatal("a point's failure took the worker down")
+		}
 	}
 }
 
-// errClient wraps a fakeClient, replacing one point's result with a
-// simulation error.
+// errClient wraps a fakeClient, applying fault to one point's answer.
 type errClient struct {
 	inner   *fakeClient
 	failIdx int
+	fault   func(jp *JobPoint)
 }
 
-func (c *errClient) RunJob(ctx context.Context, worker string, req *JobRequest) (*JobResponse, error) {
-	resp, err := c.inner.RunJob(ctx, worker, req)
-	if err != nil {
-		return nil, err
+func (c *errClient) RunJob(ctx context.Context, worker string, req *JobRequest) (*JobPoint, error) {
+	jp, err := c.inner.RunJob(ctx, worker, req)
+	if err == nil && jp.Index == c.failIdx {
+		c.fault(jp)
 	}
-	for i := range resp.Points {
-		if resp.Points[i].Index == c.failIdx {
-			resp.Points[i] = JobPoint{Index: c.failIdx, Error: "simulated point fault"}
-		}
-	}
-	return resp, nil
+	return jp, err
 }

@@ -2,10 +2,10 @@
 // processes: a consistent-hash ring assigns each design point to the
 // worker whose memo cache and persistent store own that shard of the
 // fingerprint keyspace, a health-checked pool tracks membership, and a
-// per-sweep dispatcher ships point-index jobs, steals work from
-// stragglers and re-dispatches jobs lost to failed workers. Determinism
+// per-sweep dispatcher ships one-point jobs, named by index, steals work
+// from stragglers and re-dispatches jobs lost to failed workers. Determinism
 // makes all of this safe: any worker produces byte-identical results for
-// a given point, so retries and steals never change the merged document.
+// a given point, so retries and steals never change the document.
 package cluster
 
 import (
@@ -124,13 +124,14 @@ func (e *APIError) RetryAfter(def time.Duration) time.Duration {
 	return def
 }
 
-// JobRequest is the POST /v1/jobs body: a slice of one experiment's
-// canonical point list, named by index. The experiment-shaping fields
+// JobRequest is the POST /v1/jobs body: one point of one experiment's
+// canonical point list, named by its index. The experiment-shaping fields
 // mirror /v1/sweep's so a worker resolves exactly the bench.Options the
 // coordinator resolved; both sides then derive the same
-// bench.ExperimentPoints list, and Indexes name points in it. Shipping
-// indexes instead of serialized configs keeps the wire format trivial
-// and makes disagreement impossible: there is nothing to drift.
+// bench.ExperimentPoints list, and Index names a point in it. Shipping an
+// index instead of a serialized config keeps the wire format trivial and
+// makes disagreement impossible: there is nothing to drift. Index is a
+// pointer so a body without one is refused rather than read as point 0.
 type JobRequest struct {
 	Experiment string `json:"experiment"`
 	Quick      bool   `json:"quick,omitempty"`
@@ -140,14 +141,15 @@ type JobRequest struct {
 	NoCache    bool   `json:"no_cache,omitempty"`
 	TimeoutMs  int64  `json:"timeout_ms,omitempty"`
 
-	Indexes []int `json:"indexes"`
+	Index *int `json:"index"`
 }
 
-// JobPoint is one point's outcome on the worker. Result is the canonical
-// core.Results document, round-trip proven by store.Encode before it is
-// shipped — the coordinator rehydrates it byte-identically. Fingerprint
-// is the worker's core.PointFingerprint for the point, cross-checked by
-// the coordinator against its own enumeration.
+// JobPoint is the worker's answer: the requested point's outcome. Result
+// is the canonical core.Results document, round-trip proven by
+// store.Encode before it is shipped — the coordinator rehydrates it
+// byte-identically. Index echoes the request's, and Fingerprint is the
+// worker's core.PointFingerprint for the point; the coordinator checks
+// both against its own enumeration.
 type JobPoint struct {
 	Index       int             `json:"index"`
 	Fingerprint string          `json:"fingerprint"`
@@ -155,10 +157,4 @@ type JobPoint struct {
 	WallMs      int64           `json:"wall_ms,omitempty"`
 	Result      json.RawMessage `json:"result,omitempty"`
 	Error       string          `json:"error,omitempty"`
-}
-
-// JobResponse is the worker's answer: one JobPoint per requested index.
-type JobResponse struct {
-	Experiment string     `json:"experiment"`
-	Points     []JobPoint `json:"points"`
 }

@@ -611,8 +611,7 @@ func (c *Core) moveL1STQToSRL() {
 // associativity/one-version stalls Section 6.5 describes). Each condition
 // holds the L1 STQ head for (at least) a cycle.
 func (c *Core) tempUpdateDataCacheReady(h *lsq.StoreEntry) bool {
-	ps := c.mem.ProbeState(h.Addr)
-	if ps != "l1" {
+	if !c.mem.L1.Contains(h.Addr) {
 		// Fetch the block before the temporary update can be applied.
 		c.mem.Access(c.cycle, h.Addr, false)
 		c.res.Metrics.Inc(obs.MetricTempUpdateFetchStalls)

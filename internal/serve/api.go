@@ -128,14 +128,45 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	p := sweep.Point{Label: "simulate", Cfg: cfg, Suite: su}
+	s.runPoint(w, r, p, req.TimeoutMs, req.NoCache, func(pr *sweep.PointResult, err error) {
+		if !s.finishJob(w, err) {
+			return
+		}
+		// MarshalJSON's document is already compact and HTML-escaped, so
+		// calling it directly saves json.Marshal's second pass over it.
+		doc, err := pr.Results.MarshalJSON()
+		if err != nil {
+			s.writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		w.Header().Set("X-Srlproc-Point", fmt.Sprintf("%016x", core.PointFingerprint(cfg, su)))
+		if pr.CacheHit {
+			w.Header().Set("X-Srlproc-Cache", "hit")
+		} else {
+			w.Header().Set("X-Srlproc-Cache", "miss")
+		}
+		writeJSON(w, http.StatusOK, doc)
+	})
+}
 
+// runPoint runs one design point as a job of its own, the path
+// /v1/simulate and /v1/jobs share: an admission slot, the job's context
+// and a run slot, then a one-point sweep. A point the memo cache did not
+// answer folds its wall time into the Retry-After estimate, and a point
+// that succeeded merges its metrics into /metrics. A job that could not
+// run, or whose point failed because its context died, ends with the
+// error response written. Otherwise answer writes the response, while the
+// job still holds its admission slot; err is the sweep's error, set when
+// the point failed on its own.
+func (s *Server) runPoint(w http.ResponseWriter, r *http.Request, p sweep.Point, timeoutMs int64, noCache bool,
+	answer func(pr *sweep.PointResult, err error)) {
 	release, ok := s.admit(w)
 	if !ok {
 		return
 	}
 	defer release()
-
-	ctx, stop := s.jobContext(r, req.TimeoutMs)
+	ctx, stop := s.jobContext(r, timeoutMs)
 	defer stop()
 	runRelease, err := s.acquireRun(ctx)
 	if err != nil {
@@ -144,8 +175,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	rep, err := sweep.Run(ctx, []sweep.Point{{Label: "simulate", Cfg: cfg, Suite: su}},
-		sweep.Options{Workers: 1, Cache: s.cache, NoCache: req.NoCache})
+	rep, err := sweep.Run(ctx, []sweep.Point{p}, sweep.Options{Workers: 1, Cache: s.cache, NoCache: noCache})
 	runRelease()
 	pr := &rep.Points[0]
 	if !pr.CacheHit {
@@ -153,25 +183,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// a memo hit's microseconds would drag it toward its floor.
 		s.observeJob(time.Since(start))
 	}
-	if !s.finishJob(w, err) {
+	if err != nil && ctx.Err() != nil {
+		s.finishJob(w, err)
 		return
 	}
-
-	s.mergeMetrics(&pr.Results.Metrics)
-	// MarshalJSON's document is already compact and HTML-escaped, so
-	// calling it directly saves json.Marshal's second pass over it.
-	doc, err := pr.Results.MarshalJSON()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+	if err == nil {
+		s.mergeMetrics(&pr.Results.Metrics)
 	}
-	w.Header().Set("X-Srlproc-Point", fmt.Sprintf("%016x", core.PointFingerprint(cfg, su)))
-	if pr.CacheHit {
-		w.Header().Set("X-Srlproc-Cache", "hit")
-	} else {
-		w.Header().Set("X-Srlproc-Cache", "miss")
-	}
-	writeJSON(w, http.StatusOK, doc)
+	answer(pr, err)
 }
 
 // SweepRequest is the POST /v1/sweep body: one named experiment of the

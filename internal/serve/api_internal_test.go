@@ -65,9 +65,9 @@ func TestRetryAfterFollowsSweepSimulations(t *testing.T) {
 		{"first sweep", "/v1/sweep", `{` + params + `,"seed":1}`, true},
 		{"repeated sweep", "/v1/sweep", `{` + params + `,"seed":1}`, false},
 		{"repeated streamed sweep", "/v1/sweep", `{` + params + `,"seed":1,"stream":true}`, false},
-		{"job of cached points", "/v1/jobs", `{` + params + `,"seed":1,"indexes":[0,1]}`, false},
-		{"job of fresh points", "/v1/jobs", `{` + params + `,"seed":2,"indexes":[0,1]}`, true},
-		{"job of the same points", "/v1/jobs", `{` + params + `,"seed":2,"indexes":[1,0]}`, false},
+		{"job of a cached point", "/v1/jobs", `{` + params + `,"seed":1,"index":1}`, false},
+		{"job of a fresh point", "/v1/jobs", `{` + params + `,"seed":2,"index":1}`, true},
+		{"job of the same point", "/v1/jobs", `{` + params + `,"seed":2,"index":1}`, false},
 		{"fresh streamed sweep", "/v1/sweep", `{` + params + `,"seed":3,"stream":true}`, true},
 	} {
 		body := post(step.path, step.body)

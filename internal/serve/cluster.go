@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"srlproc/internal/bench"
 	"srlproc/internal/cluster"
@@ -131,17 +130,19 @@ func (s *Server) runClusterSweep(ctx context.Context, id bench.ExperimentID, req
 }
 
 // handleJobs is the worker half of the cluster protocol: POST /v1/jobs
-// runs a slice of one experiment's canonical point list, named by index,
-// and answers with each point's canonical Results document. The worker
-// re-derives the point list from the same experiment-shaping fields the
-// coordinator resolved, so nothing config-shaped travels on the wire.
+// runs one point of one experiment's canonical point list, named by
+// index, and answers with the point's canonical Results document. The
+// worker re-derives the point list from the same experiment-shaping
+// fields the coordinator resolved, so nothing config-shaped travels on
+// the wire.
 //
-// Per-point simulation failures are reported in-band (JobPoint.Error) —
-// the coordinator records them like a local run's. Only a dead job
-// context fails the RPC itself, which the coordinator treats as a
-// worker-level failure and re-dispatches. Every server answers /v1/jobs,
-// so any node can be drafted as a worker; jobs share the node's memo
-// cache and persistent store exactly like /v1/simulate traffic.
+// A simulation failure is reported in-band (JobPoint.Error) — the
+// coordinator records it like a local run's. Only a job that could not
+// run, or whose point failed because its context died, fails the RPC
+// itself, which the coordinator treats as a worker-level failure and
+// re-dispatches. Every server answers /v1/jobs, so any node can be
+// drafted as a worker; jobs run the /v1/simulate path and share the
+// node's memo cache and persistent store.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.bump(func(c *counters) { c.Requests++ })
 	var req cluster.JobRequest
@@ -154,6 +155,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if req.Index == nil {
+		s.bump(func(c *counters) { c.BadRequests++ })
+		s.writeError(w, http.StatusBadRequest, "job carries no point index")
+		return
+	}
 	sr := SweepRequest{
 		Quick:      req.Quick,
 		RunUops:    req.RunUops,
@@ -161,92 +167,40 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Seed:       req.Seed,
 		NoCache:    req.NoCache,
 	}
-	o := sr.options(s)
-	points, err := bench.ExperimentPoints(id, o)
+	points, err := bench.ExperimentPoints(id, sr.options(s))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if len(req.Indexes) == 0 {
+	idx := *req.Index
+	if idx < 0 || idx >= len(points) {
 		s.bump(func(c *counters) { c.BadRequests++ })
-		s.writeError(w, http.StatusBadRequest, "job carries no point indexes")
+		s.writeError(w, http.StatusBadRequest,
+			"point index %d out of range for %s (%d points) — coordinator/worker version skew?", idx, id, len(points))
 		return
 	}
-	sub := make([]sweep.Point, 0, len(req.Indexes))
-	for _, idx := range req.Indexes {
-		if idx < 0 || idx >= len(points) {
-			s.bump(func(c *counters) { c.BadRequests++ })
-			s.writeError(w, http.StatusBadRequest,
-				"point index %d out of range for %s (%d points) — coordinator/worker version skew?", idx, id, len(points))
-			return
-		}
-		sub = append(sub, points[idx])
-	}
-
-	release, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, stop := s.jobContext(r, req.TimeoutMs)
-	defer stop()
-	runRelease, err := s.acquireRun(ctx)
-	if err != nil {
-		s.finishJob(w, err)
-		return
-	}
-
-	start := time.Now()
-	rep, _ := sweep.Run(ctx, sub, sweep.Options{
-		Workers: o.Workers,
-		Cache:   s.cache,
-		NoCache: req.NoCache,
-	})
-	runRelease()
-	if rep.Simulated > 0 {
-		// A job the memo cache answered whole held no run slot for long;
-		// Retry-After follows simulations.
-		s.observeJob(time.Since(start))
-	}
-	// A dead context fails the whole RPC (worker-level failure for the
-	// coordinator); per-point simulation errors travel in-band below.
-	if ctx.Err() != nil {
-		s.finishJob(w, ctx.Err())
-		return
-	}
-
-	resp := cluster.JobResponse{
-		Experiment: id.String(),
-		Points:     make([]cluster.JobPoint, 0, len(rep.Points)),
-	}
-	for i := range rep.Points {
-		pr := &rep.Points[i]
+	p := points[idx]
+	s.runPoint(w, r, p, req.TimeoutMs, req.NoCache, func(pr *sweep.PointResult, _ error) {
 		jp := cluster.JobPoint{
-			Index:       req.Indexes[i],
-			Fingerprint: fmt.Sprintf("%016x", core.PointFingerprint(pr.Point.Cfg, pr.Point.Suite)),
+			Index:       idx,
+			Fingerprint: fmt.Sprintf("%016x", core.PointFingerprint(p.Cfg, p.Suite)),
 			CacheHit:    pr.CacheHit,
 			WallMs:      pr.Wall.Milliseconds(),
 		}
-		switch {
-		case pr.Err != nil:
+		if pr.Err != nil {
 			jp.Error = pr.Err.Error()
-		default:
-			doc, encErr := store.Encode(pr.Results)
-			if encErr != nil {
-				jp.Error = encErr.Error()
-			} else {
-				jp.Result = doc
-				s.mergeMetrics(&pr.Results.Metrics)
-			}
+		} else if doc, err := store.Encode(pr.Results); err != nil {
+			jp.Error = err.Error()
+		} else {
+			jp.Result = doc
 		}
-		resp.Points = append(resp.Points, jp)
-	}
-	s.finishJob(w, nil)
-	doc, err := json.Marshal(resp)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("X-Srlproc-Experiment", id.String())
-	writeJSON(w, http.StatusOK, doc)
+		s.finishJob(w, nil)
+		doc, err := json.Marshal(jp)
+		if err != nil {
+			s.writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		w.Header().Set("X-Srlproc-Experiment", id.String())
+		writeJSON(w, http.StatusOK, doc)
+	})
 }

@@ -92,11 +92,18 @@ func TestErrorEnvelopeUniformity(t *testing.T) {
 		{name: "sweep unknown experiment", method: http.MethodPost, path: "/v1/sweep",
 			contentType: "application/json", body: `{"experiment":"fig999"}`,
 			status: http.StatusBadRequest, code: "bad_request"},
+		// A job names one point; a list of indexes is an unknown field.
 		{name: "jobs empty indexes", method: http.MethodPost, path: "/v1/jobs",
 			contentType: "application/json", body: `{"experiment":"fig6","indexes":[]}`,
 			status: http.StatusBadRequest, code: "bad_request"},
+		{name: "jobs no index", method: http.MethodPost, path: "/v1/jobs",
+			contentType: "application/json", body: `{"experiment":"fig6"}`,
+			status: http.StatusBadRequest, code: "bad_request"},
 		{name: "jobs index out of range", method: http.MethodPost, path: "/v1/jobs",
-			contentType: "application/json", body: `{"experiment":"fig6","indexes":[99999]}`,
+			contentType: "application/json", body: `{"experiment":"fig6","index":99999}`,
+			status: http.StatusBadRequest, code: "bad_request"},
+		{name: "jobs negative index", method: http.MethodPost, path: "/v1/jobs",
+			contentType: "application/json", body: `{"experiment":"fig6","index":-1}`,
 			status: http.StatusBadRequest, code: "bad_request"},
 		{name: "results bad fingerprint", method: http.MethodGet, path: "/v1/results/zzz",
 			status: http.StatusServiceUnavailable, code: "unavailable"}, // no store attached

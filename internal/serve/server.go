@@ -80,9 +80,10 @@ type Config struct {
 
 	// ClusterWorkers lists worker base URLs ("host:port" or full URLs).
 	// Non-empty turns this server into a cluster coordinator: /v1/sweep
-	// fans the experiment's design points out as /v1/jobs RPCs, routed
-	// by consistent hash of each point's fingerprint, and merges the
-	// partial reports into the same document a local run produces.
+	// fans the experiment's design points out as one-point /v1/jobs
+	// RPCs, routed by consistent hash of each point's fingerprint, and
+	// records each answer at its point's index, so the document is the
+	// one a local run produces.
 	ClusterWorkers []string
 
 	// WorkerMode marks this process as a cluster worker for /healthz and

@@ -156,41 +156,6 @@ func (c *Cache) SetBudget(maxEntries int, maxBytes int64) {
 	c.evictLocked()
 }
 
-// Hits returns how many lookups were served from the cache.
-func (c *Cache) Hits() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
-// Misses returns how many lookups ran a fresh simulation.
-func (c *Cache) Misses() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.misses
-}
-
-// Evictions returns how many ready entries the budget has evicted.
-func (c *Cache) Evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
-
-// Len returns the number of memoized points (including in-flight ones).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Bytes returns the estimated retained footprint of the ready entries.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // Reset drops every memoized result and zeroes every counter. It is safe
 // against concurrent in-flight computations: they complete, publish to
 // their waiters, and — because their entry is no longer the one in the map

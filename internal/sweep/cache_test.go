@@ -36,7 +36,7 @@ func TestCacheChurnStaysWithinBudget(t *testing.T) {
 		if err != nil || hit || res == nil {
 			t.Fatalf("point %d: res=%v hit=%v err=%v", i, res, hit, err)
 		}
-		if n := c.Len(); n > budget {
+		if n := c.Stats().Entries; n > budget {
 			t.Fatalf("point %d: cache holds %d entries, budget %d", i, n, budget)
 		}
 	}
@@ -66,11 +66,11 @@ func TestCacheByteBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b := c.Bytes(); b > 3*4096 {
+		if b := c.Stats().Bytes; b > 3*4096 {
 			t.Fatalf("point %d: cache bytes %d over budget", i, b)
 		}
 	}
-	if c.Evictions() == 0 {
+	if c.Stats().Evictions == 0 {
 		t.Fatal("byte budget never evicted")
 	}
 }
@@ -190,8 +190,8 @@ func TestCachePoisonedRetryAccounting(t *testing.T) {
 		t.Fatalf("computes=%d freshes=%d hits=%d, want 1/1/1", computes, freshes, hits)
 	}
 	// Exactly one hit, and exactly two misses (A's failure + the retry).
-	if c.Hits() != 1 || c.Misses() != 2 {
-		t.Fatalf("cache accounting hits=%d misses=%d, want 1/2", c.Hits(), c.Misses())
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("cache accounting hits=%d misses=%d, want 1/2", st.Hits, st.Misses)
 	}
 }
 
@@ -228,15 +228,15 @@ func TestCacheWaiterCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || hit {
 		t.Fatalf("cancelled waiter: hit=%v err=%v", hit, err)
 	}
-	if c.Hits() != 0 {
+	if c.Stats().Hits != 0 {
 		t.Fatalf("cancelled waiter counted a hit")
 	}
 
 	close(release)
 	wg.Wait()
 	// The in-flight computation completed and cached normally.
-	if c.Misses() != 1 || c.Len() != 1 {
-		t.Fatalf("computation disturbed: misses=%d len=%d", c.Misses(), c.Len())
+	if st := c.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("computation disturbed: misses=%d len=%d", st.Misses, st.Entries)
 	}
 }
 
@@ -266,15 +266,15 @@ func TestCacheResetDuringInflightCompute(t *testing.T) {
 	}()
 	<-entered
 	c.Reset()
-	if c.Len() != 0 || c.Misses() != 0 {
-		t.Fatalf("reset left state: len=%d misses=%d", c.Len(), c.Misses())
+	if st := c.Stats(); st.Entries != 0 || st.Misses != 0 {
+		t.Fatalf("reset left state: len=%d misses=%d", st.Entries, st.Misses)
 	}
 	close(release)
 	wg.Wait()
 
 	// The completed stale entry must not have re-registered itself.
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("stale compute re-inserted after Reset: len=%d bytes=%d", c.Len(), c.Bytes())
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("stale compute re-inserted after Reset: len=%d bytes=%d", st.Entries, st.Bytes)
 	}
 	// A fresh compute after Reset is a normal miss-then-hit.
 	for want, wantHit := 0, false; want < 2; want, wantHit = want+1, true {
@@ -322,7 +322,7 @@ func TestCacheResetConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	// Quiesced: every ready entry is within budget (in-flight entries have
 	// drained with the workers).
-	if n := c.Len(); n > budget {
+	if n := c.Stats().Entries; n > budget {
 		t.Fatalf("after churn+resets cache holds %d entries, budget %d", n, budget)
 	}
 }
@@ -337,11 +337,11 @@ func TestCacheSetBudgetEvictsImmediately(t *testing.T) {
 			return fakeResults(cfg, trace.WEB), nil
 		})
 	}
-	if c.Len() != 10 {
-		t.Fatalf("len=%d", c.Len())
+	if n := c.Stats().Entries; n != 10 {
+		t.Fatalf("len=%d", n)
 	}
 	c.SetBudget(3, 0)
-	if c.Len() != 3 || c.Evictions() != 7 {
-		t.Fatalf("after SetBudget: len=%d evictions=%d", c.Len(), c.Evictions())
+	if st := c.Stats(); st.Entries != 3 || st.Evictions != 7 {
+		t.Fatalf("after SetBudget: len=%d evictions=%d", st.Entries, st.Evictions)
 	}
 }

@@ -85,10 +85,10 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		}
 		errStr := ""
 		if p.Err != nil {
-			errStr = csvQuote(p.Err.Error())
+			errStr = CSVQuote(p.Err.Error())
 		}
 		fmt.Fprintf(bw, "%s,%s,%d,%.3f,%.0f,%d,%d,%.4f,%s\n",
-			csvQuote(p.Point.Label), p.Point.Suite, b2i(p.CacheHit),
+			CSVQuote(p.Point.Label), p.Point.Suite, b2i(p.CacheHit),
 			p.Wall.Seconds(), p.UopsPerSec, cycles, uops, ipc, errStr)
 	}
 	return bw.Flush()
@@ -101,8 +101,9 @@ func b2i(b bool) int {
 	return 0
 }
 
-// csvQuote quotes a field only when it needs it (commas, quotes, newlines).
-func csvQuote(s string) string {
+// CSVQuote quotes a CSV field only when it needs it (commas, quotes,
+// newlines). Every CSV export in the repository quotes through it.
+func CSVQuote(s string) string {
 	needs := false
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c == ',' || c == '"' || c == '\n' || c == '\r' {

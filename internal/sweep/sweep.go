@@ -112,6 +112,70 @@ type Report struct {
 	// Err is every point error joined with errors.Join (nil if none). A
 	// cancelled sweep's Err wraps ctx.Err().
 	Err error
+
+	start time.Time // when NewReport made the report; Elapsed counts from it
+}
+
+// NewReport returns the empty report of a sweep over points, timed from
+// now. Record fills it point by point, at each point's index in points,
+// and Finish closes it. Run and a cluster dispatch both keep their books
+// this way.
+func NewReport(points []Point) *Report {
+	rep := &Report{Points: make([]PointResult, len(points)), start: time.Now()}
+	for i := range points {
+		rep.Points[i].Point = points[i]
+	}
+	return rep
+}
+
+// Record stores pr as point i's outcome and counts it as a cache hit, a
+// simulation or a failure. It returns the progress snapshot after it,
+// with a linear estimate of the time the remaining points will take.
+// Calls must not overlap.
+func (r *Report) Record(i int, pr PointResult) Progress {
+	pr.Point = r.Points[i].Point
+	r.Points[i] = pr
+	switch {
+	case pr.Err != nil:
+		r.Failed++
+	case pr.CacheHit:
+		r.CacheHits++
+	default:
+		r.Simulated++
+	}
+	p := Progress{
+		Done:      r.CacheHits + r.Simulated + r.Failed,
+		Total:     len(r.Points),
+		CacheHits: r.CacheHits,
+		Failed:    r.Failed,
+		Elapsed:   time.Since(r.start),
+		Last:      pr.Point,
+	}
+	if p.Done < p.Total {
+		p.ETA = time.Duration(float64(p.Elapsed) / float64(p.Done) * float64(p.Total-p.Done))
+	}
+	return p
+}
+
+// Finish closes the report once nothing more will be recorded. When cause
+// (the error that stopped the sweep) is set, every point without an
+// outcome fails as not run, wrapping it. Finish stamps Elapsed, joins the
+// point errors into Err and returns Err.
+func (r *Report) Finish(cause error) error {
+	r.Elapsed = time.Since(r.start)
+	var errs []error
+	for i := range r.Points {
+		pr := &r.Points[i]
+		if cause != nil && pr.Results == nil && pr.Err == nil {
+			pr.Err = fmt.Errorf("sweep: point not run: %w", cause)
+			r.Failed++
+		}
+		if pr.Err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", pr.Point, pr.Err))
+		}
+	}
+	r.Err = errors.Join(errs...)
+	return r.Err
 }
 
 // CacheHitRatio returns the fraction of points served from the memo cache
@@ -188,14 +252,9 @@ func (r *Report) String() string {
 // point is recovered and surfaced as that point's error; the sweep and the
 // process keep running.
 func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
-	start := time.Now()
-	rep := &Report{Points: make([]PointResult, len(points))}
-	for i := range points {
-		rep.Points[i].Point = points[i]
-	}
+	rep := NewReport(points)
 	if len(points) == 0 {
-		rep.Elapsed = time.Since(start)
-		return rep, nil
+		return rep, rep.Finish(nil)
 	}
 
 	workers := opts.Workers
@@ -221,7 +280,7 @@ func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
 
 	// Worker 0 is the calling goroutine, so a serial or one-point sweep
 	// (every /v1/simulate request) starts no goroutine.
-	p := &pool{ctx: ctx, points: points, cache: cache, sim: sim, progress: opts.Progress, start: start, rep: rep}
+	p := &pool{ctx: ctx, points: points, cache: cache, sim: sim, progress: opts.Progress, rep: rep}
 	for w := 1; w < workers; w++ {
 		p.wg.Add(1)
 		go func() {
@@ -235,26 +294,8 @@ func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
 		defer p.wg.Wait()
 		p.work()
 	}()
-	rep.Elapsed = time.Since(start)
-
 	// Points the pool never reached (cancellation) carry the context error.
-	if ctx.Err() != nil {
-		for i := range rep.Points {
-			pr := &rep.Points[i]
-			if pr.Results == nil && pr.Err == nil {
-				pr.Err = fmt.Errorf("sweep: point not run: %w", ctx.Err())
-				rep.Failed++
-			}
-		}
-	}
-	var errs []error
-	for i := range rep.Points {
-		if pr := &rep.Points[i]; pr.Err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", pr.Point, pr.Err))
-		}
-	}
-	rep.Err = errors.Join(errs...)
-	return rep, rep.Err
+	return rep, rep.Finish(ctx.Err())
 }
 
 // pool is one sweep's shared state: workers claim points from next in
@@ -265,18 +306,15 @@ type pool struct {
 	cache    *Cache
 	sim      SimulateFunc
 	progress ProgressFunc
-	start    time.Time
 	rep      *Report
 
 	next atomic.Int64
 	wg   sync.WaitGroup
 	mu   sync.Mutex
-	done int
 }
 
 // work runs points until none is left or the context is done.
 func (p *pool) work() {
-	rep := p.rep
 	for {
 		i := int(p.next.Add(1)) - 1
 		if i >= len(p.points) || p.ctx.Err() != nil {
@@ -284,28 +322,8 @@ func (p *pool) work() {
 		}
 		pr := runOne(p.ctx, p.cache, p.sim, p.points[i])
 		p.mu.Lock()
-		rep.Points[i] = pr
-		if pr.CacheHit {
-			rep.CacheHits++
-		} else if pr.Err == nil {
-			rep.Simulated++
-		}
-		if pr.Err != nil {
-			rep.Failed++
-		}
-		p.done++
-		prog := Progress{
-			Done:      p.done,
-			Total:     len(p.points),
-			CacheHits: rep.CacheHits,
-			Failed:    rep.Failed,
-			Elapsed:   time.Since(p.start),
-			Last:      p.points[i],
-		}
+		prog := p.rep.Record(i, pr)
 		p.mu.Unlock()
-		if prog.Done > 0 && prog.Done < prog.Total {
-			prog.ETA = time.Duration(float64(prog.Elapsed) / float64(prog.Done) * float64(prog.Total-prog.Done))
-		}
 		if p.progress != nil {
 			p.progress(prog)
 		}
@@ -315,7 +333,6 @@ func (p *pool) work() {
 // runOne executes one point, converting panics (from the simulator or the
 // config machinery) into point-level errors.
 func runOne(ctx context.Context, cache *Cache, sim SimulateFunc, p Point) (pr PointResult) {
-	pr.Point = p
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {

@@ -90,8 +90,8 @@ func TestCacheHitMatchesFreshRun(t *testing.T) {
 	if hitRes.String() != freshRes.String() || hitRes.Cycles != freshRes.Cycles || hitRes.Uops != freshRes.Uops {
 		t.Fatalf("cache hit diverges from fresh run:\n%s\nvs\n%s", hitRes, freshRes)
 	}
-	if cache.Hits() != 1 || cache.Misses() != 1 {
-		t.Fatalf("cache stats hits=%d misses=%d", cache.Hits(), cache.Misses())
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats hits=%d misses=%d", st.Hits, st.Misses)
 	}
 }
 
@@ -238,6 +238,51 @@ func TestProgressCallback(t *testing.T) {
 	}
 	if calls.Load() != 3 || lastDone.Load() != 3 {
 		t.Fatalf("progress calls=%d lastDone=%d", calls.Load(), lastDone.Load())
+	}
+}
+
+// TestRecordAtIndex drives the bookkeeping a cluster dispatch keeps:
+// outcomes recorded out of order land at their points' indexes, each
+// progress snapshot counts what is recorded so far, and Finish fails the
+// point nothing was recorded for, wrapping the cause, and joins the errors.
+func TestRecordAtIndex(t *testing.T) {
+	points := make([]Point, 4)
+	for i := range points {
+		points[i] = Point{Label: fmt.Sprintf("r%d", i), Cfg: tinyCfg(core.DesignSRL, 900+uint64(i)), Suite: trace.PROD}
+	}
+	rep := NewReport(points)
+	res := fakeResults(points[0].Cfg, points[0].Suite)
+	boom := errors.New("boom")
+	for k, step := range []struct {
+		at int
+		pr PointResult
+	}{
+		{2, PointResult{Results: res, CacheHit: true}},
+		{0, PointResult{Err: boom}},
+		{3, PointResult{Results: res}},
+	} {
+		p := rep.Record(step.at, step.pr)
+		if p.Done != k+1 || p.Total != len(points) || p.Last.Label != points[step.at].Label {
+			t.Fatalf("step %d: progress %+v", k, p)
+		}
+	}
+	if rep.CacheHits != 1 || rep.Simulated != 1 || rep.Failed != 1 {
+		t.Fatalf("counters hits=%d simulated=%d failed=%d, want 1/1/1", rep.CacheHits, rep.Simulated, rep.Failed)
+	}
+	err := rep.Finish(context.Canceled)
+	if !errors.Is(err, boom) || !errors.Is(err, context.Canceled) || err != rep.Err {
+		t.Fatalf("Finish joined %v", err)
+	}
+	if !errors.Is(rep.Points[1].Err, context.Canceled) || rep.Failed != 2 {
+		t.Fatalf("unreached point: err %v, failed %d", rep.Points[1].Err, rep.Failed)
+	}
+	for i := range points {
+		if rep.Points[i].Point.Label != points[i].Label {
+			t.Fatalf("point %d is %s, want %s", i, rep.Points[i].Point, points[i])
+		}
+	}
+	if rep.Points[2].Results != res || !rep.Points[2].CacheHit || rep.Points[3].Results != res {
+		t.Fatalf("report %+v", rep)
 	}
 }
 

@@ -3,7 +3,7 @@
 # `make cluster-smoke` and the CI cluster-smoke step.
 #
 # Leg 1: a standalone server produces the golden fig6 document.
-# Leg 2: a coordinator + two workers run the same sweep; the merged
+# Leg 2: a coordinator + two workers run the same sweep; the cluster's
 #         document must be byte-identical to the golden, and the
 #         coordinator /metrics cluster section must show both workers.
 # Leg 3: the same sweep again (fresh coordinator memo state is not a
@@ -89,10 +89,12 @@ if ! cmp -s "$TMP/golden.json" "$TMP/cluster.json"; then
     exit 1
 fi
 metrics=$(curl -sf "http://$A4/metrics")
-case "$metrics" in
-*'"role":"coordinator"'*) ;;
-*) echo "cluster-smoke: coordinator metrics missing cluster section: $metrics" >&2; exit 1 ;;
-esac
+for want in '"role":"coordinator"' "\"worker\":\"$A2\"" "\"worker\":\"$A3\""; do
+    case "$metrics" in
+    *"$want"*) ;;
+    *) echo "cluster-smoke: coordinator metrics cluster section lacks $want: $metrics" >&2; exit 1 ;;
+    esac
+done
 
 echo "cluster-smoke: worker death mid-sweep"
 curl -sf -X POST -H 'Content-Type: application/json' \
