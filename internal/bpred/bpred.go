@@ -2,18 +2,10 @@
 // predictors: a gshare predictor, a perceptron predictor, and the
 // gshare-perceptron hybrid with a chooser that Table 1 of the paper
 // specifies (64K gshare entries, 256 perceptrons).
+//
+// Each predictor keeps its own global history, so Update must be called for
+// every predicted branch, in program order, with the PC passed to Predict.
 package bpred
-
-// Predictor predicts conditional branch directions and is trained with
-// outcomes. Implementations keep their own global history; Update must be
-// called for every predicted branch, in program order, with the same PC
-// passed to Predict.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the actual outcome.
-	Update(pc uint64, taken bool)
-}
 
 // --- gshare ---
 
@@ -53,15 +45,21 @@ func (g *Gshare) counter(i uint64) (*uint8, uint) {
 	return &g.table[i>>2], uint(i&3) * 2
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (g *Gshare) Predict(pc uint64) bool {
 	b, sh := g.counter(g.index(pc))
 	return *b>>sh&3 >= 2
 }
 
-// Update implements Predictor.
+// Update trains the predictor with the branch's outcome.
 func (g *Gshare) Update(pc uint64, taken bool) {
 	b, sh := g.counter(g.index(pc))
+	g.train(b, sh, taken)
+}
+
+// train moves the counter at bit sh of *b toward the outcome and shifts the
+// outcome into the history.
+func (g *Gshare) train(b *uint8, sh uint, taken bool) {
 	c := *b >> sh & 3
 	if taken {
 		if c < 3 {
@@ -113,8 +111,8 @@ func (p *Perceptron) row(pc uint64) []int8 {
 	return p.weights[lo : lo+n]
 }
 
-func (p *Perceptron) output(pc uint64) int32 {
-	w := p.row(pc)
+// output dots the weight vector w with the history.
+func (p *Perceptron) output(w []int8) int32 {
 	y := int32(w[0]) // bias
 	for i, h := range p.history {
 		y += int32(w[i+1]) * int32(h)
@@ -122,19 +120,25 @@ func (p *Perceptron) output(pc uint64) int32 {
 	return y
 }
 
-// Predict implements Predictor.
-func (p *Perceptron) Predict(pc uint64) bool { return p.output(pc) >= 0 }
+// Predict returns the predicted direction for the branch at pc.
+func (p *Perceptron) Predict(pc uint64) bool { return p.output(p.row(pc)) >= 0 }
 
-// Update implements Predictor.
+// Update trains the predictor with the branch's outcome.
 func (p *Perceptron) Update(pc uint64, taken bool) {
-	y := p.output(pc)
+	w := p.row(pc)
+	p.train(w, p.output(w), taken)
+}
+
+// train adjusts the weight vector w, whose output was y, toward the outcome
+// when y mispredicted or fell within the threshold, and shifts the outcome
+// into the history.
+func (p *Perceptron) train(w []int8, y int32, taken bool) {
 	pred := y >= 0
 	t := int32(-1)
 	if taken {
 		t = 1
 	}
 	if pred != taken || abs32(y) <= p.threshold {
-		w := p.row(pc)
 		w[0] = satAdd(w[0], t)
 		for i, h := range p.history {
 			w[i+1] = satAdd(w[i+1], t*int32(h))
@@ -182,7 +186,7 @@ func NewHybridSized(gshareEntries int, gshareHist uint, perceptrons, percHist, c
 	return h
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (h *Hybrid) Predict(pc uint64) bool {
 	if h.chooser[(pc>>2)&h.mask] >= 2 {
 		return h.p.Predict(pc)
@@ -190,20 +194,33 @@ func (h *Hybrid) Predict(pc uint64) bool {
 	return h.g.Predict(pc)
 }
 
-// Update implements Predictor.
-func (h *Hybrid) Update(pc uint64, taken bool) {
-	gp := h.g.Predict(pc)
-	pp := h.p.Predict(pc)
+// Update trains the predictor with the branch's outcome.
+func (h *Hybrid) Update(pc uint64, taken bool) { h.PredictAndTrain(pc, taken) }
+
+// PredictAndTrain returns Predict(pc) and then trains the predictor as
+// Update(pc, taken) does, computing each component's prediction once: one
+// gshare index and one perceptron dot product per branch.
+func (h *Hybrid) PredictAndTrain(pc uint64, taken bool) bool {
+	gb, gsh := h.g.counter(h.g.index(pc))
+	gp := *gb>>gsh&3 >= 2
+	w := h.p.row(pc)
+	y := h.p.output(w)
+	pp := y >= 0
 	i := (pc >> 2) & h.mask
 	c := h.chooser[i]
+	pred := gp
+	if c >= 2 {
+		pred = pp
+	}
 	// Train chooser toward whichever component was right (when they differ).
 	if pp == taken && gp != taken && c < 3 {
 		h.chooser[i] = c + 1
 	} else if gp == taken && pp != taken && c > 0 {
 		h.chooser[i] = c - 1
 	}
-	h.g.Update(pc, taken)
-	h.p.Update(pc, taken)
+	h.g.train(gb, gsh, taken)
+	h.p.train(w, y, taken)
+	return pred
 }
 
 func b2u(b bool) uint64 {

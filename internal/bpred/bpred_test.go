@@ -1,13 +1,21 @@
 package bpred
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"srlproc/internal/xrand"
 )
 
+// predictor is what the accuracy tests drive: Gshare, Perceptron or Hybrid.
+type predictor interface {
+	Predict(pc uint64) bool
+	Update(pc uint64, taken bool)
+}
+
 // train runs pred over a synthetic outcome stream and returns accuracy.
-func train(p Predictor, outcomes func(i int) (pc uint64, taken bool), n int) float64 {
+func train(p predictor, outcomes func(i int) (pc uint64, taken bool), n int) float64 {
 	correct := 0
 	for i := 0; i < n; i++ {
 		pc, taken := outcomes(i)
@@ -81,7 +89,7 @@ func TestHybridChooserPrefersBetter(t *testing.T) {
 }
 
 func TestPredictorsDeterministic(t *testing.T) {
-	mk := func() Predictor { return NewHybrid() }
+	mk := func() predictor { return NewHybrid() }
 	a, b := mk(), mk()
 	for i := 0; i < 5000; i++ {
 		pc := uint64(0x100 + (i%64)*4)
@@ -188,6 +196,72 @@ func TestGshareMatchesByteTable(t *testing.T) {
 				}
 			}
 			same(20_000)
+		}
+	}
+}
+
+// twoCallHybrid drives a Hybrid as Predict then Update did before the two
+// were fused: Update has both components predict again, and each
+// component's Update computes its own prediction a third time.
+type twoCallHybrid struct{ *Hybrid }
+
+func (h twoCallHybrid) predict(pc uint64) bool {
+	if h.chooser[(pc>>2)&h.mask] >= 2 {
+		return h.p.Predict(pc)
+	}
+	return h.g.Predict(pc)
+}
+
+func (h twoCallHybrid) update(pc uint64, taken bool) {
+	gp := h.g.Predict(pc)
+	pp := h.p.Predict(pc)
+	i := (pc >> 2) & h.mask
+	c := h.chooser[i]
+	if pp == taken && gp != taken && c < 3 {
+		h.chooser[i] = c + 1
+	} else if gp == taken && pp != taken && c > 0 {
+		h.chooser[i] = c - 1
+	}
+	h.g.Update(pc, taken)
+	h.p.Update(pc, taken)
+}
+
+// TestPredictAndTrainMatchesTwoCalls steps seeded branch streams, biased
+// per PC and correlated with the previous branch, through PredictAndTrain
+// and through the two-call form, at Table 1's size and at one small enough
+// that branches alias. Every prediction must agree, and after every branch
+// so must the gshare table and history, the chooser, and the perceptron
+// weights and history.
+func TestPredictAndTrainMatchesTwoCalls(t *testing.T) {
+	for _, mk := range []func() *Hybrid{
+		NewHybrid,
+		func() *Hybrid { return NewHybridSized(64, 6, 4, 8, 16) },
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			fused, ref := mk(), twoCallHybrid{mk()}
+			rng := xrand.New(seed)
+			prev := false
+			for step := 0; step < 20_000; step++ {
+				pc := 0x1000 + 4*rng.Uint64n(512)
+				taken := rng.Bool(float64(pc>>2&7) / 7) // bias 0 to 1 by PC
+				if pc>>2&1 == 1 {
+					taken = prev // odd sites repeat the previous outcome
+				}
+				prev = taken
+				want := ref.predict(pc)
+				ref.update(pc, taken)
+				if got := fused.PredictAndTrain(pc, taken); got != want {
+					t.Fatalf("seed %d, step %d: predicted %v, two calls %v", seed, step, got, want)
+				}
+				switch {
+				case !bytes.Equal(fused.g.table, ref.g.table) || fused.g.history != ref.g.history:
+					t.Fatalf("seed %d, step %d: gshare state differs", seed, step)
+				case !bytes.Equal(fused.chooser, ref.chooser):
+					t.Fatalf("seed %d, step %d: chooser differs", seed, step)
+				case !slices.Equal(fused.p.weights, ref.p.weights) || !slices.Equal(fused.p.history, ref.p.history):
+					t.Fatalf("seed %d, step %d: perceptron state differs", seed, step)
+				}
+			}
 		}
 	}
 }

@@ -172,14 +172,43 @@ func NewHierarchy(cfg Config) *Hierarchy {
 // memory.
 func (h *Hierarchy) MemAccesses() uint64 { return h.memAccesses }
 
-// PrefetchTrains returns the demand misses the stream prefetcher has
-// trained on (zero with the prefetcher off). Each one changed its stream
-// table: it extended a stream, paired with one, or took a slot.
-func (h *Hierarchy) PrefetchTrains() uint64 {
-	if h.pf == nil {
-		return 0
+// RecordTrainings starts a fresh log of the demand misses the stream
+// prefetcher trains on, and StopTrainings ends it (both do nothing with the
+// prefetcher off). Each training rewrites a stream slot, a change no other
+// counter or length shows; ReplayTrainings repeats the log.
+func (h *Hierarchy) RecordTrainings() {
+	if h.pf != nil {
+		h.pf.log, h.pf.recording = h.pf.log[:0], true
 	}
-	return h.pf.trains
+}
+
+// StopTrainings stops the logging RecordTrainings started; ReplayTrainings
+// still repeats the log.
+func (h *Hierarchy) StopTrainings() {
+	if h.pf != nil {
+		h.pf.recording = false
+	}
+}
+
+// ReplayTrainings repeats the logged trainings once per cycle for the n
+// cycles from first, as if each of those cycles had made the logged misses
+// again. Only the stream table moves: the prefetches the trainings ask for
+// are dropped. That is exact when every logged miss found the MSHR file
+// full and no fill lands before first+n, because such a prefetch then
+// returns without a change.
+func (h *Hierarchy) ReplayTrainings(first, n uint64) {
+	if h.pf != nil {
+		h.pf.replay(first, n)
+	}
+}
+
+// StreamTable returns a copy of the stream prefetcher's slots (nil with the
+// prefetcher off), for tests that compare two hierarchies' prefetchers.
+func (h *Hierarchy) StreamTable() []Stream {
+	if h.pf == nil {
+		return nil
+	}
+	return append([]Stream(nil), h.pf.streams...)
 }
 
 // FarAccesses returns memory fetches (demand or prefetch) served by the

@@ -1,7 +1,9 @@
 package cachesim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -75,27 +77,56 @@ func TestMSHRFull(t *testing.T) {
 	}
 }
 
-// TestPrefetchTrainsCountsEveryL1Miss: every L1 miss trains the stream
-// prefetcher, admitted or turned away by a full MSHR file, and an L1 hit
-// does not. The core's skip engine reads the count to see a stream table
-// change that nothing else shows.
-func TestPrefetchTrainsCountsEveryL1Miss(t *testing.T) {
+// TestTrainingLogReplaysEveryL1Miss: while recording, the stream
+// prefetcher logs every L1 miss it trains on, admitted or turned away by a
+// full MSHR file, and no L1 hit. Replaying the log for five cycles leaves
+// the stream table, LRU stamps included, as five more cycles of the same
+// accesses do, and those accesses change nothing else: the prefetches a
+// training asks for find the MSHR file full. The core's skip engine
+// replays a probe cycle's trainings this way across a jump.
+func TestTrainingLogReplaysEveryL1Miss(t *testing.T) {
 	for _, on := range []bool{true, false} {
 		cfg := DefaultConfig()
 		cfg.PrefetchOn = on
 		cfg.MSHRs = 1
-		h := NewHierarchy(cfg)
-		h.Access(100, 0x10000, false)
-		if !h.Access(100, 0x30000, false).MSHRFull {
-			t.Fatal("a second miss admitted with 1 MSHR")
+		h, ref := NewHierarchy(cfg), NewHierarchy(cfg)
+		// probe is a cycle of retries behind a full MSHR file: the second
+		// miss extends the first's stream, confirming it, and asks for
+		// twelve lines.
+		probe := func(h *Hierarchy, cycle uint64) {
+			for _, addr := range []uint64{0x30000, 0x10000, 0x30040} {
+				if r := h.Access(cycle, addr, false); addr != 0x10000 && !r.MSHRFull {
+					t.Fatalf("miss to %#x admitted with the only MSHR busy", addr)
+				}
+			}
 		}
-		h.Access(101, 0x10000, false)
-		want := uint64(0)
+		for _, x := range []*Hierarchy{h, ref} {
+			x.Access(100, 0x10000, false) // takes the MSHR until cycle 900
+		}
+		h.RecordTrainings()
+		probe(h, 101)
+		h.StopTrainings()
+		h.Access(101, 0x50000, false) // after recording: not logged
+		probe(ref, 101)
+		ref.Access(101, 0x50000, false)
 		if on {
-			want = 2
+			if got := fmt.Sprintf("%#x", h.pf.log); got != "[0x30000 0x30040]" {
+				t.Fatalf("logged %s, want the two L1 misses", got)
+			}
 		}
-		if got := h.PrefetchTrains(); got != want {
-			t.Errorf("prefetcher on=%v: %d trains, want %d", on, got, want)
+		h.ReplayTrainings(102, 5)
+		for cycle := uint64(102); cycle < 107; cycle++ {
+			probe(ref, cycle)
+		}
+		if got, want := h.StreamTable(), ref.StreamTable(); !slices.Equal(got, want) {
+			t.Fatalf("prefetcher on=%v: replayed table %+v, stepped %+v", on, got, want)
+		}
+		if on != (ref.StreamTable() != nil) {
+			t.Fatalf("prefetcher on=%v: stream table %v", on, ref.StreamTable())
+		}
+		if ref.MemAccesses() != 1 || len(ref.mshrs) != 1 || ref.L2.Contains(0x30080) {
+			t.Fatalf("prefetcher on=%v: retries behind a full MSHR file fetched %d lines, hold %d MSHRs",
+				on, ref.MemAccesses(), len(ref.mshrs))
 		}
 	}
 }

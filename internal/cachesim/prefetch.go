@@ -6,13 +6,18 @@ import "srlproc/internal/isa"
 // 16 concurrent unit-stride streams of cache-line misses and, once a stream
 // is confirmed, runs a configurable distance ahead of the demand stream.
 type StreamPrefetcher struct {
-	streams []stream
+	streams []Stream
 	depth   int      // lines fetched ahead once confirmed
 	out     []uint64 // OnMiss's result, reused by every call
-	trains  uint64   // OnMiss calls, each of which rewrites a stream slot
+	// log holds the addresses OnMiss trained on, in call order, while
+	// recording is set (Hierarchy.RecordTrainings); replay repeats them.
+	log       []uint64
+	recording bool
 }
 
-type stream struct {
+// Stream is one slot of the stream table. Its fields are unexported; tests
+// compare whole values.
+type Stream struct {
 	lastLine  uint64 // last demand-miss line address seen
 	dir       int64  // +64 or -64 bytes
 	lru       uint64
@@ -23,14 +28,34 @@ type stream struct {
 // NewStreamPrefetcher creates a prefetcher with n stream slots that fetches
 // depth lines ahead of a confirmed stream.
 func NewStreamPrefetcher(n, depth int) *StreamPrefetcher {
-	return &StreamPrefetcher{streams: make([]stream, n), depth: depth, out: make([]uint64, 0, depth)}
+	return &StreamPrefetcher{streams: make([]Stream, n), depth: depth, out: make([]uint64, 0, depth)}
 }
 
 // OnMiss observes a demand miss to addr and returns the line addresses to
 // prefetch (possibly none). The slice is the prefetcher's own buffer: it is
-// valid until the next call.
+// valid until the next call. Every call rewrites a stream slot: it extends
+// a stream, pairs with one, or takes one.
 func (p *StreamPrefetcher) OnMiss(addr uint64, tick uint64) []uint64 {
-	p.trains++
+	if p.recording {
+		p.log = append(p.log, addr)
+	}
+	return p.train(addr, tick)
+}
+
+// replay repeats the logged trainings once per cycle for the n cycles from
+// first, in logged order, each with its cycle as the tick: the stream table
+// then stands as if those cycles had each made the logged misses again. The
+// prefetch lines the trainings return are dropped.
+func (p *StreamPrefetcher) replay(first, n uint64) {
+	for tick := first; tick < first+n; tick++ {
+		for _, addr := range p.log {
+			p.train(addr, tick)
+		}
+	}
+}
+
+// train is OnMiss without the log.
+func (p *StreamPrefetcher) train(addr uint64, tick uint64) []uint64 {
 	la := isa.LineAddr(addr)
 	const ls = int64(isa.CacheLineSize)
 
@@ -76,7 +101,7 @@ func (p *StreamPrefetcher) OnMiss(addr uint64, tick uint64) []uint64 {
 			victim = i
 		}
 	}
-	p.streams[victim] = stream{valid: true, lastLine: la, dir: ls, lru: tick}
+	p.streams[victim] = Stream{valid: true, lastLine: la, dir: ls, lru: tick}
 	return nil
 }
 

@@ -59,31 +59,36 @@ func BenchmarkCycleLoop(b *testing.B) {
 
 // BenchmarkCycleLoopSkip measures event-driven cycle skipping (skip.go)
 // against plain stepping on whole runs of the small-STQ baseline and of
-// SRL in the paper's motivating regime: a deep memory latency (8000
-// cycles, the "growing memory gap" end of Figure 1) with the prefetcher
-// off, so every miss is a full DRAM shadow and the commit-blocked machine
-// sits fully quiescent for most of its cycles. SRL's window holds far more
-// misses, so its loads and drains retry a full MSHR file in nearly twice
-// the share of cycles the baseline's do; the SRL rows show what crossing
-// those waits saves. Each skip row
-// must report the sim-cycles/op of its step row: they simulate the same
-// machine, or the identity gate (TestSkipIdentityGoldenPoints) is broken.
-// At the default 800-cycle latency with prefetching the skipped cycles are
-// so cheap the win shrinks to 1-3%; here it is the headline number the CI
-// gate pins.
+// SRL, in two regimes. The unprefixed rows are the paper's motivating
+// regime: a deep memory latency (8000 cycles, the "growing memory gap" end
+// of Figure 1) with the prefetcher off, so every miss is a full DRAM shadow
+// and the commit-blocked machine sits fully quiescent for most of its
+// cycles. SRL's window holds far more misses, so its loads and drains retry
+// a full MSHR file in nearly twice the share of cycles the baseline's do;
+// the SRL rows show what crossing those waits saves. The table1 rows run
+// Table 1's machine (800-cycle memory, prefetcher on), where each of those
+// retries also trains the stream prefetcher and the jump replays the
+// trainings. Each skip row must report the sim-cycles/op of its step row:
+// they simulate the same machine, or the identity gate
+// (TestSkipIdentityGoldenPoints) is broken.
 func BenchmarkCycleLoopSkip(b *testing.B) {
 	for _, row := range []struct {
 		name   string
+		cfg    func(StoreDesign) Config
 		design StoreDesign
 		skip   bool
 	}{
-		{"skip", DesignBaseline, true},
-		{"step", DesignBaseline, false},
-		{"SRL-skip", DesignSRL, true},
-		{"SRL-step", DesignSRL, false},
+		{"skip", deepCfg, DesignBaseline, true},
+		{"step", deepCfg, DesignBaseline, false},
+		{"SRL-skip", deepCfg, DesignSRL, true},
+		{"SRL-step", deepCfg, DesignSRL, false},
+		{"table1-skip", shortCfg, DesignBaseline, true},
+		{"table1-step", shortCfg, DesignBaseline, false},
+		{"table1-SRL-skip", shortCfg, DesignSRL, true},
+		{"table1-SRL-step", shortCfg, DesignSRL, false},
 	} {
 		b.Run(row.name, func(b *testing.B) {
-			cfg := deepCfg(row.design)
+			cfg := row.cfg(row.design)
 			cfg.EventSkip = row.skip
 			b.ReportAllocs()
 			var cycles uint64

@@ -92,7 +92,7 @@ type Core struct {
 	syncs *lsq.OrderTracker
 
 	mem *cachesim.Hierarchy
-	bp  bpred.Predictor
+	bp  *bpred.Hybrid
 	mdp *memdep.StoreSets
 
 	// Branch confidence estimator (for checkpoint placement).
@@ -622,8 +622,9 @@ type activity struct {
 // probes and maybes, load-buffer lookups and the entries they compare, and
 // L1 and L2 misses. A miss changes nothing else only when its access finds
 // every MSHR busy; any other miss fills a line, which its caller shows by a
-// queue length, or allocates an MSHR or trains the prefetcher, which the
-// write block shows.
+// queue length, or allocates an MSHR, which the write block shows. With the
+// prefetcher on, an L1 miss also trains the stream table; the skip engine
+// logs those trainings and replays them across a jump.
 type readActivity struct {
 	camSearches, camEntryOps uint64
 	lcfProbes, lcfNonZero    uint64
@@ -635,15 +636,14 @@ type readActivity struct {
 
 // writeActivity is the block a quiescent cycle leaves unchanged: refused
 // LCF increments and load-buffer overflows, FC hits, SRL reads (a drain)
-// and writes, memory fetches, writebacks, far-tier fetches, and prefetcher
-// training, which rewrites the stream table on every L1 miss.
+// and writes, memory fetches (a demand miss or a prefetch that took an
+// MSHR), writebacks, and far-tier fetches.
 type writeActivity struct {
 	lcfOverflows, lbOverflows uint64
 	fcHits                    uint64
 	srlReads, srlWrites       uint64
 	memAccesses, writebacks   uint64
 	farAccesses, farDegraded  uint64
-	pfTrains                  uint64
 }
 
 // snapshotActivity reads the structure counters, plus the reads the skip
@@ -683,7 +683,6 @@ func (c *Core) snapshotActivity() activity {
 	a.writebacks = c.mem.L1.Writebacks() + c.mem.L2.Writebacks()
 	a.farAccesses = c.mem.FarAccesses()
 	a.farDegraded = c.mem.FarDegradedAccesses()
-	a.pfTrains = c.mem.PrefetchTrains()
 	return a
 }
 

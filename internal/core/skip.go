@@ -15,7 +15,8 @@ import "srlproc/internal/obs"
 //     head's miss-return wake-up, the front-end redirect resume, the §6.5
 //     temporary-update retry, and the timeline sampler's next sample. If
 //     e is at least skipMinGap cycles out, snapshot the machine
-//     fingerprint, the statistics, and the structure-activity counters.
+//     fingerprint, the statistics, and the structure-activity counters,
+//     and have the hierarchy log the prefetcher's trainings.
 //  2. Probe. The next cycle runs for real — no behaviour is guessed.
 //  3. Verify. If the probe changed nothing except per-cycle counters
 //     (Results.StallCounts, the metrics obs flags PerCycle) and the
@@ -29,8 +30,9 @@ import "srlproc/internal/obs"
 //     snoop coin, which applySkip replays draw-for-draw.
 //  4. Jump. Extrapolate the probe's per-cycle deltas across the gap —
 //     the read-block deltas into skipState.reads, which snapshotActivity
-//     adds — and set c.cycle = e-1, so the next real step lands exactly
-//     on e.
+//     adds, and the logged trainings into the stream table, replayed once
+//     per skipped cycle — and set c.cycle = e-1, so the next real step
+//     lands exactly on e.
 //
 // If verification fails — any other counter moved, any structure changed
 // length, any scalar differs — the probe was just a normal cycle and
@@ -38,10 +40,15 @@ import "srlproc/internal/obs"
 //
 // A load retrying a full MSHR file, or a committed store's drain retrying
 // it, is such a probe: it searches the store queues, probes the filters,
-// misses in both caches and changes nothing, so the machine waits for the
-// next MSHR fill without stepping. With the prefetcher on, every L1 miss
-// also trains the stream table, a write-block counter, so those waits are
-// stepped.
+// misses in both caches and changes nothing but, with the prefetcher on,
+// the stream table each L1 miss trains. The jump replays those trainings,
+// in the probe's order with each skipped cycle as the tick, so the machine
+// waits for the next MSHR fill without stepping, prefetcher on or off. The
+// replay is exact. A verified probe's every training came from an access
+// that found the MSHR file full: any other outcome fills a line, completes
+// a uop or takes an MSHR, and each of those vetoes. So every skipped cycle
+// makes the same misses in the same order, and since no fill lands before
+// e, the prefetches they ask for find the file full and change nothing.
 //
 // What the probe compares is declared by type, not listed here: Core's
 // scalars block, Results' counter blocks, the activity snapshot's read and
@@ -233,6 +240,7 @@ func (c *Core) nextEventCycle(horizon uint64) (e uint64, ok bool) {
 func (c *Core) maybeSkip() {
 	if c.skip.armed {
 		c.skip.armed = false
+		c.mem.StopTrainings()
 		if c.verifySkip() {
 			c.applySkip()
 			c.skip.fails = 0
@@ -257,6 +265,7 @@ func (c *Core) maybeSkip() {
 	}
 	c.skip.snap = c.skipCapture()
 	c.skip.armed = true
+	c.mem.RecordTrainings()
 }
 
 // skipCapture snapshots everything the probe cycle is verified against.
@@ -273,8 +282,9 @@ func (c *Core) skipCapture() skipSnap {
 // verifySkip reports whether the probe cycle was quiescent: the
 // fingerprint, the write-block activity counters and every Results counter
 // outside StallCounts are unchanged, and of the metrics only per-cycle
-// ones may have advanced. The read-block counters may have moved. Only
-// finalize fills Results.ActivityCounts, so it is compared with zero.
+// ones may have advanced. The read-block counters may have moved, and the
+// prefetcher may have trained: the jump replays both. Only finalize fills
+// Results.ActivityCounts, so it is compared with zero.
 func (c *Core) verifySkip() bool {
 	s := &c.skip.snap
 	if c.skipFPCapture() != s.fp || c.snapshotActivity().writeActivity != s.act.writeActivity ||
@@ -319,8 +329,9 @@ func (c *Core) applySkip() {
 
 // addSkipDeltas accumulates w more copies of the probe cycle's per-cycle
 // deltas: the stall block, the per-cycle metrics and the read-block
-// activity counters, the last into skipState.reads. Everything else was
-// verified unchanged, and the occupancy trackers need nothing —
+// activity counters, the last into skipState.reads, and replays the probe's
+// prefetcher trainings for each of the w cycles after it. Everything else
+// was verified unchanged, and the occupancy trackers need nothing —
 // stats.OccupancyTracker.Set accrues (cycle - lastCycle) at the last
 // level, so the next real Set call accounts the gap exactly as per-cycle
 // calls at an unchanged level would have.
@@ -337,6 +348,7 @@ func (c *Core) addSkipDeltas(w uint64) {
 	}
 	act := c.snapshotActivity()
 	extrapolateReads(&c.skip.reads, &act.readActivity, &s.act.readActivity, w)
+	c.mem.ReplayTrainings(c.cycle+1, w)
 }
 
 // extrapolateStalls adds w more copies of each field's delta since snap

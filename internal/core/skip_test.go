@@ -11,10 +11,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
+	"srlproc/internal/cachesim"
 	"srlproc/internal/isa"
 	"srlproc/internal/obs"
 	"srlproc/internal/trace"
@@ -202,8 +204,11 @@ func TestSkipIdentityObserved(t *testing.T) {
 
 // skipLoop runs cfg/suite with event skipping, one real step and one skip
 // decision per loop iteration as RunContext takes them, and returns the
-// cycles simulated and the iterations it took.
-func skipLoop(t *testing.T, cfg Config, suite trace.Suite) (cycles, iters uint64) {
+// cycles simulated, the iterations it took and the jumps that replayed
+// prefetcher trainings. A replay stamps the trained slots with the skipped
+// cycles, so a jump replayed trainings exactly when it moved the stream
+// table.
+func skipLoop(t *testing.T, cfg Config, suite trace.Suite) (cycles, iters, replays uint64) {
 	t.Helper()
 	cfg.EventSkip = true
 	c, err := New(cfg, suite)
@@ -212,33 +217,43 @@ func skipLoop(t *testing.T, cfg Config, suite trace.Suite) (cycles, iters uint64
 	}
 	for !c.Done() {
 		c.StepCycle()
-		c.maybeSkip()
+		if c.skip.armed {
+			cycle, table := c.cycle, c.mem.StreamTable()
+			c.maybeSkip()
+			if c.cycle != cycle && !slices.Equal(table, c.mem.StreamTable()) {
+				replays++
+			}
+		} else {
+			c.maybeSkip()
+		}
 		iters++
 	}
 	c.Finalize()
-	return c.cycle, iters
+	return c.cycle, iters, replays
 }
 
 // TestSkipActuallySkips proves the fast path engages: every store design
 // spends stretches in miss shadows with the whole machine quiescent, so
 // the loop must skip a real share of the cycles it simulates. Each floor
-// is half the share these points measure (51.0%, 51.0%, 10.4%, 9.3%): a
+// is half the share these points measure (71.5%, 71.5%, 38.5%, 41.9%): a
 // compared field that changed every cycle would veto nearly every probe,
 // and since results stay identical, only wall time would show it
-// otherwise.
+// otherwise. An engine that vetoed a probe that trained the prefetcher
+// stepped through every MSHR wait and skipped 51.0%, 51.0%, 10.4% and 9.3%,
+// below the hierarchical and SRL floors.
 func TestSkipActuallySkips(t *testing.T) {
 	for _, tc := range []struct {
 		d        StoreDesign
 		minShare float64 // percent of cycles skipped
 	}{
-		{DesignBaseline, 51.0 / 2},
-		{DesignLargeSTQ, 51.0 / 2},
-		{DesignHierarchical, 10.4 / 2},
-		{DesignSRL, 9.3 / 2},
+		{DesignBaseline, 71.5 / 2},
+		{DesignLargeSTQ, 71.5 / 2},
+		{DesignHierarchical, 38.5 / 2},
+		{DesignSRL, 41.9 / 2},
 	} {
 		tc := tc
 		t.Run(tc.d.String(), func(t *testing.T) {
-			cycles, iters := skipLoop(t, shortCfg(tc.d), trace.SFP2K)
+			cycles, iters, _ := skipLoop(t, shortCfg(tc.d), trace.SFP2K)
 			share := 100 * float64(cycles-iters) / float64(cycles)
 			t.Logf("%d cycles in %d iterations (%.1f%% skipped)", cycles, iters, share)
 			if share < tc.minShare {
@@ -257,16 +272,127 @@ func TestSkipActuallySkips(t *testing.T) {
 // every such wait and needed 269,167 iterations for this point; with them
 // extrapolated it needs 165,547. The bound sits between the two.
 func TestSkipMSHRWaits(t *testing.T) {
-	cycles, iters := skipLoop(t, deepCfg(DesignSRL), trace.SFP2K)
+	cycles, iters, _ := skipLoop(t, deepCfg(DesignSRL), trace.SFP2K)
 	t.Logf("%d cycles in %d iterations", cycles, iters)
 	if iters >= 217_000 {
 		t.Fatalf("%d iterations, want fewer than 217,000", iters)
 	}
 }
 
+// TestSkipReplayGoldenPoints counts the golden points whose skip runs
+// cross MSHR waits by replaying the prefetcher's trainings: 18 of the 30
+// do. The six deep points run with the prefetcher off and must replay
+// nothing.
+func TestSkipReplayGoldenPoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden sweep skipped in -short mode")
+	}
+	engaged := 0
+	for _, pt := range skipIdentityPoints() {
+		_, _, replays := skipLoop(t, pt.Cfg, pt.Suite)
+		if replays > 0 {
+			engaged++
+		}
+		if replays > 0 && !pt.Cfg.Mem.PrefetchOn {
+			t.Errorf("%s replayed %d times with the prefetcher off", pt.Name, replays)
+		}
+		t.Logf("%s: %d replaying jumps", pt.Name, replays)
+	}
+	if engaged < 15 {
+		t.Fatalf("%d golden points replay prefetcher trainings, want at least 15", engaged)
+	}
+}
+
+// TestSkipLockstepMatchesStep runs a skipping and a stepping core side by
+// side on Table 1 baseline and SRL (800-cycle memory, prefetcher on). At
+// every cycle the skipping core lands on, the stepping core at that cycle
+// must have the same skip fingerprint and the same stream table: a jump
+// that replayed the prefetcher's trainings left the table as stepping the
+// gap did. The fingerprint's pendingSnoopFire is the one scalar that may
+// differ: a jump that drew a snoop for its next cycle sets it, and the
+// stepping core draws that coin inside the cycle.
+func TestSkipLockstepMatchesStep(t *testing.T) {
+	for _, d := range []StoreDesign{DesignBaseline, DesignSRL} {
+		t.Run(d.String(), func(t *testing.T) {
+			skipCfg, stepCfg := shortCfg(d), shortCfg(d)
+			skipCfg.EventSkip, stepCfg.EventSkip = true, false
+			sk, err := New(skipCfg, trace.SFP2K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := New(stepCfg, trace.SFP2K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jumps, replays uint64
+			for !sk.Done() {
+				sk.StepCycle()
+				cycle, table := sk.cycle, sk.mem.StreamTable()
+				sk.maybeSkip()
+				if sk.cycle != cycle {
+					jumps++
+					if !slices.Equal(table, sk.mem.StreamTable()) {
+						replays++
+					}
+				}
+				for st.cycle < sk.cycle {
+					st.StepCycle()
+				}
+				fp := sk.skipFPCapture()
+				fp.state.pendingSnoopFire = false
+				if fp != st.skipFPCapture() {
+					t.Fatalf("cycle %d: skip fingerprint %+v, step %+v", sk.cycle, fp, st.skipFPCapture())
+				}
+				if got, want := sk.mem.StreamTable(), st.mem.StreamTable(); !slices.Equal(got, want) {
+					t.Fatalf("cycle %d: skip stream table %+v, step %+v", sk.cycle, got, want)
+				}
+			}
+			t.Logf("%d cycles, %d jumps, %d of them replaying trainings", sk.cycle, jumps, replays)
+			if replays == 0 {
+				t.Fatal("no jump replayed a training")
+			}
+		})
+	}
+}
+
+// busyMSHRs has h take n MSHRs with demand misses to lines 1 MB apart at
+// cycle 0, and returns the last line missed, whose stream each of the
+// next line's misses extends.
+func busyMSHRs(h *cachesim.Hierarchy, n int) uint64 {
+	var la uint64
+	for i := 1; i <= n; i++ {
+		la = uint64(i) << 20
+		if h.Access(0, la, false).MSHRFull {
+			panic("busyMSHRs: an MSHR refused with one free")
+		}
+	}
+	return la
+}
+
+// TestSkipVetoesPrefetchTakingMSHR: a probe whose training sends a
+// prefetch that takes an MSHR moves the memory-fetch counter and vetoes,
+// even though its own demand miss then finds every MSHR busy. With every
+// MSHR already busy the same probe only trains and verifies.
+func TestSkipVetoesPrefetchTakingMSHR(t *testing.T) {
+	for _, free := range []int{1, 0} {
+		c, err := New(shortCfg(DesignSRL), trace.SFP2K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		la := busyMSHRs(c.mem, c.cfg.Mem.MSHRs-free)
+		c.skip.snap = c.skipCapture()
+		if !c.mem.Access(c.cycle, la+64, false).MSHRFull {
+			t.Fatalf("%d free MSHRs: the probe's demand miss was admitted", free)
+		}
+		if verified := c.verifySkip(); verified != (free == 0) {
+			t.Errorf("%d free MSHRs: probe verified = %v", free, verified)
+		}
+	}
+}
+
 // TestCoreSizeClass keeps Core inside Go's 4,096-byte size class: a sweep
 // builds one core per design point, and the next class up is 4,864 bytes.
-// Core is 3,896 bytes on 64-bit hosts: the cycle loop counts its metrics,
+// Core is 3,872 bytes on 64-bit hosts: the cycle loop counts its metrics,
 // the SRL occupancy and the drain causes straight into Core.res.
 func TestCoreSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Core{}); n > 4096 {
@@ -404,7 +530,7 @@ var skipExempt = []struct {
 		[]string{"gen", "lastWriter", "order", "syncs", "bp", "mdp", "conf", "recentLoads"}},
 	{"filters beside the queues: a lookup changes nothing but a read-block counter; an update rides on a queue insert or removal, which moves a length, or is a refused LCF increment or an FC hit, which move the write block",
 		[]string{"mtb", "lcf", "fc"}},
-	{"the memory system: an access that finds every MSHR busy changes nothing but read-block misses (and, with the prefetcher on, the write block's training count); any other access changes cache state, which its caller shows by a length, scalar or one-off metric; fills are nextEventCycle wake events",
+	{"the memory system: an access that finds every MSHR busy changes nothing but read-block misses and, with the prefetcher on, the stream table, whose logged trainings the jump replays; any other access changes cache state, which its caller shows by a length, scalar or one-off metric; fills are nextEventCycle wake events",
 		[]string{"mem"}},
 	{"the snoop coin, which applySkip replays draw-for-draw", []string{"snoopRNG"}},
 	{"moves only with measuring", []string{"actBase"}},
@@ -439,7 +565,9 @@ func settable(v reflect.Value) reflect.Value {
 // the scalars block; a move in any Results block must veto the skip,
 // except in StallCounts, whose every field the jump must advance. Every
 // structure-activity counter must sit in the read block, whose moves the
-// jump extrapolates, or in the write block, whose moves veto.
+// jump extrapolates, or in the write block, whose moves veto. The
+// prefetcher's trainings are in neither: they are logged, do not veto, and
+// the jump replays them.
 func TestSkipCoverage(t *testing.T) {
 	scalarKind := func(k reflect.Kind) bool {
 		return k == reflect.Bool || k == reflect.String ||
@@ -574,5 +702,37 @@ func TestSkipCoverage(t *testing.T) {
 			}
 			fv.SetUint(fv.Uint() + 1)
 		}
+	}
+
+	// The training rule: the prefetcher's stream table is in no block. A
+	// probe whose misses all found every MSHR busy trained it and still
+	// verifies, and the jump replays the logged trainings once per skipped
+	// cycle, as a hierarchy that took the same misses each cycle shows.
+	c, err = New(shortCfg(DesignSRL), trace.SFP2K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := cachesim.NewHierarchy(c.cfg.Mem)
+	la := busyMSHRs(c.mem, c.cfg.Mem.MSHRs)
+	busyMSHRs(ref, c.cfg.Mem.MSHRs)
+	retry := func(h *cachesim.Hierarchy, cycle uint64) {
+		h.Access(cycle, la+64, false)   // extends la's stream
+		h.Access(cycle, la<<1, false)   // takes a slot
+		h.Access(cycle, la<<1+64, true) // extends that stream, confirming it
+	}
+	c.skip.snap = c.skipCapture()
+	c.mem.RecordTrainings()
+	retry(c.mem, c.cycle)
+	c.mem.StopTrainings()
+	if !c.verifySkip() {
+		t.Fatal("a probe that only trained the prefetcher behind a full MSHR file fails verification")
+	}
+	const w = 5
+	c.addSkipDeltas(w)
+	for cycle := c.cycle; cycle <= c.cycle+w; cycle++ {
+		retry(ref, cycle)
+	}
+	if got, want := c.mem.StreamTable(), ref.StreamTable(); !slices.Equal(got, want) {
+		t.Errorf("a jump over %d cycles left the stream table %+v, stepping %+v", w, got, want)
 	}
 }

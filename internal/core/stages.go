@@ -730,8 +730,7 @@ func (c *Core) allocate() {
 			// resolution would scramble the global history). The
 			// mispredict penalty is still paid at resolution.
 			if !d.bpTrained {
-				d.predTaken = c.bp.Predict(d.u.PC)
-				c.bp.Update(d.u.PC, d.u.Taken)
+				d.predTaken = c.bp.PredictAndTrain(d.u.PC, d.u.Taken)
 				ci := (d.u.PC >> 2) & uint64(len(c.conf)-1)
 				if d.predTaken == d.u.Taken {
 					if c.conf[ci] < 15 {
