@@ -12,6 +12,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -151,16 +152,16 @@ func pointError(pr *sweep.PointResult) error {
 // SpeedupSeries is one figure series: percent speedup over baseline per
 // suite.
 type SpeedupSeries struct {
-	Label   string
-	BySuite map[trace.Suite]float64
+	Label   string                  `json:"label"`
+	BySuite map[trace.Suite]float64 `json:"bySuite"`
 }
 
 // FigureResult is a generic speedup figure: several series over the suites.
 type FigureResult struct {
-	Title  string
-	Series []SpeedupSeries
+	Title  string          `json:"title"`
+	Series []SpeedupSeries `json:"series"`
 	// Raw results for deeper inspection: raw[label][suite].
-	Raw map[string]map[trace.Suite]*core.Results
+	Raw map[string]map[trace.Suite]*core.Results `json:"raw,omitempty"`
 }
 
 // String renders the figure as a table (suites as rows, series as columns).
@@ -259,18 +260,18 @@ func planFigure6(o Options, title string) *plan {
 
 // Table3Row is one suite's SRL statistics.
 type Table3Row struct {
-	Suite               trace.Suite
-	RedoneStoresPct     float64
-	MissDepStoresPct    float64
-	MissDepUopsPct      float64
-	SRLLoadStallsPer10K float64
-	PctTimeSRLOccupied  float64
+	Suite               trace.Suite `json:"suite"`
+	RedoneStoresPct     float64     `json:"redoneStoresPct"`
+	MissDepStoresPct    float64     `json:"missDepStoresPct"`
+	MissDepUopsPct      float64     `json:"missDepUopsPct"`
+	SRLLoadStallsPer10K float64     `json:"srlLoadStallsPer10K"`
+	PctTimeSRLOccupied  float64     `json:"pctTimeSRLOccupied"`
 }
 
 // Table3Result holds all suites' SRL statistics plus raw results.
 type Table3Result struct {
-	Rows []Table3Row
-	Raw  map[trace.Suite]*core.Results
+	Rows []Table3Row                   `json:"rows"`
+	Raw  map[trace.Suite]*core.Results `json:"raw,omitempty"`
 }
 
 // String renders the table in the paper's format.
@@ -320,11 +321,11 @@ func planTable3(o Options, _ string) *plan {
 // Figure7Result holds, per suite, the percent of SRL-occupied time with
 // more than N entries, for the paper's thresholds.
 type Figure7Result struct {
-	Thresholds []uint64
-	BySuite    map[trace.Suite][]float64
+	Thresholds []uint64                  `json:"thresholds"`
+	BySuite    map[trace.Suite][]float64 `json:"bySuite"`
 	// Raw results per suite for deeper inspection (occupancy histograms,
 	// timelines when Options.Obs is set).
-	Raw map[trace.Suite]*core.Results
+	Raw map[trace.Suite]*core.Results `json:"raw,omitempty"`
 }
 
 // String renders the distribution.
@@ -517,17 +518,17 @@ func RenderTable2() string { return renderConfigTable(Table2()) }
 
 // EnergyRow is one design's simulated-activity energy on one suite.
 type EnergyRow struct {
-	Design      core.StoreDesign
-	Suite       trace.Suite
-	NJPer1KUops float64
-	CAMSharePct float64
+	Design      core.StoreDesign `json:"design"`
+	Suite       trace.Suite      `json:"suite"`
+	NJPer1KUops float64          `json:"njPer1kUops"`
+	CAMSharePct float64          `json:"camSharePct"`
 }
 
 // EnergyResult compares secondary load/store structure dynamic energy,
 // attributed from simulated activity counts via the calibrated
 // per-operation energies of internal/power.
 type EnergyResult struct {
-	Rows []EnergyRow
+	Rows []EnergyRow `json:"rows"`
 }
 
 // String renders the comparison (suites as rows, designs as column pairs).
@@ -593,49 +594,62 @@ func planEnergy(o Options, _ string) *plan {
 
 // LatencyPoint is one (memory latency, design) measurement.
 type LatencyPoint struct {
-	Design     core.StoreDesign
-	MemLatency uint64
-	IPC        float64
+	Design     core.StoreDesign `json:"design"`
+	MemLatency uint64           `json:"memLatency"`
+	IPC        float64          `json:"ipc"`
 }
 
 // LatencyResult holds the tolerance curves.
 type LatencyResult struct {
-	Suite  trace.Suite
-	Points []LatencyPoint
+	Suite  trace.Suite    `json:"suite"`
+	Points []LatencyPoint `json:"points"`
 }
 
 // String renders IPC vs memory latency, one row per latency, one column per
 // design.
 func (l *LatencyResult) String() string {
-	designs := []core.StoreDesign{}
-	lats := []uint64{}
-	seenD := map[core.StoreDesign]bool{}
-	seenL := map[uint64]bool{}
-	for _, p := range l.Points {
-		if !seenD[p.Design] {
-			seenD[p.Design] = true
-			designs = append(designs, p.Design)
+	cells := make([]ipcCell, len(l.Points))
+	for i, p := range l.Points {
+		cells[i] = ipcCell{p.Design, fmt.Sprint(p.MemLatency), p.IPC}
+	}
+	return renderIPCPivot(fmt.Sprintf("Latency tolerance on %s (IPC vs memory latency)", l.Suite), "MemLat(cyc)", cells)
+}
+
+// ipcCell is one (design, x) IPC measurement of a pivot table.
+type ipcCell struct {
+	design core.StoreDesign
+	x      string
+	ipc    float64
+}
+
+// renderIPCPivot renders cells as a table with one row per x and one
+// column per design, both in first-seen order, IPC to two decimals.
+func renderIPCPivot(title, xHeader string, cells []ipcCell) string {
+	var designs []core.StoreDesign
+	var xs []string
+	for _, c := range cells {
+		if !slices.Contains(designs, c.design) {
+			designs = append(designs, c.design)
 		}
-		if !seenL[p.MemLatency] {
-			seenL[p.MemLatency] = true
-			lats = append(lats, p.MemLatency)
+		if !slices.Contains(xs, c.x) {
+			xs = append(xs, c.x)
 		}
 	}
-	headers := []string{"MemLat(cyc)"}
+	headers := []string{xHeader}
 	for _, d := range designs {
 		headers = append(headers, d.String()+" IPC")
 	}
-	t := stats.NewTable(fmt.Sprintf("Latency tolerance on %s (IPC vs memory latency)", l.Suite), headers...)
-	for _, lat := range lats {
-		cells := []interface{}{fmt.Sprintf("%d", lat)}
+	t := stats.NewTable(title, headers...)
+	for _, x := range xs {
+		row := []interface{}{x}
 		for _, d := range designs {
-			for _, p := range l.Points {
-				if p.Design == d && p.MemLatency == lat {
-					cells = append(cells, fmt.Sprintf("%.2f", p.IPC))
+			for _, c := range cells {
+				if c.design == d && c.x == x {
+					row = append(row, fmt.Sprintf("%.2f", c.ipc))
 				}
 			}
 		}
-		t.AddRowf(cells...)
+		t.AddRowf(row...)
 	}
 	return t.String()
 }
@@ -699,9 +713,9 @@ func planLatency(o Options, _ string) *plan {
 // OrderingPoint is one (design, scenario) measurement of the ordering
 // scenario pack.
 type OrderingPoint struct {
-	Design   core.StoreDesign
-	Scenario string
-	IPC      float64
+	Design   core.StoreDesign `json:"design"`
+	Scenario string           `json:"scenario"`
+	IPC      float64          `json:"ipc"`
 }
 
 // OrderingResult holds the scenario-pack grid: how much throughput each
@@ -709,44 +723,18 @@ type OrderingPoint struct {
 // traffic, and when half the working set lives in a far (CXL-like) memory
 // tier — separately and combined.
 type OrderingResult struct {
-	Suite  trace.Suite
-	Points []OrderingPoint
+	Suite  trace.Suite     `json:"suite"`
+	Points []OrderingPoint `json:"points"`
 }
 
 // String renders IPC per scenario, one row per scenario, one column per
 // design.
 func (l *OrderingResult) String() string {
-	designs := []core.StoreDesign{}
-	scens := []string{}
-	seenD := map[core.StoreDesign]bool{}
-	seenS := map[string]bool{}
-	for _, p := range l.Points {
-		if !seenD[p.Design] {
-			seenD[p.Design] = true
-			designs = append(designs, p.Design)
-		}
-		if !seenS[p.Scenario] {
-			seenS[p.Scenario] = true
-			scens = append(scens, p.Scenario)
-		}
+	cells := make([]ipcCell, len(l.Points))
+	for i, p := range l.Points {
+		cells[i] = ipcCell{p.Design, p.Scenario, p.IPC}
 	}
-	headers := []string{"Scenario"}
-	for _, d := range designs {
-		headers = append(headers, d.String()+" IPC")
-	}
-	t := stats.NewTable(fmt.Sprintf("Ordering + far-memory scenarios on %s (IPC)", l.Suite), headers...)
-	for _, sc := range scens {
-		cells := []interface{}{sc}
-		for _, d := range designs {
-			for _, p := range l.Points {
-				if p.Design == d && p.Scenario == sc {
-					cells = append(cells, fmt.Sprintf("%.2f", p.IPC))
-				}
-			}
-		}
-		t.AddRowf(cells...)
-	}
-	return t.String()
+	return renderIPCPivot(fmt.Sprintf("Ordering + far-memory scenarios on %s (IPC)", l.Suite), "Scenario", cells)
 }
 
 // orderingScenarios enumerates the scenario pack: {plain, sync} crossed

@@ -48,13 +48,13 @@ const (
 )
 
 // Result is one experiment's result: its text table (String), its JSON
-// document (MarshalJSON) and its flat CSV series (WriteCSV). Every surface
-// renders results through these three forms; callers that want the typed
-// payload assert the concrete type the experiment's registry entry
-// declares (*FigureResult for the speedup figures, *Table3Result, ...).
+// document (what json.Marshal makes of it, declared by the json tags on
+// its type) and its flat CSV series (WriteCSV). Every surface renders
+// results through these three forms; callers that want the typed payload
+// assert the concrete type the experiment's registry entry declares
+// (*FigureResult for the speedup figures, *Table3Result, ...).
 type Result interface {
 	fmt.Stringer
-	json.Marshaler
 	WriteCSV(io.Writer) error
 }
 

@@ -2,37 +2,18 @@ package bench
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
-	"srlproc/internal/core"
 	"srlproc/internal/sweep"
 	"srlproc/internal/trace"
 )
 
-// Machine-readable exports for every experiment result type. JSON forms
-// embed the raw per-point Results (whose own MarshalJSON adds the derived
-// figures); CSV forms are the flat series the paper's plots need, suites
-// as rows.
-
-// MarshalJSON renders one series with its label and per-suite values.
-func (s SpeedupSeries) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Label   string                  `json:"label"`
-		BySuite map[trace.Suite]float64 `json:"bySuite"`
-	}{s.Label, s.BySuite})
-}
-
-// MarshalJSON renders the figure: title, every series, and the raw
-// per-(label, suite) results.
-func (f *FigureResult) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Title  string                                   `json:"title"`
-		Series []SpeedupSeries                          `json:"series"`
-		Raw    map[string]map[trace.Suite]*core.Results `json:"raw,omitempty"`
-	}{f.Title, f.Series, f.Raw})
-}
+// CSV exports for every experiment result type: the flat series the
+// paper's plots need, suites as rows. A result's JSON document is what
+// json.Marshal makes of it, declared by the json tags on its type in
+// bench.go; the raw per-point core.Results it embeds encode themselves,
+// derived figures included.
 
 // WriteCSV renders the figure with suites as rows and series as columns
 // (percent speedup over the figure's baseline).
@@ -54,26 +35,6 @@ func (f *FigureResult) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// MarshalJSON renders the table rows plus the raw per-suite results.
-func (t *Table3Result) MarshalJSON() ([]byte, error) {
-	type row struct {
-		Suite               trace.Suite `json:"suite"`
-		RedoneStoresPct     float64     `json:"redoneStoresPct"`
-		MissDepStoresPct    float64     `json:"missDepStoresPct"`
-		MissDepUopsPct      float64     `json:"missDepUopsPct"`
-		SRLLoadStallsPer10K float64     `json:"srlLoadStallsPer10K"`
-		PctTimeSRLOccupied  float64     `json:"pctTimeSRLOccupied"`
-	}
-	rows := make([]row, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = row(r)
-	}
-	return json.Marshal(struct {
-		Rows []row                         `json:"rows"`
-		Raw  map[trace.Suite]*core.Results `json:"raw,omitempty"`
-	}{rows, t.Raw})
-}
-
 // WriteCSV renders Table 3, one row per suite.
 func (t *Table3Result) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -84,16 +45,6 @@ func (t *Table3Result) WriteCSV(w io.Writer) error {
 			r.SRLLoadStallsPer10K, r.PctTimeSRLOccupied)
 	}
 	return bw.Flush()
-}
-
-// MarshalJSON renders the occupancy distribution plus the raw per-suite
-// results.
-func (f *Figure7Result) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Thresholds []uint64                      `json:"thresholds"`
-		BySuite    map[trace.Suite][]float64     `json:"bySuite"`
-		Raw        map[trace.Suite]*core.Results `json:"raw,omitempty"`
-	}{f.Thresholds, f.BySuite, f.Raw})
 }
 
 // WriteCSV renders the distribution with suites as rows and one ">N"
@@ -115,23 +66,6 @@ func (f *Figure7Result) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// MarshalJSON renders the energy attribution rows.
-func (e *EnergyResult) MarshalJSON() ([]byte, error) {
-	type row struct {
-		Design      core.StoreDesign `json:"design"`
-		Suite       trace.Suite      `json:"suite"`
-		NJPer1KUops float64          `json:"njPer1kUops"`
-		CAMSharePct float64          `json:"camSharePct"`
-	}
-	rows := make([]row, len(e.Rows))
-	for i, r := range e.Rows {
-		rows[i] = row(r)
-	}
-	return json.Marshal(struct {
-		Rows []row `json:"rows"`
-	}{rows})
-}
-
 // WriteCSV renders the energy attribution, one row per (design, suite).
 func (e *EnergyResult) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -142,23 +76,6 @@ func (e *EnergyResult) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// MarshalJSON renders the latency tolerance curves.
-func (l *LatencyResult) MarshalJSON() ([]byte, error) {
-	type point struct {
-		Design     core.StoreDesign `json:"design"`
-		MemLatency uint64           `json:"memLatency"`
-		IPC        float64          `json:"ipc"`
-	}
-	points := make([]point, len(l.Points))
-	for i, p := range l.Points {
-		points[i] = point(p)
-	}
-	return json.Marshal(struct {
-		Suite  trace.Suite `json:"suite"`
-		Points []point     `json:"points"`
-	}{l.Suite, points})
-}
-
 // WriteCSV renders the curves, one row per (design, latency).
 func (l *LatencyResult) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -167,23 +84,6 @@ func (l *LatencyResult) WriteCSV(w io.Writer) error {
 		fmt.Fprintf(bw, "%s,%s,%d,%.4f\n", l.Suite, p.Design, p.MemLatency, p.IPC)
 	}
 	return bw.Flush()
-}
-
-// MarshalJSON renders the ordering scenario-pack grid.
-func (l *OrderingResult) MarshalJSON() ([]byte, error) {
-	type point struct {
-		Design   core.StoreDesign `json:"design"`
-		Scenario string           `json:"scenario"`
-		IPC      float64          `json:"ipc"`
-	}
-	points := make([]point, len(l.Points))
-	for i, p := range l.Points {
-		points[i] = point(p)
-	}
-	return json.Marshal(struct {
-		Suite  trace.Suite `json:"suite"`
-		Points []point     `json:"points"`
-	}{l.Suite, points})
 }
 
 // WriteCSV renders the grid, one row per (design, scenario).

@@ -19,9 +19,6 @@ var ErrNoLiveWorkers = errors.New("no live workers")
 
 // Options tune one Dispatch call.
 type Options struct {
-	// Replicas is the ring's virtual-node count (DefaultReplicas).
-	Replicas int
-
 	// InFlight is how many jobs one worker runs concurrently (default
 	// 2): enough to hide RPC latency without swamping a worker's
 	// admission queue.
@@ -47,9 +44,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Replicas <= 0 {
-		o.Replicas = DefaultReplicas
-	}
 	if o.InFlight <= 0 {
 		o.InFlight = 2
 	}
@@ -119,7 +113,7 @@ func Dispatch(ctx context.Context, client JobClient, workers []string, template 
 		d.live[w] = true
 		d.stats[w] = &WorkerSummary{Worker: w}
 	}
-	ring := NewRing(workers, o.Replicas)
+	ring := NewRing(workers)
 	for i, p := range points {
 		d.fps[i] = core.PointFingerprint(p.Cfg, p.Suite)
 		owner, _ := ring.Owner(d.fps[i])
@@ -283,7 +277,7 @@ func (d *dispatcher) workerFailed(w string, idx int, err error) {
 		}
 		return
 	}
-	ring := NewRing(survivors, d.o.Replicas)
+	ring := NewRing(survivors)
 	for _, i := range orphans {
 		owner, _ := ring.Owner(d.fps[i])
 		d.queues[owner] = append(d.queues[owner], i)

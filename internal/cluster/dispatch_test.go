@@ -215,7 +215,7 @@ func TestDispatchRoutesByRingOwner(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	ring := NewRing([]string{"w1", "w2"}, 0)
+	ring := NewRing([]string{"w1", "w2"})
 	owner := make([]string, len(points))
 	owned := map[string]int{}
 	for i, p := range points {

@@ -7,7 +7,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over worker names. Each member
-// contributes `replicas` virtual nodes, placed by FNV-1a of
+// contributes ringReplicas virtual nodes, placed by FNV-1a of
 // "member#replica" passed through splitmix64's finalizer; a point
 // fingerprint is owned by the first virtual node clockwise from it. The
 // properties the cluster leans on:
@@ -32,19 +32,16 @@ type ringPoint struct {
 	member string
 }
 
-// DefaultReplicas is the virtual-node count used when NewRing is given
-// replicas <= 0. 1024 keeps each member of a two- or three-worker cluster
-// within 3 points of an even share (TestRingSharesEven); 64 left shards
-// 9 points off even, and 256 still 3.2. A ring is built once per sweep,
-// and a lookup is a binary search, so the count costs nothing measurable.
-const DefaultReplicas = 1024
+// ringReplicas is each member's virtual-node count. 1024 keeps each
+// member of a two- or three-worker cluster within 3 points of an even
+// share (TestRingSharesEven); 64 left shards 9 points off even, and 256
+// still 3.2. A ring is built once per sweep, and a lookup is a binary
+// search, so the count costs nothing measurable.
+const ringReplicas = 1024
 
 // NewRing builds a ring over members (duplicates ignored). An empty
 // member set yields a ring whose Owner always reports false.
-func NewRing(members []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+func NewRing(members []string) *Ring {
 	seen := make(map[string]bool, len(members))
 	r := &Ring{}
 	h := fnv.New64a()
@@ -55,7 +52,7 @@ func NewRing(members []string, replicas int) *Ring {
 		}
 		seen[m] = true
 		r.members = append(r.members, m)
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			name = strconv.AppendInt(append(append(name[:0], m...), '#'), int64(v), 10)
 			h.Reset()
 			h.Write(name)

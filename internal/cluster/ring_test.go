@@ -10,8 +10,8 @@ import (
 
 func TestRingStableAndComplete(t *testing.T) {
 	members := []string{"w1:8080", "w2:8080", "w3:8080"}
-	a := NewRing(members, 0)
-	b := NewRing([]string{"w3:8080", "w1:8080", "w2:8080", "w1:8080"}, 0) // order + dup insensitive
+	a := NewRing(members)
+	b := NewRing([]string{"w3:8080", "w1:8080", "w2:8080", "w1:8080"}) // order + dup insensitive
 	counts := map[string]int{}
 	for fp := uint64(0); fp < 4096; fp++ {
 		h := fp * 0x9e3779b97f4a7c15 // spread the probe keys over the ring
@@ -33,8 +33,8 @@ func TestRingStableAndComplete(t *testing.T) {
 }
 
 func TestRingMinimalDisruption(t *testing.T) {
-	full := NewRing([]string{"a", "b", "c"}, 0)
-	reduced := NewRing([]string{"a", "c"}, 0)
+	full := NewRing([]string{"a", "b", "c"})
+	reduced := NewRing([]string{"a", "c"})
 	moved := 0
 	const n = 4096
 	for fp := uint64(0); fp < n; fp++ {
@@ -57,24 +57,24 @@ func TestRingMinimalDisruption(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if _, ok := r.Owner(42); ok {
 		t.Fatal("empty ring returned an owner")
 	}
-	if got := len(NewRing([]string{"", "x"}, 1).Members()); got != 1 {
+	if got := len(NewRing([]string{"", "x"}).Members()); got != 1 {
 		t.Fatalf("blank member not dropped: %d members", got)
 	}
 }
 
 func TestRingMembersSorted(t *testing.T) {
-	r := NewRing([]string{"z", "a", "m"}, 4)
+	r := NewRing([]string{"z", "a", "m"})
 	got := fmt.Sprint(r.Members())
 	if got != "[a m z]" {
 		t.Fatalf("members = %s", got)
 	}
 }
 
-// TestRingSharesEven: at DefaultReplicas, each member of these two- and
+// TestRingSharesEven: at ringReplicas, each member of these two- and
 // three-worker sets owns within 3 points of an even share of 100,000
 // random fingerprints. Raw FNV-1a placement at 64 replicas gave w1 97.0%
 // against w2, cluster-smoke's first worker 64.1%, and the three URL-named
@@ -86,7 +86,7 @@ func TestRingSharesEven(t *testing.T) {
 		{"w1:8080", "w2:8080", "w3:8080"},
 		{"http://10.0.0.1:8080", "http://10.0.0.2:8080", "http://10.0.0.3:8080"},
 	} {
-		r := NewRing(members, 0)
+		r := NewRing(members)
 		owned := map[string]int{}
 		rng := xrand.New(1)
 		const n = 100_000

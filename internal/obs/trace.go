@@ -78,21 +78,16 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("event(%d)", uint8(k))
 }
 
+// MarshalText renders the kind by name, so JSON documents name it instead
+// of emitting its enum value.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // Event is one recorded pipeline event. Arg is kind-specific: a checkpoint
 // id, an address, or a PC (see the EventKind docs).
 type Event struct {
 	Cycle uint64    `json:"cycle"`
-	Kind  EventKind `json:"-"`
+	Kind  EventKind `json:"kind"`
 	Arg   uint64    `json:"arg"`
-}
-
-// MarshalJSON names the kind instead of emitting its enum value.
-func (e Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Cycle uint64 `json:"cycle"`
-		Kind  string `json:"kind"`
-		Arg   uint64 `json:"arg"`
-	}{e.Cycle, e.Kind.String(), e.Arg})
 }
 
 // TraceWriter collects typed pipeline events up to a bounded count. The

@@ -20,7 +20,6 @@
 package oracle
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"srlproc/internal/obs"
@@ -169,43 +168,34 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// MarshalText renders the kind by name, so JSON documents name it instead
+// of emitting its enum value. Kind has no UnmarshalText: a Results
+// document that carries divergences does not decode, so the result store
+// keeps checked runs out (store.Encode).
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // Divergence is one detected disagreement between the pipeline and the
 // reference model. Expected/Actual are kind-specific identifiers (store
 // identifiers for forwarding kinds, sequence numbers for ordering kinds).
 type Divergence struct {
-	Kind     Kind
-	Cycle    uint64
-	LoadSeq  uint64
-	StoreSeq uint64
-	Addr     uint64
-	Expected uint64
-	Actual   uint64
-	Detail   string
+	Kind     Kind   `json:"kind"`
+	Cycle    uint64 `json:"cycle"`
+	LoadSeq  uint64 `json:"loadSeq,omitempty"`
+	StoreSeq uint64 `json:"storeSeq,omitempty"`
+	Addr     uint64 `json:"addr,omitempty"`
+	Expected uint64 `json:"expected,omitempty"`
+	Actual   uint64 `json:"actual,omitempty"`
+	Detail   string `json:"detail,omitempty"`
 	// Events carries the most recent typed pipeline events before the
 	// divergence (restarts, redo episodes, violations), attached by the
 	// core's checker for post-mortem context.
-	Events []obs.Event
+	Events []obs.Event `json:"events,omitempty"`
 }
 
 // String renders the divergence for logs and test failures.
 func (d Divergence) String() string {
 	return fmt.Sprintf("%s @cycle %d: load=%d store=%d addr=%#x expected=%d actual=%d (%s)",
 		d.Kind, d.Cycle, d.LoadSeq, d.StoreSeq, d.Addr, d.Expected, d.Actual, d.Detail)
-}
-
-// MarshalJSON names the kind instead of emitting its enum value.
-func (d Divergence) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Kind     string      `json:"kind"`
-		Cycle    uint64      `json:"cycle"`
-		LoadSeq  uint64      `json:"loadSeq,omitempty"`
-		StoreSeq uint64      `json:"storeSeq,omitempty"`
-		Addr     uint64      `json:"addr,omitempty"`
-		Expected uint64      `json:"expected,omitempty"`
-		Actual   uint64      `json:"actual,omitempty"`
-		Detail   string      `json:"detail,omitempty"`
-		Events   []obs.Event `json:"events,omitempty"`
-	}{d.Kind.String(), d.Cycle, d.LoadSeq, d.StoreSeq, d.Addr, d.Expected, d.Actual, d.Detail, d.Events})
 }
 
 // Options configures an Oracle.

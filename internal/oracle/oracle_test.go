@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"srlproc/internal/obs"
 )
 
 func newTest(strict bool) *Oracle {
@@ -189,14 +191,33 @@ func TestOnDivergenceCallback(t *testing.T) {
 	}
 }
 
+// TestDivergenceJSON pins the whole divergence document: kinds render by
+// name, and every field after Cycle is dropped when zero.
 func TestDivergenceJSON(t *testing.T) {
-	d := Divergence{Kind: KindForwardAge, Cycle: 7, LoadSeq: 3, Detail: "x"}
-	b, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		d    Divergence
+		want string
+	}{
+		{
+			Divergence{Kind: KindForwardAge, Cycle: 7, LoadSeq: 3, StoreSeq: 2, Addr: 0x40,
+				Expected: 5, Actual: 9, Detail: "x",
+				Events: []obs.Event{{Cycle: 6, Kind: obs.EvRestart, Arg: 1}}},
+			`{"kind":"forward-age","cycle":7,"loadSeq":3,"storeSeq":2,"addr":64,` +
+				`"expected":5,"actual":9,"detail":"x","events":[{"cycle":6,"kind":"restart","arg":1}]}`,
+		},
+		{
+			Divergence{Kind: KindDrainOrder, Cycle: 11},
+			`{"kind":"drain-order","cycle":11}`,
+		},
 	}
-	if !strings.Contains(string(b), `"kind":"forward-age"`) {
-		t.Fatalf("kind not named in %s", b)
+	for _, c := range cases {
+		b, err := json.Marshal(c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != c.want {
+			t.Errorf("got  %s\nwant %s", b, c.want)
+		}
 	}
 }
 

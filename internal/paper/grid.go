@@ -41,24 +41,8 @@ type Knobs struct {
 	NoCache *bool `json:"nocache,omitempty"`
 }
 
-// merge applies the non-zero fields of over on top of k.
-func (k Knobs) merge(over Knobs) Knobs {
-	if over.Uops != 0 {
-		k.Uops = over.Uops
-	}
-	if over.Warmup != 0 {
-		k.Warmup = over.Warmup
-	}
-	if over.Seed != 0 {
-		k.Seed = over.Seed
-	}
-	if over.NoCache != nil {
-		k.NoCache = over.NoCache
-	}
-	return k
-}
-
-// apply folds the knobs into options.
+// apply folds the knobs into options: zero fields and a nil NoCache leave
+// o's value, so applying the layers in order lets each override the last.
 func (k Knobs) apply(o bench.Options) bench.Options {
 	if k.Uops != 0 {
 		o.RunUops = k.Uops
@@ -200,7 +184,7 @@ func (g *Grid) ProfileNames() []string {
 }
 
 // Plan resolves the grid into its unit list for one profile: every
-// experiment × repeat with fully-merged options, in grid order. only, when
+// experiment × repeat with fully-resolved options, in grid order. only, when
 // non-empty, restricts the plan to the listed experiments (which must all
 // be in the grid); repeats, when positive, overrides every repeat count
 // and may be at most MaxRepeats.
@@ -216,6 +200,7 @@ func (g *Grid) Plan(profile string, only []bench.ExperimentID, repeats int) ([]U
 	for _, id := range only {
 		want[id] = true
 	}
+	base := prof.apply(g.Common.apply(bench.DefaultOptions()))
 	var units []Unit
 	for _, e := range g.Experiments {
 		id, err := bench.ParseExperimentID(e.ID)
@@ -233,8 +218,7 @@ func (g *Grid) Plan(profile string, only []bench.ExperimentID, repeats int) ([]U
 		if repeats > 0 {
 			n = repeats
 		}
-		knobs := g.Common.merge(prof).merge(e.Overrides)
-		o := knobs.apply(bench.DefaultOptions())
+		o := e.Overrides.apply(base)
 		for rep := 1; rep <= n; rep++ {
 			units = append(units, Unit{ID: id, Repeat: rep, Repeats: n, Options: o})
 		}

@@ -19,7 +19,7 @@ const testGrid = `{
   "experiments": [
     { "id": "fig6" },
     { "id": "table3", "repeats": 3, "overrides": { "seed": 11 } },
-    { "id": "latency" }
+    { "id": "latency", "overrides": { "nocache": false } }
   ]
 }`
 
@@ -92,6 +92,10 @@ func TestPlanKnobLayering(t *testing.T) {
 	}
 	if o := stress[0].Options; !o.NoCache {
 		t.Errorf("stress profile boolean not applied: %+v", o)
+	}
+	// An experiment's explicit false switches the profile's true off again.
+	if o := stress[len(stress)-1].Options; o.NoCache {
+		t.Errorf("latency override nocache=false lost under the stress profile: %+v", o)
 	}
 
 	// The full profile keeps the default scale.

@@ -298,7 +298,7 @@ func (r *Runner) runServer(ctx context.Context, id bench.ExperimentID, o bench.O
 			return nil, err
 		}
 		if resp.StatusCode == http.StatusOK {
-			// The server's json.Encoder appends a newline that the local
+			// The server's writeJSON appends a newline that the local
 			// json.Marshal path does not; trim it so the two execution
 			// modes emit byte-identical documents.
 			return bytes.TrimRight(doc, "\n"), nil

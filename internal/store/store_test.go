@@ -11,6 +11,7 @@ import (
 
 	"srlproc/internal/core"
 	"srlproc/internal/obs"
+	"srlproc/internal/oracle"
 	"srlproc/internal/trace"
 )
 
@@ -160,6 +161,18 @@ func TestObservedResultArtifactsOnly(t *testing.T) {
 			t.Fatalf("stats: %+v", st)
 		}
 	})
+}
+
+// TestDivergentResultNotPersistable: a checked run's divergences name
+// their kinds, and a kind has no text decoder, so a document carrying them
+// fails Encode's round trip and the store keeps it artifacts-only.
+func TestDivergentResultNotPersistable(t *testing.T) {
+	res := simulate(t, tinyCfg(core.DesignSRL, 43), trace.PROD)
+	res.Divergences = []oracle.Divergence{{Kind: oracle.KindForwardAge, Cycle: 7}}
+	res.DivergenceCount = 1
+	if _, err := Encode(res); !IsNotPersistable(err) {
+		t.Fatalf("a result carrying divergences must fail the round-trip gate, got %v", err)
+	}
 }
 
 // TestDiskCorruptionQuarantined: flipping bytes in a content file must be

@@ -11,6 +11,8 @@
 #
 #   quick-json       experiments -quick -uops 8000 -warmup 1000 -json
 #   quick-timeline   that run's -timeline CSV
+#   quick-text       the text tables of the quick run (its flags, no -json)
+#   quick-csv        the quick run's flags with -csv instead of -json
 #   default-json     experiments -json (default scale)
 #   table1, table2, power
 #                    the text of experiments -only <name>
@@ -49,6 +51,8 @@ produce() {
     local ex="$out/bin/experiments"
     echo "== identity: $side: experiments -quick"
     "$ex" -quick -uops 8000 -warmup 1000 -json -timeline "$out/quick-timeline" >"$out/quick-json"
+    "$ex" -quick -uops 8000 -warmup 1000 >"$out/quick-text"
+    "$ex" -quick -uops 8000 -warmup 1000 -csv >"$out/quick-csv"
     echo "== identity: $side: experiments (default scale)"
     "$ex" -json >"$out/default-json"
     for t in table1 table2 power; do
@@ -73,7 +77,7 @@ produce base "$tmp/base-src"
 produce work "$PWD"
 
 echo "== identity: comparing against $BASE ($rev)"
-files=(quick-json quick-timeline default-json table1 table2 power srlsim-v skip-lines)
+files=(quick-json quick-timeline quick-text quick-csv default-json table1 table2 power srlsim-v skip-lines)
 trees=(csv analysis)
 differ=()
 for f in "${files[@]}"; do

@@ -361,10 +361,10 @@ const (
 )
 
 // ExperimentResult is RunExperiment's result: String renders its text
-// table, MarshalJSON its JSON document and WriteCSV its CSV series. Assert
-// the concrete type for the typed payload (*FigureResult for the speedup
-// figures, *Table3Result, *Figure7Result, *EnergyResult, *LatencyResult,
-// *OrderingResult).
+// table, json.Marshal its JSON document and WriteCSV its CSV series.
+// Assert the concrete type for the typed payload (*FigureResult for the
+// speedup figures, *Table3Result, *Figure7Result, *EnergyResult,
+// *LatencyResult, *OrderingResult).
 type ExperimentResult = bench.Result
 
 // AllExperiments lists every experiment in presentation order.
