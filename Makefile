@@ -13,13 +13,16 @@ verify:
 	go test -race ./...
 
 # Formatting and static checks, kept separate from the test gates so CI
-# can report them as a distinct failure.
+# can report them as a distinct failure. The last one fails when a per-uop
+# helper of the cycle loop stops being inlined (scripts/inline_check.sh
+# lists them and states the rule for the list).
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
 	fi
 	go vet ./...
+	./scripts/inline_check.sh
 
 # cmd/srlbench is a module of its own, so the root `go test ./...` never
 # builds it; it compiles against the internal/bench and internal/paper APIs.

@@ -41,6 +41,10 @@ type Core struct {
 	// value is architectural).
 	lastWriter [isa.NumArchRegs]uopRef
 
+	// Pool capacities, fixed at New: each scheduler window's entries and
+	// each register file's registers, indexed by isa.Pool.
+	schedCap, regCap [isa.NumPools]int
+
 	// Scheduling.
 	ready readyList
 	cmpl  cmplHeap
@@ -143,11 +147,11 @@ type scalars struct {
 	replayPos  int
 	nextCkptID int
 
-	// Resource occupancy.
-	schedInt, schedFP, schedMem int
-	regsInt, regsFP             int
-	loadsInWindow               int
-	storesInWindow              int
+	// Resource occupancy: scheduler entries and registers in use, per
+	// pool (isa.Pool).
+	sched, regs    [isa.NumPools]int
+	loadsInWindow  int
+	storesInWindow int
 
 	// Store identifier assignment (the paper's store IDs = SRL indices).
 	storeCounter uint64
@@ -227,6 +231,8 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 		snoopRNG: xrand.New(cfg.Seed*7919 + uint64(prof.Suite)),
 		obsrv:    newObsState(cfg.Obs),
 	}
+	c.schedCap[isa.PoolInt], c.schedCap[isa.PoolFP], c.schedCap[isa.PoolMem] = cfg.SchedInt, cfg.SchedFP, cfg.SchedMem
+	c.regCap[isa.PoolInt], c.regCap[isa.PoolFP] = cfg.IntRegs, cfg.FPRegs
 	c.res = Results{Suite: prof.Suite, Design: cfg.Design, SRLOccupancy: stats.NewOccupancyTracker()}
 	c.recentLoads = make([]uint64, 64)
 	// Pre-size the ready list and the completion heap from what bounds
@@ -237,7 +243,7 @@ func NewFromSource(cfg Config, src trace.Source, prof trace.Profile) (*Core, err
 	// allocates. Sizing from WindowCap would be correct too but wastes
 	// ~0.7 MB per core across a sweep's many short-lived cores.
 	c.ready.grow(cfg.SchedInt+cfg.SchedFP+cfg.SchedMem+cfg.IssueWidth, cfg.SchedMem)
-	c.cmpl.Grow(256)
+	c.cmpl.grow(256)
 	c.uopFree = make([]*dynUop, 0, 64)
 	c.ckpts = make([]ckptState, 0, cfg.Checkpoints)
 	// Store identifiers start at 1: a load allocated before any store then
@@ -315,12 +321,16 @@ func (c *Core) newCheckpoint(startSeq uint64) *ckptState {
 
 // newDynUop hands out a dynamic uop, recycling committed ones. A recycled
 // object keeps its (already bumped) epoch so references captured in its
-// previous life read as stale.
+// previous life read as stale. It is cleared in place and then given its
+// uop: a composite literal that kept the epoch would be built on the stack
+// and copied over the object.
 func (c *Core) newDynUop(u isa.Uop) *dynUop {
 	if n := len(c.uopFree); n > 0 {
 		d := c.uopFree[n-1]
 		c.uopFree = c.uopFree[:n-1]
-		*d = dynUop{u: u, ckptID: -1, epoch: d.epoch}
+		epoch := d.epoch
+		*d = dynUop{}
+		d.u, d.ckptID, d.epoch = u, -1, epoch
 		return d
 	}
 	return &dynUop{u: u, ckptID: -1}
@@ -364,11 +374,19 @@ func (c *Core) curCkpt() *ckptState { return &c.ckpts[len(c.ckpts)-1] }
 
 // ckptIndex returns the position of the live checkpoint with the given id
 // in the checkpoint file, or -1 once it has committed or been squashed.
-// Ids are monotonic and never reused, so a stale id finds nothing.
+// Ids are monotonic and never reused, so a stale id finds nothing. Each
+// checkpoint's id is one above the previous one's except across a restart,
+// whose squashed ids leave a gap. So a checkpoint's position is at most its
+// id minus the oldest's, and exactly that when no gap precedes it: the
+// search starts there (or at the youngest checkpoint) and walks toward the
+// oldest, instead of scanning the 560-byte records from the front.
 func (c *Core) ckptIndex(id int) int {
-	for i := range c.ckpts {
-		if c.ckpts[i].id == id {
-			return i
+	for i := min(id-c.ckpts[0].id, len(c.ckpts)-1); i >= 0; i-- {
+		if k := c.ckpts[i].id; k <= id {
+			if k == id {
+				return i
+			}
+			break
 		}
 	}
 	return -1
@@ -555,12 +573,12 @@ func (c *Core) step() {
 }
 
 func (c *Core) processCompletions() {
-	for c.cmpl.Len() > 0 {
-		cyc, _ := c.cmpl.Min()
-		if cyc > c.cycle {
+	for c.cmpl.len() > 0 {
+		ev := c.cmpl.head()
+		if ev.cycle > c.cycle {
 			break
 		}
-		_, ev := c.cmpl.PopMin()
+		c.cmpl.pop()
 		if ev.d.epoch != ev.epoch {
 			continue // squashed
 		}
@@ -690,9 +708,9 @@ func (c *Core) snapshotActivity() activity {
 func (c *Core) debugState() string {
 	s := fmt.Sprintf("%s/%s cycle=%d committed=%d win=%d replayPos=%d sdb=%d srlStalled=%d ready=%d cmpl=%d ckpts=%d fetchResume=%d\n",
 		c.res.Suite, c.res.Design, c.cycle, c.committed, c.win.len(), c.replayPos,
-		c.sdb.Len(), len(c.srlStalled), c.ready.Len(), c.cmpl.Len(), len(c.ckpts), c.fetchResume)
+		c.sdb.Len(), len(c.srlStalled), c.ready.Len(), c.cmpl.len(), len(c.ckpts), c.fetchResume)
 	s += fmt.Sprintf("sched(i/f/m)=%d/%d/%d regs(i/f)=%d/%d loadsInWin=%d l1stq=%d srlLen=%d outMiss=%d\n",
-		c.schedInt, c.schedFP, c.schedMem, c.regsInt, c.regsFP, c.loadsInWindow, c.l1stq.Len(), c.srlLen(), c.outstandingMisses)
+		c.sched[isa.PoolInt], c.sched[isa.PoolFP], c.sched[isa.PoolMem], c.regs[isa.PoolInt], c.regs[isa.PoolFP], c.loadsInWindow, c.l1stq.Len(), c.srlLen(), c.outstandingMisses)
 	if len(c.ckpts) > 0 {
 		ck := &c.ckpts[0]
 		s += fmt.Sprintf("ckpt0: id=%d start=%d pending=%d uops=%d closed=%v\n", ck.id, ck.startSeq, ck.pending, ck.uops, ck.closed)

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"srlproc/internal/heapq"
-	"srlproc/internal/isa"
-)
+import "srlproc/internal/isa"
 
 // dynUop is the dynamic (per-instance) state of a micro-op in flight. The
 // same object survives checkpoint-restart replays; epoch invalidates stale
@@ -169,12 +166,14 @@ func (w *window) at(i int) *dynUop {
 	return w.buf[w.slot(i)]
 }
 
+// popFront removes and returns the oldest uop, or nil when the window is
+// empty. The vacated slot is not cleared: the uop goes on to the core's
+// free pool, which keeps it reachable anyway.
 func (w *window) popFront() *dynUop {
 	if w.count == 0 {
 		return nil
 	}
 	d := w.buf[w.head]
-	w.buf[w.head] = nil
 	w.head = w.slot(1)
 	w.count--
 	return d
@@ -194,26 +193,87 @@ func (w *window) indexOfSeq(seq uint64) int {
 }
 
 // --- completion heap ---
-//
-// The completion queue is a heap (heapq.Heap: an index-based min-heap over
-// a preallocated slice, no interface boxing on Push/Pop), keyed by the
-// event's cycle. Many completions share a cycle, and heapq's sift
-// reproduces container/heap's swaps exactly so those ties pop in the order
-// they always have. The ready set is the age-ordered readyList (ready.go)
-// and the slice data buffer a sequence-number bit ring (Core.sdb), not
-// heaps. Events carry the uop's epoch at insertion so squashes invalidate
-// them lazily.
 
-// cmplEvent is the payload of the completion heap (key: completion cycle).
+// cmplHeap is the completion queue: a binary min-heap of events keyed by
+// completion cycle, over a slice that grows to its working size once and
+// then never allocates. The ready set is the age-ordered readyList
+// (ready.go) and the slice data buffer a sequence-number bit ring
+// (Core.sdb), not heaps. Events carry the uop's epoch at insertion so
+// squashes invalidate them lazily.
+//
+// Many completions share a cycle, and those ties pop in the heap's layout
+// order, which the sift's comparisons decide. push and pop make
+// container/heap's comparisons, one for one, and so leave its layout: the
+// event being sifted is held aside and each event it passes moves one
+// level, where container/heap swaps the two, which places every event
+// where the swaps would. Ties therefore pop in the order they always have,
+// and every simulated result with them (TestMatchesContainerHeap). A
+// popped slot is not cleared: its dynUop stays reachable from the core
+// (window, pending fetch or free pool) for the core's whole life.
+type cmplHeap struct {
+	s []cmplEvent
+}
+
+// cmplEvent is one entry of the completion heap.
 type cmplEvent struct {
+	cycle uint64
 	d     *dynUop
 	epoch uint32
 }
 
-type cmplHeap = heapq.Heap[cmplEvent]
+// grow preallocates room for n events.
+func (h *cmplHeap) grow(n int) {
+	if cap(h.s) < n {
+		s := make([]cmplEvent, len(h.s), n)
+		copy(s, h.s)
+		h.s = s
+	}
+}
 
-func pushCmpl(h *cmplHeap, cycle uint64, d *dynUop) {
-	h.Push(cycle, cmplEvent{d: d, epoch: d.epoch})
+func (h *cmplHeap) len() int { return len(h.s) }
+
+// head returns the earliest event. h must not be empty.
+func (h *cmplHeap) head() cmplEvent { return h.s[0] }
+
+// push schedules d's completion at cycle: container/heap's Push, whose
+// sift-up stops at the root or below a parent no later than the event.
+func (h *cmplHeap) push(cycle uint64, d *dynUop) {
+	s := append(h.s, cmplEvent{})
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if cycle >= s[i].cycle {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = cmplEvent{cycle: cycle, d: d, epoch: d.epoch}
+	h.s = s
+}
+
+// pop removes the earliest event, the one head returns: container/heap's
+// Pop, which moves the last event to the root and sifts it down, past the
+// earlier child (the right one only when strictly earlier) while that child
+// is strictly earlier than it. Until it lands, the sifted event stays in
+// the last slot, just past the heap that remains, and stands in there for
+// a missing right child: a left child that is the heap's last event is
+// compared with it, which never takes the sift anywhere container/heap's
+// would not go. h must not be empty.
+func (h *cmplHeap) pop() {
+	s := h.s
+	n := len(s) - 1
+	i := 0
+	for j := 1; j < n; j += j + 1 {
+		if s[j+1].cycle < s[j].cycle {
+			j++
+		}
+		if s[j].cycle >= s[n].cycle {
+			break
+		}
+		s[i], i = s[j], j
+	}
+	s[i], h.s = s[n], s[:n]
 }
 
 // --- checkpoints ---

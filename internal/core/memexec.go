@@ -13,30 +13,18 @@ import (
 // forward slice drains out of the pipeline (CFP).
 const poisonThreshold = 50
 
-// execute dispatches an issued uop (all sources available and clean).
-func (c *Core) execute(d *dynUop) {
-	switch d.u.Class {
-	case isa.Load:
-		c.executeLoad(d)
-	case isa.Fence:
-		// A fence performs only once every older load has performed, every
-		// older sync has performed, and every older store has drained out of
-		// the store FIFOs (fenceReady). Until then it retries each cycle
-		// from the deferred list without leaving the scheduler.
-		if !c.fenceReady(d) {
-			c.res.Metrics.Inc(obs.MetricFenceWaitCycles)
-			c.deferOneCycle(d)
-			return
-		}
-		c.leaveSched(d)
-		pushCmpl(&c.cmpl, c.cycle+d.u.Class.Latency(), d)
-	default:
-		// A store's execution is address generation and data capture; its
-		// architectural memory update happens later, in order, from the
-		// store queues.
-		c.leaveSched(d)
-		pushCmpl(&c.cmpl, c.cycle+d.u.Class.Latency(), d)
+// executeFence performs a fence only once every older load has performed,
+// every older sync has performed, and every older store has drained out of
+// the store FIFOs (fenceReady). Until then it retries each cycle from the
+// deferred list without leaving the scheduler.
+func (c *Core) executeFence(d *dynUop) {
+	if !c.fenceReady(d) {
+		c.res.Metrics.Inc(obs.MetricFenceWaitCycles)
+		c.deferOneCycle(d)
+		return
 	}
+	c.leaveSched(d)
+	c.cmpl.push(c.cycle+d.u.Class.Latency(), d)
 }
 
 func (c *Core) leaveSched(d *dynUop) {
@@ -400,7 +388,7 @@ func (c *Core) finishLoadForward(d *dynUop, storeID uint64, latency uint64, kind
 	if !c.insertLoadBufEntry(d, storeID) {
 		return
 	}
-	pushCmpl(&c.cmpl, c.cycle+latency, d)
+	c.cmpl.push(c.cycle+latency, d)
 }
 
 // insertLoadBufEntry records a load in the load buffer at the moment it
@@ -468,7 +456,7 @@ func (c *Core) accessCacheForLoad(d *dynUop) {
 		c.drainToSDB(d)
 		return
 	}
-	pushCmpl(&c.cmpl, res.Done, d)
+	c.cmpl.push(res.Done, d)
 }
 
 // --- store drains ---

@@ -31,6 +31,10 @@ package core
 // processed — land in the unscanned part at their sorted position, so the
 // same scan reaches them while budget remains. The park lane is consumed
 // from its head, parked[ph:], without moving the rest.
+//
+// A vacated slot is never cleared. Every entry names a dynUop the core
+// keeps reachable for its whole life (in the window, as the pending fetch
+// or in the free pool), so a dropped entry pins nothing.
 type readyList struct {
 	s    []readyItem
 	r, w int
@@ -95,10 +99,7 @@ func (l *readyList) begin() { l.r, l.w = 0, 0 }
 func (l *readyList) next(lane bool) (e readyItem, ok bool) {
 	if lane && l.ph < len(l.parked) {
 		if e = l.parked[l.ph]; l.r == len(l.s) || e.seq <= l.s[l.r].seq {
-			l.parked[l.ph] = readyItem{}
-			if l.ph++; l.ph == len(l.parked) {
-				l.parked, l.ph = l.parked[:0], 0
-			}
+			l.ph++
 			return e, true
 		}
 	}
@@ -140,7 +141,6 @@ func (l *readyList) park(e readyItem) {
 				n++
 			}
 		}
-		clear(l.parked[n:])
 		l.parked, l.ph = l.parked[:n], 0
 	}
 	l.parked = append(l.parked, e)
@@ -162,7 +162,6 @@ func (l *readyList) park(e readyItem) {
 // free gap left by the scan takes them where it can, so nothing moves.
 func (l *readyList) unpark(e readyItem) {
 	for l.ph < len(l.parked) && l.parked[l.ph] == e {
-		l.parked[l.ph] = readyItem{}
 		l.ph++
 		if l.r > l.w {
 			l.r--
@@ -172,19 +171,17 @@ func (l *readyList) unpark(e readyItem) {
 		}
 		l.s[l.r] = e
 	}
-	if l.ph == len(l.parked) {
-		l.parked, l.ph = l.parked[:0], 0
-	}
 }
 
 // end finishes a scan: the unscanned entries close up behind the kept
-// ones, and the vacated tail is zeroed so dropped entries do not pin
-// recycled uops.
+// ones, and a park lane the scan consumed whole starts again from the
+// front of its array.
 func (l *readyList) end() {
 	if l.w != l.r {
-		n := l.w + copy(l.s[l.w:], l.s[l.r:])
-		clear(l.s[n:])
-		l.s = l.s[:n]
+		l.s = l.s[:l.w+copy(l.s[l.w:], l.s[l.r:])]
+	}
+	if l.ph == len(l.parked) {
+		l.parked, l.ph = l.parked[:0], 0
 	}
 	l.r, l.w = 0, 0
 }

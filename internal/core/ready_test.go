@@ -1,10 +1,10 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"testing"
 
-	"srlproc/internal/heapq"
 	"srlproc/internal/isa"
 	"srlproc/internal/xrand"
 )
@@ -189,27 +189,23 @@ func (w *selWorld) decide(e readyItem, loadP, storeP *int) (act selAct) {
 	return selExec
 }
 
-// refHeap is the reference's ready heap. heapq.Heap shows only its
-// minimum, so the test counts the entries it holds beside it.
-type refHeap struct {
-	h    heapq.Heap[readyItem]
-	held map[readyItem]int
-}
+// refHeap is the reference's ready heap: container/heap over entries
+// keyed by sequence number.
+type refHeap []readyItem
 
-func (r *refHeap) push(e readyItem) {
-	r.h.Push(e.seq, e)
-	r.held[e]++
-}
-
-func (r *refHeap) pop() readyItem {
-	_, e := r.h.PopMin()
-	if r.held[e]--; r.held[e] == 0 {
-		delete(r.held, e)
-	}
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].seq < h[j].seq }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(readyItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return e
 }
 
-func (r *refHeap) Len() int { return r.h.Len() }
+func (h *refHeap) push(e readyItem) { heap.Push(h, e) }
+func (h *refHeap) pop() readyItem   { return heap.Pop(h).(readyItem) }
 
 // heapSelect is the reference: the heap pop/park/re-push loop.
 func heapSelect(h *refHeap, w *selWorld, budget, loadP, storeP int) {
@@ -358,8 +354,8 @@ func agree(hw, lw *selWorld, h *refHeap, l *readyList) string {
 		}
 	}
 	hk, lk := map[selStep]int{}, map[selStep]int{}
-	for e, n := range h.held {
-		live(hk, e, n)
+	for _, e := range *h {
+		live(hk, e, 1)
 	}
 	for _, e := range l.s {
 		live(lk, e, 1)
@@ -390,7 +386,7 @@ func liveSteps(log []selStep) []selStep {
 func selDiff(t *testing.T, mixed bool) (seen selCoverage) {
 	const uops, cycles = 600, 4000
 	for seed := uint64(1); seed <= 40; seed++ {
-		h := refHeap{held: map[readyItem]int{}}
+		var h refHeap
 		var l readyList
 		hw, lw := newSelWorld(uops, false), newSelWorld(uops, true)
 		held := map[uint64]bool{}
@@ -418,7 +414,7 @@ func selDiff(t *testing.T, mixed bool) (seen selCoverage) {
 			// Which keys the reference holds entries for, read by both
 			// worlds, so the non-mixed rule cannot split their traffic.
 			clear(held)
-			for e := range h.held {
+			for _, e := range h {
 				held[e.seq] = true
 			}
 			for _, w := range []*selWorld{hw, lw} {
@@ -439,7 +435,7 @@ func selDiff(t *testing.T, mixed bool) (seen selCoverage) {
 			// slots, often no free load or store port.
 			budget, loadP, storeP := 1+cfg.Intn(6), cfg.Intn(3), cfg.Intn(2)
 			epochs := map[uint64]uint32{}
-			for e := range h.held {
+			for _, e := range h {
 				if ep, ok := epochs[e.seq]; ok && ep != e.epoch {
 					seen.mixedKeys++
 					break

@@ -135,7 +135,7 @@ func (c *Core) skipFPCapture() skipFP {
 			win:           c.win.len(),
 			ckpts:         len(c.ckpts),
 			ready:         c.ready.lens(),
-			cmpl:          c.cmpl.Len(),
+			cmpl:          c.cmpl.len(),
 			sdb:           c.sdb.Len(),
 			srlStalled:    len(c.srlStalled),
 			unknownStores: len(c.unknownStores),
@@ -204,9 +204,8 @@ func (c *Core) nextEventCycle(horizon uint64) (e uint64, ok bool) {
 		}
 		return true
 	}
-	if c.cmpl.Len() > 0 {
-		k, _ := c.cmpl.Min()
-		if !consider(k) {
+	if c.cmpl.len() > 0 {
+		if !consider(c.cmpl.head().cycle) {
 			return 0, false
 		}
 	}

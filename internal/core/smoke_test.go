@@ -120,15 +120,17 @@ func TestDeterminism(t *testing.T) {
 // the allocated, unfinished miss loads in the window; the SDB holds
 // exactly the window's poisoned uops, its head is the oldest of them, and
 // that head has no poisoned producer; every parked uop in the window has a
-// park-lane entry at its epoch. So that the checks cannot pass vacuously,
-// some cycle must see more than one checkpoint, a stalled load and a
-// parked load, some check more than one SDB resident, and some cycle that
-// began with a non-empty SDB must restart.
+// park-lane entry at its epoch; ckptIndex finds every live checkpoint where
+// a scan of the file does, and no other id. So that the checks cannot pass
+// vacuously, some cycle must see more than one checkpoint, a restart gap in
+// the checkpoint file, a stalled load and a parked load, some check more
+// than one SDB resident, and some cycle that began with a non-empty SDB
+// must restart.
 func TestPipelineInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invariant sweep skipped in -short mode")
 	}
-	checks, maxSDB, sdbRestarts, maxCkpts, maxStalled, maxParked := 0, 0, 0, 0, 0, 0
+	checks, maxSDB, sdbRestarts, maxCkpts, maxStalled, maxParked, ckptGaps := 0, 0, 0, 0, 0, 0, 0
 	var lanes laneCheck
 	for _, d := range []StoreDesign{DesignBaseline, DesignLargeSTQ, DesignHierarchical, DesignSRL, DesignFilteredSTQ} {
 		for _, sync := range []bool{false, true} {
@@ -158,6 +160,11 @@ func TestPipelineInvariants(t *testing.T) {
 							t.Fatalf("%s/%s sync=%v cycle %d: checkpoint %d starts at %d, its predecessor's uops end before %d",
 								d, su, sync, c.cycle, c.ckpts[i].id, c.ckpts[i].startSeq, end)
 						}
+					}
+					if msg, gap := ckptIndexCheck(c); msg != "" {
+						t.Fatalf("%s/%s sync=%v cycle %d: %s", d, su, sync, c.cycle, msg)
+					} else if gap {
+						ckptGaps++
 					}
 					for _, ld := range c.srlStalled {
 						if !ld.allocated || !ld.isLoad() || ld.inSched || ld.done {
@@ -215,17 +222,43 @@ func TestPipelineInvariants(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d window checks; at most %d SDB residents at a check; at most %d checkpoints, %d SRL-stalled loads and %d park-lane entries after a cycle; %d cycles with a non-empty SDB restarted",
-		checks, maxSDB, maxCkpts, maxStalled, maxParked, sdbRestarts)
+	t.Logf("%d window checks; at most %d SDB residents at a check; at most %d checkpoints, %d SRL-stalled loads and %d park-lane entries after a cycle; %d cycles with a non-empty SDB restarted; %d cycles ended with a restart gap in the checkpoint file",
+		checks, maxSDB, maxCkpts, maxStalled, maxParked, sdbRestarts, ckptGaps)
 	if maxSDB < 2 || sdbRestarts == 0 {
 		t.Fatal("the SDB checks ran vacuously: no check saw two residents, or no cycle with a non-empty SDB restarted")
 	}
-	if maxCkpts < 2 || maxStalled == 0 {
-		t.Fatal("the checkpoint or stall checks ran vacuously: no cycle saw two checkpoints, or none saw a stalled load")
+	if maxCkpts < 2 || maxStalled == 0 || ckptGaps == 0 {
+		t.Fatal("the checkpoint or stall checks ran vacuously: no cycle saw two checkpoints or a restart gap, or none saw a stalled load")
 	}
 	if maxParked == 0 {
 		t.Fatal("the park-lane checks ran vacuously: no cycle ended with a parked load")
 	}
+}
+
+// ckptIndexCheck compares ckptIndex with a scan of the checkpoint file for
+// every live checkpoint's id and the ids beside it, which a commit, a
+// restart or the next checkpoint leaves unused, and reports whether the
+// file has a gap (ids a restart squashed between two live checkpoints).
+func ckptIndexCheck(c *Core) (msg string, gap bool) {
+	scan := func(id int) int {
+		for i := range c.ckpts {
+			if c.ckpts[i].id == id {
+				return i
+			}
+		}
+		return -1
+	}
+	for i := range c.ckpts {
+		for id := c.ckpts[i].id - 1; id <= c.ckpts[i].id+1; id++ {
+			if got, want := c.ckptIndex(id), scan(id); got != want {
+				return fmt.Sprintf("ckptIndex(%d) = %d, the checkpoint file holds it at %d", id, got, want), false
+			}
+		}
+	}
+	if got := c.ckptIndex(c.nextCkptID); got != -1 {
+		return fmt.Sprintf("ckptIndex finds the unused id %d at %d", c.nextCkptID, got), false
+	}
+	return "", c.ckpts[len(c.ckpts)-1].id-c.ckpts[0].id >= len(c.ckpts)
 }
 
 // laneCheck checks the ready list's lanes after every cycle: both are

@@ -21,12 +21,21 @@ func (c *Core) addWaiter(producer, consumer *dynUop) {
 }
 
 // wakeWaiters notifies consumers that d's value (or poison) is available.
-// List order does not affect behavior: woken consumers enter the ready
-// list at the position their distinct sequence numbers sort to, whatever
-// the order they are pushed in.
+// About two in three calls find no consumer waiting (SFP2K at Table 1
+// defaults, every design), so the walk is a function of its own and the
+// check that skips it is inlined.
 func (c *Core) wakeWaiters(d *dynUop) {
-	n := d.waiters
-	d.waiters = nil
+	if n := d.waiters; n != nil {
+		d.waiters = nil
+		c.wake(n)
+	}
+}
+
+// wake notifies the consumers on a waiter list and returns its nodes to
+// the pool. List order does not affect behavior: woken consumers enter the
+// ready list at the position their distinct sequence numbers sort to,
+// whatever the order they are pushed in.
+func (c *Core) wake(n *waiterNode) {
 	for n != nil {
 		next := n.next
 		w := n.d
@@ -53,52 +62,26 @@ func (c *Core) wakeWaiters(d *dynUop) {
 // the scheduler while the load's own slice waits to re-enter).
 const sliceReserve = 4
 
+// The scheduler windows and register files are pools (isa.Pool): the
+// class table names the pool each class draws from, and Core counts each
+// pool's occupancy (sched, regs) against its capacity (schedCap, regCap).
+
 // schedAvail reports front-end allocation space (leaving the reserve).
 func (c *Core) schedAvail(cl isa.Class) bool {
-	switch {
-	case cl.IsMem():
-		return c.schedMem < c.cfg.SchedMem-sliceReserve
-	case cl.IsFP():
-		return c.schedFP < c.cfg.SchedFP-sliceReserve
-	default:
-		return c.schedInt < c.cfg.SchedInt-sliceReserve
-	}
+	p := cl.Info().Sched
+	return c.sched[p] < c.schedCap[p]-sliceReserve
 }
 
 // schedAvailSlice reports reinsertion space (full window, including the
 // reserve).
 func (c *Core) schedAvailSlice(cl isa.Class) bool {
-	switch {
-	case cl.IsMem():
-		return c.schedMem < c.cfg.SchedMem
-	case cl.IsFP():
-		return c.schedFP < c.cfg.SchedFP
-	default:
-		return c.schedInt < c.cfg.SchedInt
-	}
+	p := cl.Info().Sched
+	return c.sched[p] < c.schedCap[p]
 }
 
-func (c *Core) schedTake(cl isa.Class) {
-	switch {
-	case cl.IsMem():
-		c.schedMem++
-	case cl.IsFP():
-		c.schedFP++
-	default:
-		c.schedInt++
-	}
-}
+func (c *Core) schedTake(cl isa.Class) { c.sched[cl.Info().Sched]++ }
 
-func (c *Core) schedFree(cl isa.Class) {
-	switch {
-	case cl.IsMem():
-		c.schedMem--
-	case cl.IsFP():
-		c.schedFP--
-	default:
-		c.schedInt--
-	}
-}
+func (c *Core) schedFree(cl isa.Class) { c.sched[cl.Info().Sched]-- }
 
 // regAvail reports front-end allocation space, leaving a reserve for slice
 // reinsertion (same rationale as the scheduler reserve: the SDB must always
@@ -108,10 +91,8 @@ func (c *Core) regAvail(d *dynUop) bool {
 	if d.u.Dst == isa.NoReg {
 		return true
 	}
-	if d.u.Class.IsFP() {
-		return c.regsFP < c.cfg.FPRegs-sliceReserve
-	}
-	return c.regsInt < c.cfg.IntRegs-sliceReserve
+	p := d.u.Class.Info().Regs
+	return c.regs[p] < c.regCap[p]-sliceReserve
 }
 
 // regAvailSlice reports reinsertion space (full register file).
@@ -119,21 +100,15 @@ func (c *Core) regAvailSlice(d *dynUop) bool {
 	if d.u.Dst == isa.NoReg {
 		return true
 	}
-	if d.u.Class.IsFP() {
-		return c.regsFP < c.cfg.FPRegs
-	}
-	return c.regsInt < c.cfg.IntRegs
+	p := d.u.Class.Info().Regs
+	return c.regs[p] < c.regCap[p]
 }
 
 func (c *Core) regTake(d *dynUop) {
 	if d.u.Dst == isa.NoReg {
 		return
 	}
-	if d.u.Class.IsFP() {
-		c.regsFP++
-	} else {
-		c.regsInt++
-	}
+	c.regs[d.u.Class.Info().Regs]++
 	d.holdsReg = true
 }
 
@@ -141,11 +116,7 @@ func (c *Core) regFree(d *dynUop) {
 	if !d.holdsReg {
 		return
 	}
-	if d.u.Class.IsFP() {
-		c.regsFP--
-	} else {
-		c.regsInt--
-	}
+	c.regs[d.u.Class.Info().Regs]--
 	d.holdsReg = false
 }
 
@@ -305,7 +276,9 @@ func (c *Core) onMissReturn() {
 
 // --- completion ---
 
-// complete finishes a uop's execution with real data.
+// complete finishes a uop's execution with real data: the uop is done,
+// its register and its checkpoint's count are released, the class's own
+// work is done, and its consumers wake.
 func (c *Core) complete(d *dynUop) {
 	if d.done || !d.allocated {
 		return
@@ -316,10 +289,8 @@ func (c *Core) complete(d *dynUop) {
 	if i := c.ckptIndex(d.ckptID); i >= 0 {
 		c.ckpts[i].pending--
 	}
-
-	restarted := false
-	switch {
-	case d.isLoad():
+	switch d.u.Class {
+	case isa.Load:
 		// The load buffer recorded the load at its decision
 		// (insertLoadBufEntry), before its completion was scheduled.
 		c.order.Remove(d.u.Seq)
@@ -327,21 +298,20 @@ func (c *Core) complete(d *dynUop) {
 			c.syncs.Remove(d.u.Seq)
 		}
 		c.noteRecentLoad(d.u.Addr)
-	case d.isStore():
-		restarted = c.completeStore(d)
-	case d.u.Class == isa.Branch:
+	case isa.Store:
+		c.completeStore(d)
+		return
+	case isa.Branch:
 		c.wakeWaiters(d)
 		c.resolveBranch(d)
 		return
-	case d.u.Class == isa.Fence:
+	case isa.Fence:
 		c.syncs.Remove(d.u.Seq)
 		if c.chk != nil {
 			c.chkFencePerformed(d)
 		}
 	}
-	if !restarted {
-		c.wakeWaiters(d)
-	}
+	c.wakeWaiters(d)
 }
 
 // locateStoreEntry finds d's store queue entry and the queue holding it
@@ -355,9 +325,10 @@ func (c *Core) locateStoreEntry(d *dynUop) (*lsq.StoreQueue, *lsq.StoreEntry) {
 }
 
 // completeStore captures a store's address and data, fills its SRL slot if
-// one was reserved, and performs the load-buffer violation check of
-// Sections 3 and 4.2 (cases v/vi). Returns true if a restart was triggered.
-func (c *Core) completeStore(d *dynUop) bool {
+// one was reserved, performs the load-buffer violation check of Sections 3
+// and 4.2 (cases v/vi), and wakes the store's consumers before any restart
+// the check triggers.
+func (c *Core) completeStore(d *dynUop) {
 	wasUnknown := !d.addrKnown
 	d.addrKnown = true
 	if c.chk != nil {
@@ -399,9 +370,9 @@ func (c *Core) completeStore(d *dynUop) bool {
 		c.mdp.RecordViolation(v.LoadPC, d.u.PC)
 		c.wakeWaiters(d)
 		c.restart(v.Ckpt, c.cfg.MispredictPenalty)
-		return true
+		return
 	}
-	return false
+	c.wakeWaiters(d)
 }
 
 // youngerSRLStoreOverlaps reports whether an SRL-resident store younger
@@ -557,8 +528,23 @@ func (c *Core) issue() {
 			}
 			storeP--
 		}
+		// Execute: a load goes through the memory pipeline and a fence
+		// waits for the memory operations before it; every other class
+		// runs on a fixed-latency unit, written out here so that the most
+		// common uops reach the completion heap without a call.
 		budget--
-		c.execute(d)
+		switch d.u.Class {
+		case isa.Load:
+			c.executeLoad(d)
+		case isa.Fence:
+			c.executeFence(d)
+		default:
+			// A store's execution is address generation and data capture;
+			// its architectural memory update happens later, in order,
+			// from the store queues.
+			c.leaveSched(d)
+			c.cmpl.push(c.cycle+d.u.Class.Latency(), d)
+		}
 	}
 	c.ready.end()
 }
@@ -804,7 +790,12 @@ func (c *Core) allocStoreEntry(d *dynUop, ckptID int) bool {
 	return true
 }
 
+// noteRecentLoad records a completed load's address in the ring injected
+// snoops aim at. The cursor wraps by a compare, not %: the ring's length
+// is a slice length, so % would divide once per completed load.
 func (c *Core) noteRecentLoad(addr uint64) {
 	c.recentLoads[c.rlPos] = addr
-	c.rlPos = (c.rlPos + 1) % len(c.recentLoads)
+	if c.rlPos++; c.rlPos == len(c.recentLoads) {
+		c.rlPos = 0
+	}
 }

@@ -56,28 +56,48 @@ func (c Class) String() string {
 	}
 }
 
+// Pool names one of the machine's per-class resource pools: a scheduler
+// window, and for the integer and floating point pools a register file.
+type Pool uint8
+
+// Resource pools (Table 1's scheduler windows and register files).
+const (
+	PoolInt Pool = iota // integer scheduler window and register file
+	PoolFP              // floating point scheduler window and register file
+	PoolMem             // memory scheduler window (loads and stores; no register file)
+	NumPools
+)
+
+// ClassInfo is one row of the class table: what the pipeline needs to
+// know about a class to schedule it.
+type ClassInfo struct {
+	// Latency is the execution latency in cycles, excluding memory access
+	// time for loads (the cache hierarchy supplies that).
+	Latency uint64
+	Sched   Pool // the scheduler window the uop waits in
+	Regs    Pool // the register file a destination is allocated in
+}
+
+// classTable is the class table, indexed by Class.
+var classTable = [NumClasses]ClassInfo{
+	IntALU: {Latency: 1, Sched: PoolInt, Regs: PoolInt},
+	IntMul: {Latency: 3, Sched: PoolInt, Regs: PoolInt},
+	FPAdd:  {Latency: 4, Sched: PoolFP, Regs: PoolFP},
+	FPMul:  {Latency: 6, Sched: PoolFP, Regs: PoolFP},
+	FPDiv:  {Latency: 20, Sched: PoolFP, Regs: PoolFP},
+	Load:   {Latency: 0, Sched: PoolMem, Regs: PoolInt}, // address generation folded into cache access
+	Store:  {Latency: 1, Sched: PoolMem, Regs: PoolInt}, // address+data capture
+	Branch: {Latency: 1, Sched: PoolInt, Regs: PoolInt},
+	Fence:  {Latency: 1, Sched: PoolInt, Regs: PoolInt},
+}
+
+// Info returns the class's row of the class table. c must be a valid
+// class (below NumClasses), as every decoded or generated uop's is.
+func (c Class) Info() ClassInfo { return classTable[c] }
+
 // Latency returns the execution latency in cycles for the class, excluding
 // memory access time for loads (the cache hierarchy supplies that).
-func (c Class) Latency() uint64 {
-	switch c {
-	case IntALU, Branch, Fence:
-		return 1
-	case IntMul:
-		return 3
-	case FPAdd:
-		return 4
-	case FPMul:
-		return 6
-	case FPDiv:
-		return 20
-	case Load:
-		return 0 // address generation folded into cache access
-	case Store:
-		return 1 // address+data capture
-	default:
-		return 1
-	}
-}
+func (c Class) Latency() uint64 { return classTable[c].Latency }
 
 // IsFP reports whether the class executes in the floating point cluster and
 // uses FP registers.

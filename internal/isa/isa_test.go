@@ -75,3 +75,58 @@ func TestUopString(t *testing.T) {
 		t.Fatalf("store string: %s", u.String())
 	}
 }
+
+// TestClassTable compares every class's row of the class table with the
+// switches it replaced, kept here as the reference: the latency switch,
+// and the scheduler window and register file the IsMem and IsFP tests
+// chose.
+func TestClassTable(t *testing.T) {
+	latency := func(c Class) uint64 {
+		switch c {
+		case IntALU, Branch, Fence:
+			return 1
+		case IntMul:
+			return 3
+		case FPAdd:
+			return 4
+		case FPMul:
+			return 6
+		case FPDiv:
+			return 20
+		case Load:
+			return 0
+		case Store:
+			return 1
+		default:
+			return 1
+		}
+	}
+	sched := func(c Class) Pool {
+		switch {
+		case c.IsMem():
+			return PoolMem
+		case c.IsFP():
+			return PoolFP
+		default:
+			return PoolInt
+		}
+	}
+	regs := func(c Class) Pool {
+		if c.IsFP() {
+			return PoolFP
+		}
+		return PoolInt
+	}
+	for c := Class(0); c < NumClasses; c++ {
+		want := ClassInfo{Latency: latency(c), Sched: sched(c), Regs: regs(c)}
+		if got := c.Info(); got != want {
+			t.Errorf("%v: table row %+v, switches give %+v", c, got, want)
+		}
+		if c.Latency() != want.Latency {
+			t.Errorf("%v: Latency() = %d, want %d", c, c.Latency(), want.Latency)
+		}
+		if r := c.Info().Regs; r != PoolInt && r != PoolFP {
+			t.Errorf("%v: register file %d has no registers", c, r)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"srlproc/internal/bench"
 	"srlproc/internal/cluster"
 	"srlproc/internal/core"
+	"srlproc/internal/obs"
 	"srlproc/internal/store"
 	"srlproc/internal/sweep"
 )
@@ -129,12 +130,40 @@ func (s *Server) runClusterSweep(ctx context.Context, id bench.ExperimentID, req
 	return bench.AssembleExperiment(id, o, rep)
 }
 
+// jobPlanKey is what shapes an experiment's point list: the experiment
+// and the options that Options.apply copies into every point's
+// configuration.
+type jobPlanKey struct {
+	id                bench.ExperimentID
+	warmup, run, seed uint64
+	obs               obs.Config
+}
+
+// jobPoints returns the experiment's canonical point list under o. A
+// sweep's jobs all name one plan, so the worker keeps the last one it
+// enumerated and enumerates again only for a job of another plan; the
+// list is read, never written, once built.
+func (s *Server) jobPoints(id bench.ExperimentID, o bench.Options) ([]sweep.Point, error) {
+	k := jobPlanKey{id: id, warmup: o.WarmupUops, run: o.RunUops, seed: o.Seed, obs: o.Obs}
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	if s.planPoints != nil && s.planKey == k {
+		return s.planPoints, nil
+	}
+	points, err := bench.ExperimentPoints(id, o)
+	if err != nil {
+		return nil, err
+	}
+	s.planKey, s.planPoints = k, points
+	return points, nil
+}
+
 // handleJobs is the worker half of the cluster protocol: POST /v1/jobs
 // runs one point of one experiment's canonical point list, named by
 // index, and answers with the point's canonical Results document. The
 // worker re-derives the point list from the same experiment-shaping
-// fields the coordinator resolved, so nothing config-shaped travels on
-// the wire.
+// fields the coordinator resolved (once per sweep: jobPoints), so nothing
+// config-shaped travels on the wire.
 //
 // A simulation failure is reported in-band (JobPoint.Error) — the
 // coordinator records it like a local run's. Only a job that could not
@@ -167,7 +196,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Seed:       req.Seed,
 		NoCache:    req.NoCache,
 	}
-	points, err := bench.ExperimentPoints(id, sr.options(s))
+	points, err := s.jobPoints(id, sr.options(s))
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -165,6 +165,12 @@ type Server struct {
 
 	// cluster is non-nil on coordinators (Config.ClusterWorkers set).
 	cluster *clusterNode
+
+	// planPoints is the point list the last /v1/jobs request enumerated
+	// and planKey what shaped it (jobPoints), both guarded by planMu.
+	planMu     sync.Mutex
+	planKey    jobPlanKey
+	planPoints []sweep.Point
 }
 
 // New builds a Server from cfg (zero value = defaults).
