@@ -48,7 +48,8 @@ bench:
 # full design point per design, the result document's encoding and one
 # /v1/simulate memo hit through the server's handler (three repetitions:
 # the minimum kept for the gate, with n, mean and std beside it) plus the
-# end-to-end sweep matrix, rendered to BENCH_core.json by cmd/benchjson.
+# end-to-end sweep matrix and a cold serial Figure 2 sweep on a private
+# memo cache, rendered to BENCH_core.json by cmd/benchjson.
 # This file is the CI bench gate's baseline and the repo's recorded perf
 # history — regenerate and commit it when a PR intentionally shifts
 # performance.
@@ -56,6 +57,7 @@ BENCHOUT ?= BENCH_core.json
 BENCHRAW ?= /tmp/srlproc_bench_raw.txt
 bench-json:
 	@{ go test -run '^$$' -bench '^BenchmarkSweepMatrix$$/^serial$$' -benchtime 1x -benchmem . && \
+	   go test -run '^$$' -bench '^BenchmarkFigure2StoreQueueSweep$$' -benchtime 1x -count 3 -benchmem . && \
 	   go test -run '^$$' -bench '^(BenchmarkCycleLoop|BenchmarkReadyList|BenchmarkIssueWidth|BenchmarkResultsJSON)(/|$$)' \
 	       -benchtime 20000x -count 3 -benchmem ./internal/core && \
 	   go test -run '^$$' -bench '^BenchmarkSimulateHit$$' \

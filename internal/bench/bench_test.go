@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
 
+	"srlproc/internal/store"
 	"srlproc/internal/sweep"
 	"srlproc/internal/trace"
 )
@@ -182,8 +185,10 @@ func TestMemoizationAcrossFigures(t *testing.T) {
 	st := sweep.Global().Stats()
 	simulated := int(st.Misses - st0.Misses)
 	hits := int(st.Hits - st0.Hits)
-	if simulated+hits != totalPoints {
-		t.Fatalf("cache accounting: %d simulated + %d hits != %d points", simulated, hits, totalPoints)
+	unfilled := int(st.UnfilledQueueHits - st0.UnfilledQueueHits)
+	if simulated+hits+unfilled != totalPoints {
+		t.Fatalf("cache accounting: %d simulated + %d hits + %d unfilled-queue hits != %d points",
+			simulated, hits, unfilled, totalPoints)
 	}
 	if simulated >= totalPoints {
 		t.Fatalf("memoization saved nothing: %d simulations for %d points", simulated, totalPoints)
@@ -192,6 +197,53 @@ func TestMemoizationAcrossFigures(t *testing.T) {
 	// Figure 2: two full suite rows of hits.
 	if hits < 2*suites {
 		t.Fatalf("expected >= %d cache hits, got %d", 2*suites, hits)
+	}
+	// Figure 2's larger queues outgrow these short runs: some sizes are
+	// answered by a smaller queue that never filled.
+	if unfilled == 0 {
+		t.Fatal("no Figure 2 point was answered by an unfilled queue")
+	}
+}
+
+// TestFigure2WarmRestart: a Figure 2 sweep over a disk store persists
+// every point, the ones its unfilled queues answered included, so a second
+// sweep over the same store by a fresh cache simulates nothing and
+// reproduces every document byte for byte.
+func TestFigure2WarmRestart(t *testing.T) {
+	dir := t.TempDir()
+	pts, err := ExperimentPoints(Fig2, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepOnce := func() (*sweep.Report, sweep.Stats) {
+		disk, err := store.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := sweep.NewCache()
+		c.AttachStore(disk)
+		rep, err := sweep.Run(context.Background(), pts, sweep.Options{Workers: 1, Cache: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.FlushStore()
+		return rep, c.Stats()
+	}
+	cold, st := sweepOnce()
+	if st.UnfilledQueueHits == 0 || cold.Simulated+cold.CacheHits != len(pts) ||
+		cold.Simulated != int(st.Misses) || st.StorePuts != uint64(len(pts)) {
+		t.Fatalf("cold sweep: %v, cache %+v", cold, st)
+	}
+	warm, st := sweepOnce()
+	if warm.Simulated != 0 || st.StoreHits != uint64(len(pts)) {
+		t.Fatalf("warm sweep: %v, cache %+v", warm, st)
+	}
+	for i := range pts {
+		want, _ := json.Marshal(cold.Points[i].Results)
+		got, _ := json.Marshal(warm.Points[i].Results)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the warm document differs", pts[i])
+		}
 	}
 }
 

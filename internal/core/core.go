@@ -621,6 +621,12 @@ func (c *Core) finalize() {
 	c.res.Writebacks = act.writebacks - c.actBase.writebacks
 	c.res.FarAccesses = act.farAccesses - c.actBase.farAccesses
 	c.res.FarDegradedAccesses = act.farDegraded - c.actBase.farDegraded
+	switch c.cfg.Design {
+	case DesignBaseline, DesignLargeSTQ, DesignFilteredSTQ:
+		if hw := c.l1stq.HighWater(); hw < c.l1stq.Cap() {
+			c.res.stqFloor = hw + 1
+		}
+	}
 }
 
 // activity is a snapshot of cumulative structure counters, in two blocks

@@ -37,6 +37,15 @@ func PointFingerprint(c Config, suite trace.Suite) uint64 {
 	return fnvWord(c.Fingerprint(), uint64(suite))
 }
 
+// STQFamily returns the key of cfg's store-queue family: PointFingerprint
+// with STQSize cleared. The points of one family differ only in the size
+// of their single-level store queue, so a run whose queue never filled
+// answers every larger member (Results.Answers).
+func STQFamily(c Config, suite trace.Suite) uint64 {
+	c.STQSize = 0
+	return PointFingerprint(c, suite)
+}
+
 // FNV-1a's 64-bit parameters.
 const (
 	fnvOffset = 14695981039346656037

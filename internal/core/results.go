@@ -61,6 +61,31 @@ type Results struct {
 	// past the retention cap. Both are zero on a clean (or unchecked) run.
 	Divergences     []oracle.Divergence `json:"divergences,omitempty"`
 	DivergenceCount uint64              `json:"divergenceCount,omitempty"`
+
+	// stqFloor is the smallest Config.STQSize whose run this run also is
+	// (Answers): one above the high-water mark of a store queue sized by
+	// STQSize that never filled. It is zero when the queue filled, for the
+	// designs that size no queue by STQSize, and in a document decoded
+	// from JSON, which carries no unexported field.
+	stqFloor int
+}
+
+// Answers reports whether r is also the result of cfg, a point that
+// differs from r's own only in STQSize (the two share an STQFamily key).
+// It is when cfg is valid and its store queue is larger than the most
+// entries r's queue ever held. STQSize reaches a run only through the
+// queue's Full test at allocation, which then never holds; the size also
+// sets the ring's length and the word filter's bucket count, which move
+// where entries sit and which searches walk the ring, but never a
+// search's answer or the CAM counters. The rule is exact, and the
+// occupancy is the whole run's, warm-up included: a run whose
+// measured-region StallSTQ is zero may still have filled its queue while
+// warming up.
+func (r *Results) Answers(cfg Config) bool {
+	if cfg.Validate() != nil {
+		return false
+	}
+	return r.stqFloor > 0 && cfg.STQSize >= r.stqFloor
 }
 
 // EventCounts are the run's event counters. The cycle loop bumps them only

@@ -546,7 +546,7 @@ var skipResultsExempt = []struct {
 	fields []string
 }{
 	{"New or finalize fills each once from Core state the Core rule covers", []string{
-		"Suite", "Design", "Timeline", "Trace", "Divergences", "DivergenceCount"}},
+		"Suite", "Design", "Timeline", "Trace", "Divergences", "DivergenceCount", "stqFloor"}},
 	{"compared per metric; the PerCycle ones are extrapolated", []string{"Metrics"}},
 	{"accrues a skipped gap at its next Set", []string{"SRLOccupancy"}},
 	{"bumped only beside EventCounts.MissDependentUops, which vetoes", []string{"PoisonedSrcDrains"}},

@@ -79,6 +79,9 @@ type StoreQueue struct {
 	entries []StoreEntry // ring, program order
 	head    int          // oldest
 	count   int
+	// high is the largest count Alloc ever reached. Nothing resets it:
+	// it spans the warm-up and the measured region alike.
+	high int
 
 	known   wordFilter // words of the entries with AddrKnown set
 	unknown []uint64   // Seqs of the entries with AddrKnown clear, oldest first
@@ -104,6 +107,11 @@ func (q *StoreQueue) Cap() int { return len(q.entries) }
 
 // Full reports whether allocation would fail.
 func (q *StoreQueue) Full() bool { return q.count == len(q.entries) }
+
+// HighWater returns the largest occupancy the queue has ever reached. A
+// queue whose mark stayed below its capacity never refused an
+// allocation, so every larger queue would have run the same way.
+func (q *StoreQueue) HighWater() int { return q.high }
 
 // Searches and CamEntryOps return CAM activity counts for the power model.
 func (q *StoreQueue) Searches() uint64    { return q.searches }
@@ -182,6 +190,7 @@ func (q *StoreQueue) Alloc(e StoreEntry) bool {
 	slot := ringSlot(q.head, q.count, len(q.entries))
 	q.entries[slot] = e
 	q.count++
+	q.high = max(q.high, q.count)
 	q.index(&q.entries[slot])
 	return true
 }

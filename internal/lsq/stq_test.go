@@ -132,6 +132,33 @@ func TestSquashYoungerThan(t *testing.T) {
 	}
 }
 
+// TestHighWater pins the occupancy mark: the largest count Alloc reached,
+// kept through pops and squashes, and not moved by a refused allocation.
+func TestHighWater(t *testing.T) {
+	q := NewStoreQueue(4, nil)
+	if q.HighWater() != 0 {
+		t.Fatalf("empty queue has mark %d", q.HighWater())
+	}
+	for i := uint64(1); i <= 3; i++ {
+		q.Alloc(mkEntry(i, i*8, true))
+	}
+	q.PopHead()
+	q.SquashYoungerThan(2)
+	if q.Len() != 1 || q.HighWater() != 3 {
+		t.Fatalf("len %d mark %d after popping and squashing from 3, want 1 and 3", q.Len(), q.HighWater())
+	}
+	q.Alloc(mkEntry(3, 24, true))
+	if q.HighWater() != 3 {
+		t.Fatalf("mark %d after refilling to 2, want 3", q.HighWater())
+	}
+	for i := uint64(4); i <= 6; i++ {
+		q.Alloc(mkEntry(i, i*8, true))
+	}
+	if !q.Full() || q.HighWater() != 4 {
+		t.Fatalf("full queue has mark %d, want 4", q.HighWater())
+	}
+}
+
 func TestCAMActivityCounted(t *testing.T) {
 	q := NewStoreQueue(8, nil)
 	q.Alloc(mkEntry(1, 0x100, true))

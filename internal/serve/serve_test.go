@@ -393,6 +393,50 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 }
 
+// TestUnfilledQueueHitOnMetrics: a large-STQ point whose smaller queue
+// never filled is answered from the memo cache (X-Srlproc-Cache: hit) with
+// the bytes a fresh run gives, and /metrics counts it as an unfilled-queue
+// hit, not a miss.
+func TestUnfilledQueueHitOnMetrics(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const point = `{"design":"large","suite":"WEB","run_uops":4000,"warmup_uops":1000,"stq_size":%d%s}`
+	simulate := func(size int, extra string) (string, []byte) {
+		resp := post(t, ts.Client(), ts.URL+"/v1/simulate", fmt.Sprintf(point, size, extra))
+		b := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stq_size %d: status %d: %s", size, resp.StatusCode, b)
+		}
+		return resp.Header.Get("X-Srlproc-Cache"), b
+	}
+	if h, _ := simulate(1024, ""); h != "miss" {
+		t.Fatalf("1K queue: X-Srlproc-Cache %q", h)
+	}
+	h, got := simulate(4096, "")
+	if h != "hit" {
+		t.Fatalf("4K queue: X-Srlproc-Cache %q, want its 1K run to answer", h)
+	}
+	if _, want := simulate(4096, `,"no_cache":true`); !bytes.Equal(got, want) {
+		t.Fatal("the answered 4K queue differs from its fresh run")
+	}
+
+	var doc struct {
+		Cache sweep.Stats `json:"cache"`
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(readAll(t, resp), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Cache.UnfilledQueueHits != 1 || doc.Cache.Misses != 1 || doc.Cache.Hits != 0 {
+		t.Fatalf("cache stats: %+v", doc.Cache)
+	}
+}
+
 // TestSweepExperimentAliasHeader pins the unified experiment dispatch:
 // alias names resolve, and the canonical name is echoed in the
 // X-Srlproc-Experiment response header.

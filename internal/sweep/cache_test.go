@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"srlproc/internal/core"
+	"srlproc/internal/store"
 	"srlproc/internal/trace"
 )
 
@@ -103,15 +105,14 @@ func TestCacheLRUOrder(t *testing.T) {
 	}
 }
 
-// TestCachePoisonedRetryAccounting pins hit/miss accounting on the
-// failed-attempt retry path: a poisoned point whose waiter retries must
-// neither double-count nor deadlock. Goroutine A fails (one miss), waiter
-// B loops and computes fresh (one miss), waiter C of B's attempt counts
-// one hit — hits+misses equals completed do calls exactly.
-func TestCachePoisonedRetryAccounting(t *testing.T) {
-	c := NewCache()
-	cfg := churnCfg(3000)
-
+// poisonedRetry drives the failed-attempt retry path on cfg: goroutine A
+// enters the computation and fails once released, after two waiters, B
+// and C, have parked on it and whileParked has run. The waiters then
+// retry through retry. It returns how many of them reported a fresh
+// result and how many a cache hit.
+func poisonedRetry(t *testing.T, c *Cache, cfg core.Config, suite trace.Suite,
+	whileParked func(), retry func() (*core.Results, error)) (freshes, hits int) {
+	t.Helper()
 	firstEntered := make(chan struct{})
 	releaseFirst := make(chan struct{})
 	poisonErr := errors.New("poisoned attempt")
@@ -123,7 +124,7 @@ func TestCachePoisonedRetryAccounting(t *testing.T) {
 	var aErr error
 	go func() {
 		defer wg.Done()
-		_, aHit, aErr = c.do(context.Background(), cfg, trace.PROD, func() (*core.Results, error) {
+		_, aHit, aErr = c.do(context.Background(), cfg, suite, func() (*core.Results, error) {
 			close(firstEntered)
 			<-releaseFirst
 			return nil, poisonErr
@@ -137,19 +138,11 @@ func TestCachePoisonedRetryAccounting(t *testing.T) {
 		hit bool
 		err error
 	}, 2)
-	var computes int32
-	var computeMu sync.Mutex
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, hit, err := c.do(context.Background(), cfg, trace.PROD, func() (*core.Results, error) {
-				computeMu.Lock()
-				computes++
-				computeMu.Unlock()
-				time.Sleep(2 * time.Millisecond) // widen the single-flight window
-				return fakeResults(cfg, trace.PROD), nil
-			})
+			_, hit, err := c.do(context.Background(), cfg, suite, retry)
 			results <- struct {
 				hit bool
 				err error
@@ -158,6 +151,7 @@ func TestCachePoisonedRetryAccounting(t *testing.T) {
 	}
 	// Give B and C time to park on A's entry, then poison it.
 	time.Sleep(5 * time.Millisecond)
+	whileParked()
 	close(releaseFirst)
 
 	done := make(chan struct{})
@@ -171,7 +165,6 @@ func TestCachePoisonedRetryAccounting(t *testing.T) {
 	if aErr == nil || aHit {
 		t.Fatalf("first attempt: hit=%v err=%v", aHit, aErr)
 	}
-	var hits, freshes int
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.err != nil {
@@ -183,15 +176,82 @@ func TestCachePoisonedRetryAccounting(t *testing.T) {
 			freshes++
 		}
 	}
+	return freshes, hits
+}
+
+// TestCachePoisonedRetryAccounting pins the accounting invariant: every do
+// call that returns counts exactly one memo hit, unfilled-queue hit, store
+// hit or miss, on the failed-attempt retry path too, where a poisoned
+// point's waiters retry and must neither double-count nor deadlock.
+func TestCachePoisonedRetryAccounting(t *testing.T) {
+	disk, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	c.AttachStore(disk)
+	calls := 0
+
+	// The retry simulates: A's failure is one miss, the waiter that
+	// retries first computes fresh (one miss), and the other counts one
+	// hit on that attempt.
+	cfg := churnCfg(3000)
+	var computes atomic.Int32
+	freshes, hits := poisonedRetry(t, c, cfg, trace.PROD, func() {}, func() (*core.Results, error) {
+		computes.Add(1)
+		time.Sleep(2 * time.Millisecond) // widen the single-flight window
+		return fakeResults(cfg, trace.PROD), nil
+	})
+	calls += 3
 	// The scheduler decides whether C parks on B's attempt (1 fresh + 1
 	// hit) or both retry serially against a ready entry (also 1 fresh + 1
 	// hit) — but a double fresh compute would mean single-flight broke.
-	if computes != 1 || freshes != 1 || hits != 1 {
-		t.Fatalf("computes=%d freshes=%d hits=%d, want 1/1/1", computes, freshes, hits)
+	if computes.Load() != 1 || freshes != 1 || hits != 1 {
+		t.Fatalf("computes=%d freshes=%d hits=%d, want 1/1/1", computes.Load(), freshes, hits)
 	}
-	// Exactly one hit, and exactly two misses (A's failure + the retry).
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 {
 		t.Fatalf("cache accounting hits=%d misses=%d, want 1/2", st.Hits, st.Misses)
+	}
+
+	// The retry finds its family: while the waiters are parked, a run of
+	// the same point at a smaller store queue that never fills is cached
+	// (one miss). After A fails, the first waiter to retry is answered by
+	// it (one unfilled-queue hit) and the other counts one memo hit.
+	big, src := stqCfg(2048), stqCfg(1024)
+	freshes, hits = poisonedRetry(t, c, big, trace.WEB, func() {
+		if _, hit, err := c.do(context.Background(), src, trace.WEB, simulate(src, trace.WEB)); err != nil || hit {
+			t.Errorf("family source: hit=%v err=%v", hit, err)
+		}
+	}, func() (*core.Results, error) {
+		t.Error("a point its family answers simulated")
+		return nil, errors.New("simulated")
+	})
+	calls += 4
+	if freshes != 0 || hits != 2 {
+		t.Fatalf("family retry: freshes=%d hits=%d, want 0/2", freshes, hits)
+	}
+
+	// A point only the store holds is one store hit.
+	p := churnCfg(3001)
+	pKey := store.Key{Fingerprint: core.PointFingerprint(p, trace.MM), Stamp: store.CodeStamp()}
+	if _, err := disk.Put(pKey, fakeResults(p, trace.MM)); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := c.do(context.Background(), p, trace.MM, func() (*core.Results, error) {
+		t.Error("a stored point simulated")
+		return nil, errors.New("simulated")
+	}); err != nil || !hit {
+		t.Fatalf("stored point: hit=%v err=%v", hit, err)
+	}
+	calls++
+
+	c.FlushStore()
+	st := c.Stats()
+	if st.Hits != 2 || st.UnfilledQueueHits != 1 || st.StoreHits != 1 || st.Misses != 4 {
+		t.Fatalf("cache accounting %+v, want hits 2, unfilled-queue hits 1, store hits 1, misses 4", st)
+	}
+	if n := st.Hits + st.UnfilledQueueHits + st.StoreHits + st.Misses; n != uint64(calls) {
+		t.Fatalf("%d do calls counted %d times", calls, n)
 	}
 }
 

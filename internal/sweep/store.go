@@ -81,21 +81,6 @@ func (c *Cache) storeGet(st store.ResultStore, stamp string, key uint64) (*core.
 	return res, true
 }
 
-// publishFromStore completes an in-flight entry with a store-hydrated
-// result, exactly as a successful compute would, and wakes any waiters.
-func (c *Cache) publishFromStore(key uint64, e *cacheEntry, res *core.Results) {
-	e.res = res
-	c.mu.Lock()
-	if c.m[key] == e {
-		e.bytes = resultsFootprint(res)
-		e.elem = c.lru.PushFront(e)
-		c.bytes += e.bytes
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(e.ready)
-}
-
 // writeThrough persists a freshly computed result to the attached store,
 // asynchronously while writer slots are free and synchronously once
 // maxStoreWriters are already in flight. Results are never dropped.
