@@ -150,12 +150,15 @@ paper-smoke:
 # FUZZTIME of arbitrary /v1/simulate bodies through the server's handler,
 # each answered with a short run's Results or a 4xx envelope, then FUZZTIME
 # of arbitrary paper grids (scripts/paper/experiments.json's format), each
-# rejected by ParseGrid or planned for every profile. Failing fuzz inputs
-# are auto-saved under internal/check/testdata/fuzz/FuzzOracle/,
+# rejected by ParseGrid or planned for every profile, then FUZZTIME of
+# arbitrary bytes as a result store's file, each read back as a verified
+# result or a miss that quarantines it. Failing fuzz inputs are auto-saved
+# under internal/check/testdata/fuzz/FuzzOracle/,
 # internal/trace/testdata/fuzz/FuzzReadRecords/,
 # internal/core/testdata/fuzz/FuzzConfig/,
-# internal/serve/testdata/fuzz/FuzzSimulateRequest/ and
-# internal/paper/testdata/fuzz/FuzzGridConfig/ and become permanent
+# internal/serve/testdata/fuzz/FuzzSimulateRequest/,
+# internal/paper/testdata/fuzz/FuzzGridConfig/ and
+# internal/store/testdata/fuzz/FuzzDiskGet/ and become permanent
 # regression seeds; minimize an oracle one with
 # `go run ./cmd/traceconv minimize`.
 FUZZTIME ?= 30s
@@ -167,3 +170,4 @@ fuzz:
 	go test ./internal/core -run '^$$' -fuzz FuzzConfig -fuzztime $(FUZZTIME)
 	go test ./internal/serve -run '^$$' -fuzz FuzzSimulateRequest -fuzztime $(FUZZTIME)
 	go test ./internal/paper -run '^$$' -fuzz FuzzGridConfig -fuzztime $(FUZZTIME)
+	go test ./internal/store -run '^$$' -fuzz FuzzDiskGet -fuzztime $(FUZZTIME)

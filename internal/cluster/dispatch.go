@@ -136,7 +136,6 @@ func Dispatch(ctx context.Context, client JobClient, workers []string, template 
 	if d.failedErr != nil {
 		return nil, sum, d.failedErr
 	}
-	d.rep.Workers = len(workers) * o.InFlight
 	d.rep.Finish(nil)
 	return d.rep, sum, nil
 }

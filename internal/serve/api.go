@@ -498,8 +498,8 @@ func (s *Server) streamSweep(w http.ResponseWriter, ctx context.Context, runner 
 // GET /v1/results/{fingerprint} body is the exact core.Results JSON
 // document the simulation answered with. Results are looked up in the
 // attached persistent store under this binary's code stamp — 503 without
-// a store, 404 when the point is unknown (or persisted artifacts-only,
-// i.e. not hydratable).
+// a store, 404 when the point is unknown, was never persisted (an observed
+// or checked run) or its file failed verification and was quarantined.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	s.bump(func(c *counters) { c.Requests++ })
 	st := s.cache.Store()

@@ -5,18 +5,17 @@
 // cluster) replays an identical sweep entirely from durable state instead
 // of recomputing it.
 //
-// DiskStore, the implementation, writes content-addressed files
-// (sha256/<hh>/<hash>.json) plus a small per-key index, with atomic
-// rename-on-write, hash re-verification on every read, quarantine of
-// corrupted files, and large observability artifacts (timelines, Perfetto
-// traces, divergence dumps) spilled to a sibling blob directory.
+// DiskStore, the implementation, writes one file per key: the document's
+// SHA-256 on the first line, the document after it. Files land by atomic
+// rename, every read re-checks the digest, and a file that fails the check
+// is quarantined and read as a miss.
 //
 // The store only persists documents that provably round-trip: Encode
 // re-hydrates its own output and requires byte equality before anything is
 // written. Results carrying process-lifetime artifacts (a live Timeline or
-// TraceWriter ring) do not round-trip through their summary JSON form;
-// such entries are recorded artifacts-only — their exports land in the
-// blob directory, but Get never serves them as a cached result.
+// TraceWriter ring, oracle divergences) do not round-trip through their
+// summary JSON form; Put refuses them with ErrNotPersistable and writes
+// nothing.
 //
 // internal/sweep.Cache layers its in-memory LRU as tier 1 over a
 // ResultStore: misses fall through to the store before simulating, and
@@ -46,75 +45,44 @@ type Key struct {
 }
 
 // FingerprintHex renders the fingerprint in the fixed-width hex form used
-// by index filenames, the X-Srlproc-Point HTTP header and Entry documents.
+// by stored file names and the X-Srlproc-Point HTTP header.
 func (k Key) FingerprintHex() string { return fmt.Sprintf("%016x", k.Fingerprint) }
 
-// BlobRef names one spilled artifact of an entry.
-type BlobRef struct {
-	// Name is the artifact's role, e.g. "timeline.csv",
-	// "trace.chrome.json" or "divergences.json".
-	Name string `json:"name"`
-	// Hash is the hex SHA-256 of the blob's content (its address).
-	Hash string `json:"hash"`
-	Size int64  `json:"size"`
-}
-
-// Entry is the index record of one persisted key.
+// Entry describes the document one Put stored.
 type Entry struct {
-	Fingerprint string `json:"fingerprint"` // Key.FingerprintHex
-	Stamp       string `json:"stamp"`
-
-	// Suite and Design label the point for humans browsing the store.
-	Suite  string `json:"suite,omitempty"`
-	Design string `json:"design,omitempty"`
-
-	// Hash and Size address the canonical Results document; both are zero
-	// for artifacts-only entries.
-	Hash string `json:"hash,omitempty"`
-	Size int64  `json:"size,omitempty"`
-
-	// Hydratable reports whether Get can serve this entry as a cached
-	// result. False means the run's document did not round-trip (it
-	// carried live observability artifacts); its exports are in Blobs.
-	Hydratable bool `json:"hydratable"`
-
-	Blobs []BlobRef `json:"blobs,omitempty"`
-
-	CreatedUnix int64 `json:"created_unix,omitempty"`
+	Hash string // hex SHA-256 of the document
+	Size int64  // the document's length in bytes
 }
 
 // Stats is a point-in-time snapshot of a store's contents and counters.
 type Stats struct {
+	// Entries counts stored files and ResultBytes their total size,
+	// under every stamp.
 	Entries     int   `json:"entries"`
-	Hydratable  int   `json:"hydratable"`
 	ResultBytes int64 `json:"result_bytes"`
-	BlobBytes   int64 `json:"blob_bytes"`
 
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`
 	Puts        uint64 `json:"puts"`
 	Quarantined uint64 `json:"quarantined"`
-	Deletes     uint64 `json:"deletes"`
 }
 
 // ResultStore is the persistent result tier.
 //
 // Get returns the rehydrated result for key, or (nil, false, nil) when the
-// store holds nothing servable for it — absent, artifacts-only, written
-// under a different stamp, or quarantined as corrupt. Corruption is never
-// surfaced to the caller as data or as an error: the offending files are
-// quarantined and the point simply recomputes.
+// store holds nothing servable for it — absent, written under a different
+// stamp, or quarantined as corrupt. Corruption is never surfaced to the
+// caller as data or as an error: the offending file is quarantined and the
+// point simply recomputes.
 //
-// Put persists one completed result. Results whose canonical document does
-// not round-trip byte-identically are recorded artifacts-only (their
-// exports spill to the blob tier); that is not an error.
+// Put persists one completed result. A result whose canonical document
+// does not round-trip byte-identically is not written; Put returns
+// ErrNotPersistable (wrapped) for it.
 //
 // Implementations are safe for concurrent use.
 type ResultStore interface {
 	Get(key Key) (*core.Results, bool, error)
 	Put(key Key, res *core.Results) (Entry, error)
-	Delete(key Key) error
-	List() ([]Entry, error)
 	Stats() Stats
 	Close() error
 }
@@ -125,6 +93,10 @@ type ResultStore interface {
 // live observability artifacts (Timeline, TraceWriter, Divergences) are
 // the expected case.
 var ErrNotPersistable = errors.New("store: result document does not round-trip")
+
+// IsNotPersistable reports whether err is the round-trip rejection
+// (ErrNotPersistable, possibly wrapped).
+func IsNotPersistable(err error) bool { return errors.Is(err, ErrNotPersistable) }
 
 // Encode renders res as its canonical JSON document and proves the
 // document rehydrates byte-identically: unmarshal into a fresh Results,

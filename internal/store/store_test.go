@@ -1,8 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +31,7 @@ func tinyCfg(d core.StoreDesign, seed uint64) core.Config {
 // simulate runs a real (tiny) simulation so the tests exercise the
 // round-trip gate against genuine result documents — counters, metric
 // sets, occupancy trackers and all.
-func simulate(t *testing.T, cfg core.Config, suite trace.Suite) *core.Results {
+func simulate(t testing.TB, cfg core.Config, suite trace.Suite) *core.Results {
 	t.Helper()
 	c, err := core.New(cfg, suite)
 	if err != nil {
@@ -79,8 +84,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !e.Hydratable || e.Hash == "" {
-			t.Fatalf("SRL result should be hydratable: %+v", e)
+		if len(e.Hash) != 64 || e.Size != int64(len(want)) {
+			t.Fatalf("entry %+v does not describe the %d-byte document", e, len(want))
 		}
 		back, ok, err := s.Get(key)
 		if err != nil || !ok {
@@ -125,8 +130,8 @@ func TestStampFlipMisses(t *testing.T) {
 
 // TestObservedResultArtifactsOnly: a result carrying live observability
 // state (timeline ring, trace writer) does not round-trip through its
-// summary JSON form; the store must record it artifacts-only — blobs
-// spilled, never served by Get.
+// summary JSON form, so its artifacts stay with the run that made them:
+// Put refuses it with ErrNotPersistable and writes nothing.
 func TestObservedResultArtifactsOnly(t *testing.T) {
 	cfg := tinyCfg(core.DesignSRL, 41)
 	cfg.Obs = obs.Config{SampleEvery: 256, TraceEvents: true}
@@ -140,24 +145,16 @@ func TestObservedResultArtifactsOnly(t *testing.T) {
 	s := openDisk(t)
 	t.Run("disk", func(t *testing.T) {
 		key := keyFor(cfg, trace.PROD)
-		e, err := s.Put(key, res)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := s.Put(key, res); !IsNotPersistable(err) {
+			t.Fatalf("Put must refuse an observed result, got %v", err)
 		}
-		if e.Hydratable || e.Hash != "" {
-			t.Fatalf("observed entry must be artifacts-only: %+v", e)
-		}
-		names := make([]string, 0, len(e.Blobs))
-		for _, b := range e.Blobs {
-			names = append(names, b.Name)
-		}
-		if got := strings.Join(names, ","); got != "timeline.csv,trace.chrome.json" {
-			t.Fatalf("blobs = %q", got)
+		if _, err := os.Stat(s.path(key)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("a refused result left a file: %v", err)
 		}
 		if _, ok, err := s.Get(key); err != nil || ok {
-			t.Fatalf("artifacts-only entry must not hydrate: ok=%v err=%v", ok, err)
+			t.Fatalf("refused result must not hydrate: ok=%v err=%v", ok, err)
 		}
-		if st := s.Stats(); st.BlobBytes == 0 || st.Hydratable != 0 {
+		if st := s.Stats(); st.Puts != 0 || st.Entries != 0 {
 			t.Fatalf("stats: %+v", st)
 		}
 	})
@@ -165,7 +162,7 @@ func TestObservedResultArtifactsOnly(t *testing.T) {
 
 // TestDivergentResultNotPersistable: a checked run's divergences name
 // their kinds, and a kind has no text decoder, so a document carrying them
-// fails Encode's round trip and the store keeps it artifacts-only.
+// fails Encode's round trip and the store refuses it.
 func TestDivergentResultNotPersistable(t *testing.T) {
 	res := simulate(t, tinyCfg(core.DesignSRL, 43), trace.PROD)
 	res.Divergences = []oracle.Divergence{{Kind: oracle.KindForwardAge, Cycle: 7}}
@@ -175,10 +172,11 @@ func TestDivergentResultNotPersistable(t *testing.T) {
 	}
 }
 
-// TestDiskCorruptionQuarantined: flipping bytes in a content file must be
-// detected by the read-side hash check, the file moved to quarantine/, and
-// the Get reported as a clean miss — corruption is repaired by
-// recomputation, never served.
+// TestDiskCorruptionQuarantined: a flipped byte in a stored file must be
+// detected by the read-side digest check, the file moved to quarantine/,
+// and the Get reported as a clean miss — corruption is repaired by
+// recomputation, never served. The flipped byte is a digit of a number,
+// so the document still decodes and only the digest can catch it.
 func TestDiskCorruptionQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDisk(dir)
@@ -188,24 +186,22 @@ func TestDiskCorruptionQuarantined(t *testing.T) {
 	cfg := tinyCfg(core.DesignHierarchical, 51)
 	res := simulate(t, cfg, trace.WEB)
 	key := keyFor(cfg, trace.WEB)
-	e, err := s.Put(key, res)
+	if _, err := s.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	cpath := s.path(key)
+	data, err := os.ReadFile(cpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpath := filepath.Join(dir, "sha256", e.Hash[:2], e.Hash+".json")
-	doc, err := os.ReadFile(cpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc[len(doc)/2] ^= 0xff
-	if err := os.WriteFile(cpath, doc, 0o644); err != nil {
+	if err := os.WriteFile(cpath, flipDigit(t, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := s.Get(key); err != nil || ok {
 		t.Fatalf("corrupt entry served: ok=%v err=%v", ok, err)
 	}
 	if _, err := os.Stat(cpath); !os.IsNotExist(err) {
-		t.Fatal("corrupt content file still in place")
+		t.Fatal("corrupt file still in place")
 	}
 	quar, err := os.ReadDir(filepath.Join(dir, "quarantine"))
 	if err != nil || len(quar) != 1 {
@@ -215,14 +211,32 @@ func TestDiskCorruptionQuarantined(t *testing.T) {
 	if st.Quarantined != 1 || st.Entries != 0 {
 		t.Fatalf("stats after quarantine: %+v", st)
 	}
-	// The point transparently recomputes: a fresh Put re-creates content
-	// and index, and the next Get hits.
+	// The point transparently recomputes: a fresh Put re-creates the file,
+	// and the next Get hits.
 	if _, err := s.Put(key, res); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := s.Get(key); !ok {
 		t.Fatal("re-put after quarantine did not hit")
 	}
+}
+
+// flipDigit returns a copy of a stored file with the first digit of a
+// number in its document changed: the document still decodes, and only
+// the digest line tells the change apart.
+func flipDigit(t testing.TB, data []byte) []byte {
+	out := bytes.Clone(data)
+	for i := digestLen; i+1 < len(out); i++ {
+		if c := out[i+1]; out[i] == ':' && c >= '1' && c <= '9' {
+			out[i+1] = '1' + (c-'0')%9
+			if _, err := Decode(out[digestLen:]); err != nil {
+				t.Fatalf("the flipped document does not decode: %v", err)
+			}
+			return out
+		}
+	}
+	t.Fatal("no number in the stored document")
+	return nil
 }
 
 // TestDiskTruncatedEntryQuarantined covers the truncation flavour of
@@ -240,15 +254,20 @@ func TestDiskTruncatedEntryQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpath := filepath.Join(dir, "sha256", e.Hash[:2], e.Hash+".json")
-	if err := os.Truncate(cpath, e.Size/2); err != nil {
+	if err := os.Truncate(s.path(key), e.Size/2); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := s.Get(key); err != nil || ok {
 		t.Fatalf("truncated entry served: ok=%v err=%v", ok, err)
 	}
-	if s.Stats().Quarantined != 1 {
-		t.Fatalf("stats: %+v", s.Stats())
+	if st := s.Stats(); st.Quarantined != 1 || st.Entries != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if _, err := s.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := s.Get(key); !ok {
+		t.Fatal("re-put after quarantine did not hit")
 	}
 }
 
@@ -267,11 +286,11 @@ func TestDiskCrashSimTempSweep(t *testing.T) {
 	if _, err := s.Put(key, res); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-write: half a document under a temp name in
-	// both the content and index trees.
+	// Simulate a crash mid-write: half a file under a temp name beside
+	// the committed one and in another stamp's directory.
 	for _, p := range []string{
-		filepath.Join(dir, "sha256", "ab", ".tmp-1234"),
-		filepath.Join(dir, "index", "deadbeef0000", ".tmp-5678"),
+		filepath.Join(filepath.Dir(s.path(key)), ".tmp-1234"),
+		filepath.Join(dir, "deadbeef0000", ".tmp-5678"),
 	} {
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			t.Fatal(err)
@@ -329,42 +348,64 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestDeleteAndList(t *testing.T) {
-	s := openDisk(t)
-	t.Run("disk", func(t *testing.T) {
-		var keys []Key
-		for i := 0; i < 3; i++ {
-			cfg := tinyCfg(core.DesignBaseline, uint64(90+i))
-			res := simulate(t, cfg, trace.WEB)
-			key := keyFor(cfg, trace.WEB)
-			keys = append(keys, key)
-			if _, err := s.Put(key, res); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if es, _ := s.List(); len(es) != 3 {
-			t.Fatalf("list: %d entries, want 3", len(es))
-		}
-		if err := s.Delete(keys[1]); err != nil {
+// TestOneFilePerKey: N puts of distinct results leave exactly N regular
+// files, all in one stamp directory, and Stats counts them — corrupt or
+// not — from the directory listing alone, quarantining nothing.
+func TestOneFilePerKey(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	var total int64
+	for i := 0; i < n; i++ {
+		cfg := tinyCfg(core.DesignBaseline, uint64(90+i))
+		if _, err := s.Put(keyFor(cfg, trace.WEB), simulate(t, cfg, trace.WEB)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Delete(keys[1]); err != nil {
-			t.Fatalf("double delete must be a no-op: %v", err)
+	}
+	var files []string
+	dirs := map[string]bool{}
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
-		es, err := s.List()
-		if err != nil || len(es) != 2 {
-			t.Fatalf("list after delete: %d entries err=%v", len(es), err)
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			dirs[rel] = true
+			return nil
 		}
-		for i := 1; i < len(es); i++ {
-			if es[i-1].Stamp > es[i].Stamp ||
-				(es[i-1].Stamp == es[i].Stamp && es[i-1].Fingerprint >= es[i].Fingerprint) {
-				t.Fatalf("list not sorted: %v", es)
-			}
+		if !d.Type().IsRegular() {
+			t.Errorf("%s is not a regular file", rel)
 		}
-		if _, ok, _ := s.Get(keys[1]); ok {
-			t.Fatal("deleted key still hits")
+		info, err := d.Info()
+		if err != nil {
+			return err
 		}
+		total += info.Size()
+		files = append(files, path)
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stampDir := filepath.Dir(s.path(keyFor(tinyCfg(core.DesignBaseline, 90), trace.WEB)))
+	rel, _ := filepath.Rel(dir, stampDir)
+	if len(files) != n || len(dirs) != 3 || !dirs["."] || !dirs[quarantineDir] || !dirs[rel] {
+		t.Fatalf("files %v in directories %v, want %d files in %s", files, dirs, n, rel)
+	}
+	if st := s.Stats(); st.Entries != n || st.ResultBytes != total || st.Puts != n {
+		t.Fatalf("stats %+v, want %d entries of %d bytes", st, n, total)
+	}
+	for _, f := range files {
+		if err := os.Truncate(f, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Entries != n || st.ResultBytes != 10*n || st.Quarantined != 0 {
+		t.Fatalf("stats over corrupt files: %+v", st)
+	}
 }
 
 // TestConcurrentGetPut exercises the store under the race
@@ -401,9 +442,6 @@ func TestConcurrentGetPut(t *testing.T) {
 					}
 					if g == 0 && i == 10 {
 						s.Stats()
-						if _, err := s.List(); err != nil {
-							t.Error(err)
-						}
 					}
 				}
 			}(g)
@@ -430,4 +468,80 @@ func TestKeyFingerprintHex(t *testing.T) {
 	if len(fmt.Sprintf("%016x", ^uint64(0))) != 16 {
 		t.Fatal("fingerprint hex width")
 	}
+}
+
+// FuzzDiskGet writes arbitrary bytes as one key's stored file and reads
+// the key back. Get must never panic or fail, and must answer either the
+// decoded document of a file whose digest line matches it, or a miss that
+// moved the file, bytes intact, to quarantine/.
+func FuzzDiskGet(f *testing.F) {
+	cfg := tinyCfg(core.DesignSRL, 131)
+	key := keyFor(cfg, trace.WEB)
+	seed, err := OpenDisk(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := seed.Put(key, simulate(f, cfg, trace.WEB)); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(seed.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/2] ^= 0xff
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:digestLen])
+	f.Add(flipped)
+	f.Add(flipDigit(f, valid))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		s, err := OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := s.path(key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, ok, err := s.Get(key)
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		digestOK := len(data) >= digestLen && data[digestLen-1] == '\n' &&
+			hashHex(data[digestLen:]) == string(data[:digestLen-1])
+		st := s.Stats()
+		if ok {
+			if res == nil || !digestOK || st.Hits != 1 || st.Quarantined != 0 {
+				t.Fatalf("hit with res=%v digest ok=%v stats %+v", res != nil, digestOK, st)
+			}
+			return
+		}
+		if digestOK {
+			if _, err := Decode(data[digestLen:]); err == nil {
+				t.Fatal("a file with a matching digest and a decodable document missed")
+			}
+		}
+		if st.Misses != 1 || st.Quarantined != 1 || st.Entries != 0 {
+			t.Fatalf("miss stats %+v, want one miss that quarantined the file", st)
+		}
+		quar, err := os.ReadDir(filepath.Join(dir, quarantineDir))
+		if err != nil || len(quar) != 1 {
+			t.Fatalf("quarantine holds %d files (err=%v), want 1", len(quar), err)
+		}
+		if kept, err := os.ReadFile(filepath.Join(dir, quarantineDir, quar[0].Name())); err != nil || !bytes.Equal(kept, data) {
+			t.Fatalf("quarantined file differs from the stored bytes (err=%v)", err)
+		}
+	})
+}
+
+// hashHex returns the hex SHA-256 of data.
+func hashHex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }

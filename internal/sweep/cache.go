@@ -139,7 +139,8 @@ type Stats struct {
 
 	// Persistent-tier traffic from this cache: memo misses served by the
 	// store, memo misses the store also missed (simulated fresh), results
-	// written through, and store operations that returned errors.
+	// written through, and store operations that returned errors. A
+	// result the store cannot persist is neither a put nor an error.
 	StoreHits   uint64 `json:"store_hits,omitempty"`
 	StoreMisses uint64 `json:"store_misses,omitempty"`
 	StorePuts   uint64 `json:"store_puts,omitempty"`

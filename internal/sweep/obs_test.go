@@ -1,10 +1,7 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -51,56 +48,5 @@ func TestConcurrentProgressWithObservability(t *testing.T) {
 		if res.Trace == nil || res.Trace.Count(0) == 0 && res.Trace.Len() == 0 {
 			t.Fatalf("point %d: no trace events", i)
 		}
-	}
-}
-
-// TestReportExports checks the sweep-level metrics and both export forms.
-func TestReportExports(t *testing.T) {
-	sim := func(ctx context.Context, cfg core.Config, suite trace.Suite) (*core.Results, error) {
-		return fakeResults(cfg, suite), nil
-	}
-	points := []Point{
-		{Label: "a", Cfg: tinyCfg(core.DesignBaseline, 301), Suite: trace.PROD},
-		{Label: "b", Cfg: tinyCfg(core.DesignSRL, 301), Suite: trace.PROD},
-	}
-	rep, err := Run(context.Background(), points, Options{Workers: 2, NoCache: true, Simulate: sim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Workers != 2 {
-		t.Fatalf("Workers = %d, want 2", rep.Workers)
-	}
-	if r := rep.CacheHitRatio(); r != 0 {
-		t.Fatalf("CacheHitRatio = %v, want 0", r)
-	}
-	if u := rep.WorkerUtilization(); u < 0 || u > 1 {
-		t.Fatalf("WorkerUtilization = %v, want [0,1]", u)
-	}
-
-	b, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Points  []struct{ Label, Suite string } `json:"points"`
-		Workers int                             `json:"workers"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("report JSON does not round-trip: %v", err)
-	}
-	if len(doc.Points) != 2 || doc.Points[0].Label != "a" || doc.Workers != 2 {
-		t.Fatalf("report JSON = %+v", doc)
-	}
-
-	var buf bytes.Buffer
-	if err := rep.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV lines = %d, want header + 2 rows:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "label,suite,") {
-		t.Fatalf("CSV header = %q", lines[0])
 	}
 }

@@ -105,8 +105,14 @@ func (c *Cache) writeThrough(key uint64, res *core.Results) {
 	}
 }
 
+// storePut writes one result through. A result the store refuses as not
+// persistable (an observed or checked run) counts as neither a put nor an
+// error: nothing went wrong, and the point recomputes when asked again.
 func (c *Cache) storePut(st store.ResultStore, stamp string, key uint64, res *core.Results) {
 	_, err := st.Put(store.Key{Fingerprint: key, Stamp: stamp}, res)
+	if store.IsNotPersistable(err) {
+		return
+	}
 	c.mu.Lock()
 	if err != nil {
 		c.storeErrors++

@@ -173,6 +173,34 @@ func TestFailedComputationsNotWrittenThrough(t *testing.T) {
 	}
 }
 
+// TestObservedResultNotWrittenThrough: an observed run's result does not
+// round-trip, so the store refuses it; the cache counts that as neither a
+// put nor an error, and the store holds nothing.
+func TestObservedResultNotWrittenThrough(t *testing.T) {
+	disk, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	c.AttachStore(disk)
+	pts := storePoints(1)
+	pts[0].Cfg.Obs.SampleEvery = 256
+	rep, err := Run(context.Background(), pts, Options{Workers: 1, Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.FlushStore()
+	if rep.Points[0].Results.Timeline == nil {
+		t.Fatal("observed run produced no timeline; test fixture is stale")
+	}
+	if st := c.Stats(); st.StorePuts != 0 || st.StoreErrors != 0 || st.StoreMisses != 1 {
+		t.Fatalf("cache store stats: %+v", st)
+	}
+	if st := disk.Stats(); st.Puts != 0 || st.Entries != 0 {
+		t.Fatalf("observed result reached the store: %+v", st)
+	}
+}
+
 // TestConcurrentSweepWithStore runs duplicate points through a
 // store-backed cache under the race detector: single-flight collapse, the
 // store probe and asynchronous write-through all race here.
@@ -210,7 +238,5 @@ func (failingStore) Get(store.Key) (*core.Results, bool, error) { return nil, fa
 func (failingStore) Put(store.Key, *core.Results) (store.Entry, error) {
 	return store.Entry{}, errStoreDown
 }
-func (failingStore) Delete(store.Key) error       { return errStoreDown }
-func (failingStore) List() ([]store.Entry, error) { return nil, errStoreDown }
-func (failingStore) Stats() store.Stats           { return store.Stats{} }
-func (failingStore) Close() error                 { return nil }
+func (failingStore) Stats() store.Stats { return store.Stats{} }
+func (failingStore) Close() error       { return nil }

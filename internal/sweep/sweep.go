@@ -1,8 +1,8 @@
 // Package sweep is the experiment-orchestration engine: it runs a set of
 // (config, suite) simulation points on a bounded worker pool with
 // context.Context cancellation, per-worker panic isolation, progress
-// reporting, per-point timing and throughput metrics, and process-wide
-// result memoization keyed by a stable config fingerprint.
+// reporting, per-point timing, and process-wide result memoization keyed
+// by a stable config fingerprint.
 //
 // Package bench builds every table and figure of the paper's evaluation on
 // top of this engine; the srlproc facade exposes its knobs (workers,
@@ -91,29 +91,22 @@ type PointResult struct {
 	Point    Point
 	Results  *core.Results // nil on error
 	Err      error         // nil on success
-	Wall     time.Duration // wall time spent on this point (0 for cache hits)
+	Wall     time.Duration // wall time spent on this point
 	CacheHit bool
-	// UopsPerSec is the simulated micro-op throughput of this point
-	// (warmup + measured uops over wall time); 0 for cache hits.
-	UopsPerSec float64
 }
 
 // Report aggregates a sweep: per-point outcomes in input order plus
-// whole-sweep metrics.
+// whole-sweep counts.
 type Report struct {
 	Points    []PointResult
-	Elapsed   time.Duration
 	CacheHits int
 	Simulated int // points that ran a fresh simulation
 	Failed    int
-	// Workers is the pool size the sweep actually used (after clamping to
-	// the point count).
-	Workers int
 	// Err is every point error joined with errors.Join (nil if none). A
 	// cancelled sweep's Err wraps ctx.Err().
 	Err error
 
-	start time.Time // when NewReport made the report; Elapsed counts from it
+	start time.Time // when NewReport made the report; Progress.Elapsed counts from it
 }
 
 // NewReport returns the empty report of a sweep over points, timed from
@@ -159,10 +152,9 @@ func (r *Report) Record(i int, pr PointResult) Progress {
 
 // Finish closes the report once nothing more will be recorded. When cause
 // (the error that stopped the sweep) is set, every point without an
-// outcome fails as not run, wrapping it. Finish stamps Elapsed, joins the
-// point errors into Err and returns Err.
+// outcome fails as not run, wrapping it. Finish joins the point errors
+// into Err and returns Err.
 func (r *Report) Finish(cause error) error {
-	r.Elapsed = time.Since(r.start)
 	var errs []error
 	for i := range r.Points {
 		pr := &r.Points[i]
@@ -176,67 +168,6 @@ func (r *Report) Finish(cause error) error {
 	}
 	r.Err = errors.Join(errs...)
 	return r.Err
-}
-
-// CacheHitRatio returns the fraction of points served from the memo cache
-// (0 for an empty sweep).
-func (r *Report) CacheHitRatio() float64 {
-	if len(r.Points) == 0 {
-		return 0
-	}
-	return float64(r.CacheHits) / float64(len(r.Points))
-}
-
-// WorkerUtilization returns the mean busy fraction of the worker pool:
-// total per-point wall time over Workers x Elapsed. 1.0 means every worker
-// simulated for the whole sweep; low values mean the pool idled (cache
-// hits, stragglers, or too many workers).
-func (r *Report) WorkerUtilization() float64 {
-	if r.Workers <= 0 || r.Elapsed <= 0 {
-		return 0
-	}
-	var busy time.Duration
-	for i := range r.Points {
-		busy += r.Points[i].Wall
-	}
-	return busy.Seconds() / (float64(r.Workers) * r.Elapsed.Seconds())
-}
-
-// Get returns the results for the first point matching label and suite, or
-// nil if it is absent or failed.
-func (r *Report) Get(label string, suite trace.Suite) *core.Results {
-	for i := range r.Points {
-		if r.Points[i].Point.Label == label && r.Points[i].Point.Suite == suite {
-			return r.Points[i].Results
-		}
-	}
-	return nil
-}
-
-// TotalSimulatedUops sums warmup+measured micro-ops over freshly simulated
-// points (cache hits cost nothing and count nothing).
-func (r *Report) TotalSimulatedUops() uint64 {
-	var n uint64
-	for i := range r.Points {
-		if pr := &r.Points[i]; !pr.CacheHit && pr.Results != nil {
-			n += pr.Point.Cfg.WarmupUops + pr.Results.Uops
-		}
-	}
-	return n
-}
-
-// Throughput returns aggregate simulated micro-ops per wall second.
-func (r *Report) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.TotalSimulatedUops()) / r.Elapsed.Seconds()
-}
-
-// String summarises the sweep for humans.
-func (r *Report) String() string {
-	return fmt.Sprintf("sweep: %d points (%d simulated, %d cached, %d failed) in %v, %.0f uops/s",
-		len(r.Points), r.Simulated, r.CacheHits, r.Failed, r.Elapsed.Round(time.Millisecond), r.Throughput())
 }
 
 // Run executes every point on a bounded worker pool and returns the report
@@ -275,8 +206,6 @@ func Run(ctx context.Context, points []Point, opts Options) (*Report, error) {
 	if opts.NoCache {
 		cache = nil
 	}
-
-	rep.Workers = workers
 
 	// Worker 0 is the calling goroutine, so a serial or one-point sweep
 	// (every /v1/simulate request) starts no goroutine.
@@ -349,8 +278,5 @@ func runOne(ctx context.Context, cache *Cache, sim SimulateFunc, p Point) (pr Po
 		})
 	}
 	pr.Wall = time.Since(start)
-	if pr.Err == nil && !pr.CacheHit && pr.Wall > 0 {
-		pr.UopsPerSec = float64(p.Cfg.WarmupUops+pr.Results.Uops) / pr.Wall.Seconds()
-	}
 	return pr
 }

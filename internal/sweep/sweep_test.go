@@ -70,7 +70,7 @@ func TestCacheHitMatchesFreshRun(t *testing.T) {
 	if first.Points[0].CacheHit || first.Simulated != 1 {
 		t.Fatalf("first run not a fresh simulation: %+v", first)
 	}
-	if first.Points[0].UopsPerSec <= 0 || first.Points[0].Wall <= 0 {
+	if first.Points[0].Wall <= 0 {
 		t.Fatalf("missing per-point metrics: %+v", first.Points[0])
 	}
 	second, err := Run(context.Background(), []Point{p}, Options{Cache: cache})
@@ -283,23 +283,6 @@ func TestRecordAtIndex(t *testing.T) {
 	}
 	if rep.Points[2].Results != res || !rep.Points[2].CacheHit || rep.Points[3].Results != res {
 		t.Fatalf("report %+v", rep)
-	}
-}
-
-func TestReportHelpers(t *testing.T) {
-	p := Point{Label: "x", Cfg: tinyCfg(core.DesignBaseline, 800), Suite: trace.SINT2K}
-	rep, err := Run(context.Background(), []Point{p}, Options{NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Get("x", trace.SINT2K) == nil || rep.Get("y", trace.SINT2K) != nil {
-		t.Fatal("Get lookup wrong")
-	}
-	if rep.TotalSimulatedUops() == 0 || rep.Throughput() <= 0 {
-		t.Fatalf("metrics empty: %s", rep)
-	}
-	if !strings.Contains(rep.String(), "1 points") {
-		t.Fatalf("render: %s", rep)
 	}
 }
 

@@ -11,6 +11,9 @@
 #
 #   quick-json       experiments -quick -uops 8000 -warmup 1000 -json
 #   quick-timeline   that run's -timeline CSV
+#   quick-json-store the quick -json run (no -timeline) made twice over one
+#                    fresh -store-dir; the second, served from the store,
+#                    is kept
 #   quick-text       the text tables of the quick run (its flags, no -json)
 #   quick-csv        the quick run's flags with -csv instead of -json
 #   default-json     experiments -json (default scale)
@@ -51,6 +54,9 @@ produce() {
     local ex="$out/bin/experiments"
     echo "== identity: $side: experiments -quick"
     "$ex" -quick -uops 8000 -warmup 1000 -json -timeline "$out/quick-timeline" >"$out/quick-json"
+    echo "== identity: $side: experiments -quick -json, twice over one store"
+    "$ex" -quick -uops 8000 -warmup 1000 -json -store-dir "$out/store" >/dev/null
+    "$ex" -quick -uops 8000 -warmup 1000 -json -store-dir "$out/store" >"$out/quick-json-store"
     "$ex" -quick -uops 8000 -warmup 1000 >"$out/quick-text"
     "$ex" -quick -uops 8000 -warmup 1000 -csv >"$out/quick-csv"
     echo "== identity: $side: experiments (default scale)"
@@ -77,7 +83,7 @@ produce base "$tmp/base-src"
 produce work "$PWD"
 
 echo "== identity: comparing against $BASE ($rev)"
-files=(quick-json quick-timeline quick-text quick-csv default-json table1 table2 power srlsim-v skip-lines)
+files=(quick-json quick-timeline quick-json-store quick-text quick-csv default-json table1 table2 power srlsim-v skip-lines)
 trees=(csv analysis)
 differ=()
 for f in "${files[@]}"; do

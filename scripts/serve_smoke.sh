@@ -16,17 +16,18 @@ LOG="$(mktemp)"
 STOREDIR="$(mktemp -d)"
 HDRS="$(mktemp)"
 
+pid=""
 cleanup() {
     kill "$pid" 2>/dev/null || true
     rm -f "$LOG" "$HDRS"
-    rm -rf "$STOREDIR"
+    rm -rf "$STOREDIR" "$(dirname "$BIN")"
 }
+trap cleanup EXIT INT TERM
 
 go build -o "$BIN" ./cmd/srlserved
 
 "$BIN" -addr "$ADDR" -drain-timeout 30s 2>"$LOG" &
 pid=$!
-trap cleanup EXIT INT TERM
 
 # wait_healthy blocks until the current server answers /healthz.
 wait_healthy() {
@@ -141,5 +142,5 @@ drain_clean
 
 trap - EXIT INT TERM
 rm -f "$LOG" "$HDRS"
-rm -rf "$STOREDIR"
+rm -rf "$STOREDIR" "$(dirname "$BIN")"
 echo "serve-smoke: ok (clean drain, warm restart served from store)"

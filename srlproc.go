@@ -40,9 +40,10 @@
 // NoCache).
 //
 // Results can persist across processes: AttachResultStore points the
-// process-global memo cache at an on-disk, content-addressed result store,
-// after which identical experiment runs in a restarted process replay
-// entirely from durable state (zero simulations, byte-identical output).
+// process-global memo cache at an on-disk result store (one verified file
+// a point), after which identical experiment runs in a restarted process
+// replay entirely from durable state (zero simulations, byte-identical
+// output).
 package srlproc
 
 import (
@@ -236,15 +237,6 @@ const (
 	EvBranchMispredict  = obs.EvBranchMispredict
 )
 
-// SweepReport aggregates one engine sweep: per-point outcomes in input
-// order plus pool-level metrics (elapsed, cache hits, worker
-// utilization). Experiment runners consume it internally; it is exported
-// for callers driving sweep-level tooling.
-type SweepReport = sweep.Report
-
-// SweepPointResult is one sweep point's outcome and cost.
-type SweepPointResult = sweep.PointResult
-
 // Progress is one snapshot of a running sweep: points done/total, cache
 // hits, failures, elapsed wall time and a naive ETA.
 type Progress = sweep.Progress
@@ -277,8 +269,8 @@ func SetSweepCacheBudget(maxEntries int, maxBytes int64) {
 func ResetSweepCache() { sweep.Global().Reset() }
 
 // ResultStoreStats snapshots the persistent result store's contents and
-// counters (entries, hydratable entries, hits/misses/puts, quarantined
-// files). ok is false when no store is attached.
+// counters (stored files and their bytes, hits/misses/puts, quarantined
+// files).
 type ResultStoreStats = store.Stats
 
 // AttachResultStore opens (creating if needed) an on-disk result store
@@ -286,7 +278,11 @@ type ResultStoreStats = store.Stats
 // process-global memo cache. From then on, memo misses fall through to
 // the store before simulating and completed results write through
 // asynchronously, so a restarted process replays identical experiments
-// with zero simulations and byte-identical output.
+// with zero simulations and byte-identical output. Each point is one file
+// holding its result document and the document's SHA-256; a file that
+// fails the check on read is quarantined and the point recomputes. The
+// results of observed or checked runs (a Timeline, a Trace or oracle
+// divergences) do not round-trip through JSON and are not persisted.
 //
 // Store keys include this binary's code-version stamp: a rebuilt binary
 // computes under a fresh stamp and never reads another build's results.
